@@ -93,6 +93,12 @@ func run() int {
 	)
 	flag.Parse()
 
+	// Installed before anything is loaded, replayed or listening: a signal
+	// that arrives during start-up is held until the select below and then
+	// drains like any other, instead of killing the process.
+	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	name := "fig1"
 	var g *gpml.Graph
 	if *graphFile == "" {
@@ -208,8 +214,6 @@ func run() int {
 		srv.SetReady()
 	}
 
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errc:
 		fmt.Fprintln(os.Stderr, "gpmld:", err)

@@ -498,10 +498,10 @@ type Rows struct {
 	closeDone chan struct{}
 	closeErr  error
 
-	mu     sync.Mutex // guards row, err, closed
-	row    *Row
+	mu     sync.Mutex // guards err, closed
 	err    error
 	closed bool
+	row    *Row // the consumer's alone: Next sets it, Row reads it
 }
 
 func newRows(q *Query, cur eval.Cursor, cancel context.CancelFunc) *Rows {
@@ -549,12 +549,10 @@ func (r *Rows) Next() bool {
 	return row != nil
 }
 
-// Row returns the current row (valid after a true Next).
-func (r *Rows) Row() *Row {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.row
-}
+// Row returns the current row (valid after a true Next). Only the
+// consuming goroutine reads or writes it (Close leaves it alone), so it
+// takes no lock.
+func (r *Rows) Row() *Row { return r.row }
 
 // Err returns the error that ended iteration, if any. A cancelled
 // context surfaces here as the context's error.

@@ -144,13 +144,23 @@ type Tag struct {
 }
 
 // PathBinding is the (annotated) result of matching one path pattern.
-// Src is the store the indices refer to.
+// Src is the store the indices refer to. An engine may hand its emit
+// callback a binding it reuses for the next match, Entries included: a
+// receiver that keeps the binding past the callback keeps a Clone. Tags
+// and Path are never reused — Reduce shares them with its result.
 type PathBinding struct {
 	Entries []Entry
 	Tags    []Tag
 	Path    graph.IdxPath
 	PathVar string // "" when the pattern has no path variable
 	Src     graph.Store
+}
+
+// Clone returns a copy that owns its Entries.
+func (b *PathBinding) Clone() *PathBinding {
+	c := *b
+	c.Entries = append([]Entry(nil), b.Entries...)
+	return &c
 }
 
 // Reduced is a reduced path binding (§6.5): annotations stripped, anonymous

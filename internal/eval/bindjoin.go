@@ -48,7 +48,7 @@ import (
 type seedSolver struct {
 	pp  *plan.PathPlan
 	run func(int) error
-	buf []*binding.PathBinding
+	buf []*binding.Reduced // the current seed's matches, reduced as emitted
 	// seen is the reusable per-seed dedup set (cleared between seeds —
 	// exact, since dedup keys never collide across seeds). Reusing it
 	// keeps the per-seed constant cost near zero on many-seed workloads.
@@ -63,7 +63,7 @@ type seedSolver struct {
 func newSeedSolver(st graph.Stepper, pp *plan.PathPlan, cfg Config, bud *budget) *seedSolver {
 	ss := &seedSolver{pp: pp, seen: map[string]struct{}{}, keyer: binding.NewKeyer(), stringKeys: cfg.StringKeys}
 	ss.run = seedRunner(st, pp, cfg, bud, func(b *binding.PathBinding) error {
-		ss.buf = append(ss.buf, b)
+		ss.buf = append(ss.buf, b.Reduce())
 		return nil
 	})
 	return ss
@@ -86,8 +86,7 @@ func (ss *seedSolver) solve(seed int) ([]*binding.Reduced, error) {
 	}
 	clear(ss.seen)
 	out := make([]*binding.Reduced, 0, len(ss.buf))
-	for _, b := range ss.buf {
-		r := b.Reduce()
+	for _, r := range ss.buf {
 		if ss.stringKeys {
 			if _, dup := ss.seen[r.CanonKey()]; dup {
 				continue

@@ -125,8 +125,8 @@ type dfs struct {
 	env    map[string]binding.Ref
 	groups map[string][]binding.Ref
 
-	pathVar string
-	emit    func(*binding.PathBinding) error
+	out  binding.PathBinding // the emitted binding, reused across matches
+	emit func(*binding.PathBinding) error
 
 	// Path constraint for automaton replay: when pathSteps is non-nil,
 	// every OpEdge consumes the next step of the reconstructed path
@@ -149,15 +149,15 @@ type dfs struct {
 // runs; limits accounting is shared across runs through the budget.
 func newDFS(st graph.Stepper, prog *plan.Prog, pathVar string, limits Limits, params Params, bud *budget, emit func(*binding.PathBinding) error) *dfs {
 	return &dfs{
-		st:      st,
-		prog:    prog,
-		limits:  limits.withDefaults(),
-		params:  params,
-		bud:     bud,
-		env:     map[string]binding.Ref{},
-		groups:  map[string][]binding.Ref{},
-		pathVar: pathVar,
-		emit:    emit,
+		st:     st,
+		prog:   prog,
+		limits: limits.withDefaults(),
+		params: params,
+		bud:    bud,
+		env:    map[string]binding.Ref{},
+		groups: map[string][]binding.Ref{},
+		out:    binding.PathBinding{PathVar: pathVar, Src: st},
+		emit:   emit,
 	}
 }
 
@@ -347,7 +347,7 @@ func (m *dfs) matchNodeHere(in *plan.Instr, n *graph.Node) error {
 	if !ok {
 		return nil
 	}
-	savedArena := m.posArena
+	savedArena := len(m.posArena) // by length: the arena keeps what it grew
 	replaced, prevEntry := m.pushPosEntry(np.Var, binding.NodeElem, m.pos)
 	var err error
 	matched := true
@@ -359,7 +359,7 @@ func (m *dfs) matchNodeHere(in *plan.Instr, n *graph.Node) error {
 	if err == nil && matched {
 		err = m.step(in.Next)
 	}
-	m.posArena = savedArena
+	m.posArena = m.posArena[:savedArena]
 	if replaced {
 		m.posArena[m.posStart] = prevEntry
 	}
@@ -668,7 +668,9 @@ func (m *dfs) traverse(in *plan.Instr, ei, target int) error {
 	return err
 }
 
-// accept emits the completed path binding.
+// accept emits the completed path binding: the machine's own, entries
+// included, reused by the next match (binding.PathBinding's contract).
+// Only the path, which reduced bindings share, is allocated — as one slice.
 func (m *dfs) accept() error {
 	if m.pathSteps != nil && len(m.pathEdges) != len(m.pathSteps) {
 		return nil // replay run left part of the path unconsumed
@@ -676,18 +678,11 @@ func (m *dfs) accept() error {
 	if err := m.bud.addMatch(); err != nil {
 		return err
 	}
-	pending := m.posArena[m.posStart:]
-	entries := make([]binding.Entry, 0, len(m.entries)+len(pending))
-	entries = append(entries, m.entries...)
-	entries = append(entries, pending...)
-	tags := append([]binding.Tag(nil), m.tags...)
-	nodes := append([]graph.ElemIdx(nil), m.pathNodes...)
-	edges := append([]graph.ElemIdx(nil), m.pathEdges...)
-	return m.emit(&binding.PathBinding{
-		Entries: entries,
-		Tags:    tags,
-		Path:    graph.IdxPath{Nodes: nodes, Edges: edges},
-		PathVar: m.pathVar,
-		Src:     m.st,
-	})
+	m.out.Entries = append(append(m.out.Entries[:0], m.entries...), m.posArena[m.posStart:]...)
+	m.out.Tags = append([]binding.Tag(nil), m.tags...)
+	path := make([]graph.ElemIdx, len(m.pathNodes)+len(m.pathEdges))
+	n := copy(path, m.pathNodes)
+	copy(path[n:], m.pathEdges)
+	m.out.Path = graph.IdxPath{Nodes: path[:n:n], Edges: path[n:]}
+	return m.emit(&m.out)
 }

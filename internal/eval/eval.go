@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 	"strconv"
-	"strings"
 
 	"gpml/internal/binding"
 	"gpml/internal/graph"
@@ -82,16 +81,16 @@ const (
 	BoundPath
 )
 
-// Bound is the value of one variable in a result row. Node/Edge ids and
-// the Path are materialized once, when the row is assembled; Idx keeps
-// the element's dense index (relative to the store the variable's pattern
-// matched against) so downstream expression evaluation and joins stay
-// integer-dense. Group entries stay interned and materialize on render.
+// Bound is the value of one variable in a result row. Node/Edge ids are
+// materialized once, when the row is assembled, the Group list and the
+// Path by each Get; Idx keeps the element's dense index (relative to the
+// store the variable's pattern matched against) so downstream expression
+// evaluation and joins stay integer-dense. Group entries stay interned.
 type Bound struct {
 	Kind  BoundKind
+	Idx   graph.ElemIdx
 	Node  graph.NodeID
 	Edge  graph.EdgeID
-	Idx   graph.ElemIdx
 	Group []binding.Ref
 	Path  graph.Path
 
@@ -121,25 +120,40 @@ func (b Bound) String() string {
 		return string(b.Node)
 	case BoundEdge:
 		return string(b.Edge)
-	case BoundGroup:
-		parts := make([]string, len(b.Group))
-		for i, r := range b.Group {
-			parts[i] = binding.ElemID(b.src, r.Kind, r.Idx)
-		}
-		return "[" + strings.Join(parts, ",") + "]"
-	case BoundPath:
-		return b.Path.String()
-	default:
-		return "NULL"
+	case BoundGroup, BoundPath:
+		return string(b.AppendText(nil))
 	}
+	return "NULL"
 }
 
-// rowVar is one bound variable of a row. Rows bind a handful of
-// variables, so an association list beats a map: one allocation per row
-// and linear scans that stay in cache.
+// AppendText appends the String rendering to dst.
+func (b Bound) AppendText(dst []byte) []byte {
+	switch b.Kind {
+	case BoundGroup:
+		dst = append(dst, '[')
+		for i, r := range b.Group {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, binding.ElemID(b.src, r.Kind, r.Idx)...)
+		}
+		return append(dst, ']')
+	case BoundPath:
+		return b.Path.AppendText(dst)
+	}
+	return append(dst, b.String()...)
+}
+
+// rowVar is one bound variable of a row, in compact form: node and edge
+// bindings hold their materialized id, group and path bindings only the
+// solution Get expands them from. Rows bind a handful of variables, so an
+// association list beats a map: linear scans that stay in cache.
 type rowVar struct {
 	name string
-	b    Bound
+	kind BoundKind
+	idx  graph.ElemIdx
+	id   string           // node or edge id
+	sol  *binding.Reduced // the pattern solution that bound the variable
 }
 
 // Row is one joined match of the whole graph pattern.
@@ -149,21 +163,49 @@ type Row struct {
 	// pattern (textual) order. During a join, patterns not yet joined are
 	// nil; every completed row has all entries set.
 	Bindings []*binding.Reduced
+
+	// Inline backing of vars and Bindings: the row of a single-pattern
+	// statement binding up to four variables is one allocation.
+	inlVars [4]rowVar
+	inlBind [1]*binding.Reduced
 }
 
-// lookup finds a variable's binding by linear scan.
-func (r *Row) lookup(name string) (Bound, bool) {
+// Get returns the binding of a variable in this row (a linear scan).
+func (r *Row) Get(name string) (b Bound, ok bool) {
 	for i := range r.vars {
-		if r.vars[i].name == name {
-			return r.vars[i].b, true
+		v := &r.vars[i]
+		if v.name != name {
+			continue
+		}
+		b.Kind, b.Idx = v.kind, v.idx
+		switch v.kind {
+		case BoundNull:
+			return b, true
+		case BoundNode:
+			b.Node = graph.NodeID(v.id)
+		case BoundEdge:
+			b.Edge = graph.EdgeID(v.id)
+		case BoundGroup:
+			b.Group = v.sol.Group(name)
+		case BoundPath:
+			b.Path = v.sol.Path.Materialize(v.sol.Src)
+		}
+		b.src = v.sol.Src
+		return b, true
+	}
+	return b, false
+}
+
+// AppendCell appends what Get followed by String renders for a variable
+// (NULL when unbound), element ids straight from their interned strings.
+func (r *Row) AppendCell(dst []byte, name string) []byte {
+	for i := range r.vars {
+		if v := &r.vars[i]; v.name == name && (v.kind == BoundNode || v.kind == BoundEdge) {
+			return append(dst, v.id...)
 		}
 	}
-	return Bound{}, false
-}
-
-// Get returns the binding of a variable in this row.
-func (r *Row) Get(name string) (Bound, bool) {
-	return r.lookup(name)
+	b, _ := r.Get(name)
+	return b.AppendText(dst)
 }
 
 // Vars lists the bound variables of the row (sorted).
@@ -247,7 +289,7 @@ func Enumerate(s graph.Store, pp *plan.PathPlan, cfg Config) ([]*binding.PathBin
 	}
 	var out []*binding.PathBinding
 	run := seedRunner(st, pp, cfg, bud, func(b *binding.PathBinding) error {
-		out = append(out, b)
+		out = append(out, b.Clone())
 		return nil
 	})
 	var err error
@@ -435,7 +477,7 @@ func kindTag(k binding.ElemKind) byte {
 // to buf.
 func appendJoinKeyOfRow(buf []byte, row *Row, shared []string, byIdx bool) []byte {
 	for _, v := range shared {
-		b, _ := row.lookup(v)
+		b, _ := row.Get(v)
 		switch {
 		case b.Kind != BoundNode && b.Kind != BoundEdge:
 			buf = appendUnbound(buf, byIdx)
@@ -459,27 +501,28 @@ func appendJoinKeyOfRow(buf []byte, row *Row, shared []string, byIdx bool) []byt
 // semantics multi-graph evaluation defines joins by; on a shared store the
 // ids are in bijection with the indices, so the comparison is identical.
 func mergeRow(p *plan.Plan, pp *plan.PathPlan, row *Row, sol *binding.Reduced) (*Row, bool) {
-	vars := make([]rowVar, len(row.vars), len(row.vars)+len(pp.Vars)+1)
-	copy(vars, row.vars)
+	out := &Row{}
+	vars := append(out.inlVars[:0], row.vars...)
 	for _, name := range pp.Vars {
 		info := p.Var(name)
 		if info == nil {
 			continue
 		}
-		var b Bound
+		v := rowVar{name: name, sol: sol}
 		switch {
 		case info.Kind == plan.VarPath:
 			continue // handled below via PathVar
 		case info.Group:
-			b = Bound{Kind: BoundGroup, Group: sol.Group(name), src: sol.Src}
+			v.kind = BoundGroup
 		default:
 			ref, ok := sol.Singleton(name)
 			if !ok {
-				b = Bound{Kind: BoundNull} // conditional singleton, unbound
-			} else if ref.Kind == binding.NodeElem {
-				b = Bound{Kind: BoundNode, Node: graph.NodeID(sol.RefID(ref)), Idx: ref.Idx, src: sol.Src}
+				v.kind = BoundNull // conditional singleton, unbound
 			} else {
-				b = Bound{Kind: BoundEdge, Edge: graph.EdgeID(sol.RefID(ref)), Idx: ref.Idx, src: sol.Src}
+				v.kind, v.idx, v.id = BoundNode, ref.Idx, sol.RefID(ref)
+				if ref.Kind == binding.EdgeElem {
+					v.kind = BoundEdge
+				}
 			}
 		}
 		prevAt := -1
@@ -492,21 +535,23 @@ func mergeRow(p *plan.Plan, pp *plan.PathPlan, row *Row, sol *binding.Reduced) (
 		if prevAt >= 0 {
 			// Implicit equi-join across path patterns (static analysis
 			// guarantees these are unconditional singletons).
-			prev := vars[prevAt].b
-			if prev.Kind != b.Kind || prev.Node != b.Node || prev.Edge != b.Edge {
+			if vars[prevAt].kind != v.kind || vars[prevAt].id != v.id {
 				return nil, false
 			}
 			continue
 		}
-		vars = append(vars, rowVar{name, b})
+		vars = append(vars, v)
 	}
 	if pv := pp.Pattern.PathVar; pv != "" {
-		vars = append(vars, rowVar{pv, Bound{Kind: BoundPath, Path: sol.Path.Materialize(sol.Src), src: sol.Src}})
+		vars = append(vars, rowVar{name: pv, kind: BoundPath, sol: sol})
 	}
-	bindings := make([]*binding.Reduced, len(p.Paths))
-	copy(bindings, row.Bindings)
-	bindings[pp.Index] = sol
-	return &Row{vars: vars, Bindings: bindings}, true
+	out.vars, out.Bindings = vars, out.inlBind[:]
+	if len(p.Paths) > 1 {
+		out.Bindings = make([]*binding.Reduced, len(p.Paths))
+		copy(out.Bindings, row.Bindings)
+	}
+	out.Bindings[pp.Index] = sol
+	return out, true
 }
 
 // rowEdgeIsomorphic reports whether every edge occurrence across the row's
@@ -560,7 +605,7 @@ func (r rowResolver) GraphFor(name string) graph.Store {
 }
 
 func (r rowResolver) Elem(name string) (binding.Ref, bool) {
-	b, ok := r.row.lookup(name)
+	b, ok := r.row.Get(name)
 	if !ok {
 		return binding.Ref{}, false
 	}
@@ -600,7 +645,7 @@ func (r rowResolver) Elem(name string) (binding.Ref, bool) {
 // ids (multi-graph comparisons are defined over ids, and the id is exact
 // even when the routed store lacks the element).
 func (r rowResolver) ElemID(name string) (string, bool) {
-	b, ok := r.row.lookup(name)
+	b, ok := r.row.Get(name)
 	if !ok {
 		return "", false
 	}
@@ -615,7 +660,7 @@ func (r rowResolver) ElemID(name string) (string, bool) {
 }
 
 func (r rowResolver) Group(name string) ([]binding.Ref, bool) {
-	b, ok := r.row.lookup(name)
+	b, ok := r.row.Get(name)
 	if !ok || b.Kind != BoundGroup {
 		return nil, false
 	}

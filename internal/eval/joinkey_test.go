@@ -67,7 +67,7 @@ func rowOf(t testing.TB, s graph.Store, vars map[string]string) *Row {
 		if !ok {
 			t.Fatalf("unknown node %q", id)
 		}
-		row.vars = append(row.vars, rowVar{v, Bound{Kind: BoundNode, Node: graph.NodeID(id), Idx: idx, src: s}})
+		row.vars = append(row.vars, rowVar{name: v, kind: BoundNode, idx: idx, id: id, sol: &binding.Reduced{Src: s}})
 	}
 	return row
 }

@@ -216,7 +216,7 @@ func enumerateParallel(st graph.Stepper, pp *plan.PathPlan, cfg Config, bud *bud
 	errs := runSeedPool(workers, len(seeds), nil, func() func(int) error {
 		var out []*binding.PathBinding
 		run := seedRunner(st, pp, cfg, bud, func(b *binding.PathBinding) error {
-			out = append(out, b)
+			out = append(out, b.Clone())
 			return nil
 		})
 		return func(i int) error {

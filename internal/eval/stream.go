@@ -844,7 +844,7 @@ func (c *bindStepCursor) refill() error {
 		var seeds []int
 		seen := map[int]bool{}
 		for _, row := range c.chunk {
-			if b, ok := row.lookup(c.seedVar); ok && b.Kind == BoundNode {
+			if b, ok := row.Get(c.seedVar); ok && b.Kind == BoundNode {
 				si, ok := c.seedIdxOf(b)
 				if !ok {
 					continue
@@ -889,7 +889,7 @@ func (c *bindStepCursor) seedIdxOf(b Bound) (int, bool) {
 // solution binds it to a node and no join key can match (the check
 // mirrors the materializing pipeline's defensive fallback).
 func (c *bindStepCursor) candidates(row *Row) ([]*binding.Reduced, error) {
-	b, ok := row.lookup(c.seedVar)
+	b, ok := row.Get(c.seedVar)
 	if !ok || b.Kind != BoundNode {
 		return nil, nil
 	}

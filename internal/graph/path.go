@@ -62,19 +62,20 @@ func (p Path) Concat(q Path) (Path, error) {
 }
 
 // String renders the paper's path(n0,e1,n1,…) notation.
-func (p Path) String() string {
-	var b strings.Builder
-	b.WriteString("path(")
+func (p Path) String() string { return string(p.AppendText(nil)) }
+
+// AppendText appends the String rendering to dst.
+func (p Path) AppendText(dst []byte) []byte {
+	dst = append(dst, "path("...)
 	for i, n := range p.Nodes {
 		if i > 0 {
-			b.WriteString(",")
-			b.WriteString(string(p.Edges[i-1]))
-			b.WriteString(",")
+			dst = append(dst, ',')
+			dst = append(dst, p.Edges[i-1]...)
+			dst = append(dst, ',')
 		}
-		b.WriteString(string(n))
+		dst = append(dst, n...)
 	}
-	b.WriteString(")")
-	return b.String()
+	return append(dst, ')')
 }
 
 // IsTrail reports whether no edge repeats (Fig 7: TRAIL).

@@ -9,10 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"gpml"
+	"gpml/internal/dataset"
 	"gpml/internal/gql"
 	"gpml/internal/normalize"
 	"gpml/internal/qcache"
@@ -200,5 +203,104 @@ func TestCacheHitAtLeastTwiceRecompile(t *testing.T) {
 	if recompile < 2*hit {
 		t.Errorf("cache hit path is only %.2fx faster than recompile, want >= 2x (hit %v, recompile %v)",
 			float64(recompile)/float64(hit), hit, recompile)
+	}
+}
+
+// discardFlusher is a ResponseWriter that counts the records it is given
+// and drops them: the handler timed with no transport under it.
+type discardFlusher struct {
+	header  http.Header
+	records int
+}
+
+func (w *discardFlusher) Header() http.Header { return w.header }
+func (w *discardFlusher) WriteHeader(int)     {}
+func (w *discardFlusher) Flush()              {}
+func (w *discardFlusher) Write(b []byte) (int, error) {
+	w.records += bytes.Count(b, []byte{'\n'})
+	return len(b), nil
+}
+
+// streamBenchShapes are the two single-pattern answers of ≥ 10k rows the
+// row path is measured and pinned on: a flat chain (every cell an element
+// id) and a quantified pattern (one group cell per row). maxAllocs is
+// TestRowPathAllocs' ceiling per streamed row (measured 5.1 and 7.0;
+// before the append encoder and one-allocation row assembly, 17.2 and
+// 22.1): room for toolchain differences, not for one more allocation.
+var streamBenchShapes = []struct {
+	name, body string
+	maxAllocs  float64
+}{
+	{"colikers", `{"query":"MATCH (a:Person WHERE a.country < $c)-[:likes]->(m:Post)<-[:likes]-(b:Person)","params":{"c":"country2"}}`, 6},
+	{"hub", `{"query":"MATCH (a:Person WHERE a.firstName=$name)-[k:knows]-{1,2}(b:Person)","params":{"name":"p0"}}`, 8},
+}
+
+// snbHandler serves an SNB SF 0.1 snapshot in-process.
+func snbHandler(tb testing.TB) http.Handler {
+	tb.Helper()
+	catalog := gql.NewCatalog()
+	g := dataset.SNB(dataset.SNBConfig{ScaleFactor: 0.1, Seed: 42})
+	if err := catalog.Register("snb", gpml.Snapshot(g)); err != nil {
+		tb.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Catalog: catalog})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return srv.Handler()
+}
+
+// streamOnce runs one /query through the handler on a discarding writer
+// and returns the number of row records streamed (header and trailer
+// excluded).
+func streamOnce(h http.Handler, body string) int {
+	w := &discardFlusher{header: http.Header{}}
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+	return w.records - 2
+}
+
+// BenchmarkStreamNDJSON measures the result path alone — cursor pull, row
+// assembly, NDJSON encoding, flush policy — with the /query handler called
+// in-process on a discarding writer, per streamed row.
+func BenchmarkStreamNDJSON(b *testing.B) {
+	h := snbHandler(b)
+	for _, shape := range streamBenchShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			rows := streamOnce(h, shape.body)
+			if rows < 10_000 {
+				b.Fatalf("answer has %d rows, want >= 10000", rows)
+			}
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := streamOnce(h, shape.body); got != rows {
+					b.Fatalf("streamed %d rows, want %d", got, rows)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
+			total := float64(rows) * float64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/row")
+			b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/total, "B/row")
+			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/total, "allocs/row")
+		})
+	}
+}
+
+// TestRowPathAllocs pins what one streamed row of a single-pattern answer
+// allocates, end to end through the handler.
+func TestRowPathAllocs(t *testing.T) {
+	h := snbHandler(t)
+	for _, shape := range streamBenchShapes {
+		rows := streamOnce(h, shape.body) // warms the plan cache
+		if rows < 10_000 {
+			t.Fatalf("%s: answer has %d rows, want >= 10000", shape.name, rows)
+		}
+		perRow := testing.AllocsPerRun(3, func() { streamOnce(h, shape.body) }) / float64(rows)
+		t.Logf("%s: %.2f allocs/row over %d rows", shape.name, perRow, rows)
+		if perRow > shape.maxAllocs {
+			t.Errorf("%s: %.2f allocs per streamed row, want <= %v", shape.name, perRow, shape.maxAllocs)
+		}
 	}
 }

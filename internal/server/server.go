@@ -14,10 +14,13 @@
 //     upstream enumeration instead of buffering the full result.
 //
 // Request lifecycle: admission semaphore → cache lookup/compile → bind
-// check → stream rows as NDJSON, flushing per row for first-row latency.
-// Per-request deadlines and row budgets ride the existing context and
-// LIMIT pushdown plumbing. Shutdown is two-phase: Drain stops admitting
-// work while in-flight streams finish, Abort cancels their contexts.
+// check → stream rows as NDJSON, append-encoded into one per-request
+// buffer under a fixed flush contract: the first row leaves the moment it
+// is encoded, later records coalesce up to flushBytes, and no byte waits
+// longer than flushDelay even if the producer stalls. Per-request
+// deadlines and row budgets ride the existing context and LIMIT pushdown
+// plumbing. Shutdown is two-phase: Drain stops admitting work while
+// in-flight streams finish, Abort cancels their contexts.
 package server
 
 import (
@@ -28,8 +31,10 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"gpml"
 	"gpml/internal/gql"
@@ -88,7 +93,7 @@ type Server struct {
 	ready      atomic.Bool
 
 	queries atomic.Uint64 // requests admitted to /query
-	rows    atomic.Uint64 // rows streamed across all requests
+	rows    atomic.Uint64 // rows written to clients across all requests
 	queued  atomic.Int32  // requests waiting in the admission queue
 	rejects atomic.Uint64 // requests fast-failed by the queue bound
 }
@@ -292,6 +297,9 @@ func (s *Server) prepare(st graph.Store, src string, gqlMode bool) (*gpml.Query,
 	return q, false, nil
 }
 
+// maxBodyBytes caps a /query or /explain body; a larger one is a 413.
+const maxBodyBytes = 1 << 20
+
 // parseRequest decodes and validates the shared /query//explain body.
 func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (*queryRequest, graph.Store, map[string]gpml.Value, bool) {
 	if r.Method != http.MethodPost {
@@ -299,10 +307,14 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (*queryReq
 		return nil, nil, nil, false
 	}
 	var req queryRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, errorBody{Message: "invalid request body: " + err.Error(), Kind: "bad_request"})
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, errorBody{Message: "invalid request body: " + err.Error(), Kind: "bad_request"})
 		return nil, nil, nil, false
 	}
 	if strings.TrimSpace(req.Query) == "" {
@@ -453,7 +465,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	watchdog := context.AfterFunc(ctx, func() { rows.Close() })
 	defer watchdog()
 
-	s.streamNDJSON(ctx, w, q, rows, cached, limit)
+	s.streamNDJSON(ctx, w, q.Columns(), rows, cached, limit)
 }
 
 // ndjsonHeader opens every stream: column order plus plan-cache
@@ -469,39 +481,142 @@ type ndjsonTrailer struct {
 	Truncated bool `json:"truncated,omitempty"` // row budget cut the stream
 }
 
+// The stream's flush policy: the first row is written the moment it is
+// encoded; after it records coalesce until flushBytes are pending, and a
+// timer started by the first pending byte writes whatever has waited
+// flushDelay, however long the producer takes over its next row.
+const (
+	flushBytes = 24 << 10
+	flushDelay = 2 * time.Millisecond
+)
+
+// rowStream is what streamNDJSON needs of *gpml.Rows; tests substitute a
+// scripted producer.
+type rowStream interface {
+	Next() bool
+	Row() *gpml.Row
+	Err() error
+	Close() error
+}
+
+// ndjsonWriter append-encodes a stream's records into one buffer written
+// under the flush policy. mu orders the handler's appends against the
+// timer's flush; a Write blocked on a slow client holds mu, which suspends
+// the pull loop and with it all upstream enumeration.
+type ndjsonWriter struct {
+	mu     sync.Mutex
+	w      http.ResponseWriter
+	total  *atomic.Uint64 // the server's row counter, bumped per flush
+	buf    []byte
+	rows   uint64      // row records pending in buf
+	timer  *time.Timer // running while bytes are pending
+	closed bool        // the handler has returned: w must not be touched
+	err    error       // first write error; the stream is dead after it
+}
+
+// flush writes the pending bytes and stops the timer (which calls it when
+// bytes have waited flushDelay; the handler's last call is final). It
+// reports whether the stream is still writable.
+func (nw *ndjsonWriter) flush(final bool) bool {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	if !nw.closed && nw.err == nil && len(nw.buf) > 0 {
+		if _, nw.err = nw.w.Write(nw.buf); nw.err == nil {
+			if f, ok := nw.w.(http.Flusher); ok {
+				f.Flush()
+			}
+			nw.total.Add(nw.rows)
+		}
+	}
+	nw.buf, nw.rows, nw.closed = nw.buf[:0], 0, nw.closed || final
+	if nw.timer != nil {
+		nw.timer.Stop()
+	}
+	return nw.err == nil
+}
+
+// record appends one record (rows of which are row records: 0 or 1) and
+// applies the flush policy: written at once when now is set or the buffer
+// is full, within flushDelay otherwise.
+func (nw *ndjsonWriter) record(now bool, rows uint64, encode func(dst []byte) []byte) bool {
+	nw.mu.Lock()
+	if len(nw.buf) == 0 && !now {
+		nw.timer = time.AfterFunc(flushDelay, func() { nw.flush(false) })
+	}
+	nw.buf, nw.rows = append(encode(nw.buf), '\n'), nw.rows+rows
+	ok, full := nw.err == nil, now || len(nw.buf) >= flushBytes
+	nw.mu.Unlock()
+	if full {
+		return nw.flush(false)
+	}
+	return ok
+}
+
+// jsonRecord encodes a header, trailer or error record: one per stream.
+func jsonRecord(v any) func(dst []byte) []byte {
+	b, _ := json.Marshal(v) // the record types cannot fail to marshal
+	return func(dst []byte) []byte { return append(dst, b...) }
+}
+
+// appendJSONString appends s as a JSON string literal, byte for byte what
+// json.Encoder emits (since Go 1.22) with its default HTML escaping: \" \\
+// \b \f \n \r \t, \u00XX for other control characters and < > &, \u2028
+// and \u2029 escaped, each invalid UTF-8 byte replaced by \ufffd.
+func appendJSONString(dst, s []byte) []byte {
+	dst = append(dst, '"')
+	for len(s) > 0 {
+		n := 0 // the leading run that needs no escaping, copied in one piece
+		for n < len(s) && s[n] >= 0x20 && s[n] < utf8.RuneSelf && s[n] != '"' && s[n] != '\\' && s[n] != '<' && s[n] != '>' && s[n] != '&' {
+			n++
+		}
+		dst = append(dst, s[:n]...)
+		if s = s[n:]; len(s) == 0 {
+			break
+		}
+		r, size := utf8.DecodeRune(s)
+		switch short := strings.IndexRune("\"\\\b\f\n\r\t", r); {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, `\ufffd`...)
+		case short >= 0:
+			dst = append(dst, '\\', `"\bfnrt`[short])
+		case r < utf8.RuneSelf || r == '\u2028' || r == '\u2029':
+			dst = fmt.Appendf(dst, `\u%04x`, r)
+		default:
+			dst = append(dst, s[:size]...)
+		}
+		s = s[size:]
+	}
+	return append(dst, '"')
+}
+
 // streamNDJSON writes header, one record per row, and a trailer (or an
-// error record), flushing per row so the first row reaches the client at
-// first-row latency, not full-enumeration latency. Backpressure is the
-// transport's: a slow reader blocks Write, which suspends the pull loop
-// and with it all upstream enumeration.
-func (s *Server) streamNDJSON(ctx context.Context, w http.ResponseWriter, q *gpml.Query, rows *gpml.Rows, cached bool, limit int) {
+// error record) under ndjsonWriter's flush policy. A failed write ends the
+// stream at once: no further row is pulled and rows is closed.
+func (s *Server) streamNDJSON(ctx context.Context, w http.ResponseWriter, cols []string, rows rowStream, cached bool, limit int) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	cols := q.Columns()
-	enc.Encode(ndjsonHeader{Columns: cols, Cached: cached})
-	if flusher != nil {
-		flusher.Flush()
-	}
+	nw := &ndjsonWriter{w: w, total: &s.rows}
+	defer nw.flush(true)
+	nw.record(false, 0, jsonRecord(ndjsonHeader{Columns: cols, Cached: cached}))
 	n := 0
-	for rows.Next() {
-		row := rows.Row()
-		cells := make([]string, len(cols))
+	var row *gpml.Row
+	var cell []byte // scratch for one cell's text
+	encodeRow := func(dst []byte) []byte {
+		dst = append(dst, `{"row":[`...)
 		for i, c := range cols {
-			if b, ok := row.Get(c); ok {
-				cells[i] = b.String()
-			} else {
-				cells[i] = "NULL"
+			if i > 0 {
+				dst = append(dst, ',')
 			}
+			cell = row.AppendCell(cell[:0], c)
+			dst = appendJSONString(dst, cell)
 		}
-		if err := enc.Encode(map[string][]string{"row": cells}); err != nil {
-			return // client went away; rows.Close via defer stops upstream
-		}
-		n++
-		s.rows.Add(1)
-		if flusher != nil {
-			flusher.Flush()
+		return append(dst, "]}"...)
+	}
+	for rows.Next() {
+		row = rows.Row()
+		if n++; !nw.record(n == 1, 1, encodeRow) {
+			rows.Close() // client went away: stop upstream now
+			return
 		}
 	}
 	// The deadline can surface two ways: the cursor returns the context
@@ -512,17 +627,11 @@ func (s *Server) streamNDJSON(ctx context.Context, w http.ResponseWriter, q *gpm
 	if err == nil && ctx.Err() != nil {
 		err = ctx.Err()
 	}
+	var last any = ndjsonTrailer{Rows: n, Truncated: limit > 0 && n == limit}
 	if err != nil {
-		enc.Encode(map[string]errorBody{"error": classify(err)})
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return
+		last = map[string]errorBody{"error": classify(err)}
 	}
-	enc.Encode(ndjsonTrailer{Rows: n, Truncated: limit > 0 && n == limit})
-	if flusher != nil {
-		flusher.Flush()
-	}
+	nw.record(true, 0, jsonRecord(last))
 }
 
 // explainResponse is the /explain payload.
