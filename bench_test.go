@@ -479,10 +479,10 @@ func BenchmarkAblation_EagerVsLazy(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Bind-join planner: the S3 workload — a selective pattern joined with a
+// Bind-join planner: a selective pattern joined with a
 // two-hop expansion whose full enumeration dwarfs the join result. With
-// the planner on, the expansion runs only from the selective pattern's
-// endpoint bindings; NoBindJoin restores enumerate-everything-then-join.
+// the planner, the expansion runs only from the selective pattern's
+// endpoint bindings.
 // ---------------------------------------------------------------------------
 
 func BenchmarkBindJoin_SelectiveTwoPattern(b *testing.B) {
@@ -507,7 +507,6 @@ func BenchmarkBindJoin_SelectiveTwoPattern(b *testing.B) {
 	}
 	b.Run("bind_join", func(b *testing.B) { run(b) })
 	b.Run("bind_join_csr", func(b *testing.B) { run(b, gpml.WithStore(snap)) })
-	b.Run("hash_join", func(b *testing.B) { run(b, gpml.NoBindJoin()) })
 }
 
 // ---------------------------------------------------------------------------
@@ -562,91 +561,6 @@ func BenchmarkLimitPushdown(b *testing.B) {
 	b.Run("limit_1", func(b *testing.B) { run(b, gpml.WithLimit(1)) })
 	b.Run("limit_100", func(b *testing.B) { run(b, gpml.WithLimit(100)) })
 	b.Run("full", func(b *testing.B) { run(b) })
-}
-
-// ---------------------------------------------------------------------------
-// Vectorized batch pipeline and worst-case-optimal intersection. The
-// triangle join is the cyclic shape bind-joins handle worst: they
-// enumerate the open two-hop wedge (|E|·d rows) before the closing edge
-// filters it, while the intersection operator assigns c by intersecting
-// the sorted adjacency of a and b — worst-case-optimal, never larger
-// than the output bound. Batch enumeration measures the columnar chain
-// pipeline against the row-at-a-time operators on the same plans.
-// Tier-1 tracked.
-// ---------------------------------------------------------------------------
-
-func cyclicBenchGraph() *gpml.Graph {
-	return dataset.Random(dataset.RandomConfig{
-		Accounts: 900, AvgDegree: 10, BlockedFraction: 0.1, Seed: 41,
-	})
-}
-
-func BenchmarkCyclicTriangleJoin(b *testing.B) {
-	g := cyclicBenchGraph()
-	snap := gpml.Snapshot(g)
-	q := gpml.MustCompile(`MATCH (a)-[:Transfer]->(b), (b)-[:Transfer]->(c), (c)-[:Transfer]->(a)`)
-	res, err := q.Eval(nil, gpml.WithStore(snap))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows := len(res.Rows)
-	run := func(b *testing.B, opts ...gpml.Option) {
-		for i := 0; i < b.N; i++ {
-			res, err := q.Eval(nil, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(res.Rows) != rows {
-				b.Fatalf("got %d rows, want %d", len(res.Rows), rows)
-			}
-		}
-	}
-	b.Run("intersect_csr", func(b *testing.B) { run(b, gpml.WithStore(snap)) })
-	b.Run("bind_join_csr", func(b *testing.B) { run(b, gpml.WithStore(snap), gpml.NoVectorize()) })
-	b.Run("bind_join_map", func(b *testing.B) { run(b, gpml.WithStore(g), gpml.NoVectorize()) })
-}
-
-func BenchmarkBatchEnumerate(b *testing.B) {
-	g := streamBenchGraph()
-	snap := gpml.Snapshot(g)
-	for name, src := range map[string]string{
-		"one_hop":  `MATCH (x:Account)-[t:Transfer]->(y:Account)`,
-		"two_hop":  `MATCH (x:Account)-[t:Transfer]->(y:Account)-[u:Transfer]->(z:Account)`,
-		"filtered": `MATCH (x:Account)-[t:Transfer]->(y:Account) WHERE t.amount > 5M`,
-	} {
-		q := gpml.MustCompile(src)
-		// Drain the streaming pipeline: the canonical sort Eval appends is
-		// identical for both pipelines and would only dilute the A/B.
-		drain := func(b *testing.B, opts ...gpml.Option) int {
-			rows, err := q.Stream(context.Background(), snap, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer rows.Close()
-			n := 0
-			for rows.Next() {
-				n++
-			}
-			if err := rows.Err(); err != nil {
-				b.Fatal(err)
-			}
-			return n
-		}
-		b.Run(name+"_batch", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if drain(b) == 0 {
-					b.Fatal("no rows")
-				}
-			}
-		})
-		b.Run(name+"_rows", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if drain(b, gpml.NoVectorize()) == 0 {
-					b.Fatal("no rows")
-				}
-			}
-		})
-	}
 }
 
 // mustResult evaluates a compiled query, failing the benchmark on error.

@@ -17,22 +17,15 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"gpml"
 	"gpml/internal/baseline"
-	"gpml/internal/binding"
 	"gpml/internal/dataset"
-	"gpml/internal/eval"
 	"gpml/internal/graph"
-	"gpml/internal/normalize"
-	"gpml/internal/parser"
-	"gpml/internal/plan"
 )
 
 func main() {
@@ -288,68 +281,6 @@ func experiments() []experiment {
 			}
 			return fmt.Sprintf("%d queries identical across 3 backends", checked), checked == len(queries)
 		}},
-		{"S2", "Automaton engine", "product-graph search matches the enumerating engines, large point-to-point speedup", func() (string, bool) {
-			grid := dataset.Grid(8, 8)
-			queries := []string{
-				`MATCH ALL SHORTEST p = (a WHERE a.owner='u0_0')-[e:Transfer]->+(z WHERE z.owner='u7_0')`,
-				`MATCH ALL SHORTEST p = (a WHERE a.owner='u0_0')-[e:Transfer]->+(z WHERE z.owner='u3_3')`,
-				`MATCH ANY SHORTEST p = (a WHERE a.owner='u0_0')-[e:Transfer]->{1,6}(z)`,
-			}
-			var speedup float64
-			for i, src := range queries {
-				q := gpml.MustCompile(src)
-				t0 := time.Now()
-				auto, err := q.Eval(grid)
-				if err != nil {
-					panic(err)
-				}
-				autoD := time.Since(t0)
-				t0 = time.Now()
-				enum, err := q.Eval(grid, gpml.NoAutomaton())
-				if err != nil {
-					panic(err)
-				}
-				enumD := time.Since(t0)
-				if gpml.FormatResult(auto) != gpml.FormatResult(enum) {
-					return fmt.Sprintf("engines diverge on %s", src), false
-				}
-				if i == 0 {
-					speedup = float64(enumD) / float64(autoD)
-				}
-			}
-			return fmt.Sprintf("%d queries identical, point-to-point %.0f× faster", len(queries), speedup), speedup >= 3
-		}},
-		{"S3", "Bind-join planner", "cost-ordered bind join ≥5× on a selective two-pattern join, rows identical on both backends", func() (string, bool) {
-			g := dataset.Random(dataset.RandomConfig{
-				Accounts: 1500, AvgDegree: 4, Cities: 20, BlockedFraction: 0.01, Seed: 5,
-			})
-			snap := gpml.Snapshot(g)
-			q := gpml.MustCompile(`
-				MATCH (x:Account WHERE x.isBlocked='yes')-[:isLocatedIn]->(c:City),
-				      (x)-[t:Transfer]->(y:Account)-[u:Transfer]->(z:Account)`)
-			var speedup float64
-			for _, s := range []gpml.Store{g, snap} {
-				t0 := time.Now()
-				on, err := q.Eval(nil, gpml.WithStore(s))
-				if err != nil {
-					panic(err)
-				}
-				onD := time.Since(t0)
-				t0 = time.Now()
-				off, err := q.Eval(nil, gpml.WithStore(s), gpml.NoBindJoin())
-				if err != nil {
-					panic(err)
-				}
-				offD := time.Since(t0)
-				if gpml.FormatResult(on) != gpml.FormatResult(off) {
-					return "bind-join on/off rows diverge", false
-				}
-				if s == gpml.Store(g) {
-					speedup = float64(offD) / float64(onD)
-				}
-			}
-			return fmt.Sprintf("identical rows on 2 backends, bind join %.0f× faster", speedup), speedup >= 5
-		}},
 		{"S4", "Streaming pipeline", "first-row and LIMIT-k ≥10× faster than full materialization, Stream+Collect identical to Eval", func() (string, bool) {
 			g := dataset.Random(dataset.RandomConfig{
 				Accounts: 2000, AvgDegree: 4, Cities: 15, BlockedFraction: 0.1, Seed: 7,
@@ -420,272 +351,7 @@ func experiments() []experiment {
 				float64(fullD)/float64(limD[0]), float64(fullD)/float64(limD[1]), lim100X)
 			return got, firstX >= 10 && lim100X >= 10
 		}},
-		{"S5", "Interned binding keys", "binary interned keys ≥1.5× (geomean) over materialized string keys across the enumeration dedup and join-index workloads, identical results", func() (string, bool) {
-			// Key-layer A/B over real workload bindings. The engines
-			// themselves are integer-dense either way, so the experiment
-			// pins what the key encodings alone are worth: the dedup set
-			// of a TRAIL enumeration and the join hash index of the S3
-			// selective two-pattern join, binary vs string-keyed. The
-			// query-level StringKeys delta is reported as context.
-			enumSols := matchWorkload(dataset.Cycle(48),
-				`MATCH TRAIL (a WHERE a.owner='owner0')-[e:Transfer]->*(z)`)
-			// Fresh Reduced per round (CanonKey memoizes; a fresh
-			// evaluation pays the materialization every time), built
-			// outside the timed region so only the dedup itself is
-			// measured. The enumeration is replicated so the timed region
-			// is multi-millisecond (stable on shared CI runners) and
-			// duplicate-heavy, dedup's real shape.
-			freshReduced := func() []*binding.Reduced {
-				const replicas = 8
-				rs := make([]*binding.Reduced, 0, replicas*len(enumSols))
-				for rep := 0; rep < replicas; rep++ {
-					for _, b := range enumSols {
-						rs = append(rs, b.Reduce())
-					}
-				}
-				return rs
-			}
-			dedupBest := func(useStrings bool) time.Duration {
-				best := time.Duration(-1)
-				for round := 0; round < 9; round++ {
-					rs := freshReduced()
-					t0 := time.Now()
-					if useStrings {
-						binding.DedupStrings(rs)
-					} else {
-						binding.Dedup(rs)
-					}
-					if d := time.Since(t0); best < 0 || d < best {
-						best = d
-					}
-				}
-				return best
-			}
-			dedupBest(false) // warm up
-			dedupBest(true)
-			dedupX := float64(dedupBest(true)) / float64(dedupBest(false))
-
-			joinG := dataset.Random(dataset.RandomConfig{
-				Accounts: 1500, AvgDegree: 4, Cities: 20, BlockedFraction: 0.01, Seed: 5,
-			})
-			joinIndexG := dataset.Random(dataset.RandomConfig{
-				Accounts: 12000, AvgDegree: 4, Cities: 20, BlockedFraction: 0.01, Seed: 5,
-			})
-			joinSols := matchSolutions(joinIndexG, `MATCH (x:Account)-[t:Transfer]->(y:Account)`)
-			shared := []string{"x", "y"}
-			joinX := abRatio(func(useStrings bool) {
-				index := make(map[string][]*binding.Reduced, len(joinSols))
-				var buf []byte
-				for _, sol := range joinSols {
-					if useStrings {
-						// The PR-3 string encoding, byte for byte: a fresh
-						// builder and length-prefixed materialized ids per
-						// key, exactly what the pre-interning pipeline paid.
-						var key strings.Builder
-						for _, v := range shared {
-							ref, ok := sol.Singleton(v)
-							if !ok {
-								key.WriteByte('?')
-								continue
-							}
-							id := sol.RefID(ref)
-							key.WriteString(strconv.Itoa(len(id)))
-							if ref.Kind == binding.NodeElem {
-								key.WriteString("n")
-							} else {
-								key.WriteString("e")
-							}
-							key.WriteString(id)
-						}
-						index[key.String()] = append(index[key.String()], sol)
-						continue
-					}
-					// The interned encoding, via the engine's own key
-					// builder so the A/B always measures the live code.
-					buf = eval.AppendSolutionJoinKey(buf[:0], sol, shared, true)
-					index[string(buf)] = append(index[string(buf)], sol)
-				}
-				if len(index) == 0 {
-					panic("empty join index")
-				}
-				// Probe side: one lookup per solution, the shape of the
-				// bind-join's per-row probing. The old encoding built a
-				// fresh key string per probe; the interned probe is a
-				// zero-allocation byte-slice lookup.
-				hits := 0
-				var probe []byte
-				for _, sol := range joinSols {
-					if useStrings {
-						var key strings.Builder
-						for _, v := range shared {
-							ref, ok := sol.Singleton(v)
-							if !ok {
-								key.WriteByte('?')
-								continue
-							}
-							id := sol.RefID(ref)
-							key.WriteString(strconv.Itoa(len(id)))
-							if ref.Kind == binding.NodeElem {
-								key.WriteString("n")
-							} else {
-								key.WriteString("e")
-							}
-							key.WriteString(id)
-						}
-						hits += len(index[key.String()])
-						continue
-					}
-					probe = eval.AppendSolutionJoinKey(probe[:0], sol, shared, true)
-					hits += len(index[string(probe)])
-				}
-				if hits == 0 {
-					panic("no probe hits")
-				}
-			})
-
-			// Whole-query parity and context delta through the public
-			// StringKeys option.
-			q := gpml.MustCompile(`
-				MATCH (x:Account WHERE x.isBlocked='yes')-[:isLocatedIn]->(c:City),
-				      (x)-[t:Transfer]->(y:Account)-[u:Transfer]->(z:Account)`)
-			interned, err := q.Eval(joinG)
-			if err != nil {
-				panic(err)
-			}
-			ref, err := q.Eval(joinG, gpml.StringKeys())
-			if err != nil {
-				panic(err)
-			}
-			if gpml.FormatResult(interned) != gpml.FormatResult(ref) {
-				return "interned and string-key query results diverge", false
-			}
-			geomean := math.Sqrt(dedupX * joinX)
-			got := fmt.Sprintf("identical rows; interned keys %.1f× on dedup, %.1f× on the join index (geomean %.1f×)",
-				dedupX, joinX, geomean)
-			return got, geomean >= 1.5
-		}},
-		{"S6", "Vectorized batch pipeline", "batch cursors + worst-case-optimal intersection ≥2× (geomean) over the row-at-a-time pipeline on cyclic join and chain enumeration workloads, identical results", func() (string, bool) {
-			// Whole-query A/B through the public NoVectorize switch: the
-			// same compiled query, same store, batch pipeline on vs off.
-			// Cyclic shapes measure the intersection operator (bind-joins
-			// enumerate the open path first); the chain measures the
-			// columnar enumeration alone, drained through Stream so the
-			// canonical sort both modes share does not dilute the ratio.
-			g := dataset.Random(dataset.RandomConfig{
-				Accounts: 900, AvgDegree: 10, BlockedFraction: 0.1, Seed: 41,
-			})
-			snap := gpml.Snapshot(g)
-			workloads := []struct {
-				name, src string
-			}{
-				{"triangle", `MATCH (a)-[:Transfer]->(b), (b)-[:Transfer]->(c), (c)-[:Transfer]->(a)`},
-				{"4-cycle", `MATCH (a)-[:Transfer]->(b), (b)-[:Transfer]->(c), (c)-[:Transfer]->(d), (d)-[:Transfer]->(a)`},
-				{"two-hop chain", `MATCH (x:Account)-[t:Transfer]->(y)-[u:Transfer]->(z)`},
-			}
-			drain := func(q *gpml.Query, opts ...gpml.Option) int {
-				rows, err := q.Stream(context.Background(), snap, opts...)
-				if err != nil {
-					panic(err)
-				}
-				defer rows.Close()
-				n := 0
-				for rows.Next() {
-					n++
-				}
-				if err := rows.Err(); err != nil {
-					panic(err)
-				}
-				return n
-			}
-			product := 1.0
-			var parts []string
-			for _, w := range workloads {
-				q := gpml.MustCompile(w.src)
-				// Result parity first: batching and the intersection
-				// operator must be invisible in the collected rows.
-				batched, err := q.Eval(nil, gpml.WithStore(snap))
-				if err != nil {
-					panic(err)
-				}
-				rowed, err := q.Eval(nil, gpml.WithStore(snap), gpml.NoVectorize())
-				if err != nil {
-					panic(err)
-				}
-				if gpml.FormatResult(batched) != gpml.FormatResult(rowed) {
-					return fmt.Sprintf("%s: batch and row pipelines diverge", w.name), false
-				}
-				x := abRatio(func(noVec bool) {
-					if noVec {
-						drain(q, gpml.NoVectorize())
-					} else {
-						drain(q)
-					}
-				})
-				product *= x
-				parts = append(parts, fmt.Sprintf("%.1f× on %s", x, w.name))
-			}
-			geomean := math.Pow(product, 1.0/float64(len(workloads)))
-			got := fmt.Sprintf("identical rows; batch pipeline %s (geomean %.1f×)",
-				strings.Join(parts, ", "), geomean)
-			return got, geomean >= 2
-		}},
 	}
-}
-
-// matchWorkload compiles and enumerates one pattern's raw bindings.
-func matchWorkload(g *gpml.Graph, src string) []*binding.PathBinding {
-	p := analyze(src)
-	raw, err := eval.Enumerate(g, p.Paths[0], eval.Config{})
-	if err != nil {
-		panic(err)
-	}
-	return raw
-}
-
-// matchSolutions compiles and solves one pattern fully.
-func matchSolutions(g *gpml.Graph, src string) []*binding.Reduced {
-	p := analyze(src)
-	sols, err := eval.MatchPattern(g, p.Paths[0], eval.Config{})
-	if err != nil {
-		panic(err)
-	}
-	return sols
-}
-
-// analyze runs the front half of the compiler (parse, normalize, plan).
-func analyze(src string) *plan.Plan {
-	stmt, err := parser.Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	norm, err := normalize.Normalize(stmt)
-	if err != nil {
-		panic(err)
-	}
-	p, err := plan.Analyze(norm, plan.Options{})
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// abRatio times fn in both modes (best of 5 rounds each, interleaved) and
-// returns stringMode/binaryMode.
-func abRatio(fn func(useStrings bool)) float64 {
-	best := func(useStrings bool) time.Duration {
-		b := time.Duration(-1)
-		for i := 0; i < 5; i++ {
-			t0 := time.Now()
-			fn(useStrings)
-			if d := time.Since(t0); b < 0 || d < b {
-				b = d
-			}
-		}
-		return b
-	}
-	fn(false) // warm up
-	fn(true)
-	return float64(best(true)) / float64(best(false))
 }
 
 // printTimeline reproduces Figure 10 (the SQL/PGQ and GQL standards

@@ -11,13 +11,10 @@
 // engine (dfs, bfs, or the pattern automaton) evaluates each path pattern
 // and why, plus the cost-ordered join plan of multi-pattern statements;
 // -csr evaluates on an immutable CSR snapshot and -overlay on an
-// epoch-snapshot overlay store (the live-mutation serving configuration);
-// -no-automaton pins evaluation to the enumerating engines,
-// -no-bind-join to the enumerate-then-hash-join pipeline, and
-// -no-vectorize to the row-at-a-time operators. -first N
-// streams only the first N rows (LIMIT pushdown: enumeration stops once
-// they are produced) and -timeout aborts evaluation after a duration via
-// streaming cancellation.
+// epoch-snapshot overlay store (the live-mutation serving configuration).
+// -first N streams only the first N rows (LIMIT pushdown: enumeration
+// stops once they are produced) and -timeout aborts evaluation after a
+// duration via streaming cancellation.
 //
 // Exit codes distinguish why evaluation ended: 0 success, 1 query or
 // graph error (compile errors include a caret diagnostic pointing at the
@@ -69,9 +66,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		overlay    = fs.Bool("overlay", false, "evaluate on an epoch-snapshot overlay store layered over a CSR snapshot")
 		parallel   = fs.Int("parallel", 0, "evaluation workers over seed nodes (<2 = sequential)")
 		explain    = fs.Bool("explain", false, "print which engine (dfs/bfs/automaton) evaluates each pattern")
-		noAuto     = fs.Bool("no-automaton", false, "disable the pattern-automaton engine (A/B comparison)")
-		noBindJoin = fs.Bool("no-bind-join", false, "disable the cost-ordered bind-join planner (A/B comparison)")
-		noVec      = fs.Bool("no-vectorize", false, "disable the vectorized batch pipeline (A/B comparison)")
 		timeout    = fs.Duration("timeout", 0, "abort evaluation after this duration (streaming cancellation; 0 = none)")
 		first      = fs.Int("first", 0, "stream only the first N rows (LIMIT pushdown; 0 = all rows)")
 	)
@@ -120,15 +114,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	if *parallel > 1 {
 		evalOpts = append(evalOpts, gpml.WithParallelism(*parallel))
-	}
-	if *noAuto {
-		evalOpts = append(evalOpts, gpml.NoAutomaton())
-	}
-	if *noBindJoin {
-		evalOpts = append(evalOpts, gpml.NoBindJoin())
-	}
-	if *noVec {
-		evalOpts = append(evalOpts, gpml.NoVectorize())
 	}
 	q, err := gpml.Compile(query, opts...)
 	if err != nil {

@@ -15,8 +15,11 @@
 // overlay store, the live-mutation serving configuration: queries pin
 // epoch snapshots while writers apply batches concurrently. With
 // -partitions N (N > 1, exclusive with -overlay) the graph is served
-// from a hash-partitioned snapshot whose per-partition arenas let
-// parallel queries scatter seed ranges across partition-pinned workers.
+// from a hash-partitioned snapshot. The server evaluates every query
+// sequentially on every store (internal/server never sets
+// gpml.WithParallelism), so the shards change the storage layout, not how
+// a served query runs; only library callers that pass WithParallelism get
+// the partition-pinned scatter.
 //
 // With -data-dir the overlay is durable: every applied batch is written
 // to a write-ahead log under DIR before it becomes visible, compaction
@@ -79,7 +82,7 @@ func run() int {
 		addr       = flag.String("addr", ":7687", "listen address")
 		graphFile  = flag.String("graph", "", "graph JSON file served as \"main\" (default: the paper's Figure 1 graph as \"fig1\")")
 		overlay    = flag.Bool("overlay", false, "wrap the graph in an epoch-snapshot overlay store (live-mutation serving)")
-		partitions = flag.Int("partitions", 0, "serve a hash-partitioned snapshot with N adjacency shards (N > 1; exclusive with -overlay)")
+		partitions = flag.Int("partitions", 0, "serve a hash-partitioned snapshot with N adjacency shards (N > 1; exclusive with -overlay); served queries still run sequentially")
 		dataDir    = flag.String("data-dir", "", "durable overlay data directory: WAL + checkpoints, crash recovery on boot (implies -overlay; exclusive with -partitions)")
 		fsyncPol   = flag.String("fsync", "always", "WAL fsync policy: always | interval | none")
 		fsyncIvl   = flag.Duration("fsync-interval", 50*time.Millisecond, "fsync period when -fsync=interval")
@@ -152,8 +155,9 @@ func run() int {
 	case *overlay:
 		st = gpml.NewOverlay(g)
 	case *partitions > 1:
-		// Hash-partitioned snapshot: immutable like a CSR, with
-		// per-partition arenas that parallel queries scatter over.
+		// Hash-partitioned snapshot: immutable like a CSR, adjacency in
+		// per-partition arenas. Served queries run sequentially, so
+		// nothing here scatters over them.
 		st = gpml.NewPartitioned(g, gpml.WithPartitions(*partitions))
 	default:
 		// Immutable CSR snapshot: safe for any number of concurrent

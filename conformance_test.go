@@ -22,9 +22,9 @@ import (
 // and selectors, §6.5 multi-pattern joins). Each case is evaluated
 // through BOTH host-language frontends — a GQL session (binding-table
 // output) and, when the case declares a COLUMNS clause, the SQL/PGQ
-// GRAPH_TABLE operator — against BOTH store backends (map graph and CSR
-// snapshot), with the bind-join planner on and off, and every combination
-// must reproduce the checked-in golden output byte for byte.
+// GRAPH_TABLE operator — against every store backend, sequentially and
+// with a worker pool, and every combination must reproduce the checked-in
+// golden output byte for byte.
 //
 // Regenerate the goldens after an intentional output change with:
 //
@@ -64,11 +64,11 @@ var conformanceGraphs = map[string]func() *gpml.Graph{
 	"random1": func() *gpml.Graph {
 		return dataset.Random(dataset.RandomConfig{Accounts: 30, AvgDegree: 2, Cities: 4, Phones: 6, BlockedFraction: 0.2, Seed: 1, UndirectedPhones: true})
 	},
-	// cyclic exercises the worst-case-optimal intersection dispatch: a
-	// directed 4-cycle (Hop), a diamond (Road), and a triangle with a
-	// pendant edge (Wire), each shape on its own edge label so the three
-	// cyclic corpus cases stay independent. The parallel edges (h5, w5)
-	// make the per-pattern edge cross product non-trivial.
+	// cyclic holds the cyclic join shapes: a directed 4-cycle (Hop), a
+	// diamond (Road), and a triangle with a pendant edge (Wire), each shape
+	// on its own edge label so the three cyclic corpus cases stay
+	// independent. The parallel edges (h5, w5) make the per-pattern edge
+	// cross product non-trivial.
 	"cyclic": func() *gpml.Graph {
 		b := gpml.NewBuilder()
 		for _, id := range []string{"c1", "c2", "c3", "c4", "d1", "d2", "d3", "d4", "t1", "t2", "t3", "t4"} {
@@ -375,20 +375,9 @@ func pgqResult(t *testing.T, c *conformanceCase, s gpml.Store, cfg eval.Config) 
 // streamOpts maps an eval.Config onto public evaluation options.
 func streamOpts(cfg eval.Config) []gpml.Option {
 	var opts []gpml.Option
-	if cfg.DisableBindJoin {
-		opts = append(opts, gpml.NoBindJoin())
-	}
-	if cfg.DisableAutomaton {
-		opts = append(opts, gpml.NoAutomaton())
-	}
 	if cfg.Parallelism > 1 {
 		opts = append(opts, gpml.WithParallelism(cfg.Parallelism))
 	}
-	if cfg.DisableVectorize {
-		opts = append(opts, gpml.NoVectorize())
-	}
-	// DisableIntersect has no public option; the streaming check then runs
-	// with the default dispatch, which must match the same golden anyway.
 	return opts
 }
 
@@ -473,11 +462,8 @@ func TestConformanceCorpus(t *testing.T) {
 				name string
 				cfg  eval.Config
 			}{
-				{"bind-join", eval.Config{}},
-				{"no-bind-join", eval.Config{DisableBindJoin: true}},
+				{"default", eval.Config{}},
 				{"parallel", eval.Config{Parallelism: 4}},
-				{"no-vectorize", eval.Config{DisableVectorize: true}},
-				{"no-intersect", eval.Config{DisableIntersect: true}},
 			}
 			if *updateGolden {
 				c.result = gqlResult(t, c, g, eval.Config{})

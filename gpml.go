@@ -231,49 +231,37 @@ var Null = value.Null
 // Query is a compiled GPML statement, reusable across graphs and safe for
 // concurrent evaluation.
 type Query struct {
-	q          *core.Query
-	lims       Limits
-	edgeIso    bool
-	store      Store
-	parallel   int
-	noAuto     bool
-	noBindJoin bool
-	strKeys    bool
-	noVec      bool
-	limit      int
-	ctx        context.Context
-	params     map[string]Value
+	q        *core.Query
+	lims     Limits
+	edgeIso  bool
+	store    Store
+	parallel int
+	limit    int
+	ctx      context.Context
+	params   map[string]Value
 }
 
 // Option configures compilation or evaluation.
 type Option func(*options)
 
 type options struct {
-	gql        bool
-	lims       Limits
-	edgeIso    bool
-	store      Store
-	parallel   int
-	noAuto     bool
-	noBindJoin bool
-	strKeys    bool
-	noVec      bool
-	limit      int
-	ctx        context.Context
-	params     map[string]Value
+	gql      bool
+	lims     Limits
+	edgeIso  bool
+	store    Store
+	parallel int
+	limit    int
+	ctx      context.Context
+	params   map[string]Value
 }
 
 func (o options) config() eval.Config {
 	return eval.Config{
-		Limits:           o.lims,
-		EdgeIsomorphic:   o.edgeIso,
-		Parallelism:      o.parallel,
-		DisableAutomaton: o.noAuto,
-		DisableBindJoin:  o.noBindJoin,
-		StringKeys:       o.strKeys,
-		DisableVectorize: o.noVec,
-		Limit:            o.limit,
-		Params:           eval.Params(o.params),
+		Limits:         o.lims,
+		EdgeIsomorphic: o.edgeIso,
+		Parallelism:    o.parallel,
+		Limit:          o.limit,
+		Params:         eval.Params(o.params),
 	}
 }
 
@@ -313,12 +301,6 @@ func WithStore(s Store) Option { return func(o *options) { o.store = s } }
 // sequential evaluation; values below 2 keep evaluation sequential.
 func WithParallelism(n int) Option { return func(o *options) { o.parallel = n } }
 
-// NoAutomaton disables the pattern-automaton engine, forcing eligible
-// patterns back onto the enumerating DFS/BFS engines. Results are
-// identical either way; the option exists for A/B benchmarking and
-// differential testing.
-func NoAutomaton() Option { return func(o *options) { o.noAuto = true } }
-
 // WithContext attaches a context to evaluation: cancellation or an
 // expired deadline aborts the in-flight search promptly (the engines
 // poll every few thousand edge expansions) and Eval/Stream/ForEach
@@ -333,35 +315,6 @@ func WithContext(ctx context.Context) Option { return func(o *options) { o.ctx =
 // total-enumeration cost. The rows kept are the first n in streaming
 // order; Eval presents them canonically ordered.
 func WithLimit(n int) Option { return func(o *options) { o.limit = n } }
-
-// StringKeys reverts deduplication sets and join indexes to materialized
-// element-id string keys — the pre-interning encoding — instead of the
-// compact binary keys the interned execution path uses. Results are
-// identical either way; the option exists for A/B benchmarking (benchgen
-// experiment S5 measures the interning win with it) and differential
-// testing.
-func StringKeys() Option { return func(o *options) { o.strKeys = true } }
-
-// NoBindJoin disables the cost-ordered bind-join planner for
-// multi-pattern statements, reverting to enumerating every path pattern
-// in full (in textual order) before hash joining. Successful evaluations
-// return identical results either way — bind-join only changes how much
-// of each pattern's search space is explored. For the same reason the
-// two pipelines can differ under tight search Limits: bind-join
-// enumerates less, so it may succeed where full enumeration exceeds the
-// match budget. The option exists for A/B benchmarking and differential
-// testing.
-func NoBindJoin() Option { return func(o *options) { o.noBindJoin = true } }
-
-// NoVectorize disables the vectorized batch pipeline, forcing eligible
-// statements (flat chains on one shared store) back onto the
-// row-at-a-time operators. Successful evaluations return identical rows
-// in identical order either way; under tight search Limits the pipelines
-// may differ only in whether the budget trips, because a LIMIT-bound
-// batch run computes up to one batch of rows ahead of the cut. The
-// option exists for A/B benchmarking (benchgen experiment S6 measures
-// the batching win with it) and differential testing.
-func NoVectorize() Option { return func(o *options) { o.noVec = true } }
 
 // WithParams binds values to the statement's $name placeholders for one
 // evaluation. A compiled query with parameters is a prepared statement:
@@ -404,7 +357,7 @@ func Compile(src string, opts ...Option) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Query{q: q, lims: o.lims, edgeIso: o.edgeIso, store: o.store, parallel: o.parallel, noAuto: o.noAuto, noBindJoin: o.noBindJoin, strKeys: o.strKeys, noVec: o.noVec, limit: o.limit, ctx: o.ctx, params: o.params}, nil
+	return &Query{q: q, lims: o.lims, edgeIso: o.edgeIso, store: o.store, parallel: o.parallel, limit: o.limit, ctx: o.ctx, params: o.params}, nil
 }
 
 // MustCompile is Compile that panics on error; for fixtures and examples.
@@ -435,7 +388,7 @@ func (q *Query) Eval(g *Graph, opts ...Option) (*Result, error) {
 
 // options seeds an option set from the query's compile-time defaults.
 func (q *Query) options(opts []Option) options {
-	o := options{lims: q.lims, edgeIso: q.edgeIso, parallel: q.parallel, noAuto: q.noAuto, noBindJoin: q.noBindJoin, strKeys: q.strKeys, noVec: q.noVec, limit: q.limit, ctx: q.ctx, params: q.params}
+	o := options{lims: q.lims, edgeIso: q.edgeIso, parallel: q.parallel, limit: q.limit, ctx: q.ctx, params: q.params}
 	for _, f := range opts {
 		f(&o)
 	}
@@ -690,7 +643,7 @@ func (q *Query) ForEach(ctx context.Context, s Store, fn func(*Row) error, opts 
 }
 
 // Explain reports, one line per path pattern, which engine evaluates the
-// query under the given options (dfs, bfs, or automaton), the selector
+// query (dfs, bfs, or automaton — a function of the plan alone), the selector
 // and proven seed labels, the reason the automaton engine is unavailable
 // when it is not used, and the pattern's streaming pipeline stages
 // annotated blocking/streamable. For multi-pattern statements it appends
@@ -705,7 +658,7 @@ func (q *Query) Explain(opts ...Option) []string {
 	if s == nil {
 		s = q.store
 	}
-	return eval.ExplainStore(s, q.q.Plan, o.config())
+	return eval.ExplainStore(s, q.q.Plan)
 }
 
 // EvalStore evaluates the query against any Store implementation.

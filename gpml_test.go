@@ -210,8 +210,8 @@ func TestPathsInResults(t *testing.T) {
 
 // TestExplainJoinPlan pins the public Explain surface of the bind-join
 // planner: multi-pattern statements report the cost-ordered join steps,
-// NoBindJoin reports the classic pipeline, and a store passed through
-// WithStore feeds real cardinality statistics into the ranking.
+// and a store passed through WithStore feeds real cardinality statistics
+// into the ranking.
 func TestExplainJoinPlan(t *testing.T) {
 	g := gpml.Fig1()
 	q := gpml.MustCompile(`
@@ -231,10 +231,6 @@ func TestExplainJoinPlan(t *testing.T) {
 	if !strings.Contains(joined, "join step 1: pattern 1 bind-join seed=x") {
 		t.Errorf("missing bind-join step:\n%s", joined)
 	}
-	off := strings.Join(q.Explain(gpml.NoBindJoin()), "\n")
-	if !strings.Contains(off, "bind-join disabled") {
-		t.Errorf("NoBindJoin explain should report the classic pipeline:\n%s", off)
-	}
 	// Single-pattern statements have no join plan.
 	single := gpml.MustCompile(`MATCH (x:Account)`).Explain()
 	if len(single) != 1 {
@@ -242,9 +238,10 @@ func TestExplainJoinPlan(t *testing.T) {
 	}
 }
 
-// TestNoBindJoinParity pins the public escape hatch: results are
-// byte-identical with the planner on and off.
-func TestNoBindJoinParity(t *testing.T) {
+// TestBindJoinParallelParity pins the Figure 4 fraud join: the parallel
+// seeded path returns exactly the sequential rows. (Bind-join vs the
+// classic hash-join oracle is internal/eval's joindiff_test.go.)
+func TestBindJoinParallelParity(t *testing.T) {
 	g := gpml.Fig1()
 	q := gpml.MustCompile(`
 		MATCH (x:Account WHERE x.isBlocked='no')-[:isLocatedIn]->
@@ -254,14 +251,6 @@ func TestNoBindJoinParity(t *testing.T) {
 	on, err := q.Eval(g)
 	if err != nil {
 		t.Fatal(err)
-	}
-	off, err := q.Eval(g, gpml.NoBindJoin())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gpml.FormatResult(on) != gpml.FormatResult(off) {
-		t.Fatalf("bind-join on/off diverge:\non:\n%s\noff:\n%s",
-			gpml.FormatResult(on), gpml.FormatResult(off))
 	}
 	// The parallel seeded path distributes seed runs over a worker pool;
 	// output must stay byte-identical.

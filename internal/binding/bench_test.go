@@ -50,31 +50,16 @@ func makeBindings(n, dupEvery int) []*Reduced {
 	return out
 }
 
-// Ablation 2 (DESIGN.md §5): the three dedup key designs — compact binary
-// keys (the implementation), exact materialized string keys (the
-// pre-interning implementation, still available as the StringKeys
-// reference mode), and 64-bit FNV hashing with no collision handling (the
-// fast-but-unsound alternative). The bench quantifies both what interning
-// bought and what exactness costs over a raw hash.
+// Ablation 2 (DESIGN.md §5): compact binary dedup keys (the
+// implementation) against 64-bit FNV hashing with no collision handling
+// (the fast-but-unsound alternative) — what exactness costs over a raw
+// hash.
 func BenchmarkAblation_DedupKey(b *testing.B) {
 	bindings := makeBindings(10_000, 7)
 	b.Run("interned_binary_key", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if out := Dedup(bindings); len(out) == 0 {
-				b.Fatal("empty")
-			}
-		}
-	})
-	b.Run("exact_string_key", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			// Strip the memo so every iteration pays the materialization,
-			// like a fresh evaluation would.
-			for _, r := range bindings {
-				r.canon = ""
-			}
-			if out := DedupStrings(bindings); len(out) == 0 {
 				b.Fatal("empty")
 			}
 		}

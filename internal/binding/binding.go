@@ -284,33 +284,6 @@ func (k *Keyer) Key(r *Reduced) []byte {
 	return b
 }
 
-// ColKeyer packs deduplication keys straight from columnar position
-// tuples, the batch pipeline's vectorized counterpart of Keyer. Within
-// one flat-chain template (fixed column count, fixed variable name and
-// element kind per position, no branch tags, path = the position tuple
-// itself) the element-index tuple determines the reduced binding
-// completely, so packing just the indices is injective exactly where
-// Keyer is: two rows of the same template collide on a ColKeyer key iff
-// their Reduced forms collide on a Keyer key (pinned by the agreement
-// test). Keys from different templates must never be compared — one
-// ColKeyer serves one dedup set, mirroring Keyer's contract.
-type ColKeyer struct {
-	buf []byte
-}
-
-// Key returns the tuple's dedup key: concatenated uvarints, injective
-// for a fixed tuple width because uvarints are self-delimiting. The
-// returned slice aliases the scratch buffer and is valid until the next
-// Key call; convert with string(...) to retain it.
-func (k *ColKeyer) Key(tuple []graph.ElemIdx) []byte {
-	b := k.buf[:0]
-	for _, v := range tuple {
-		b = binary.AppendUvarint(b, uint64(v))
-	}
-	k.buf = b
-	return b
-}
-
 // String renders the reduced binding as "var↦id" pairs.
 func (r *Reduced) String() string {
 	parts := make([]string, len(r.Cols))
@@ -352,24 +325,6 @@ func Dedup(in []*Reduced) []*Reduced {
 			continue
 		}
 		seen[string(key)] = struct{}{}
-		out = append(out, r)
-	}
-	return out
-}
-
-// DedupStrings is the A/B reference implementation of Dedup: it keys the
-// set by the canonical textual identity (the pre-interning encoding).
-// Used by differential tests and the string-key benchmark experiments;
-// results are identical to Dedup by the Keyer's injectivity.
-func DedupStrings(in []*Reduced) []*Reduced {
-	seen := make(map[string]struct{}, len(in))
-	out := make([]*Reduced, 0, len(in))
-	for _, r := range in {
-		k := r.CanonKey()
-		if _, ok := seen[k]; ok {
-			continue
-		}
-		seen[k] = struct{}{}
 		out = append(out, r)
 	}
 	return out

@@ -169,6 +169,23 @@ func TestKeyDistinguishesTagsAndPaths(t *testing.T) {
 	}
 }
 
+// dedupStrings is the reference Dedup is checked against: the same
+// first-occurrence set, keyed by the canonical textual identity instead of
+// the Keyer's compact binary key. The two agree by the Keyer's injectivity.
+func dedupStrings(in []*Reduced) []*Reduced {
+	seen := make(map[string]struct{}, len(in))
+	out := make([]*Reduced, 0, len(in))
+	for _, r := range in {
+		k := r.CanonKey()
+		if _, ok := seen[k]; ok {
+			continue
+		}
+		seen[k] = struct{}{}
+		out = append(out, r)
+	}
+	return out
+}
+
 func TestDedup(t *testing.T) {
 	f := newFixture(t)
 	a := f.sample(t).Reduce()
@@ -176,7 +193,7 @@ func TestDedup(t *testing.T) {
 	c := f.sample(t)
 	c.Tags = []Tag{{0, 1}}
 	for name, dedup := range map[string]func([]*Reduced) []*Reduced{
-		"binary": Dedup, "strings": DedupStrings,
+		"binary": Dedup, "strings": dedupStrings,
 	} {
 		out := dedup([]*Reduced{a, b, c.Reduce()})
 		if len(out) != 2 {

@@ -32,7 +32,7 @@ import (
 // guarantees the pattern is memoryless, which is what makes the (node ×
 // state) abstraction exact.
 
-// Engine names reported by EngineFor and the -explain flag.
+// Engine names reported by engineFor and the -explain flag.
 const (
 	EngineDFS       = "dfs"
 	EngineBFS       = "bfs"
@@ -53,14 +53,12 @@ func automatonFor(pp *plan.PathPlan) *automaton.NFA {
 	return nfa
 }
 
-// EngineFor reports which engine Enumerate selects for the pattern under
-// the given config, plus a note explaining why the automaton engine was
-// not selected (empty when it was).
-func EngineFor(pp *plan.PathPlan, cfg Config) (engine, note string) {
+// engineFor reports which engine evaluates the pattern — a function of the
+// plan alone — plus a note explaining why the automaton engine was not
+// selected (empty when it was).
+func engineFor(pp *plan.PathPlan) (engine, note string) {
 	note = pp.AutomatonReason
-	if cfg.DisableAutomaton {
-		note = "disabled by config"
-	} else if pp.Automaton {
+	if pp.Automaton {
 		if automatonFor(pp) != nil {
 			return EngineAutomaton, ""
 		}
@@ -74,7 +72,7 @@ func EngineFor(pp *plan.PathPlan, cfg Config) (engine, note string) {
 
 // Explain renders the statement's evaluation plan without store
 // statistics; see ExplainStore.
-func Explain(p *plan.Plan, cfg Config) []string { return ExplainStore(nil, p, cfg) }
+func Explain(p *plan.Plan) []string { return ExplainStore(nil, p) }
 
 // ExplainStore renders one human-readable line per path pattern — the
 // selected engine, the selector, the proven seed labels, when the
@@ -84,13 +82,13 @@ func Explain(p *plan.Plan, cfg Config) []string { return ExplainStore(nil, p, cf
 // multi-pattern statements (ExplainJoin), each step annotated with its
 // streaming behaviour. The store, when non-nil, supplies the cardinality
 // statistics the join cost model ranks patterns with.
-func ExplainStore(s graph.Store, p *plan.Plan, cfg Config) []string {
+func ExplainStore(s graph.Store, p *plan.Plan) []string {
 	if s != nil {
 		s = graph.Pin(s)
 	}
 	out := make([]string, len(p.Paths), len(p.Paths)+len(p.Paths))
 	for i, pp := range p.Paths {
-		eng, note := EngineFor(pp, cfg)
+		eng, note := engineFor(pp)
 		var b strings.Builder
 		b.WriteString("pattern ")
 		b.WriteString(strconv.Itoa(i))
@@ -125,7 +123,7 @@ func ExplainStore(s graph.Store, p *plan.Plan, cfg Config) []string {
 		}
 		out[i] = b.String()
 	}
-	return append(out, ExplainJoin(s, p, cfg)...)
+	return append(out, ExplainJoin(s, p)...)
 }
 
 // elemResolver resolves exactly one element — the one being matched —

@@ -58,7 +58,7 @@ func BenchmarkBFSAllShortest(b *testing.B) {
 // engine still explores the full product space with one admitted thread
 // per shortest walk to every intermediate state. This is the workload
 // shape the automaton engine turns from walk enumeration into plain graph
-// search; the Fallback twin is its A/B comparison point.
+// search.
 func BenchmarkAllShortestPointToPoint(b *testing.B) {
 	g := dataset.Grid(8, 8)
 	p := benchPlan(b, `
@@ -71,79 +71,6 @@ func BenchmarkAllShortestPointToPoint(b *testing.B) {
 			b.Fatal(err, len(res.Rows))
 		}
 	}
-}
-
-// BenchmarkAllShortestPointToPointFallback pins the same workload to the
-// enumerating BFS engine.
-func BenchmarkAllShortestPointToPointFallback(b *testing.B) {
-	g := dataset.Grid(8, 8)
-	p := benchPlan(b, `
-		MATCH ALL SHORTEST p = (a WHERE a.owner='u0_0')-[e:Transfer]->+
-		      (z WHERE z.owner='u7_0')`)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := EvalPlan(g, p, Config{DisableAutomaton: true})
-		if err != nil || len(res.Rows) != 1 {
-			b.Fatal(err, len(res.Rows))
-		}
-	}
-}
-
-// The same workload pinned to the enumerating BFS engine: the automaton
-// engine's A/B comparison point.
-func BenchmarkBFSAllShortestFallback(b *testing.B) {
-	g := dataset.Grid(8, 8)
-	p := benchPlan(b, `
-		MATCH ALL SHORTEST p = (a WHERE a.owner='u0_0')-[e:Transfer]->+
-		      (z WHERE z.owner='u7_7')`)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EvalPlan(g, p, Config{DisableAutomaton: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Ablation 3 (DESIGN.md §5): the BFS per-state admission pruning. Both
-// sides pin DisableAutomaton so the ablation keeps measuring the
-// enumerating engines: the unpruned comparison point is the DFS engine on
-// the bounded-depth version of the same query — what the search costs
-// without product-state deduplication. The automaton sub-bench runs the
-// same bounded query on the product engine for a three-way picture.
-func BenchmarkAblation_BFSPruning(b *testing.B) {
-	g := dataset.Grid(5, 5)
-	pruned := benchPlan(b, `
-		MATCH ALL SHORTEST p = (a WHERE a.owner='u0_0')-[e:Transfer]->+
-		      (z WHERE z.owner='u4_4')`)
-	// The same result set computed by exhaustive bounded enumeration plus
-	// selection (no state pruning: every walk of length ≤ 8 is explored).
-	unpruned := benchPlan(b, `
-		MATCH ALL SHORTEST p = (a WHERE a.owner='u0_0')-[e:Transfer]->{1,8}
-		      (z WHERE z.owner='u4_4')`)
-	b.Run("bfs_pruned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := EvalPlan(g, pruned, Config{DisableAutomaton: true})
-			if err != nil || len(res.Rows) != 70 { // C(8,4)
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("dfs_exhaustive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := EvalPlan(g, unpruned, Config{DisableAutomaton: true})
-			if err != nil || len(res.Rows) != 70 {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("automaton", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := EvalPlan(g, unpruned, Config{})
-			if err != nil || len(res.Rows) != 70 {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // Predicate evaluation in the hot loop.

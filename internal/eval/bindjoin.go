@@ -16,12 +16,12 @@ import (
 // plan.OrderJoin, and each already-joined row's shared endpoint bindings
 // become the seed set of the next pattern's engine run: a pattern whose
 // head variable is already bound only ever explores matches starting at
-// the handful of nodes the join has produced so far. Since PR 4 the
-// pipeline is fully streaming — rows flow through a chain of join-step
-// cursors (see stream.go), and each step solves a seed node the first
-// time an input row demands it, memoizing per seed.
+// the handful of nodes the join has produced so far. The pipeline is
+// fully streaming — rows flow through a chain of join-step cursors (see
+// stream.go), and each step solves a seed node the first time an input
+// row demands it, memoizing per seed.
 //
-// The rewrite is exact, not approximate, for two structural reasons:
+// Seeding is exact, not approximate, for two structural reasons:
 //
 //   - a pattern's solution set decomposes by seed: every solution's path
 //     starts at its seed node, so reduction keys never collide across
@@ -32,11 +32,13 @@ import (
 //     cannot survive the equi-join anyway, because the seed variable is
 //     part of the hash key.
 //
-//   - the classic pipeline's row order is the nested-loop order over the
+//   - enumerate-everything-then-hash-join (the reference joindiff_test.go
+//     keeps as its oracle) emits rows in nested-loop order over the
 //     patterns in textual order, with each pattern's solutions sorted by
 //     (path length, canonical key) — i.e. rows come out lexicographically
 //     ordered by the per-pattern sort keys. sortRowsCanonical restores
-//     exactly that order, so Eval's collected Result is byte-identical.
+//     exactly that order, so Eval's collected Result is byte-identical
+//     whatever order the cost model joined in.
 
 // seedSolver runs the full single-pattern pipeline (§6 stage order:
 // enumerate, reduce, deduplicate, select) one seed node at a time; the
@@ -53,16 +55,15 @@ type seedSolver struct {
 	// exact, since dedup keys never collide across seeds). Reusing it
 	// keeps the per-seed constant cost near zero on many-seed workloads.
 	// Keys are the Keyer's compact binary form (its variable codes only
-	// grow, so one Keyer is consistent across all of the solver's seeds);
-	// the StringKeys reference mode uses the canonical textual key.
-	seen       map[string]struct{}
-	keyer      *binding.Keyer
-	stringKeys bool
+	// grow, so one Keyer is consistent across all of the solver's seeds).
+	seen  map[string]struct{}
+	keyer *binding.Keyer
 }
 
 func newSeedSolver(st graph.Stepper, pp *plan.PathPlan, cfg Config, bud *budget) *seedSolver {
-	ss := &seedSolver{pp: pp, seen: map[string]struct{}{}, keyer: binding.NewKeyer(), stringKeys: cfg.StringKeys}
-	ss.run = seedRunner(st, pp, cfg, bud, func(b *binding.PathBinding) error {
+	ss := &seedSolver{pp: pp, seen: map[string]struct{}{}, keyer: binding.NewKeyer()}
+	engine, _ := engineFor(pp)
+	ss.run = seedRunner(st, pp, engine, cfg, bud, func(b *binding.PathBinding) error {
 		ss.buf = append(ss.buf, b.Reduce())
 		return nil
 	})
@@ -87,18 +88,11 @@ func (ss *seedSolver) solve(seed int) ([]*binding.Reduced, error) {
 	clear(ss.seen)
 	out := make([]*binding.Reduced, 0, len(ss.buf))
 	for _, r := range ss.buf {
-		if ss.stringKeys {
-			if _, dup := ss.seen[r.CanonKey()]; dup {
-				continue
-			}
-			ss.seen[r.CanonKey()] = struct{}{}
-		} else {
-			key := ss.keyer.Key(r)
-			if _, dup := ss.seen[string(key)]; dup {
-				continue
-			}
-			ss.seen[string(key)] = struct{}{}
+		key := ss.keyer.Key(r)
+		if _, dup := ss.seen[string(key)]; dup {
+			continue
 		}
+		ss.seen[string(key)] = struct{}{}
 		out = append(out, r)
 	}
 	if ss.pp.Pattern.Selector.Kind == ast.NoSelector {
@@ -109,7 +103,7 @@ func (ss *seedSolver) solve(seed int) ([]*binding.Reduced, error) {
 	return sols, nil
 }
 
-// sortRowsCanonical restores the classic pipeline's row order: rows
+// sortRowsCanonical puts rows in the canonical order: rows
 // compare lexicographically by their per-pattern reduced bindings in
 // textual pattern order, each binding by (path length, canonical key) —
 // the order MatchPattern emits solutions in. After a complete join every
@@ -155,12 +149,9 @@ func storeStatsFor(stores []graph.Store) []graph.StoreStats {
 // rows through, hash-join fallbacks materialize the pattern they join
 // against. Statistics come from the given store; with a nil store the
 // ranking is structure-only.
-func ExplainJoin(s graph.Store, p *plan.Plan, cfg Config) []string {
+func ExplainJoin(s graph.Store, p *plan.Plan) []string {
 	if len(p.Paths) < 2 {
 		return nil
-	}
-	if cfg.DisableBindJoin {
-		return []string{"join: bind-join disabled; hash join in pattern order [blocking: materializes every pattern]"}
 	}
 	stats := make([]graph.StoreStats, len(p.Paths))
 	out := make([]string, 0, len(p.Paths)+1)
@@ -171,30 +162,6 @@ func ExplainJoin(s graph.Store, p *plan.Plan, cfg Config) []string {
 		}
 		out = append(out, fmt.Sprintf("join stats: nodes=%d edges=%d avg-degree=%.3g",
 			st.Nodes, st.Edges, st.AvgDegree()))
-	}
-	if core := plan.DetectCyclicCore(p, stats); core != nil {
-		choice := "intersect"
-		note := "[worst-case-optimal; needs sorted adjacency (CSR), falls back otherwise]"
-		rem := plan.OrderJoinRemainder(p, stats, core)
-		switch {
-		case cfg.DisableVectorize:
-			choice, note = "bind-join", "[vectorized pipeline disabled by config]"
-		case cfg.DisableIntersect:
-			choice, note = "bind-join", "[intersect disabled by config]"
-		case cfg.Limit > 0:
-			choice, note = "bind-join", "[intersect skipped: LIMIT preserves bind-join row order]"
-		case !core.UseIntersect():
-			choice, note = "bind-join", "[cost model prefers bind-join]"
-		case !allSeeded(remSeedable(p, core), rem, p):
-			choice, note = "bind-join", "[intersect skipped: unseeded remainder pattern]"
-		}
-		out = append(out, fmt.Sprintf("join core: %s %s %s", choice, core, note))
-		if choice == "intersect" {
-			for k, step := range rem {
-				out = append(out, fmt.Sprintf("join step %d: %s [streaming]", k, step))
-			}
-			return out
-		}
 	}
 	for k, step := range plan.OrderJoin(p, stats) {
 		note := "[streaming]"

@@ -24,42 +24,12 @@ type Config struct {
 	// merged back in seed order, so output is identical to sequential
 	// evaluation). Values below 2 evaluate sequentially.
 	Parallelism int
-	// DisableAutomaton forces eligible patterns back onto the enumerating
-	// DFS/BFS engines; used for A/B comparison and differential testing.
-	DisableAutomaton bool
-	// DisableBindJoin forces multi-pattern statements back onto the
-	// enumerate-everything-then-hash-join pipeline, bypassing the
-	// cost-ordered bind-join planner; used for A/B comparison and
-	// differential testing. Successful evaluations are identical either
-	// way; under tight Limits the pipelines may differ only in whether
-	// they hit the budget (bind-join enumerates less).
-	DisableBindJoin bool
 	// Limit, when positive, ends the stream after that many output rows.
 	// In the pull pipeline this is a genuine pushdown: upstream stages
 	// never compute work the cut-off rows would have demanded. The rows
 	// kept are the first n in streaming (pipeline) order; Eval then
 	// presents them in canonical order.
 	Limit int
-	// StringKeys is the A/B reference mode for the interned execution
-	// path: dedup sets and join indexes are keyed by materialized element
-	// id strings (the pre-interning encoding) instead of compact binary
-	// keys. Results are identical either way (the binary encodings are
-	// injective); the option exists for benchmarking the interning win and
-	// for differential testing.
-	StringKeys bool
-	// DisableVectorize forces statements eligible for the batch pipeline
-	// (flat chains on one shared store; see batch.go) back onto the
-	// row-at-a-time pipeline; used for A/B comparison and differential
-	// testing. Successful evaluations are identical either way, row order
-	// included; under tight Limits the pipelines may differ only in
-	// whether they hit the budget (a LIMIT-bound batch run computes up to
-	// one batch of rows ahead of the cut).
-	DisableVectorize bool
-	// DisableIntersect keeps cyclic join cores on bind-joins even when
-	// the cost model favors the worst-case-optimal intersection operator
-	// (intersect.go); used for A/B comparison and differential testing.
-	// Collected (canonically sorted) results are identical either way.
-	DisableIntersect bool
 	// Params binds the statement's $name placeholders for this execution.
 	// Binding happens here — not in the plan — so one compiled plan (with
 	// its memoized automaton) serves any number of argument sets
@@ -263,13 +233,7 @@ func MatchPattern(s graph.Store, pp *plan.PathPlan, cfg Config) ([]*binding.Redu
 	for i, b := range raw {
 		reduced[i] = b.Reduce()
 	}
-	var deduped []*binding.Reduced
-	if cfg.StringKeys {
-		deduped = binding.DedupStrings(reduced)
-	} else {
-		deduped = binding.Dedup(reduced)
-	}
-	selected := ApplySelector(pp.Pattern.Selector, deduped)
+	selected := ApplySelector(pp.Pattern.Selector, binding.Dedup(reduced))
 	binding.SortStable(selected)
 	return selected, nil
 }
@@ -288,7 +252,8 @@ func Enumerate(s graph.Store, pp *plan.PathPlan, cfg Config) ([]*binding.PathBin
 		}
 	}
 	var out []*binding.PathBinding
-	run := seedRunner(st, pp, cfg, bud, func(b *binding.PathBinding) error {
+	engine, _ := engineFor(pp)
+	run := seedRunner(st, pp, engine, cfg, bud, func(b *binding.PathBinding) error {
 		out = append(out, b.Clone())
 		return nil
 	})
@@ -336,15 +301,16 @@ func seedNodes(st graph.Stepper, pp *plan.PathPlan) []int {
 	return out
 }
 
-// seedRunner returns a function running one engine pass per seed node
-// index, selected by EngineFor: the automaton engine when the plan proved
-// the pattern eligible (product search plus replay, reused across seeds),
-// the level-synchronous BFS engine for the remaining selector-bounded
-// patterns, and the backtracking DFS machine otherwise. All engines run
-// on the store's indexed Stepper view (memoized per store, shared by
-// worker pools).
-func seedRunner(st graph.Stepper, pp *plan.PathPlan, cfg Config, bud *budget, emit func(*binding.PathBinding) error) func(int) error {
-	engine, _ := EngineFor(pp, cfg)
+// seedRunner returns a function running one pass of the given engine per
+// seed node index. Production callers pass engineFor's choice: the
+// automaton engine when the plan proved the pattern eligible (product
+// search plus replay, reused across seeds), the level-synchronous BFS
+// engine for the remaining selector-bounded patterns, and the
+// backtracking DFS machine otherwise. The engine is an argument so the
+// in-package differential tests can run the enumerating engine on a
+// pattern the automaton would take. All engines run on the store's indexed
+// Stepper view (memoized per store, shared by worker pools).
+func seedRunner(st graph.Stepper, pp *plan.PathPlan, engine string, cfg Config, bud *budget, emit func(*binding.PathBinding) error) func(int) error {
 	switch engine {
 	case EngineAutomaton:
 		return newAutoEngine(st, pp, cfg, bud, emit).run
@@ -370,31 +336,6 @@ func sharedVars(p *plan.Plan, pp *plan.PathPlan, bound map[string]bool) []string
 	return shared
 }
 
-// joinPattern hash-joins one pattern's solutions into the accumulated
-// rows; with no shared variables it degenerates to a cross product.
-// byIdx selects the compact index-based join keys (sound only when every
-// pattern runs on one shared store).
-func joinPattern(p *plan.Plan, pp *plan.PathPlan, rows []*Row, solutions []*binding.Reduced, shared []string, byIdx bool) []*Row {
-	index := map[string][]*binding.Reduced{}
-	var buf []byte
-	for _, sol := range solutions {
-		buf = appendJoinKeyOfSolution(buf[:0], sol, shared, byIdx)
-		index[string(buf)] = append(index[string(buf)], sol)
-	}
-	var next []*Row
-	for _, row := range rows {
-		buf = appendJoinKeyOfRow(buf[:0], row, shared, byIdx)
-		for _, sol := range index[string(buf)] {
-			merged, ok := mergeRow(p, pp, row, sol)
-			if !ok {
-				continue
-			}
-			next = append(next, merged)
-		}
-	}
-	return next
-}
-
 // markBound records the variables a joined pattern binds.
 func markBound(bound map[string]bool, pp *plan.PathPlan) {
 	for _, v := range pp.Vars {
@@ -412,16 +353,15 @@ func markBound(bound map[string]bool, pp *plan.PathPlan) {
 // (a component's first byte is 0, 1 or 0xFF and fixes its width), so the
 // encoding is prefix-free and two distinct binding tuples can never
 // concatenate to the same key. It is only sound when probe and build side
-// index against the same store; multi-graph joins (and the StringKeys
-// reference mode) use the materialized string form, which keeps the
-// pre-interning length-prefixed encoding: "<len(id)><kind-tag><id>" per
+// index against the same store; multi-graph joins use the materialized
+// string form, a length-prefixed encoding: "<len(id)><kind-tag><id>" per
 // component, '?' for unbound.
 
 const unboundKeyByte = 0xFF
 
 // appendUnbound marks an unbound conditional singleton: 0xFF in the
 // compact form (no bound component starts with it), '?' in the string
-// form (bound components start with a digit) — the pre-interning byte.
+// form (bound components start with a digit).
 func appendUnbound(buf []byte, byIdx bool) []byte {
 	if byIdx {
 		return append(buf, unboundKeyByte)
@@ -439,14 +379,6 @@ func appendStringComponent(b []byte, kind binding.ElemKind, id string) []byte {
 	b = strconv.AppendInt(b, int64(len(id)), 10)
 	b = append(b, kindTag(kind))
 	return append(b, id...)
-}
-
-// AppendSolutionJoinKey exposes the live join-key encoding to experiment
-// tooling (benchgen S5 measures it against the retired string encoding);
-// it is appendJoinKeyOfSolution verbatim, so the A/B always measures
-// exactly what the engine runs.
-func AppendSolutionJoinKey(buf []byte, sol *binding.Reduced, shared []string, byIdx bool) []byte {
-	return appendJoinKeyOfSolution(buf, sol, shared, byIdx)
 }
 
 // appendJoinKeyOfSolution appends a pattern solution's hash key over the

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -468,5 +469,21 @@ func TestBoundString(t *testing.T) {
 		if got := c.b.String(); got != c.want {
 			t.Errorf("Bound.String() = %q, want %q", got, c.want)
 		}
+	}
+}
+
+// TestConfigHasNoHatches pins Config's field set. Evaluation has one
+// pipeline and engineFor picks the engine from the plan alone, so nothing
+// in Config selects a code path; adding a field is a deliberate edit of
+// this list.
+func TestConfigHasNoHatches(t *testing.T) {
+	want := []string{"Limits", "EdgeIsomorphic", "Parallelism", "Limit", "Params"}
+	typ := reflect.TypeOf(Config{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		got = append(got, typ.Field(i).Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("eval.Config fields = %v, want %v", got, want)
 	}
 }

@@ -13,9 +13,9 @@ import (
 
 // Key-encoding battery for the dedup and join keys. Two encodings exist:
 // the compact binary forms (varint-packed dedup keys, fixed-width
-// index join components) used by the interned execution path, and the
-// materialized string forms (the pre-interning encoding, kept as the
-// StringKeys reference mode and for multi-graph joins). The adversarial
+// index join components) used on a shared store, and the materialized
+// string forms (the canonical textual dedup key the sort orders by, and
+// the join key of multi-graph joins). The adversarial
 // ids below — NUL bytes, kind-tag prefixes, shared prefixes, digit
 // prefixes, the literal unbound marker — were chosen to break naive
 // concatenation encodings; the differential fuzz proves the compact keys
@@ -233,9 +233,11 @@ func TestDedupKeyDifferentialFuzz(t *testing.T) {
 }
 
 // TestJoinAdversarialIDsEndToEnd runs a two-pattern join over a graph
-// whose element ids are built from NUL bytes and kind-tag characters, on
-// both join pipelines and both key modes: the equi-join on x and y must
-// produce exactly the rows where both endpoints truly coincide.
+// whose element ids are built from NUL bytes and kind-tag characters, in
+// both key forms — one shared store joins on compact index keys, the map
+// graph paired with its CSR snapshot (same ids, distinct stores) joins on
+// the string form — and against the classic oracle: the equi-join on x
+// and y must produce exactly the rows where both endpoints truly coincide.
 func TestJoinAdversarialIDsEndToEnd(t *testing.T) {
 	b := graph.NewBuilder()
 	ids := []string{"a", "a\x00nb", "b\x00nc", "c", "n", "?"}
@@ -254,45 +256,23 @@ func TestJoinAdversarialIDsEndToEnd(t *testing.T) {
 	b.Edge("eB3", "?", "c", []string{"B"})
 	g := b.MustBuild()
 	p := compile(t, `MATCH (x)-[e1:A]->(y), (x)-[e2:B]->(y)`, plan.Options{})
-	for _, cfg := range []Config{{}, {DisableBindJoin: true}, {StringKeys: true}, {DisableBindJoin: true, StringKeys: true}} {
-		res, err := EvalPlan(g, p, cfg)
+	for name, stores := range map[string][]graph.Store{
+		"index keys":  {g, g},
+		"string keys": {g, graph.Snapshot(g)},
+	} {
+		res, err := EvalPlanOn(stores, p, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != 1 {
-			t.Fatalf("cfg %+v: got %d rows, want 1", cfg, len(res.Rows))
-		}
-		x, _ := res.Rows[0].Get("x")
-		y, _ := res.Rows[0].Get("y")
-		if string(x.Node) != "a" || string(y.Node) != "c" {
-			t.Fatalf("cfg %+v: joined (%q, %q), want (a, c)", cfg, x.Node, y.Node)
-		}
-	}
-}
-
-// TestStringKeysDifferential runs a battery of single- and multi-pattern
-// queries over the Fig-1-shaped key graph in both key modes and asserts
-// byte-identical formatted results — the whole-pipeline version of the
-// key-encoding differential.
-func TestStringKeysDifferential(t *testing.T) {
-	g := keyGraph(t)
-	queries := []string{
-		`MATCH (x:N)-[e:E]->(y)`,
-		`MATCH (x:N)-[e:E]->(y), (y)-[f:E]->(z)`,
-		`MATCH TRAIL (x)-[e]->*(y)`,
-	}
-	for _, src := range queries {
-		p := compile(t, src, plan.Options{})
-		base, err := EvalPlan(g, p, Config{})
-		if err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
-		ref, err := EvalPlan(g, p, Config{StringKeys: true})
-		if err != nil {
-			t.Fatalf("%s (StringKeys): %v", src, err)
-		}
-		if got, want := formatRows(t, base), formatRows(t, ref); got != want {
-			t.Errorf("%s: interned and string-key results differ:\n%s\n--- vs ---\n%s", src, got, want)
+		for side, r := range map[string]*Result{"bind-join": res, "classic": classicJoin(t, stores, p, Config{})} {
+			if len(r.Rows) != 1 {
+				t.Fatalf("%s %s: got %d rows, want 1", name, side, len(r.Rows))
+			}
+			x, _ := r.Rows[0].Get("x")
+			y, _ := r.Rows[0].Get("y")
+			if string(x.Node) != "a" || string(y.Node) != "c" {
+				t.Fatalf("%s %s: joined (%q, %q), want (a, c)", name, side, x.Node, y.Node)
+			}
 		}
 	}
 }
@@ -315,8 +295,8 @@ func formatRows(t *testing.T, res *Result) string {
 // its textually-first declaring one, and the postfilter must still read
 // the element's properties from the declaring store by id — dense indices
 // are not portable across stores. The two stores below deliberately place
-// the shared node at different indices; planner on, planner off and the
-// StringKeys reference mode must agree.
+// the shared node at different indices; the bind-join pipeline and the
+// classic oracle must agree.
 func TestMultiGraphPostfilterRouting(t *testing.T) {
 	// Store A: many Hub nodes first — the pattern scanning store A is
 	// deliberately expensive, so the cost-ordered planner joins the
@@ -344,24 +324,18 @@ func TestMultiGraphPostfilterRouting(t *testing.T) {
 
 	p := compile(t, `MATCH (x:Hub)-[e1:E]->(y:Mid), (y)-[e2:F]->(z:Plain) WHERE y.flag='yes'`, plan.Options{})
 	stores := []graph.Store{ga, gb}
-	var want string
-	for _, cfg := range []Config{{}, {DisableBindJoin: true}, {StringKeys: true}} {
-		res, err := EvalPlanOn(stores, p, cfg)
-		if err != nil {
-			t.Fatalf("cfg %+v: %v", cfg, err)
-		}
-		if len(res.Rows) != 50 {
-			t.Fatalf("cfg %+v: got %d rows, want 50 (y.flag must resolve against store A)", cfg, len(res.Rows))
-		}
-		y, _ := res.Rows[0].Get("y")
-		if string(y.Node) != "target" {
-			t.Fatalf("cfg %+v: y = %q, want target", cfg, y.Node)
-		}
-		got := formatRows(t, res)
-		if want == "" {
-			want = got
-		} else if got != want {
-			t.Fatalf("cfg %+v: rows diverge:\n%s\n--- vs ---\n%s", cfg, got, want)
-		}
+	res, err := EvalPlanOn(stores, p, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 50 {
+		t.Fatalf("got %d rows, want 50 (y.flag must resolve against store A)", len(res.Rows))
+	}
+	y, _ := res.Rows[0].Get("y")
+	if string(y.Node) != "target" {
+		t.Fatalf("y = %q, want target", y.Node)
+	}
+	if got, want := formatRows(t, res), formatRows(t, classicJoin(t, stores, p, Config{})); got != want {
+		t.Fatalf("bind-join and classic rows diverge:\n%s\n--- vs ---\n%s", got, want)
 	}
 }

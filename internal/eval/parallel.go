@@ -213,9 +213,10 @@ func enumerateParallel(st graph.Stepper, pp *plan.PathPlan, cfg Config, bud *bud
 		workers = len(seeds)
 	}
 	perSeed := make([][]*binding.PathBinding, len(seeds))
+	engine, _ := engineFor(pp)
 	errs := runSeedPool(workers, len(seeds), nil, func() func(int) error {
 		var out []*binding.PathBinding
-		run := seedRunner(st, pp, cfg, bud, func(b *binding.PathBinding) error {
+		run := seedRunner(st, pp, engine, cfg, bud, func(b *binding.PathBinding) error {
 			out = append(out, b.Clone())
 			return nil
 		})

@@ -31,15 +31,14 @@ import (
 //
 // Sequential evaluation runs the whole pipeline on the consumer's
 // goroutine (next() advances the engine one seed at a time — no channels,
-// no scheduling, no overhead over the materializing pipeline it
-// replaced); only Parallelism > 1 starts a worker pool, whose per-seed
-// batches are emitted in seed order over a channel.
+// no scheduling); only Parallelism > 1 starts a worker pool, whose
+// per-seed batches are emitted in seed order over a channel.
 //
 // Eval is a thin collect-all wrapper: drain the cursor, apply the
 // canonical sort. Because deduplicated binding keys are unique, the sort
-// fully determines row order, making Eval's output byte-identical to the
-// materializing pipeline it replaced (the same argument that made the
-// PR-3 bind-join exact; see bindjoin.go).
+// fully determines row order, so Eval's output does not depend on the
+// order the pipeline produced rows in (the same argument that makes the
+// bind-join exact; see bindjoin.go).
 //
 // Cancellation: the pipeline carries a context (and, for the parallel
 // stream, a stop channel). Generator goroutines select on both at every
@@ -76,11 +75,9 @@ func StreamPlan(ctx context.Context, s graph.Store, p *plan.Plan, cfg Config) (C
 }
 
 // StreamPlanOn builds the streaming pipeline with per-pattern stores (the
-// multi-graph EvalPlanOn form). With the bind-join planner enabled the
-// whole pipeline streams; with DisableBindJoin the classic multi-pattern
-// pipeline materializes every pattern eagerly at construction (preserving
-// its A/B-reference semantics exactly), so this call may then do the bulk
-// of the work before returning.
+// multi-graph EvalPlanOn form): a match cursor for a single pattern, the
+// cost-ordered bind-join chain for several, then the row-local
+// filter/limit cursors. Construction does no search work.
 func StreamPlanOn(ctx context.Context, stores []graph.Store, p *plan.Plan, cfg Config) (Cursor, error) {
 	if len(stores) != len(p.Paths) {
 		return nil, fmt.Errorf("eval: %d graphs for %d path patterns", len(stores), len(p.Paths))
@@ -120,30 +117,17 @@ func StreamPlanOn(ctx context.Context, stores []graph.Store, p *plan.Plan, cfg C
 			}
 		}
 	}
-	// Compact index-based join keys need every pattern on one shared
-	// store; multi-graph evaluation (and the StringKeys reference mode)
-	// joins by materialized element id.
-	byIdx := !cfg.StringKeys
-	for i := 1; i < len(stores); i++ {
-		if stores[i] != stores[0] {
-			byIdx = false
-			break
-		}
-	}
-	// The vectorized batch pipeline takes over whole statements in its
-	// fragment (flat chains, shared store); it builds its own post-join
-	// stages and boundary adapter, so it returns directly.
-	if cur, ok := newBatchPipeline(ctx, stores, p, cfg, byIdx); ok {
-		return cur, nil
-	}
 	var cur Cursor
-	if len(p.Paths) > 1 && cfg.DisableBindJoin {
-		c, err := newClassicJoinCursor(ctx, stores, p, cfg, byIdx)
-		if err != nil {
-			return nil, err
+	if len(p.Paths) > 1 {
+		// Compact index-based join keys need every pattern on one shared
+		// store; multi-graph evaluation joins by materialized element id.
+		byIdx := true
+		for i := 1; i < len(stores); i++ {
+			if stores[i] != stores[0] {
+				byIdx = false
+				break
+			}
 		}
-		cur = c
-	} else if len(p.Paths) > 1 {
 		cur = newBindJoinCursor(ctx, stores, p, cfg, byIdx)
 	} else {
 		pp := p.Paths[0]
@@ -643,49 +627,6 @@ func (c *limitCursor) Next() (*Row, error) {
 
 func (c *limitCursor) Close() error { return c.src.Close() }
 
-// sliceCursor serves pre-materialized rows (the classic pipeline).
-type sliceCursor struct {
-	rows []*Row
-	at   int
-}
-
-func (c *sliceCursor) Next() (*Row, error) {
-	if c.at >= len(c.rows) {
-		return nil, nil
-	}
-	row := c.rows[c.at]
-	c.at++
-	return row, nil
-}
-
-func (c *sliceCursor) Close() error { return nil }
-
-// newClassicJoinCursor reproduces the pre-planner multi-pattern pipeline
-// exactly (the DisableBindJoin A/B reference): every pattern is
-// materialized eagerly in textual order — budgets, limit errors and all —
-// then hash-joined. Only the result delivery streams.
-func newClassicJoinCursor(ctx context.Context, stores []graph.Store, p *plan.Plan, cfg Config, byIdx bool) (Cursor, error) {
-	perPattern := make([][]*binding.Reduced, len(p.Paths))
-	for i, pp := range p.Paths {
-		sols, err := matchPatternStream(ctx, stores[i], pp, cfg)
-		if err != nil {
-			return nil, err
-		}
-		perPattern[i] = sols
-	}
-	rows := []*Row{{}}
-	bound := map[string]bool{}
-	for patIdx, solutions := range perPattern {
-		pp := p.Paths[patIdx]
-		rows = joinPattern(p, pp, rows, solutions, sharedVars(p, pp, bound), byIdx)
-		markBound(bound, pp)
-		if len(rows) == 0 {
-			break
-		}
-	}
-	return &sliceCursor{rows: rows}, nil
-}
-
 // ---------------------------------------------------------------------------
 // Streaming bind-join.
 
@@ -870,9 +811,8 @@ func (c *bindStepCursor) refill() error {
 
 // seedIdxOf resolves a row's seed binding to a node index in the step's
 // store. On the shared-store fast path the row's interned index is used
-// directly; multi-graph evaluation (and the StringKeys reference mode)
-// joins by id, so the id is re-interned against this pattern's store —
-// an id unknown here joins nothing, like the materializing pipeline.
+// directly; multi-graph evaluation joins by id, so the id is re-interned
+// against this pattern's store — an id unknown here joins nothing.
 func (c *bindStepCursor) seedIdxOf(b Bound) (int, bool) {
 	if c.byIdx {
 		return int(b.Idx), true

@@ -50,17 +50,12 @@ func TestStreamingPatternDifferential(t *testing.T) {
 		snap := graph.Snapshot(g)
 		for _, src := range queries {
 			p := compile(t, src, plan.Options{})
-			configs := []Config{{}, {Parallelism: 4}}
-			if engine, _ := EngineFor(p.Paths[0], Config{}); engine == EngineAutomaton {
-				// Only meaningful when it actually switches the engine.
-				configs = append(configs, Config{DisableAutomaton: true})
-			}
 			for si, s := range []graph.Store{g, snap} {
-				for _, cfg := range configs {
-					want, err := MatchPattern(s, p.Paths[0], Config{DisableAutomaton: cfg.DisableAutomaton})
-					if err != nil {
-						t.Fatalf("MatchPattern: %v", err)
-					}
+				want, err := MatchPattern(s, p.Paths[0], Config{})
+				if err != nil {
+					t.Fatalf("MatchPattern: %v", err)
+				}
+				for _, cfg := range []Config{{}, {Parallelism: 4}} {
 					got := streamPattern(t, s, p.Paths[0], cfg)
 					if binding.FormatTable(got) != binding.FormatTable(want) {
 						t.Errorf("graph %d store %d cfg %+v %s: streaming diverges\nstream:\n%s\nmaterialized:\n%s",
@@ -74,8 +69,7 @@ func TestStreamingPatternDifferential(t *testing.T) {
 
 // TestStreamLimitPrefix pins the LIMIT pushdown contract: Config.Limit k
 // returns exactly min(k, total) rows, and the limited result is a subset
-// of the full result with per-row content intact (bind-join and classic
-// pipelines, both backends).
+// of the full result with per-row content intact (both backends).
 func TestStreamLimitPrefix(t *testing.T) {
 	g := dataset.Random(dataset.RandomConfig{Accounts: 30, AvgDegree: 2, Cities: 4, Phones: 6, BlockedFraction: 0.2, Seed: 5, UndirectedPhones: true})
 	snap := graph.Snapshot(g)
@@ -87,33 +81,29 @@ func TestStreamLimitPrefix(t *testing.T) {
 	for _, src := range queries {
 		p := compile(t, src, plan.Options{})
 		for si, s := range []graph.Store{g, snap} {
-			for _, base := range []Config{{}, {DisableBindJoin: true}} {
-				full, err := EvalPlan(s, p, base)
+			full, err := EvalPlan(s, p, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inFull := map[string]bool{}
+			for _, line := range renderResult(full) {
+				inFull[line] = true
+			}
+			for _, k := range []int{0, 1, 3, len(full.Rows), len(full.Rows) + 10} {
+				lim, err := EvalPlan(s, p, Config{Limit: k})
 				if err != nil {
 					t.Fatal(err)
 				}
-				inFull := map[string]bool{}
-				for _, line := range renderResult(full) {
-					inFull[line] = true
+				want := k
+				if k == 0 || k > len(full.Rows) {
+					want = len(full.Rows)
 				}
-				for _, k := range []int{0, 1, 3, len(full.Rows), len(full.Rows) + 10} {
-					cfg := base
-					cfg.Limit = k
-					lim, err := EvalPlan(s, p, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := k
-					if k == 0 || k > len(full.Rows) {
-						want = len(full.Rows)
-					}
-					if len(lim.Rows) != want {
-						t.Errorf("store %d %s limit %d: got %d rows, want %d", si, src, k, len(lim.Rows), want)
-					}
-					for _, line := range renderResult(lim) {
-						if !inFull[line] {
-							t.Errorf("store %d %s limit %d: row not in full result: %s", si, src, k, line)
-						}
+				if len(lim.Rows) != want {
+					t.Errorf("store %d %s limit %d: got %d rows, want %d", si, src, k, len(lim.Rows), want)
+				}
+				for _, line := range renderResult(lim) {
+					if !inFull[line] {
+						t.Errorf("store %d %s limit %d: row not in full result: %s", si, src, k, line)
 					}
 				}
 			}
@@ -124,7 +114,7 @@ func TestStreamLimitPrefix(t *testing.T) {
 // TestStreamBindJoinParallelChunking covers the bind-join step's chunked
 // parallel prefetch: with Parallelism > 1 the step pulls a chunk of input
 // rows and solves their unseen seeds on a worker pool; results must be
-// byte-identical to sequential streaming and to the classic pipeline.
+// byte-identical to sequential streaming.
 func TestStreamBindJoinParallelChunking(t *testing.T) {
 	g := dataset.Random(dataset.RandomConfig{Accounts: 120, AvgDegree: 3, Cities: 8, Phones: 12, BlockedFraction: 0.2, Seed: 17, UndirectedPhones: true})
 	snap := graph.Snapshot(g)
@@ -284,7 +274,7 @@ func TestStreamContextCancelMidSearch(t *testing.T) {
 // and the sort is flagged blocking.
 func TestStreamStagesAnnotation(t *testing.T) {
 	p := compile(t, `MATCH ANY SHORTEST (a:Account)-[:Transfer]->+(b)`, plan.Options{})
-	lines := Explain(p, Config{})
+	lines := Explain(p)
 	if len(lines) != 1 {
 		t.Fatalf("want one line, got %v", lines)
 	}

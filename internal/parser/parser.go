@@ -35,9 +35,35 @@ func (e *Error) Pos() (line, col int) { return e.Line, e.Col }
 
 // Parser consumes a token stream.
 type Parser struct {
-	toks []lexer.Token
-	pos  int
+	toks    []lexer.Token
+	pos     int
+	depth   int   // open recursive productions; see enter
+	tooDeep error // set once depth passes maxDepth; the parse has failed
 }
+
+// maxDepth bounds how deeply the recursive productions may nest in one
+// statement. Recursive descent spends goroutine stack per level, and a
+// stack overflow is a fatal error no recover can catch, so a few hundred
+// kilobytes of "((((…" would otherwise end the process that parsed it.
+// No hand-written query comes near the limit.
+const maxDepth = 512
+
+// enter opens one level of a recursive production — expression and label
+// parentheses, NOT / unary minus / label negation chains, parenthesized
+// and bracketed path patterns — failing with a positioned error past
+// maxDepth. All productions share the one counter, so mixed nesting is
+// bounded too. Callers defer leave, which also keeps the count right when
+// parseNodeOrParen backtracks out of a failed branch. The error is kept
+// in tooDeep and reported by Parse whatever the backtracking branches
+// make of it: no alternative reading of the input is any shallower.
+func (p *Parser) enter() error {
+	if p.depth++; p.depth > maxDepth && p.tooDeep == nil {
+		p.tooDeep = p.errHere("pattern or expression nested more than %d levels deep", maxDepth)
+	}
+	return p.tooDeep
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 // Parse parses a complete GPML statement: MATCH … [WHERE …].
 func Parse(src string) (*ast.MatchStmt, error) {
@@ -47,6 +73,9 @@ func Parse(src string) (*ast.MatchStmt, error) {
 	}
 	p := &Parser{toks: toks}
 	stmt, err := p.parseMatch()
+	if p.tooDeep != nil {
+		return nil, p.tooDeep
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -65,6 +94,9 @@ func ParseExpr(src string) (ast.Expr, error) {
 	}
 	p := &Parser{toks: toks}
 	e, err := p.parseExpr()
+	if p.tooDeep != nil {
+		return nil, p.tooDeep
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -461,6 +493,10 @@ func (p *Parser) parseParen(open, close lexer.Kind) (*ast.Paren, error) {
 	if _, err := p.expect(open); err != nil {
 		return nil, err
 	}
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	par := &ast.Paren{Square: open == lexer.LBRACKET}
 	par.Restrictor = p.parseRestrictor()
 	inner, err := p.parseUnion()
@@ -664,6 +700,10 @@ func (p *Parser) parseLabelUnary() (ast.LabelExpr, error) {
 	switch p.cur().Kind {
 	case lexer.BANG:
 		p.advance()
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		x, err := p.parseLabelUnary()
 		if err != nil {
 			return nil, err
@@ -676,6 +716,10 @@ func (p *Parser) parseLabelUnary() (ast.LabelExpr, error) {
 		return &ast.LabelName{Name: p.advance().Text}, nil
 	case lexer.LPAREN:
 		p.advance()
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		inner, err := p.parseLabelExpr()
 		if err != nil {
 			return nil, err
@@ -746,6 +790,10 @@ func (p *Parser) parseAnd() (ast.Expr, error) {
 func (p *Parser) parseNot() (ast.Expr, error) {
 	if p.atKw("NOT") {
 		p.advance()
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		x, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -865,6 +913,10 @@ func (p *Parser) parseMul() (ast.Expr, error) {
 func (p *Parser) parseUnary() (ast.Expr, error) {
 	if p.at(lexer.MINUS) {
 		p.advance()
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -891,6 +943,10 @@ func (p *Parser) parsePrimary() (ast.Expr, error) {
 		return &ast.Param{Name: t.Text, Line: t.Line, Col: t.Col}, nil
 	case lexer.LPAREN:
 		p.advance()
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		inner, err := p.parseExpr()
 		if err != nil {
 			return nil, err

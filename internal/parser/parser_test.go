@@ -503,3 +503,56 @@ func TestParamParsing(t *testing.T) {
 		t.Error("bare $ must fail to lex")
 	}
 }
+
+// TestNestingDepthGuard pins the recursion bound: every recursive
+// production parses at exactly maxDepth levels and fails one past it with
+// a positioned error, whatever mix of productions did the nesting.
+func TestNestingDepthGuard(t *testing.T) {
+	rep := strings.Repeat
+	// Each shape wraps a core in n levels of one recursive production;
+	// prefix is what precedes the first opener.
+	shapes := []struct {
+		name, prefix string
+		build        func(n int) string
+	}{
+		{"expression parentheses", "MATCH (a) WHERE ", func(n int) string { return rep("(", n) + "1=1" + rep(")", n) }},
+		{"NOT chain", "MATCH (a) WHERE ", func(n int) string { return rep("NOT ", n) + "TRUE" }},
+		{"unary minus chain", "MATCH (a) WHERE ", func(n int) string { return rep("- ", n) + "1 = 1" }},
+		{"path parentheses", "MATCH ", func(n int) string { return rep("(", n) + "(a)" + rep(")", n) }},
+		{"quantified groups", "MATCH ", func(n int) string { return rep("[", n) + "-[e]->" + rep("]{1,2}", n) }},
+		{"label parentheses", "MATCH (a:", func(n int) string { return rep("(", n) + "A" + rep(")", n) + ")" }},
+		{"label negation", "MATCH (a:", func(n int) string { return rep("!", n) + "A)" }},
+		// One counter for all productions: half the levels are path
+		// parentheses, the rest expression parentheses inside them.
+		{"mixed", "MATCH ", func(n int) string {
+			k := n / 2
+			return rep("(", k) + "(a WHERE " + rep("(", n-k) + "1=1" + rep(")", n-k) + ")" + rep(")", k)
+		}},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			if _, err := Parse(sh.prefix + sh.build(maxDepth)); err != nil {
+				t.Fatalf("%d levels must parse: %v", maxDepth, err)
+			}
+			_, err := Parse(sh.prefix + sh.build(maxDepth+1))
+			pe, ok := err.(*Error)
+			if !ok {
+				t.Fatalf("%d levels: want *Error, got %v", maxDepth+1, err)
+			}
+			if !strings.Contains(pe.Msg, "nested more than") {
+				t.Errorf("want the nesting diagnostic, got %v", err)
+			}
+			// The error points into the nest, past the last admitted opener.
+			if pe.Line != 1 || pe.Col <= len(sh.prefix)+maxDepth {
+				t.Errorf("error position %d:%d is not inside the over-deep nest", pe.Line, pe.Col)
+			}
+		})
+	}
+	// The shape that used to end the process: 400,000 parentheses.
+	if _, err := Parse("MATCH (a) WHERE " + rep("(", 400_000) + "1=1" + rep(")", 400_000)); err == nil {
+		t.Fatal("400,000 nested parentheses must be rejected")
+	}
+	if _, err := ParseExpr(rep("(", maxDepth+1) + "1" + rep(")", maxDepth+1)); err == nil {
+		t.Fatal("ParseExpr must enforce the same bound")
+	}
+}

@@ -91,11 +91,6 @@ type PathPlan struct {
 	// minSteps is the pattern's cheapest edge-step expansion, for fanout
 	// estimation (see EstimateCost).
 	minSteps []edgeStep
-	// Chain is the pattern's flat node/edge alternation when it has one
-	// (no quantifiers, unions, parens, restrictors, selectors, or
-	// element WHEREs); nil otherwise. Flat chains are the fragment the
-	// vectorized batch pipeline executes natively.
-	Chain *FlatChain
 	// Automaton reports that the pattern is memoryless and its selector
 	// admits product-graph evaluation (see automatonEligibility); the
 	// evaluator may then run it as a BFS over (node × automaton state).
@@ -301,7 +296,6 @@ func Analyze(stmt *ast.MatchStmt, opts Options) (*Plan, error) {
 			HeadVars:        a.singletonHeadVars(pp.Expr),
 			TailLabels:      tailLabels(pp.Expr),
 			minSteps:        minEdgeSteps(pp.Expr),
-			Chain:           flatChain(pp, prog),
 			Automaton:       auto,
 			AutomatonReason: autoReason,
 		})

@@ -30,3 +30,31 @@ func TestRequestBodyCap(t *testing.T) {
 		}
 	}
 }
+
+// TestDeeplyNestedQueryIs400 sends the body that used to end the process:
+// 400,000 nested parentheses are about 800 KB, under the body cap, and a
+// recursive-descent parse of them overflows the goroutine stack, which no
+// recover can catch. The parser's nesting bound turns it into a positioned
+// compile error, and the same handler serves the next request.
+func TestDeeplyNestedQueryIs400(t *testing.T) {
+	h := testServer(t).Handler()
+	const levels = 400_000
+	nested := `{"query":"MATCH (a) WHERE ` + strings.Repeat("(", levels) + "1=1" + strings.Repeat(")", levels) + `"}`
+	if len(nested) >= maxBodyBytes {
+		t.Fatalf("test premise: the %d-byte body must pass the %d-byte cap", len(nested), maxBodyBytes)
+	}
+	for _, path := range []string{"/query", "/explain"} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(nested)))
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `"kind":"compile"`) ||
+			!strings.Contains(w.Body.String(), "nested more than") {
+			t.Fatalf("%s with %d nested parentheses: status %d, want a 400 compile error naming the nesting bound\n%.300s",
+				path, levels, w.Code, w.Body)
+		}
+		w = httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(`{"query":"MATCH (x:Account)"}`)))
+		if w.Code != http.StatusOK {
+			t.Errorf("%s after the rejected request: status %d, want 200\n%s", path, w.Code, w.Body)
+		}
+	}
+}

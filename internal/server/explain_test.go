@@ -1,0 +1,71 @@
+package server
+
+import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+
+	"gpml"
+	"gpml/internal/dataset"
+	"gpml/internal/gql"
+)
+
+// TestExplainServedJoinPlans pins the /explain plan lines of the two
+// multi-pattern texts the serving benchmark sends (bench/workloads.go,
+// shapes triangle and colike_bindjoin) on a small SNB graph: engine per
+// pattern, join order, seed variables and streaming notes. What Explain
+// prints is what runs — there is one pipeline — so a change here is a
+// change of the served plan.
+func TestExplainServedJoinPlans(t *testing.T) {
+	catalog := gql.NewCatalog()
+	if err := catalog.Register("snb", gpml.Snapshot(dataset.SNB(dataset.SNBConfig{ScaleFactor: 0.01, Seed: 1}))); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Catalog: catalog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dfs = " (automaton unavailable: no selector (output is the full enumeration)) stages=enumerate→reduce→dedup→sort[blocking]"
+	for _, tc := range []struct {
+		shape, query string
+		want         []string
+	}{
+		{"triangle", `MATCH (a:Person WHERE a.firstName=$name)-[:knows]-(b:Person), (b)-[:knows]-(c:Person), (c)-[:knows]-(a)`, []string{
+			"pattern 0: engine=dfs seed-labels=Person" + dfs,
+			"pattern 1: engine=dfs" + dfs,
+			"pattern 2: engine=dfs" + dfs,
+			"join stats: nodes=410 edges=3068 avg-degree=15",
+			"join step 0: pattern 0 scan est-rows=207 [streaming]",
+			"join step 1: pattern 1 bind-join seed=b est-per-seed=8.51 [streaming]",
+			"join step 2: pattern 2 bind-join seed=c est-per-seed=8.51 [streaming]",
+		}},
+		{"colike_bindjoin", `MATCH (a:Person WHERE a.firstName=$name)-[:likes]->(m:Post)<-[:likes]-(b:Person WHERE b.country=$country), TRAIL (a)-[:knows]-{1,2}(b)`, []string{
+			"pattern 0: engine=dfs seed-labels=Person" + dfs,
+			"pattern 1: engine=dfs restrictor=TRAIL" + dfs,
+			"join stats: nodes=410 edges=3068 avg-degree=15",
+			"join step 0: pattern 0 scan est-rows=60.2 [streaming]",
+			"join step 1: pattern 1 bind-join seed=a est-per-seed=8.51 [streaming]",
+		}},
+	} {
+		body, err := json.Marshal(map[string]string{"query": tc.query, "graph": "snb"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/explain", strings.NewReader(string(body))))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.shape, w.Code, w.Body)
+		}
+		var resp explainResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: %v", tc.shape, err)
+		}
+		if !reflect.DeepEqual(resp.Plan, tc.want) {
+			t.Errorf("%s: served plan changed\ngot:\n  %s\nwant:\n  %s", tc.shape,
+				strings.Join(resp.Plan, "\n  "), strings.Join(tc.want, "\n  "))
+		}
+	}
+}

@@ -41,9 +41,10 @@ func TestParamsMatchLiteralQuery(t *testing.T) {
 	}
 }
 
-// Parameters must work in every engine's predicate path: the pattern
-// automaton, the enumerating engines, the vectorized batch pipeline, and
-// the statement-level postfilter.
+// Parameters must work in every predicate path: element predicates in
+// the engines, sequential and parallel, and the statement-level
+// postfilter. (Automaton-vs-enumerating agreement under bound parameters
+// is internal/eval's TestEnginesAgreeOnCorpus.)
 func TestParamsAcrossEngines(t *testing.T) {
 	g := gpml.Fig1()
 	queries := []string{
@@ -56,10 +57,8 @@ func TestParamsAcrossEngines(t *testing.T) {
 	}
 	allArgs := map[string]gpml.Value{"b": gpml.Str("no"), "min": gpml.Int(900_000)}
 	engines := map[string][]gpml.Option{
-		"default":      nil,
-		"no-automaton": {gpml.NoAutomaton()},
-		"no-vectorize": {gpml.NoVectorize()},
-		"parallel":     {gpml.WithParallelism(4)},
+		"default":  nil,
+		"parallel": {gpml.WithParallelism(4)},
 	}
 	for _, src := range queries {
 		q := gpml.MustCompile(src)

@@ -175,14 +175,15 @@ func TestForEachStopNoLeak(t *testing.T) {
 	}
 }
 
-// TestStreamCyclicCloseAbandonedNoLeak is the batch-pipeline variant of
-// the abandonment test: a cyclic three-pattern statement on a CSR
-// snapshot runs the worst-case-optimal intersection operator plus a
-// batch probe, sequential and parallel; abandoning or cancelling the
-// stream mid-batch must shut down promptly and leak nothing.
-func TestStreamCyclicCloseAbandonedNoLeak(t *testing.T) {
+// TestStreamJoinChainCloseAbandonedNoLeak is the multi-pattern variant of
+// the abandonment test: a three-hop statement split into three patterns
+// on a CSR snapshot runs a scan plus two seeded bind-join steps,
+// sequential and with the chunked parallel prefetch; abandoning or
+// cancelling the stream mid-chain must shut down promptly and leak
+// nothing.
+func TestStreamJoinChainCloseAbandonedNoLeak(t *testing.T) {
 	snap := gpml.Snapshot(leakGraph())
-	q := gpml.MustCompile(`MATCH (a)-[:Transfer]->(b), (b)-[:Transfer]->(c), (c)-[:Transfer]->(a), (a)-[:Transfer]->(d)`)
+	q := gpml.MustCompile(`MATCH (a)-[:Transfer]->(b), (b)-[:Transfer]->(c), (c)-[:Transfer]->(d)`)
 	baseline := runtime.NumGoroutine()
 	for _, par := range []int{0, 8} {
 		rows, err := q.Stream(context.Background(), snap, gpml.WithParallelism(par))
@@ -344,10 +345,9 @@ func TestStreamCallerCancelStillReportsError(t *testing.T) {
 	}
 }
 
-// The partition-pinned scatter variants: a quantified pattern (outside
-// the vectorized batch fragment) on a hash-partitioned store with
-// parallelism > 1 runs the row pipeline's partitioned scatter, where
-// workers are pinned to partition arenas and a reorder emitter gathers
+// The partition-pinned scatter variants: a quantified pattern on a
+// hash-partitioned store with parallelism > 1 runs the partitioned
+// scatter, where workers are pinned to partition arenas and a reorder emitter gathers
 // per-seed results. Abandoning the stream mid-gather and cancelling the
 // context mid-scatter must shut every pinned worker down promptly and
 // leak nothing. Run with -race (CI does).
