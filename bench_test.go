@@ -602,10 +602,10 @@ func BenchmarkAblation_JoinOrder(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Store backends: the map graph vs the CSR snapshot, label-indexed seeding
-// and parallel evaluation. The noise graph buries the Account seeds under
-// City/Phone nodes, so the CSR's label index skips most of the node scan;
-// the map backend must still filter every node.
+// Store backends: the map graph (answering from its memoized snapshot) vs
+// an explicit CSR snapshot, label-indexed seeding and parallel evaluation.
+// The noise graph buries the Account seeds under City/Phone nodes, so the
+// label index skips most of the node scan.
 // ---------------------------------------------------------------------------
 
 func storeBenchGraph() *gpml.Graph {

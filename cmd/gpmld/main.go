@@ -15,11 +15,10 @@
 // overlay store, the live-mutation serving configuration: queries pin
 // epoch snapshots while writers apply batches concurrently. With
 // -partitions N (N > 1, exclusive with -overlay) the graph is served
-// from a hash-partitioned snapshot. The server evaluates every query
-// sequentially on every store (internal/server never sets
-// gpml.WithParallelism), so the shards change the storage layout, not how
-// a served query runs; only library callers that pass WithParallelism get
-// the partition-pinned scatter.
+// from a hash-partitioned snapshot: the shards are a storage layout, not
+// an execution mode. The server evaluates every query sequentially on
+// every store (internal/server never sets gpml.WithParallelism), and a
+// library caller's WithParallelism runs the same scatter on every store.
 //
 // With -data-dir the overlay is durable: every applied batch is written
 // to a write-ahead log under DIR before it becomes visible, compaction
@@ -156,8 +155,7 @@ func run() int {
 		st = gpml.NewOverlay(g)
 	case *partitions > 1:
 		// Hash-partitioned snapshot: immutable like a CSR, adjacency in
-		// per-partition arenas. Served queries run sequentially, so
-		// nothing here scatters over them.
+		// per-partition arenas.
 		st = gpml.NewPartitioned(g, gpml.WithPartitions(*partitions))
 	default:
 		// Immutable CSR snapshot: safe for any number of concurrent

@@ -336,6 +336,10 @@ func recoveredEquivalent(t *testing.T, g *gpml.Graph) *gpml.Overlay {
 	return rec
 }
 
+// storeOnly hides a store's Stepper (and epoch) methods behind the bare
+// Store interface, the shape of a backend written outside this module.
+type storeOnly struct{ gpml.Store }
+
 // gqlResult evaluates the case through the GQL frontend (catalog +
 // session) on the given store.
 func gqlResult(t *testing.T, c *conformanceCase, s gpml.Store, cfg eval.Config) string {
@@ -453,10 +457,12 @@ func TestConformanceCorpus(t *testing.T) {
 				{"recovered", recoveredEquivalent(t, g)},
 				// The partitioned axis: a degenerate single shard and a
 				// count that forces cross-partition edges; the parallel
-				// config below additionally exercises the partition-pinned
-				// scatter/gather path on both.
+				// config below runs the one scatter over their arenas.
 				{"parts1", gpml.NewPartitioned(g, gpml.WithPartitions(1))},
 				{"parts3", gpml.NewPartitioned(g, gpml.WithPartitions(3))},
+				// A third-party backend: only the Store methods show, so
+				// every evaluation runs on a transient snapshot of it.
+				{"foreign", storeOnly{gpml.Snapshot(g)}},
 			}
 			configs := []struct {
 				name string

@@ -147,9 +147,8 @@ func ExampleNewOverlay() {
 
 func ExampleNewPartitioned() {
 	// Shard the Figure 1 graph's adjacency across three partitions. The
-	// interner stays global, so results are byte-identical to the map
-	// and CSR backends; parallel queries scatter seed ranges to workers
-	// pinned to their partition's arena.
+	// element core stays global, so results are byte-identical to the
+	// map and CSR backends, sequentially and under WithParallelism.
 	st := gpml.NewPartitioned(gpml.Fig1(), gpml.WithPartitions(3))
 	q := gpml.MustCompile(`MATCH (x:Account WHERE x.isBlocked='yes')-[t:Transfer]->(y:Account)`)
 

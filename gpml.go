@@ -128,7 +128,8 @@ func NewGraph() *Graph { return graph.New() }
 // Snapshot builds an immutable CSR snapshot of a graph: int-indexed
 // adjacency, a label-indexed seed path for MATCH, and precomputed label
 // statistics. Snapshots are safe for any number of concurrent readers;
-// take a fresh one after mutating the source graph.
+// take a fresh one after mutating the source graph. (Queries on a *Graph
+// itself run on such a snapshot, memoized until the next mutation.)
 func Snapshot(g *Graph) *CSR { return graph.Snapshot(g) }
 
 // NewBuilder returns a fluent graph builder.
@@ -192,10 +193,9 @@ func WithMmapArenas() PartitionOption {
 // indices are hash-sharded across per-partition CSR arenas. Element
 // records, the id interner, and the label index stay global, so ElemIdx
 // values — and therefore all query output — are identical to the map and
-// CSR backends; only the adjacency is sharded. Under WithParallelism the
-// evaluator scatters per-partition seed ranges to workers pinned to
-// their partition's arena and gathers results through the seed-order
-// emitter:
+// CSR backends; only the adjacency is sharded. Partitioning is a storage
+// layout: evaluation, sequential or under WithParallelism, runs exactly
+// as on a CSR:
 //
 //	st := gpml.NewPartitioned(g, gpml.WithPartitions(4))
 //	res, err := q.EvalStore(st, gpml.WithParallelism(4))

@@ -129,80 +129,6 @@ func chunkStarts(n, workers int) []int {
 	return starts
 }
 
-// runPartitionPool distributes per-partition chunked tasks over workers
-// pinned to a home partition: a worker claims chunks of its home shard
-// while any remain (keeping its hot expansion loop inside one arena), and
-// steals from the shard with the most remaining chunks once its home
-// drains, so skewed partitions don't idle the pool. nchunks[p] is the
-// chunk count of partition p; homes[w] assigns worker w's home. The
-// failed-flag short circuit and stop channel behave as in runSeedPool.
-// The per-partition per-chunk error matrix is returned for the caller to
-// interpret.
-func runPartitionPool(homes []int, nchunks []int, stop <-chan struct{}, newWorker func(home int) func(part, chunk int) error) [][]error {
-	errs := make([][]error, len(nchunks))
-	next := make([]atomic.Int64, len(nchunks))
-	for p, n := range nchunks {
-		errs[p] = make([]error, n)
-	}
-	remaining := func(p int) int {
-		claimed := int(next[p].Load())
-		if claimed > nchunks[p] {
-			claimed = nchunks[p]
-		}
-		return nchunks[p] - claimed
-	}
-	claim := func(p int) (int, bool) {
-		i := int(next[p].Add(1)) - 1
-		return i, i < nchunks[p]
-	}
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for _, home := range homes {
-		wg.Add(1)
-		go func(home int) {
-			defer wg.Done()
-			run := newWorker(home)
-			for {
-				if failed.Load() {
-					return
-				}
-				if stop != nil {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-				}
-				part := home
-				ci, ok := claim(part)
-				if !ok {
-					// Home drained: steal from the fullest shard.
-					best, bestRem := -1, 0
-					for p := range nchunks {
-						if rem := remaining(p); rem > bestRem {
-							best, bestRem = p, rem
-						}
-					}
-					if best < 0 {
-						return
-					}
-					if ci, ok = claim(best); !ok {
-						continue // lost the race; rescan
-					}
-					part = best
-				}
-				if err := run(part, ci); err != nil {
-					errs[part][ci] = err
-					failed.Store(true)
-					return
-				}
-			}
-		}(home)
-	}
-	wg.Wait()
-	return errs
-}
-
 // enumerateParallel distributes the seed runs over cfg.Parallelism workers
 // and merges the per-seed outputs back in seed order, making the result
 // byte-identical to sequential evaluation. All workers share the store's

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"gpml/internal/binding"
 	"gpml/internal/graph"
@@ -348,9 +347,6 @@ func (ps *solStream) runParallel(st graph.Stepper, pp *plan.PathPlan, cfg Config
 	if workers > len(seeds) {
 		workers = len(seeds)
 	}
-	if pv, ok := st.(graph.PartitionedView); ok && pv.NumPartitions() > 1 {
-		return ps.runPartitioned(st, pv, pp, cfg, bud, seeds, workers)
-	}
 	// Seeds are claimed in contiguous chunks (see chunkStarts): single
 	// seeds first for first-row latency, growing toward 64 so channel and
 	// reorder bookkeeping amortizes away on many-seed workloads.
@@ -414,122 +410,6 @@ func (ps *solStream) runParallel(st graph.Stepper, pp *plan.PathPlan, cfg Config
 		if err != nil && !errors.Is(err, errStreamStopped) {
 			return err
 		}
-	}
-	return emitErr
-}
-
-// runPartitioned is runParallel's scatter/gather variant for stores whose
-// adjacency is sharded (graph.PartitionedView). The global seed list is
-// scattered into per-partition position lists (positions into the seed
-// slice, ascending, so each list preserves global seed order), each list
-// is chunked with the same geometric schedule, and workers are pinned to
-// home partitions — a worker claims chunks of its home shard while any
-// remain, keeping the hot expansion loop inside one partition's arena,
-// and steals from the fullest shard once its home drains. Homes are
-// assigned in order of each partition's first global seed position, so
-// the shard holding seed 0 is worked first and first-row latency stays
-// one seed's work.
-//
-// Gather: every finished seed's batch is tagged with its global position
-// and the emitter advances a per-position reorder head, so the stream's
-// emission order — and therefore all downstream output — is byte-
-// identical to the sequential and unpartitioned parallel paths.
-func (ps *solStream) runPartitioned(st graph.Stepper, pv graph.PartitionedView, pp *plan.PathPlan, cfg Config, bud *budget, seeds []int, workers int) error {
-	nparts := pv.NumPartitions()
-	byPart := make([][]int32, nparts)
-	for pos, seed := range seeds {
-		p := pv.PartitionOf(seed)
-		byPart[p] = append(byPart[p], int32(pos))
-	}
-	// Chunk each partition's list as if its share of the pool worked it
-	// alone, so every shard leads with single-seed chunks.
-	perPart := (workers + nparts - 1) / nparts
-	starts := make([][]int, nparts)
-	nchunks := make([]int, nparts)
-	for p, list := range byPart {
-		starts[p] = chunkStarts(len(list), perPart)
-		nchunks[p] = len(starts[p]) - 1
-	}
-	// Pin workers to non-empty partitions ordered by first seed position.
-	order := make([]int, 0, nparts)
-	for p := range byPart {
-		if len(byPart[p]) > 0 {
-			order = append(order, p)
-		}
-	}
-	sort.Slice(order, func(a, b int) bool { return byPart[order[a]][0] < byPart[order[b]][0] })
-	homes := make([]int, workers)
-	for w := range homes {
-		homes[w] = order[w%len(order)]
-	}
-	type posResult struct {
-		pos  int32
-		sols []*binding.Reduced
-	}
-	resCh := make(chan []posResult, workers)
-	var errs [][]error
-	go func() {
-		errs = runPartitionPool(homes, nchunks, ps.stop, func(home int) func(part, ci int) error {
-			solver := newSeedSolver(st, pp, cfg, bud)
-			return func(part, ci int) error {
-				lo, hi := starts[part][ci], starts[part][ci+1]
-				out := make([]posResult, 0, hi-lo)
-				for _, pos := range byPart[part][lo:hi] {
-					sols, err := solver.solve(seeds[pos])
-					if err != nil {
-						return err
-					}
-					out = append(out, posResult{pos: pos, sols: sols})
-				}
-				// Empty per-seed results are sent too: the emitter advances
-				// its reorder head strictly in seed-position order.
-				select {
-				case resCh <- out:
-					return nil
-				case <-ps.stop:
-					return errStreamStopped
-				}
-			}
-		})
-		close(resCh) // errs is visible to the emitter once the range ends
-	}()
-	pending := map[int][]*binding.Reduced{}
-	emitAt := 0
-	var emitErr error
-	for batch := range resCh {
-		if emitErr != nil {
-			continue
-		}
-		for _, r := range batch {
-			pending[int(r.pos)] = r.sols
-		}
-		for sols, ok := pending[emitAt]; ok; sols, ok = pending[emitAt] {
-			delete(pending, emitAt)
-			emitAt++
-			if len(sols) == 0 {
-				continue
-			}
-			if emitErr = ps.send(sols); emitErr != nil {
-				break
-			}
-		}
-	}
-	// Report the first error in global seed order (matching the other
-	// pools), identified by the failing chunk's first seed position.
-	var firstErr error
-	firstPos := len(seeds)
-	for p, perr := range errs {
-		for ci, err := range perr {
-			if err == nil || errors.Is(err, errStreamStopped) {
-				continue
-			}
-			if pos := int(byPart[p][starts[p][ci]]); pos < firstPos {
-				firstPos, firstErr = pos, err
-			}
-		}
-	}
-	if firstErr != nil {
-		return firstErr
 	}
 	return emitErr
 }

@@ -9,8 +9,7 @@ package graph
 //	    batch cut u64, epoch u64, node span u64, edge span u64,
 //	    arena length L u64 (len(incEdge)), record offset u64
 //	arena section (at 64): incOff (spanN+1)×4, incEdge L×4, incOther L×4,
-//	    edgeSrc spanE×4, edgeTgt spanE×4, sortEdge L×4, sortOther L×4,
-//	    incKind L×1, sortKind L×1
+//	    edgeSrc spanE×4, edgeTgt spanE×4, incKind L×1
 //	records section (at record offset): per node then per edge, a uvarint
 //	    liveness flag followed (when live) by the element record; edge
 //	    endpoints are not stored — they are derived from edgeSrc/edgeTgt
@@ -40,7 +39,7 @@ import (
 
 const (
 	ckptMagic    = "GPMLCKP1"
-	ckptVersion  = 1
+	ckptVersion  = 2
 	ckptHdrSize  = 64
 	manifestName = "MANIFEST"
 )
@@ -196,10 +195,16 @@ func writeCheckpoint(path string, base *CSR, cut, epoch uint64) error {
 	return nil
 }
 
+// ckptRecOff is the file offset of the records section: the header, then
+// 4 bytes per offset-table row, 9 per arena step and 8 per edge.
+func ckptRecOff(spanN, spanE, arenaLen int) int64 {
+	return ckptHdrSize + 4*int64(spanN+1) + 9*int64(arenaLen) + 8*int64(spanE)
+}
+
 func writeCheckpointTo(f *os.File, base *CSR, cut, epoch uint64) error {
 	spanN, spanE := base.NodeIndexSpan(), base.EdgeIndexSpan()
 	arenaLen := len(base.incEdge)
-	recOff := int64(ckptHdrSize) + 4*int64(spanN+1) + 16*int64(arenaLen) + 8*int64(spanE) + 2*int64(arenaLen)
+	recOff := ckptRecOff(spanN, spanE, arenaLen)
 
 	cw := &crcWriter{w: bufio.NewWriterSize(f, 1<<20)}
 	var hdr [ckptHdrSize]byte
@@ -221,15 +226,12 @@ func writeCheckpointTo(f *os.File, base *CSR, cut, epoch uint64) error {
 	if len(incOff) != spanN+1 {
 		incOff = make([]int32, spanN+1)
 	}
-	for _, s := range [][]int32{incOff, base.incEdge, base.incOther, base.edgeSrc, base.edgeTgt, base.sortEdge, base.sortOther} {
+	for _, s := range [][]int32{incOff, base.incEdge, base.incOther, base.edgeSrc, base.edgeTgt} {
 		if err := cw.int32s(s); err != nil {
 			return err
 		}
 	}
 	if err := cw.kinds(base.incKind); err != nil {
-		return err
-	}
-	if err := cw.kinds(base.sortKind); err != nil {
 		return err
 	}
 	if cw.n != recOff {
@@ -243,7 +245,7 @@ func writeCheckpointTo(f *os.File, base *CSR, cut, epoch uint64) error {
 		return err
 	}
 	for i := 0; i < spanN; i++ {
-		if base.deadN != nil && base.deadN[i] {
+		if isDead(base.deadN, i) {
 			p = binary.AppendUvarint(p, 0)
 			continue
 		}
@@ -259,7 +261,7 @@ func writeCheckpointTo(f *os.File, base *CSR, cut, epoch uint64) error {
 		}
 	}
 	for i := 0; i < spanE; i++ {
-		if base.deadE != nil && base.deadE[i] {
+		if isDead(base.deadE, i) {
 			p = binary.AppendUvarint(p, 0)
 			continue
 		}
@@ -340,12 +342,7 @@ func loadCheckpoint(path string) (*CSR, uint64, uint64, error) {
 		f.Close()
 		return nil, 0, 0, err
 	}
-	size := st.Size()
-	if size < ckptHdrSize+4 {
-		f.Close()
-		return nil, 0, 0, fmt.Errorf("graph: checkpoint %s too short (%d bytes)", path, size)
-	}
-	data, merr := mapFileRO(f, int(size))
+	data, merr := mapFileRO(f, int(st.Size()))
 	if merr != nil {
 		data, err = os.ReadFile(path)
 		if err != nil {
@@ -356,102 +353,104 @@ func loadCheckpoint(path string) (*CSR, uint64, uint64, error) {
 	// The mapping (when used) outlives the fd; it is intentionally never
 	// unmapped — it backs the live CSR for the rest of the process.
 	f.Close()
+	return decodeCheckpoint(path, data)
+}
 
+// decodeCheckpoint verifies and reconstitutes the checkpoint image data;
+// path only names it in errors.
+func decodeCheckpoint(path string, data []byte) (*CSR, uint64, uint64, error) {
+	fail := func(format string, args ...any) (*CSR, uint64, uint64, error) {
+		return nil, 0, 0, fmt.Errorf("graph: checkpoint %s "+format, append([]any{path}, args...)...)
+	}
 	n := int64(len(data)) - 4
+	if n < ckptHdrSize {
+		return fail("too short (%d bytes)", len(data))
+	}
 	if crc32.Checksum(data[:n], ckptCRC) != binary.LittleEndian.Uint32(data[n:]) {
-		return nil, 0, 0, fmt.Errorf("graph: checkpoint %s failed checksum verification", path)
+		return fail("failed checksum verification")
 	}
 	if string(data[:8]) != ckptMagic {
-		return nil, 0, 0, fmt.Errorf("graph: %s is not a checkpoint file", path)
+		return fail("is not a checkpoint file")
 	}
 	if v := binary.LittleEndian.Uint32(data[8:]); v != ckptVersion {
-		return nil, 0, 0, fmt.Errorf("graph: checkpoint %s has unsupported version %d", path, v)
+		return fail("has unsupported version %d", v)
 	}
 	cut := binary.LittleEndian.Uint64(data[16:])
 	epoch := binary.LittleEndian.Uint64(data[24:])
-	spanN := int(binary.LittleEndian.Uint64(data[32:]))
-	spanE := int(binary.LittleEndian.Uint64(data[40:]))
-	arenaLen := int(binary.LittleEndian.Uint64(data[48:]))
-	recOff := int64(binary.LittleEndian.Uint64(data[56:]))
-	wantRecOff := int64(ckptHdrSize) + 4*int64(spanN+1) + 16*int64(arenaLen) + 8*int64(spanE) + 2*int64(arenaLen)
-	if spanN < 0 || spanE < 0 || arenaLen < 0 || recOff != wantRecOff || recOff > n {
-		return nil, 0, 0, fmt.Errorf("graph: checkpoint %s has inconsistent geometry", path)
+	// Every span is bounded by the file size before it sizes anything: a
+	// row, a step and an edge each occupy at least four bytes.
+	var geom [4]int
+	for i := range geom {
+		v := binary.LittleEndian.Uint64(data[32+8*i:])
+		if v > uint64(n) {
+			return fail("has inconsistent geometry")
+		}
+		geom[i] = int(v)
+	}
+	spanN, spanE, arenaLen, recOff := geom[0], geom[1], geom[2], int64(geom[3])
+	if recOff != ckptRecOff(spanN, spanE, arenaLen) {
+		return fail("has inconsistent geometry")
 	}
 
 	cv := &carver{data: data, off: ckptHdrSize}
-	c := &CSR{
-		nodes:      make([]Node, spanN),
-		edges:      make([]Edge, spanE),
-		nodeIdx:    make(map[NodeID]int32, spanN),
-		edgeIdx:    make(map[EdgeID]int32, spanE),
-		labelNodes: map[string][]int32{},
-		stats:      StoreStats{NodeLabels: map[string]int{}, EdgeLabels: map[string]int{}},
-	}
+	c := &CSR{elemCore: newElemCore(spanN, spanE)}
 	c.incOff = cv.int32s(spanN + 1)
 	c.incEdge = cv.int32s(arenaLen)
 	c.incOther = cv.int32s(arenaLen)
-	c.edgeSrc = cv.int32s(spanE)
-	c.edgeTgt = cv.int32s(spanE)
-	c.sortEdge = cv.int32s(arenaLen)
-	c.sortOther = cv.int32s(arenaLen)
+	edgeSrc, edgeTgt := cv.int32s(spanE), cv.int32s(spanE)
 	c.incKind = cv.kinds(arenaLen)
-	c.sortKind = cv.kinds(arenaLen)
-	if cv.off != recOff {
-		return nil, 0, 0, fmt.Errorf("graph: checkpoint %s arena section ended at %d, expected %d", path, cv.off, recOff)
-	}
 
 	d := bdec{buf: data[:n], off: int(recOff)}
-	for i := 0; i < spanN; i++ {
+	for i := 0; i < spanN && d.err == nil; i++ {
 		if d.uvarint() == 0 {
-			if c.deadN == nil {
-				c.deadN = make([]bool, spanN)
-			}
-			c.deadN[i] = true
+			c.addNode(nil)
 			continue
 		}
 		nd := Node{ID: NodeID(d.string()), Labels: d.strings(), Props: d.props()}
-		if d.err != nil {
-			break
-		}
-		c.nodes[i] = nd
-		c.nodeIdx[nd.ID] = int32(i)
-		c.liveNodes++
-		for _, l := range nd.Labels {
-			c.labelNodes[l] = append(c.labelNodes[l], int32(i))
-			c.stats.NodeLabels[l]++
-		}
+		c.addNode(&nd)
 	}
-	for i := 0; i < spanE; i++ {
+	for i := 0; i < spanE && d.err == nil; i++ {
 		if d.uvarint() == 0 {
-			if c.deadE == nil {
-				c.deadE = make([]bool, spanE)
-			}
-			c.deadE[i] = true
+			c.addEdge(nil, 0, 0)
 			continue
 		}
 		ed := Edge{ID: EdgeID(d.string()), Direction: Direction(d.byte()), Labels: d.strings(), Props: d.props()}
-		if d.err != nil {
-			break
+		si, ti := edgeSrc[i], edgeTgt[i]
+		if c.NodeAt(ElemIdx(si)) == nil || c.NodeAt(ElemIdx(ti)) == nil {
+			return fail("edge %d has out-of-range endpoints", i)
 		}
-		si, ti := c.edgeSrc[i], c.edgeTgt[i]
-		if int(si) >= spanN || int(ti) >= spanN || si < 0 || ti < 0 {
-			return nil, 0, 0, fmt.Errorf("graph: checkpoint %s edge %d has out-of-range endpoints", path, i)
-		}
-		ed.Source = c.nodes[si].ID
-		ed.Target = c.nodes[ti].ID
-		c.edges[i] = ed
-		c.edgeIdx[ed.ID] = int32(i)
-		c.liveEdges++
-		for _, l := range ed.Labels {
-			c.stats.EdgeLabels[l]++
-		}
+		ed.Source, ed.Target = c.nodes[si].ID, c.nodes[ti].ID
+		c.addEdge(&ed, si, ti)
 	}
 	if d.err != nil || d.off != int(n) {
-		return nil, 0, 0, fmt.Errorf("graph: checkpoint %s has a malformed records section", path)
+		return fail("has a malformed records section")
 	}
-	c.stats.Nodes = c.liveNodes
-	c.stats.Edges = c.liveEdges
+	if !c.arenaValid() {
+		return fail("has a malformed adjacency arena")
+	}
 	return c, cut, epoch, nil
+}
+
+// arenaValid range-checks a loaded arena against its core in one pass:
+// the offset table starts at zero, never decreases and ends at the arena
+// length, and every step names a live edge, a live neighbour and a known
+// step kind — so Steps and Incident cannot index out of range.
+func (c *CSR) arenaValid() bool {
+	spanN := len(c.nodes)
+	if c.incOff[0] != 0 || int(c.incOff[spanN]) != len(c.incEdge) {
+		return false
+	}
+	for r := 0; r < spanN; r++ {
+		if c.incOff[r] > c.incOff[r+1] {
+			return false
+		}
+	}
+	for k, e := range c.incEdge {
+		if c.EdgeAt(ElemIdx(e)) == nil || c.NodeAt(ElemIdx(c.incOther[k])) == nil || c.incKind[k] > StepUndirected {
+			return false
+		}
+	}
+	return true
 }
 
 // syncDirBestEffort fsyncs a directory so renames and removals are

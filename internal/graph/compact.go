@@ -85,106 +85,21 @@ func (ov *Overlay) Compact() {
 
 // compactBase materializes epoch e as a CSR over e's full index span.
 // Live elements land at their existing global indices; tombstoned ones
-// become dead holes (empty adjacency windows, excluded from the id maps,
-// the label index, and the statistics). Overrides are resolved into the
-// stored records, so the result carries no override state at all.
+// become dead holes. Overrides are resolved into the stored records, so
+// the result carries no override state at all.
 func compactBase(e *OverlaySnap) *CSR {
 	spanN, spanE := e.NodeIndexSpan(), e.EdgeIndexSpan()
-	c := &CSR{
-		nodes:      make([]Node, spanN),
-		edges:      make([]Edge, spanE),
-		nodeIdx:    make(map[NodeID]int32, e.liveN),
-		edgeIdx:    make(map[EdgeID]int32, e.liveE),
-		labelNodes: map[string][]int32{},
-		stats: StoreStats{
-			Nodes:      e.liveN,
-			Edges:      e.liveE,
-			NodeLabels: map[string]int{},
-			EdgeLabels: map[string]int{},
-		},
-		liveNodes: e.liveN,
-		liveEdges: e.liveE,
-	}
+	core := newElemCore(spanN, spanE)
 	for i := 0; i < spanN; i++ {
-		n := e.nodeAtIdx(i)
-		if n == nil {
-			if c.deadN == nil {
-				c.deadN = make([]bool, spanN)
-			}
-			c.deadN[i] = true
-			continue
-		}
-		c.nodes[i] = *n
-		c.nodeIdx[n.ID] = int32(i)
-		for _, l := range n.Labels {
-			c.labelNodes[l] = append(c.labelNodes[l], int32(i))
-			c.stats.NodeLabels[l]++
-		}
+		core.addNode(e.nodeAtIdx(i))
 	}
-	c.edgeSrc = make([]int32, spanE)
-	c.edgeTgt = make([]int32, spanE)
-	deg := make([]int32, spanN)
 	for i := 0; i < spanE; i++ {
-		ed := e.edgeAtIdx(i)
-		if ed == nil {
-			if c.deadE == nil {
-				c.deadE = make([]bool, spanE)
-			}
-			c.deadE[i] = true
-			continue
-		}
-		c.edges[i] = *ed
-		c.edgeIdx[ed.ID] = int32(i)
-		for _, l := range ed.Labels {
-			c.stats.EdgeLabels[l]++
-		}
 		// Live edges never reference dead nodes (detach-delete), so both
 		// endpoints resolve to live slots.
 		src, tgt := e.EdgeEnds(i)
-		c.edgeSrc[i], c.edgeTgt[i] = int32(src), int32(tgt)
-		deg[src]++
-		if src != tgt {
-			deg[tgt]++
-		}
+		core.addEdge(e.edgeAtIdx(i), int32(src), int32(tgt))
 	}
-	c.incOff = make([]int32, spanN+1)
-	for i, d := range deg {
-		c.incOff[i+1] = c.incOff[i] + d
-	}
-	c.incEdge = make([]int32, c.incOff[spanN])
-	c.incOther = make([]int32, len(c.incEdge))
-	c.incKind = make([]StepKind, len(c.incEdge))
-	fill := append([]int32(nil), c.incOff[:spanN]...)
-	put := func(at, edge, other int32, k StepKind) {
-		c.incEdge[at] = edge
-		c.incOther[at] = other
-		c.incKind[at] = k
-	}
-	for i := 0; i < spanE; i++ {
-		if c.deadE != nil && c.deadE[i] {
-			continue
-		}
-		si, ti := c.edgeSrc[i], c.edgeTgt[i]
-		switch {
-		case c.edges[i].Direction == Undirected:
-			put(fill[si], int32(i), ti, StepUndirected)
-			fill[si]++
-			if si != ti {
-				put(fill[ti], int32(i), si, StepUndirected)
-				fill[ti]++
-			}
-		case si == ti:
-			put(fill[si], int32(i), si, StepLoop)
-			fill[si]++
-		default:
-			put(fill[si], int32(i), ti, StepOut)
-			fill[si]++
-			put(fill[ti], int32(i), si, StepIn)
-			fill[ti]++
-		}
-	}
-	c.buildSortedAdjacency()
-	return c
+	return newCSR(core)
 }
 
 // rebaseLocked rewrites the writer's delta relative to the freshly

@@ -1,311 +1,43 @@
 package graph
 
-import (
-	"fmt"
-	"slices"
-	"strings"
-)
-
-// CSR is an immutable compressed-sparse-row snapshot of a property graph.
-// Nodes and edges live in dense arrays in insertion order, incident edges
-// in one contiguous arena indexed by per-node offsets, and a label → nodes
-// inverted index answers NodesWithLabel without scanning. Cardinality
-// statistics are precomputed at snapshot time.
+// CSR is an immutable compressed-sparse-row snapshot of a property graph:
+// the shared element core (dense records, id interner, label index,
+// statistics) plus one adjacency arena whose rows are the node indices.
 //
 // A CSR is safe for any number of concurrent readers and never changes;
 // take a fresh Snapshot after mutating the source graph.
 type CSR struct {
-	nodes []Node
-	edges []Edge
-
-	nodeIdx map[NodeID]int32
-	edgeIdx map[EdgeID]int32
-
-	// incidence in CSR form: edges incident to node i are
-	// incEdge[incOff[i]:incOff[i+1]], in insertion order. incOther and
-	// incKind run parallel to incEdge with the neighbour's node index and
-	// the step kind, so product searches step without id lookups.
-	incOff   []int32
-	incEdge  []int32
-	incOther []int32
-	incKind  []StepKind
-
-	// edgeSrc and edgeTgt hold each edge's endpoint node indices (as
-	// presented: equal for self-loops), so traversal checks and path
-	// replay never round-trip through ids.
-	edgeSrc []int32
-	edgeTgt []int32
-
-	// labelNodes maps a label to the indices of nodes carrying it, in
-	// insertion order.
-	labelNodes map[string][]int32
-
-	// Sorted adjacency view for intersection joins. sortEdge/sortOther/
-	// sortKind are a permutation of the incEdge/incOther/incKind window of
-	// each node, sharing incOff, reordered so that within a node the steps
-	// ascend by (neighbour index, edge index). Invariant: for every node i
-	// and every incOff[i] <= a < b < incOff[i+1],
-	//
-	//	(sortOther[a], sortEdge[a]) < (sortOther[b], sortEdge[b])
-	//
-	// lexicographically. Equal-neighbour runs therefore preserve edge
-	// insertion order, and the multiset of (edge, other, kind) triples per
-	// node is identical to the Steps order. The leapfrog intersection
-	// operator gallops over sortOther; Steps and Incident keep serving the
-	// insertion-ordered arena so enumeration order is unchanged.
-	sortEdge  []int32
-	sortOther []int32
-	sortKind  []StepKind
-
-	// Dead holes: a CSR built by Snapshot is fully live (both masks nil),
-	// but a CSR produced by overlay compaction keeps tombstoned elements
-	// as holes at their original indices — index stability across epochs
-	// is worth more than a dense renumbering. A dead slot has a zero
-	// record, an empty adjacency window, and no entry in the id maps, the
-	// label index, or the statistics. liveNodes/liveEdges count the
-	// non-holes; NodeIndexSpan/EdgeIndexSpan report the full array spans.
-	deadN []bool
-	deadE []bool
-
-	liveNodes int
-	liveEdges int
-
-	stats StoreStats
+	elemCore
+	arena
 }
 
-// Snapshot builds a CSR snapshot of g. The snapshot copies node and edge
-// records (labels and property maps are shared structurally with the
-// source graph, which must not be mutated concurrently with the build).
-func Snapshot(g *Graph) *CSR {
-	c := &CSR{
-		nodes:      make([]Node, 0, g.NumNodes()),
-		edges:      make([]Edge, 0, g.NumEdges()),
-		nodeIdx:    make(map[NodeID]int32, g.NumNodes()),
-		edgeIdx:    make(map[EdgeID]int32, g.NumEdges()),
-		labelNodes: map[string][]int32{},
-		stats: StoreStats{
-			Nodes:      g.NumNodes(),
-			Edges:      g.NumEdges(),
-			NodeLabels: map[string]int{},
-			EdgeLabels: map[string]int{},
-		},
-	}
-	g.Nodes(func(n *Node) bool {
-		i := int32(len(c.nodes))
-		c.nodes = append(c.nodes, *n)
-		c.nodeIdx[n.ID] = i
-		for _, l := range n.Labels {
-			c.labelNodes[l] = append(c.labelNodes[l], i)
-			c.stats.NodeLabels[l]++
-		}
-		return true
-	})
-	g.Edges(func(e *Edge) bool {
-		c.edgeIdx[e.ID] = int32(len(c.edges))
-		c.edges = append(c.edges, *e)
-		for _, l := range e.Labels {
-			c.stats.EdgeLabels[l]++
-		}
-		return true
-	})
+// Snapshot builds a CSR snapshot of s (an EpochSource is pinned first).
+// The snapshot copies node and edge records (labels and property maps are
+// shared structurally with the source, which must not be mutated
+// concurrently with the build) and renumbers them densely in iteration
+// order — insertion order, so a snapshot of a hole-free store agrees with
+// it index for index.
+func Snapshot(s Store) *CSR { return newCSR(indexStore(Pin(s))) }
 
-	// Count degrees, then lay out the incidence arena. A self-loop is
-	// incident once, matching the map backend's Incident contract.
-	deg := make([]int32, len(c.nodes))
-	c.edgeSrc = make([]int32, len(c.edges))
-	c.edgeTgt = make([]int32, len(c.edges))
-	for i := range c.edges {
-		e := &c.edges[i]
-		c.edgeSrc[i] = c.nodeIdx[e.Source]
-		c.edgeTgt[i] = c.nodeIdx[e.Target]
-		deg[c.nodeIdx[e.Source]]++
-		if e.Source != e.Target {
-			deg[c.nodeIdx[e.Target]]++
-		}
-	}
-	c.incOff = make([]int32, len(c.nodes)+1)
-	for i, d := range deg {
-		c.incOff[i+1] = c.incOff[i] + d
-	}
-	c.incEdge = make([]int32, c.incOff[len(c.nodes)])
-	c.incOther = make([]int32, len(c.incEdge))
-	c.incKind = make([]StepKind, len(c.incEdge))
-	fill := append([]int32(nil), c.incOff[:len(c.nodes)]...)
-	put := func(at, edge, other int32, k StepKind) {
-		c.incEdge[at] = edge
-		c.incOther[at] = other
-		c.incKind[at] = k
-	}
-	for i := range c.edges {
-		e := &c.edges[i]
-		si, ti := c.nodeIdx[e.Source], c.nodeIdx[e.Target]
-		switch {
-		case e.Direction == Undirected:
-			put(fill[si], int32(i), ti, StepUndirected)
-			fill[si]++
-			if si != ti {
-				put(fill[ti], int32(i), si, StepUndirected)
-				fill[ti]++
-			}
-		case si == ti:
-			put(fill[si], int32(i), si, StepLoop)
-			fill[si]++
-		default:
-			put(fill[si], int32(i), ti, StepOut)
-			fill[si]++
-			put(fill[ti], int32(i), si, StepIn)
-			fill[ti]++
-		}
-	}
-	c.buildSortedAdjacency()
-	c.liveNodes = len(c.nodes)
-	c.liveEdges = len(c.edges)
+// newCSR lays the core's adjacency out into a single arena.
+func newCSR(core elemCore) *CSR {
+	c := &CSR{elemCore: core}
+	var one [1]arena
+	c.layout(one[:], nil, nil, false)
+	c.arena = one[0]
 	return c
 }
-
-// buildSortedAdjacency derives the per-node (neighbour, edge)-sorted
-// permutation of the incidence arena. The arena was filled in edge
-// insertion order, so within a window equal neighbours ascend by edge
-// index and the result is fully deterministic.
-func (c *CSR) buildSortedAdjacency() {
-	n := len(c.incEdge)
-	c.sortEdge = make([]int32, n)
-	c.sortOther = make([]int32, n)
-	c.sortKind = make([]StepKind, n)
-	// Pack (neighbour, arena index) into one word per step and sort windows
-	// of the packed array: the arena index is unique, so the order is total,
-	// and within a node's window arena positions ascend by edge index, so
-	// the packed order equals (other, edge) order. slices.Sort on integers
-	// keeps snapshot construction allocation-flat (a per-node sort.Slice
-	// closure costs an allocation per node).
-	keys := make([]uint64, n)
-	for a, o := range c.incOther {
-		keys[a] = uint64(uint32(o))<<32 | uint64(uint32(a))
-	}
-	for i := range c.nodes {
-		slices.Sort(keys[c.incOff[i]:c.incOff[i+1]])
-	}
-	for at, key := range keys {
-		src := int32(uint32(key))
-		c.sortEdge[at] = c.incEdge[src]
-		c.sortOther[at] = c.incOther[src]
-		c.sortKind[at] = c.incKind[src]
-	}
-}
-
-// SortedSteps returns node i's adjacency window sorted by (neighbour,
-// edge): parallel slices of neighbour indices, edge indices, and step
-// kinds. The slices alias the snapshot and must not be mutated.
-func (c *CSR) SortedSteps(i int) (others, edges []int32, kinds []StepKind) {
-	lo, hi := c.incOff[i], c.incOff[i+1]
-	return c.sortOther[lo:hi], c.sortEdge[lo:hi], c.sortKind[lo:hi]
-}
-
-// NodeIndex maps a node id to its dense index.
-func (c *CSR) NodeIndex(id NodeID) (int, bool) {
-	i, ok := c.nodeIdx[id]
-	return int(i), ok
-}
-
-// NodeByIndex returns the node at a dense index, or nil for a dead hole.
-func (c *CSR) NodeByIndex(i int) *Node {
-	if c.deadN != nil && c.deadN[i] {
-		return nil
-	}
-	return &c.nodes[i]
-}
-
-// EdgeByIndex returns the edge at a dense index, or nil for a dead hole.
-func (c *CSR) EdgeByIndex(i int) *Edge {
-	if c.deadE != nil && c.deadE[i] {
-		return nil
-	}
-	return &c.edges[i]
-}
-
-// rawNode returns the record at a node index with no dead-hole guard; for
-// overlay internals that have already established liveness.
-func (c *CSR) rawNode(i int) *Node { return &c.nodes[i] }
-
-// rawEdge returns the record at an edge index with no dead-hole guard.
-func (c *CSR) rawEdge(i int) *Edge { return &c.edges[i] }
-
-// NodeIndexSpan reports the exclusive upper bound of node indices (the
-// full array span, counting dead holes); dense scans iterate [0, span)
-// and skip nil records.
-func (c *CSR) NodeIndexSpan() int { return len(c.nodes) }
-
-// EdgeIndexSpan reports the exclusive upper bound of edge indices.
-func (c *CSR) EdgeIndexSpan() int { return len(c.edges) }
 
 // Steps iterates the traversal steps of node index i from the adjacency
 // arena: dense edge index, neighbour index, and step kind.
 func (c *CSR) Steps(i int, f func(edge, other int, kind StepKind) bool) {
-	for k := c.incOff[i]; k < c.incOff[i+1]; k++ {
-		if !f(int(c.incEdge[k]), int(c.incOther[k]), c.incKind[k]) {
-			return
-		}
-	}
-}
-
-// Node returns the node with the given id, or nil.
-func (c *CSR) Node(id NodeID) *Node {
-	i, ok := c.nodeIdx[id]
-	if !ok {
-		return nil
-	}
-	return &c.nodes[i]
-}
-
-// Edge returns the edge with the given id, or nil.
-func (c *CSR) Edge(id EdgeID) *Edge {
-	i, ok := c.edgeIdx[id]
-	if !ok {
-		return nil
-	}
-	return &c.edges[i]
-}
-
-// NumNodes reports |N| (live nodes).
-func (c *CSR) NumNodes() int { return c.liveNodes }
-
-// NumEdges reports |E| (live edges).
-func (c *CSR) NumEdges() int { return c.liveEdges }
-
-// Nodes iterates live nodes in insertion order.
-func (c *CSR) Nodes(f func(*Node) bool) {
-	for i := range c.nodes {
-		if c.deadN != nil && c.deadN[i] {
-			continue
-		}
-		if !f(&c.nodes[i]) {
-			return
-		}
-	}
-}
-
-// Edges iterates live edges in insertion order.
-func (c *CSR) Edges(f func(*Edge) bool) {
-	for i := range c.edges {
-		if c.deadE != nil && c.deadE[i] {
-			continue
-		}
-		if !f(&c.edges[i]) {
-			return
-		}
-	}
+	c.steps(int32(i), f)
 }
 
 // Incident iterates the edges touching n in insertion order.
 func (c *CSR) Incident(n NodeID, f func(*Edge) bool) {
-	i, ok := c.nodeIdx[n]
-	if !ok {
-		return
-	}
-	for _, ei := range c.incEdge[c.incOff[i]:c.incOff[i+1]] {
-		if !f(&c.edges[ei]) {
-			return
-		}
+	if i, ok := c.nodeIdx[n]; ok {
+		c.incident(&c.arena, i, f)
 	}
 }
 
@@ -318,57 +50,5 @@ func (c *CSR) Degree(n NodeID) int {
 	return int(c.incOff[i+1] - c.incOff[i])
 }
 
-// EdgeEnds returns the dense endpoint indices of the edge at index i.
-func (c *CSR) EdgeEnds(i int) (src, tgt int) {
-	return int(c.edgeSrc[i]), int(c.edgeTgt[i])
-}
-
-// NodesWithLabelIdx iterates the dense indices of the nodes carrying the
-// label, in insertion order, straight off the inverted index.
-func (c *CSR) NodesWithLabelIdx(label string, f func(i int) bool) {
-	for _, i := range c.labelNodes[label] {
-		if !f(int(i)) {
-			return
-		}
-	}
-}
-
-// NodesWithLabel iterates the nodes carrying the label from the inverted
-// index, in insertion order.
-func (c *CSR) NodesWithLabel(label string, f func(*Node) bool) {
-	for _, i := range c.labelNodes[label] {
-		if !f(&c.nodes[i]) {
-			return
-		}
-	}
-}
-
-// CountNodesWithLabel answers from the inverted index in O(1).
-func (c *CSR) CountNodesWithLabel(label string) int { return len(c.labelNodes[label]) }
-
-// LabelStats returns the precomputed cardinality statistics.
-func (c *CSR) LabelStats() StoreStats { return c.stats }
-
 // Stats summarizes the snapshot, mirroring Graph.Stats.
-func (c *CSR) Stats() string {
-	directed, undirected := 0, 0
-	for i := range c.edges {
-		if c.deadE != nil && c.deadE[i] {
-			continue
-		}
-		if c.edges[i].Direction == Directed {
-			directed++
-		} else {
-			undirected++
-		}
-	}
-	labels := map[string]int{}
-	for l, n := range c.stats.NodeLabels {
-		labels[l] += n
-	}
-	for l, n := range c.stats.EdgeLabels {
-		labels[l] += n
-	}
-	return fmt.Sprintf("csr nodes=%d edges=%d (directed=%d undirected=%d) labels=%s",
-		c.liveNodes, c.liveEdges, directed, undirected, strings.Join(sortedLabels(labels), ","))
-}
+func (c *CSR) Stats() string { return "csr " + c.summary() }

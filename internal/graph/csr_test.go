@@ -11,7 +11,7 @@ import (
 // Store contract covers: multiple labels, directed multi-edges between the
 // same endpoints, undirected multi-edges, self-loops (directed and
 // undirected), isolated nodes and unlabeled elements.
-func conformanceGraph(t *testing.T) *Graph {
+func conformanceGraph(t testing.TB) *Graph {
 	t.Helper()
 	g := New()
 	must := func(err error) {

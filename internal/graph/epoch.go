@@ -59,12 +59,6 @@ type OverlaySnap struct {
 	labelDelta map[string][]int32
 	labelSub   map[string]int
 
-	// sortedOK reports that this epoch's adjacency is bit-identical to the
-	// base CSR's (no delta edges, no edge tombstones), so the sorted-
-	// adjacency windows — and with them WCO intersection dispatch — remain
-	// exact. Property and label overrides don't affect it.
-	sortedOK bool
-
 	statsOnce sync.Once
 	stats     StoreStats
 }
@@ -98,7 +92,6 @@ func (ov *Overlay) publishLocked() *OverlaySnap {
 		liveE:      w.liveE,
 		labelDelta: map[string][]int32{},
 		labelSub:   map[string]int{},
-		sortedOK:   len(w.edges) == 0 && len(w.deadE) == 0,
 	}
 	for idx, o := range w.overN {
 		for _, l := range w.base.rawNode(int(idx)).Labels {
@@ -485,42 +478,3 @@ func (s *OverlaySnap) EdgeAt(i ElemIdx) *Edge {
 	}
 	return s.edgeAtIdx(int(i))
 }
-
-// SortedView implements the sortedProvider hook consulted by AsSorted:
-// when the epoch's adjacency matches the base CSR exactly (no delta
-// edges, no edge tombstones), the base's sorted windows remain exact and
-// WCO intersection dispatch stays enabled; otherwise the epoch reports no
-// sorted view and queries fall back to bind-joins.
-func (s *OverlaySnap) SortedView() (SortedStepper, bool) {
-	if !s.sortedOK {
-		return nil, false
-	}
-	return overlaySorted{s}, true
-}
-
-// overlaySorted is an epoch with WCO dispatch enabled: sorted windows
-// come from the base CSR (exact, since the epoch has no adjacency delta),
-// while element records resolve through the epoch so property and label
-// overrides stay visible.
-type overlaySorted struct {
-	*OverlaySnap
-}
-
-// SortedSteps returns node i's (neighbour, edge)-sorted adjacency window.
-// Delta nodes are necessarily isolated in a sortedOK epoch.
-func (o overlaySorted) SortedSteps(i int) (others, edges []int32, kinds []StepKind) {
-	if i < o.baseN {
-		return o.base.SortedSteps(i)
-	}
-	return nil, nil, nil
-}
-
-// statically assert the epoch snapshot and its sorted view satisfy the
-// execution interfaces.
-var (
-	_ Store         = (*OverlaySnap)(nil)
-	_ Stepper       = (*OverlaySnap)(nil)
-	_ SortedStepper = (overlaySorted{})
-	_ Store         = (*Overlay)(nil)
-	_ EpochSource   = (*Overlay)(nil)
-)

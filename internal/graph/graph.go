@@ -112,7 +112,12 @@ func (e *Edge) Prop(p string) value.Value {
 }
 
 // Graph is an in-memory property graph with adjacency indexes. The zero
-// value is an empty graph ready to use.
+// value is an empty graph ready to use. It is the builder of the store
+// family, not a query backend: evaluation, the interner and the label
+// statistics all answer from a memoized CSR snapshot, rebuilt on the
+// first query after a mutation (insertion is append-only, so every
+// pre-existing element keeps its dense index across rebuilds). Overlay
+// is the store for graphs that change while they are queried.
 type Graph struct {
 	nodes map[NodeID]*Node
 	edges map[EdgeID]*Edge
@@ -124,20 +129,11 @@ type Graph struct {
 	// orientation, and undirected), in insertion order.
 	incident map[NodeID][]EdgeID
 
-	// statsMu guards the memoized LabelStats result. Mutations invalidate
-	// it; concurrent readers (the documented safe access pattern) share
-	// one computation instead of rescanning the graph per query.
-	statsMu     sync.Mutex
-	statsValid  bool
-	cachedStats StoreStats
-
-	// Derived read-only views, built lazily and discarded on mutation:
-	// the interner table (intern.go) and the indexed stepper view
-	// (indexed.go). derivedMu serializes rebuilds; readers take one
-	// atomic load.
-	derivedMu sync.Mutex
-	intern    atomic.Pointer[internTable]
-	stepper   atomic.Pointer[stepIndex]
+	// snap memoizes the CSR snapshot every query on the graph runs
+	// against; each mutation drops it. snapMu serializes rebuilds, readers
+	// take one atomic load.
+	snapMu sync.Mutex
+	snap   atomic.Pointer[CSR]
 }
 
 // New returns an empty graph.
@@ -172,7 +168,7 @@ func (g *Graph) AddNode(id NodeID, labels []string, props map[string]value.Value
 	n := &Node{ID: id, Labels: normLabels(labels), Props: copyProps(props)}
 	g.nodes[id] = n
 	g.nodeOrder = append(g.nodeOrder, id)
-	g.invalidateStats()
+	g.snap.Store(nil)
 	return nil
 }
 
@@ -207,35 +203,30 @@ func (g *Graph) addEdge(id EdgeID, src, dst NodeID, dir Direction, labels []stri
 	if src != dst {
 		g.incident[dst] = append(g.incident[dst], id)
 	}
-	g.invalidateStats()
+	g.snap.Store(nil)
 	return nil
 }
 
-// invalidateStats drops the memoized label statistics and the derived
-// interner/stepper views after a structural mutation (element insertion).
-// Mutations are append-only, so the next builds assign every pre-existing
-// element the same dense index it had before (ElemIdx stability).
-func (g *Graph) invalidateStats() {
-	g.invalidateStatsOnly()
-	g.intern.Store(nil)
-	g.stepper.Store(nil)
-}
-
-// invalidateStatsOnly drops just the memoized label statistics. Property
-// updates take this path: they change neither indices nor topology nor
-// labels, so the interner table and the memoized stepper adapter — which
-// hold element pointers, not record copies — stay valid and warm.
-func (g *Graph) invalidateStatsOnly() {
-	g.statsMu.Lock()
-	g.statsValid = false
-	g.statsMu.Unlock()
+// snapshot returns the memoized CSR snapshot, building it on first use
+// after a mutation. Concurrent readers share one build.
+func (g *Graph) snapshot() *CSR {
+	if c := g.snap.Load(); c != nil {
+		return c
+	}
+	g.snapMu.Lock()
+	defer g.snapMu.Unlock()
+	if c := g.snap.Load(); c != nil {
+		return c
+	}
+	c := Snapshot(g)
+	g.snap.Store(c)
+	return c
 }
 
 // SetNodeProp updates one property on a node. The record's property map
 // is replaced, not mutated in place, so CSR snapshots taken earlier keep
-// observing the pre-update map; memoized derived views (interner table,
-// stepper adapter) survive because they reference the node pointer, whose
-// identity and index are unchanged.
+// observing the pre-update map — which is why the memoized snapshot, a
+// copy of the records, is dropped here too.
 func (g *Graph) SetNodeProp(id NodeID, key string, v value.Value) error {
 	n := g.Node(id)
 	if n == nil {
@@ -247,7 +238,7 @@ func (g *Graph) SetNodeProp(id NodeID, key string, v value.Value) error {
 	}
 	props[key] = v
 	n.Props = props
-	g.invalidateStatsOnly()
+	g.snap.Store(nil)
 	return nil
 }
 
@@ -264,7 +255,7 @@ func (g *Graph) SetEdgeProp(id EdgeID, key string, v value.Value) error {
 	}
 	props[key] = v
 	e.Props = props
-	g.invalidateStatsOnly()
+	g.snap.Store(nil)
 	return nil
 }
 

@@ -1,7 +1,5 @@
 package graph
 
-import "sync"
-
 // StepKind classifies one traversal step relative to the current node.
 // The evaluator's product search matches it against the seven edge-pattern
 // orientations without consulting the edge's endpoint ids.
@@ -34,8 +32,8 @@ func (k StepKind) String() string {
 // want: a (node index × automaton state) pair packs into one integer, and
 // each step hands over the neighbour's index without id round-trips.
 //
-// The CSR snapshot implements Stepper natively from its adjacency arena;
-// any other Store is adapted by AsStepper with one indexing pass.
+// Snapshots and overlay epochs implement Stepper natively from their
+// adjacency arenas; any other Store is snapshotted by AsStepper.
 type Stepper interface {
 	Store
 	// NodeIndex maps a node id to its dense index (insertion order).
@@ -66,197 +64,18 @@ type Stepper interface {
 }
 
 // AsStepper returns the store's native indexed view when it provides one
-// (the CSR snapshot and overlay epochs do), the memoized adapter for the
-// map backend (built once per graph generation, not once per call —
-// repeated planned queries share it), or a transient index built with one
-// pass over an arbitrary third-party store. An EpochSource is pinned to
-// its current epoch first, so the view is immutable.
+// (snapshots and overlay epochs do), the memoized CSR snapshot of a map
+// graph (built once per graph generation, not once per call — repeated
+// planned queries share it), or a transient Snapshot of an arbitrary
+// third-party store. An EpochSource is pinned to its current epoch first,
+// so the view is immutable.
 func AsStepper(s Store) Stepper {
 	s = Pin(s)
 	if st, ok := s.(Stepper); ok {
 		return st
 	}
 	if g, ok := s.(*Graph); ok {
-		return g.memoStepper()
+		return g.snapshot()
 	}
-	return buildStepIndex(s)
+	return Snapshot(s)
 }
-
-// memoStepper returns the graph's memoized indexed view, building it on
-// first use after a mutation (invalidateStats drops it).
-func (g *Graph) memoStepper() *stepIndex {
-	if ix := g.stepper.Load(); ix != nil {
-		return ix
-	}
-	g.derivedMu.Lock()
-	defer g.derivedMu.Unlock()
-	if ix := g.stepper.Load(); ix != nil {
-		return ix
-	}
-	ix := buildStepIndex(g)
-	g.stepper.Store(ix)
-	return ix
-}
-
-// indexedStep is one precomputed traversal step of the generic adapter.
-type indexedStep struct {
-	edge  int32
-	other int32
-	kind  StepKind
-}
-
-// stepIndex adapts an arbitrary Store to Stepper. It snapshots only the
-// topology (indices and step lists); element data is served by the
-// embedded Store, so properties stay live.
-type stepIndex struct {
-	Store
-	nodes []*Node
-	idx   map[NodeID]int
-	edges []*Edge
-	eidx  map[EdgeID]int
-	ends  [][2]int32
-	adj   [][]indexedStep
-
-	// labelIdx memoizes per-label dense seed lists (the underlying store's
-	// NodesWithLabel order), built on first use per label.
-	labelMu  sync.Mutex
-	labelIdx map[string][]int32
-}
-
-func buildStepIndex(s Store) *stepIndex {
-	ix := &stepIndex{
-		Store: s,
-		nodes: make([]*Node, 0, s.NumNodes()),
-		idx:   make(map[NodeID]int, s.NumNodes()),
-		edges: make([]*Edge, 0, s.NumEdges()),
-		eidx:  make(map[EdgeID]int, s.NumEdges()),
-	}
-	s.Nodes(func(n *Node) bool {
-		ix.idx[n.ID] = len(ix.nodes)
-		ix.nodes = append(ix.nodes, n)
-		return true
-	})
-	ix.adj = make([][]indexedStep, len(ix.nodes))
-	ix.ends = make([][2]int32, 0, s.NumEdges())
-	s.Edges(func(e *Edge) bool {
-		ei := int32(len(ix.edges))
-		ix.eidx[e.ID] = len(ix.edges)
-		ix.edges = append(ix.edges, e)
-		si, ti := ix.idx[e.Source], ix.idx[e.Target]
-		ix.ends = append(ix.ends, [2]int32{int32(si), int32(ti)})
-		switch {
-		case e.Direction == Undirected:
-			ix.adj[si] = append(ix.adj[si], indexedStep{ei, int32(ti), StepUndirected})
-			if si != ti {
-				ix.adj[ti] = append(ix.adj[ti], indexedStep{ei, int32(si), StepUndirected})
-			}
-		case si == ti:
-			ix.adj[si] = append(ix.adj[si], indexedStep{ei, int32(si), StepLoop})
-		default:
-			ix.adj[si] = append(ix.adj[si], indexedStep{ei, int32(ti), StepOut})
-			ix.adj[ti] = append(ix.adj[ti], indexedStep{ei, int32(si), StepIn})
-		}
-		return true
-	})
-	return ix
-}
-
-// NodeIndex maps a node id to its dense index.
-func (ix *stepIndex) NodeIndex(id NodeID) (int, bool) {
-	i, ok := ix.idx[id]
-	return i, ok
-}
-
-// NodeByIndex returns the node at a dense index.
-func (ix *stepIndex) NodeByIndex(i int) *Node { return ix.nodes[i] }
-
-// EdgeByIndex returns the edge at a dense index.
-func (ix *stepIndex) EdgeByIndex(i int) *Edge { return ix.edges[i] }
-
-// EdgeEnds returns the endpoint indices of the edge at a dense index.
-func (ix *stepIndex) EdgeEnds(i int) (src, tgt int) {
-	return int(ix.ends[i][0]), int(ix.ends[i][1])
-}
-
-// NodeIndexSpan reports the exclusive index upper bound (the adapter has
-// no holes, so it equals NumNodes).
-func (ix *stepIndex) NodeIndexSpan() int { return len(ix.nodes) }
-
-// Steps iterates the precomputed steps of node index i.
-func (ix *stepIndex) Steps(i int, f func(edge, other int, kind StepKind) bool) {
-	for _, st := range ix.adj[i] {
-		if !f(int(st.edge), int(st.other), st.kind) {
-			return
-		}
-	}
-}
-
-// NodesWithLabelIdx iterates the label's node indices, memoizing the list
-// per label (the adapter may be shared across queries and goroutines).
-func (ix *stepIndex) NodesWithLabelIdx(label string, f func(i int) bool) {
-	ix.labelMu.Lock()
-	list, ok := ix.labelIdx[label]
-	if !ok {
-		for _, n := range ix.labelNodes(label) {
-			list = append(list, int32(n))
-		}
-		if ix.labelIdx == nil {
-			ix.labelIdx = map[string][]int32{}
-		}
-		ix.labelIdx[label] = list
-	}
-	ix.labelMu.Unlock()
-	for _, i := range list {
-		if !f(int(i)) {
-			return
-		}
-	}
-}
-
-// labelNodes scans the underlying store's label iteration once.
-func (ix *stepIndex) labelNodes(label string) []int {
-	var out []int
-	ix.Store.NodesWithLabel(label, func(n *Node) bool {
-		if i, ok := ix.idx[n.ID]; ok {
-			out = append(out, i)
-		}
-		return true
-	})
-	return out
-}
-
-// The adapter's interner answers from its own snapshot tables (the
-// embedded Store would work too; these avoid a second map for stores
-// whose own interner is lazy).
-func (ix *stepIndex) InternNode(id NodeID) (ElemIdx, bool) {
-	i, ok := ix.idx[id]
-	return ElemIdx(i), ok
-}
-
-// InternEdge maps an edge id to its dense index.
-func (ix *stepIndex) InternEdge(id EdgeID) (ElemIdx, bool) {
-	i, ok := ix.eidx[id]
-	return ElemIdx(i), ok
-}
-
-// NodeAt returns the node at a dense index, or nil when out of range.
-func (ix *stepIndex) NodeAt(i ElemIdx) *Node {
-	if int(i) >= len(ix.nodes) {
-		return nil
-	}
-	return ix.nodes[i]
-}
-
-// EdgeAt returns the edge at a dense index, or nil when out of range.
-func (ix *stepIndex) EdgeAt(i ElemIdx) *Edge {
-	if int(i) >= len(ix.edges) {
-		return nil
-	}
-	return ix.edges[i]
-}
-
-// statically assert the adapter and the CSR satisfy Stepper.
-var (
-	_ Stepper = (*stepIndex)(nil)
-	_ Stepper = (*CSR)(nil)
-)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"gpml/internal/value"
 )
 
 // internFixture builds a graph with a few labels, multi-edges, self-loops
@@ -34,9 +36,9 @@ func internFixture(t testing.TB) *Graph {
 	return g
 }
 
-// TestInternerConformance: the map backend's lazy table and the CSR
-// snapshot's native layout must agree index-for-index (both assign in
-// insertion order), and Intern/Lookup must round-trip on both.
+// TestInternerConformance: the map graph (answering from its memoized
+// snapshot) and an explicit CSR snapshot must agree index-for-index (both
+// assign in insertion order), and Intern/Lookup must round-trip on both.
 func TestInternerConformance(t *testing.T) {
 	g := internFixture(t)
 	snap := Snapshot(g)
@@ -84,9 +86,9 @@ func TestInternerConformance(t *testing.T) {
 	}
 }
 
-// TestInternerStableAcrossMutation: mutating the map backend discards the
-// lazy table, but the rebuilt table assigns every pre-existing element the
-// same index (insertion order is append-only).
+// TestInternerStableAcrossMutation: mutating the map graph drops its
+// memoized snapshot, but the rebuilt one assigns every pre-existing
+// element the same index (insertion order is append-only).
 func TestInternerStableAcrossMutation(t *testing.T) {
 	g := internFixture(t)
 	before := map[NodeID]ElemIdx{}
@@ -108,16 +110,19 @@ func TestInternerStableAcrossMutation(t *testing.T) {
 	}
 }
 
-// TestInternerConcurrent hammers the lazy build from many goroutines (run
-// under -race): all must observe one consistent table.
+// TestInternerConcurrent hammers the first use of a fresh graph from many
+// goroutines (run under -race): the memoized snapshot is built once and
+// all observe it.
 func TestInternerConcurrent(t *testing.T) {
 	g := internFixture(t)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
+	views := make([]Stepper, 16)
 	for w := 0; w < 16; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			views[w] = AsStepper(g)
 			for i := 0; i < 20; i++ {
 				id := NodeID(fmt.Sprintf("n%d", i))
 				idx, ok := g.InternNode(id)
@@ -137,27 +142,39 @@ func TestInternerConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	for w, v := range views {
+		if v != views[0] {
+			t.Errorf("worker %d saw a second snapshot: the memo was built more than once", w)
+		}
+	}
 }
 
-// TestAsStepperMemoized: repeated AsStepper calls on the map backend reuse
-// one adapter until a mutation invalidates it; native steppers pass
-// through unchanged.
+// TestAsStepperMemoized: repeated AsStepper calls on the map graph reuse
+// one snapshot until a mutation — a property update included, since the
+// snapshot copies records — drops it; native steppers pass through
+// unchanged.
 func TestAsStepperMemoized(t *testing.T) {
 	g := internFixture(t)
 	st1 := AsStepper(g)
 	st2 := AsStepper(g)
 	if st1 != st2 {
-		t.Fatalf("AsStepper must memoize the map backend's adapter")
+		t.Fatalf("AsStepper must memoize the map graph's snapshot")
 	}
 	if err := g.AddNode("invalidate", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	st3 := AsStepper(g)
 	if st3 == st1 {
-		t.Fatalf("mutation must invalidate the memoized adapter")
+		t.Fatalf("mutation must invalidate the memoized snapshot")
 	}
 	if _, ok := st3.NodeIndex("invalidate"); !ok {
-		t.Fatalf("rebuilt adapter must see the new node")
+		t.Fatalf("rebuilt snapshot must see the new node")
+	}
+	if err := g.SetNodeProp("n0", "k", value.Int(1)); err != nil {
+		t.Fatal(err)
+	}
+	if st4 := AsStepper(g); st4 == st3 || !value.Identical(st4.Node("n0").Prop("k"), value.Int(1)) {
+		t.Fatalf("a property update must drop the memoized snapshot and show in the next one")
 	}
 	snap := Snapshot(g)
 	if AsStepper(snap) != Stepper(snap) {
@@ -184,14 +201,13 @@ func TestStepperEdgeEnds(t *testing.T) {
 }
 
 // TestNodesWithLabelIdx: the dense label iteration agrees with the
-// id-based one on both backends (order included) and memoizes correctly
-// on the adapter.
+// id-based one on both backends (order included).
 func TestNodesWithLabelIdx(t *testing.T) {
 	g := internFixture(t)
 	for _, s := range []struct {
 		name string
 		st   Stepper
-	}{{"adapter", AsStepper(g)}, {"csr", Snapshot(g)}} {
+	}{{"map", AsStepper(g)}, {"csr", Snapshot(g)}} {
 		for _, label := range []string{"N", "Third", "absent"} {
 			var want []int
 			s.st.NodesWithLabel(label, func(n *Node) bool {
@@ -199,15 +215,13 @@ func TestNodesWithLabelIdx(t *testing.T) {
 				want = append(want, int(i))
 				return true
 			})
-			for pass := 0; pass < 2; pass++ { // second pass hits the memo
-				var got []int
-				s.st.NodesWithLabelIdx(label, func(i int) bool {
-					got = append(got, i)
-					return true
-				})
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("%s %s pass %d: NodesWithLabelIdx = %v, want %v", s.name, label, pass, got, want)
-				}
+			var got []int
+			s.st.NodesWithLabelIdx(label, func(i int) bool {
+				got = append(got, i)
+				return true
+			})
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s %s: NodesWithLabelIdx = %v, want %v", s.name, label, got, want)
 			}
 		}
 	}

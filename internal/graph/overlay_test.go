@@ -97,9 +97,6 @@ func TestOverlayBaseOnlyMatchesCSR(t *testing.T) {
 	g := conformanceGraph(t)
 	ov := NewOverlay(Snapshot(g))
 	storeConformance(t, "overlay-base-only", g, ov)
-	if _, ok := AsSorted(ov); !ok {
-		t.Error("base-only overlay must serve the CSR sorted view")
-	}
 }
 
 func TestOverlayIndexStability(t *testing.T) {
@@ -271,49 +268,6 @@ func TestOverlayValidation(t *testing.T) {
 	}
 	if n := ov.Node("d"); n == nil || !n.HasLabel("Fresh") {
 		t.Errorf("re-added node in one batch: got %+v", n)
-	}
-}
-
-func TestOverlaySortedViewGate(t *testing.T) {
-	g := conformanceGraph(t)
-	ov := NewOverlay(Snapshot(g))
-	sorted := func() bool {
-		_, ok := AsSorted(ov.Snapshot())
-		return ok
-	}
-	if !sorted() {
-		t.Fatal("clean epoch must serve the base sorted view")
-	}
-	// Property and label overrides don't touch adjacency: still sorted.
-	if err := ov.Apply(ov.Begin().SetNodeProp("a", "owner", value.Str("x")).SetNodeLabels("b", []string{"B"})); err != nil {
-		t.Fatal(err)
-	}
-	if !sorted() {
-		t.Error("override-only epoch must keep the sorted view")
-	}
-	// New nodes are fine too (isolated); a new edge disables the view.
-	if err := ov.Apply(ov.Begin().AddNode("n", nil, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if !sorted() {
-		t.Error("isolated-node epoch must keep the sorted view")
-	}
-	if err := ov.Apply(ov.Begin().AddEdge("ne", "n", "a", nil, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if sorted() {
-		t.Error("epoch with a delta edge must disable the sorted view")
-	}
-	// Compaction folds the delta into a freshly sorted base: re-enabled.
-	ov.Compact()
-	if !sorted() {
-		t.Error("post-compaction epoch must re-enable the sorted view")
-	}
-	ss, _ := AsSorted(ov.Snapshot())
-	i, _ := ss.NodeIndex("n")
-	others, edges, _ := ss.SortedSteps(i)
-	if len(others) != 1 || ss.EdgeByIndex(int(edges[0])).ID != "ne" {
-		t.Errorf("sorted window of compacted delta node: others=%v edges=%v", others, edges)
 	}
 }
 
@@ -543,22 +497,15 @@ func TestOverlayConcurrentReadWrite(t *testing.T) {
 	ov.Wait()
 }
 
-// TestGraphPropUpdateKeepsDerived is the regression for the map backend's
-// invalidation split: property-only updates must drop the memoized stats
-// but keep the interner table and the stepper adapter (indices and
-// topology are untouched), where structural mutations drop all three.
-func TestGraphPropUpdateKeepsDerived(t *testing.T) {
+// TestGraphPropUpdateDropsSnapshot pins the builder contract for property
+// updates: the memoized snapshot copies records, so SetNodeProp and
+// SetEdgeProp drop it like a structural mutation does. A view taken
+// before the update is immutable and keeps the old records; the next one
+// serves the new ones at unchanged indices.
+func TestGraphPropUpdateDropsSnapshot(t *testing.T) {
 	g := conformanceGraph(t)
-	// Materialize every derived view.
-	g.LabelStats()
-	if _, ok := g.InternNode("a"); !ok {
-		t.Fatal("intern miss")
-	}
-	st := AsStepper(g)
-	internBefore, stepBefore := g.intern.Load(), g.stepper.Load()
-	if internBefore == nil || stepBefore == nil {
-		t.Fatal("derived views not memoized")
-	}
+	before := AsStepper(g)
+	i, _ := before.NodeIndex("a")
 
 	if err := g.SetNodeProp("a", "owner", value.Str("updated")); err != nil {
 		t.Fatal(err)
@@ -566,38 +513,21 @@ func TestGraphPropUpdateKeepsDerived(t *testing.T) {
 	if err := g.SetEdgeProp("e1", "amount", value.Int(6)); err != nil {
 		t.Fatal(err)
 	}
-	if g.intern.Load() != internBefore {
-		t.Error("property update discarded the interner table")
+	after := AsStepper(g)
+	if after == before {
+		t.Fatal("property update kept the memoized snapshot")
 	}
-	if g.stepper.Load() != stepBefore {
-		t.Error("property update discarded the memoized stepper")
+	if got := before.NodeByIndex(i).Prop("owner"); got != value.Str("ann") {
+		t.Errorf("pre-update view sees owner=%v, want ann", got)
 	}
-	g.statsMu.Lock()
-	valid := g.statsValid
-	g.statsMu.Unlock()
-	if valid {
-		t.Error("property update must invalidate the memoized stats")
-	}
-	// The kept views serve the updated records (they hold pointers).
-	i, _ := st.NodeIndex("a")
-	if got := st.NodeByIndex(i).Prop("owner"); got != value.Str("updated") {
-		t.Errorf("stepper sees owner=%v, want updated", got)
+	if got := after.NodeByIndex(i).Prop("owner"); got != value.Str("updated") {
+		t.Errorf("post-update view sees owner=%v at the old index, want updated", got)
 	}
 	if got := g.EdgeAt(0).Prop("amount"); got != value.Int(6) {
 		t.Errorf("interner sees amount=%v, want 6", got)
 	}
-	// A CSR snapshot taken before the update kept the old records.
-	snapBefore := Snapshot(conformanceGraph(t))
-	if got := snapBefore.Node("a").Prop("owner"); got != value.Str("ann") {
-		t.Errorf("pre-update snapshot sees owner=%v, want ann", got)
-	}
-
-	// Structural mutation still drops everything.
-	if err := g.AddNode("newnode", nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if g.intern.Load() != nil || g.stepper.Load() != nil {
-		t.Error("structural mutation must discard the derived views")
+	if got := g.LabelStats(); got.Nodes != g.NumNodes() || got.Edges != g.NumEdges() {
+		t.Errorf("stats after update: %+v", got)
 	}
 }
 

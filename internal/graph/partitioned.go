@@ -1,82 +1,38 @@
 package graph
 
-import (
-	"fmt"
-	"slices"
-	"strings"
-)
+import "fmt"
 
 // Partitioned is an immutable snapshot that hash-shards interned node
-// indices across N per-partition CSR arenas. Element records, the id
-// interner, and the label index stay global — an ElemIdx issued by a
-// Partitioned store is the same insertion-order index every other backend
-// assigns, so bindings, join keys, and result rows are backend-agnostic.
-// Only the adjacency arenas are sharded: node i's incidence window lives
-// in the arena of partition PartitionOf(i), and every edge is stored with
-// its source's partition (the target's partition holds the reverse step,
-// resolved through the global index space, so a cross-partition step is
-// an ordinary array read — no pointer chasing between shards).
+// indices across N adjacency arenas. The element core (records, id
+// interner, label index, statistics) is the very one a CSR embeds — an
+// ElemIdx issued by a Partitioned store is the same insertion-order index
+// every other backend assigns, so bindings, join keys, and result rows
+// are backend-agnostic. Only the adjacency is sharded: node i's incidence
+// window lives in the arena of partition PartitionOf(i), and its entries
+// hold global indices, so a cross-partition step is an ordinary array
+// read — no pointer chasing between shards.
 //
 // Within each node's window, steps appear in global edge insertion order,
-// exactly as in a single CSR; every iteration method is therefore
-// byte-identical to the CSR and map backends. Each partition also carries
-// the (neighbour, edge)-sorted permutation of its windows, so the store
-// implements SortedStepper and WCO intersection plans keep working.
+// exactly as in a single CSR (one layout routine fills both); every
+// iteration method is therefore byte-identical to the CSR backend.
+// Partitioning is a storage layout: the evaluator runs the same
+// sequential and parallel paths on it as on any other store.
 //
 // A Partitioned snapshot is safe for any number of concurrent readers and
 // never changes. With PartitionOptions.Mmap the arenas are carved from one
 // unlinked mmap-backed temp file (unix builds), keeping the flat arrays
 // out of the Go heap; Close releases the mapping.
 type Partitioned struct {
-	nodes []Node
-	edges []Edge
-
-	nodeIdx map[NodeID]int32
-	edgeIdx map[EdgeID]int32
-
-	edgeSrc []int32
-	edgeTgt []int32
-
-	labelNodes map[string][]int32
+	elemCore
 
 	// partOf maps a global node index to its partition; local maps it to
-	// its row within that partition's offset table.
+	// its row within that partition's arena.
 	partOf []int32
 	local  []int32
 
-	parts []partArena
+	parts []arena
 
-	arena *mmapArena // non-nil when the arenas are mmap-backed
-
-	stats StoreStats
-}
-
-// partArena is one partition's CSR adjacency: node rows are the
-// partition's nodes in ascending global index order, and the edge/other
-// entries hold global indices.
-type partArena struct {
-	// off[l]:off[l+1] bounds local row l's window.
-	off   []int32
-	edge  []int32
-	other []int32
-	kind  []StepKind
-
-	// Sorted permutation of each window, ascending by (other, edge) —
-	// the same invariant as CSR.sortEdge/sortOther/sortKind.
-	sortEdge  []int32
-	sortOther []int32
-	sortKind  []StepKind
-}
-
-// PartitionedView is implemented by stores that shard their adjacency
-// arenas. The streaming evaluator uses it to scatter per-partition seed
-// ranges to workers pinned to one partition's arena, keeping the hot
-// expansion loop inside one shard's memory.
-type PartitionedView interface {
-	// NumPartitions reports the shard count (>= 1).
-	NumPartitions() int
-	// PartitionOf maps a dense node index to its partition.
-	PartitionOf(i int) int
+	mm *mmapArena // non-nil when the arenas are mmap-backed
 }
 
 // PartitionOptions configures PartitionSnapshot.
@@ -97,184 +53,42 @@ func partitionOfIdx(i uint32, parts int) int {
 	return int((i * 0x9E3779B1) % uint32(parts))
 }
 
-// PartitionSnapshot builds a hash-partitioned snapshot of g with
-// opt.Partitions per-partition CSR arenas. Like Snapshot, it copies node
-// and edge records (labels and property maps are shared structurally with
-// the source graph, which must not be mutated concurrently with the
-// build).
-func PartitionSnapshot(g *Graph, opt PartitionOptions) *Partitioned {
-	nparts := opt.Partitions
-	if nparts < 1 {
-		nparts = 1
-	}
-	p := &Partitioned{
-		nodes:      make([]Node, 0, g.NumNodes()),
-		edges:      make([]Edge, 0, g.NumEdges()),
-		nodeIdx:    make(map[NodeID]int32, g.NumNodes()),
-		edgeIdx:    make(map[EdgeID]int32, g.NumEdges()),
-		labelNodes: map[string][]int32{},
-		parts:      make([]partArena, nparts),
-		stats: StoreStats{
-			Nodes:      g.NumNodes(),
-			Edges:      g.NumEdges(),
-			NodeLabels: map[string]int{},
-			EdgeLabels: map[string]int{},
-			Partitions: nparts,
-		},
-	}
-	g.Nodes(func(n *Node) bool {
-		i := int32(len(p.nodes))
-		p.nodes = append(p.nodes, *n)
-		p.nodeIdx[n.ID] = i
-		for _, l := range n.Labels {
-			p.labelNodes[l] = append(p.labelNodes[l], i)
-			p.stats.NodeLabels[l]++
-		}
-		return true
-	})
-	g.Edges(func(e *Edge) bool {
-		p.edgeIdx[e.ID] = int32(len(p.edges))
-		p.edges = append(p.edges, *e)
-		for _, l := range e.Labels {
-			p.stats.EdgeLabels[l]++
-		}
-		return true
-	})
-
-	// Shard: assign each node its partition and local row. Rows are
-	// assigned in ascending global order, so a partition's node list
-	// ascends and label/seed scans touch each arena front to back.
+// PartitionSnapshot builds a hash-partitioned snapshot of s with
+// opt.Partitions adjacency arenas over the same element core Snapshot
+// builds.
+func PartitionSnapshot(s Store, opt PartitionOptions) *Partitioned {
+	nparts := max(opt.Partitions, 1)
+	p := &Partitioned{elemCore: indexStore(Pin(s)), parts: make([]arena, nparts)}
+	// Rows are assigned in ascending global order, so a partition's node
+	// list ascends and label/seed scans touch each arena front to back.
 	p.partOf = make([]int32, len(p.nodes))
 	p.local = make([]int32, len(p.nodes))
 	rows := make([]int32, nparts)
 	for i := range p.nodes {
-		part := int32(partitionOfIdx(uint32(i), nparts))
-		p.partOf[i] = part
+		part := partitionOfIdx(uint32(i), nparts)
+		p.partOf[i] = int32(part)
 		p.local[i] = rows[part]
 		rows[part]++
 	}
-
-	// Count per-node degrees exactly as Snapshot does (a self-loop is
-	// incident once), bucketed by the owning partition.
-	deg := make([]int32, len(p.nodes))
-	p.edgeSrc = make([]int32, len(p.edges))
-	p.edgeTgt = make([]int32, len(p.edges))
-	for i := range p.edges {
-		e := &p.edges[i]
-		p.edgeSrc[i] = p.nodeIdx[e.Source]
-		p.edgeTgt[i] = p.nodeIdx[e.Target]
-		deg[p.edgeSrc[i]]++
-		if e.Source != e.Target {
-			deg[p.edgeTgt[i]]++
-		}
-	}
-	steps := make([]int, nparts)
-	for i, d := range deg {
-		steps[p.partOf[i]] += int(d)
-	}
-
-	// Lay out the arenas, optionally inside one mmap region sized for
-	// every partition's arrays.
-	if opt.Mmap {
-		total := 0
-		for part := range p.parts {
-			total += arenaBytes(int(rows[part]), steps[part])
-		}
-		p.arena, _ = newMmapArena(total) // nil on failure: heap fallback
-	}
-	for part := range p.parts {
-		pa := &p.parts[part]
-		n, s := int(rows[part]), steps[part]
-		pa.off = arenaInt32s(p.arena, n+1)
-		pa.edge = arenaInt32s(p.arena, s)
-		pa.other = arenaInt32s(p.arena, s)
-		pa.sortEdge = arenaInt32s(p.arena, s)
-		pa.sortOther = arenaInt32s(p.arena, s)
-		pa.kind = arenaKinds(p.arena, s)
-		pa.sortKind = arenaKinds(p.arena, s)
-	}
-	for i, d := range deg {
-		pa := &p.parts[p.partOf[i]]
-		l := p.local[i]
-		pa.off[l+1] = pa.off[l] + d
-	}
-
-	// Fill the windows by iterating edges in global insertion order — the
-	// same pass as Snapshot, so each node's window order is identical to
-	// the single-CSR arena.
-	fill := make([][]int32, nparts)
-	for part := range p.parts {
-		fill[part] = append([]int32(nil), p.parts[part].off[:rows[part]]...)
-	}
-	place := func(node, edge, other int32, k StepKind) {
-		part, l := p.partOf[node], p.local[node]
-		at := fill[part][l]
-		pa := &p.parts[part]
-		pa.edge[at] = edge
-		pa.other[at] = other
-		pa.kind[at] = k
-		fill[part][l]++
-	}
-	for i := range p.edges {
-		e := &p.edges[i]
-		si, ti := p.edgeSrc[i], p.edgeTgt[i]
-		switch {
-		case e.Direction == Undirected:
-			place(si, int32(i), ti, StepUndirected)
-			if si != ti {
-				place(ti, int32(i), si, StepUndirected)
-			}
-		case si == ti:
-			place(si, int32(i), si, StepLoop)
-		default:
-			place(si, int32(i), ti, StepOut)
-			place(ti, int32(i), si, StepIn)
-		}
-	}
-	p.buildSortedArenas(rows)
+	p.mm = p.layout(p.parts, p.partOf, p.local, opt.Mmap)
 	return p
-}
-
-// buildSortedArenas derives each partition's (neighbour, edge)-sorted
-// window permutation with the same packed-key trick as the CSR builder:
-// arena positions within a window ascend by edge index, so sorting
-// (other<<32 | position) words yields (other, edge) order.
-func (p *Partitioned) buildSortedArenas(rows []int32) {
-	for part := range p.parts {
-		pa := &p.parts[part]
-		keys := make([]uint64, len(pa.edge))
-		for a, o := range pa.other {
-			keys[a] = uint64(uint32(o))<<32 | uint64(uint32(a))
-		}
-		for l := int32(0); l < rows[part]; l++ {
-			slices.Sort(keys[pa.off[l]:pa.off[l+1]])
-		}
-		for at, key := range keys {
-			src := int32(uint32(key))
-			pa.sortEdge[at] = pa.edge[src]
-			pa.sortOther[at] = pa.other[src]
-			pa.sortKind[at] = pa.kind[src]
-		}
-	}
 }
 
 // Close releases the mmap-backed arena region, if any. A heap-backed
 // snapshot's Close is a no-op. The store must not be used afterwards.
 func (p *Partitioned) Close() error {
-	a := p.arena
-	p.arena = nil
-	if a == nil {
+	mm := p.mm
+	p.mm = nil
+	if mm == nil {
 		return nil
 	}
-	for part := range p.parts {
-		p.parts[part] = partArena{}
-	}
-	return a.Close()
+	clear(p.parts)
+	return mm.Close()
 }
 
 // MmapBacked reports whether the adjacency arenas live in an mmap region
 // rather than the Go heap.
-func (p *Partitioned) MmapBacked() bool { return p.arena != nil }
+func (p *Partitioned) MmapBacked() bool { return p.mm != nil }
 
 // NumPartitions reports the shard count.
 func (p *Partitioned) NumPartitions() int { return len(p.parts) }
@@ -282,67 +96,25 @@ func (p *Partitioned) NumPartitions() int { return len(p.parts) }
 // PartitionOf maps a dense node index to its partition.
 func (p *Partitioned) PartitionOf(i int) int { return int(p.partOf[i]) }
 
-// window bounds node index i's incidence window within its partition.
-func (p *Partitioned) window(i int) (pa *partArena, lo, hi int32) {
-	pa = &p.parts[p.partOf[i]]
-	l := p.local[i]
-	return pa, pa.off[l], pa.off[l+1]
+// window resolves node index i to its partition's arena and its row.
+func (p *Partitioned) window(i int) (*arena, int32) {
+	return &p.parts[p.partOf[i]], p.local[i]
 }
 
-// Node returns the node with the given id, or nil.
-func (p *Partitioned) Node(id NodeID) *Node {
-	i, ok := p.nodeIdx[id]
-	if !ok {
-		return nil
-	}
-	return &p.nodes[i]
-}
-
-// Edge returns the edge with the given id, or nil.
-func (p *Partitioned) Edge(id EdgeID) *Edge {
-	i, ok := p.edgeIdx[id]
-	if !ok {
-		return nil
-	}
-	return &p.edges[i]
-}
-
-// NumNodes reports |N|.
-func (p *Partitioned) NumNodes() int { return len(p.nodes) }
-
-// NumEdges reports |E|.
-func (p *Partitioned) NumEdges() int { return len(p.edges) }
-
-// Nodes iterates nodes in insertion order.
-func (p *Partitioned) Nodes(f func(*Node) bool) {
-	for i := range p.nodes {
-		if !f(&p.nodes[i]) {
-			return
-		}
-	}
-}
-
-// Edges iterates edges in insertion order.
-func (p *Partitioned) Edges(f func(*Edge) bool) {
-	for i := range p.edges {
-		if !f(&p.edges[i]) {
-			return
-		}
-	}
+// Steps iterates the traversal steps of node index i from its partition's
+// arena: global edge index, global neighbour index, and step kind — the
+// same values, in the same order, as a single CSR's Steps.
+func (p *Partitioned) Steps(i int, f func(edge, other int, kind StepKind) bool) {
+	a, r := p.window(i)
+	a.steps(r, f)
 }
 
 // Incident iterates the edges touching n in insertion order, off the
 // owning partition's arena.
 func (p *Partitioned) Incident(n NodeID, f func(*Edge) bool) {
-	i, ok := p.nodeIdx[n]
-	if !ok {
-		return
-	}
-	pa, lo, hi := p.window(int(i))
-	for _, ei := range pa.edge[lo:hi] {
-		if !f(&p.edges[ei]) {
-			return
-		}
+	if i, ok := p.nodeIdx[n]; ok {
+		a, r := p.window(int(i))
+		p.incident(a, r, f)
 	}
 }
 
@@ -352,135 +124,17 @@ func (p *Partitioned) Degree(n NodeID) int {
 	if !ok {
 		return 0
 	}
-	_, lo, hi := p.window(int(i))
-	return int(hi - lo)
-}
-
-// NodesWithLabel iterates the nodes carrying the label from the global
-// inverted index, in insertion order.
-func (p *Partitioned) NodesWithLabel(label string, f func(*Node) bool) {
-	for _, i := range p.labelNodes[label] {
-		if !f(&p.nodes[i]) {
-			return
-		}
-	}
-}
-
-// CountNodesWithLabel answers from the inverted index in O(1).
-func (p *Partitioned) CountNodesWithLabel(label string) int { return len(p.labelNodes[label]) }
-
-// LabelStats returns the precomputed cardinality statistics (including
-// the partition count, which the planner's scatter-aware cost model
-// reads).
-func (p *Partitioned) LabelStats() StoreStats { return p.stats }
-
-// NodeIndex maps a node id to its dense index.
-func (p *Partitioned) NodeIndex(id NodeID) (int, bool) {
-	i, ok := p.nodeIdx[id]
-	return int(i), ok
-}
-
-// NodeByIndex returns the node at a dense index.
-func (p *Partitioned) NodeByIndex(i int) *Node { return &p.nodes[i] }
-
-// EdgeByIndex returns the edge at a dense index.
-func (p *Partitioned) EdgeByIndex(i int) *Edge { return &p.edges[i] }
-
-// EdgeEnds returns the dense endpoint indices of the edge at index i.
-func (p *Partitioned) EdgeEnds(i int) (src, tgt int) {
-	return int(p.edgeSrc[i]), int(p.edgeTgt[i])
-}
-
-// NodeIndexSpan reports the exclusive upper bound of node indices (no
-// dead holes, so it equals NumNodes).
-func (p *Partitioned) NodeIndexSpan() int { return len(p.nodes) }
-
-// EdgeIndexSpan reports the exclusive upper bound of edge indices.
-func (p *Partitioned) EdgeIndexSpan() int { return len(p.edges) }
-
-// Steps iterates the traversal steps of node index i from its partition's
-// arena: global edge index, global neighbour index, and step kind — the
-// same values, in the same order, as a single CSR's Steps.
-func (p *Partitioned) Steps(i int, f func(edge, other int, kind StepKind) bool) {
-	pa, lo, hi := p.window(i)
-	for k := lo; k < hi; k++ {
-		if !f(int(pa.edge[k]), int(pa.other[k]), pa.kind[k]) {
-			return
-		}
-	}
-}
-
-// SortedSteps returns node i's adjacency window sorted by (neighbour,
-// edge), off its partition's sorted permutation. The slices alias the
-// snapshot and must not be mutated.
-func (p *Partitioned) SortedSteps(i int) (others, edges []int32, kinds []StepKind) {
-	pa, lo, hi := p.window(i)
-	return pa.sortOther[lo:hi], pa.sortEdge[lo:hi], pa.sortKind[lo:hi]
-}
-
-// NodesWithLabelIdx iterates the dense indices of the nodes carrying the
-// label, in insertion order, off the global inverted index.
-func (p *Partitioned) NodesWithLabelIdx(label string, f func(i int) bool) {
-	for _, i := range p.labelNodes[label] {
-		if !f(int(i)) {
-			return
-		}
-	}
-}
-
-// InternNode answers from the global dense index (the snapshot layout is
-// the interner, exactly as on the CSR backend).
-func (p *Partitioned) InternNode(id NodeID) (ElemIdx, bool) {
-	i, ok := p.nodeIdx[id]
-	return ElemIdx(i), ok
-}
-
-// InternEdge maps an edge id to its stable dense index.
-func (p *Partitioned) InternEdge(id EdgeID) (ElemIdx, bool) {
-	i, ok := p.edgeIdx[id]
-	return ElemIdx(i), ok
-}
-
-// NodeAt returns the node at a dense index, or nil when out of range.
-func (p *Partitioned) NodeAt(i ElemIdx) *Node {
-	if int(i) >= len(p.nodes) {
-		return nil
-	}
-	return &p.nodes[i]
-}
-
-// EdgeAt returns the edge at a dense index, or nil when out of range.
-func (p *Partitioned) EdgeAt(i ElemIdx) *Edge {
-	if int(i) >= len(p.edges) {
-		return nil
-	}
-	return &p.edges[i]
+	a, r := p.window(int(i))
+	return int(a.incOff[r+1] - a.incOff[r])
 }
 
 // Stats summarizes the snapshot, mirroring CSR.Stats.
 func (p *Partitioned) Stats() string {
-	directed, undirected := 0, 0
-	for i := range p.edges {
-		if p.edges[i].Direction == Directed {
-			directed++
-		} else {
-			undirected++
-		}
-	}
-	labels := map[string]int{}
-	for l, n := range p.stats.NodeLabels {
-		labels[l] += n
-	}
-	for l, n := range p.stats.EdgeLabels {
-		labels[l] += n
-	}
 	backing := "heap"
-	if p.arena != nil {
+	if p.mm != nil {
 		backing = "mmap"
 	}
-	return fmt.Sprintf("partitioned parts=%d (%s) nodes=%d edges=%d (directed=%d undirected=%d) labels=%s",
-		len(p.parts), backing, len(p.nodes), len(p.edges), directed, undirected,
-		strings.Join(sortedLabels(labels), ","))
+	return fmt.Sprintf("partitioned parts=%d (%s) %s", len(p.parts), backing, p.summary())
 }
 
 // arenaInt32s allocates n int32 words from the mmap region, or the heap
@@ -501,16 +155,8 @@ func arenaKinds(a *mmapArena, n int) []StepKind {
 	return make([]StepKind, n)
 }
 
-// arenaBytes sizes one partition's arrays: the offset table plus five
-// int32 arrays and two kind arrays over s steps, with alignment slack.
+// arenaBytes sizes one arena's arrays: the offset table plus two int32
+// arrays and one kind array over s steps, with alignment slack.
 func arenaBytes(rows, s int) int {
-	return 4*(rows+1) + 4*4*s + 2*s + 8
+	return 4*(rows+1) + 2*4*s + s + 8
 }
-
-// statically assert the partitioned backend satisfies the full surface.
-var (
-	_ Store           = (*Partitioned)(nil)
-	_ Stepper         = (*Partitioned)(nil)
-	_ SortedStepper   = (*Partitioned)(nil)
-	_ PartitionedView = (*Partitioned)(nil)
-)

@@ -71,10 +71,9 @@ func TestPartitionedStoreConformance(t *testing.T) {
 	}
 }
 
-// TestPartitionedStepperMatchesCSR demands byte-identical Stepper and
-// SortedStepper behaviour between the partitioned arenas and a single
-// CSR: same step order per node, same sorted windows, same endpoints,
-// same seed lists.
+// TestPartitionedStepperMatchesCSR demands byte-identical Stepper
+// behaviour between the partitioned arenas and a single CSR: same step
+// order per node, same endpoints, same seed lists.
 func TestPartitionedStepperMatchesCSR(t *testing.T) {
 	g := partitionTestGraph(t, 300, 1200)
 	c := Snapshot(g)
@@ -94,11 +93,6 @@ func TestPartitionedStepperMatchesCSR(t *testing.T) {
 			p.Steps(i, func(e, o int, k StepKind) bool { got = append(got, step{e, o, k}); return true })
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: Steps(%d) = %v, want %v", name, i, got, want)
-			}
-			co, ce, ck := c.SortedSteps(i)
-			po, pe, pk := p.SortedSteps(i)
-			if !reflect.DeepEqual(po, co) || !reflect.DeepEqual(pe, ce) || !reflect.DeepEqual(pk, ck) {
-				t.Fatalf("%s: SortedSteps(%d) diverges from CSR", name, i)
 			}
 		}
 		for i := 0; i < c.EdgeIndexSpan(); i++ {
@@ -122,11 +116,8 @@ func TestPartitionedStepperMatchesCSR(t *testing.T) {
 		if c.Degree(c.NodeByIndex(0).ID) > 0 && count != 1 {
 			t.Fatalf("%s: Steps ignored early stop (%d visits)", name, count)
 		}
-		// AsSorted must resolve the native sorted view.
-		if ss, ok := AsSorted(p); !ok {
-			t.Fatalf("%s: AsSorted reported no sorted view", name)
-		} else if ss != SortedStepper(p) {
-			t.Fatalf("%s: AsSorted returned a non-native view %T", name, ss)
+		if st := AsStepper(p); st != Stepper(p) {
+			t.Fatalf("%s: AsStepper returned a non-native view %T", name, st)
 		}
 	}
 }

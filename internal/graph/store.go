@@ -7,10 +7,12 @@ import "sort"
 // Implementations must be safe for concurrent readers; the evaluator never
 // mutates a Store.
 //
-// Two implementations ship with the package: the mutable map-based *Graph
-// and the immutable CSR snapshot built by Snapshot. Further backends
-// (sharded, disk-resident, relational views) only need to satisfy this
-// interface to plug into the whole pipeline.
+// The package's stores are layers over one immutable element core: CSR
+// (the core plus one adjacency arena), Partitioned (the core plus N
+// arenas), and Overlay (a mutable delta over a CSR base, optionally
+// durable). The map-based *Graph is their builder and answers queries
+// through a memoized CSR snapshot of itself. A third-party backend only
+// needs to satisfy this interface; the evaluator snapshots it per query.
 type Store interface {
 	// Node returns the node with the given id, or nil.
 	Node(id NodeID) *Node
@@ -42,22 +44,21 @@ type Store interface {
 	// estimates and reporting.
 	LabelStats() StoreStats
 
-	// The ID interner (see intern.go): every element has a stable dense
+	// The ID interner (see ElemIdx): every element has a stable dense
 	// index assigned in insertion order, and the execution path runs on
 	// those integers end to end. InternNode/InternEdge map an id to its
 	// index (ok=false for unknown ids); NodeAt/EdgeAt are the Lookup
-	// direction and return nil when the index is out of range. The CSR
-	// snapshot answers from its native dense layout; the map backend
-	// builds its table lazily and discards it on mutation (indices stay
-	// stable because insertion is append-only).
+	// direction and return nil when the index is out of range. Snapshots
+	// answer from their native dense layout; the map graph delegates to
+	// its memoized snapshot (indices stay stable across mutations because
+	// insertion is append-only).
 	InternNode(id NodeID) (ElemIdx, bool)
 	InternEdge(id EdgeID) (ElemIdx, bool)
 	NodeAt(i ElemIdx) *Node
 	EdgeAt(i ElemIdx) *Edge
 }
 
-// StoreStats summarizes a store's cardinalities. Implementations may
-// precompute it (CSR) or derive it on demand (map backend).
+// StoreStats summarizes a store's cardinalities.
 type StoreStats struct {
 	Nodes int
 	Edges int
@@ -65,10 +66,6 @@ type StoreStats struct {
 	// An element with k labels contributes to k counters.
 	NodeLabels map[string]int
 	EdgeLabels map[string]int
-	// Partitions is the adjacency shard count: 0 or 1 for unsharded
-	// backends, N for a PartitionSnapshot. The planner reads it to
-	// discount full-enumeration seed scans that scatter across shards.
-	Partitions int
 }
 
 // NodeLabelCount returns the number of nodes carrying the label.
@@ -110,9 +107,8 @@ func CheapestNodeLabel(s Store, candidates []string) (string, bool) {
 // Degree reports the number of edges incident to n.
 func (g *Graph) Degree(n NodeID) int { return len(g.incident[n]) }
 
-// NodesWithLabel iterates the nodes carrying the label in insertion order.
-// The map backend has no label index, so this is a filtered scan; the CSR
-// snapshot answers it from its inverted index.
+// NodesWithLabel iterates the nodes carrying the label in insertion order
+// (a filtered scan: the label index lives in the snapshot).
 func (g *Graph) NodesWithLabel(label string, f func(*Node) bool) {
 	for _, id := range g.nodeOrder {
 		n := g.nodes[id]
@@ -122,54 +118,36 @@ func (g *Graph) NodesWithLabel(label string, f func(*Node) bool) {
 	}
 }
 
-// CountNodesWithLabel counts the nodes carrying the label (a scan on the
-// map backend; allocation-free).
+// CountNodesWithLabel, LabelStats and the interner answer from the
+// memoized snapshot; callers must treat the returned maps as read-only.
+
+// CountNodesWithLabel counts the nodes carrying the label.
 func (g *Graph) CountNodesWithLabel(label string) int {
-	count := 0
-	for _, id := range g.nodeOrder {
-		if g.nodes[id].HasLabel(label) {
-			count++
-		}
-	}
-	return count
+	return g.snapshot().CountNodesWithLabel(label)
 }
 
-// LabelStats returns cardinality statistics, computed with a full scan on
-// first use and memoized until the next mutation (so a serving loop
-// running many planned queries against one graph scans it once, not once
-// per query). Concurrent readers share the memo under a mutex; callers
-// must treat the returned maps as read-only.
-func (g *Graph) LabelStats() StoreStats {
-	g.statsMu.Lock()
-	defer g.statsMu.Unlock()
-	if g.statsValid {
-		return g.cachedStats
-	}
-	s := StoreStats{
-		Nodes:      len(g.nodeOrder),
-		Edges:      len(g.edgeOrder),
-		NodeLabels: map[string]int{},
-		EdgeLabels: map[string]int{},
-	}
-	for _, id := range g.nodeOrder {
-		for _, l := range g.nodes[id].Labels {
-			s.NodeLabels[l]++
-		}
-	}
-	for _, id := range g.edgeOrder {
-		for _, l := range g.edges[id].Labels {
-			s.EdgeLabels[l]++
-		}
-	}
-	g.cachedStats = s
-	g.statsValid = true
-	return s
-}
+// LabelStats returns cardinality statistics.
+func (g *Graph) LabelStats() StoreStats { return g.snapshot().LabelStats() }
 
-// statically assert that both backends satisfy the interface.
+// InternNode maps a node id to its stable dense index.
+func (g *Graph) InternNode(id NodeID) (ElemIdx, bool) { return g.snapshot().InternNode(id) }
+
+// InternEdge maps an edge id to its stable dense index.
+func (g *Graph) InternEdge(id EdgeID) (ElemIdx, bool) { return g.snapshot().InternEdge(id) }
+
+// NodeAt returns the node at a dense index, or nil when out of range.
+func (g *Graph) NodeAt(i ElemIdx) *Node { return g.snapshot().NodeAt(i) }
+
+// EdgeAt returns the edge at a dense index, or nil when out of range.
+func (g *Graph) EdgeAt(i ElemIdx) *Edge { return g.snapshot().EdgeAt(i) }
+
+// statically assert what each store of the family satisfies.
 var (
-	_ Store = (*Graph)(nil)
-	_ Store = (*CSR)(nil)
+	_ Store       = (*Graph)(nil)
+	_ EpochSource = (*Overlay)(nil)
+	_ Stepper     = (*OverlaySnap)(nil)
+	_ Stepper     = (*CSR)(nil)
+	_ Stepper     = (*Partitioned)(nil)
 )
 
 // sortedLabels returns the map's keys sorted, for deterministic rendering.

@@ -259,12 +259,6 @@ type PatternCost struct {
 	Seeds   float64
 	PerSeed float64
 	Rows    float64
-	// Scatter is the enumeration-parallelism divisor a full scan of this
-	// pattern enjoys: the store's adjacency shard count (>= 1). Seed
-	// scans over a partitioned store scatter across per-partition arenas,
-	// so a scan step's effective cost is Rows/Scatter; seeded bind-join
-	// expansion is per-row work and gets no discount.
-	Scatter float64
 }
 
 // EstimateCost ranks a pattern against store statistics: seed-label counts
@@ -333,11 +327,7 @@ func EstimateCost(pp *PathPlan, st graph.StoreStats) PatternCost {
 		}
 		rows *= best
 	}
-	scatter := 1.0
-	if st.Partitions > 1 {
-		scatter = float64(st.Partitions)
-	}
-	return PatternCost{Seeds: seeds, PerSeed: perSeed, Rows: rows, Scatter: scatter}
+	return PatternCost{Seeds: seeds, PerSeed: perSeed, Rows: rows}
 }
 
 // JoinStep is one step of the cost-ordered join plan.
@@ -376,9 +366,6 @@ func (s JoinStep) String() string {
 		fmt.Fprintf(&b, " hash-join est-rows=%.3g", s.Est.Rows)
 	default:
 		fmt.Fprintf(&b, " scan est-rows=%.3g", s.Est.Rows)
-	}
-	if s.Est.Scatter > 1 && s.SeedVar == "" {
-		fmt.Fprintf(&b, " scatter=%gx", s.Est.Scatter)
 	}
 	return b.String()
 }
@@ -433,7 +420,7 @@ func OrderJoin(p *Plan, stats []graph.StoreStats) []JoinStep {
 // variable set.
 func stepFor(p *Plan, i int, est PatternCost, bound map[string]bool, used []bool, first bool) JoinStep {
 	pp := p.Paths[i]
-	step := JoinStep{Pattern: i, Est: est, Cost: scanCost(est), linked: linkedToRemaining(p, i, used)}
+	step := JoinStep{Pattern: i, Est: est, Cost: est.Rows, linked: linkedToRemaining(p, i, used)}
 	if first {
 		return step
 	}
@@ -453,17 +440,6 @@ func stepFor(p *Plan, i int, est PatternCost, bound map[string]bool, used []bool
 		}
 	}
 	return step
-}
-
-// scanCost is a full-enumeration step's effective cost: the estimated row
-// count divided by the store's adjacency-scatter factor (per-partition
-// seed ranges enumerate concurrently on a partitioned store). A zero
-// Scatter (a hand-built PatternCost) counts as unsharded.
-func scanCost(est PatternCost) float64 {
-	if est.Scatter > 1 {
-		return est.Rows / est.Scatter
-	}
-	return est.Rows
 }
 
 // linkedToRemaining reports whether pattern i shares a singleton variable

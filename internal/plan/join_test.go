@@ -244,38 +244,3 @@ func ExampleOrderJoin() {
 	// step 0: pattern 0 scan est-rows=0.1
 	// step 1: pattern 1 bind-join seed=x est-per-seed=2
 }
-
-func TestEstimateCostPartitionScatter(t *testing.T) {
-	st := statsFixture()
-	p := planFor(t, `MATCH (x:Admin)-[t:Transfer]->(c:City), (x)-[u:Transfer]->(y)`)
-	flat := EstimateCost(p.Paths[0], st)
-	if flat.Scatter != 1 {
-		t.Errorf("unsharded scatter = %v, want 1", flat.Scatter)
-	}
-	st.Partitions = 4
-	sharded := EstimateCost(p.Paths[0], st)
-	if sharded.Scatter != 4 {
-		t.Errorf("sharded scatter = %v, want 4", sharded.Scatter)
-	}
-	if sharded.Rows != flat.Rows {
-		t.Errorf("partitioning changed the row estimate: %v vs %v", sharded.Rows, flat.Rows)
-	}
-	// The scan discount shows up in the join plan's first step and in its
-	// Explain rendering; seeded steps are per-row work and keep PerSeed.
-	steps := OrderJoin(p, []graph.StoreStats{st, st})
-	if got := steps[0].Cost; got != steps[0].Est.Rows/4 {
-		t.Errorf("scan step cost = %v, want est-rows/4 = %v", got, steps[0].Est.Rows/4)
-	}
-	if s := steps[0].String(); !strings.Contains(s, "scatter=4x") {
-		t.Errorf("scan step rendering %q lacks the scatter factor", s)
-	}
-	if steps[1].SeedVar == "" {
-		t.Fatalf("second step should bind-join, got %s", steps[1])
-	}
-	if got := steps[1].Cost; got != steps[1].Est.PerSeed {
-		t.Errorf("bind-join step cost = %v, want per-seed %v (no scatter discount)", got, steps[1].Est.PerSeed)
-	}
-	if s := steps[1].String(); strings.Contains(s, "scatter") {
-		t.Errorf("seeded step rendering %q should not claim scatter", s)
-	}
-}

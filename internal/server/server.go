@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -511,6 +512,7 @@ type ndjsonWriter struct {
 	rows   uint64      // row records pending in buf
 	timer  *time.Timer // running while bytes are pending
 	closed bool        // the handler has returned: w must not be touched
+	filled bool        // a write was forced by flushBytes (handler's goroutine only)
 	err    error       // first write error; the stream is dead after it
 }
 
@@ -545,6 +547,7 @@ func (nw *ndjsonWriter) record(now bool, rows uint64, encode func(dst []byte) []
 	}
 	nw.buf, nw.rows = append(encode(nw.buf), '\n'), nw.rows+rows
 	ok, full := nw.err == nil, now || len(nw.buf) >= flushBytes
+	nw.filled = nw.filled || full && !now
 	nw.mu.Unlock()
 	if full {
 		return nw.flush(false)
@@ -630,6 +633,16 @@ func (s *Server) streamNDJSON(ctx context.Context, w http.ResponseWriter, cols [
 	var last any = ndjsonTrailer{Rows: n, Truncated: limit > 0 && n == limit}
 	if err != nil {
 		last = map[string]errorBody{"error": classify(err)}
+	}
+	if nw.filled {
+		// A handler that streamed for long owes the GC's fractional mark
+		// worker its share of this P, and the worker takes it, in one slice
+		// of several milliseconds, the next time the P reschedules.
+		// Rescheduling here bills that wait to the request that ran up the
+		// debt; left to the gap after the response, a machine with few Ps
+		// cannot pick up the connection's next request until the slice is
+		// over.
+		runtime.Gosched()
 	}
 	nw.record(true, 0, jsonRecord(last))
 }

@@ -1,20 +1,21 @@
 // Bench-scale tier: enumeration throughput, first-row latency and
 // bind-join speed on the LDBC-SNB-flavored graph (internal/dataset SNB)
-// as a function of scale factor and partition count. Sub-benchmark keys
-// are `/sf=<f>/parts=<n>` so benchjson -compare reports regressions per
-// (scale, sharding) cell.
+// as a function of scale factor, varying one thing at a time. The
+// parallelism axis runs on the plain CSR snapshot (`/sf=<f>/par=1|2|4`,
+// par=1 being the serial floor); the layout axis holds par=4 and swaps
+// the store (`/sf=<f>/parts=4` hash-partitioned on the heap,
+// `/sf=<f>/parts=4/mmap` the same arenas file-backed), so par=4 vs
+// parts=4 is the cost of partitioning alone and parts=4 vs parts=4/mmap
+// the cost of the page cache. benchjson -compare reports regressions per
+// cell.
 //
-// The enumeration queries use a {1,2} quantifier deliberately: quantified
-// paths are outside the vectorized batch fragment, so evaluation rides
-// the row pipeline whose parallel scatter pins workers to partition
-// arenas — the code path this tier exists to measure. parts=1 runs on a
-// plain CSR snapshot (the single-arena floor); parts>1 on a hash-
-// partitioned snapshot with Parallelism=parts, so the curve across
-// parts is the scatter/gather scaling curve.
+// The enumeration queries use a {1,2} quantifier so the work is path
+// stepping over the adjacency arenas — the thing both axes touch —
+// rather than row materialization.
 //
 // Defaults stay laptop-sized (SF 0.1). Larger sweeps opt in via
 // GPML_SCALE_SF (comma-separated scale factors, e.g. "0.1,1,3"); the
-// wall-clock gates of TestScaleScatterSpeedup and
+// wall-clock gates of TestScaleParallelSpeedup and
 // TestScaleFirstRowLatency arm only under GPML_TIMING_GATES=1 on
 // multi-core hosts, following the serving-path gate convention in
 // internal/server.
@@ -61,6 +62,7 @@ var scaleLims = gpml.Limits{MaxMatches: 100_000_000}
 var (
 	scaleGraphMu    sync.Mutex
 	scaleGraphCache = map[float64]*gpml.Graph{}
+	scaleCellCache  = map[float64][]scaleCell{}
 )
 
 // scaleGraph builds (once per process per scale factor) the seeded SNB
@@ -94,57 +96,64 @@ func scaleSFs(tb testing.TB) []float64 {
 	return sfs
 }
 
-// scaleStore builds the store for a partition count: parts=1 is the
-// plain CSR snapshot floor, parts>1 a hash-partitioned snapshot.
-func scaleStore(g *gpml.Graph, parts int) gpml.Store {
-	if parts <= 1 {
-		return gpml.Snapshot(g)
-	}
-	return gpml.NewPartitioned(g, gpml.WithPartitions(parts))
+// scaleCell is one cell of the sweep: a store and the parallelism it is
+// queried with.
+type scaleCell struct {
+	name string
+	st   gpml.Store
+	par  int
 }
 
-var scaleParts = []int{1, 2, 4, 8}
+// scaleCells builds (once per process per scale factor) the sweep:
+// parallelism 1/2/4 on the plain CSR, then the partitioned layouts at
+// parallelism 4.
+func scaleCells(sf float64) []scaleCell {
+	g := scaleGraph(sf)
+	scaleGraphMu.Lock()
+	defer scaleGraphMu.Unlock()
+	cells, ok := scaleCellCache[sf]
+	if !ok {
+		csr := gpml.Snapshot(g)
+		cells = []scaleCell{
+			{"par=1", csr, 1},
+			{"par=2", csr, 2},
+			{"par=4", csr, 4},
+			{"parts=4", gpml.NewPartitioned(g, gpml.WithPartitions(4)), 4},
+			{"parts=4/mmap", gpml.NewPartitioned(g, gpml.WithPartitions(4), gpml.WithMmapArenas()), 4},
+		}
+		scaleCellCache[sf] = cells
+	}
+	return cells
+}
 
-func BenchmarkScaleEnumerate(b *testing.B) {
-	q := gpml.MustCompile(scaleEnumerateQuery)
+// benchScaleEval times full evaluation of src over every sweep cell.
+func benchScaleEval(b *testing.B, src string) {
+	q := gpml.MustCompile(src)
 	for _, sf := range scaleSFs(b) {
-		g := scaleGraph(sf)
-		for _, parts := range scaleParts {
-			st := scaleStore(g, parts)
-			b.Run(fmt.Sprintf("sf=%g/parts=%d", sf, parts), func(b *testing.B) {
+		for _, c := range scaleCells(sf) {
+			b.Run(fmt.Sprintf("sf=%g/%s", sf, c.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res, err := q.EvalStore(st, gpml.WithParallelism(parts), gpml.WithLimits(scaleLims))
-					if err != nil {
+					if _, err := q.EvalStore(c.st, gpml.WithParallelism(c.par), gpml.WithLimits(scaleLims)); err != nil {
 						b.Fatal(err)
 					}
-					_ = res.Rows
 				}
 			})
 		}
-		// Same shard count through mmap-backed arenas: the delta vs
-		// parts=4 is the page-cache cost of file-backed adjacency.
-		stm := gpml.NewPartitioned(g, gpml.WithPartitions(4), gpml.WithMmapArenas())
-		b.Run(fmt.Sprintf("sf=%g/parts=4/mmap", sf), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := q.EvalStore(stm, gpml.WithParallelism(4), gpml.WithLimits(scaleLims)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
+
+func BenchmarkScaleEnumerate(b *testing.B) { benchScaleEval(b, scaleEnumerateQuery) }
+
+func BenchmarkScaleBindJoin(b *testing.B) { benchScaleEval(b, scaleBindJoinQuery) }
 
 func BenchmarkScaleFirstRow(b *testing.B) {
 	q := gpml.MustCompile(scaleFirstRowQuery)
 	for _, sf := range scaleSFs(b) {
-		g := scaleGraph(sf)
-		for _, parts := range scaleParts {
-			st := scaleStore(g, parts)
-			b.Run(fmt.Sprintf("sf=%g/parts=%d", sf, parts), func(b *testing.B) {
+		for _, c := range scaleCells(sf) {
+			b.Run(fmt.Sprintf("sf=%g/%s", sf, c.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					rows, err := q.Stream(context.Background(), st, gpml.WithParallelism(parts), gpml.WithLimits(scaleLims))
+					rows, err := q.Stream(context.Background(), c.st, gpml.WithParallelism(c.par), gpml.WithLimits(scaleLims))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -152,24 +161,6 @@ func BenchmarkScaleFirstRow(b *testing.B) {
 						b.Fatal("no rows")
 					}
 					rows.Close()
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkScaleBindJoin(b *testing.B) {
-	q := gpml.MustCompile(scaleBindJoinQuery)
-	for _, sf := range scaleSFs(b) {
-		g := scaleGraph(sf)
-		for _, parts := range scaleParts {
-			st := scaleStore(g, parts)
-			b.Run(fmt.Sprintf("sf=%g/parts=%d", sf, parts), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := q.EvalStore(st, gpml.WithParallelism(parts), gpml.WithLimits(scaleLims)); err != nil {
-						b.Fatal(err)
-					}
 				}
 			})
 		}
@@ -219,18 +210,17 @@ func bestOf(rounds int, f func()) time.Duration {
 	return best
 }
 
-// TestScaleScatterSpeedup is the tier's headline gate: at SF >= 1, four
-// partitions with four workers must enumerate at least twice as fast as
-// the serial single-CSR floor. Wall-clock assertions are too noisy for
-// every `go test` run, and the speedup physically requires spare cores,
-// so the gate arms only under GPML_TIMING_GATES=1 on hosts with at
-// least 4 CPUs.
-func TestScaleScatterSpeedup(t *testing.T) {
+// TestScaleParallelSpeedup is the tier's headline gate: at SF >= 1, four
+// workers must enumerate at least twice as fast as one on the same CSR
+// snapshot. Wall-clock assertions are too noisy for every `go test` run,
+// and the speedup physically requires spare cores, so the gate arms only
+// under GPML_TIMING_GATES=1 on hosts with at least 4 CPUs.
+func TestScaleParallelSpeedup(t *testing.T) {
 	if os.Getenv("GPML_TIMING_GATES") != "1" {
 		t.Skip("set GPML_TIMING_GATES=1 to run wall-clock gates")
 	}
 	if runtime.NumCPU() < 4 {
-		t.Skipf("scatter speedup needs >= 4 CPUs, have %d", runtime.NumCPU())
+		t.Skipf("parallel speedup needs >= 4 CPUs, have %d", runtime.NumCPU())
 	}
 	sf := 1.0
 	if env := os.Getenv("GPML_SCALE_SF"); env != "" {
@@ -240,32 +230,29 @@ func TestScaleScatterSpeedup(t *testing.T) {
 			}
 		}
 	}
-	g := scaleGraph(sf)
 	q := gpml.MustCompile(scaleEnumerateQuery)
-	csr := gpml.Snapshot(g)
-	part := gpml.NewPartitioned(g, gpml.WithPartitions(4))
-	run := func(st gpml.Store, parallel int) func() {
+	csr := gpml.Snapshot(scaleGraph(sf))
+	run := func(parallel int) func() {
 		return func() {
-			if _, err := q.EvalStore(st, gpml.WithParallelism(parallel), gpml.WithLimits(scaleLims)); err != nil {
+			if _, err := q.EvalStore(csr, gpml.WithParallelism(parallel), gpml.WithLimits(scaleLims)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	run(csr, 1)() // warm both stores and the page cache
-	run(part, 4)()
-	serial := bestOf(3, run(csr, 1))
-	scatter := bestOf(3, run(part, 4))
-	t.Logf("sf=%g serial %v, parts=4 %v (%.2fx)", sf, serial, scatter, float64(serial)/float64(scatter))
-	if scatter*2 > serial {
-		t.Errorf("scatter speedup below 2x: serial %v vs parts=4 %v", serial, scatter)
+	run(1)() // warm the store
+	serial := bestOf(3, run(1))
+	parallel := bestOf(3, run(4))
+	t.Logf("sf=%g par=1 %v, par=4 %v (%.2fx)", sf, serial, parallel, float64(serial)/float64(parallel))
+	if parallel*2 > serial {
+		t.Errorf("parallel speedup below 2x: par=1 %v vs par=4 %v", serial, parallel)
 	}
 }
 
-// TestScaleFirstRowLatency gates the gather side: partition-pinned
-// scatter must not delay the head of the stream. First-row latency on
-// the partitioned store stays within 1.5x of the single-CSR serial
-// floor — the reorder emitter works the shard holding seed 0 first, so
-// the head arrives without waiting on the other shards.
+// TestScaleFirstRowLatency gates the gather side: a partitioned layout
+// under four workers must not delay the head of the stream. First-row
+// latency stays within 1.5x of the single-CSR serial floor — the reorder
+// emitter releases seed 0's chunk first, so the head arrives without
+// waiting on the other workers.
 func TestScaleFirstRowLatency(t *testing.T) {
 	if os.Getenv("GPML_TIMING_GATES") != "1" {
 		t.Skip("set GPML_TIMING_GATES=1 to run wall-clock gates")
@@ -290,9 +277,9 @@ func TestScaleFirstRowLatency(t *testing.T) {
 	firstRow(part, 4)()
 	const rounds = 5
 	floor := bestOf(rounds, firstRow(csr, 1))
-	scatter := bestOf(rounds, firstRow(part, 4))
-	t.Logf("first row: csr %v, parts=4 %v (%.2fx)", floor, scatter, float64(scatter)/float64(floor))
-	if scatter > floor+floor/2 {
-		t.Errorf("partitioned first-row latency %v exceeds 1.5x the single-CSR floor %v", scatter, floor)
+	parallel := bestOf(rounds, firstRow(part, 4))
+	t.Logf("first row: csr %v, parts=4 par=4 %v (%.2fx)", floor, parallel, float64(parallel)/float64(floor))
+	if parallel > floor+floor/2 {
+		t.Errorf("partitioned first-row latency %v exceeds 1.5x the single-CSR floor %v", parallel, floor)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"gpml"
 	"gpml/internal/dataset"
+	"gpml/internal/graph"
 )
 
 // conformanceQueries is the cross-backend battery: every query must return
@@ -191,4 +192,63 @@ func TestWithStoreAPI(t *testing.T) {
 	if err != nil || len(res.Rows) != 1 {
 		t.Errorf("eval-time store must win over the graph argument: %v rows=%d", err, len(res.Rows))
 	}
+}
+
+// TestGraphBuilderContract: a *Graph answers queries from a memoized
+// snapshot of itself, so every mutator — property updates included, the
+// snapshot copies records — must drop it: the next Match sees the new
+// state, and every pre-existing element keeps its dense index.
+func TestGraphBuilderContract(t *testing.T) {
+	g := conformanceGraph(t)
+	queries := []*gpml.Query{
+		gpml.MustCompile(`MATCH (x:Late)`),
+		gpml.MustCompile(`MATCH (x:Late)-[t:Transfer]->(y)`),
+		gpml.MustCompile(`MATCH (x:Late WHERE x.owner='z')`),
+		gpml.MustCompile(`MATCH ()-[t:Transfer WHERE t.amount=42]->()`),
+	}
+	nodeIdx := map[gpml.NodeID]graph.ElemIdx{}
+	edgeIdx := map[gpml.EdgeID]graph.ElemIdx{}
+	for _, id := range g.NodeIDs() {
+		nodeIdx[id], _ = g.InternNode(id)
+	}
+	for _, id := range g.EdgeIDs() {
+		edgeIdx[id], _ = g.InternEdge(id)
+	}
+	check := func(step string, want [4]int) {
+		t.Helper()
+		for i, q := range queries {
+			res, err := q.Eval(g)
+			if err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+			if len(res.Rows) != want[i] {
+				t.Errorf("%s: query %d returned %d rows, want %d", step, i, len(res.Rows), want[i])
+			}
+		}
+		for id, want := range nodeIdx {
+			if got, ok := g.InternNode(id); !ok || got != want {
+				t.Errorf("%s: node %s moved from index %d to %d", step, id, want, got)
+			}
+		}
+		for id, want := range edgeIdx {
+			if got, ok := g.InternEdge(id); !ok || got != want {
+				t.Errorf("%s: edge %s moved from index %d to %d", step, id, want, got)
+			}
+		}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("start", [4]int{0, 0, 0, 0}) // also builds the memo each mutation must drop
+	must(g.AddNode("late", []string{"Late"}, nil))
+	check("AddNode", [4]int{1, 0, 0, 0})
+	must(g.AddEdge("tlate", "late", "a0", []string{"Transfer"}, nil))
+	check("AddEdge", [4]int{1, 1, 0, 0})
+	must(g.SetNodeProp("late", "owner", gpml.Str("z")))
+	check("SetNodeProp", [4]int{1, 1, 1, 0})
+	must(g.SetEdgeProp("tlate", "amount", gpml.Int(42)))
+	check("SetEdgeProp", [4]int{1, 1, 1, 1})
 }

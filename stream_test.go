@@ -345,78 +345,12 @@ func TestStreamCallerCancelStillReportsError(t *testing.T) {
 	}
 }
 
-// The partition-pinned scatter variants: a quantified pattern on a
-// hash-partitioned store with parallelism > 1 runs the partitioned
-// scatter, where workers are pinned to partition arenas and a reorder emitter gathers
-// per-seed results. Abandoning the stream mid-gather and cancelling the
-// context mid-scatter must shut every pinned worker down promptly and
-// leak nothing. Run with -race (CI does).
 const partitionedLeakQuery = `MATCH (x:Account)-[:Transfer]->{1,2}(y:Account)`
 
-func TestStreamPartitionedCloseAbandonedNoLeak(t *testing.T) {
-	g := leakGraph()
-	q := gpml.MustCompile(partitionedLeakQuery)
-	baseline := runtime.NumGoroutine()
-	for _, parts := range []int{2, 3} {
-		st := gpml.NewPartitioned(g, gpml.WithPartitions(parts))
-		for round := 0; round < 3; round++ {
-			rows, err := q.Stream(context.Background(), st, gpml.WithParallelism(4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Pull a few rows so every partition's workers are live, then
-			// abandon the iterator mid-gather.
-			for i := 0; i < 3 && rows.Next(); i++ {
-			}
-			if err := rows.Err(); err != nil {
-				t.Fatal(err)
-			}
-			start := time.Now()
-			if err := rows.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if d := time.Since(start); d > 2*time.Second {
-				t.Errorf("parts=%d: Close took %v, want prompt shutdown", parts, d)
-			}
-			settleGoroutines(t, baseline)
-		}
-	}
-}
-
-func TestStreamPartitionedContextCancelNoLeak(t *testing.T) {
-	g := leakGraph()
-	q := gpml.MustCompile(partitionedLeakQuery)
-	baseline := runtime.NumGoroutine()
-	for _, parts := range []int{2, 3} {
-		st := gpml.NewPartitioned(g, gpml.WithPartitions(parts))
-		ctx, cancel := context.WithCancel(context.Background())
-		rows, err := q.Stream(ctx, st, gpml.WithParallelism(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rows.Next() {
-			t.Fatalf("parts=%d: no first row: %v", parts, rows.Err())
-		}
-		cancel()
-		start := time.Now()
-		for rows.Next() {
-			if time.Since(start) > 5*time.Second {
-				t.Fatalf("parts=%d: cancellation not observed by pinned workers", parts)
-			}
-		}
-		if err := rows.Err(); !errors.Is(err, context.Canceled) {
-			t.Fatalf("parts=%d: want context.Canceled, got %v", parts, err)
-		}
-		rows.Close()
-		settleGoroutines(t, baseline)
-	}
-}
-
-// TestStreamPartitionedCollectMatchesEval pins the gather-order
-// guarantee under early termination pressure: Stream+Collect on the
-// partitioned store is byte-identical to serial Eval on the same store
-// and to the CSR result, at parallelism beyond the partition count
-// (workers per shard) and below it (shard stealing).
+// TestStreamPartitionedCollectMatchesEval pins that partitioning is only
+// a layout: Stream+Collect of a quantified pattern on the partitioned
+// store is byte-identical to serial Eval on the CSR, at parallelism
+// beyond the partition count and below it.
 func TestStreamPartitionedCollectMatchesEval(t *testing.T) {
 	g := leakGraph()
 	q := gpml.MustCompile(partitionedLeakQuery)
