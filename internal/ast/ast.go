@@ -277,6 +277,22 @@ func (o Orientation) AllowsUndirected() bool {
 	return o == UndirectedEdge || o == LeftOrUndir || o == UndirOrRight || o == AnyOrientation
 }
 
+// Mirror returns the orientation that admits the same edges when they are
+// traversed from the other end (left and right swap).
+func (o Orientation) Mirror() Orientation {
+	switch o {
+	case Left:
+		return Right
+	case Right:
+		return Left
+	case LeftOrUndir:
+		return UndirOrRight
+	case UndirOrRight:
+		return LeftOrUndir
+	}
+	return o
+}
+
 // EdgePattern is an edge pattern in one of the seven orientations, e.g.
 // -[e:Transfer WHERE e.amount>5M]->, or an abbreviation such as ->.
 type EdgePattern struct {

@@ -104,6 +104,11 @@ func TestOrientationTables(t *testing.T) {
 			t.Errorf("%v: allows(left=%v,undir=%v,right=%v), want %+v",
 				o, o.AllowsLeft(), o.AllowsUndirected(), o.AllowsRight(), w)
 		}
+		// The mirror admits the same edges traversed from the other end.
+		m := o.Mirror()
+		if m.AllowsLeft() != w.right || m.AllowsUndirected() != w.undir || m.AllowsRight() != w.left || m.Mirror() != o {
+			t.Errorf("%v: mirror %v does not swap left and right", o, m)
+		}
 	}
 }
 

@@ -64,6 +64,31 @@ type NFA struct {
 // NumStates reports the number of states.
 func (n *NFA) NumStates() int { return len(n.States) }
 
+// Reverse builds the reversed language's automaton over the same state
+// numbering: each Step q→q' becomes q'→q with its orientation mirrored,
+// each Eps q→q' becomes q'→q under the same node guard, the forward start
+// is the only accepting state, and the start is the forward accepting
+// state — Compile interns at most one, the empty-stack configuration at
+// the single OpAccept; Start is -1 when acceptance is unreachable.
+func (n *NFA) Reverse() *NFA {
+	r := &NFA{Start: -1, States: make([]State, len(n.States))}
+	for q, s := range n.States {
+		if s.Accept {
+			r.Start = q
+		}
+		for _, e := range s.Eps {
+			r.States[e.To].Eps = append(r.States[e.To].Eps, Eps{To: q, Node: e.Node})
+		}
+		for _, st := range s.Steps {
+			mirrored := *st.Edge
+			mirrored.Orientation = mirrored.Orientation.Mirror()
+			r.States[st.To].Steps = append(r.States[st.To].Steps, Step{To: q, Edge: &mirrored})
+		}
+	}
+	r.States[n.Start].Accept = true
+	return r
+}
+
 // String renders the automaton for debugging.
 func (n *NFA) String() string {
 	var b strings.Builder

@@ -128,6 +128,46 @@ func TestZeroWidthRules(t *testing.T) {
 	}
 }
 
+// Reverse flips every transition over the same state numbering: guards
+// stay on their epsilon moves, steps mirror their orientation, and the
+// forward start and (single) accepting state swap roles.
+func TestReverse(t *testing.T) {
+	for _, src := range []string{
+		`MATCH ALL SHORTEST (a)-[e:T]->(b)<~[f:U]~(c)`,
+		`MATCH ALL SHORTEST (a) [()-[e:T]->() | ()<-[f:T]-()]{2,} (b WHERE b.x = 1)`,
+		`MATCH ANY SHORTEST (a)-[e:T]-{1,4}(b)`,
+	} {
+		n, err := Compile(prog(t, src), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := n.Reverse()
+		if _, _, _, accepts := counts(n); accepts != 1 || !n.States[r.Start].Accept || !r.States[n.Start].Accept {
+			t.Fatalf("%s: start %d of the reversal is not the one forward accept\n%s", src, r.Start, n)
+		}
+		if eps, guarded, steps, accepts := counts(r); accepts != 1 {
+			t.Errorf("%s: reversal has %d accepting states", src, accepts)
+		} else if e2, g2, s2, _ := counts(n); eps != e2 || guarded != g2 || steps != s2 {
+			t.Errorf("%s: reversal has eps=%d guarded=%d steps=%d, forward %d/%d/%d", src, eps, guarded, steps, e2, g2, s2)
+		}
+		for q, s := range n.States {
+			for _, st := range s.Steps {
+				found := false
+				for _, back := range r.States[st.To].Steps {
+					found = found || back.To == q && back.Edge.Orientation == st.Edge.Orientation.Mirror() && back.Edge.Label == st.Edge.Label
+				}
+				if !found {
+					t.Errorf("%s: step %d→%d has no mirrored reverse", src, q, st.To)
+				}
+			}
+		}
+	}
+	// An unreachable accept leaves the reversal without a start state.
+	if n, err := Compile(prog(t, `MATCH ANY SHORTEST (x) [(y)]{2,2} (z)`), true); err != nil || n.Reverse().Start != -1 {
+		t.Errorf("DFS-rule zero-width {2,2}: reversal start should be -1 (err %v)", err)
+	}
+}
+
 // epsilonAccepts reports whether an accept state is reachable from the
 // start through epsilon transitions alone (node guards ignored).
 func epsilonAccepts(n *NFA) bool {

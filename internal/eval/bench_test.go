@@ -1,12 +1,15 @@
 package eval
 
 import (
+	"math/rand"
 	"testing"
 
 	"gpml/internal/dataset"
+	"gpml/internal/graph"
 	"gpml/internal/normalize"
 	"gpml/internal/parser"
 	"gpml/internal/plan"
+	"gpml/internal/value"
 )
 
 func benchPlan(b *testing.B, src string) *plan.Plan {
@@ -71,6 +74,75 @@ func BenchmarkAllShortestPointToPoint(b *testing.B) {
 			b.Fatal(err, len(res.Rows))
 		}
 	}
+}
+
+// Point-to-point shortest paths between two people on the SNB graph the
+// serving benchmark uses (SF 0.3, seed 42), tier-1: the source is drawn
+// from the persons with 3,000–4,500 two-hop knows walks and the target
+// from those with 3–6 knows edges, as the snb_traversal workload draws
+// them, and the two texts are its all_shortest and any_shortest shapes.
+// Iterations cycle through 16 fixed pairs.
+func BenchmarkShortestSNBPair(b *testing.B) {
+	c := graph.Snapshot(dataset.SNB(dataset.SNBConfig{ScaleFactor: 0.3, Seed: 42}))
+	pairs := snbPairs(c, 16, rand.New(rand.NewSource(1)))
+	for _, bc := range []struct{ name, query string }{
+		{"all_shortest", `MATCH ALL SHORTEST p = (a:Person WHERE a.firstName=$src)-[:knows]-+(b:Person WHERE b.firstName=$dst)`},
+		{"any_shortest", `MATCH ANY SHORTEST p = (a:Person WHERE a.firstName=$src)-[:knows]-{1,4}(b:Person WHERE b.firstName=$dst)`},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			p := benchPlan(b, bc.query)
+			for i := 0; i < b.N; i++ {
+				pair := pairs[i%len(pairs)]
+				cfg := Config{Params: Params{"src": value.Str(pair[0]), "dst": value.Str(pair[1])}}
+				if _, err := EvalPlan(c, p, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// snbPairs draws n (source, target) firstName pairs from an SNB snapshot:
+// sources with 3,000–4,500 two-hop knows walks, targets with 3–6 knows
+// edges, each pool in insertion order and drawn by a permutation.
+func snbPairs(c *graph.CSR, n int, rng *rand.Rand) [][2]string {
+	knows := func(p int, f func(other int)) {
+		c.Steps(p, func(e, other int, _ graph.StepKind) bool {
+			if c.EdgeByIndex(e).HasLabel("knows") {
+				f(other)
+			}
+			return true
+		})
+	}
+	var persons []int
+	c.NodesWithLabelIdx("Person", func(i int) bool {
+		persons = append(persons, i)
+		return true
+	})
+	w1, w2 := map[int]int{}, map[int]int{}
+	for _, p := range persons {
+		knows(p, func(int) { w1[p]++ })
+	}
+	for _, p := range persons {
+		knows(p, func(o int) { w2[p] += w1[o] })
+	}
+	band := func(w map[int]int, lo, hi int) []string {
+		var out []string
+		for _, p := range persons {
+			if w[p] >= lo && w[p] <= hi {
+				s, _ := c.NodeByIndex(p).Prop("firstName").AsString()
+				out = append(out, s)
+			}
+		}
+		return out
+	}
+	srcs, dsts := band(w2, 3000, 4500), band(w1, 3, 6)
+	sp, dp := rng.Perm(len(srcs)), rng.Perm(len(dsts))
+	out := make([][2]string, n)
+	for i := range out {
+		out[i] = [2]string{srcs[sp[i%len(sp)]], dsts[dp[i%len(dp)]]}
+	}
+	return out
 }
 
 // Predicate evaluation in the hot loop.

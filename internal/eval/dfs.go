@@ -463,7 +463,9 @@ func (m *dfs) stepEdge(in *plan.Instr) error {
 	if !m.started {
 		return fmt.Errorf("eval: edge pattern before any node pattern (normalization bug)")
 	}
-	if len(m.pathEdges) >= m.limits.MaxDepth {
+	// A replayed path is already within the depth limit: the automaton
+	// search cuts there, like the BFS engine, rather than failing.
+	if m.pathSteps == nil && len(m.pathEdges) >= m.limits.MaxDepth {
 		return &LimitError{What: "path depth", Limit: m.limits.MaxDepth}
 	}
 	if m.ticks++; m.ticks%cancelCheckInterval == 0 {

@@ -24,8 +24,8 @@ import (
 // alternation, optionals, the mixed orientations, memoryless WHEREs — and
 // the graphs are randomized over sizes, degrees and seeds, plus the
 // structural corner cases (multi-edges, self-loops) and the paper's
-// Figure 1.
-var diffQueries = []string{
+// Figure 1. The endpoint templates (below) ride along.
+var diffQueries = append([]string{
 	`MATCH ALL SHORTEST p = (a)-[e:Transfer]->+(b)`,
 	`MATCH ALL SHORTEST p = (a:Account)-[e:Transfer]->+(b WHERE b.isBlocked='yes')`,
 	`MATCH ALL SHORTEST (a)-[e:Transfer]-{1,4}(b)`,
@@ -44,7 +44,7 @@ var diffQueries = []string{
 	`MATCH SHORTEST 2 p = (a WHERE a.owner='owner0')-[:Transfer]->+(z:Account)`,
 	`MATCH ALL SHORTEST p = (a WHERE a.owner='Dave')-[t:Transfer]->+(b WHERE b.owner='Aretha')`,
 	`MATCH ANY SHORTEST p = (a WHERE a.owner='Dave')-[t:Transfer]->{1,4}(b)`,
-}
+}, endpointQueries...)
 
 // cornerGraph holds the structural corner cases beside a small banking
 // shape: directed and undirected multi-edges and self-loops.
@@ -86,7 +86,7 @@ func enumeratingMatch(t *testing.T, s graph.Store, pp *plan.PathPlan, cfg Config
 		return nil
 	})
 	var err error
-	forEachSeed(st, pp, func(i int) bool {
+	forEachNode(st, pp.SeedLabels, func(i int) bool {
 		err = run(i)
 		return err == nil
 	})
@@ -101,8 +101,9 @@ func enumeratingMatch(t *testing.T, s graph.Store, pp *plan.PathPlan, cfg Config
 // checkEngineParity compares the automaton engine with the enumerating
 // one on every pattern of the plan engineFor routes to the automaton, on
 // the map store and its CSR snapshot (which exercises the native arena
-// Stepper). It returns how many patterns were compared.
-func checkEngineParity(t *testing.T, label string, g *graph.Graph, p *plan.Plan, cfg Config) int {
+// Stepper), plus any extra stores given. It returns how many patterns were
+// compared.
+func checkEngineParity(t *testing.T, label string, g *graph.Graph, p *plan.Plan, cfg Config, extra ...graph.Store) int {
 	t.Helper()
 	compared := 0
 	for _, pp := range p.Paths {
@@ -110,7 +111,7 @@ func checkEngineParity(t *testing.T, label string, g *graph.Graph, p *plan.Plan,
 			continue
 		}
 		compared++
-		for si, s := range []graph.Store{g, graph.Snapshot(g)} {
+		for si, s := range append([]graph.Store{g, graph.Snapshot(g)}, extra...) {
 			auto, err := MatchPattern(s, pp, cfg)
 			if err != nil {
 				t.Fatalf("%s store %d pattern %d: MatchPattern: %v", label, si, pp.Index, err)
@@ -124,6 +125,202 @@ func checkEngineParity(t *testing.T, label string, g *graph.Graph, p *plan.Plan,
 		}
 	}
 	return compared
+}
+
+// backwardLayers runs the automaton engine over every seed of the pattern
+// and counts the layers its backward side advanced — the evidence that a
+// battery reached the endpoint-aware half of the search rather than only
+// its forward-only degenerate case.
+func backwardLayers(t *testing.T, s graph.Store, pp *plan.PathPlan, cfg Config) int {
+	t.Helper()
+	st := graph.AsStepper(s)
+	a := newAutoEngine(st, pp, cfg, newBudget(cfg.Limits.withDefaults()), func(*binding.PathBinding) error { return nil })
+	layers := 0
+	forEachNode(st, pp.SeedLabels, func(i int) bool {
+		a.bwd.depth = 0 // a rejected seed leaves the previous seed's count
+		if err := a.run(i); err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		layers += a.bwd.depth
+		return true
+	})
+	return layers
+}
+
+// endpointQueries are templates with few targets, so the endpoint-aware
+// search's backward side runs: single-target tails in every orientation,
+// zero-length matches (the seed is its own target, meeting at layer 0), a
+// guard between two quantifiers (the §5.2 prefilter shape), a target
+// label no matching edge reaches, several targets settling at different
+// depths, and bounded ANY SHORTEST.
+var endpointQueries = []string{
+	`MATCH ALL SHORTEST p = (a)-[e:Transfer]->+(b WHERE b.owner='owner3')`,
+	`MATCH ALL SHORTEST p = (a WHERE a.owner='owner0')-[e:Transfer]->+(b:Account WHERE b.isBlocked='yes')`,
+	`MATCH ALL SHORTEST p = (a:Account)<-[e:Transfer]-{1,5}(b WHERE b.owner='owner3')`,
+	`MATCH ALL SHORTEST p = (a WHERE a.owner='owner1')-[t]-+(b WHERE b.owner='owner5')`,
+	`MATCH ANY SHORTEST (a)~[e:hasPhone]~{1,3}(b WHERE b.owner='owner1')`,
+	`MATCH ALL SHORTEST p = (a)-[e:Transfer]->{0,4}(b WHERE b.owner='owner2')`,
+	`MATCH ALL SHORTEST p = (x)-[e1:Transfer]->+(q:Account WHERE q.isBlocked='yes')-[e2:Transfer]->+(r WHERE r.owner='owner4')`,
+	`MATCH ALL SHORTEST p = (a:Account)-[e:Transfer]->+(b:Phone)`,
+	`MATCH ANY SHORTEST p = (a)-[e:Transfer]->{1,6}(b WHERE b.owner='owner7')`,
+}
+
+// tombstoned returns an overlay epoch over g with dead holes: the node
+// owning 'owner3' is deleted and an account owning 'owner3' is re-added
+// above the base span with Transfer edges from and to two survivors, so a
+// target scan meets a tombstoned index and a live copy in the delta.
+func tombstoned(t *testing.T, g *graph.Graph) graph.Store {
+	t.Helper()
+	ov := graph.NewOverlay(graph.Snapshot(g))
+	b := ov.Begin()
+	var victim graph.NodeID
+	g.Nodes(func(n *graph.Node) bool {
+		if s, _ := n.Prop("owner").AsString(); s == "owner3" {
+			victim = n.ID
+		}
+		return victim == ""
+	})
+	if victim != "" {
+		b.DeleteNode(victim)
+	}
+	props := map[string]value.Value{"owner": value.Str("owner3"), "isBlocked": value.Str("no")}
+	b.AddNode("x3", []string{"Account"}, props)
+	var wired int
+	g.Nodes(func(n *graph.Node) bool {
+		if n.ID != victim && n.HasLabel("Account") {
+			amount := map[string]value.Value{"amount": value.Int(5_000_000)}
+			if wired == 0 {
+				b.AddEdge("xt0", n.ID, "x3", []string{"Transfer"}, amount)
+			} else {
+				b.AddEdge("xt1", "x3", n.ID, []string{"Transfer"}, amount)
+			}
+			wired++
+		}
+		return wired < 2
+	})
+	if err := ov.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	return ov.Snapshot()
+}
+
+// TestEndpointSearchAgreesWithEnumeration is the battery for the backward
+// half of the automaton search: every endpoint template, on every graph,
+// on the map, CSR and tombstoned-overlay stores, byte-compared with the
+// enumerating engine — and each template must have advanced the backward
+// side somewhere, so the battery cannot pass on the forward-only route. A
+// depth cut (BFS-mode templates, whose enumerating engine abandons threads
+// at the limit) and a power-law SNB graph with single-person targets
+// follow.
+func TestEndpointSearchAgreesWithEnumeration(t *testing.T) {
+	graphs := []*graph.Graph{
+		dataset.Random(dataset.RandomConfig{Accounts: 14, AvgDegree: 2, Phones: 4, BlockedFraction: 0.2, Seed: 1, UndirectedPhones: true}),
+		dataset.Random(dataset.RandomConfig{Accounts: 30, AvgDegree: 3, Cities: 5, Phones: 8, BlockedFraction: 0.15, Seed: 7, UndirectedPhones: true}),
+		dataset.Random(dataset.RandomConfig{Accounts: 40, AvgDegree: 1.5, BlockedFraction: 0.3, Seed: 23}),
+		dataset.Cycle(9),
+		dataset.Chain(12),
+		cornerGraph(),
+	}
+	for _, src := range endpointQueries {
+		p := compile(t, src, plan.Options{})
+		if engine, _ := engineFor(p.Paths[0]); engine != EngineAutomaton {
+			t.Fatalf("%s: engine %s, want the automaton", src, engine)
+		}
+		layers := 0
+		for gi, g := range graphs {
+			over := tombstoned(t, g)
+			checkEngineParity(t, fmt.Sprintf("%s graph %d", src, gi), g, p, Config{}, over)
+			// Parallel workers share one target scan through the budget.
+			checkEngineParity(t, fmt.Sprintf("%s graph %d parallel", src, gi), g, p, Config{Parallelism: 2})
+			for _, s := range []graph.Store{g, over} {
+				layers += backwardLayers(t, s, p.Paths[0], Config{})
+			}
+			if p.Paths[0].Mode == plan.ModeBFS {
+				cut := Config{Limits: Limits{MaxDepth: 3}}
+				checkEngineParity(t, fmt.Sprintf("%s graph %d depth 3", src, gi), g, p, cut, over)
+				layers += backwardLayers(t, g, p.Paths[0], cut)
+			}
+		}
+		if layers == 0 {
+			t.Errorf("%s: the backward side never advanced", src)
+		}
+	}
+
+	snb := dataset.SNB(dataset.SNBConfig{ScaleFactor: 0.02, Seed: 3})
+	pairs := snbPairsAtDistance(graph.Snapshot(snb), 3, 3)
+	if len(pairs) < 3 {
+		t.Fatalf("SNB pairs: %v", pairs)
+	}
+	for _, src := range []string{
+		`MATCH ALL SHORTEST p = (a:Person WHERE a.firstName=$src)-[:knows]-+(b:Person WHERE b.firstName=$dst)`,
+		`MATCH ANY SHORTEST p = (a:Person WHERE a.firstName=$src)-[:knows]-{1,4}(b:Person WHERE b.firstName=$dst)`,
+	} {
+		p := compile(t, src, plan.Options{})
+		layers := 0
+		for _, pair := range pairs {
+			cfg := Config{Params: Params{"src": value.Str(pair[0]), "dst": value.Str(pair[1])}}
+			checkEngineParity(t, fmt.Sprintf("%s %v", src, pair), snb, p, cfg)
+			layers += backwardLayers(t, snb, p.Paths[0], cfg)
+		}
+		if layers == 0 {
+			t.Errorf("%s: the backward side never advanced on SNB", src)
+		}
+	}
+}
+
+// snbPairsAtDistance picks, in insertion order, n (source, target)
+// firstName pairs of SNB persons with at most four knows edges each and
+// exactly dist knows hops apart (a plain adjacency BFS, independent of the
+// engines): far enough that a search meets in the middle, sparse enough
+// that the enumerating engines stay cheap.
+func snbPairsAtDistance(c *graph.CSR, n, dist int) [][2]string {
+	knows := func(p int, f func(int)) {
+		c.Steps(p, func(e, other int, _ graph.StepKind) bool {
+			if c.EdgeByIndex(e).HasLabel("knows") {
+				f(other)
+			}
+			return true
+		})
+	}
+	var sparse []int
+	c.NodesWithLabelIdx("Person", func(i int) bool {
+		deg := 0
+		knows(i, func(int) { deg++ })
+		if deg <= 4 {
+			sparse = append(sparse, i)
+		}
+		return true
+	})
+	name := func(i int) string {
+		s, _ := c.NodeByIndex(i).Prop("firstName").AsString()
+		return s
+	}
+	var out [][2]string
+	for _, src := range sparse {
+		hops := map[int]int{src: 0}
+		for frontier := []int{src}; len(frontier) > 0; {
+			var next []int
+			for _, u := range frontier {
+				knows(u, func(v int) {
+					if _, seen := hops[v]; !seen {
+						hops[v] = hops[u] + 1
+						next = append(next, v)
+					}
+				})
+			}
+			frontier = next
+		}
+		for _, dst := range sparse {
+			if hops[dst] == dist {
+				out = append(out, [2]string{name(src), name(dst)})
+				break
+			}
+		}
+		if len(out) == n {
+			break
+		}
+	}
+	return out
 }
 
 // corpusGraphs are the conformance-corpus graphs (see the root

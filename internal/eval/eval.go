@@ -258,7 +258,7 @@ func Enumerate(s graph.Store, pp *plan.PathPlan, cfg Config) ([]*binding.PathBin
 		return nil
 	})
 	var err error
-	forEachSeed(st, pp, func(i int) bool {
+	forEachNode(st, pp.SeedLabels, func(i int) bool {
 		err = run(i)
 		return err == nil
 	})
@@ -268,12 +268,13 @@ func Enumerate(s graph.Store, pp *plan.PathPlan, cfg Config) ([]*binding.PathBin
 	return out, nil
 }
 
-// forEachSeed streams the candidate start node indices in iteration
-// order. When the plan proved seed labels, the cheapest one (by the
-// store's label counts) restricts the candidates; the engines re-check
-// the full node pattern at each seed, so any sound label works.
-func forEachSeed(st graph.Stepper, pp *plan.PathPlan, f func(i int) bool) {
-	if label, ok := graph.CheapestNodeLabel(st, pp.SeedLabels); ok {
+// forEachNode streams the candidate node indices for an endpoint the plan
+// proved labels for (SeedLabels for the first node, TailLabels for the
+// last), in iteration order: the cheapest proven label (by the store's
+// label counts) restricts the candidates; the engines re-check the full
+// node pattern, so any sound label works.
+func forEachNode(st graph.Stepper, labels []string, f func(i int) bool) {
+	if label, ok := graph.CheapestNodeLabel(st, labels); ok {
 		st.NodesWithLabelIdx(label, f)
 		return
 	}
@@ -294,7 +295,7 @@ func forEachSeed(st graph.Stepper, pp *plan.PathPlan, f func(i int) bool) {
 // over the parallel worker pool.
 func seedNodes(st graph.Stepper, pp *plan.PathPlan) []int {
 	var out []int
-	forEachSeed(st, pp, func(i int) bool {
+	forEachNode(st, pp.SeedLabels, func(i int) bool {
 		out = append(out, i)
 		return true
 	})

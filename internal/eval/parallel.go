@@ -24,6 +24,23 @@ type budget struct {
 	// set once, before any engine runs, and never mutated afterwards, so
 	// concurrent workers read it without synchronization.
 	check func() error
+	// targets is the automaton engine's endpoint set: scanned at most once
+	// per evaluation and shared by every seed run and worker.
+	targets targetSet
+}
+
+// targetSet is a lazily computed, concurrently shared list of node indices.
+type targetSet struct {
+	once  sync.Once
+	nodes []int32
+	err   error
+}
+
+// load computes the set on first use; later callers, concurrent ones
+// included, get the same result.
+func (ts *targetSet) load(scan func() ([]int32, error)) ([]int32, error) {
+	ts.once.Do(func() { ts.nodes, ts.err = scan() })
+	return ts.nodes, ts.err
 }
 
 // cancelCheckInterval is how many edge expansions an engine performs
@@ -39,7 +56,7 @@ func newBudget(lims Limits) *budget {
 }
 
 // checkCancel polls the cancellation hook; engines call it every
-// cancelCheckInterval edge expansions.
+// cancelCheckInterval edge expansions (the automaton engine: incidences).
 func (b *budget) checkCancel() error {
 	if b.check == nil {
 		return nil

@@ -101,6 +101,8 @@ type PathPlan struct {
 
 	autoOnce sync.Once
 	auto     any
+	revOnce  sync.Once
+	rev      any
 }
 
 // CompiledAutomaton memoizes the pattern's compiled automaton across
@@ -110,6 +112,13 @@ type PathPlan struct {
 func (pp *PathPlan) CompiledAutomaton(build func() any) any {
 	pp.autoOnce.Do(func() { pp.auto = build() })
 	return pp.auto
+}
+
+// ReversedAutomaton memoizes the reversed automaton the evaluator searches
+// backward from a pattern's endpoints with, exactly like CompiledAutomaton.
+func (pp *PathPlan) ReversedAutomaton(build func() any) any {
+	pp.revOnce.Do(func() { pp.rev = build() })
+	return pp.rev
 }
 
 // ParamUse records one $name placeholder: its name and the source position

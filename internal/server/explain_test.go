@@ -15,8 +15,9 @@ import (
 
 // TestExplainServedJoinPlans pins the /explain plan lines of the two
 // multi-pattern texts the serving benchmark sends (bench/workloads.go,
-// shapes triangle and colike_bindjoin) on a small SNB graph: engine per
-// pattern, join order, seed variables and streaming notes. What Explain
+// shapes triangle and colike_bindjoin) and of its two selector shapes
+// (all_shortest, any_shortest) on a small SNB graph: engine per pattern,
+// automaton size, join order, seed variables and streaming notes. What Explain
 // prints is what runs — there is one pipeline — so a change here is a
 // change of the served plan.
 func TestExplainServedJoinPlans(t *testing.T) {
@@ -48,6 +49,14 @@ func TestExplainServedJoinPlans(t *testing.T) {
 			"join stats: nodes=410 edges=3068 avg-degree=15",
 			"join step 0: pattern 0 scan est-rows=60.2 [streaming]",
 			"join step 1: pattern 1 bind-join seed=a est-per-seed=8.51 [streaming]",
+		}},
+		// Both selector shapes run on the automaton; the bounded one's
+		// {1,4} unrolls into 33 states against the unbounded one's 17.
+		{"all_shortest", `MATCH ALL SHORTEST p = (a:Person WHERE a.firstName=$src)-[:knows]-+(b:Person WHERE b.firstName=$dst)`, []string{
+			"pattern 0: engine=automaton selector=ALL SHORTEST seed-labels=Person target-labels=Person states=17 stages=enumerate→reduce→dedup→select ALL SHORTEST[blocking]→sort[blocking]",
+		}},
+		{"any_shortest", `MATCH ANY SHORTEST p = (a:Person WHERE a.firstName=$src)-[:knows]-{1,4}(b:Person WHERE b.firstName=$dst)`, []string{
+			"pattern 0: engine=automaton selector=ANY SHORTEST seed-labels=Person target-labels=Person states=33 stages=enumerate→reduce→dedup→select ANY SHORTEST[blocking]→sort[blocking]",
 		}},
 	} {
 		body, err := json.Marshal(map[string]string{"query": tc.query, "graph": "snb"})
