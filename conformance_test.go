@@ -64,32 +64,8 @@ var conformanceGraphs = map[string]func() *gpml.Graph{
 	"random1": func() *gpml.Graph {
 		return dataset.Random(dataset.RandomConfig{Accounts: 30, AvgDegree: 2, Cities: 4, Phones: 6, BlockedFraction: 0.2, Seed: 1, UndirectedPhones: true})
 	},
-	// cyclic holds the cyclic join shapes: a directed 4-cycle (Hop), a
-	// diamond (Road), and a triangle with a pendant edge (Wire), each shape
-	// on its own edge label so the three cyclic corpus cases stay
-	// independent. The parallel edges (h5, w5) make the per-pattern edge
-	// cross product non-trivial.
-	"cyclic": func() *gpml.Graph {
-		b := gpml.NewBuilder()
-		for _, id := range []string{"c1", "c2", "c3", "c4", "d1", "d2", "d3", "d4", "t1", "t2", "t3", "t4"} {
-			b.Node(id, []string{"V"}, "name", id)
-		}
-		b.Edge("h1", "c1", "c2", []string{"Hop"})
-		b.Edge("h2", "c2", "c3", []string{"Hop"})
-		b.Edge("h3", "c3", "c4", []string{"Hop"})
-		b.Edge("h4", "c4", "c1", []string{"Hop"})
-		b.Edge("h5", "c1", "c2", []string{"Hop"})
-		b.Edge("r1", "d1", "d2", []string{"Road"})
-		b.Edge("r2", "d1", "d3", []string{"Road"})
-		b.Edge("r3", "d2", "d4", []string{"Road"})
-		b.Edge("r4", "d3", "d4", []string{"Road"})
-		b.Edge("w1", "t1", "t2", []string{"Wire"})
-		b.Edge("w2", "t2", "t3", []string{"Wire"})
-		b.Edge("w3", "t3", "t1", []string{"Wire"})
-		b.Edge("w4", "t3", "t4", []string{"Wire"})
-		b.Edge("w5", "t1", "t2", []string{"Wire"})
-		return b.MustBuild()
-	},
+	// cyclic holds the cyclic join shapes, one edge label per corpus case.
+	"cyclic": dataset.CyclicJoins,
 }
 
 func parseConformanceCase(t *testing.T, path string) *conformanceCase {

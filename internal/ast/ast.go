@@ -435,6 +435,43 @@ func (q *Quantified) String() string {
 	return fmt.Sprintf("%s{%d,%d}", q.Inner.String(), q.Min, q.Max)
 }
 
+// Reverse returns the pattern expression that matches every path of e
+// walked from its last node to its first: concatenations run back to
+// front and every edge's orientation is mirrored, while labels, WHERE
+// clauses, restrictors, quantifier bounds and the order of union branches
+// are kept. The input is not modified; nodes without path-expression
+// children are shared. Reverse(Reverse(e)) prints as e.
+func Reverse(e PathExpr) PathExpr {
+	switch x := e.(type) {
+	case *Concat:
+		elems := make([]PathExpr, len(x.Elems))
+		for i, el := range x.Elems {
+			elems[len(elems)-1-i] = Reverse(el)
+		}
+		return &Concat{Elems: elems}
+	case *EdgePattern:
+		m := *x
+		m.Orientation = x.Orientation.Mirror()
+		return &m
+	case *Paren:
+		m := *x
+		m.Expr = Reverse(x.Expr)
+		return &m
+	case *Quantified:
+		m := *x
+		m.Inner = Reverse(x.Inner)
+		return &m
+	case *Union:
+		branches := make([]PathExpr, len(x.Branches))
+		for i, br := range x.Branches {
+			branches[i] = Reverse(br)
+		}
+		return &Union{Branches: branches, Ops: x.Ops}
+	default:
+		return e
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Anonymous variables
 // ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ package binding
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -192,6 +193,16 @@ func (b *PathBinding) Reduce() *Reduced {
 		r.Cols[i] = ReducedCol{Var: ast.ReducedVar(e.Var), Kind: e.Kind, Idx: e.Idx}
 	}
 	return r
+}
+
+// Reversed returns the binding of the same match walked from its last node
+// to its first: columns and path in reverse order; tags, path variable and
+// store kept. A tail-seeded join step runs a pattern's mirror and flips
+// each solution back with it.
+func (r *Reduced) Reversed() *Reduced {
+	out := &Reduced{Cols: slices.Clone(r.Cols), Tags: r.Tags, Path: r.Path.Reversed(), PathVar: r.PathVar, Src: r.Src}
+	slices.Reverse(out.Cols)
+	return out
 }
 
 // ColID materializes the element id of column i.

@@ -25,6 +25,26 @@ func Chain(n int) *graph.Graph {
 	return b.MustBuild()
 }
 
+// CyclicJoins holds the cyclic join shapes of the conformance corpus: a
+// directed 4-cycle (Hop), a diamond (Road), and a triangle with a pendant
+// edge (Wire), each shape on its own edge label so the cases stay
+// independent. The parallel edges (h5, w5) make the per-pattern edge cross
+// product non-trivial.
+func CyclicJoins() *graph.Graph {
+	b := graph.NewBuilder()
+	for _, id := range []string{"c1", "c2", "c3", "c4", "d1", "d2", "d3", "d4", "t1", "t2", "t3", "t4"} {
+		b.Node(id, []string{"V"}, "name", id)
+	}
+	for _, e := range [][4]string{
+		{"h1", "c1", "c2", "Hop"}, {"h2", "c2", "c3", "Hop"}, {"h3", "c3", "c4", "Hop"}, {"h4", "c4", "c1", "Hop"}, {"h5", "c1", "c2", "Hop"},
+		{"r1", "d1", "d2", "Road"}, {"r2", "d1", "d3", "Road"}, {"r3", "d2", "d4", "Road"}, {"r4", "d3", "d4", "Road"},
+		{"w1", "t1", "t2", "Wire"}, {"w2", "t2", "t3", "Wire"}, {"w3", "t3", "t1", "Wire"}, {"w4", "t3", "t4", "Wire"}, {"w5", "t1", "t2", "Wire"},
+	} {
+		b.Edge(e[0], e[1], e[2], []string{e[3]})
+	}
+	return b.MustBuild()
+}
+
 // Cycle builds a directed Transfer ring of n accounts: the adversarial
 // case for unrestricted path enumeration (infinitely many walks), used to
 // demonstrate restrictor/selector termination.

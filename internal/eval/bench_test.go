@@ -102,6 +102,25 @@ func BenchmarkShortestSNBPair(b *testing.B) {
 	}
 }
 
+// The snb_traversal workload's triangle on the same SNB graph (tier-1): the
+// start person is drawn like BenchmarkShortestSNBPair's sources, from the
+// persons with 3,000–4,500 two-hop knows walks, as the workload draws it,
+// and iterations cycle through 16 of them. The closing pattern binds a at
+// its tail, so the plan seeds it from a once instead of from every c.
+func BenchmarkTriangleSNB(b *testing.B) {
+	c := graph.Snapshot(dataset.SNB(dataset.SNBConfig{ScaleFactor: 0.3, Seed: 42}))
+	starts := snbPairs(c, 16, rand.New(rand.NewSource(1)))
+	p := benchPlan(b, `MATCH (a:Person WHERE a.firstName=$name)-[:knows]-(b:Person), (b)-[:knows]-(c:Person), (c)-[:knows]-(a)`)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg := Config{Params: Params{"name": value.Str(starts[i%len(starts)][0])}}
+		if _, err := EvalPlan(c, p, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // snbPairs draws n (source, target) firstName pairs from an SNB snapshot:
 // sources with 3,000–4,500 two-hop knows walks, targets with 3–6 knows
 // edges, each pool in insertion order and drawn by a permutation.

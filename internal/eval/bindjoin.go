@@ -16,7 +16,11 @@ import (
 // plan.OrderJoin, and each already-joined row's shared endpoint bindings
 // become the seed set of the next pattern's engine run: a pattern whose
 // head variable is already bound only ever explores matches starting at
-// the handful of nodes the join has produced so far. The pipeline is
+// the handful of nodes the join has produced so far. A pattern whose tail
+// variable is bound instead runs its mirror (plan.PathPlan.Mirrored) from
+// the tail, and each solution is flipped back (binding.Reduced.Reversed)
+// before it is joined; the planner only offers tail seeds where the flip
+// is exact (plan.mirrorable), so the rows are the same. The pipeline is
 // fully streaming — rows flow through a chain of join-step cursors (see
 // stream.go), and each step solves a seed node the first time an input
 // row demands it, memoizing per seed.

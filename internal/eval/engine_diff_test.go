@@ -330,6 +330,28 @@ var corpusGraphs = map[string]func() *graph.Graph{
 	"grid4": func() *graph.Graph { return dataset.Grid(4, 4) },
 }
 
+// readCorpusCase returns a conformance case's query and the name of the
+// graph it runs on.
+func readCorpusCase(t *testing.T, path string) (query, graphName string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, rest, ok := strings.Cut(string(raw), "\nquery:\n")
+	if !ok {
+		t.Fatalf("%s: missing query: section", path)
+	}
+	query, _, _ = strings.Cut(rest, "\n-- result --")
+	graphName = "fig1"
+	for _, line := range strings.Split(head, "\n") {
+		if v, ok := strings.CutPrefix(strings.TrimSpace(line), "graph:"); ok {
+			graphName = strings.TrimSpace(v)
+		}
+	}
+	return query, graphName
+}
+
 // TestEnginesAgreeOnCorpus runs the parity check over every pattern of
 // the testdata/conformance corpus and of the diffQueries battery that
 // engineFor routes to the automaton.
@@ -340,21 +362,7 @@ func TestEnginesAgreeOnCorpus(t *testing.T) {
 	}
 	corpus := 0
 	for _, path := range files {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		head, rest, ok := strings.Cut(string(raw), "\nquery:\n")
-		if !ok {
-			t.Fatalf("%s: missing query: section", path)
-		}
-		query, _, _ := strings.Cut(rest, "\n-- result --")
-		name := "fig1"
-		for _, line := range strings.Split(head, "\n") {
-			if v, ok := strings.CutPrefix(strings.TrimSpace(line), "graph:"); ok {
-				name = strings.TrimSpace(v)
-			}
-		}
+		query, name := readCorpusCase(t, path)
 		p := compile(t, query, plan.Options{AllowElementEquality: true})
 		eligible := false
 		for _, pp := range p.Paths {

@@ -240,17 +240,33 @@ func tryCompile(src string) (*plan.Plan, error) {
 	return plan.Analyze(norm, plan.Options{})
 }
 
-// TestMultiPatternJoinDifferential is the randomized battery: every
-// sampled statement must agree with the classic oracle on both backends,
-// and with the naive reference.
-func TestMultiPatternJoinDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260730))
-	graphs := []*graph.Graph{
+// joinDiffGraphs are the randomized battery's graphs.
+func joinDiffGraphs() []*graph.Graph {
+	return []*graph.Graph{
 		dataset.Random(dataset.RandomConfig{Accounts: 18, AvgDegree: 2, Cities: 3, Phones: 4, BlockedFraction: 0.2, Seed: 3, UndirectedPhones: true}),
 		dataset.Random(dataset.RandomConfig{Accounts: 26, AvgDegree: 2, Cities: 5, Phones: 5, BlockedFraction: 0.1, Seed: 11, UndirectedPhones: true}),
 		dataset.LaunderingRings(3, 4, 3, 77),
 	}
-	combos := 0
+}
+
+// joinDiffCase is one sampled statement of the randomized battery with
+// its graph and its per-pattern solutions (the naive reference's input).
+type joinDiffCase struct {
+	label string
+	src   string
+	g     *graph.Graph
+	p     *plan.Plan
+	per   [][]*binding.Reduced
+}
+
+// joinDiffCases samples the randomized battery's statements: 2–3 random
+// fragments over a random graph, skipping statically illegal samples and
+// those whose cross product is too large for the naive reference.
+func joinDiffCases(t *testing.T) []joinDiffCase {
+	t.Helper()
+	rng := rand.New(rand.NewSource(20260730))
+	graphs := joinDiffGraphs()
+	var out []joinDiffCase
 	for iter := 0; iter < 40; iter++ {
 		g := graphs[rng.Intn(len(graphs))]
 		n := 2 + rng.Intn(2)
@@ -297,24 +313,83 @@ func TestMultiPatternJoinDifferential(t *testing.T) {
 		if tooBig {
 			continue
 		}
-		combos++
-		snap := graph.Snapshot(g)
-		for si, s := range []graph.Store{g, snap} {
-			label := fmt.Sprintf("iter %d store %d %s", iter, si, src)
-			on, err := EvalPlan(s, p, Config{})
+		out = append(out, joinDiffCase{label: fmt.Sprintf("iter %d %s", iter, src), src: src, g: g, p: p, per: per})
+	}
+	if len(out) < 15 {
+		t.Fatalf("only %d/40 sampled statements were checked; fragment pool or size cap too restrictive", len(out))
+	}
+	return out
+}
+
+// TestMultiPatternJoinDifferential is the randomized battery: every
+// sampled statement must agree with the classic oracle on both backends,
+// and with the naive reference.
+func TestMultiPatternJoinDifferential(t *testing.T) {
+	for _, c := range joinDiffCases(t) {
+		checkJoinAgainstOracles(t, c.label, c.g, c.p, c.per)
+	}
+}
+
+// checkJoinAgainstOracles runs one statement on the map and CSR stores,
+// sequentially and at Parallelism 2, byte-comparing the bind-join pipeline
+// with classicJoin, and on the map store with the naive reference.
+func checkJoinAgainstOracles(t *testing.T, label string, g *graph.Graph, p *plan.Plan, per [][]*binding.Reduced) {
+	t.Helper()
+	naive := naiveJoinReference(t, per, p)
+	for si, s := range []graph.Store{g, graph.Snapshot(g)} {
+		for _, cfg := range []Config{{}, {Parallelism: 2}} {
+			label := fmt.Sprintf("%s store %d par %d", label, si, cfg.Parallelism)
+			on, err := EvalPlan(s, p, cfg)
 			if err != nil {
 				t.Fatalf("%s: bind-join: %v", label, err)
 			}
 			off := classicJoin(t, sameStore(s, p), p, Config{})
 			diffStrings(t, label+" [bind-join vs classic]", renderResult(on), renderResult(off))
 			if si == 0 {
-				naive := naiveJoinReference(t, per, p)
 				diffStrings(t, label+" [bind-join vs naive]", keysOnly(renderResult(on)), naive)
 			}
 		}
 	}
-	if combos < 15 {
-		t.Fatalf("only %d/40 sampled statements were checked; fragment pool or size cap too restrictive", combos)
+}
+
+// tailSeedFamilies are statements whose shared variables sit only at
+// pattern tails, so whichever pattern joins second can be seeded from its
+// last node alone: single edges, undirected edges, a quantifier with group
+// variables, a TRAIL with a path variable, ALL SHORTEST, a set union, and a
+// cyclic three-pattern join.
+var tailSeedFamilies = []struct{ name, src string }{
+	{"edge", `MATCH (x:Account)-[t1:Transfer]->(y:Account), (w:Account)-[t2:Transfer]->(y)`},
+	{"undirected", `MATCH (x:Account)~[h1:hasPhone]~(ph:Phone), (w:Account)~[h2:hasPhone]~(ph)`},
+	{"quantified", `MATCH (x:Account)-[:isLocatedIn]->(c:City), (w:Account)-[t3:Transfer]->{1,2}(v:Account)-[:isLocatedIn]->(c)`},
+	{"trail-path", `MATCH TRAIL p = (w:Account)-[t4:Transfer]->{1,3}(y:Account), (x:Account WHERE x.isBlocked='yes')-[t1:Transfer]->(y)`},
+	{"all-shortest", `MATCH ALL SHORTEST (w:Account WHERE w.isBlocked='no')-[t5:Transfer]->+(y:Account), (x:Account WHERE x.isBlocked='yes')-[t1:Transfer]->(y)`},
+	{"union", `MATCH (x:Account WHERE x.isBlocked='yes')-[t1:Transfer]->(y:Account), [(w:Account)-[t2:Transfer]->(y) | (w:Account)<-[t3:Transfer]-(y)]`},
+	{"triangle", `MATCH (x:Account)-[t1:Transfer]->(y:Account), (y)-[t2:Transfer]->(z:Account), (z)-[t3:Transfer]->(x)`},
+}
+
+// TestMultiPatternJoinTailSeeds checks the tail-seed families against both
+// oracles on every battery graph, and that each family really took a
+// tail-seeded step somewhere, so it cannot pass on head seeds and hash
+// joins alone.
+func TestMultiPatternJoinTailSeeds(t *testing.T) {
+	graphs := joinDiffGraphs()
+	for _, fam := range tailSeedFamilies {
+		p := compile(t, fam.src, plan.Options{})
+		before := tailSeededSteps.Load()
+		for gi, g := range graphs {
+			per := make([][]*binding.Reduced, len(p.Paths))
+			for i, pp := range p.Paths {
+				sols, err := MatchPattern(g, pp, Config{})
+				if err != nil {
+					t.Fatalf("%s graph %d: MatchPattern %d: %v", fam.name, gi, i, err)
+				}
+				per[i] = sols
+			}
+			checkJoinAgainstOracles(t, fmt.Sprintf("%s graph %d", fam.name, gi), g, p, per)
+		}
+		if tailSeededSteps.Load() == before {
+			t.Errorf("%s: no step was seeded from a tail\n%s", fam.name, fam.src)
+		}
 	}
 }
 

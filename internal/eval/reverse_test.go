@@ -1,0 +1,194 @@
+package eval
+
+import (
+	"fmt"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"gpml/internal/ast"
+	"gpml/internal/dataset"
+	"gpml/internal/graph"
+	"gpml/internal/parser"
+	"gpml/internal/plan"
+)
+
+// reversedStatement prints src with every pattern whose reversal matches
+// exactly the same paths walked back to front (no selector or ALL
+// SHORTEST, no multiset alternation) textually reversed, and reports
+// which patterns it reversed.
+func reversedStatement(t *testing.T, src string) (string, []bool) {
+	t.Helper()
+	stmt, err := parser.Parse(src)
+	if err != nil {
+		t.Fatalf("parse %q: %v", src, err)
+	}
+	flipped := make([]bool, len(stmt.Patterns))
+	for i, pp := range stmt.Patterns {
+		if k := pp.Selector.Kind; k != ast.NoSelector && k != ast.AllShortest {
+			continue
+		}
+		multiset := false
+		ast.WalkPath(pp.Expr, func(e ast.PathExpr) bool {
+			if u, ok := e.(*ast.Union); ok && slices.Contains(u.Ops, ast.Multiset) {
+				multiset = true
+			}
+			return !multiset
+		})
+		if multiset {
+			continue
+		}
+		rev := *pp
+		rev.Expr = ast.Reverse(pp.Expr)
+		stmt.Patterns[i] = &rev
+		flipped[i] = true
+	}
+	return stmt.String(), flipped
+}
+
+// storeAxis is one store a battery runs a statement on.
+type storeAxis struct {
+	name string
+	s    graph.Store
+}
+
+// reverseAxes are the store axes of the reversal battery: the map graph,
+// its CSR, a partitioned snapshot, an overlay epoch with tombstones and a
+// live delta, and a store recovered from a checkpoint.
+func reverseAxes(t *testing.T, g *graph.Graph) []storeAxis {
+	t.Helper()
+	return []storeAxis{
+		{"map", g},
+		{"csr", graph.Snapshot(g)},
+		{"parts3", graph.PartitionSnapshot(g, graph.PartitionOptions{Partitions: 3})},
+		{"tombstoned", tombstoned(t, g)},
+		{"recovered", recoveredStore(t, g)},
+	}
+}
+
+// recoveredStore writes g through a durable overlay, checkpoints it and
+// returns the store a fresh open recovers from the directory.
+func recoveredStore(t *testing.T, g *graph.Graph) graph.Store {
+	t.Helper()
+	dir := t.TempDir()
+	open := func() *graph.Overlay {
+		ov, err := graph.OpenDurable(graph.DurableOptions{Dir: dir, CompactThreshold: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ov.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		return ov
+	}
+	ov := open()
+	b := ov.Begin()
+	g.Nodes(func(n *graph.Node) bool {
+		b.AddNode(n.ID, n.Labels, n.Props)
+		return true
+	})
+	g.Edges(func(e *graph.Edge) bool {
+		if e.Direction == graph.Undirected {
+			b.AddUndirectedEdge(e.ID, e.Source, e.Target, e.Labels, e.Props)
+		} else {
+			b.AddEdge(e.ID, e.Source, e.Target, e.Labels, e.Props)
+		}
+		return true
+	})
+	if err := ov.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := ov.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ov.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+	rec := open()
+	t.Cleanup(func() { rec.CloseDurable() })
+	return rec.Snapshot()
+}
+
+// TestReversedPatternsAgree: a pattern matches the same paths whether it
+// is written from its first node or its last, so every multi-pattern
+// conformance statement (sec65_*, cyclic_*) and every randomized join
+// battery statement, with each pattern textually reversed, must return
+// the same rows as the original — byte for byte once each reversed
+// pattern's bindings are flipped back and the rows canonically re-sorted
+// — on every store axis, sequentially and at Parallelism 2. The reversed
+// statements seed from the other end of every pattern, so this pits the
+// planner's head and tail seeds against each other.
+func TestReversedPatternsAgree(t *testing.T) {
+	type reverseCase struct {
+		label, src string
+		g          *graph.Graph
+	}
+	var cases []reverseCase
+	corpusGraphs := map[string]func() *graph.Graph{"fig1": dataset.Fig1, "cyclic": dataset.CyclicJoins}
+	for _, glob := range []string{"sec65_*.txt", "cyclic_*.txt"} {
+		files, _ := filepath.Glob(filepath.Join("..", "..", "testdata", "conformance", glob))
+		for _, path := range files {
+			query, name := readCorpusCase(t, path)
+			build, ok := corpusGraphs[name]
+			if !ok {
+				t.Fatalf("%s: graph %q; add it to the battery", path, name)
+			}
+			cases = append(cases, reverseCase{filepath.Base(path), query, build()})
+		}
+	}
+	if len(cases) < 7 {
+		t.Fatalf("only %d multi-pattern corpus cases", len(cases))
+	}
+	for _, c := range joinDiffCases(t) {
+		cases = append(cases, reverseCase{c.label, c.src, c.g})
+	}
+
+	axes := map[*graph.Graph][]storeAxis{}
+	reversed := 0
+	for _, c := range cases {
+		p := compile(t, c.src, plan.Options{})
+		revSrc, flipped := reversedStatement(t, c.src)
+		rp := compile(t, revSrc, plan.Options{})
+		if !slices.Contains(flipped, true) {
+			continue
+		}
+		reversed++
+		if axes[c.g] == nil {
+			axes[c.g] = reverseAxes(t, c.g)
+		}
+		for _, ax := range axes[c.g] {
+			for _, cfg := range []Config{{}, {Parallelism: 2}} {
+				label := fmt.Sprintf("%s [%s par %d]\nreversed: %s", c.label, ax.name, cfg.Parallelism, revSrc)
+				want, err := EvalPlan(ax.s, p, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				got, err := EvalPlan(ax.s, rp, cfg)
+				if err != nil {
+					t.Fatalf("%s: reversed: %v", label, err)
+				}
+				// Rebuild each row from its flipped bindings, so group
+				// variables list their elements in the original order.
+				rows := make([]*Row, len(got.Rows))
+				for r, row := range got.Rows {
+					rows[r] = &Row{}
+					for i, pp := range p.Paths {
+						sol := row.Bindings[i]
+						if flipped[i] {
+							sol = sol.Reversed()
+						}
+						var ok bool
+						if rows[r], ok = mergeRow(p, pp, rows[r], sol); !ok {
+							t.Fatalf("%s: row %d does not rejoin", label, r)
+						}
+					}
+				}
+				sortRowsCanonical(rows, len(p.Paths))
+				diffStrings(t, label, renderResult(&Result{Columns: want.Columns, Rows: rows}), renderResult(want))
+			}
+		}
+	}
+	if reversed < 20 {
+		t.Fatalf("only %d statements had a reversible pattern", reversed)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"gpml/internal/binding"
 	"gpml/internal/graph"
@@ -532,8 +533,13 @@ func newBindJoinCursor(ctx context.Context, stores []graph.Store, p *plan.Plan, 
 				prefix: &Row{},
 			}
 		case step.SeedVar != "" && bound[step.SeedVar]:
+			run := pp
+			if step.End == plan.SeedTail {
+				run = pp.Mirrored()
+				tailSeededSteps.Add(1)
+			}
 			cur = &bindStepCursor{
-				ctx: ctx, s: stores[step.Pattern], p: p, pp: pp, cfg: cfg,
+				ctx: ctx, s: stores[step.Pattern], p: p, pp: pp, run: run, cfg: cfg,
 				seedVar: step.SeedVar, shared: shared, byIdx: byIdx, left: cur,
 				memo: map[int]*seedIndex{},
 			}
@@ -547,6 +553,10 @@ func newBindJoinCursor(ctx context.Context, stores []graph.Store, p *plan.Plan, 
 	}
 	return cur
 }
+
+// tailSeededSteps counts the bind-join steps built to seed from a pattern's
+// tail, so tests can tell the mirrored path ran.
+var tailSeededSteps atomic.Int64
 
 // seedIndex is one seed node's selected solutions, hash-indexed by the
 // step's shared-variable join key.
@@ -572,10 +582,14 @@ func buildSeedIndex(sols []*binding.Reduced, shared []string, byIdx bool) *seedI
 // the cursor prefetches a bounded chunk of input rows and solves their
 // unseen seeds on a worker pool.
 type bindStepCursor struct {
-	ctx     context.Context
-	s       graph.Store
-	p       *plan.Plan
-	pp      *plan.PathPlan
+	ctx context.Context
+	s   graph.Store
+	p   *plan.Plan
+	pp  *plan.PathPlan
+	// run is the plan the engines run: pp, or pp.Mirrored() for a tail
+	// seed, whose solutions flip back to pp's orientation before they are
+	// indexed.
+	run     *plan.PathPlan
 	cfg     Config
 	seedVar string
 	shared  []string
@@ -682,7 +696,7 @@ func (c *bindStepCursor) refill() error {
 				return err
 			}
 			for i, seed := range seeds {
-				c.memo[seed] = buildSeedIndex(perSeed[i], c.shared, c.byIdx)
+				c.memo[seed] = c.index(perSeed[i])
 			}
 		}
 	}
@@ -705,7 +719,7 @@ func (c *bindStepCursor) seedIdxOf(b Bound) (int, bool) {
 // seed node is solved (memoized), and its solutions are probed with the
 // full shared-variable key — the same equi-join the hash join performs.
 // A row that does not bind the seed variable to a node joins nothing:
-// the seed variable is an unconditional singleton head variable, so every
+// the seed variable is an unconditional singleton end variable, so every
 // solution binds it to a node and no join key can match (the check
 // mirrors the materializing pipeline's defensive fallback).
 func (c *bindStepCursor) candidates(row *Row) ([]*binding.Reduced, error) {
@@ -720,13 +734,13 @@ func (c *bindStepCursor) candidates(row *Row) ([]*binding.Reduced, error) {
 	idx, cached := c.memo[si]
 	if !cached {
 		if c.solver == nil {
-			c.solver = newSeedSolver(c.stepper(), c.pp, c.cfg, c.budget())
+			c.solver = newSeedSolver(c.stepper(), c.run, c.cfg, c.budget())
 		}
 		sols, err := c.solver.solve(si)
 		if err != nil {
 			return nil, err
 		}
-		idx = buildSeedIndex(sols, c.shared, c.byIdx)
+		idx = c.index(sols)
 		c.memo[si] = idx
 	}
 	c.keyBuf = appendJoinKeyOfRow(c.keyBuf[:0], row, c.shared, c.byIdx)
@@ -745,7 +759,7 @@ func (c *bindStepCursor) solveSeedsParallel(seeds []int) ([][]*binding.Reduced, 
 	bud := c.budget()
 	out := make([][]*binding.Reduced, len(seeds))
 	errs := runSeedPool(workers, len(seeds), nil, func() func(int) error {
-		solver := newSeedSolver(st, c.pp, c.cfg, bud)
+		solver := newSeedSolver(st, c.run, c.cfg, bud)
 		return func(i int) error {
 			sols, err := solver.solve(seeds[i])
 			if err != nil {
@@ -761,6 +775,17 @@ func (c *bindStepCursor) solveSeedsParallel(seeds []int) ([][]*binding.Reduced, 
 		}
 	}
 	return out, nil
+}
+
+// index flips a tail seed's solutions back to the pattern's textual
+// orientation and hash-indexes one seed's solutions by the join key.
+func (c *bindStepCursor) index(sols []*binding.Reduced) *seedIndex {
+	if c.run != c.pp {
+		for i, sol := range sols {
+			sols[i] = sol.Reversed()
+		}
+	}
+	return buildSeedIndex(sols, c.shared, c.byIdx)
 }
 
 // stepper lazily resolves the step's indexed topology view.

@@ -387,6 +387,7 @@ func (s *OverlaySnap) LabelStats() StoreStats {
 			Edges:      s.liveE,
 			NodeLabels: maps.Clone(bs.NodeLabels),
 			EdgeLabels: maps.Clone(bs.EdgeLabels),
+			core:       bs.core,
 		}
 		if st.NodeLabels == nil {
 			st.NodeLabels = map[string]int{}

@@ -66,6 +66,22 @@ type StoreStats struct {
 	// An element with k labels contributes to k counters.
 	NodeLabels map[string]int
 	EdgeLabels map[string]int
+
+	// core answers PropNDV; nil for statistics built by hand.
+	core *elemCore
+}
+
+// PropNDV reports the exact number of distinct values the property takes
+// over the nodes carrying the label, or 0 when unknown: statistics built
+// by hand, or no such node has the property. The count comes from the
+// store's element core, computed the first time it is asked for and kept
+// for the core's lifetime; an overlay epoch answers from its base core, so
+// values its delta added or removed are not counted.
+func (s StoreStats) PropNDV(label, prop string) int {
+	if s.core == nil {
+		return 0
+	}
+	return s.core.propNDV(label, prop)
 }
 
 // NodeLabelCount returns the number of nodes carrying the label.

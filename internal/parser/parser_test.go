@@ -331,6 +331,22 @@ func TestPrintParseRoundtrip(t *testing.T) {
 		if second.String() != printed {
 			t.Errorf("print not a fixpoint:\n  src    %q\n  first  %q\n  second %q", src, printed, second.String())
 		}
+		// The statement with every pattern reversed is a fixed point too.
+		rev := &ast.MatchStmt{Where: first.Where}
+		for _, pp := range first.Patterns {
+			r := *pp
+			r.Expr = ast.Reverse(pp.Expr)
+			rev.Patterns = append(rev.Patterns, &r)
+		}
+		revPrinted := rev.String()
+		again, err := Parse(revPrinted)
+		if err != nil {
+			t.Errorf("re-parse of reversed %q (printed %q) failed: %v", src, revPrinted, err)
+			continue
+		}
+		if again.String() != revPrinted {
+			t.Errorf("reversed print not a fixpoint:\n  src    %q\n  first  %q\n  second %q", src, revPrinted, again.String())
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"gpml/internal/ast"
@@ -85,9 +86,18 @@ type PathPlan struct {
 	// this pattern's engine runs from the bound values instead of
 	// enumerating the pattern in full.
 	HeadVars []string
+	// TailVars mirror HeadVars for the last path node. They are empty
+	// unless the pattern mirrors exactly (see mirrorable); then a join
+	// step may seed the pattern from a bound tail variable by running
+	// Mirrored.
+	TailVars []string
 	// TailLabels are labels every match's last node provably carries
 	// (sorted) — the endpoint-selectivity input of the join cost model.
 	TailLabels []string
+	// headEq and tailEq pair each property the first (last) node position
+	// equates with a parameter or literal with each label proven there:
+	// the cost model prices such a predicate at 1/NDV(label, property).
+	headEq, tailEq []labelProp
 	// minSteps is the pattern's cheapest edge-step expansion, for fanout
 	// estimation (see EstimateCost).
 	minSteps []edgeStep
@@ -103,6 +113,9 @@ type PathPlan struct {
 	auto     any
 	revOnce  sync.Once
 	rev      any
+	opts     Options
+	mirOnce  sync.Once
+	mirror   *PathPlan
 }
 
 // CompiledAutomaton memoizes the pattern's compiled automaton across
@@ -119,6 +132,65 @@ func (pp *PathPlan) CompiledAutomaton(build func() any) any {
 func (pp *PathPlan) ReversedAutomaton(build func() any) any {
 	pp.revOnce.Do(func() { pp.rev = build() })
 	return pp.rev
+}
+
+// Mirrored returns the plan of the pattern walked from its last node to
+// its first (ast.Reverse), which a tail-seeded join step runs: its seeds
+// are this pattern's tail nodes, and its solutions are this pattern's
+// solutions reversed. It is compiled on first use and memoized, like
+// CompiledAutomaton; only patterns with TailVars are ever mirrored.
+func (pp *PathPlan) Mirrored() *PathPlan {
+	pp.mirOnce.Do(func() {
+		rev := *pp.Pattern
+		rev.Expr = ast.Reverse(pp.Pattern.Expr)
+		a := &analyzer{opts: pp.opts, vars: map[string]*VarInfo{}}
+		m, err := a.pathPlan(pp.Index, &rev)
+		if err != nil {
+			// Reversal keeps every fact the analysis checks.
+			panic(fmt.Sprintf("plan: mirror of %s: %v", pp.Pattern, err))
+		}
+		pp.mirror = m
+	})
+	return pp.mirror
+}
+
+// mirrorable reports whether the pattern's solutions are exactly the
+// reversals of its mirror's, so a join step may run it from its last node.
+// The selector, if any, is ALL SHORTEST: its endpoint partitions and
+// minimal lengths do not depend on the walk direction, while the ANY
+// family's tie-break does. There is no multiset alternation, whose branch
+// tags would need renumbering. And every WHERE sees the same bindings in
+// both directions: an element's WHERE reads only that element, a
+// parenthesized WHERE only variables declared inside its parentheses, and
+// neither aggregates, since a group list's order flips.
+func mirrorable(pp *ast.PathPattern) bool {
+	if k := pp.Selector.Kind; k != ast.NoSelector && k != ast.AllShortest {
+		return false
+	}
+	ok := true
+	ast.WalkPath(pp.Expr, func(pe ast.PathExpr) bool {
+		switch x := pe.(type) {
+		case *ast.Union:
+			ok = ok && !slices.Contains(x.Ops, ast.Multiset)
+		case *ast.NodePattern:
+			ok = ok && localWhereReason(x.Var, x.Where) == ""
+		case *ast.EdgePattern:
+			ok = ok && localWhereReason(x.Var, x.Where) == ""
+		case *ast.Paren:
+			if x.Where == nil {
+				break
+			}
+			inside := map[string]struct{}{}
+			collectDecls(x.Expr, inside)
+			for name, inAgg := range ast.ExprVars(x.Where) {
+				if _, declared := inside[name]; inAgg || !declared {
+					ok = false
+				}
+			}
+		}
+		return ok
+	})
+	return ok
 }
 
 // ParamUse records one $name placeholder: its name and the source position
@@ -261,53 +333,11 @@ func Analyze(stmt *ast.MatchStmt, opts Options) (*Plan, error) {
 	plan := &Plan{Stmt: stmt, Post: stmt.Where, Vars: a.vars}
 
 	for i, pp := range stmt.Patterns {
-		a.patIdx = i
-		a.quants = map[*ast.Quantified]int{}
-		a.unions = map[*ast.Union]int{}
-		a.quantByID = map[int]*ast.Quantified{}
-		a.underRestr = map[int]bool{}
-		a.sites = a.sites[:0]
-		a.patVars = nil
-
-		if pp.PathVar != "" {
-			if err := a.declare(pp.PathVar, VarPath, nil, false); err != nil {
-				return nil, err
-			}
-		}
-		if err := a.walk(pp.Expr, nil, pp.Restrictor != ast.NoRestrictor, false); err != nil {
-			return nil, err
-		}
-		a.markConditionals(pp.Expr)
-
-		// Reference checks for every prefilter site in this pattern.
-		for _, site := range a.sites {
-			if err := a.checkExpr(site.expr, site, true); err != nil {
-				return nil, err
-			}
-		}
-
-		prog := compileProg(pp, a.quants, a.unions)
-		prog.PrefilterGroups = a.prefilterGroups()
-
-		mode, hasUnbounded, err := a.decideMode(pp)
+		path, err := a.pathPlan(i, pp)
 		if err != nil {
 			return nil, err
 		}
-		auto, autoReason := automatonEligibility(pp, mode)
-		plan.Paths = append(plan.Paths, &PathPlan{
-			Index:           i,
-			Pattern:         pp,
-			Prog:            prog,
-			Mode:            mode,
-			HasUnbounded:    hasUnbounded,
-			Vars:            a.patVars,
-			SeedLabels:      seedLabels(pp.Expr),
-			HeadVars:        a.singletonHeadVars(pp.Expr),
-			TailLabels:      tailLabels(pp.Expr),
-			minSteps:        minEdgeSteps(pp.Expr),
-			Automaton:       auto,
-			AutomatonReason: autoReason,
-		})
+		plan.Paths = append(plan.Paths, path)
 	}
 
 	// Postfilter checks (may reference variables of any pattern).
@@ -325,6 +355,65 @@ func Analyze(stmt *ast.MatchStmt, opts Options) (*Plan, error) {
 	plan.Columns = a.columns()
 	plan.Params = a.params
 	return plan, nil
+}
+
+// pathPlan analyzes and compiles the i-th top-level path pattern.
+func (a *analyzer) pathPlan(i int, pp *ast.PathPattern) (*PathPlan, error) {
+	a.patIdx = i
+	a.quants = map[*ast.Quantified]int{}
+	a.unions = map[*ast.Union]int{}
+	a.quantByID = map[int]*ast.Quantified{}
+	a.underRestr = map[int]bool{}
+	a.sites = a.sites[:0]
+	a.patVars = nil
+
+	if pp.PathVar != "" {
+		if err := a.declare(pp.PathVar, VarPath, nil, false); err != nil {
+			return nil, err
+		}
+	}
+	if err := a.walk(pp.Expr, nil, pp.Restrictor != ast.NoRestrictor, false); err != nil {
+		return nil, err
+	}
+	a.markConditionals(pp.Expr)
+
+	// Reference checks for every prefilter site in this pattern.
+	for _, site := range a.sites {
+		if err := a.checkExpr(site.expr, site, true); err != nil {
+			return nil, err
+		}
+	}
+
+	prog := compileProg(pp, a.quants, a.unions)
+	prog.PrefilterGroups = a.prefilterGroups()
+
+	mode, hasUnbounded, err := a.decideMode(pp)
+	if err != nil {
+		return nil, err
+	}
+	auto, autoReason := automatonEligibility(pp, mode)
+	seed, tail := seedLabels(pp.Expr), tailLabels(pp.Expr)
+	path := &PathPlan{
+		Index:           i,
+		Pattern:         pp,
+		Prog:            prog,
+		Mode:            mode,
+		HasUnbounded:    hasUnbounded,
+		Vars:            a.patVars,
+		SeedLabels:      seed,
+		HeadVars:        a.singletonEndVars(pp.Expr, false),
+		TailLabels:      tail,
+		headEq:          labelProps(seed, endFacts(pp.Expr, false, eqProps)),
+		tailEq:          labelProps(tail, endFacts(pp.Expr, true, eqProps)),
+		minSteps:        minEdgeSteps(pp.Expr),
+		Automaton:       auto,
+		AutomatonReason: autoReason,
+		opts:            a.opts,
+	}
+	if mirrorable(pp) {
+		path.TailVars = a.singletonEndVars(pp.Expr, true)
+	}
+	return path, nil
 }
 
 // declare records a variable declaration site.

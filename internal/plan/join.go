@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -15,166 +16,55 @@ import (
 // changes the work dramatically: solving a selective pattern first and
 // feeding its endpoint bindings into the next pattern's enumeration (a
 // bind join) replaces a full scan of the later pattern's solution space by
-// a handful of seeded engine runs. This file provides the static half of
-// that planner — which variables can seed a pattern, and a per-pattern
-// cardinality estimate over store statistics — plus the greedy
+// a handful of seeded engine runs. A pattern's match set is the same
+// whether it is walked from its first node or its last, so a step may seed
+// from either end that is already bound. This file provides the static
+// half of that planner — which variables can seed a pattern, and a
+// per-pattern cardinality estimate over store statistics — plus the greedy
 // cost-ordered join-order search the evaluator and Explain consume.
 
-// headConstraint walks the leading elements of e and returns the named
-// singleton node variables provably bound to the first node of every
-// match, plus whether the walk consumed an edge (after which later
-// elements no longer bind the first position). It mirrors seedConstraint;
-// variables declared under a quantifier are group variables and excluded
-// (a bind join needs a singleton equi-join key).
-func headConstraint(e ast.PathExpr) (map[string]struct{}, bool) {
-	switch x := e.(type) {
-	case *ast.Concat:
-		acc := map[string]struct{}{}
-		for _, el := range x.Elems {
-			vars, moved := headConstraint(el)
-			for v := range vars {
-				acc[v] = struct{}{}
-			}
-			if moved {
-				return acc, true
-			}
-		}
-		return acc, false
-	case *ast.NodePattern:
-		if ast.IsAnonVar(x.Var) {
-			return nil, false
-		}
-		return map[string]struct{}{x.Var: {}}, false
-	case *ast.EdgePattern:
-		return nil, true
-	case *ast.Paren:
-		return headConstraint(x.Expr)
-	case *ast.Quantified:
-		if x.Question || x.Min == 0 {
-			// The body may be skipped: it proves nothing, and the position
-			// may or may not have moved.
-			return nil, true
-		}
-		// Mandatory iterations: anything declared inside is a group
-		// variable, so only the moved-ness of the body matters.
-		_, moved := headConstraint(x.Inner)
-		return nil, moved
-	case *ast.Union:
-		if len(x.Branches) == 0 {
-			return nil, true
-		}
-		acc, moved := headConstraint(x.Branches[0])
-		for _, br := range x.Branches[1:] {
-			vars, m := headConstraint(br)
-			for v := range acc {
-				if _, ok := vars[v]; !ok {
-					delete(acc, v)
-				}
-			}
-			moved = moved || m
-		}
-		return acc, moved
-	default:
-		return nil, true
-	}
-}
-
-// headVars returns the sorted named singleton node variables bound to the
-// first path node in every match of the pattern. Seeding the pattern's
-// engine runs from any of these variables' bound values is exact: every
-// solution's path starts at the node the variable is bound to.
-func headVars(e ast.PathExpr) []string {
-	set, _ := headConstraint(e)
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// singletonHeadVars filters the head variables of the walk by the
-// analyzer's classification: a bind-join seed must be a singleton node
-// variable (group variables have no single equi-join value).
-func (a *analyzer) singletonHeadVars(e ast.PathExpr) []string {
-	vars := headVars(e)
-	out := vars[:0]
-	for _, v := range vars {
-		info := a.vars[v]
-		if info != nil && !info.Group && info.Kind == VarNode {
+// singletonEndVars returns the named singleton node variables provably
+// bound to the first (tail: last) path node of every match, sorted.
+// Seeding the pattern's engine runs from any of these variables' bound
+// values is exact: every solution's path starts (ends) at the node the
+// variable is bound to. Group variables have no single equi-join value, so
+// they are filtered out.
+func (a *analyzer) singletonEndVars(e ast.PathExpr, tail bool) []string {
+	var out []string
+	for _, v := range endFacts(e, tail, nodeVar) {
+		if info := a.vars[v]; info != nil && !info.Group && info.Kind == VarNode {
 			out = append(out, v)
 		}
 	}
-	if len(out) == 0 {
-		return nil
+	return out
+}
+
+// labelProp is one (label, property) pair an equality predicate is priced
+// by.
+type labelProp struct{ label, prop string }
+
+// labelProps pairs every property with every label of one end position.
+func labelProps(labels, props []string) []labelProp {
+	var out []labelProp
+	for _, p := range props {
+		for _, l := range labels {
+			out = append(out, labelProp{l, p})
+		}
 	}
 	return out
 }
 
-// tailConstraint is the mirror of seedConstraint: the implied label set of
-// the last node position, walking the pattern back to front.
-func tailConstraint(e ast.PathExpr) (map[string]struct{}, bool) {
-	switch x := e.(type) {
-	case *ast.Concat:
-		acc := map[string]struct{}{}
-		for i := len(x.Elems) - 1; i >= 0; i-- {
-			labels, moved := tailConstraint(x.Elems[i])
-			for l := range labels {
-				acc[l] = struct{}{}
-			}
-			if moved {
-				return acc, true
-			}
+// eqSelectivity is the fraction of an end position's candidates its
+// equality predicates keep: 1/NDV of the most selective (label, property)
+// pair, or 1 when the store counts none of them.
+func eqSelectivity(pairs []labelProp, st graph.StoreStats) float64 {
+	sel := 1.0
+	for _, lp := range pairs {
+		if n := st.PropNDV(lp.label, lp.prop); n > 0 && 1/float64(n) < sel {
+			sel = 1 / float64(n)
 		}
-		return acc, false
-	case *ast.NodePattern:
-		return impliedLabels(x.Label), false
-	case *ast.EdgePattern:
-		return nil, true
-	case *ast.Paren:
-		return tailConstraint(x.Expr)
-	case *ast.Quantified:
-		if x.Question || x.Min == 0 {
-			return nil, true
-		}
-		return tailConstraint(x.Inner)
-	case *ast.Union:
-		if len(x.Branches) == 0 {
-			return nil, true
-		}
-		acc, moved := tailConstraint(x.Branches[0])
-		for _, br := range x.Branches[1:] {
-			labels, m := tailConstraint(br)
-			for l := range acc {
-				if _, ok := labels[l]; !ok {
-					delete(acc, l)
-				}
-			}
-			moved = moved || m
-		}
-		return acc, moved
-	default:
-		return nil, true
 	}
-}
-
-// tailLabels returns labels every match's last node provably carries
-// (sorted; empty when none could be proven) — the endpoint selectivity
-// input of the cost model.
-func tailLabels(e ast.PathExpr) []string {
-	set, _ := tailConstraint(e)
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
+	return sel
 }
 
 // edgeStep describes one edge traversal of a pattern's cheapest expansion,
@@ -261,19 +151,24 @@ type PatternCost struct {
 	Rows    float64
 }
 
+// storeSize returns the store's node and edge counts, or a nominal
+// 1000/2000 when no store is at hand, so Explain can rank patterns
+// structurally before a graph is chosen.
+func storeSize(st graph.StoreStats) (nodes, edges float64) {
+	if st.Nodes <= 0 {
+		return 1000, 2000
+	}
+	return float64(st.Nodes), float64(st.Edges)
+}
+
 // EstimateCost ranks a pattern against store statistics: seed-label counts
 // pick the start-set size, per-step fanout comes from the average degree
 // scaled by implied edge-label selectivity, and implied tail labels supply
-// endpoint selectivity. Zero-valued stats (no store at hand) degrade to a
-// structure-only estimate over a nominal store.
+// endpoint selectivity. An equality predicate on an end node keeps
+// 1/NDV(label, property) of its candidates. Zero-valued stats (no store at
+// hand) degrade to a structure-only estimate over a nominal store.
 func EstimateCost(pp *PathPlan, st graph.StoreStats) PatternCost {
-	nodes := float64(st.Nodes)
-	edges := float64(st.Edges)
-	if nodes <= 0 {
-		// Nominal store: lets Explain rank patterns structurally before a
-		// graph is chosen.
-		nodes, edges = 1000, 2000
-	}
+	nodes, edges := storeSize(st)
 	seeds := nodes
 	for _, l := range pp.SeedLabels {
 		c := float64(st.NodeLabelCount(l))
@@ -284,6 +179,7 @@ func EstimateCost(pp *PathPlan, st graph.StoreStats) PatternCost {
 			seeds = c
 		}
 	}
+	seeds *= eqSelectivity(pp.headEq, st)
 	perSeed := 1.0
 	for _, step := range pp.minSteps {
 		// One-directional steps see each edge from one endpoint (E/N);
@@ -312,7 +208,7 @@ func EstimateCost(pp *PathPlan, st graph.StoreStats) PatternCost {
 		perSeed *= fan
 	}
 	rows := seeds * perSeed
-	if len(pp.minSteps) > 0 && len(pp.TailLabels) > 0 {
+	if len(pp.minSteps) > 0 {
 		// Endpoint selectivity: the labels are conjunctive, so the most
 		// selective (smallest) one bounds the candidate end nodes.
 		best := 1.0
@@ -325,28 +221,52 @@ func EstimateCost(pp *PathPlan, st graph.StoreStats) PatternCost {
 				best = sel
 			}
 		}
-		rows *= best
+		rows *= best * eqSelectivity(pp.tailEq, st)
 	}
 	return PatternCost{Seeds: seeds, PerSeed: perSeed, Rows: rows}
+}
+
+// SeedEnd names the end of a pattern a bind-join step seeds from.
+type SeedEnd uint8
+
+// Seed ends.
+const (
+	// SeedHead runs the pattern from its first node.
+	SeedHead SeedEnd = iota
+	// SeedTail runs PathPlan.Mirrored from the pattern's last node.
+	SeedTail
+)
+
+// String names the end for Explain output.
+func (e SeedEnd) String() string {
+	if e == SeedTail {
+		return "tail"
+	}
+	return "head"
 }
 
 // JoinStep is one step of the cost-ordered join plan.
 type JoinStep struct {
 	// Pattern indexes Plan.Paths.
 	Pattern int
-	// SeedVar is the already-bound head variable whose row bindings seed
-	// this pattern's engine runs; "" means full enumeration (the first
-	// step, disconnected patterns, and patterns whose shared variables do
-	// not include a head variable).
+	// SeedVar is the already-bound end variable whose row bindings seed
+	// this pattern's engine runs, from the End it is bound to; "" means
+	// full enumeration (the first step, disconnected patterns, and
+	// patterns whose shared variables include no seedable end variable).
 	SeedVar string
+	End     SeedEnd
 	// Connected reports whether the pattern shares at least one singleton
 	// variable with the already-joined prefix (a disconnected pattern
 	// falls back to a hash join over the cross product).
 	Connected bool
-	// Est is the pattern's standalone cardinality estimate; Cost is the
-	// estimated enumeration work of this step under its seeding decision.
-	Est  PatternCost
-	Cost float64
+	// Est is the pattern's standalone cardinality estimate. Distinct is
+	// the estimated number of distinct SeedVar values in the joined
+	// prefix. Cost is the estimated enumeration work of this step under
+	// its seeding decision: Distinct × Est.PerSeed for a seeded step,
+	// Est.Rows otherwise.
+	Est      PatternCost
+	Distinct float64
+	Cost     float64
 
 	// linked reports whether the pattern shares a singleton variable with
 	// any still-unjoined pattern; truly isolated patterns are deferred so
@@ -361,7 +281,8 @@ func (s JoinStep) String() string {
 	fmt.Fprintf(&b, "pattern %d", s.Pattern)
 	switch {
 	case s.SeedVar != "":
-		fmt.Fprintf(&b, " bind-join seed=%s est-per-seed=%.3g", s.SeedVar, s.Est.PerSeed)
+		fmt.Fprintf(&b, " bind-join seed=%s end=%s est-distinct=%.3g est-per-seed=%.3g",
+			s.SeedVar, s.End, s.Distinct, s.Est.PerSeed)
 	case s.Connected:
 		fmt.Fprintf(&b, " hash-join est-rows=%.3g", s.Est.Rows)
 	default:
@@ -373,22 +294,25 @@ func (s JoinStep) String() string {
 // OrderJoin runs the greedy cost-ordered join-order search: start from the
 // pattern with the smallest estimated solution count, then repeatedly pick
 // the cheapest remaining pattern connected to the already-bound variable
-// set — seeded through a bound head variable when one is shared, by its
-// full estimate otherwise. Disconnected patterns are considered only when
+// set — seeded through whichever bound end variable has the fewest
+// estimated distinct values in the joined prefix, by its full estimate
+// when no end is bound. Disconnected patterns are considered only when
 // nothing connected remains. stats aligns with p.Paths (one store per
-// pattern, EvalPlanOn-style); ties break on textual pattern order, so the
-// plan is deterministic.
+// pattern, EvalPlanOn-style); ties break on textual pattern order, and a
+// head seed wins a tie with a tail seed, so the plan is deterministic.
 func OrderJoin(p *Plan, stats []graph.StoreStats) []JoinStep {
 	n := len(p.Paths)
 	costs := make([]PatternCost, n)
+	nodes := make([]float64, n)
 	for i, pp := range p.Paths {
 		var st graph.StoreStats
 		if i < len(stats) {
 			st = stats[i]
 		}
 		costs[i] = EstimateCost(pp, st)
+		nodes[i], _ = storeSize(st)
 	}
-	bound := map[string]bool{}
+	j := joinEstimate{rows: 1, distinct: map[string]float64{}}
 	used := make([]bool, n)
 	steps := make([]JoinStep, 0, n)
 	for len(steps) < n {
@@ -398,48 +322,82 @@ func OrderJoin(p *Plan, stats []graph.StoreStats) []JoinStep {
 			if used[i] {
 				continue
 			}
-			step := stepFor(p, i, costs[i], bound, used, len(steps) == 0)
+			step := j.stepFor(p, i, costs[i], used, len(steps) == 0)
 			if best < 0 || betterStep(step, bestStep) {
 				best, bestStep = i, step
 			}
 		}
 		steps = append(steps, bestStep)
 		used[best] = true
-		pp := p.Paths[best]
-		for _, v := range pp.Vars {
-			bound[v] = true
-		}
-		if pv := pp.Pattern.PathVar; pv != "" {
-			bound[pv] = true
-		}
+		j.bind(p.Paths[best], bestStep, nodes[best])
 	}
 	return steps
 }
 
+// joinEstimate is the join-order search's running estimate of the joined
+// prefix: its row count and, per bound variable, its distinct values.
+type joinEstimate struct {
+	rows     float64
+	distinct map[string]float64
+}
+
 // stepFor builds the candidate join step for pattern i against the bound
 // variable set.
-func stepFor(p *Plan, i int, est PatternCost, bound map[string]bool, used []bool, first bool) JoinStep {
+func (j *joinEstimate) stepFor(p *Plan, i int, est PatternCost, used []bool, first bool) JoinStep {
 	pp := p.Paths[i]
 	step := JoinStep{Pattern: i, Est: est, Cost: est.Rows, linked: linkedToRemaining(p, i, used)}
 	if first {
 		return step
 	}
 	for _, v := range pp.Vars {
-		if p.JoinableVar(v) && bound[v] {
+		if _, bound := j.distinct[v]; bound && p.JoinableVar(v) {
 			step.Connected = true
 			break
 		}
 	}
-	if step.Connected {
-		for _, hv := range pp.HeadVars {
-			if bound[hv] {
-				step.SeedVar = hv
-				step.Cost = est.PerSeed
-				break
-			}
-		}
+	if !step.Connected {
+		return step
+	}
+	j.offerSeeds(&step, pp.HeadVars, SeedHead)
+	j.offerSeeds(&step, pp.TailVars, SeedTail)
+	if step.SeedVar != "" {
+		step.Cost = step.Distinct * est.PerSeed
 	}
 	return step
+}
+
+// offerSeeds lets the bound variables of one pattern end seed the step,
+// keeping the one with the fewest estimated distinct values (the earlier
+// offer on ties).
+func (j *joinEstimate) offerSeeds(step *JoinStep, vars []string, end SeedEnd) {
+	for _, v := range vars {
+		if d, bound := j.distinct[v]; bound && (step.SeedVar == "" || d < step.Distinct) {
+			step.SeedVar, step.End, step.Distinct = v, end, d
+		}
+	}
+}
+
+// bind records a chosen step. A connected step multiplies the prefix rows
+// by its per-seed matches, a scan by its whole estimate; each newly bound
+// variable then has min(rows, domain) distinct values, at least one, where
+// a scanned pattern's head variables range over its seeds and every other
+// variable over the store's nodes.
+func (j *joinEstimate) bind(pp *PathPlan, step JoinStep, nodes float64) {
+	if step.Connected {
+		j.rows *= step.Est.PerSeed
+	} else {
+		j.rows *= step.Est.Rows
+	}
+	for _, v := range pp.Vars {
+		if _, bound := j.distinct[v]; bound {
+			continue
+		}
+		domain := nodes
+		if !step.Connected && slices.Contains(pp.HeadVars, v) {
+			domain = step.Est.Seeds
+		}
+		j.distinct[v] = max(1, min(j.rows, domain))
+	}
 }
 
 // linkedToRemaining reports whether pattern i shares a singleton variable

@@ -3,11 +3,13 @@ package plan
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"gpml/internal/graph"
 	"gpml/internal/normalize"
 	"gpml/internal/parser"
+	"gpml/internal/value"
 )
 
 func planFor(t *testing.T, src string) *Plan {
@@ -176,9 +178,9 @@ func TestOrderJoinDisconnectedLast(t *testing.T) {
 
 func TestOrderJoinHashJoinFallbackWithoutHeadVar(t *testing.T) {
 	st := statsFixture()
-	// Pattern 1 shares y, but y is its tail, not its head: connected,
-	// yet not seedable.
-	p := planFor(t, `MATCH (x:Admin)-[u:Transfer]->(y), (w:Account)-[t:Transfer]->(y)`)
+	// Pattern 1 shares y, but y is neither its head nor its tail:
+	// connected, yet not seedable.
+	p := planFor(t, `MATCH (x:Admin)-[u:Transfer]->(y), (w:Account)-[t:Transfer]->(y)-[s:Transfer]->(v)`)
 	steps := OrderJoin(p, []graph.StoreStats{st, st})
 	if steps[0].Pattern != 0 {
 		t.Fatalf("selective pattern first, got %v", steps)
@@ -242,5 +244,139 @@ func ExampleOrderJoin() {
 	}
 	// Output:
 	// step 0: pattern 0 scan est-rows=0.1
-	// step 1: pattern 1 bind-join seed=x est-per-seed=2
+	// step 1: pattern 1 bind-join seed=x end=head est-distinct=1 est-per-seed=2
+}
+
+func TestTailVars(t *testing.T) {
+	cases := []struct {
+		src  string
+		want string // comma-joined tail vars of pattern 0
+	}{
+		{`MATCH (x:Account)-[t:Transfer]->(y)`, "y"},
+		{`MATCH (x)-[t]->(y)(y2:Account)`, "y,y2"},
+		{`MATCH (y)`, "y"},
+		{`MATCH (x)-[t]->()`, ""},
+		{`MATCH TRAIL (a)-[t:Transfer]->+(z)`, "z"},
+		{`MATCH ALL SHORTEST (a)-[t:Transfer]->+(z)`, "z"},
+		{`MATCH (x)-[t]->[(y:City) | (y:Country)]`, "y"},
+		// A trailing optional suffix: the last position may or may not
+		// have moved.
+		{`MATCH (x)-[t]->(y)[-[u]->(z)]?`, ""},
+		// Not mirrorable: the flip would change the answer.
+		{`MATCH ANY SHORTEST (a)-[t:Transfer]->+(z)`, ""},
+		{`MATCH [(x)-[t]->(y)] |+| [(x)-[u]->(y)]`, ""},
+		{`MATCH (x)-[t]->(y WHERE y.owner = x.owner)`, ""},
+		{`MATCH (x) [(m)-[t]->(n) WHERE m.owner = x.owner] (y)`, ""},
+		{`MATCH (a) [(m)-[t]->(n)]{1,3} (b) [()-[u]->() WHERE COUNT(t) > 1] (y)`, ""},
+		// Local WHEREs see the same bindings in both directions.
+		{`MATCH (x WHERE x.owner = 'a')-[t WHERE t.amount > 1]->(y) [(m)-[u]->(n) WHERE m.owner = n.owner] (z)`, "n,z"},
+	}
+	for _, tc := range cases {
+		p := planFor(t, tc.src)
+		got := strings.Join(p.Paths[0].TailVars, ",")
+		if got != tc.want {
+			t.Errorf("%s: TailVars = %q, want %q", tc.src, got, tc.want)
+		}
+	}
+}
+
+func TestOrderJoinTailSeed(t *testing.T) {
+	st := statsFixture()
+	// Pattern 1 shares only y, at its tail: seeded from the tail.
+	p := planFor(t, `MATCH (x:Admin)-[u:Transfer]->(y), (w:Account)-[t:Transfer]->(y)`)
+	steps := OrderJoin(p, []graph.StoreStats{st, st})
+	if steps[0].Pattern != 0 {
+		t.Fatalf("selective pattern first, got %v", steps)
+	}
+	if s := steps[1]; s.SeedVar != "y" || s.End != SeedTail || s.Distinct <= 0 {
+		t.Errorf("second step should seed y from the tail, got %s", s)
+	}
+	if got := steps[1].String(); !strings.Contains(got, "end=tail") || !strings.Contains(got, "est-distinct=") {
+		t.Errorf("step string %q should name the seed end and its distinct estimate", got)
+	}
+}
+
+// The triangle of the serving benchmark: once a is bound by the selective
+// first pattern, the closing pattern seeds from its tail a (few distinct
+// values) rather than waiting for c, and the middle pattern, bound at both
+// ends, seeds from the end with fewer distinct values.
+func TestOrderJoinTriangleSeedsFromFewestDistinct(t *testing.T) {
+	st := statsFixture()
+	p := planFor(t, `MATCH (a:Admin)-[:Transfer]-(b:Account), (b)-[:Transfer]-(c:Account), (c)-[:Transfer]-(a)`)
+	steps := OrderJoin(p, []graph.StoreStats{st, st, st})
+	var got []string
+	for _, s := range steps {
+		got = append(got, fmt.Sprintf("%d:%s:%s", s.Pattern, s.SeedVar, s.End))
+	}
+	if want := "0::head 2:a:tail 1:b:head"; strings.Join(got, " ") != want {
+		t.Errorf("triangle plan %q, want %q\n%v", strings.Join(got, " "), want, steps)
+	}
+	if steps[1].Cost >= steps[2].Cost {
+		t.Errorf("tail-seeded closing step should be the cheaper one: %v", steps)
+	}
+}
+
+// Equality predicates on an end node are priced at 1/NDV(label, property)
+// from a real store's counts, on the seed side and the tail side.
+func TestEstimateCostEqualityNDV(t *testing.T) {
+	g := graph.New()
+	for i := 0; i < 40; i++ {
+		props := map[string]value.Value{"name": value.Str(fmt.Sprintf("n%d", i%20)), "kind": value.Str("k")}
+		if err := g.AddNode(graph.NodeID(fmt.Sprintf("p%d", i)), []string{"Person"}, props); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		if err := g.AddEdge(graph.EdgeID(fmt.Sprintf("e%d", i)), graph.NodeID(fmt.Sprintf("p%d", i)), graph.NodeID(fmt.Sprintf("p%d", (i+1)%40)), []string{"knows"}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := g.LabelStats()
+	if n := st.PropNDV("Person", "name"); n != 20 {
+		t.Fatalf("NDV(Person, name) = %d, want 20", n)
+	}
+	p := planFor(t, `MATCH (a:Person WHERE a.name = $n)-[:knows]->(b:Person), (c:Person WHERE 'k' = c.kind)-[:knows]->(d:Person WHERE d.name = 'n3' AND d.kind = $k)`)
+	head := EstimateCost(p.Paths[0], st)
+	if head.Seeds != 2 {
+		t.Errorf("seeds under a.name = $n: %v, want 40/20 = 2", head.Seeds)
+	}
+	tail := EstimateCost(p.Paths[1], st)
+	if tail.Seeds != 40 {
+		t.Errorf("seeds under c.kind = 'k' (one distinct value): %v, want 40", tail.Seeds)
+	}
+	if want := 40 * tail.PerSeed / 20; tail.Rows != want {
+		t.Errorf("rows under d.name = 'n3': %v, want %v (the most selective pair)", tail.Rows, want)
+	}
+}
+
+func TestMirroredMemo(t *testing.T) {
+	p := planFor(t, `MATCH TRAIL p = (a:Account WHERE a.owner = 'x')-[t:Transfer]->{1,3}(b:City)`)
+	pp := p.Paths[0]
+	// Served plans are cached and shared: concurrent first calls compile
+	// one mirror.
+	mirrors := make([]*PathPlan, 4)
+	var wg sync.WaitGroup
+	for i := range mirrors {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			mirrors[i] = pp.Mirrored()
+		}(i)
+	}
+	wg.Wait()
+	m := pp.Mirrored()
+	for _, got := range mirrors {
+		if got != m {
+			t.Fatal("Mirrored is not memoized")
+		}
+	}
+	if want := `TRAIL p = (b:City)[()<-[t:Transfer]-()]{1,3}(a:Account WHERE a.owner = 'x')`; m.Pattern.String() != want {
+		t.Errorf("mirror %q, want %q", m.Pattern, want)
+	}
+	if strings.Join(m.SeedLabels, ",") != "City" || strings.Join(m.TailLabels, ",") != "Account" {
+		t.Errorf("mirror end labels %v / %v", m.SeedLabels, m.TailLabels)
+	}
+	if strings.Join(m.HeadVars, ",") != "b" || strings.Join(m.TailVars, ",") != "a" {
+		t.Errorf("mirror end vars %v / %v", m.HeadVars, m.TailVars)
+	}
 }

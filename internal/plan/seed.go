@@ -6,42 +6,34 @@ import (
 	"gpml/internal/ast"
 )
 
-// Seed-label analysis: labels every match's first node must carry. The
-// evaluator starts every match at the pattern's first node position; when
-// that position provably requires a label, evaluation can seed from the
-// store's NodesWithLabel index instead of scanning all nodes, and the
-// store's cardinality statistics pick the cheapest such label at run time.
+// End-position analysis: what every match's first node (the seed the
+// evaluator starts at) and last node provably satisfy. The evaluator seeds
+// from the store's cheapest label index instead of scanning all nodes, the
+// join planner seeds a bind join through a bound head or tail variable,
+// and the cost model prices the labels and equality predicates found
+// there. Every result is sound but not complete: an empty one means
+// nothing could be proven.
 
-// seedLabels computes the required labels of a pattern's first node. The
-// result is sound but not complete: every returned label is carried by the
-// first node of every match, and an empty result means no label could be
-// proven (evaluation falls back to a full scan).
-func seedLabels(e ast.PathExpr) []string {
-	set, _ := seedConstraint(e)
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// seedConstraint walks the leading elements of e. It returns the implied
-// label set of the first node position and whether the walk consumed an
-// edge (after which later elements no longer constrain the first node).
-// Consecutive node patterns before the first edge all bind the same
-// position, so their implied labels accumulate.
-func seedConstraint(e ast.PathExpr) (map[string]struct{}, bool) {
+// endConstraint walks e from its first element (fromTail: its last) and
+// collects fact(n) over the node patterns that provably bind that end
+// position, plus whether the walk consumed an edge (after which later
+// elements no longer bind it). Consecutive node patterns before the first
+// edge all bind the same position, so their facts accumulate; a union
+// keeps what every branch proves; a quantifier that may be skipped proves
+// nothing and counts as moved, so later elements are not misattributed to
+// the end position.
+func endConstraint(e ast.PathExpr, fromTail bool, fact func(*ast.NodePattern) map[string]struct{}) (map[string]struct{}, bool) {
 	switch x := e.(type) {
 	case *ast.Concat:
 		acc := map[string]struct{}{}
-		for _, el := range x.Elems {
-			labels, moved := seedConstraint(el)
-			for l := range labels {
-				acc[l] = struct{}{}
+		for k := range x.Elems {
+			el := x.Elems[k]
+			if fromTail {
+				el = x.Elems[len(x.Elems)-1-k]
+			}
+			facts, moved := endConstraint(el, fromTail, fact)
+			for f := range facts {
+				acc[f] = struct{}{}
 			}
 			if moved {
 				return acc, true
@@ -49,40 +41,100 @@ func seedConstraint(e ast.PathExpr) (map[string]struct{}, bool) {
 		}
 		return acc, false
 	case *ast.NodePattern:
-		return impliedLabels(x.Label), false
-	case *ast.EdgePattern:
-		return nil, true
+		return fact(x), false
 	case *ast.Paren:
-		return seedConstraint(x.Expr)
+		return endConstraint(x.Expr, fromTail, fact)
 	case *ast.Quantified:
 		if x.Question || x.Min == 0 {
-			// The body may be skipped entirely: it proves nothing about the
-			// first node, and the position may or may not have moved. Treat
-			// it as moved so later elements are not misattributed to the
-			// first position.
 			return nil, true
 		}
-		return seedConstraint(x.Inner)
+		return endConstraint(x.Inner, fromTail, fact)
 	case *ast.Union:
 		if len(x.Branches) == 0 {
 			return nil, true
 		}
-		// A label is required only when every branch requires it. If any
-		// branch consumes an edge, stop accumulating afterwards.
-		acc, moved := seedConstraint(x.Branches[0])
+		acc, moved := endConstraint(x.Branches[0], fromTail, fact)
 		for _, br := range x.Branches[1:] {
-			labels, m := seedConstraint(br)
-			for l := range acc {
-				if _, ok := labels[l]; !ok {
-					delete(acc, l)
+			facts, m := endConstraint(br, fromTail, fact)
+			for f := range acc {
+				if _, ok := facts[f]; !ok {
+					delete(acc, f)
 				}
 			}
 			moved = moved || m
 		}
 		return acc, moved
-	default:
+	default: // an edge pattern
 		return nil, true
 	}
+}
+
+// endFacts returns what endConstraint proves for one end, sorted (nil when
+// nothing).
+func endFacts(e ast.PathExpr, fromTail bool, fact func(*ast.NodePattern) map[string]struct{}) []string {
+	set, _ := endConstraint(e, fromTail, fact)
+	if len(set) == 0 {
+		return nil
+	}
+	out := make([]string, 0, len(set))
+	for f := range set {
+		out = append(out, f)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// seedLabels returns the labels every match's first node carries.
+func seedLabels(e ast.PathExpr) []string { return endFacts(e, false, nodeLabels) }
+
+// tailLabels returns the labels every match's last node carries: the
+// automaton's target set and the cost model's endpoint selectivity.
+func tailLabels(e ast.PathExpr) []string { return endFacts(e, true, nodeLabels) }
+
+// nodeLabels is the label fact of a node pattern.
+func nodeLabels(n *ast.NodePattern) map[string]struct{} { return impliedLabels(n.Label) }
+
+// nodeVar is the variable fact of a node pattern: its named variable.
+func nodeVar(n *ast.NodePattern) map[string]struct{} {
+	if ast.IsAnonVar(n.Var) {
+		return nil
+	}
+	return map[string]struct{}{n.Var: {}}
+}
+
+// eqProps is the equality fact of a node pattern: the properties its WHERE
+// equates with a parameter or a literal in a top-level conjunct
+// (x.p = $v or 'lit' = x.p, for the node's own x).
+func eqProps(n *ast.NodePattern) map[string]struct{} {
+	out := map[string]struct{}{}
+	var walk func(ast.Expr)
+	walk = func(e ast.Expr) {
+		b, ok := e.(*ast.Binary)
+		if !ok {
+			return
+		}
+		switch b.Op {
+		case ast.OpAnd:
+			walk(b.L)
+			walk(b.R)
+		case ast.OpEq:
+			pa, ok := b.L.(*ast.PropAccess)
+			other := b.R
+			if !ok {
+				pa, ok = b.R.(*ast.PropAccess)
+				other = b.L
+			}
+			if !ok || pa.Var != n.Var {
+				return
+			}
+			switch other.(type) {
+			case *ast.Param, *ast.Literal:
+				out[pa.Prop] = struct{}{}
+			}
+		}
+	}
+	walk(n.Where)
+	return out
 }
 
 // impliedLabels returns the labels every element matching the expression
@@ -94,9 +146,11 @@ func impliedLabels(e ast.LabelExpr) map[string]struct{} {
 	case *ast.LabelName:
 		return map[string]struct{}{x.Name: {}}
 	case *ast.LabelAnd:
-		out := impliedLabels(x.L)
-		for l := range impliedLabels(x.R) {
-			out[l] = struct{}{}
+		out := map[string]struct{}{}
+		for _, side := range []ast.LabelExpr{x.L, x.R} {
+			for l := range impliedLabels(side) {
+				out[l] = struct{}{}
+			}
 		}
 		return out
 	case *ast.LabelOr:

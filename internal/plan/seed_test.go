@@ -20,6 +20,8 @@ func TestSeedLabels(t *testing.T) {
 		{`MATCH (a:Account|Phone)`, nil},
 		{`MATCH (a:Account|Account)`, []string{"Account"}},
 		{`MATCH (a:!Account)`, nil},
+		// A conjunction whose left side implies nothing.
+		{`MATCH (a:!Account&City)`, []string{"City"}},
 		{`MATCH (a:%)`, nil},
 		// Consecutive node patterns constrain the same position.
 		{`MATCH (a:Account)(b:Vip)-[e]->(c)`, []string{"Account", "Vip"}},

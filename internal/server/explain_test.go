@@ -17,7 +17,8 @@ import (
 // multi-pattern texts the serving benchmark sends (bench/workloads.go,
 // shapes triangle and colike_bindjoin) and of its two selector shapes
 // (all_shortest, any_shortest) on a small SNB graph: engine per pattern,
-// automaton size, join order, seed variables and streaming notes. What Explain
+// automaton size, join order, seed variables and ends with the estimates
+// each step was chosen by, and streaming notes. What Explain
 // prints is what runs — there is one pipeline — so a change here is a
 // change of the served plan.
 func TestExplainServedJoinPlans(t *testing.T) {
@@ -39,16 +40,16 @@ func TestExplainServedJoinPlans(t *testing.T) {
 			"pattern 1: engine=dfs" + dfs,
 			"pattern 2: engine=dfs" + dfs,
 			"join stats: nodes=410 edges=3068 avg-degree=15",
-			"join step 0: pattern 0 scan est-rows=207 [streaming]",
-			"join step 1: pattern 1 bind-join seed=b est-per-seed=8.51 [streaming]",
-			"join step 2: pattern 2 bind-join seed=c est-per-seed=8.51 [streaming]",
+			"join step 0: pattern 0 scan est-rows=2.07 [streaming]",
+			"join step 1: pattern 2 bind-join seed=a end=tail est-distinct=1 est-per-seed=8.51 [streaming]",
+			"join step 2: pattern 1 bind-join seed=b end=head est-distinct=2.07 est-per-seed=8.51 [streaming]",
 		}},
 		{"colike_bindjoin", `MATCH (a:Person WHERE a.firstName=$name)-[:likes]->(m:Post)<-[:likes]-(b:Person WHERE b.country=$country), TRAIL (a)-[:knows]-{1,2}(b)`, []string{
 			"pattern 0: engine=dfs seed-labels=Person" + dfs,
 			"pattern 1: engine=dfs restrictor=TRAIL" + dfs,
 			"join stats: nodes=410 edges=3068 avg-degree=15",
-			"join step 0: pattern 0 scan est-rows=60.2 [streaming]",
-			"join step 1: pattern 1 bind-join seed=a est-per-seed=8.51 [streaming]",
+			"join step 0: pattern 0 scan est-rows=0.012 [streaming]",
+			"join step 1: pattern 1 bind-join seed=a end=head est-distinct=1 est-per-seed=8.51 [streaming]",
 		}},
 		// Both selector shapes run on the automaton; the bounded one's
 		// {1,4} unrolls into 33 states against the unbounded one's 17.
