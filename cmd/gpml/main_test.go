@@ -56,34 +56,40 @@ func TestRunUsageExitCode(t *testing.T) {
 	}
 }
 
-// Compile errors exit 1 and point at the offending column with a caret.
+// Compile errors exit 1 and point at the offending column with a caret;
+// a character outside the grammar is one of them.
 func TestRunCompileErrorCaret(t *testing.T) {
-	code, _, errb := runCLI(t, []string{`MATCH (a)-[e->(b)`}, "")
-	if code != exitError {
-		t.Fatalf("exit = %d, want %d", code, exitError)
-	}
-	if !strings.Contains(errb, "parse error") {
-		t.Errorf("stderr missing parse error:\n%s", errb)
-	}
-	lines := strings.Split(strings.TrimRight(errb, "\n"), "\n")
-	if len(lines) < 3 {
-		t.Fatalf("stderr has no caret diagnostic:\n%s", errb)
-	}
-	src, caret := lines[len(lines)-2], lines[len(lines)-1]
-	if !strings.Contains(src, "MATCH (a)-[e->(b)") {
-		t.Errorf("diagnostic missing source line:\n%s", errb)
-	}
-	if !strings.HasSuffix(caret, "^") {
-		t.Errorf("diagnostic missing caret line:\n%s", errb)
-	}
-	// The caret must sit under the position the error reports.
-	if line, col, ok := errPosition(errb); !ok {
-		t.Errorf("error line carries no position:\n%s", errb)
-	} else if line == 1 {
-		// caret column: offset within the source line (2-space gutter).
-		caretCol := len(caret) - len("^") - len("  ") + 1
-		if caretCol != col {
-			t.Errorf("caret at col %d, error reports col %d:\n%s", caretCol, col, errb)
+	for _, tc := range []struct{ query, want string }{
+		{`MATCH (a)-[e->(b)`, "parse error"},
+		{`MATCH (a)→(b)`, "lex error at 1:10: unexpected character '→'"},
+	} {
+		code, _, errb := runCLI(t, []string{tc.query}, "")
+		if code != exitError {
+			t.Fatalf("%s: exit = %d, want %d", tc.query, code, exitError)
+		}
+		if !strings.Contains(errb, tc.want) {
+			t.Errorf("stderr missing %q:\n%s", tc.want, errb)
+		}
+		lines := strings.Split(strings.TrimRight(errb, "\n"), "\n")
+		if len(lines) < 3 {
+			t.Fatalf("stderr has no caret diagnostic:\n%s", errb)
+		}
+		src, caret := lines[len(lines)-2], lines[len(lines)-1]
+		if !strings.Contains(src, tc.query) {
+			t.Errorf("diagnostic missing source line:\n%s", errb)
+		}
+		if !strings.HasSuffix(caret, "^") {
+			t.Errorf("diagnostic missing caret line:\n%s", errb)
+		}
+		// The caret must sit under the position the error reports.
+		if line, col, ok := errPosition(errb); !ok {
+			t.Errorf("error line carries no position:\n%s", errb)
+		} else if line == 1 {
+			// caret column: offset within the source line (2-space gutter).
+			caretCol := len(caret) - len("^") - len("  ") + 1
+			if caretCol != col {
+				t.Errorf("caret at col %d, error reports col %d:\n%s", caretCol, col, errb)
+			}
 		}
 	}
 }

@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	gpmld [-addr :7687] [-graph graph.json] [-overlay] [-partitions N]
-//	      [-data-dir DIR] [-fsync always|interval|none] [-fsync-interval 50ms]
+//	gpmld [-addr :7687] [-graph graph.json] [-overlay] [-data-dir DIR]
+//	      [-fsync always|interval|none] [-fsync-interval 50ms]
 //	      [-cache 256] [-max-concurrent 8] [-max-queue 0]
 //	      [-default-timeout 0] [-max-timeout 0] [-max-rows 0]
 //	      [-drain-grace 10s]
@@ -13,12 +13,10 @@
 // Without -graph, the paper's Figure 1 banking graph is served under the
 // name "fig1". With -overlay the graph is wrapped in an epoch-snapshot
 // overlay store, the live-mutation serving configuration: queries pin
-// epoch snapshots while writers apply batches concurrently. With
-// -partitions N (N > 1, exclusive with -overlay) the graph is served
-// from a hash-partitioned snapshot: the shards are a storage layout, not
-// an execution mode. The server evaluates every query sequentially on
-// every store (internal/server never sets gpml.WithParallelism), and a
-// library caller's WithParallelism runs the same scatter on every store.
+// epoch snapshots while writers apply batches concurrently. Otherwise the
+// graph is served from an immutable CSR snapshot. The server evaluates
+// every query sequentially (internal/server never sets
+// gpml.WithParallelism).
 //
 // With -data-dir the overlay is durable: every applied batch is written
 // to a write-ahead log under DIR before it becomes visible, compaction
@@ -31,7 +29,7 @@
 // loss to that window), "none" leaves syncing to the OS. On a fresh
 // data directory the -graph (or Figure 1) graph is imported as the first
 // durable batch; on restart the directory's contents win and -graph is
-// ignored. -data-dir is exclusive with -partitions and implies -overlay.
+// ignored. -data-dir implies -overlay.
 //
 // Endpoints (see internal/server):
 //
@@ -81,8 +79,7 @@ func run() int {
 		addr       = flag.String("addr", ":7687", "listen address")
 		graphFile  = flag.String("graph", "", "graph JSON file served as \"main\" (default: the paper's Figure 1 graph as \"fig1\")")
 		overlay    = flag.Bool("overlay", false, "wrap the graph in an epoch-snapshot overlay store (live-mutation serving)")
-		partitions = flag.Int("partitions", 0, "serve a hash-partitioned snapshot with N adjacency shards (N > 1; exclusive with -overlay); served queries still run sequentially")
-		dataDir    = flag.String("data-dir", "", "durable overlay data directory: WAL + checkpoints, crash recovery on boot (implies -overlay; exclusive with -partitions)")
+		dataDir    = flag.String("data-dir", "", "durable overlay data directory: WAL + checkpoints, crash recovery on boot (implies -overlay)")
 		fsyncPol   = flag.String("fsync", "always", "WAL fsync policy: always | interval | none")
 		fsyncIvl   = flag.Duration("fsync-interval", 50*time.Millisecond, "fsync period when -fsync=interval")
 		cacheSize  = flag.Int("cache", 256, "compiled-plan LRU capacity")
@@ -126,12 +123,6 @@ func run() int {
 		dov *graph.Overlay // non-nil in the durable configuration
 	)
 	switch {
-	case *overlay && *partitions > 1:
-		fmt.Fprintln(os.Stderr, "gpmld: -overlay and -partitions are exclusive")
-		return 1
-	case *dataDir != "" && *partitions > 1:
-		fmt.Fprintln(os.Stderr, "gpmld: -data-dir and -partitions are exclusive")
-		return 1
 	case *dataDir != "":
 		// Durable overlay, phase one: load the newest checkpoint and come
 		// up read-only. WAL replay runs after the listener is up so health
@@ -153,10 +144,6 @@ func run() int {
 		st = dov
 	case *overlay:
 		st = gpml.NewOverlay(g)
-	case *partitions > 1:
-		// Hash-partitioned snapshot: immutable like a CSR, adjacency in
-		// per-partition arenas.
-		st = gpml.NewPartitioned(g, gpml.WithPartitions(*partitions))
 	default:
 		// Immutable CSR snapshot: safe for any number of concurrent
 		// readers, and the fastest read path.

@@ -431,11 +431,6 @@ func TestConformanceCorpus(t *testing.T) {
 				// The durability axis: checkpoint + WAL replay + torn-tail
 				// repair after an injected crash, serving the same state.
 				{"recovered", recoveredEquivalent(t, g)},
-				// The partitioned axis: a degenerate single shard and a
-				// count that forces cross-partition edges; the parallel
-				// config below runs the one scatter over their arenas.
-				{"parts1", gpml.NewPartitioned(g, gpml.WithPartitions(1))},
-				{"parts3", gpml.NewPartitioned(g, gpml.WithPartitions(3))},
 				// A third-party backend: only the Store methods show, so
 				// every evaluation runs on a transient snapshot of it.
 				{"foreign", storeOnly{gpml.Snapshot(g)}},

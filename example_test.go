@@ -144,25 +144,3 @@ func ExampleNewOverlay() {
 	// blocked after: 3
 	// pinned epoch still: 1
 }
-
-func ExampleNewPartitioned() {
-	// Shard the Figure 1 graph's adjacency across three partitions. The
-	// element core stays global, so results are byte-identical to the
-	// map and CSR backends, sequentially and under WithParallelism.
-	st := gpml.NewPartitioned(gpml.Fig1(), gpml.WithPartitions(3))
-	q := gpml.MustCompile(`MATCH (x:Account WHERE x.isBlocked='yes')-[t:Transfer]->(y:Account)`)
-
-	res, err := q.EvalStore(st, gpml.WithParallelism(3))
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, row := range res.Rows {
-		x, _ := row.Get("x")
-		y, _ := row.Get("y")
-		fmt.Println(x.Node, "->", y.Node)
-	}
-	fmt.Println("partitions:", st.NumPartitions())
-	// Output:
-	// a4 -> a6
-	// partitions: 3
-}

@@ -71,12 +71,6 @@ type (
 	OverlaySnap = graph.OverlaySnap
 	// OverlayOption configures NewOverlay.
 	OverlayOption = graph.OverlayOption
-	// Partitioned is an immutable snapshot whose adjacency is hash-sharded
-	// across per-partition CSR arenas; the streaming evaluator scatters
-	// per-partition seed ranges to partition-pinned workers and gathers
-	// results in seed order, so output is byte-identical to the other
-	// backends. See NewPartitioned.
-	Partitioned = graph.Partitioned
 	// StoreStats summarizes a store's per-label cardinalities.
 	StoreStats = graph.StoreStats
 	// Node is a graph node with labels and properties.
@@ -171,44 +165,6 @@ func NewOverlayFromCSR(base *CSR, opts ...OverlayOption) *Overlay {
 // overrides) at which Apply triggers background compaction; n <= 0
 // disables automatic compaction (Overlay.Compact still works).
 func WithCompactThreshold(n int) OverlayOption { return graph.WithCompactThreshold(n) }
-
-// PartitionOption configures NewPartitioned.
-type PartitionOption func(*graph.PartitionOptions)
-
-// WithPartitions sets the adjacency shard count of a partitioned
-// snapshot; values below 1 are treated as 1.
-func WithPartitions(n int) PartitionOption {
-	return func(o *graph.PartitionOptions) { o.Partitions = n }
-}
-
-// WithMmapArenas carves the partitioned snapshot's adjacency arenas out
-// of one unlinked mmap-backed temp file instead of the Go heap (unix
-// builds; elsewhere the builder silently falls back to heap slices).
-// Call Partitioned.Close to release the mapping.
-func WithMmapArenas() PartitionOption {
-	return func(o *graph.PartitionOptions) { o.Mmap = true }
-}
-
-// NewPartitioned builds an immutable snapshot of g whose interned node
-// indices are hash-sharded across per-partition CSR arenas. Element
-// records, the id interner, and the label index stay global, so ElemIdx
-// values — and therefore all query output — are identical to the map and
-// CSR backends; only the adjacency is sharded. Partitioning is a storage
-// layout: evaluation, sequential or under WithParallelism, runs exactly
-// as on a CSR:
-//
-//	st := gpml.NewPartitioned(g, gpml.WithPartitions(4))
-//	res, err := q.EvalStore(st, gpml.WithParallelism(4))
-//
-// Like a CSR, a partitioned snapshot is safe for any number of
-// concurrent readers and never changes.
-func NewPartitioned(g *Graph, opts ...PartitionOption) *Partitioned {
-	var o graph.PartitionOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return graph.PartitionSnapshot(g, o)
-}
 
 // Fig1 builds the paper's Figure 1 banking graph.
 func Fig1() *Graph { return dataset.Fig1() }

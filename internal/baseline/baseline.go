@@ -15,7 +15,7 @@ import (
 // EnumerateWalks lists all directed walks from src to dst using edges with
 // the given label (any when empty), of length 1..maxLen. It is the naive
 // baseline: exponential in maxLen on cyclic graphs.
-func EnumerateWalks(g graph.Store, src, dst graph.NodeID, label string, maxLen int) []graph.Path {
+func EnumerateWalks(g *graph.Graph, src, dst graph.NodeID, label string, maxLen int) []graph.Path {
 	var out []graph.Path
 	var walk func(p graph.Path)
 	walk = func(p graph.Path) {
@@ -42,7 +42,7 @@ func EnumerateWalks(g graph.Store, src, dst graph.NodeID, label string, maxLen i
 
 // EnumerateTrails lists all directed trails (no repeated edges) from src
 // to dst over the labelled edges — the restrictor-pruned baseline.
-func EnumerateTrails(g graph.Store, src, dst graph.NodeID, label string) []graph.Path {
+func EnumerateTrails(g *graph.Graph, src, dst graph.NodeID, label string) []graph.Path {
 	var out []graph.Path
 	used := map[graph.EdgeID]bool{}
 	var walk func(p graph.Path)
@@ -70,7 +70,7 @@ func EnumerateTrails(g graph.Store, src, dst graph.NodeID, label string) []graph
 // ShortestPath returns one shortest directed path from src to dst over the
 // labelled edges via breadth-first search, and whether one exists — the
 // classic single-pair algorithm corresponding to ANY SHORTEST with ->*.
-func ShortestPath(g graph.Store, src, dst graph.NodeID, label string) (graph.Path, bool) {
+func ShortestPath(g *graph.Graph, src, dst graph.NodeID, label string) (graph.Path, bool) {
 	if src == dst {
 		return graph.SingleNode(src), true
 	}
@@ -140,7 +140,7 @@ type hop struct {
 // AllShortestPaths returns every shortest directed path from src to dst
 // over the labelled edges (BFS DAG enumeration) — the ALL SHORTEST
 // baseline for the ->* shape.
-func AllShortestPaths(g graph.Store, src, dst graph.NodeID, label string) []graph.Path {
+func AllShortestPaths(g *graph.Graph, src, dst graph.NodeID, label string) []graph.Path {
 	if src == dst {
 		return []graph.Path{graph.SingleNode(src)}
 	}

@@ -11,7 +11,7 @@ import (
 // over directed edges carrying a non-negative numeric weight property.
 // Edges lacking the property (or with non-numeric values) are skipped. It
 // returns a cheapest path, its total cost, and whether dst is reachable.
-func CheapestPath(g graph.Store, src, dst graph.NodeID, label, weightProp string) (graph.Path, float64, bool) {
+func CheapestPath(g *graph.Graph, src, dst graph.NodeID, label, weightProp string) (graph.Path, float64, bool) {
 	if src == dst {
 		return graph.SingleNode(src), 0, true
 	}

@@ -53,14 +53,13 @@ type storeAxis struct {
 }
 
 // reverseAxes are the store axes of the reversal battery: the map graph,
-// its CSR, a partitioned snapshot, an overlay epoch with tombstones and a
-// live delta, and a store recovered from a checkpoint.
+// its CSR, an overlay epoch with tombstones and a live delta, and a store
+// recovered from a checkpoint.
 func reverseAxes(t *testing.T, g *graph.Graph) []storeAxis {
 	t.Helper()
 	return []storeAxis{
 		{"map", g},
 		{"csr", graph.Snapshot(g)},
-		{"parts3", graph.PartitionSnapshot(g, graph.PartitionOptions{Partitions: 3})},
 		{"tombstoned", tombstoned(t, g)},
 		{"recovered", recoveredStore(t, g)},
 	}

@@ -434,7 +434,7 @@ func decodeCheckpoint(path string, data []byte) (*CSR, uint64, uint64, error) {
 // arenaValid range-checks a loaded arena against its core in one pass:
 // the offset table starts at zero, never decreases and ends at the arena
 // length, and every step names a live edge, a live neighbour and a known
-// step kind — so Steps and Incident cannot index out of range.
+// step kind — so Steps cannot index out of range.
 func (c *CSR) arenaValid() bool {
 	spanN := len(c.nodes)
 	if c.incOff[0] != 0 || int(c.incOff[spanN]) != len(c.incEdge) {

@@ -45,8 +45,6 @@ func reseal(data []byte) []byte {
 // loader accepted none of it may panic.
 func walkStore(c *CSR) {
 	c.Nodes(func(n *Node) bool {
-		c.Incident(n.ID, func(e *Edge) bool { _ = e.ID; return true })
-		_ = c.Degree(n.ID)
 		_ = c.Node(n.ID).ID
 		return true
 	})
@@ -83,7 +81,7 @@ func TestCheckpointImageRoundtrip(t *testing.T) {
 }
 
 // TestCheckpointArenaValidated: a CRC-valid image whose arena would send
-// Steps or Incident out of range is refused at load, never served.
+// Steps out of range is refused at load, never served.
 func TestCheckpointArenaValidated(t *testing.T) {
 	img := checkpointImage(t)
 	c, _, _, err := decodeCheckpoint("img", img)

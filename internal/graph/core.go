@@ -21,9 +21,9 @@ type ElemIdx uint32
 // elemCore is the immutable element side of every snapshot store: the
 // paper's (N, E, ρ, λ, π) as dense records in insertion order, the id
 // interner, the label → nodes inverted index and the cardinality
-// statistics. CSR and Partitioned embed it and add only adjacency arenas;
-// an overlay epoch reads it through its CSR base. It implements every
-// Store and Stepper method except Steps, Incident and Degree.
+// statistics. CSR embeds it and adds only the adjacency arena; an overlay
+// epoch reads it through its CSR base. It implements every Store and
+// Stepper method except Steps.
 //
 // A core built from a live store is fully live. One produced by overlay
 // compaction (or loaded from its checkpoint) keeps tombstoned elements as
@@ -171,12 +171,10 @@ func markDead(mask []bool, i int) []bool {
 // isDead reads a hole mask, which may stop short of the index span.
 func isDead(mask []bool, i int) bool { return i < len(mask) && mask[i] }
 
-// arena is one CSR adjacency arena: row r's steps are the entries
-// incOff[r]:incOff[r+1] of the parallel incEdge/incOther/incKind arrays
+// arena is the CSR adjacency arena: node i's steps are the entries
+// incOff[i]:incOff[i+1] of the parallel incEdge/incOther/incKind arrays
 // (dense edge index, neighbour's node index, step kind), in edge
-// insertion order, so product searches step without id lookups. A CSR
-// has one arena whose rows are the node indices; a Partitioned store has
-// one per partition.
+// insertion order, so product searches step without id lookups.
 type arena struct {
 	incOff   []int32
 	incEdge  []int32
@@ -184,72 +182,40 @@ type arena struct {
 	incKind  []StepKind
 }
 
-// steps iterates row r's traversal steps.
-func (a *arena) steps(r int32, f func(edge, other int, kind StepKind) bool) {
-	for k := a.incOff[r]; k < a.incOff[r+1]; k++ {
+// steps iterates node i's traversal steps.
+func (a *arena) steps(i int32, f func(edge, other int, kind StepKind) bool) {
+	for k := a.incOff[i]; k < a.incOff[i+1]; k++ {
 		if !f(int(a.incEdge[k]), int(a.incOther[k]), a.incKind[k]) {
 			return
 		}
 	}
 }
 
-// layout fills parts with the adjacency of the core's live edges. Node
-// i's window is row local[i] of parts[partOf[i]]; a nil partOf means one
-// arena whose rows are the node indices. Rows must ascend with the node
-// index inside each arena. Windows are filled in edge insertion order and
-// a self-loop is incident once, matching the map graph's Incident
-// contract. With mmap the arrays are carved from one mapped region, which
-// is returned (nil on the heap, and when mapping fails).
-func (c *elemCore) layout(parts []arena, partOf, local []int32, mmap bool) *mmapArena {
-	at := func(n int32) (*arena, int32) {
-		if partOf == nil {
-			return &parts[0], n
-		}
-		return &parts[partOf[n]], local[n]
-	}
-	// cur holds each node's degree first, then its window's fill cursor.
-	cur := make([]int32, len(c.nodes))
+// layout builds the adjacency arena of the core's live edges, one row per
+// node index. Rows are filled in edge insertion order and a self-loop is
+// incident once, matching the map graph's Incident contract.
+func (c *elemCore) layout() arena {
+	a := arena{incOff: make([]int32, len(c.nodes)+1)}
+	// Count each node's degree into the row after it, then prefix-sum.
 	for i := range c.edges {
 		if isDead(c.deadE, i) {
 			continue
 		}
-		cur[c.edgeSrc[i]]++
+		a.incOff[c.edgeSrc[i]+1]++
 		if c.edgeSrc[i] != c.edgeTgt[i] {
-			cur[c.edgeTgt[i]]++
+			a.incOff[c.edgeTgt[i]+1]++
 		}
 	}
-	rows, steps := make([]int, len(parts)), make([]int, len(parts))
-	for i, d := range cur {
-		p := 0
-		if partOf != nil {
-			p = int(partOf[i])
-		}
-		rows[p]++
-		steps[p] += int(d)
+	for i := range c.nodes {
+		a.incOff[i+1] += a.incOff[i]
 	}
-	var mm *mmapArena
-	if mmap {
-		total := 0
-		for p := range parts {
-			total += arenaBytes(rows[p], steps[p])
-		}
-		mm, _ = newMmapArena(total) // nil on failure: heap fallback
-	}
-	for p := range parts {
-		parts[p] = arena{
-			incOff:   arenaInt32s(mm, rows[p]+1),
-			incEdge:  arenaInt32s(mm, steps[p]),
-			incOther: arenaInt32s(mm, steps[p]),
-			incKind:  arenaKinds(mm, steps[p]),
-		}
-	}
-	for i, d := range cur {
-		a, r := at(int32(i))
-		a.incOff[r+1] = a.incOff[r] + d
-		cur[i] = a.incOff[r]
-	}
+	steps := a.incOff[len(c.nodes)]
+	a.incEdge = make([]int32, steps)
+	a.incOther = make([]int32, steps)
+	a.incKind = make([]StepKind, steps)
+	// cur is each row's fill cursor.
+	cur := append([]int32(nil), a.incOff[:len(c.nodes)]...)
 	put := func(n, edge, other int32, k StepKind) {
-		a, _ := at(n)
 		a.incEdge[cur[n]], a.incOther[cur[n]], a.incKind[cur[n]] = edge, other, k
 		cur[n]++
 	}
@@ -271,7 +237,7 @@ func (c *elemCore) layout(parts []arena, partOf, local []int32, mmap bool) *mmap
 			put(ti, ei, si, StepIn)
 		}
 	}
-	return mm
+	return a
 }
 
 // Node returns the node with the given id, or nil.
@@ -377,12 +343,6 @@ func (c *elemCore) EdgeAt(i ElemIdx) *Edge {
 	return c.EdgeByIndex(int(i))
 }
 
-// NodeIndex maps a node id to its dense index.
-func (c *elemCore) NodeIndex(id NodeID) (int, bool) {
-	i, ok := c.nodeIdx[id]
-	return int(i), ok
-}
-
 // NodeByIndex returns the node at a dense index, or nil for a dead hole.
 func (c *elemCore) NodeByIndex(i int) *Node {
 	if isDead(c.deadN, i) {
@@ -418,15 +378,6 @@ func (c *elemCore) NodeIndexSpan() int { return len(c.nodes) }
 
 // EdgeIndexSpan reports the exclusive upper bound of edge indices.
 func (c *elemCore) EdgeIndexSpan() int { return len(c.edges) }
-
-// incident iterates the edges of row r of arena a, for Incident.
-func (c *elemCore) incident(a *arena, r int32, f func(*Edge) bool) {
-	for _, ei := range a.incEdge[a.incOff[r]:a.incOff[r+1]] {
-		if !f(&c.edges[ei]) {
-			return
-		}
-	}
-}
 
 // summary renders the cardinalities for the stores' Stats methods.
 func (c *elemCore) summary() string {

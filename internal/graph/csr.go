@@ -19,35 +19,13 @@ type CSR struct {
 // it index for index.
 func Snapshot(s Store) *CSR { return newCSR(indexStore(Pin(s))) }
 
-// newCSR lays the core's adjacency out into a single arena.
-func newCSR(core elemCore) *CSR {
-	c := &CSR{elemCore: core}
-	var one [1]arena
-	c.layout(one[:], nil, nil, false)
-	c.arena = one[0]
-	return c
-}
+// newCSR lays the core's adjacency out into its arena.
+func newCSR(core elemCore) *CSR { return &CSR{elemCore: core, arena: core.layout()} }
 
 // Steps iterates the traversal steps of node index i from the adjacency
 // arena: dense edge index, neighbour index, and step kind.
 func (c *CSR) Steps(i int, f func(edge, other int, kind StepKind) bool) {
 	c.steps(int32(i), f)
-}
-
-// Incident iterates the edges touching n in insertion order.
-func (c *CSR) Incident(n NodeID, f func(*Edge) bool) {
-	if i, ok := c.nodeIdx[n]; ok {
-		c.incident(&c.arena, i, f)
-	}
-}
-
-// Degree reports the number of edges incident to n.
-func (c *CSR) Degree(n NodeID) int {
-	i, ok := c.nodeIdx[n]
-	if !ok {
-		return 0
-	}
-	return int(c.incOff[i+1] - c.incOff[i])
 }
 
 // Stats summarizes the snapshot, mirroring Graph.Stats.

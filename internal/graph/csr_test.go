@@ -70,17 +70,12 @@ func storeConformance(t *testing.T, name string, g *Graph, s Store) {
 	if s.Node("zzz") != nil || s.Edge("zzz") != nil {
 		t.Errorf("%s: lookups of unknown ids must return nil", name)
 	}
-	// Incident iteration order and degree, including self-loops visited
-	// once and multi-edges visited individually.
+	// Step order per node is the map graph's Incident order, including
+	// self-loops visited once and multi-edges visited individually.
+	st := AsStepper(s)
 	for _, id := range g.NodeIDs() {
-		var got, want []EdgeID
-		s.Incident(id, func(e *Edge) bool { got = append(got, e.ID); return true })
-		g.Incident(id, func(e *Edge) bool { want = append(want, e.ID); return true })
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: incident(%s) = %v, want %v", name, id, got, want)
-		}
-		if s.Degree(id) != len(want) {
-			t.Errorf("%s: degree(%s) = %d, want %d", name, id, s.Degree(id), len(want))
+		if got, want := stepIncident(st, id), g.IncidentIDs(id); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: steps(%s) = %v, want %v", name, id, got, want)
 		}
 	}
 	// Label index equals a filtered scan, per label and for absent labels.
@@ -113,6 +108,19 @@ func storeConformance(t *testing.T, name string, g *Graph, s Store) {
 	if count != 1 {
 		t.Errorf("%s: Nodes ignored early stop (%d visits)", name, count)
 	}
+}
+
+// stepIncident lists the edges Steps visits at node id, in step order:
+// the Stepper counterpart of the map graph's Incident.
+func stepIncident(st Stepper, id NodeID) []EdgeID {
+	var out []EdgeID
+	if i, ok := st.InternNode(id); ok {
+		st.Steps(int(i), func(edge, _ int, _ StepKind) bool {
+			out = append(out, st.EdgeByIndex(edge).ID)
+			return true
+		})
+	}
+	return out
 }
 
 func TestStoreConformance(t *testing.T) {

@@ -271,12 +271,6 @@ func (s *OverlaySnap) Steps(i int, f func(edge, other int, kind StepKind) bool) 
 	}
 }
 
-// NodeIndex maps a node id to its dense index.
-func (s *OverlaySnap) NodeIndex(id NodeID) (int, bool) {
-	i, ok := s.InternNode(id)
-	return int(i), ok
-}
-
 // NodeByIndex returns the node at a dense index, or nil when tombstoned.
 func (s *OverlaySnap) NodeByIndex(i int) *Node { return s.nodeAtIdx(i) }
 
@@ -350,31 +344,6 @@ func (s *OverlaySnap) NodesWithLabel(label string, f func(*Node) bool) {
 // CountNodesWithLabel answers with O(1) arithmetic over the base count.
 func (s *OverlaySnap) CountNodesWithLabel(label string) int {
 	return s.base.CountNodesWithLabel(label) - s.labelSub[label] + len(s.labelDelta[label])
-}
-
-// Incident iterates the live edges touching n in insertion order.
-func (s *OverlaySnap) Incident(n NodeID, f func(*Edge) bool) {
-	i, ok := s.InternNode(n)
-	if !ok {
-		return
-	}
-	s.Steps(int(i), func(edge, other int, kind StepKind) bool {
-		return f(s.edgeAtIdx(edge))
-	})
-}
-
-// Degree reports the number of live edges incident to n.
-func (s *OverlaySnap) Degree(n NodeID) int {
-	i, ok := s.InternNode(n)
-	if !ok {
-		return 0
-	}
-	d := 0
-	s.Steps(int(i), func(edge, other int, kind StepKind) bool {
-		d++
-		return true
-	})
-	return d
 }
 
 // LabelStats derives this epoch's cardinalities from the base statistics

@@ -323,6 +323,10 @@ func (g *Graph) Incident(n NodeID, f func(*Edge) bool) {
 	}
 }
 
+// Degree reports the number of edges incident to n (a self-loop counts
+// once).
+func (g *Graph) Degree(n NodeID) int { return len(g.incident[n]) }
+
 // IncidentIDs returns the ids of edges touching n (shared slice; do not
 // mutate).
 func (g *Graph) IncidentIDs(n NodeID) []EdgeID { return g.incident[n] }

@@ -36,8 +36,6 @@ func (k StepKind) String() string {
 // adjacency arenas; any other Store is snapshotted by AsStepper.
 type Stepper interface {
 	Store
-	// NodeIndex maps a node id to its dense index (insertion order).
-	NodeIndex(id NodeID) (int, bool)
 	// NodeByIndex returns the node at a dense index.
 	NodeByIndex(i int) *Node
 	// EdgeByIndex returns the edge at a dense index (insertion order).
@@ -49,8 +47,8 @@ type Stepper interface {
 	// Steps iterates the traversal steps available from node index i: the
 	// dense edge index, the neighbour's dense index, and the step kind.
 	// A directed self-loop yields a single StepLoop step and an undirected
-	// self-loop a single StepUndirected step, mirroring Incident's
-	// visit-once contract. f returns false to stop.
+	// self-loop a single StepUndirected step, mirroring the map graph's
+	// Incident, which visits a self-loop once. f returns false to stop.
 	Steps(i int, f func(edge, other int, kind StepKind) bool)
 	// NodesWithLabelIdx iterates the dense indices of the nodes carrying
 	// the label, in insertion order — the seed path of the engines.

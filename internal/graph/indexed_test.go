@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"path/filepath"
 	"sort"
 	"testing"
 )
@@ -13,8 +14,8 @@ func stepSet(t *testing.T, st Stepper) []string {
 	var out []string
 	for i := 0; i < st.NumNodes(); i++ {
 		n := st.NodeByIndex(i)
-		if got, ok := st.NodeIndex(n.ID); !ok || got != i {
-			t.Fatalf("NodeIndex(%q) = %d,%v, want %d", n.ID, got, ok, i)
+		if got, ok := st.InternNode(n.ID); !ok || int(got) != i {
+			t.Fatalf("InternNode(%q) = %d,%v, want %d", n.ID, got, ok, i)
 		}
 		st.Steps(i, func(edge, other int, kind StepKind) bool {
 			e := st.EdgeByIndex(edge)
@@ -30,10 +31,10 @@ func stepSet(t *testing.T, st Stepper) []string {
 // a third-party backend, which AsStepper must snapshot.
 type hideStepper struct{ Store }
 
-// Every indexed view of one graph — a CSR snapshot, a partitioned
-// snapshot, the map graph's memoized snapshot and the transient snapshot
-// of a foreign store — must expose the identical step relation, including
-// the self-loop and multi-edge corners.
+// Every indexed view of one graph — a CSR snapshot, the map graph's
+// memoized snapshot and the transient snapshot of a foreign store — must
+// expose the identical step relation, including the self-loop and
+// multi-edge corners.
 func TestStepperConformance(t *testing.T) {
 	g := conformanceGraph(t)
 	csr := Snapshot(g)
@@ -48,9 +49,8 @@ func TestStepperConformance(t *testing.T) {
 		t.Fatalf("empty step relation")
 	}
 	for name, st := range map[string]Stepper{
-		"map":         AsStepper(g),
-		"foreign":     AsStepper(hideStepper{csr}),
-		"partitioned": PartitionSnapshot(g, PartitionOptions{Partitions: 3}),
+		"map":     AsStepper(g),
+		"foreign": AsStepper(hideStepper{csr}),
 	} {
 		if got := stepSet(t, st); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("step relations diverge:\ncsr: %v\n%s: %v", want, name, got)
@@ -58,45 +58,58 @@ func TestStepperConformance(t *testing.T) {
 	}
 }
 
-// Steps must agree with Incident: same edges touch each node, and the
-// step kinds reflect direction and self-loops.
+// Steps must agree with the map graph's Incident on every Stepper: a CSR,
+// an overlay epoch with a delta and tombstones, and a CSR loaded back
+// from a checkpoint. Each node visits the same edges in the same order, a
+// self-loop once, and the step kinds reflect direction and self-loops.
 func TestStepsMatchIncident(t *testing.T) {
 	g := conformanceGraph(t)
-	csr := Snapshot(g)
-	for i := 0; i < csr.NumNodes(); i++ {
-		n := csr.NodeByIndex(i)
-		var fromSteps, fromIncident []string
-		csr.Steps(i, func(edge, other int, kind StepKind) bool {
-			e := csr.EdgeByIndex(edge)
-			fromSteps = append(fromSteps, string(e.ID))
-			switch kind {
-			case StepOut:
-				if e.Direction != Directed || e.Source != n.ID || e.IsLoop() {
-					t.Errorf("bad StepOut %s at %s", e.ID, n.ID)
-				}
-			case StepIn:
-				if e.Direction != Directed || e.Target != n.ID || e.IsLoop() {
-					t.Errorf("bad StepIn %s at %s", e.ID, n.ID)
-				}
-			case StepLoop:
-				if e.Direction != Directed || !e.IsLoop() {
-					t.Errorf("bad StepLoop %s at %s", e.ID, n.ID)
-				}
-			case StepUndirected:
-				if e.Direction != Undirected {
-					t.Errorf("bad StepUndirected %s at %s", e.ID, n.ID)
-				}
+	ov, ref := overlayFixture(t)
+	path := filepath.Join(t.TempDir(), "ckpt.ck")
+	if err := writeCheckpoint(path, compactBase(ov.Snapshot()), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	loaded, _, _, err := loadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		st   Stepper
+		ref  *Graph
+	}{
+		{"csr", Snapshot(g), g},
+		{"overlay-epoch", ov.Snapshot(), ref},
+		{"checkpoint", loaded, ref},
+	} {
+		st := tc.st
+		for _, id := range tc.ref.NodeIDs() {
+			if got, want := stepIncident(st, id), tc.ref.IncidentIDs(id); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s: node %s: steps %v != incident %v", tc.name, id, got, want)
 			}
-			return true
-		})
-		csr.Incident(n.ID, func(e *Edge) bool {
-			fromIncident = append(fromIncident, string(e.ID))
-			return true
-		})
-		sort.Strings(fromSteps)
-		sort.Strings(fromIncident)
-		if fmt.Sprint(fromSteps) != fmt.Sprint(fromIncident) {
-			t.Errorf("node %s: steps %v != incident %v", n.ID, fromSteps, fromIncident)
+			i, _ := st.InternNode(id)
+			st.Steps(int(i), func(edge, _ int, kind StepKind) bool {
+				e := st.EdgeByIndex(edge)
+				switch kind {
+				case StepOut:
+					if e.Direction != Directed || e.Source != id || e.IsLoop() {
+						t.Errorf("%s: bad StepOut %s at %s", tc.name, e.ID, id)
+					}
+				case StepIn:
+					if e.Direction != Directed || e.Target != id || e.IsLoop() {
+						t.Errorf("%s: bad StepIn %s at %s", tc.name, e.ID, id)
+					}
+				case StepLoop:
+					if e.Direction != Directed || !e.IsLoop() {
+						t.Errorf("%s: bad StepLoop %s at %s", tc.name, e.ID, id)
+					}
+				case StepUndirected:
+					if e.Direction != Undirected {
+						t.Errorf("%s: bad StepUndirected %s at %s", tc.name, e.ID, id)
+					}
+				}
+				return true
+			})
 		}
 	}
 }
@@ -105,9 +118,9 @@ func TestStepsMatchIncident(t *testing.T) {
 func TestStepsEarlyStop(t *testing.T) {
 	g := conformanceGraph(t)
 	for _, st := range []Stepper{Snapshot(g), AsStepper(Store(g))} {
-		i, _ := st.NodeIndex("a")
+		i, _ := st.InternNode("a")
 		count := 0
-		st.Steps(i, func(int, int, StepKind) bool {
+		st.Steps(int(i), func(int, int, StepKind) bool {
 			count++
 			return false
 		})

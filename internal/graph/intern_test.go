@@ -167,7 +167,7 @@ func TestAsStepperMemoized(t *testing.T) {
 	if st3 == st1 {
 		t.Fatalf("mutation must invalidate the memoized snapshot")
 	}
-	if _, ok := st3.NodeIndex("invalidate"); !ok {
+	if _, ok := st3.InternNode("invalidate"); !ok {
 		t.Fatalf("rebuilt snapshot must see the new node")
 	}
 	if err := g.SetNodeProp("n0", "k", value.Int(1)); err != nil {

@@ -7,20 +7,8 @@ import (
 	"os"
 )
 
-// mmapArena is unavailable off unix; the partitioned snapshot falls back
-// to heap-allocated arenas.
-type mmapArena struct{}
-
-func newMmapArena(size int) (*mmapArena, error) {
-	return nil, errors.New("graph: mmap arenas unsupported on this platform")
-}
-
 // mapFileRO is unavailable off unix; checkpoint loading falls back to a
 // heap read of the file.
 func mapFileRO(f *os.File, size int) ([]byte, error) {
 	return nil, errors.New("graph: file mmap unsupported on this platform")
 }
-
-func (a *mmapArena) int32s(n int) []int32   { return make([]int32, n) }
-func (a *mmapArena) kinds(n int) []StepKind { return make([]StepKind, n) }
-func (a *mmapArena) Close() error           { return nil }

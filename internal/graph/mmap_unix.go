@@ -5,74 +5,7 @@ package graph
 import (
 	"os"
 	"syscall"
-	"unsafe"
 )
-
-// mmapArena is one contiguous mmap-backed region the partitioned
-// snapshot carves its flat adjacency arrays out of. The backing file is
-// created in the default temp directory, sized with Truncate, mapped
-// shared read-write, and unlinked immediately — the mapping keeps the
-// storage alive, the pages are file-backed (reclaimable under memory
-// pressure) rather than Go heap, and nothing is left on disk after
-// Close or process exit.
-type mmapArena struct {
-	data []byte
-	off  int
-}
-
-// newMmapArena maps a region of at least size bytes. Any failure returns
-// a nil arena (callers fall back to heap slices).
-func newMmapArena(size int) (*mmapArena, error) {
-	if size <= 0 {
-		size = 1
-	}
-	f, err := os.CreateTemp("", "gpml-arena-*")
-	if err != nil {
-		return nil, err
-	}
-	// Unlink first so the file cannot outlive the mapping even on a
-	// crash; the fd (and then the mapping) keeps it readable.
-	name := f.Name()
-	defer f.Close()
-	if err := os.Remove(name); err != nil {
-		return nil, err
-	}
-	if err := f.Truncate(int64(size)); err != nil {
-		return nil, err
-	}
-	data, err := syscall.Mmap(int(f.Fd()), 0, size,
-		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
-	if err != nil {
-		return nil, err
-	}
-	return &mmapArena{data: data}, nil
-}
-
-// align advances the carve offset to a multiple of n (a power of two).
-func (a *mmapArena) align(n int) {
-	a.off = (a.off + n - 1) &^ (n - 1)
-}
-
-// int32s carves an int32 view of the next 4n bytes.
-func (a *mmapArena) int32s(n int) []int32 {
-	if n == 0 {
-		return nil
-	}
-	a.align(4)
-	s := unsafe.Slice((*int32)(unsafe.Pointer(&a.data[a.off])), n)
-	a.off += 4 * n
-	return s
-}
-
-// kinds carves a StepKind view of the next n bytes.
-func (a *mmapArena) kinds(n int) []StepKind {
-	if n == 0 {
-		return nil
-	}
-	s := unsafe.Slice((*StepKind)(unsafe.Pointer(&a.data[a.off])), n)
-	a.off += n
-	return s
-}
 
 // mapFileRO maps size bytes of f read-only and shared. The mapping stays
 // valid after f is closed; the caller owns its lifetime.
@@ -81,14 +14,4 @@ func mapFileRO(f *os.File, size int) ([]byte, error) {
 		return nil, nil
 	}
 	return syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ, syscall.MAP_SHARED)
-}
-
-// Close unmaps the region; all carved slices become invalid.
-func (a *mmapArena) Close() error {
-	data := a.data
-	a.data = nil
-	if data == nil {
-		return nil
-	}
-	return syscall.Munmap(data)
 }

@@ -369,10 +369,12 @@ func (ov *Overlay) validateLocked(b *Batch) error {
 			// Detach semantics: incident edges die with the node, so mark
 			// them dead in the shadow state too — both edges live in the
 			// current epoch and edges this batch staged.
-			cur.Incident(NodeID(o.id), func(e *Edge) bool {
-				edgeOvr[e.ID] = false
-				return true
-			})
+			if i, ok := cur.InternNode(NodeID(o.id)); ok {
+				cur.Steps(int(i), func(edge, _ int, _ StepKind) bool {
+					edgeOvr[cur.edgeAtIdx(edge).ID] = false
+					return true
+				})
+			}
 			for _, eid := range stagedAdj[NodeID(o.id)] {
 				edgeOvr[eid] = false
 			}
@@ -594,12 +596,6 @@ func (ov *Overlay) Nodes(f func(*Node) bool) { ov.cur.Load().Nodes(f) }
 
 // Edges iterates the current epoch's live edges in insertion order.
 func (ov *Overlay) Edges(f func(*Edge) bool) { ov.cur.Load().Edges(f) }
-
-// Incident iterates the live edges touching n in the current epoch.
-func (ov *Overlay) Incident(n NodeID, f func(*Edge) bool) { ov.cur.Load().Incident(n, f) }
-
-// Degree reports the number of live edges incident to n.
-func (ov *Overlay) Degree(n NodeID) int { return ov.cur.Load().Degree(n) }
 
 // NodesWithLabel iterates the current epoch's nodes carrying the label.
 func (ov *Overlay) NodesWithLabel(label string, f func(*Node) bool) {

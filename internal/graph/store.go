@@ -8,11 +8,12 @@ import "sort"
 // mutates a Store.
 //
 // The package's stores are layers over one immutable element core: CSR
-// (the core plus one adjacency arena), Partitioned (the core plus N
-// arenas), and Overlay (a mutable delta over a CSR base, optionally
-// durable). The map-based *Graph is their builder and answers queries
-// through a memoized CSR snapshot of itself. A third-party backend only
-// needs to satisfy this interface; the evaluator snapshots it per query.
+// (the core plus one adjacency arena) and Overlay (a mutable delta over a
+// CSR base, optionally durable). The map-based *Graph is their builder and
+// answers queries through a memoized CSR snapshot of itself. A third-party
+// backend only needs to satisfy this interface; the evaluator snapshots it
+// per query and steps the snapshot's arena, so incidence is not part of
+// the contract.
 type Store interface {
 	// Node returns the node with the given id, or nil.
 	Node(id NodeID) *Node
@@ -26,12 +27,6 @@ type Store interface {
 	Nodes(f func(*Node) bool)
 	// Edges iterates edges in insertion order; f returns false to stop.
 	Edges(f func(*Edge) bool)
-	// Incident iterates the edges touching n in insertion order (directed
-	// in either orientation, and undirected); a self-loop is visited once.
-	Incident(n NodeID, f func(*Edge) bool)
-	// Degree reports the number of incident edges of n (self-loops count
-	// once), without iterating them.
-	Degree(n NodeID) int
 	// NodesWithLabel iterates the nodes carrying the label, in insertion
 	// order. It must visit exactly the nodes a full Nodes scan filtered by
 	// HasLabel(label) would.
@@ -120,9 +115,6 @@ func CheapestNodeLabel(s Store, candidates []string) (string, bool) {
 	return best, true
 }
 
-// Degree reports the number of edges incident to n.
-func (g *Graph) Degree(n NodeID) int { return len(g.incident[n]) }
-
 // NodesWithLabel iterates the nodes carrying the label in insertion order
 // (a filtered scan: the label index lives in the snapshot).
 func (g *Graph) NodesWithLabel(label string, f func(*Node) bool) {
@@ -163,7 +155,6 @@ var (
 	_ EpochSource = (*Overlay)(nil)
 	_ Stepper     = (*OverlaySnap)(nil)
 	_ Stepper     = (*CSR)(nil)
-	_ Stepper     = (*Partitioned)(nil)
 )
 
 // sortedLabels returns the map's keys sorted, for deterministic rendering.

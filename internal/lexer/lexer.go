@@ -227,6 +227,16 @@ func (l *Lexer) lexWord(tok Token) (Token, error) {
 			l.advance()
 		}
 	}
+	if l.pos == start {
+		// A non-ASCII rune that cannot start a word: consuming nothing
+		// would hand Tokenize the same position forever.
+		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
+		msg := fmt.Sprintf("unexpected character %q", r)
+		if r == utf8.RuneError && size == 1 {
+			msg = fmt.Sprintf("invalid UTF-8 byte %#x", l.src[l.pos])
+		}
+		return Token{}, &Error{Msg: msg, Line: tok.Line, Col: tok.Col}
+	}
 	word := l.src[start:l.pos]
 	upper := strings.ToUpper(word)
 	if IsKeyword(upper) {

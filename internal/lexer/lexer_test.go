@@ -207,6 +207,31 @@ func TestUnicodeIdentifiers(t *testing.T) {
 	}
 }
 
+// A non-ASCII rune outside the grammar, or a byte that is not UTF-8, is a
+// positioned error. As an empty identifier that consumes nothing it would
+// make Tokenize append empty tokens until memory runs out.
+func TestUnexpectedNonASCII(t *testing.T) {
+	for _, tc := range []struct {
+		src, msg string
+		col      int
+	}{
+		{"MATCH (a)→(b)", `unexpected character '→'`, 10},
+		{"MATCH (a)—(b)", `unexpected character '—'`, 10},
+		{"MATCH\u00a0(a)", `unexpected character '\u00a0'`, 6},
+		{"MATCH (a)\xff(b)", "invalid UTF-8 byte 0xff", 10},
+	} {
+		_, err := Tokenize(tc.src)
+		le, ok := err.(*Error)
+		if !ok {
+			t.Errorf("%q: err = %v, want a lexer error", tc.src, err)
+			continue
+		}
+		if le.Line != 1 || le.Col != tc.col || le.Msg != tc.msg {
+			t.Errorf("%q: error %d:%d %q, want 1:%d %q", tc.src, le.Line, le.Col, le.Msg, tc.col, tc.msg)
+		}
+	}
+}
+
 func TestEdgePatternTokenStream(t *testing.T) {
 	// The paper's full edge pattern: <-[e:Transfer WHERE e.amount>5M]->
 	got := kinds(t, "<-[e:Transfer WHERE e.amount>5M]->")

@@ -1,6 +1,8 @@
 package parser
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -302,25 +304,28 @@ func TestStatementErrors(t *testing.T) {
 	parseErr(t, `MATCH <[e]>`, "")
 }
 
+// roundtripQueries span the constructs the printer renders; they seed
+// FuzzParsePrintParse too.
+var roundtripQueries = []string{
+	`MATCH (x:Account WHERE x.isBlocked = 'no')`,
+	`MATCH (a)-[e:Transfer WHERE e.amount > 5000000]->(b)`,
+	`MATCH (p:Phone)~[h:hasPhone]~(s:Account)-[t:Transfer]->(d:Account)~[h2:hasPhone]~(p)`,
+	`MATCH TRAIL p = (a WHERE a.owner = 'Dave')-[t:Transfer]->*(b WHERE b.owner = 'Aretha')`,
+	`MATCH ALL SHORTEST (x)-[e]->+(y)`,
+	`MATCH ANY 2 (x)-[e]->{1,3}(y)`,
+	`MATCH SHORTEST 2 GROUP (x)-[e]->*(y)`,
+	`MATCH (c:City) | (c:Country)`,
+	`MATCH (c:City) |+| (c:Country)`,
+	`MATCH (x)[-[e]->(y)]?`,
+	`MATCH (a)[(n1)-[e]->(n2) WHERE e.amount > 1000000]{2,5}(b) WHERE SUM(e.amount) > 10000000`,
+	`MATCH (s)<~[e]~(m)~[f]~>(x)<-[g]->(y)`,
+	`MATCH (a:Account&!Phone)`,
+	`MATCH (x), (x)-[e]->(y) WHERE SAME(x, y) OR ALL_DIFFERENT(x, y)`,
+}
+
 // The printer emits parseable GPML: parse → print → parse is a fixpoint.
 func TestPrintParseRoundtrip(t *testing.T) {
-	queries := []string{
-		`MATCH (x:Account WHERE x.isBlocked = 'no')`,
-		`MATCH (a)-[e:Transfer WHERE e.amount > 5000000]->(b)`,
-		`MATCH (p:Phone)~[h:hasPhone]~(s:Account)-[t:Transfer]->(d:Account)~[h2:hasPhone]~(p)`,
-		`MATCH TRAIL p = (a WHERE a.owner = 'Dave')-[t:Transfer]->*(b WHERE b.owner = 'Aretha')`,
-		`MATCH ALL SHORTEST (x)-[e]->+(y)`,
-		`MATCH ANY 2 (x)-[e]->{1,3}(y)`,
-		`MATCH SHORTEST 2 GROUP (x)-[e]->*(y)`,
-		`MATCH (c:City) | (c:Country)`,
-		`MATCH (c:City) |+| (c:Country)`,
-		`MATCH (x)[-[e]->(y)]?`,
-		`MATCH (a)[(n1)-[e]->(n2) WHERE e.amount > 1000000]{2,5}(b) WHERE SUM(e.amount) > 10000000`,
-		`MATCH (s)<~[e]~(m)~[f]~>(x)<-[g]->(y)`,
-		`MATCH (a:Account&!Phone)`,
-		`MATCH (x), (x)-[e]->(y) WHERE SAME(x, y) OR ALL_DIFFERENT(x, y)`,
-	}
-	for _, src := range queries {
+	for _, src := range roundtripQueries {
 		first := parse(t, src)
 		printed := first.String()
 		second, err := Parse(printed)
@@ -571,4 +576,43 @@ func TestNestingDepthGuard(t *testing.T) {
 	if _, err := ParseExpr(rep("(", maxDepth+1) + "1" + rep(")", maxDepth+1)); err == nil {
 		t.Fatal("ParseExpr must enforce the same bound")
 	}
+}
+
+// FuzzParsePrintParse checks the printer against the parser on arbitrary
+// input: whatever parses must print to text that parses again and prints
+// identically. Seeds are the round-trip list and every conformance query.
+func FuzzParsePrintParse(f *testing.F) {
+	for _, src := range roundtripQueries {
+		f.Add(src)
+	}
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "conformance", "*.txt"))
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no conformance cases to seed from (%v)", err)
+	}
+	for _, path := range files {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		_, rest, ok := strings.Cut(string(raw), "\nquery:\n")
+		if !ok {
+			f.Fatalf("%s: no query section", path)
+		}
+		query, _, _ := strings.Cut(rest, "\n-- result --")
+		f.Add(strings.TrimSpace(query))
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		first, err := Parse(src)
+		if err != nil {
+			return
+		}
+		printed := first.String()
+		second, err := Parse(printed)
+		if err != nil {
+			t.Fatalf("re-parse of %q (printed %q) failed: %v", src, printed, err)
+		}
+		if again := second.String(); again != printed {
+			t.Fatalf("print not a fixpoint:\n  src    %q\n  first  %q\n  second %q", src, printed, again)
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -55,6 +57,32 @@ func TestDeeplyNestedQueryIs400(t *testing.T) {
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(`{"query":"MATCH (x:Account)"}`)))
 		if w.Code != http.StatusOK {
 			t.Errorf("%s after the rejected request: status %d, want 200\n%s", path, w.Code, w.Body)
+		}
+	}
+}
+
+// TestUnlexableCharacterIs400 sends queries with a character outside the
+// grammar. Each is a positioned compile error, not an endless run of empty
+// tokens that exhausts memory, and the server stays healthy.
+func TestUnlexableCharacterIs400(t *testing.T) {
+	h := testServer(t).Handler()
+	// The invalid byte reaches the lexer as U+FFFD: JSON strings are
+	// decoded to valid UTF-8.
+	for _, query := range []string{"MATCH (a)→(b)", "MATCH (a)\u00a0-(b)", "MATCH (a)\xff(b)"} {
+		body, err := json.Marshal(map[string]string{"query": query})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `"kind":"compile"`) ||
+			!strings.Contains(w.Body.String(), `"line":1,"col":10`) {
+			t.Errorf("%q: status %d body %s, want a 400 compile error at 1:10", query, w.Code, w.Body)
+		}
+		w = httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("/healthz after %q: status %d, want 200", query, w.Code)
 		}
 	}
 }

@@ -1,17 +1,11 @@
 // Bench-scale tier: enumeration throughput, first-row latency and
 // bind-join speed on the LDBC-SNB-flavored graph (internal/dataset SNB)
-// as a function of scale factor, varying one thing at a time. The
-// parallelism axis runs on the plain CSR snapshot (`/sf=<f>/par=1|2|4`,
-// par=1 being the serial floor); the layout axis holds par=4 and swaps
-// the store (`/sf=<f>/parts=4` hash-partitioned on the heap,
-// `/sf=<f>/parts=4/mmap` the same arenas file-backed), so par=4 vs
-// parts=4 is the cost of partitioning alone and parts=4 vs parts=4/mmap
-// the cost of the page cache. benchjson -compare reports regressions per
-// cell.
+// as a function of scale factor and parallelism on the CSR snapshot
+// (`/sf=<f>/par=1|2|4`, par=1 being the serial floor). benchjson -compare
+// reports regressions per cell.
 //
 // The enumeration queries use a {1,2} quantifier so the work is path
-// stepping over the adjacency arenas — the thing both axes touch —
-// rather than row materialization.
+// stepping over the adjacency arena rather than row materialization.
 //
 // Defaults stay laptop-sized (SF 0.1). Larger sweeps opt in via
 // GPML_SCALE_SF (comma-separated scale factors, e.g. "0.1,1,3"); the
@@ -105,8 +99,7 @@ type scaleCell struct {
 }
 
 // scaleCells builds (once per process per scale factor) the sweep:
-// parallelism 1/2/4 on the plain CSR, then the partitioned layouts at
-// parallelism 4.
+// parallelism 1/2/4 on the CSR.
 func scaleCells(sf float64) []scaleCell {
 	g := scaleGraph(sf)
 	scaleGraphMu.Lock()
@@ -118,8 +111,6 @@ func scaleCells(sf float64) []scaleCell {
 			{"par=1", csr, 1},
 			{"par=2", csr, 2},
 			{"par=4", csr, 4},
-			{"parts=4", gpml.NewPartitioned(g, gpml.WithPartitions(4)), 4},
-			{"parts=4/mmap", gpml.NewPartitioned(g, gpml.WithPartitions(4), gpml.WithMmapArenas()), 4},
 		}
 		scaleCellCache[sf] = cells
 	}
@@ -167,30 +158,28 @@ func BenchmarkScaleFirstRow(b *testing.B) {
 	}
 }
 
-// TestScalePartitionedMatchesCSR pins the tier's correctness premise at
+// TestScaleParallelMatchesSerial pins the tier's correctness premise at
 // bench scale: every query the tier times returns byte-identical rows on
-// the partitioned store and the CSR snapshot, whatever the parallelism.
-func TestScalePartitionedMatchesCSR(t *testing.T) {
+// the CSR snapshot at parallelism 2 and 4 as at parallelism 1.
+func TestScaleParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench-scale graph build in -short")
 	}
-	g := scaleGraph(0.05)
-	csr := gpml.Snapshot(g)
+	csr := gpml.Snapshot(scaleGraph(0.05))
 	for _, src := range []string{scaleEnumerateQuery, scaleFirstRowQuery, scaleBindJoinQuery} {
 		q := gpml.MustCompile(src)
 		want, err := q.EvalStore(csr, gpml.WithLimits(scaleLims))
 		if err != nil {
-			t.Fatalf("%s on csr: %v", src, err)
+			t.Fatalf("%s at par=1: %v", src, err)
 		}
-		for _, parts := range []int{2, 4} {
-			st := gpml.NewPartitioned(g, gpml.WithPartitions(parts))
-			got, err := q.EvalStore(st, gpml.WithParallelism(parts), gpml.WithLimits(scaleLims))
+		for _, par := range []int{2, 4} {
+			got, err := q.EvalStore(csr, gpml.WithParallelism(par), gpml.WithLimits(scaleLims))
 			if err != nil {
-				t.Fatalf("%s on parts=%d: %v", src, parts, err)
+				t.Fatalf("%s at par=%d: %v", src, par, err)
 			}
 			if gpml.FormatResult(got) != gpml.FormatResult(want) {
-				t.Errorf("%s: parts=%d rows differ from csr (%d vs %d rows)",
-					src, parts, len(got.Rows), len(want.Rows))
+				t.Errorf("%s: par=%d rows differ from par=1 (%d vs %d rows)",
+					src, par, len(got.Rows), len(want.Rows))
 			}
 		}
 	}
@@ -248,22 +237,20 @@ func TestScaleParallelSpeedup(t *testing.T) {
 	}
 }
 
-// TestScaleFirstRowLatency gates the gather side: a partitioned layout
-// under four workers must not delay the head of the stream. First-row
-// latency stays within 1.5x of the single-CSR serial floor — the reorder
-// emitter releases seed 0's chunk first, so the head arrives without
-// waiting on the other workers.
+// TestScaleFirstRowLatency gates the gather side: four workers must not
+// delay the head of the stream. First-row latency on the CSR at par 4
+// stays within 1.5x of its serial floor — the reorder emitter releases
+// seed 0's chunk first, so the head arrives without waiting on the other
+// workers.
 func TestScaleFirstRowLatency(t *testing.T) {
 	if os.Getenv("GPML_TIMING_GATES") != "1" {
 		t.Skip("set GPML_TIMING_GATES=1 to run wall-clock gates")
 	}
-	g := scaleGraph(1)
 	q := gpml.MustCompile(scaleFirstRowQuery)
-	csr := gpml.Snapshot(g)
-	part := gpml.NewPartitioned(g, gpml.WithPartitions(4))
-	firstRow := func(st gpml.Store, parallel int) func() {
+	csr := gpml.Snapshot(scaleGraph(1))
+	firstRow := func(parallel int) func() {
 		return func() {
-			rows, err := q.Stream(context.Background(), st, gpml.WithParallelism(parallel), gpml.WithLimits(scaleLims))
+			rows, err := q.Stream(context.Background(), csr, gpml.WithParallelism(parallel), gpml.WithLimits(scaleLims))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,13 +260,13 @@ func TestScaleFirstRowLatency(t *testing.T) {
 			rows.Close()
 		}
 	}
-	firstRow(csr, 1)()
-	firstRow(part, 4)()
+	firstRow(1)()
+	firstRow(4)()
 	const rounds = 5
-	floor := bestOf(rounds, firstRow(csr, 1))
-	parallel := bestOf(rounds, firstRow(part, 4))
-	t.Logf("first row: csr %v, parts=4 par=4 %v (%.2fx)", floor, parallel, float64(parallel)/float64(floor))
+	floor := bestOf(rounds, firstRow(1))
+	parallel := bestOf(rounds, firstRow(4))
+	t.Logf("first row: par=1 %v, par=4 %v (%.2fx)", floor, parallel, float64(parallel)/float64(floor))
 	if parallel > floor+floor/2 {
-		t.Errorf("partitioned first-row latency %v exceeds 1.5x the single-CSR floor %v", parallel, floor)
+		t.Errorf("par=4 first-row latency %v exceeds 1.5x the serial floor %v", parallel, floor)
 	}
 }

@@ -345,33 +345,29 @@ func TestStreamCallerCancelStillReportsError(t *testing.T) {
 	}
 }
 
-const partitionedLeakQuery = `MATCH (x:Account)-[:Transfer]->{1,2}(y:Account)`
+const parallelLeakQuery = `MATCH (x:Account)-[:Transfer]->{1,2}(y:Account)`
 
-// TestStreamPartitionedCollectMatchesEval pins that partitioning is only
-// a layout: Stream+Collect of a quantified pattern on the partitioned
-// store is byte-identical to serial Eval on the CSR, at parallelism
-// beyond the partition count and below it.
-func TestStreamPartitionedCollectMatchesEval(t *testing.T) {
-	g := leakGraph()
-	q := gpml.MustCompile(partitionedLeakQuery)
-	want, err := q.EvalStore(gpml.Snapshot(g))
+// TestStreamParallelCollectMatchesEval pins that parallelism changes no
+// output: Stream+Collect of a quantified pattern on the CSR under the
+// scatter is byte-identical to serial Eval on it.
+func TestStreamParallelCollectMatchesEval(t *testing.T) {
+	st := gpml.Snapshot(leakGraph())
+	q := gpml.MustCompile(parallelLeakQuery)
+	want, err := q.EvalStore(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, parts := range []int{2, 3} {
-		st := gpml.NewPartitioned(g, gpml.WithPartitions(parts))
-		for _, par := range []int{2, 8} {
-			rows, err := q.Stream(context.Background(), st, gpml.WithParallelism(par))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := rows.Collect()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gpml.FormatResult(got) != gpml.FormatResult(want) {
-				t.Errorf("parts=%d parallelism %d: partitioned Stream+Collect diverges from CSR Eval", parts, par)
-			}
+	for _, par := range []int{2, 8} {
+		rows, err := q.Stream(context.Background(), st, gpml.WithParallelism(par))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rows.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gpml.FormatResult(got) != gpml.FormatResult(want) {
+			t.Errorf("parallelism %d: Stream+Collect diverges from serial Eval", par)
 		}
 	}
 }
