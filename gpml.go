@@ -427,18 +427,12 @@ func (r *Rows) Next() bool {
 	}
 	r.mu.Unlock()
 
-	r.opMu.Lock()
-	r.mu.Lock()
-	if r.closed {
+	row, err, open := r.pull()
+	if !open {
 		// Close won the race for the cursor; the stream is over.
 		r.row = nil
-		r.mu.Unlock()
-		r.opMu.Unlock()
 		return false
 	}
-	r.mu.Unlock()
-	row, err := r.cur.Next()
-	r.opMu.Unlock()
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -456,6 +450,22 @@ func (r *Rows) Next() bool {
 	}
 	r.row = row
 	return row != nil
+}
+
+// pull takes the cursor's next row under opMu, unless Close got there
+// first. opMu is released even when the cursor panics, so a caller that
+// recovers can still Close.
+func (r *Rows) pull() (row *Row, err error, open bool) {
+	r.opMu.Lock()
+	defer r.opMu.Unlock()
+	r.mu.Lock()
+	closed := r.closed
+	r.mu.Unlock()
+	if closed {
+		return nil, nil, false
+	}
+	row, err = r.cur.Next()
+	return row, err, true
 }
 
 // Row returns the current row (valid after a true Next). Only the

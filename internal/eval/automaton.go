@@ -107,13 +107,13 @@ func ExplainStore(s graph.Store, p *plan.Plan) []string {
 			b.WriteString(pp.Pattern.Restrictor.String())
 		}
 		if len(pp.SeedLabels) > 0 {
-			b.WriteString(" seed-labels=")
-			b.WriteString(strings.Join(pp.SeedLabels, ","))
+			b.WriteString(" seed=")
+			b.WriteString(accessText(pp.SeedLabels, pp.HeadEq))
 		}
 		if eng == EngineAutomaton {
 			if len(pp.TailLabels) > 0 {
-				b.WriteString(" target-labels=")
-				b.WriteString(strings.Join(pp.TailLabels, ","))
+				b.WriteString(" target=")
+				b.WriteString(accessText(pp.TailLabels, pp.TailEq))
 			}
 			b.WriteString(" states=")
 			b.WriteString(strconv.Itoa(automatonFor(pp).NumStates()))
@@ -227,7 +227,7 @@ type autoEngine struct {
 	seed    int
 
 	S          int // automaton state count; product id = node*S + state
-	candidates int // nodes carrying the cheapest TailLabel
+	candidates int // the target scan's candidates (see forEachNode)
 	fwd, bwd   autoSide
 	links      []autoLink
 	meets      []autoMeeting
@@ -263,8 +263,12 @@ func newAutoEngine(st graph.Stepper, pp *plan.PathPlan, cfg Config, bud *budget,
 	}
 	a.fwd.nfa = nfa
 	a.bwd.nfa = pp.ReversedAutomaton(func() any { return nfa.Reverse() }).(*automaton.NFA)
-	if label, ok := graph.CheapestNodeLabel(st, pp.TailLabels); ok {
+	if label, filters, ok := endAccess(st, pp.TailLabels, pp.TailEq, cfg.Params); ok {
 		a.candidates = st.CountNodesWithLabel(label)
+		if len(filters) > 0 {
+			a.candidates = 0
+			st.NodesWithLabelIdx(label, func(int) bool { a.candidates++; return true }, filters...)
+		}
 	}
 	a.rep = newDFS(st, pp.Prog, pp.Pattern.PathVar, cfg.Limits, cfg.Params, bud, func(b *binding.PathBinding) error {
 		a.emitted++
@@ -272,6 +276,26 @@ func newAutoEngine(st graph.Stepper, pp *plan.PathPlan, cfg Config, bud *budget,
 	})
 	a.rep.bfsZeroWidth = pp.Mode == plan.ModeBFS
 	return a
+}
+
+// accessText renders how forEachNode reads an end's candidates:
+// index(L.p,…) over the (label, property) equality indexes it picks the
+// smallest bucket from, or scan(L,…) over the labels it picks the
+// cheapest from.
+func accessText(labels []string, eqs []plan.EqConjunct) string {
+	if len(eqs) == 0 {
+		return "scan(" + strings.Join(labels, ",") + ")"
+	}
+	var pairs []string
+	for i, eq := range eqs {
+		if i > 0 && eq.Prop == eqs[i-1].Prop {
+			continue // sorted: one pair per property
+		}
+		for _, l := range labels {
+			pairs = append(pairs, l+"."+eq.Prop)
+		}
+	}
+	return "index(" + strings.Join(pairs, ",") + ")"
 }
 
 // keeps reports whether side s admits automaton state q: the state steps on
@@ -378,8 +402,9 @@ func (a *autoEngine) activate() error {
 	return nil
 }
 
-// scanTargets lists the live endpoint candidates: the nodes carrying the
-// plan's TailLabels (every match's last node does) whose reversed closure
+// scanTargets lists the live endpoint candidates: the last-node candidates
+// forEachNode reads off TailLabels and TailEq (every match's last node is
+// one) whose reversed closure
 // from the accepting state passes the node guards and reaches a step or
 // the start state; no match ends anywhere else. The set depends on the
 // store, the plan and the parameters only, so the evaluation's budget
@@ -391,7 +416,7 @@ func (a *autoEngine) scanTargets() ([]int32, error) {
 	}
 	var out []int32
 	var err error
-	forEachNode(a.st, a.pp.TailLabels, func(t int) bool {
+	forEachNode(a.st, a.pp.TailLabels, a.pp.TailEq, a.params, func(t int) bool {
 		var states []int
 		if err = a.tick(); err == nil {
 			states, err = a.closure(rev, t, rev.Start)

@@ -121,41 +121,108 @@ func BenchmarkTriangleSNB(b *testing.B) {
 	}
 }
 
-// snbPairs draws n (source, target) firstName pairs from an SNB snapshot:
-// sources with 3,000–4,500 two-hop knows walks, targets with 3–6 knows
-// edges, each pool in insertion order and drawn by a permutation.
-func snbPairs(c *graph.CSR, n int, rng *rand.Rand) [][2]string {
-	knows := func(p int, f func(other int)) {
-		c.Steps(p, func(e, other int, _ graph.StepKind) bool {
-			if c.EdgeByIndex(e).HasLabel("knows") {
+// The snb_prepared_short workload's four texts on the same SNB graph
+// (tier-1), one sub-benchmark each: every text seeds from a firstName or
+// country equality, so this is the equality-index seed path plus a short
+// expansion. Parameters are drawn as the workload draws them, from bands
+// of the structural proxies, and iterations cycle through 16 per text.
+func BenchmarkPreparedShortSNB(b *testing.B) {
+	c := graph.Snapshot(dataset.SNB(dataset.SNBConfig{ScaleFactor: 0.3, Seed: 42}))
+	x := newSNBProxies(c)
+	rng := rand.New(rand.NewSource(1))
+	for _, bc := range []struct {
+		name, param, query string
+		pool               []string
+	}{
+		{"friends_1hop", "name", `MATCH (a:Person WHERE a.firstName=$name)-[:knows]-(b:Person)`, x.band(x.w1, 8, 60)},
+		{"friends_2hop", "name", `MATCH (a:Person WHERE a.firstName=$name)-[:knows]-(b:Person)-[:knows]-(c:Person)`, x.band(x.w2, 300, 500)},
+		{"likes_creator", "name", `MATCH (a:Person WHERE a.firstName=$name)-[:likes]->(m:Post)-[:hasCreator]->(c:Person)`, x.band(x.likes, 4, 8)},
+		{"country_likes", "country", `MATCH (a:Person WHERE a.country=$country)-[l:likes]->(m:Post)`, x.countries},
+	} {
+		vals := draw(rng, bc.pool, 16)
+		b.Run(bc.name, func(b *testing.B) {
+			p := benchPlan(b, bc.query)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cfg := Config{Params: Params{bc.param: value.Str(vals[i%len(vals)])}}
+				if _, err := EvalPlan(c, p, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// snbProxies holds, per SNB person, the structural proxies the serving
+// benchmark draws parameters by: knows degree (w1), two-hop knows walks
+// (w2) and likes, plus the distinct countries in first-seen order.
+type snbProxies struct {
+	c             *graph.CSR
+	persons       []int
+	w1, w2, likes map[int]int
+	countries     []string
+}
+
+func newSNBProxies(c *graph.CSR) *snbProxies {
+	x := &snbProxies{c: c, w1: map[int]int{}, w2: map[int]int{}, likes: map[int]int{}}
+	c.NodesWithLabelIdx("Person", func(i int) bool {
+		x.persons = append(x.persons, i)
+		return true
+	})
+	out := func(p int, label string, f func(other int)) {
+		c.Steps(p, func(e, other int, k graph.StepKind) bool {
+			if (label == "knows" || k == graph.StepOut) && c.EdgeByIndex(e).HasLabel(label) {
 				f(other)
 			}
 			return true
 		})
 	}
-	var persons []int
-	c.NodesWithLabelIdx("Person", func(i int) bool {
-		persons = append(persons, i)
-		return true
-	})
-	w1, w2 := map[int]int{}, map[int]int{}
-	for _, p := range persons {
-		knows(p, func(int) { w1[p]++ })
-	}
-	for _, p := range persons {
-		knows(p, func(o int) { w2[p] += w1[o] })
-	}
-	band := func(w map[int]int, lo, hi int) []string {
-		var out []string
-		for _, p := range persons {
-			if w[p] >= lo && w[p] <= hi {
-				s, _ := c.NodeByIndex(p).Prop("firstName").AsString()
-				out = append(out, s)
-			}
+	seen := map[string]bool{}
+	for _, p := range x.persons {
+		out(p, "knows", func(int) { x.w1[p]++ })
+		out(p, "likes", func(int) { x.likes[p]++ })
+		if s, _ := c.NodeByIndex(p).Prop("country").AsString(); !seen[s] {
+			seen[s] = true
+			x.countries = append(x.countries, s)
 		}
-		return out
 	}
-	srcs, dsts := band(w2, 3000, 4500), band(w1, 3, 6)
+	for _, p := range x.persons {
+		out(p, "knows", func(o int) { x.w2[p] += x.w1[o] })
+	}
+	return x
+}
+
+// band lists, in insertion order, the firstNames of the persons whose
+// proxy lies in [lo, hi].
+func (x *snbProxies) band(w map[int]int, lo, hi int) []string {
+	var out []string
+	for _, p := range x.persons {
+		if w[p] >= lo && w[p] <= hi {
+			s, _ := x.c.NodeByIndex(p).Prop("firstName").AsString()
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// draw picks n values from the pool by a permutation, cycling when the
+// pool is smaller.
+func draw(rng *rand.Rand, pool []string, n int) []string {
+	perm := rng.Perm(len(pool))
+	out := make([]string, n)
+	for i := range out {
+		out[i] = pool[perm[i%len(perm)]]
+	}
+	return out
+}
+
+// snbPairs draws n (source, target) firstName pairs from an SNB snapshot:
+// sources with 3,000–4,500 two-hop knows walks, targets with 3–6 knows
+// edges, each pool in insertion order and drawn by a permutation.
+func snbPairs(c *graph.CSR, n int, rng *rand.Rand) [][2]string {
+	x := newSNBProxies(c)
+	srcs, dsts := x.band(x.w2, 3000, 4500), x.band(x.w1, 3, 6)
 	sp, dp := rng.Perm(len(srcs)), rng.Perm(len(dsts))
 	out := make([][2]string, n)
 	for i := range out {

@@ -86,7 +86,7 @@ func enumeratingMatch(t *testing.T, s graph.Store, pp *plan.PathPlan, cfg Config
 		return nil
 	})
 	var err error
-	forEachNode(st, pp.SeedLabels, func(i int) bool {
+	forEachNode(st, pp.SeedLabels, nil, nil, func(i int) bool {
 		err = run(i)
 		return err == nil
 	})
@@ -136,7 +136,7 @@ func backwardLayers(t *testing.T, s graph.Store, pp *plan.PathPlan, cfg Config) 
 	st := graph.AsStepper(s)
 	a := newAutoEngine(st, pp, cfg, newBudget(cfg.Limits.withDefaults()), func(*binding.PathBinding) error { return nil })
 	layers := 0
-	forEachNode(st, pp.SeedLabels, func(i int) bool {
+	forEachNode(st, pp.SeedLabels, nil, nil, func(i int) bool {
 		a.bwd.depth = 0 // a rejected seed leaves the previous seed's count
 		if err := a.run(i); err != nil {
 			t.Fatalf("seed %d: %v", i, err)
@@ -324,10 +324,15 @@ func snbPairsAtDistance(c *graph.CSR, n, dist int) [][2]string {
 }
 
 // corpusGraphs are the conformance-corpus graphs (see the root
-// conformance_test.go) whose cases hold automaton-eligible patterns.
+// conformance_test.go).
 var corpusGraphs = map[string]func() *graph.Graph{
-	"fig1":  dataset.Fig1,
-	"grid4": func() *graph.Graph { return dataset.Grid(4, 4) },
+	"fig1":   dataset.Fig1,
+	"cycle8": func() *graph.Graph { return dataset.Cycle(8) },
+	"grid4":  func() *graph.Graph { return dataset.Grid(4, 4) },
+	"random1": func() *graph.Graph {
+		return dataset.Random(dataset.RandomConfig{Accounts: 30, AvgDegree: 2, Cities: 4, Phones: 6, BlockedFraction: 0.2, Seed: 1, UndirectedPhones: true})
+	},
+	"cyclic": dataset.CyclicJoins,
 }
 
 // readCorpusCase returns a conformance case's query and the name of the

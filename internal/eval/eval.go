@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 	"strconv"
+	"sync/atomic"
 
 	"gpml/internal/binding"
 	"gpml/internal/graph"
@@ -239,15 +240,16 @@ func MatchPattern(s graph.Store, pp *plan.PathPlan, cfg Config) ([]*binding.Redu
 }
 
 // Enumerate produces the raw (annotated) path bindings of one pattern. It
-// seeds one engine run per candidate start node — from the store's label
-// index when the plan proved a seed label, a full scan otherwise — and,
+// seeds one engine run per candidate start node — from the store's
+// equality index or label index when the plan proved a seed label (see
+// forEachNode), a full scan otherwise — and,
 // with cfg.Parallelism > 1, distributes the seed runs over a worker pool
 // (see parallel.go). Search limits are shared across all seed runs.
 func Enumerate(s graph.Store, pp *plan.PathPlan, cfg Config) ([]*binding.PathBinding, error) {
 	st := graph.AsStepper(s)
 	bud := newBudget(cfg.Limits.withDefaults())
 	if cfg.Parallelism > 1 {
-		if seeds := seedNodes(st, pp); len(seeds) > 1 {
+		if seeds := seedNodes(st, pp, cfg.Params); len(seeds) > 1 {
 			return enumerateParallel(st, pp, cfg, bud, seeds)
 		}
 	}
@@ -258,7 +260,7 @@ func Enumerate(s graph.Store, pp *plan.PathPlan, cfg Config) ([]*binding.PathBin
 		return nil
 	})
 	var err error
-	forEachNode(st, pp.SeedLabels, func(i int) bool {
+	forEachNode(st, pp.SeedLabels, pp.HeadEq, cfg.Params, func(i int) bool {
 		err = run(i)
 		return err == nil
 	})
@@ -268,14 +270,14 @@ func Enumerate(s graph.Store, pp *plan.PathPlan, cfg Config) ([]*binding.PathBin
 	return out, nil
 }
 
-// forEachNode streams the candidate node indices for an endpoint the plan
-// proved labels for (SeedLabels for the first node, TailLabels for the
-// last), in iteration order: the cheapest proven label (by the store's
-// label counts) restricts the candidates; the engines re-check the full
-// node pattern, so any sound label works.
-func forEachNode(st graph.Stepper, labels []string, f func(i int) bool) {
-	if label, ok := graph.CheapestNodeLabel(st, labels); ok {
-		st.NodesWithLabelIdx(label, f)
+// forEachNode streams the candidate node indices of one end position:
+// the first node (SeedLabels, HeadEq) or the last (TailLabels, TailEq), in
+// label-scan order. endAccess picks the label and equality filters; with
+// no proven label every live node is a candidate. The engines re-check the
+// full node pattern, so the candidates only need to be a superset.
+func forEachNode(st graph.Stepper, labels []string, eqs []plan.EqConjunct, params Params, f func(i int) bool) {
+	if label, filters, ok := endAccess(st, labels, eqs, params); ok {
+		st.NodesWithLabelIdx(label, f, filters...)
 		return
 	}
 	// Scan the full index span and skip dead holes: on overlay epochs and
@@ -291,11 +293,50 @@ func forEachNode(st graph.Stepper, labels []string, f func(i int) bool) {
 	}
 }
 
+// indexReads counts the end scans served from an equality index, for
+// tests.
+var indexReads atomic.Uint64
+
+// endAccess picks how an end position's candidates are read: the label
+// whose nodes are scanned (ok is false when none is proven) and, when the
+// end has equality conjuncts, their resolved operands as index filters.
+// The label is the cheapest by count, or, with filters on several labels,
+// the one with the smallest candidate set. An operand that fails to
+// resolve (an unbound parameter) drops the filters, so the engine reports
+// the error on the first candidate exactly as the label scan would.
+func endAccess(st graph.Stepper, labels []string, eqs []plan.EqConjunct, params Params) (string, []graph.PropEq, bool) {
+	label, ok := graph.CheapestNodeLabel(st, labels)
+	if !ok || len(eqs) == 0 {
+		return label, nil, ok
+	}
+	filters := make([]graph.PropEq, len(eqs))
+	for i, eq := range eqs {
+		v, err := EvalValue(eq.Operand, elemResolver{params: params})
+		if err != nil {
+			return label, nil, true
+		}
+		filters[i] = graph.PropEq{Prop: eq.Prop, Val: v}
+	}
+	if len(labels) > 1 {
+		// Count each label's candidates, stopping at the best so far.
+		best := -1
+		for _, l := range labels {
+			n := 0
+			st.NodesWithLabelIdx(l, func(int) bool { n++; return best < 0 || n < best }, filters...)
+			if best < 0 || n < best {
+				label, best = l, n
+			}
+		}
+	}
+	indexReads.Add(1)
+	return label, filters, true
+}
+
 // seedNodes materializes the candidate seed indices, for distribution
 // over the parallel worker pool.
-func seedNodes(st graph.Stepper, pp *plan.PathPlan) []int {
+func seedNodes(st graph.Stepper, pp *plan.PathPlan, params Params) []int {
 	var out []int
-	forEachNode(st, pp.SeedLabels, func(i int) bool {
+	forEachNode(st, pp.SeedLabels, pp.HeadEq, params, func(i int) bool {
 		out = append(out, i)
 		return true
 	})

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"gpml/internal/ast"
-	"gpml/internal/dataset"
 	"gpml/internal/graph"
 	"gpml/internal/parser"
 	"gpml/internal/plan"
@@ -123,7 +122,6 @@ func TestReversedPatternsAgree(t *testing.T) {
 		g          *graph.Graph
 	}
 	var cases []reverseCase
-	corpusGraphs := map[string]func() *graph.Graph{"fig1": dataset.Fig1, "cyclic": dataset.CyclicJoins}
 	for _, glob := range []string{"sec65_*.txt", "cyclic_*.txt"} {
 		files, _ := filepath.Glob(filepath.Join("..", "..", "testdata", "conformance", glob))
 		for _, path := range files {

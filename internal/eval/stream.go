@@ -214,7 +214,7 @@ type solSource interface {
 // cancellation hook.
 func newPatternSource(ctx context.Context, s graph.Store, pp *plan.PathPlan, cfg Config) solSource {
 	st := graph.AsStepper(s)
-	seeds := seedNodes(st, pp)
+	seeds := seedNodes(st, pp, cfg.Params)
 	if cfg.Parallelism > 1 && len(seeds) > 1 {
 		return newParallelSolStream(ctx, st, pp, cfg, seeds)
 	}

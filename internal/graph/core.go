@@ -3,9 +3,6 @@ package graph
 import (
 	"fmt"
 	"strings"
-	"sync"
-
-	"gpml/internal/value"
 )
 
 // ElemIdx is the stable dense index of a node or edge within one Store.
@@ -55,41 +52,10 @@ type elemCore struct {
 	deadE []bool
 
 	stats StoreStats
-	// ndv memoizes the distinct-value counts behind StoreStats.PropNDV. It
-	// is a pointer so the value copies a build makes of the core share it.
-	ndv *ndvTable
-}
-
-// ndvTable holds a core's exact distinct-value counts per (label,
-// property). A pair is counted by one pass over the label's nodes the
-// first time the join planner asks for it, so building, recovering and
-// writing to a store never pay for statistics no query reads. scans counts
-// those passes, for tests.
-type ndvTable struct {
-	mu     sync.Mutex
-	counts map[[2]string]int
-	scans  int
-}
-
-// propNDV counts the distinct values of a property over the live nodes
-// carrying a label (nodes without the property are not counted).
-func (c *elemCore) propNDV(label, prop string) int {
-	t := c.ndv
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	key := [2]string{label, prop}
-	if n, ok := t.counts[key]; ok {
-		return n
-	}
-	seen := map[value.Value]struct{}{}
-	for _, i := range c.labelNodes[label] {
-		if v, ok := c.nodes[i].Props[prop]; ok {
-			seen[v] = struct{}{}
-		}
-	}
-	t.counts[key] = len(seen)
-	t.scans++
-	return len(seen)
+	// eq holds the lazily built equality indexes behind label scans with
+	// a property filter and StoreStats.PropNDV. It is a pointer so the
+	// value copies a build makes of the core share it.
+	eq *eqIndex
 }
 
 // newElemCore returns an empty core with room for the given spans.
@@ -103,7 +69,7 @@ func newElemCore(spanN, spanE int) elemCore {
 		edgeTgt:    make([]int32, 0, spanE),
 		labelNodes: map[string][]int32{},
 		stats:      StoreStats{NodeLabels: map[string]int{}, EdgeLabels: map[string]int{}},
-		ndv:        &ndvTable{counts: map[[2]string]int{}},
+		eq:         &eqIndex{},
 	}
 }
 
@@ -293,9 +259,10 @@ func (c *elemCore) NodesWithLabel(label string, f func(*Node) bool) {
 }
 
 // NodesWithLabelIdx iterates the dense indices of the nodes carrying the
-// label, in insertion order, straight off the inverted index.
-func (c *elemCore) NodesWithLabelIdx(label string, f func(i int) bool) {
-	for _, i := range c.labelNodes[label] {
+// label, in insertion order, straight off the inverted index — or, given
+// equality filters, off the smallest of their index buckets.
+func (c *elemCore) NodesWithLabelIdx(label string, f func(i int) bool, eq ...PropEq) {
+	for _, i := range c.labelIdx(label, eq) {
 		if !f(int(i)) {
 			return
 		}

@@ -286,12 +286,14 @@ func (s *OverlaySnap) EdgeEnds(i int) (src, tgt int) {
 	return int(ends[0]), int(ends[1])
 }
 
-// NodesWithLabelIdx merges the base label index with the epoch's label
-// delta, both sorted ascending, skipping base entries that this epoch
-// tombstones or overrides (overridden nodes are re-emitted from the delta
-// when their current labels still include the label).
-func (s *OverlaySnap) NodesWithLabelIdx(label string, f func(i int) bool) {
-	bs := s.base.labelNodes[label]
+// NodesWithLabelIdx merges the base label index (or, given equality
+// filters, the smallest base bucket) with the epoch's label delta, both
+// sorted ascending, skipping base entries that this epoch tombstones or
+// overrides. Overridden nodes are re-emitted from the delta when their
+// current labels still include the label; the delta is not filtered, so
+// it yields a superset.
+func (s *OverlaySnap) NodesWithLabelIdx(label string, f func(i int) bool, eq ...PropEq) {
+	bs := s.base.labelIdx(label, eq)
 	ds := s.labelDelta[label]
 	if s.labelSub[label] == 0 && (len(ds) == 0 || ds[0] >= int32(s.baseN)) {
 		// No base entry with this label is tombstoned or overridden, and

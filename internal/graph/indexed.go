@@ -51,8 +51,12 @@ type Stepper interface {
 	// Incident, which visits a self-loop once. f returns false to stop.
 	Steps(i int, f func(edge, other int, kind StepKind) bool)
 	// NodesWithLabelIdx iterates the dense indices of the nodes carrying
-	// the label, in insertion order — the seed path of the engines.
-	NodesWithLabelIdx(label string, f func(i int) bool)
+	// the label, in insertion order — the seed path of the engines. Each
+	// optional equality filter narrows the scan to a superset of the
+	// label's nodes whose property equals the value: every such node is
+	// visited, in the same order, but callers must re-check the filter.
+	// A NULL value matches nothing.
+	NodesWithLabelIdx(label string, f func(i int) bool, eq ...PropEq)
 	// NodeIndexSpan reports the exclusive upper bound of node indices:
 	// equal to NumNodes on fully-live stores, larger on stores with dead
 	// holes (overlay epochs and compacted bases). Dense scans iterate

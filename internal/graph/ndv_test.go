@@ -1,23 +1,33 @@
 package graph
 
 import (
+	"math"
 	"sync"
 	"testing"
 
 	"gpml/internal/value"
 )
 
-// bruteNDV counts distinct property values over a store's live nodes
-// carrying a label by a full scan, independent of the core's table.
+// bruteNDV counts the value.Eq classes of a property's non-NULL values
+// over a store's live nodes carrying a label, by a full scan comparing
+// each value with one member of every class found so far — independent
+// of the index keys.
 func bruteNDV(s Store, label, prop string) int {
-	seen := map[value.Value]struct{}{}
+	var classes []value.Value
 	s.Nodes(func(n *Node) bool {
-		if v, ok := n.Props[prop]; ok && n.HasLabel(label) {
-			seen[v] = struct{}{}
+		v := n.Props[prop]
+		if v.IsNull() || !n.HasLabel(label) {
+			return true
 		}
+		for _, c := range classes {
+			if value.Eq(c, v) == value.True {
+				return true
+			}
+		}
+		classes = append(classes, v)
 		return true
 	})
-	return len(seen)
+	return len(classes)
 }
 
 // TestPropNDV checks the per-(label, property) distinct counts the join
@@ -84,13 +94,13 @@ func TestPropNDV(t *testing.T) {
 	}
 	wg.Wait()
 	csr.LabelStats().PropNDV("Account", "owner")
-	if csr.ndv.scans != 1 {
-		t.Errorf("one pair counted %d times on one core", csr.ndv.scans)
+	if n := csr.eq.builds.Load(); n != 1 {
+		t.Errorf("one pair counted %d times on one core", n)
 	}
 
 	// Publishing an epoch reuses the base core's table.
 	base := ov.Snapshot().base
-	scans := base.ndv.scans
+	scans := base.eq.builds.Load()
 	if err := ov.Apply(ov.Begin().AddNode("zed", []string{"Account"}, map[string]value.Value{"owner": value.Str("zed")})); err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +112,42 @@ func TestPropNDV(t *testing.T) {
 		t.Error("the new epoch's statistics do not share the base core's table")
 	}
 	st.PropNDV("Account", "owner")
-	if base.ndv.scans != scans {
-		t.Errorf("publishing an epoch recounted: %d scans, was %d", base.ndv.scans, scans)
+	if n := base.eq.builds.Load(); n != scans {
+		t.Errorf("publishing an epoch recounted: %d scans, was %d", n, scans)
 	}
 	if (StoreStats{}).PropNDV("Account", "owner") != 0 {
 		t.Error("hand-built statistics must report an unknown count as 0")
+	}
+}
+
+// TestPropNDVEqClasses checks that distinct counts follow value.Eq, the
+// equality the index buckets group by: values a WHERE calls equal are one
+// value, NULL is none.
+func TestPropNDVEqClasses(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		vals []value.Value
+		want int
+	}{
+		{"int 1 and float 1.0 count once", []value.Value{value.Int(1), value.Float(1), value.Int(2)}, 2},
+		{"NaN counts once", []value.Value{value.Float(math.NaN()), value.Float(math.NaN()), value.Float(1)}, 2},
+		{"-0 and +0 count once", []value.Value{value.Float(math.Copysign(0, -1)), value.Int(0)}, 1},
+		{"kinds stay apart", []value.Value{value.Str("1"), value.Int(1), value.Bool(true)}, 3},
+		{"NULL is not counted", []value.Value{value.Null, value.Str("a")}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := New()
+			for i, v := range tc.vals {
+				if err := g.AddNode(NodeID(rune('a'+i)), []string{"N"}, map[string]value.Value{"p": v}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := Snapshot(g).LabelStats().PropNDV("N", "p"); got != tc.want {
+				t.Errorf("PropNDV = %d, want %d", got, tc.want)
+			}
+			if got := bruteNDV(g, "N", "p"); got != tc.want {
+				t.Errorf("brute count = %d, want %d", got, tc.want)
+			}
+		})
 	}
 }

@@ -66,12 +66,14 @@ type StoreStats struct {
 	core *elemCore
 }
 
-// PropNDV reports the exact number of distinct values the property takes
-// over the nodes carrying the label, or 0 when unknown: statistics built
-// by hand, or no such node has the property. The count comes from the
-// store's element core, computed the first time it is asked for and kept
-// for the core's lifetime; an overlay epoch answers from its base core, so
-// values its delta added or removed are not counted.
+// PropNDV reports the exact number of distinct non-NULL values the
+// property takes over the nodes carrying the label, counted up to
+// value.Eq (int 1 and float 1.0 count once, as do all NaNs), or 0 when
+// unknown: statistics built by hand, or no such node has the property. It
+// is the bucket count of the core's equality index for the pair, built the
+// first time a query asks and kept for the core's lifetime; an overlay
+// epoch answers from its base core, so values its delta added or removed
+// are not counted.
 func (s StoreStats) PropNDV(label, prop string) int {
 	if s.core == nil {
 		return 0

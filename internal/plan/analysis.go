@@ -94,10 +94,12 @@ type PathPlan struct {
 	// TailLabels are labels every match's last node provably carries
 	// (sorted) — the endpoint-selectivity input of the join cost model.
 	TailLabels []string
-	// headEq and tailEq pair each property the first (last) node position
-	// equates with a parameter or literal with each label proven there:
-	// the cost model prices such a predicate at 1/NDV(label, property).
-	headEq, tailEq []labelProp
+	// HeadEq and TailEq are the equality conjuncts every match's first
+	// (last) node provably satisfies (sorted). With the labels proven
+	// there, the evaluator reads that end's candidates from the store's
+	// (label, property) equality index, and the cost model prices each at
+	// 1/NDV(label, property).
+	HeadEq, TailEq []EqConjunct
 	// minSteps is the pattern's cheapest edge-step expansion, for fanout
 	// estimation (see EstimateCost).
 	minSteps []edgeStep
@@ -403,8 +405,8 @@ func (a *analyzer) pathPlan(i int, pp *ast.PathPattern) (*PathPlan, error) {
 		SeedLabels:      seed,
 		HeadVars:        a.singletonEndVars(pp.Expr, false),
 		TailLabels:      tail,
-		headEq:          labelProps(seed, endFacts(pp.Expr, false, eqProps)),
-		tailEq:          labelProps(tail, endFacts(pp.Expr, true, eqProps)),
+		HeadEq:          endEq(pp.Expr, false),
+		TailEq:          endEq(pp.Expr, true),
 		minSteps:        minEdgeSteps(pp.Expr),
 		Automaton:       auto,
 		AutomatonReason: autoReason,

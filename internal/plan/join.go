@@ -39,29 +39,16 @@ func (a *analyzer) singletonEndVars(e ast.PathExpr, tail bool) []string {
 	return out
 }
 
-// labelProp is one (label, property) pair an equality predicate is priced
-// by.
-type labelProp struct{ label, prop string }
-
-// labelProps pairs every property with every label of one end position.
-func labelProps(labels, props []string) []labelProp {
-	var out []labelProp
-	for _, p := range props {
-		for _, l := range labels {
-			out = append(out, labelProp{l, p})
-		}
-	}
-	return out
-}
-
 // eqSelectivity is the fraction of an end position's candidates its
-// equality predicates keep: 1/NDV of the most selective (label, property)
+// equality conjuncts keep: 1/NDV of the most selective (label, property)
 // pair, or 1 when the store counts none of them.
-func eqSelectivity(pairs []labelProp, st graph.StoreStats) float64 {
+func eqSelectivity(labels []string, eqs []EqConjunct, st graph.StoreStats) float64 {
 	sel := 1.0
-	for _, lp := range pairs {
-		if n := st.PropNDV(lp.label, lp.prop); n > 0 && 1/float64(n) < sel {
-			sel = 1 / float64(n)
+	for _, eq := range eqs {
+		for _, l := range labels {
+			if n := st.PropNDV(l, eq.Prop); n > 0 && 1/float64(n) < sel {
+				sel = 1 / float64(n)
+			}
 		}
 	}
 	return sel
@@ -179,7 +166,7 @@ func EstimateCost(pp *PathPlan, st graph.StoreStats) PatternCost {
 			seeds = c
 		}
 	}
-	seeds *= eqSelectivity(pp.headEq, st)
+	seeds *= eqSelectivity(pp.SeedLabels, pp.HeadEq, st)
 	perSeed := 1.0
 	for _, step := range pp.minSteps {
 		// One-directional steps see each edge from one endpoint (E/N);
@@ -221,7 +208,7 @@ func EstimateCost(pp *PathPlan, st graph.StoreStats) PatternCost {
 				best = sel
 			}
 		}
-		rows *= best * eqSelectivity(pp.tailEq, st)
+		rows *= best * eqSelectivity(pp.TailLabels, pp.TailEq, st)
 	}
 	return PatternCost{Seeds: seeds, PerSeed: perSeed, Rows: rows}
 }

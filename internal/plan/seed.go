@@ -2,6 +2,7 @@ package plan
 
 import (
 	"sort"
+	"strings"
 
 	"gpml/internal/ast"
 )
@@ -102,10 +103,33 @@ func nodeVar(n *ast.NodePattern) map[string]struct{} {
 	return map[string]struct{}{n.Var: {}}
 }
 
-// eqProps is the equality fact of a node pattern: the properties its WHERE
-// equates with a parameter or a literal in a top-level conjunct
-// (x.p = $v or 'lit' = x.p, for the node's own x).
-func eqProps(n *ast.NodePattern) map[string]struct{} {
+// EqConjunct is one top-level conjunct x.p = operand of a node pattern's
+// WHERE (either side order), for the node's own variable x, whose operand
+// is a parameter or a literal: evaluable before any element is bound.
+type EqConjunct struct {
+	Prop    string
+	Operand ast.Expr // *ast.Param or *ast.Literal
+}
+
+// endEq returns the equality conjuncts every match's first (fromTail:
+// last) node satisfies, sorted by property and operand. A fact is the
+// property and the operand's text, so a union keeps a conjunct only when
+// every branch states it with the same parameter or literal.
+func endEq(e ast.PathExpr, fromTail bool) []EqConjunct {
+	ops := map[string]ast.Expr{}
+	keys := endFacts(e, fromTail, func(n *ast.NodePattern) map[string]struct{} { return eqFacts(n, ops) })
+	out := make([]EqConjunct, len(keys))
+	for i, k := range keys {
+		prop, _, _ := strings.Cut(k, "\x00")
+		out[i] = EqConjunct{Prop: prop, Operand: ops[k]}
+	}
+	return out
+}
+
+// eqFacts is the equality fact of a node pattern: one key per top-level
+// x.p = operand conjunct (property, NUL, operand text), whose operand it
+// records in ops.
+func eqFacts(n *ast.NodePattern, ops map[string]ast.Expr) map[string]struct{} {
 	out := map[string]struct{}{}
 	var walk func(ast.Expr)
 	walk = func(e ast.Expr) {
@@ -127,10 +151,18 @@ func eqProps(n *ast.NodePattern) map[string]struct{} {
 			if !ok || pa.Var != n.Var {
 				return
 			}
-			switch other.(type) {
-			case *ast.Param, *ast.Literal:
-				out[pa.Prop] = struct{}{}
+			var text string
+			switch x := other.(type) {
+			case *ast.Param:
+				text = "$" + x.Name
+			case *ast.Literal:
+				text = x.Val.Key()
+			default:
+				return
 			}
+			key := pa.Prop + "\x00" + text
+			out[key] = struct{}{}
+			ops[key] = other
 		}
 	}
 	walk(n.Where)

@@ -15,9 +15,10 @@ import (
 
 // TestExplainServedJoinPlans pins the /explain plan lines of the two
 // multi-pattern texts the serving benchmark sends (bench/workloads.go,
-// shapes triangle and colike_bindjoin) and of its two selector shapes
-// (all_shortest, any_shortest) on a small SNB graph: engine per pattern,
-// automaton size, join order, seed variables and ends with the estimates
+// shapes triangle and colike_bindjoin), of its two selector shapes
+// (all_shortest, any_shortest) and of one short text (friends_1hop) on a
+// small SNB graph: engine per pattern, seed and target access path (an
+// equality index or a label scan), automaton size, join order, seed variables and ends with the estimates
 // each step was chosen by, and streaming notes. What Explain
 // prints is what runs — there is one pipeline — so a change here is a
 // change of the served plan.
@@ -35,8 +36,11 @@ func TestExplainServedJoinPlans(t *testing.T) {
 		shape, query string
 		want         []string
 	}{
+		{"friends_1hop", `MATCH (a:Person WHERE a.firstName=$name)-[:knows]-(b:Person)`, []string{
+			"pattern 0: engine=dfs seed=index(Person.firstName)" + dfs,
+		}},
 		{"triangle", `MATCH (a:Person WHERE a.firstName=$name)-[:knows]-(b:Person), (b)-[:knows]-(c:Person), (c)-[:knows]-(a)`, []string{
-			"pattern 0: engine=dfs seed-labels=Person" + dfs,
+			"pattern 0: engine=dfs seed=index(Person.firstName)" + dfs,
 			"pattern 1: engine=dfs" + dfs,
 			"pattern 2: engine=dfs" + dfs,
 			"join stats: nodes=410 edges=3068 avg-degree=15",
@@ -45,7 +49,7 @@ func TestExplainServedJoinPlans(t *testing.T) {
 			"join step 2: pattern 1 bind-join seed=b end=head est-distinct=2.07 est-per-seed=8.51 [streaming]",
 		}},
 		{"colike_bindjoin", `MATCH (a:Person WHERE a.firstName=$name)-[:likes]->(m:Post)<-[:likes]-(b:Person WHERE b.country=$country), TRAIL (a)-[:knows]-{1,2}(b)`, []string{
-			"pattern 0: engine=dfs seed-labels=Person" + dfs,
+			"pattern 0: engine=dfs seed=index(Person.firstName)" + dfs,
 			"pattern 1: engine=dfs restrictor=TRAIL" + dfs,
 			"join stats: nodes=410 edges=3068 avg-degree=15",
 			"join step 0: pattern 0 scan est-rows=0.012 [streaming]",
@@ -54,10 +58,10 @@ func TestExplainServedJoinPlans(t *testing.T) {
 		// Both selector shapes run on the automaton; the bounded one's
 		// {1,4} unrolls into 33 states against the unbounded one's 17.
 		{"all_shortest", `MATCH ALL SHORTEST p = (a:Person WHERE a.firstName=$src)-[:knows]-+(b:Person WHERE b.firstName=$dst)`, []string{
-			"pattern 0: engine=automaton selector=ALL SHORTEST seed-labels=Person target-labels=Person states=17 stages=enumerate→reduce→dedup→select ALL SHORTEST[blocking]→sort[blocking]",
+			"pattern 0: engine=automaton selector=ALL SHORTEST seed=index(Person.firstName) target=index(Person.firstName) states=17 stages=enumerate→reduce→dedup→select ALL SHORTEST[blocking]→sort[blocking]",
 		}},
 		{"any_shortest", `MATCH ANY SHORTEST p = (a:Person WHERE a.firstName=$src)-[:knows]-{1,4}(b:Person WHERE b.firstName=$dst)`, []string{
-			"pattern 0: engine=automaton selector=ANY SHORTEST seed-labels=Person target-labels=Person states=33 stages=enumerate→reduce→dedup→select ANY SHORTEST[blocking]→sort[blocking]",
+			"pattern 0: engine=automaton selector=ANY SHORTEST seed=index(Person.firstName) target=index(Person.firstName) states=33 stages=enumerate→reduce→dedup→select ANY SHORTEST[blocking]→sort[blocking]",
 		}},
 	} {
 		body, err := json.Marshal(map[string]string{"query": tc.query, "graph": "snb"})

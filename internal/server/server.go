@@ -28,8 +28,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -413,6 +415,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r, req)
 	defer cancel()
+	defer recoverQuery(w, nil)
 
 	// Admission: heavy work (compile included — a cache miss plans the
 	// query) waits for a slot so a burst degrades to queueing, not to a
@@ -512,6 +515,7 @@ type ndjsonWriter struct {
 	rows   uint64      // row records pending in buf
 	timer  *time.Timer // running while bytes are pending
 	closed bool        // the handler has returned: w must not be touched
+	wrote  bool        // bytes have reached w: the status is committed
 	filled bool        // a write was forced by flushBytes (handler's goroutine only)
 	err    error       // first write error; the stream is dead after it
 }
@@ -523,6 +527,7 @@ func (nw *ndjsonWriter) flush(final bool) bool {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	if !nw.closed && nw.err == nil && len(nw.buf) > 0 {
+		nw.wrote = true
 		if _, nw.err = nw.w.Write(nw.buf); nw.err == nil {
 			if f, ok := nw.w.(http.Flusher); ok {
 				f.Flush()
@@ -541,18 +546,64 @@ func (nw *ndjsonWriter) flush(final bool) bool {
 // applies the flush policy: written at once when now is set or the buffer
 // is full, within flushDelay otherwise.
 func (nw *ndjsonWriter) record(now bool, rows uint64, encode func(dst []byte) []byte) bool {
-	nw.mu.Lock()
-	if len(nw.buf) == 0 && !now {
-		nw.timer = time.AfterFunc(flushDelay, func() { nw.flush(false) })
-	}
-	nw.buf, nw.rows = append(encode(nw.buf), '\n'), nw.rows+rows
-	ok, full := nw.err == nil, now || len(nw.buf) >= flushBytes
-	nw.filled = nw.filled || full && !now
-	nw.mu.Unlock()
+	ok, full := nw.add(now, rows, encode)
 	if full {
 		return nw.flush(false)
 	}
 	return ok
+}
+
+// add appends one record under mu, which a panicking encode releases.
+func (nw *ndjsonWriter) add(now bool, rows uint64, encode func(dst []byte) []byte) (ok, full bool) {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	if len(nw.buf) == 0 && !now {
+		nw.timer = time.AfterFunc(flushDelay, func() { nw.flush(false) })
+	}
+	nw.buf, nw.rows = append(encode(nw.buf), '\n'), nw.rows+rows
+	ok, full = nw.err == nil, now || len(nw.buf) >= flushBytes
+	nw.filled = nw.filled || full && !now
+	return ok, full
+}
+
+// abandon discards the pending bytes and closes the writer if none has
+// reached w yet, reporting whether it did, so the caller may still send a
+// different status.
+func (nw *ndjsonWriter) abandon() bool {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	if nw.wrote {
+		return false
+	}
+	nw.buf, nw.rows, nw.closed = nw.buf[:0], 0, true
+	if nw.timer != nil {
+		nw.timer.Stop()
+	}
+	return true
+}
+
+// recoverQuery, deferred by the /query handler, turns a panic into an
+// error the client can read and logs its stack, so one bad request cannot
+// take the process down. Before the first byte (nw nil, or nothing
+// flushed yet) the answer is a 500 JSON error. After it, the status is
+// sent, so the stream ends with an NDJSON error record and the connection
+// is closed instead of completing the response.
+func recoverQuery(w http.ResponseWriter, nw *ndjsonWriter) {
+	p := recover()
+	if p == nil {
+		return
+	}
+	if p == http.ErrAbortHandler {
+		panic(p) // already handled by the stream's own recoverQuery
+	}
+	log.Printf("server: panic serving /query: %v\n%s", p, debug.Stack())
+	body := errorBody{Message: "internal error", Kind: "internal"}
+	if nw == nil || nw.abandon() {
+		writeError(w, http.StatusInternalServerError, body)
+		return
+	}
+	nw.record(true, 0, jsonRecord(map[string]errorBody{"error": body}))
+	panic(http.ErrAbortHandler)
 }
 
 // jsonRecord encodes a header, trailer or error record: one per stream.
@@ -600,6 +651,7 @@ func (s *Server) streamNDJSON(ctx context.Context, w http.ResponseWriter, cols [
 	w.Header().Set("X-Accel-Buffering", "no")
 	nw := &ndjsonWriter{w: w, total: &s.rows}
 	defer nw.flush(true)
+	defer recoverQuery(w, nw)
 	nw.record(false, 0, jsonRecord(ndjsonHeader{Columns: cols, Cached: cached}))
 	n := 0
 	var row *gpml.Row

@@ -229,7 +229,11 @@ func Compare(a, b Value) (int, bool) {
 				return 0, true
 			}
 		}
-		switch {
+		// NaN equals NaN and orders above every other number, so the
+		// comparison stays a total order and NaN = x is TRUE only for a NaN.
+		switch an, bn := af != af, bf != bf; {
+		case an || bn:
+			return cmpBool(an, bn), true
 		case af < bf:
 			return -1, true
 		case af > bf:
@@ -245,16 +249,21 @@ func Compare(a, b Value) (int, bool) {
 	case KindString:
 		return strings.Compare(a.s, b.s), true
 	case KindBool:
-		switch {
-		case !a.b && b.b:
-			return -1, true
-		case a.b && !b.b:
-			return 1, true
-		default:
-			return 0, true
-		}
+		return cmpBool(a.b, b.b), true
 	default:
 		return 0, false
+	}
+}
+
+// cmpBool orders false before true.
+func cmpBool(a, b bool) int {
+	switch {
+	case !a && b:
+		return -1
+	case a && !b:
+		return 1
+	default:
+		return 0
 	}
 }
 

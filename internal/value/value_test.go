@@ -87,6 +87,11 @@ func TestCompare(t *testing.T) {
 		{Int(1), Null, 0, false},
 		{Str("1"), Int(1), 0, false},
 		{Bool(true), Int(1), 0, false},
+		// NaN equals only NaN and orders above every other number.
+		{Float(math.NaN()), Float(math.NaN()), 0, true},
+		{Float(math.NaN()), Int(1), 1, true},
+		{Float(math.Inf(1)), Float(math.NaN()), -1, true},
+		{Float(math.Copysign(0, -1)), Int(0), 0, true},
 	}
 	for _, c := range cases {
 		cmp, ok := Compare(c.a, c.b)
