@@ -172,6 +172,27 @@ func TestBuildGraphViewFacade(t *testing.T) {
 	if view.Graph.Node("p1") == nil || view.Graph.Edge("hp1") == nil {
 		t.Errorf("view must contain p1 and hp1: %s", view.Graph.Stats())
 	}
+
+	// Figure 9: one pattern, both host outputs. The seven transfers above
+	// 5M are seven GRAPH_TABLE rows and the seven edges of the GQL view.
+	const big = `MATCH (x:Account)-[e:Transfer WHERE e.amount>5M]->(y:Account)`
+	cols, err := gpml.ParseColumns("x.owner AS A, y.owner AS B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := gpml.GraphTable(g, big, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = gpml.Match(g, big); err != nil {
+		t.Fatal(err)
+	}
+	if view, err = gpml.BuildGraphView(g, res); err != nil {
+		t.Fatal(err)
+	}
+	if tbl.NumRows() != 7 || view.Graph.NumEdges() != 7 {
+		t.Errorf("Figure 9: table %d rows, view %s; want 7 rows and 7 edges", tbl.NumRows(), view.Graph.Stats())
+	}
 }
 
 func TestCompileErrorsSurface(t *testing.T) {

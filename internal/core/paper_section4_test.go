@@ -107,12 +107,17 @@ func TestSection41_EdgePatterns(t *testing.T) {
 
 // §4.2: "(x)-[e]-(y)" returns each edge twice, once per traversal
 // direction (directed self-loops excluded from Fig 1, so exactly 2×22).
+// The Figure 5 orientations split that total: 16 directed edges pointing
+// right, and the 6 undirected edges traversed from both endpoints.
 func TestSection42_UndirectedTraversalDoubling(t *testing.T) {
 	if got := len(run(t, `MATCH (x)-[e]-(y)`).Rows); got != 44 {
 		t.Errorf("MATCH (x)-[e]-(y): want 44 (each edge in both directions), got %d", got)
 	}
 	if got := len(run(t, `MATCH (x)-[e]->(y)`).Rows); got != 16 {
 		t.Errorf("MATCH (x)-[e]->(y): want 16, got %d", got)
+	}
+	if got := len(run(t, `MATCH (x)~[e]~(y)`).Rows); got != 12 {
+		t.Errorf("MATCH (x)~[e]~(y): want 12 (6 undirected edges, both ways), got %d", got)
 	}
 }
 

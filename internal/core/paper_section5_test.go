@@ -112,13 +112,26 @@ func TestSection51_AllShortestTrailDaveArethaMike(t *testing.T) {
 }
 
 // §5: without restrictor or selector the unbounded query must be rejected
-// at compile time.
+// at compile time. §5.3: so must an aggregate prefilter over an
+// effectively unbounded group, while its postfilter and TRAIL-bounded
+// forms compile and, on Fig 1, match nothing.
 func TestSection5_UnboundedRejected(t *testing.T) {
 	_, err := core.Compile(`
 		MATCH p = (a WHERE a.owner='Dave')-[t:Transfer]->*
 		      (b WHERE b.owner='Aretha')`, core.Options{})
 	if err == nil {
 		t.Fatalf("unbounded quantifier without restrictor/selector must be rejected")
+	}
+	if _, err := core.Compile(`MATCH ALL SHORTEST [(x)-[e]->*(y) WHERE COUNT(e.*)/(COUNT(e.*)+1)>1]`, core.Options{}); err == nil {
+		t.Errorf("aggregate prefilter over an unbounded group must be rejected")
+	}
+	for _, src := range []string{
+		`MATCH ALL SHORTEST (x)-[e]->*(y) WHERE COUNT(e.*)/(COUNT(e.*)+1) > 1`,
+		`MATCH ALL SHORTEST [TRAIL (x)-[e]->*(y) WHERE COUNT(e.*)/(COUNT(e.*)+1) > 1]`,
+	} {
+		if got := len(run(t, src).Rows); got != 0 {
+			t.Errorf("%s: want 0 rows, got %d", src, got)
+		}
 	}
 }
 

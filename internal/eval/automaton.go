@@ -699,6 +699,9 @@ func (a *autoEngine) walkBwd(b int32) error {
 // at least one run must match; none matching is an engine bug and is
 // reported rather than silently dropping a result.
 func (a *autoEngine) replayPath(steps []replayStep) error {
+	if steps == nil {
+		steps = []replayStep{} // a zero-length path still constrains the replay
+	}
 	a.emitted = 0
 	a.rep.pathSteps = steps
 	err := a.rep.run(a.seed)

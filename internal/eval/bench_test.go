@@ -12,7 +12,7 @@ import (
 	"gpml/internal/value"
 )
 
-func benchPlan(b *testing.B, src string) *plan.Plan {
+func benchPlan(b testing.TB, src string) *plan.Plan {
 	b.Helper()
 	stmt, err := parser.Parse(src)
 	if err != nil {
@@ -76,61 +76,59 @@ func BenchmarkAllShortestPointToPoint(b *testing.B) {
 	}
 }
 
-// Point-to-point shortest paths between two people on the SNB graph the
-// serving benchmark uses (SF 0.3, seed 42), tier-1: the source is drawn
-// from the persons with 3,000–4,500 two-hop knows walks and the target
-// from those with 3–6 knows edges, as the snb_traversal workload draws
-// them, and the two texts are its all_shortest and any_shortest shapes.
-// Iterations cycle through 16 fixed pairs.
-func BenchmarkShortestSNBPair(b *testing.B) {
-	c := graph.Snapshot(dataset.SNB(dataset.SNBConfig{ScaleFactor: 0.3, Seed: 42}))
+// snbShape is one served query shape on the SNB graph the serving
+// benchmark uses (SF 0.3, seed 42): its text and the 16 parameter sets
+// that iterations cycle through, drawn as the serving workload draws
+// them. The tier-1 SNB benchmarks time these shapes and TestSNBAllocs
+// pins their allocations.
+type snbShape struct {
+	name, query string
+	params      []Params
+}
+
+// snbCSR builds the SNB snapshot the shapes run on.
+func snbCSR() *graph.CSR {
+	return graph.Snapshot(dataset.SNB(dataset.SNBConfig{ScaleFactor: 0.3, Seed: 42}))
+}
+
+// shortestSNBShapes are point-to-point shortest paths between two people:
+// the source is drawn from the persons with 3,000–4,500 two-hop knows
+// walks and the target from those with 3–6 knows edges, as the
+// snb_traversal workload draws them, and the two texts are its
+// all_shortest and any_shortest shapes.
+func shortestSNBShapes(c *graph.CSR) []snbShape {
 	pairs := snbPairs(c, 16, rand.New(rand.NewSource(1)))
-	for _, bc := range []struct{ name, query string }{
-		{"all_shortest", `MATCH ALL SHORTEST p = (a:Person WHERE a.firstName=$src)-[:knows]-+(b:Person WHERE b.firstName=$dst)`},
-		{"any_shortest", `MATCH ANY SHORTEST p = (a:Person WHERE a.firstName=$src)-[:knows]-{1,4}(b:Person WHERE b.firstName=$dst)`},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			p := benchPlan(b, bc.query)
-			for i := 0; i < b.N; i++ {
-				pair := pairs[i%len(pairs)]
-				cfg := Config{Params: Params{"src": value.Str(pair[0]), "dst": value.Str(pair[1])}}
-				if _, err := EvalPlan(c, p, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	params := make([]Params, len(pairs))
+	for i, pair := range pairs {
+		params[i] = Params{"src": value.Str(pair[0]), "dst": value.Str(pair[1])}
+	}
+	return []snbShape{
+		{"all_shortest", `MATCH ALL SHORTEST p = (a:Person WHERE a.firstName=$src)-[:knows]-+(b:Person WHERE b.firstName=$dst)`, params},
+		{"any_shortest", `MATCH ANY SHORTEST p = (a:Person WHERE a.firstName=$src)-[:knows]-{1,4}(b:Person WHERE b.firstName=$dst)`, params},
 	}
 }
 
-// The snb_traversal workload's triangle on the same SNB graph (tier-1): the
-// start person is drawn like BenchmarkShortestSNBPair's sources, from the
-// persons with 3,000–4,500 two-hop knows walks, as the workload draws it,
-// and iterations cycle through 16 of them. The closing pattern binds a at
-// its tail, so the plan seeds it from a once instead of from every c.
-func BenchmarkTriangleSNB(b *testing.B) {
-	c := graph.Snapshot(dataset.SNB(dataset.SNBConfig{ScaleFactor: 0.3, Seed: 42}))
+// triangleSNBShape is the snb_traversal workload's triangle: the start
+// person is drawn like shortestSNBShapes' sources. The closing pattern
+// binds a at its tail, so the plan seeds it from a once instead of from
+// every c.
+func triangleSNBShape(c *graph.CSR) snbShape {
 	starts := snbPairs(c, 16, rand.New(rand.NewSource(1)))
-	p := benchPlan(b, `MATCH (a:Person WHERE a.firstName=$name)-[:knows]-(b:Person), (b)-[:knows]-(c:Person), (c)-[:knows]-(a)`)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := Config{Params: Params{"name": value.Str(starts[i%len(starts)][0])}}
-		if _, err := EvalPlan(c, p, cfg); err != nil {
-			b.Fatal(err)
-		}
+	params := make([]Params, len(starts))
+	for i, s := range starts {
+		params[i] = Params{"name": value.Str(s[0])}
 	}
+	return snbShape{"triangle", `MATCH (a:Person WHERE a.firstName=$name)-[:knows]-(b:Person), (b)-[:knows]-(c:Person), (c)-[:knows]-(a)`, params}
 }
 
-// The snb_prepared_short workload's four texts on the same SNB graph
-// (tier-1), one sub-benchmark each: every text seeds from a firstName or
-// country equality, so this is the equality-index seed path plus a short
-// expansion. Parameters are drawn as the workload draws them, from bands
-// of the structural proxies, and iterations cycle through 16 per text.
-func BenchmarkPreparedShortSNB(b *testing.B) {
-	c := graph.Snapshot(dataset.SNB(dataset.SNBConfig{ScaleFactor: 0.3, Seed: 42}))
+// preparedShortSNBShapes are the snb_prepared_short workload's four
+// texts: every text seeds from a firstName or country equality, so this
+// is the equality-index seed path plus a short expansion. Parameters come
+// from bands of the structural proxies.
+func preparedShortSNBShapes(c *graph.CSR) []snbShape {
 	x := newSNBProxies(c)
 	rng := rand.New(rand.NewSource(1))
-	for _, bc := range []struct {
+	shapes := []struct {
 		name, param, query string
 		pool               []string
 	}{
@@ -138,19 +136,88 @@ func BenchmarkPreparedShortSNB(b *testing.B) {
 		{"friends_2hop", "name", `MATCH (a:Person WHERE a.firstName=$name)-[:knows]-(b:Person)-[:knows]-(c:Person)`, x.band(x.w2, 300, 500)},
 		{"likes_creator", "name", `MATCH (a:Person WHERE a.firstName=$name)-[:likes]->(m:Post)-[:hasCreator]->(c:Person)`, x.band(x.likes, 4, 8)},
 		{"country_likes", "country", `MATCH (a:Person WHERE a.country=$country)-[l:likes]->(m:Post)`, x.countries},
-	} {
-		vals := draw(rng, bc.pool, 16)
-		b.Run(bc.name, func(b *testing.B) {
-			p := benchPlan(b, bc.query)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cfg := Config{Params: Params{bc.param: value.Str(vals[i%len(vals)])}}
-				if _, err := EvalPlan(c, p, cfg); err != nil {
-					b.Fatal(err)
+	}
+	out := make([]snbShape, len(shapes))
+	for i, s := range shapes {
+		vals := draw(rng, s.pool, 16)
+		params := make([]Params, len(vals))
+		for j, v := range vals {
+			params[j] = Params{s.param: value.Str(v)}
+		}
+		out[i] = snbShape{s.name, s.query, params}
+	}
+	return out
+}
+
+// bench times the shape, cycling through its parameter sets.
+func (s snbShape) bench(b *testing.B, c *graph.CSR) {
+	p := benchPlan(b, s.query)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EvalPlan(c, p, Config{Params: s.params[i%len(s.params)]}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// Point-to-point shortest paths between two people on the SNB graph
+// (tier-1), one sub-benchmark per text.
+func BenchmarkShortestSNBPair(b *testing.B) {
+	c := snbCSR()
+	for _, s := range shortestSNBShapes(c) {
+		b.Run(s.name, func(b *testing.B) { s.bench(b, c) })
+	}
+}
+
+// The snb_traversal workload's triangle on the SNB graph (tier-1).
+func BenchmarkTriangleSNB(b *testing.B) {
+	c := snbCSR()
+	triangleSNBShape(c).bench(b, c)
+}
+
+// The snb_prepared_short workload's four texts on the SNB graph (tier-1),
+// one sub-benchmark each.
+func BenchmarkPreparedShortSNB(b *testing.B) {
+	c := snbCSR()
+	for _, s := range preparedShortSNBShapes(c) {
+		b.Run(s.name, func(b *testing.B) { s.bench(b, c) })
+	}
+}
+
+// TestSNBAllocs pins the allocations per query of the tier-1 SNB shapes,
+// as the mean over each shape's 16 parameter sets after a warm-up run
+// (which also builds the equality index the seeds read). Each ceiling is
+// 1.2× the count measured when the pin was set; the counts were identical
+// over repeated runs, with and without -race. Lower a ceiling when a
+// change cuts allocations for good.
+func TestSNBAllocs(t *testing.T) {
+	ceilings := map[string]float64{
+		"friends_1hop":  439,   // 366
+		"friends_2hop":  5107,  // 4,256
+		"likes_creator": 160,   // 133
+		"country_likes": 4656,  // 3,880
+		"all_shortest":  1789,  // 1,491
+		"any_shortest":  2302,  // 1,918
+		"triangle":      27623, // 23,019
+	}
+	c := snbCSR()
+	shapes := append(preparedShortSNBShapes(c), shortestSNBShapes(c)...)
+	shapes = append(shapes, triangleSNBShape(c))
+	for _, s := range shapes {
+		p := benchPlan(t, s.query)
+		run := func() {
+			for _, params := range s.params {
+				if _, err := EvalPlan(c, p, Config{Params: params}); err != nil {
+					t.Fatal(err)
 				}
 			}
-		})
+		}
+		perQuery := testing.AllocsPerRun(2, run) / float64(len(s.params))
+		t.Logf("%s: %.0f allocs/query", s.name, perQuery)
+		if ceiling := ceilings[s.name]; perQuery > ceiling {
+			t.Errorf("%s: %.0f allocs per query, want <= %.0f", s.name, perQuery, ceiling)
+		}
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 // Figure 1. The endpoint templates (below) ride along.
 var diffQueries = append([]string{
 	`MATCH ALL SHORTEST p = (a)-[e:Transfer]->+(b)`,
+	`MATCH ALL SHORTEST p = (a)-[e:Transfer]->*(b)`, // zero-length matches
 	`MATCH ALL SHORTEST p = (a:Account)-[e:Transfer]->+(b WHERE b.isBlocked='yes')`,
 	`MATCH ALL SHORTEST (a)-[e:Transfer]-{1,4}(b)`,
 	`MATCH ALL SHORTEST p = (a:Account) [-[e:Transfer]->() | <-[f:Transfer]-()]{1,4} (b)`,

@@ -22,6 +22,12 @@ type panicStore struct{ graph.Stepper }
 
 func (panicStore) NodeAt(graph.ElemIdx) *graph.Node { panic("injected NodeAt fault") }
 
+// statsPanicStore is a catalog store whose LabelStats panics: /explain
+// reads statistics when it orders a join.
+type statsPanicStore struct{ graph.Stepper }
+
+func (statsPanicStore) LabelStats() graph.StoreStats { panic("injected LabelStats fault") }
+
 // captureLog redirects the standard logger for the test's duration.
 func captureLog(t *testing.T) *syncBuffer {
 	t.Helper()
@@ -120,5 +126,45 @@ func TestQueryPanicMidStreamEndsWithErrorRecord(t *testing.T) {
 	}
 	if !strings.Contains(logs.String(), "injected row fault") {
 		t.Errorf("panic not logged:\n%s", logs.String())
+	}
+}
+
+// TestExplainPanicIs500: a panic while /explain plans a join answers 500
+// with a JSON error, logs the stack, and leaves the server serving.
+func TestExplainPanicIs500(t *testing.T) {
+	logs := captureLog(t)
+	catalog := gql.NewCatalog()
+	if err := catalog.Register("bad", statsPanicStore{gpml.Snapshot(gpml.Fig1())}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Catalog: catalog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	body := `{"query":"MATCH (x:Account)-[:Transfer]->(y:Account), (y)-[:isLocatedIn]->(c:City)"}`
+	resp, err := http.Post(srv.URL+"/explain", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]errorBody
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || err != nil || got["error"].Kind != "internal" {
+		t.Fatalf("status %d, body %+v (%v), want 500 with an internal error", resp.StatusCode, got, err)
+	}
+	if l := logs.String(); !strings.Contains(l, "injected LabelStats fault") || !strings.Contains(l, "goroutine") {
+		t.Errorf("panic not logged with its stack:\n%s", l)
+	}
+
+	resp, err = http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/healthz after the panic: %d", resp.StatusCode)
 	}
 }

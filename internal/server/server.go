@@ -582,12 +582,12 @@ func (nw *ndjsonWriter) abandon() bool {
 	return true
 }
 
-// recoverQuery, deferred by the /query handler, turns a panic into an
-// error the client can read and logs its stack, so one bad request cannot
-// take the process down. Before the first byte (nw nil, or nothing
-// flushed yet) the answer is a 500 JSON error. After it, the status is
-// sent, so the stream ends with an NDJSON error record and the connection
-// is closed instead of completing the response.
+// recoverQuery, deferred by the /query and /explain handlers, turns a
+// panic into an error the client can read and logs its stack, so one bad
+// request cannot take the process down. Before the first byte (nw nil, or
+// nothing flushed yet) the answer is a 500 JSON error. After it, the
+// status is sent, so the stream ends with an NDJSON error record and the
+// connection is closed instead of completing the response.
 func recoverQuery(w http.ResponseWriter, nw *ndjsonWriter) {
 	p := recover()
 	if p == nil {
@@ -713,6 +713,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	defer recoverQuery(w, nil)
 	q, cached, err := s.prepare(st, req.Query, req.GQL)
 	if err != nil {
 		body := classify(err)

@@ -1,8 +1,8 @@
 // Bench-scale tier: enumeration throughput, first-row latency and
 // bind-join speed on the LDBC-SNB-flavored graph (internal/dataset SNB)
 // as a function of scale factor and parallelism on the CSR snapshot
-// (`/sf=<f>/par=1|2|4`, par=1 being the serial floor). benchjson -compare
-// reports regressions per cell.
+// (`/sf=<f>/par=1|2|4`, par=1 being the serial floor), one benchmark cell
+// per pair; compare cells across changes with `go test -bench`.
 //
 // The enumeration queries use a {1,2} quantifier so the work is path
 // stepping over the adjacency arena rather than row materialization.

@@ -83,11 +83,30 @@ func conformanceGraph(t *testing.T) *gpml.Graph {
 }
 
 // TestStoreQueryConformance runs the battery on both backends, sequential
-// and parallel, and demands byte-identical output everywhere.
+// and parallel, and demands byte-identical output everywhere. A
+// 200-account random banking graph has too many trails for the whole
+// battery, so it runs three shapes: a filtered hop, the same-phone join
+// and a shortest path to a city.
 func TestStoreQueryConformance(t *testing.T) {
-	for _, g := range []*gpml.Graph{conformanceGraph(t), dataset.Fig1()} {
+	random := dataset.Random(dataset.RandomConfig{
+		Accounts: 200, AvgDegree: 2, Cities: 12, Phones: 30,
+		BlockedFraction: 0.1, Seed: 11, UndirectedPhones: true,
+	})
+	for _, c := range []struct {
+		g       *gpml.Graph
+		queries []string
+	}{
+		{conformanceGraph(t), conformanceQueries},
+		{dataset.Fig1(), conformanceQueries},
+		{random, []string{
+			`MATCH (x:Account WHERE x.isBlocked='yes')-[t:Transfer]->(y:Account)`,
+			`MATCH (p:Phone)~[:hasPhone]~(s:Account)-[t:Transfer]->(d:Account)~[:hasPhone]~(p)`,
+			`MATCH ANY SHORTEST p = (a:Account WHERE a.owner='owner0')-[:Transfer]->+(z:City)`,
+		}},
+	} {
+		g := c.g
 		snap := gpml.Snapshot(g)
-		for _, src := range conformanceQueries {
+		for _, src := range c.queries {
 			q, err := gpml.Compile(src)
 			if err != nil {
 				t.Fatalf("compile %s: %v", src, err)

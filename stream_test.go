@@ -3,6 +3,7 @@ package gpml_test
 import (
 	"context"
 	"errors"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -369,5 +370,57 @@ func TestStreamParallelCollectMatchesEval(t *testing.T) {
 		if gpml.FormatResult(got) != gpml.FormatResult(want) {
 			t.Errorf("parallelism %d: Stream+Collect diverges from serial Eval", par)
 		}
+	}
+}
+
+// TestStreamHeadTenTimesFasterThanFull gates what streaming buys: on a
+// 2,000-account random graph's two-hop transfers (tens of thousands of
+// rows), the first streamed row and a LIMIT 100 answer each arrive at
+// least 10× sooner than the full materialization. Wall-clock, so it arms
+// only under GPML_TIMING_GATES=1.
+func TestStreamHeadTenTimesFasterThanFull(t *testing.T) {
+	if os.Getenv("GPML_TIMING_GATES") != "1" {
+		t.Skip("set GPML_TIMING_GATES=1 to run wall-clock gates")
+	}
+	g := dataset.Random(dataset.RandomConfig{
+		Accounts: 2000, AvgDegree: 4, Cities: 15, BlockedFraction: 0.1, Seed: 7,
+	})
+	q := gpml.MustCompile(`MATCH (x:Account)-[t:Transfer]->(y:Account)-[u:Transfer]->(z:Account)`)
+	// bestOf keeps one GC pause from skewing a sub-millisecond sample.
+	bestOf := func(f func()) time.Duration {
+		best := time.Duration(-1)
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			f()
+			if d := time.Since(start); best < 0 || d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	full := bestOf(func() {
+		if _, err := q.Eval(g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	first := bestOf(func() {
+		rows, err := q.Stream(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rows.Next() {
+			t.Fatal("no rows")
+		}
+		rows.Close()
+	})
+	limit := bestOf(func() {
+		if res, err := q.Eval(g, gpml.WithLimit(100)); err != nil || len(res.Rows) != 100 {
+			t.Fatalf("LIMIT 100: %v", err)
+		}
+	})
+	t.Logf("full %v, first row %v (%.0f×), LIMIT 100 %v (%.0f×)",
+		full, first, float64(full)/float64(first), limit, float64(full)/float64(limit))
+	if first*10 > full || limit*10 > full {
+		t.Errorf("first row %v and LIMIT 100 %v must each be >= 10× faster than full %v", first, limit, full)
 	}
 }
