@@ -432,7 +432,7 @@ func TestConformanceCorpus(t *testing.T) {
 				// repair after an injected crash, serving the same state.
 				{"recovered", recoveredEquivalent(t, g)},
 				// A third-party backend: only the Store methods show, so
-				// every evaluation runs on a transient snapshot of it.
+				// each query runs on one snapshot of it.
 				{"foreign", storeOnly{gpml.Snapshot(g)}},
 			}
 			configs := []struct {

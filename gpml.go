@@ -52,9 +52,11 @@ type (
 	// Graph is a property graph (Definition 2.1), the mutable map-backed
 	// Store implementation.
 	Graph = graph.Graph
-	// Store is the abstract graph backend the evaluator runs against.
-	// *Graph and *CSR both implement it; custom backends plug in the same
-	// way via WithStore or EvalStore.
+	// Store is the abstract graph backend the evaluator runs against:
+	// nine methods (lookup by id, counts, iteration, label scans and
+	// statistics), no dense indices and no interner. *Graph, *CSR and
+	// *Overlay implement it; a custom backend plugs in via WithStore or
+	// EvalStore and is snapshotted once per query.
 	Store = graph.Store
 	// CSR is an immutable compressed-sparse-row snapshot of a Graph with a
 	// label → nodes inverted index and precomputed cardinality statistics.

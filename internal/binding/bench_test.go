@@ -10,7 +10,7 @@ import (
 
 // benchStore builds a chain graph with n+1 nodes and n edges, the element
 // pool the bench bindings intern against.
-func benchStore(n int) graph.Store {
+func benchStore(n int) graph.Stepper {
 	g := graph.New()
 	for i := 0; i <= n; i++ {
 		if err := g.AddNode(graph.NodeID(fmt.Sprintf("n%d", i)), nil, nil); err != nil {
@@ -23,7 +23,7 @@ func benchStore(n int) graph.Store {
 			panic(err)
 		}
 	}
-	return g
+	return graph.Snapshot(g)
 }
 
 // makeBindings builds n reduced bindings with duplicate groups every

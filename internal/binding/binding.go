@@ -8,7 +8,7 @@
 // that keep them distinct.
 //
 // Bindings are integer-dense: elements are referenced by their interned
-// dense index (graph.ElemIdx) relative to the store the binding was
+// dense index (graph.ElemIdx) relative to the pinned view the binding was
 // matched against (Src), and deduplication keys are compact varint-packed
 // byte strings (Keyer). Element id strings only exist in two places: the
 // canonical textual sort key (CanonKey — computed once per output row,
@@ -46,27 +46,28 @@ func (k ElemKind) String() string {
 }
 
 // Ref identifies a bound graph element by kind and interned dense index.
-// A Ref is only meaningful relative to the store that issued the index;
-// materialize with ElemID when the id string is needed.
+// A Ref is only meaningful relative to the view that issued the index;
+// within one query, two Refs name the same element exactly when they are
+// equal. Materialize with ElemID when the id string is needed.
 type Ref struct {
 	Kind ElemKind
 	Idx  graph.ElemIdx
 }
 
-// ElemID materializes the id of an interned element against its store.
-// It returns "" for a nil store or an out-of-range index (zero-value
+// ElemID materializes the id of an interned element against its view.
+// It returns "" for a nil view or an out-of-range index (zero-value
 // bindings in tests); real bindings always resolve.
-func ElemID(s graph.Store, kind ElemKind, idx graph.ElemIdx) string {
+func ElemID(s graph.Stepper, kind ElemKind, idx graph.ElemIdx) string {
 	if s == nil {
 		return ""
 	}
 	if kind == NodeElem {
-		if n := s.NodeAt(idx); n != nil {
+		if n := s.NodeByIndex(int(idx)); n != nil {
 			return string(n.ID)
 		}
 		return ""
 	}
-	if e := s.EdgeAt(idx); e != nil {
+	if e := s.EdgeByIndex(int(idx)); e != nil {
 		return string(e.ID)
 	}
 	return ""
@@ -145,7 +146,7 @@ type Tag struct {
 }
 
 // PathBinding is the (annotated) result of matching one path pattern.
-// Src is the store the indices refer to. An engine may hand its emit
+// Src is the view the indices refer to. An engine may hand its emit
 // callback a binding it reuses for the next match, Entries included: a
 // receiver that keeps the binding past the callback keeps a Clone. Tags
 // and Path are never reused — Reduce shares them with its result.
@@ -154,7 +155,7 @@ type PathBinding struct {
 	Tags    []Tag
 	Path    graph.IdxPath
 	PathVar string // "" when the pattern has no path variable
-	Src     graph.Store
+	Src     graph.Stepper
 }
 
 // Clone returns a copy that owns its Entries.
@@ -173,7 +174,7 @@ type Reduced struct {
 	Tags    []Tag
 	Path    graph.IdxPath
 	PathVar string
-	Src     graph.Store
+	Src     graph.Stepper
 
 	canon string // memoized CanonKey; "" = not yet computed
 }
@@ -197,7 +198,7 @@ func (b *PathBinding) Reduce() *Reduced {
 
 // Reversed returns the binding of the same match walked from its last node
 // to its first: columns and path in reverse order; tags, path variable and
-// store kept. A tail-seeded join step runs a pattern's mirror and flips
+// view kept. A tail-seeded join step runs a pattern's mirror and flips
 // each solution back with it.
 func (r *Reduced) Reversed() *Reduced {
 	out := &Reduced{Cols: slices.Clone(r.Cols), Tags: r.Tags, Path: r.Path.Reversed(), PathVar: r.PathVar, Src: r.Src}

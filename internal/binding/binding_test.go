@@ -12,7 +12,7 @@ import (
 // carry the paper's ids, and bindings are constructed through the
 // interner exactly like the engines do.
 type fixture struct {
-	s graph.Store
+	s *graph.CSR
 }
 
 func newFixture(t testing.TB) fixture {
@@ -30,7 +30,7 @@ func newFixture(t testing.TB) fixture {
 			t.Fatal(err)
 		}
 	}
-	return fixture{s: g}
+	return fixture{s: graph.Snapshot(g)}
 }
 
 func (f fixture) node(t testing.TB, id string) graph.ElemIdx {

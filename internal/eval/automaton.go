@@ -87,9 +87,6 @@ func Explain(p *plan.Plan) []string { return ExplainStore(nil, p) }
 // streaming behaviour. The store, when non-nil, supplies the cardinality
 // statistics the join cost model ranks patterns with.
 func ExplainStore(s graph.Store, p *plan.Plan) []string {
-	if s != nil {
-		s = graph.Pin(s)
-	}
 	out := make([]string, len(p.Paths), len(p.Paths)+len(p.Paths))
 	for i, pp := range p.Paths {
 		eng, note := engineFor(pp)
@@ -140,13 +137,13 @@ func ExplainStore(s graph.Store, p *plan.Plan) []string {
 // elemResolver resolves exactly one element — the one being matched —
 // for the memoryless WHERE checks the eligibility analysis admits.
 type elemResolver struct {
-	g      graph.Store
+	g      graph.Stepper
 	name   string
 	ref    binding.Ref
 	params Params
 }
 
-func (r elemResolver) Graph() graph.Store { return r.g }
+func (r elemResolver) Graph() graph.Stepper { return r.g }
 
 func (r elemResolver) ParamValue(name string) (value.Value, bool) {
 	v, ok := r.params[name]

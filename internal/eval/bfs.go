@@ -324,12 +324,12 @@ func (b *bfs) counterBounds(t thread, i int) (int, int) {
 // threadResolver adapts a thread for prefilter evaluation; it serves both
 // the BFS engine and the automaton engine's path replayer.
 type threadResolver struct {
-	g      graph.Store
+	g      graph.Stepper
 	t      *thread
 	params Params
 }
 
-func (r threadResolver) Graph() graph.Store { return r.g }
+func (r threadResolver) Graph() graph.Stepper { return r.g }
 
 func (r threadResolver) ParamValue(name string) (value.Value, bool) {
 	v, ok := r.params[name]
@@ -657,7 +657,7 @@ func (b *bfs) accept(t thread) error {
 // materializeThread converts a completed thread into a path binding; shared
 // by the BFS engine and the automaton engine's path replayer so both
 // produce byte-identical bindings.
-func materializeThread(t thread, pathVar string, src graph.Store) *binding.PathBinding {
+func materializeThread(t thread, pathVar string, src graph.Stepper) *binding.PathBinding {
 	final := appendEntries(t.entries, t.pending)
 	count := 0
 	if final != nil {

@@ -132,17 +132,12 @@ func sortRowsCanonical(rows []*Row, npaths int) {
 	})
 }
 
-// storeStatsFor gathers per-pattern store statistics for the join-order
-// search, computing them once when every pattern targets the same store
-// (the EvalPlan case).
-func storeStatsFor(stores []graph.Store) []graph.StoreStats {
-	out := make([]graph.StoreStats, len(stores))
-	for i := range stores {
-		if i > 0 && stores[i] == stores[i-1] {
-			out[i] = out[i-1]
-			continue
-		}
-		out[i] = stores[i].LabelStats()
+// joinStats repeats one store's statistics for each of n patterns, the
+// per-pattern form plan.OrderJoin takes.
+func joinStats(st graph.StoreStats, n int) []graph.StoreStats {
+	out := make([]graph.StoreStats, n)
+	for i := range out {
+		out[i] = st
 	}
 	return out
 }
@@ -151,23 +146,20 @@ func storeStatsFor(stores []graph.Store) []graph.StoreStats {
 // multi-pattern statements (empty otherwise), annotating each step with
 // its streaming behaviour: seeded bind joins and the leading scan stream
 // rows through, hash-join fallbacks materialize the pattern they join
-// against. Statistics come from the given store; with a nil store the
-// ranking is structure-only.
+// against. Statistics come from the store's pinned indexed view, the one
+// evaluation plans with; with a nil store the ranking is structure-only.
 func ExplainJoin(s graph.Store, p *plan.Plan) []string {
 	if len(p.Paths) < 2 {
 		return nil
 	}
-	stats := make([]graph.StoreStats, len(p.Paths))
+	var st graph.StoreStats
 	out := make([]string, 0, len(p.Paths)+1)
 	if s != nil {
-		st := s.LabelStats()
-		for i := range stats {
-			stats[i] = st
-		}
+		st = graph.AsStepper(s).LabelStats()
 		out = append(out, fmt.Sprintf("join stats: nodes=%d edges=%d avg-degree=%.3g",
 			st.Nodes, st.Edges, st.AvgDegree()))
 	}
-	for k, step := range plan.OrderJoin(p, stats) {
+	for k, step := range plan.OrderJoin(p, joinStats(st, len(p.Paths))) {
 		note := "[streaming]"
 		if k > 0 && step.SeedVar == "" {
 			note = "[blocking: materializes pattern on first input row]"

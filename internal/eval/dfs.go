@@ -172,7 +172,7 @@ func (m *dfs) run(seed int) error {
 
 type dfsResolver struct{ m *dfs }
 
-func (r dfsResolver) Graph() graph.Store { return r.m.st }
+func (r dfsResolver) Graph() graph.Stepper { return r.m.st }
 
 func (r dfsResolver) Elem(name string) (binding.Ref, bool) {
 	for i := len(r.m.frames) - 1; i >= 0; i-- {

@@ -3,7 +3,6 @@ package eval
 import (
 	"context"
 	"sort"
-	"strconv"
 	"sync/atomic"
 
 	"gpml/internal/binding"
@@ -55,8 +54,8 @@ const (
 // Bound is the value of one variable in a result row. Node/Edge ids are
 // materialized once, when the row is assembled, the Group list and the
 // Path by each Get; Idx keeps the element's dense index (relative to the
-// store the variable's pattern matched against) so downstream expression
-// evaluation and joins stay integer-dense. Group entries stay interned.
+// query's pinned view) so downstream expression evaluation and joins stay
+// integer-dense. Group entries stay interned.
 type Bound struct {
 	Kind  BoundKind
 	Idx   graph.ElemIdx
@@ -65,9 +64,9 @@ type Bound struct {
 	Group []binding.Ref
 	Path  graph.Path
 
-	// src resolves interned Group refs for display; set when the row is
-	// assembled.
-	src graph.Store
+	// src is the query's pinned view; it resolves interned Group refs for
+	// display.
+	src graph.Stepper
 }
 
 // GroupIDs materializes the element ids of a group binding in sequence
@@ -199,23 +198,7 @@ type Result struct {
 // solved separately (§6.5 "Multiple patterns"), results are joined on
 // shared singleton variables, and the final WHERE postfilter is applied.
 func EvalPlan(s graph.Store, p *plan.Plan, cfg Config) (*Result, error) {
-	stores := make([]graph.Store, len(p.Paths))
-	for i := range stores {
-		stores[i] = s
-	}
-	return EvalPlanOn(stores, p, cfg)
-}
-
-// EvalPlanOn evaluates each path pattern of the plan against its own store
-// (stores[i] for pattern i) and joins the results — the "queries on
-// multiple graphs in a single concatenated MATCH" language opportunity of
-// §7.1. Shared singleton variables join across graphs by element
-// identifier, the natural reading when the graphs are views sharing keys
-// (e.g. two SQL/PGQ views over the same tables). Property lookups in the
-// postfilter resolve against the first store whose pattern declares the
-// variable.
-func EvalPlanOn(stores []graph.Store, p *plan.Plan, cfg Config) (*Result, error) {
-	cur, err := StreamPlanOn(context.Background(), stores, p, cfg)
+	cur, err := StreamPlan(context.Background(), s, p, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -388,92 +371,55 @@ func markBound(bound map[string]bool, pp *plan.PathPlan) {
 	}
 }
 
-// Join-key encodings. The compact form (byIdx) packs one fixed-width
-// component per shared variable — a kind byte (0 node, 1 edge) followed
-// by the 4-byte big-endian dense index — with a single 0xFF byte marking
-// an unbound conditional singleton. Parsing is determined left to right
-// (a component's first byte is 0, 1 or 0xFF and fixes its width), so the
-// encoding is prefix-free and two distinct binding tuples can never
-// concatenate to the same key. It is only sound when probe and build side
-// index against the same store; multi-graph joins use the materialized
-// string form, a length-prefixed encoding: "<len(id)><kind-tag><id>" per
-// component, '?' for unbound.
+// Join keys pack one fixed-width component per shared variable — a kind
+// byte (0 node, 1 edge) followed by the 4-byte big-endian dense index —
+// with a single 0xFF byte marking an unbound conditional singleton.
+// Parsing is determined left to right (a component's first byte is 0, 1
+// or 0xFF and fixes its width), so the encoding is prefix-free and two
+// distinct binding tuples can never concatenate to the same key. Probe and
+// build side index against the query's one pinned view.
 
 const unboundKeyByte = 0xFF
 
-// appendUnbound marks an unbound conditional singleton: 0xFF in the
-// compact form (no bound component starts with it), '?' in the string
-// form (bound components start with a digit).
-func appendUnbound(buf []byte, byIdx bool) []byte {
-	if byIdx {
-		return append(buf, unboundKeyByte)
-	}
-	return append(buf, '?')
-}
-
-// appendIdxComponent appends one compact bound component.
+// appendIdxComponent appends one bound component.
 func appendIdxComponent(b []byte, kind binding.ElemKind, idx graph.ElemIdx) []byte {
 	return append(b, byte(kind), byte(idx>>24), byte(idx>>16), byte(idx>>8), byte(idx))
 }
 
-// appendStringComponent appends one materialized bound component.
-func appendStringComponent(b []byte, kind binding.ElemKind, id string) []byte {
-	b = strconv.AppendInt(b, int64(len(id)), 10)
-	b = append(b, kindTag(kind))
-	return append(b, id...)
-}
-
 // appendJoinKeyOfSolution appends a pattern solution's hash key over the
 // shared join variables to buf.
-func appendJoinKeyOfSolution(buf []byte, sol *binding.Reduced, shared []string, byIdx bool) []byte {
+func appendJoinKeyOfSolution(buf []byte, sol *binding.Reduced, shared []string) []byte {
 	for _, v := range shared {
-		ref, ok := sol.Singleton(v)
-		switch {
-		case !ok:
-			buf = appendUnbound(buf, byIdx)
-		case byIdx:
+		if ref, ok := sol.Singleton(v); ok {
 			buf = appendIdxComponent(buf, ref.Kind, ref.Idx)
-		default:
-			buf = appendStringComponent(buf, ref.Kind, sol.RefID(ref))
+		} else {
+			buf = append(buf, unboundKeyByte)
 		}
 	}
 	return buf
 }
 
-func kindTag(k binding.ElemKind) byte {
-	if k == binding.NodeElem {
-		return 'n'
-	}
-	return 'e'
-}
-
 // appendJoinKeyOfRow appends the matching probe key of an accumulated row
 // to buf.
-func appendJoinKeyOfRow(buf []byte, row *Row, shared []string, byIdx bool) []byte {
+func appendJoinKeyOfRow(buf []byte, row *Row, shared []string) []byte {
 	for _, v := range shared {
 		b, _ := row.Get(v)
-		switch {
-		case b.Kind != BoundNode && b.Kind != BoundEdge:
-			buf = appendUnbound(buf, byIdx)
-		case byIdx && b.Kind == BoundNode:
+		switch b.Kind {
+		case BoundNode:
 			buf = appendIdxComponent(buf, binding.NodeElem, b.Idx)
-		case byIdx:
+		case BoundEdge:
 			buf = appendIdxComponent(buf, binding.EdgeElem, b.Idx)
-		case b.Kind == BoundNode:
-			buf = appendStringComponent(buf, binding.NodeElem, string(b.Node))
 		default:
-			buf = appendStringComponent(buf, binding.EdgeElem, string(b.Edge))
+			buf = append(buf, unboundKeyByte)
 		}
 	}
 	return buf
 }
 
 // mergeRow extends a partial row with one pattern solution, checking the
-// implicit equi-joins on shared unconditional singletons. This is where a
-// match's element id strings are materialized — once per assembled row,
-// never during search. The equi-join check compares materialized ids, the
-// semantics multi-graph evaluation defines joins by; on a shared store the
-// ids are in bijection with the indices, so the comparison is identical.
+// implicit equi-joins on shared unconditional singletons by (kind, index).
+// This is where a match's element id strings are materialized — once per
+// assembled row, never during search.
 func mergeRow(p *plan.Plan, pp *plan.PathPlan, row *Row, sol *binding.Reduced) (*Row, bool) {
 	out := &Row{}
 	vars := append(out.inlVars[:0], row.vars...)
@@ -509,7 +455,7 @@ func mergeRow(p *plan.Plan, pp *plan.PathPlan, row *Row, sol *binding.Reduced) (
 		if prevAt >= 0 {
 			// Implicit equi-join across path patterns (static analysis
 			// guarantees these are unconditional singletons).
-			if vars[prevAt].kind != v.kind || vars[prevAt].id != v.id {
+			if vars[prevAt].kind != v.kind || vars[prevAt].idx != v.idx {
 				return nil, false
 			}
 			continue
@@ -529,34 +475,29 @@ func mergeRow(p *plan.Plan, pp *plan.PathPlan, row *Row, sol *binding.Reduced) (
 }
 
 // rowEdgeIsomorphic reports whether every edge occurrence across the row's
-// path bindings is distinct (§7.1's edge-isomorphic match mode). Distinct-
-// ness is by element id, which multi-graph evaluation defines identity by.
+// path bindings is distinct (§7.1's edge-isomorphic match mode).
 func rowEdgeIsomorphic(row *Row) bool {
-	seen := map[string]struct{}{}
+	seen := map[graph.ElemIdx]struct{}{}
 	for _, rb := range row.Bindings {
-		for i, col := range rb.Cols {
+		for _, col := range rb.Cols {
 			if col.Kind != binding.EdgeElem {
 				continue
 			}
-			id := rb.ColID(i)
-			if _, dup := seen[id]; dup {
+			if _, dup := seen[col.Idx]; dup {
 				return false
 			}
-			seen[id] = struct{}{}
+			seen[col.Idx] = struct{}{}
 		}
 	}
 	return true
 }
 
-// rowResolver evaluates the postfilter over a joined row. In multi-graph
-// evaluation (EvalPlanOn) varGraph routes property lookups to the store
-// that declared each variable; Graph() returns the primary store for
-// expressions that are not variable-specific.
+// rowResolver evaluates expressions over a joined row against the view
+// its bindings were matched on.
 type rowResolver struct {
-	g        graph.Store
-	varGraph map[string]graph.Store
-	row      *Row
-	params   Params
+	g      graph.Stepper
+	row    *Row
+	params Params
 }
 
 // ParamValue resolves a $name placeholder from the execution's bound set.
@@ -565,71 +506,20 @@ func (r rowResolver) ParamValue(name string) (value.Value, bool) {
 	return v, ok
 }
 
-func (r rowResolver) Graph() graph.Store { return r.g }
-
-// GraphFor routes per-variable element lookups in multi-graph evaluation.
-func (r rowResolver) GraphFor(name string) graph.Store {
-	if r.varGraph == nil {
-		return r.g
-	}
-	if g, ok := r.varGraph[name]; ok {
-		return g
-	}
-	return r.g
-}
+func (r rowResolver) Graph() graph.Stepper { return r.g }
 
 func (r rowResolver) Elem(name string) (binding.Ref, bool) {
 	b, ok := r.row.Get(name)
 	if !ok {
 		return binding.Ref{}, false
 	}
-	var kind binding.ElemKind
 	switch b.Kind {
 	case BoundNode:
-		kind = binding.NodeElem
+		return binding.Ref{Kind: binding.NodeElem, Idx: b.Idx}, true
 	case BoundEdge:
-		kind = binding.EdgeElem
+		return binding.Ref{Kind: binding.EdgeElem, Idx: b.Idx}, true
 	default:
 		return binding.Ref{}, false
-	}
-	// The row's index is relative to the store whose pattern bound the
-	// variable (join-order dependent); lookups route to the variable's
-	// declaring store (GraphFor). When the two differ — multi-graph
-	// evaluation, or a caller-supplied projection store — the index is
-	// not portable, so re-intern the materialized id against the target.
-	// An id the target does not contain resolves out of range: property
-	// reads yield NULL, exactly like the pre-interning id lookup did.
-	target := graphOf(r, name)
-	idx := b.Idx
-	if target != b.src && b.src != nil {
-		var ok2 bool
-		if kind == binding.NodeElem {
-			idx, ok2 = target.InternNode(b.Node)
-		} else {
-			idx, ok2 = target.InternEdge(b.Edge)
-		}
-		if !ok2 {
-			idx = ^graph.ElemIdx(0)
-		}
-	}
-	return binding.Ref{Kind: kind, Idx: idx}, true
-}
-
-// ElemID serves element identity straight from the row's materialized
-// ids (multi-graph comparisons are defined over ids, and the id is exact
-// even when the routed store lacks the element).
-func (r rowResolver) ElemID(name string) (string, bool) {
-	b, ok := r.row.Get(name)
-	if !ok {
-		return "", false
-	}
-	switch b.Kind {
-	case BoundNode:
-		return string(b.Node), true
-	case BoundEdge:
-		return string(b.Edge), true
-	default:
-		return "", false
 	}
 }
 
@@ -642,11 +532,7 @@ func (r rowResolver) Group(name string) ([]binding.Ref, bool) {
 }
 
 // RowResolver exposes a row as an expression resolver for host-language
-// projections (SQL/PGQ COLUMNS, GQL RETURN).
-func RowResolver(g graph.Store, row *Row) Resolver { return rowResolver{g: g, row: row} }
-
-// RowResolverWith is RowResolver under a bound parameter set, for
-// host-language projections over parameterized queries.
-func RowResolverWith(g graph.Store, row *Row, params Params) Resolver {
-	return rowResolver{g: g, row: row, params: params}
-}
+// projections (SQL/PGQ COLUMNS, GQL RETURN) over a completed result row. It
+// reads the pinned view the row was matched on, so a projection sees the
+// epoch the MATCH saw.
+func RowResolver(row *Row) Resolver { return rowResolver{g: row.Bindings[0].Src, row: row} }

@@ -444,7 +444,7 @@ func TestRowAccessors(t *testing.T) {
 }
 
 // Bound.String renders every kind. Group bindings materialize through the
-// row's source store, so the case builds one.
+// row's pinned view, so the case builds one.
 func TestBoundString(t *testing.T) {
 	g := graph.New()
 	if err := g.AddNode("a1", nil, nil); err != nil {
@@ -462,7 +462,7 @@ func TestBoundString(t *testing.T) {
 		{Bound{Kind: BoundNull}, "NULL"},
 		{Bound{Kind: BoundNode, Node: "a1"}, "a1"},
 		{Bound{Kind: BoundEdge, Edge: "t1"}, "t1"},
-		{Bound{Kind: BoundGroup, Group: []binding.Ref{{Kind: binding.EdgeElem, Idx: 0}, {Kind: binding.EdgeElem, Idx: 1}}, src: g}, "[t1,t2]"},
+		{Bound{Kind: BoundGroup, Group: []binding.Ref{{Kind: binding.EdgeElem, Idx: 0}, {Kind: binding.EdgeElem, Idx: 1}}, src: graph.Snapshot(g)}, "[t1,t2]"},
 		{Bound{Kind: BoundPath, Path: graph.Path{Nodes: []graph.NodeID{"a"}}}, "path(a)"},
 	}
 	for _, c := range cases {

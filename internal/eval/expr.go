@@ -19,10 +19,11 @@ import (
 // Resolver supplies variable bindings to the expression evaluator. Unbound
 // singletons resolve to NULL (conditional singletons that did not bind,
 // §4.6); group lookups return the elements accumulated so far. Element and
-// property lookups go through the abstract graph.Store, so expressions
-// evaluate identically over any backend.
+// property lookups go through the query's pinned graph.Stepper view, so
+// expressions evaluate identically over any backend, and element identity
+// is the (kind, index) pair of a binding.Ref.
 type Resolver interface {
-	Graph() graph.Store
+	Graph() graph.Stepper
 	// Elem resolves a singleton (or iteration-local) element binding.
 	Elem(name string) (binding.Ref, bool)
 	// Group resolves the accumulated group list for a variable.
@@ -41,42 +42,6 @@ type Params map[string]value.Value
 // that skipped validation.
 type paramScope interface {
 	ParamValue(name string) (value.Value, bool)
-}
-
-// graphRouter is optionally implemented by resolvers that evaluate over
-// multiple graphs (the §7.1 multi-graph MATCH opportunity): it returns the
-// store that declared a variable.
-type graphRouter interface {
-	GraphFor(name string) graph.Store
-}
-
-// graphOf picks the store for a variable's element lookups.
-func graphOf(r Resolver, name string) graph.Store {
-	if gr, ok := r.(graphRouter); ok {
-		if g := gr.GraphFor(name); g != nil {
-			return g
-		}
-	}
-	return r.Graph()
-}
-
-// elemIDResolver is optionally implemented by resolvers that can
-// materialize a bound element's id directly (the row resolver: its
-// Bounds carry the id strings). Identity comparisons prefer it — the id
-// is exact even when the variable's routed store does not contain the
-// element, which an index round-trip cannot represent.
-type elemIDResolver interface {
-	ElemID(name string) (string, bool)
-}
-
-// elemIDOf materializes the id behind a resolved element reference.
-func elemIDOf(r Resolver, name string, ref binding.Ref) string {
-	if ir, ok := r.(elemIDResolver); ok {
-		if id, ok2 := ir.ElemID(name); ok2 {
-			return id
-		}
-	}
-	return refID(graphOf(r, name), ref)
 }
 
 // EvalPred evaluates an expression as a predicate under Kleene 3VL. A
@@ -123,9 +88,6 @@ func EvalPred(e ast.Expr, r Resolver) (value.Tri, error) {
 			return l.Xor(rr), nil
 		case ast.OpEq, ast.OpNe:
 			// Element-reference equality (GQL mode; validated statically).
-			// Identity is by element id (multi-graph evaluation compares
-			// elements across stores by id, §7.1), so the refs' stores
-			// must agree before indices can be compared directly.
 			if lv, lok := x.L.(*ast.VarRef); lok {
 				if rv, rok := x.R.(*ast.VarRef); rok {
 					le, lb := r.Elem(lv.Name)
@@ -133,8 +95,7 @@ func EvalPred(e ast.Expr, r Resolver) (value.Tri, error) {
 					if !lb || !rb {
 						return value.Unknown, nil
 					}
-					same := le.Kind == re.Kind &&
-						elemIDOf(r, lv.Name, le) == elemIDOf(r, rv.Name, re)
+					same := le == re
 					if x.Op == ast.OpNe {
 						return value.TriOf(!same), nil
 					}
@@ -171,7 +132,7 @@ func EvalPred(e ast.Expr, r Resolver) (value.Tri, error) {
 		if !ok {
 			return value.Unknown, nil
 		}
-		edge := edgeOf(graphOf(r, x.Var), ref)
+		edge := edgeOf(r.Graph(), ref)
 		if edge == nil {
 			return value.Unknown, fmt.Errorf("eval: %q is not bound to an edge", x.Var)
 		}
@@ -186,54 +147,52 @@ func EvalPred(e ast.Expr, r Resolver) (value.Tri, error) {
 		if !nok || !eok {
 			return value.Unknown, nil
 		}
-		edge := edgeOf(graphOf(r, x.EdgeVar), eref)
+		g := r.Graph()
+		edge := edgeOf(g, eref)
 		if edge == nil {
 			return value.Unknown, fmt.Errorf("eval: %q is not bound to an edge", x.EdgeVar)
 		}
-		nodeID := elemIDOf(r, x.NodeVar, nref)
 		var res value.Tri
 		if edge.Direction != graph.Directed {
 			// Undirected edges have no source/destination roles.
 			res = value.False
-		} else if x.Dest {
-			res = value.TriOf(string(edge.Target) == nodeID)
 		} else {
-			res = value.TriOf(string(edge.Source) == nodeID)
+			src, tgt := g.EdgeEnds(int(eref.Idx))
+			end := src
+			if x.Dest {
+				end = tgt
+			}
+			res = value.TriOf(end == int(nref.Idx))
 		}
 		if x.Negate {
 			res = res.Not()
 		}
 		return res, nil
 	case *ast.Same:
-		// Identity by element id: exact on one store (ids and indices are
-		// in bijection) and the defined semantics across stores.
-		var firstKind binding.ElemKind
-		var firstID string
+		var first binding.Ref
 		for i, v := range x.Vars {
 			ref, ok := r.Elem(v)
 			if !ok {
 				return value.Unknown, fmt.Errorf("eval: SAME argument %q is unbound", v)
 			}
-			id := elemIDOf(r, v, ref)
 			if i == 0 {
-				firstKind, firstID = ref.Kind, id
-			} else if ref.Kind != firstKind || id != firstID {
+				first = ref
+			} else if ref != first {
 				return value.False, nil
 			}
 		}
 		return value.True, nil
 	case *ast.AllDifferent:
-		seen := make(map[string]struct{}, len(x.Vars))
+		seen := make(map[binding.Ref]struct{}, len(x.Vars))
 		for _, v := range x.Vars {
 			ref, ok := r.Elem(v)
 			if !ok {
 				return value.Unknown, fmt.Errorf("eval: ALL_DIFFERENT argument %q is unbound", v)
 			}
-			key := string(kindTag(ref.Kind)) + elemIDOf(r, v, ref)
-			if _, dup := seen[key]; dup {
+			if _, dup := seen[ref]; dup {
 				return value.False, nil
 			}
-			seen[key] = struct{}{}
+			seen[ref] = struct{}{}
 		}
 		return value.True, nil
 	case *ast.Literal:
@@ -311,7 +270,7 @@ func EvalValue(e ast.Expr, r Resolver) (value.Value, error) {
 		if !ok {
 			return value.Null, nil
 		}
-		return propOf(graphOf(r, x.Var), ref, x.Prop), nil
+		return propOf(r.Graph(), ref, x.Prop), nil
 	case *ast.VarRef:
 		// An element reference in value position only reaches evaluation in
 		// IS NULL checks; report boundness via NULL/non-NULL.
@@ -409,21 +368,20 @@ func evalAggregate(agg *ast.Aggregate, r Resolver) (value.Value, error) {
 	}
 	refs, _ := r.Group(name)
 	if prop == "" || prop == "*" {
-		gg := graphOf(r, name)
 		if agg.Kind == value.AggListagg {
 			// LISTAGG(e, sep): join the element identifiers (§3's
 			// LISTAGG(e.ID, ', ') reconstructing the matched path).
 			ids := make([]value.Value, 0, len(refs))
 			for _, ref := range refs {
-				ids = append(ids, value.Str(refID(gg, ref)))
+				ids = append(ids, value.Str(binding.ElemID(r.Graph(), ref.Kind, ref.Idx)))
 			}
 			if agg.Distinct {
 				ids = distinctValues(ids)
 			}
 			return value.ListAgg(ids, agg.Sep), nil
 		}
-		// COUNT(e) / COUNT(e.*): count elements. Group refs share one
-		// store, so distinctness by (kind, index) is distinctness by id.
+		// COUNT(e) / COUNT(e.*): count elements, distinct by (kind,
+		// index).
 		if agg.Distinct {
 			seen := map[binding.Ref]struct{}{}
 			for _, ref := range refs {
@@ -434,9 +392,9 @@ func evalAggregate(agg *ast.Aggregate, r Resolver) (value.Value, error) {
 		return value.Int(int64(len(refs))), nil
 	}
 	vals := make([]value.Value, 0, len(refs))
-	gg := graphOf(r, name)
+	g := r.Graph()
 	for _, ref := range refs {
-		vals = append(vals, propOf(gg, ref, prop))
+		vals = append(vals, propOf(g, ref, prop))
 	}
 	if agg.Distinct {
 		if agg.Kind == value.AggCount {
@@ -465,30 +423,25 @@ func distinctValues(vals []value.Value) []value.Value {
 }
 
 // propOf reads a property from a bound element — a slice index into the
-// store's dense arena, not an id map lookup.
-func propOf(g graph.Store, ref binding.Ref, prop string) value.Value {
+// view's dense arena, not an id map lookup.
+func propOf(g graph.Stepper, ref binding.Ref, prop string) value.Value {
 	switch ref.Kind {
 	case binding.NodeElem:
-		if n := g.NodeAt(ref.Idx); n != nil {
+		if n := g.NodeByIndex(int(ref.Idx)); n != nil {
 			return n.Prop(prop)
 		}
 	case binding.EdgeElem:
-		if e := g.EdgeAt(ref.Idx); e != nil {
+		if e := g.EdgeByIndex(int(ref.Idx)); e != nil {
 			return e.Prop(prop)
 		}
 	}
 	return value.Null
 }
 
-// refID materializes a bound element's id against the variable's store.
-func refID(g graph.Store, ref binding.Ref) string {
-	return binding.ElemID(g, ref.Kind, ref.Idx)
-}
-
 // edgeOf resolves an edge ref, or nil when the ref is not an edge.
-func edgeOf(g graph.Store, ref binding.Ref) *graph.Edge {
+func edgeOf(g graph.Stepper, ref binding.Ref) *graph.Edge {
 	if ref.Kind != binding.EdgeElem {
 		return nil
 	}
-	return g.EdgeAt(ref.Idx)
+	return g.EdgeByIndex(int(ref.Idx))
 }

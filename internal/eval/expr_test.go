@@ -13,12 +13,12 @@ import (
 
 // mapResolver is a fixed-binding resolver for expression unit tests.
 type mapResolver struct {
-	g      *graph.Graph
+	g      *graph.CSR
 	elems  map[string]binding.Ref
 	groups map[string][]binding.Ref
 }
 
-func (r mapResolver) Graph() graph.Store { return r.g }
+func (r mapResolver) Graph() graph.Stepper { return r.g }
 
 func (r mapResolver) Elem(name string) (binding.Ref, bool) {
 	ref, ok := r.elems[name]
@@ -31,7 +31,7 @@ func (r mapResolver) Group(name string) ([]binding.Ref, bool) {
 }
 
 func fig1Resolver() mapResolver {
-	g := dataset.Fig1()
+	g := graph.Snapshot(dataset.Fig1())
 	node := func(id graph.NodeID) binding.Ref {
 		i, ok := g.InternNode(id)
 		if !ok {
@@ -261,7 +261,7 @@ func TestAggregateErrors(t *testing.T) {
 func TestIsDirectedOnNonEdge(t *testing.T) {
 	// An out-of-range index models a dangling reference.
 	r := mapResolver{
-		g:     dataset.Fig1(),
+		g:     graph.Snapshot(dataset.Fig1()),
 		elems: map[string]binding.Ref{"x": {Kind: binding.EdgeElem, Idx: 1 << 20}},
 	}
 	e, _ := parser.ParseExpr(`x IS DIRECTED`)

@@ -26,36 +26,27 @@ import (
 
 // classicJoin is the reference pipeline: every pattern is solved in full
 // (MatchPattern, so sorted by path length then canonical key) in textual
-// order, the solution sets are hash-joined left to right on the shared
-// singleton variables, the postfilter runs over the joined rows, and the
-// canonical sort fixes the order. stores[i] serves pattern i; compact
-// index join keys are used only when all patterns share one store.
-func classicJoin(t *testing.T, stores []graph.Store, p *plan.Plan, cfg Config) *Result {
+// order against the store's one pinned view, the solution sets are
+// hash-joined left to right on the shared singleton variables, the
+// postfilter runs over the joined rows, and the canonical sort fixes the
+// order.
+func classicJoin(t *testing.T, s graph.Store, p *plan.Plan, cfg Config) *Result {
 	t.Helper()
-	byIdx := true
-	varGraph := map[string]graph.Store{}
-	for i, pp := range p.Paths {
-		byIdx = byIdx && stores[i] == stores[0]
-		for _, v := range pp.Vars {
-			if _, ok := varGraph[v]; !ok {
-				varGraph[v] = graph.AsStepper(stores[i])
-			}
-		}
-	}
+	st := graph.AsStepper(s)
 	rows := []*Row{{}}
 	bound := map[string]bool{}
 	for i, pp := range p.Paths {
-		solutions, err := MatchPattern(stores[i], pp, cfg)
+		solutions, err := MatchPattern(st, pp, cfg)
 		if err != nil {
 			t.Fatalf("classic join: pattern %d: %v", i, err)
 		}
-		rows = joinPattern(p, pp, rows, solutions, sharedVars(p, pp, bound), byIdx)
+		rows = joinPattern(p, pp, rows, solutions, sharedVars(p, pp, bound))
 		markBound(bound, pp)
 	}
 	if p.Post != nil {
 		kept := rows[:0]
 		for _, row := range rows {
-			keep, err := EvalPred(p.Post, rowResolver{graph.AsStepper(stores[0]), varGraph, row, cfg.Params})
+			keep, err := EvalPred(p.Post, rowResolver{st, row, cfg.Params})
 			if err != nil {
 				t.Fatalf("classic join: postfilter: %v", err)
 			}
@@ -71,16 +62,16 @@ func classicJoin(t *testing.T, stores []graph.Store, p *plan.Plan, cfg Config) *
 
 // joinPattern hash-joins one pattern's solutions into the accumulated
 // rows; with no shared variables it degenerates to a cross product.
-func joinPattern(p *plan.Plan, pp *plan.PathPlan, rows []*Row, solutions []*binding.Reduced, shared []string, byIdx bool) []*Row {
+func joinPattern(p *plan.Plan, pp *plan.PathPlan, rows []*Row, solutions []*binding.Reduced, shared []string) []*Row {
 	index := map[string][]*binding.Reduced{}
 	var buf []byte
 	for _, sol := range solutions {
-		buf = appendJoinKeyOfSolution(buf[:0], sol, shared, byIdx)
+		buf = appendJoinKeyOfSolution(buf[:0], sol, shared)
 		index[string(buf)] = append(index[string(buf)], sol)
 	}
 	var next []*Row
 	for _, row := range rows {
-		buf = appendJoinKeyOfRow(buf[:0], row, shared, byIdx)
+		buf = appendJoinKeyOfRow(buf[:0], row, shared)
 		for _, sol := range index[string(buf)] {
 			if merged, ok := mergeRow(p, pp, row, sol); ok {
 				next = append(next, merged)
@@ -88,15 +79,6 @@ func joinPattern(p *plan.Plan, pp *plan.PathPlan, rows []*Row, solutions []*bind
 		}
 	}
 	return next
-}
-
-// sameStore repeats one store per pattern, the EvalPlan form.
-func sameStore(s graph.Store, p *plan.Plan) []graph.Store {
-	stores := make([]graph.Store, len(p.Paths))
-	for i := range stores {
-		stores[i] = s
-	}
-	return stores
 }
 
 // joinFragments are the path-pattern building blocks. Variables overlap
@@ -343,7 +325,7 @@ func checkJoinAgainstOracles(t *testing.T, label string, g *graph.Graph, p *plan
 			if err != nil {
 				t.Fatalf("%s: bind-join: %v", label, err)
 			}
-			off := classicJoin(t, sameStore(s, p), p, Config{})
+			off := classicJoin(t, s, p, Config{})
 			diffStrings(t, label+" [bind-join vs classic]", renderResult(on), renderResult(off))
 			if si == 0 {
 				diffStrings(t, label+" [bind-join vs naive]", keysOnly(renderResult(on)), naive)
@@ -411,7 +393,7 @@ func TestMultiPatternJoinPostfilter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("store %d %s: %v", si, src, err)
 			}
-			off := classicJoin(t, sameStore(s, p), p, Config{})
+			off := classicJoin(t, s, p, Config{})
 			diffStrings(t, fmt.Sprintf("store %d %s", si, src), renderResult(on), renderResult(off))
 		}
 	}

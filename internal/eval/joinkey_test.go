@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,16 +10,14 @@ import (
 	"gpml/internal/plan"
 )
 
-// Key-encoding battery for the dedup and join keys. Two encodings exist:
-// the compact binary forms (varint-packed dedup keys, fixed-width
-// index join components) used on a shared store, and the materialized
-// string forms (the canonical textual dedup key the sort orders by, and
-// the join key of multi-graph joins). The adversarial
+// Key-encoding battery for the dedup and join keys: the compact binary
+// forms (varint-packed dedup keys, fixed-width index join components) and,
+// for dedup, the canonical textual key the sort orders by. The adversarial
 // ids below — NUL bytes, kind-tag prefixes, shared prefixes, digit
 // prefixes, the literal unbound marker — were chosen to break naive
 // concatenation encodings; the differential fuzz proves the compact keys
-// introduce no new collisions (and lose none): two binding tuples share a
-// compact key exactly when they share a string key.
+// introduce no collisions (and lose none): two binding tuples share a
+// join key exactly when they bind the same elements.
 
 // adversarialIDs is the id alphabet; every one is a node in keyGraph.
 var adversarialIDs = []string{
@@ -30,7 +27,7 @@ var adversarialIDs = []string{
 
 // keyGraph builds a store whose node set is the adversarial alphabet
 // (plus a few edges so edge components can be exercised too).
-func keyGraph(t testing.TB) graph.Store {
+func keyGraph(t testing.TB) *graph.CSR {
 	t.Helper()
 	b := graph.NewBuilder()
 	for _, id := range adversarialIDs {
@@ -43,10 +40,10 @@ func keyGraph(t testing.TB) graph.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
+	return graph.Snapshot(g)
 }
 
-func solutionOf(t testing.TB, s graph.Store, vars map[string]string) *binding.Reduced {
+func solutionOf(t testing.TB, s *graph.CSR, vars map[string]string) *binding.Reduced {
 	t.Helper()
 	r := &binding.Reduced{Src: s}
 	for v, id := range vars {
@@ -59,7 +56,7 @@ func solutionOf(t testing.TB, s graph.Store, vars map[string]string) *binding.Re
 	return r
 }
 
-func rowOf(t testing.TB, s graph.Store, vars map[string]string) *Row {
+func rowOf(t testing.TB, s *graph.CSR, vars map[string]string) *Row {
 	t.Helper()
 	row := &Row{}
 	for v, id := range vars {
@@ -87,17 +84,15 @@ func TestJoinKeyAdversarialIDs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, byIdx := range []bool{true, false} {
-				solKey := string(appendJoinKeyOfSolution(nil, solutionOf(t, g, tc.a), shared, byIdx))
-				rowKey := string(appendJoinKeyOfRow(nil, rowOf(t, g, tc.b), shared, byIdx))
-				if solKey == rowKey {
-					t.Errorf("byIdx=%v: distinct binding tuples %v and %v encode to the same key %q", byIdx, tc.a, tc.b, solKey)
-				}
-				// Sanity: equal tuples must still collide on purpose.
-				same := string(appendJoinKeyOfRow(nil, rowOf(t, g, tc.a), shared, byIdx))
-				if string(appendJoinKeyOfSolution(nil, solutionOf(t, g, tc.a), shared, byIdx)) != same {
-					t.Errorf("byIdx=%v: equal binding tuple %v encodes differently on the two join sides", byIdx, tc.a)
-				}
+			solKey := string(appendJoinKeyOfSolution(nil, solutionOf(t, g, tc.a), shared))
+			rowKey := string(appendJoinKeyOfRow(nil, rowOf(t, g, tc.b), shared))
+			if solKey == rowKey {
+				t.Errorf("distinct binding tuples %v and %v encode to the same key %q", tc.a, tc.b, solKey)
+			}
+			// Sanity: equal tuples must still collide on purpose.
+			same := string(appendJoinKeyOfRow(nil, rowOf(t, g, tc.a), shared))
+			if string(appendJoinKeyOfSolution(nil, solutionOf(t, g, tc.a), shared)) != same {
+				t.Errorf("equal binding tuple %v encodes differently on the two join sides", tc.a)
 			}
 		})
 	}
@@ -105,26 +100,23 @@ func TestJoinKeyAdversarialIDs(t *testing.T) {
 
 // TestJoinKeyUnboundDistinct pins the unbound marker: a conditional
 // singleton left unbound must not collide with any bound element,
-// including ids chosen to mimic the marker in either encoding.
+// including ids chosen to mimic a textual marker.
 func TestJoinKeyUnboundDistinct(t *testing.T) {
 	g := keyGraph(t)
 	shared := []string{"x"}
-	for _, byIdx := range []bool{true, false} {
-		unbound := string(appendJoinKeyOfSolution(nil, &binding.Reduced{Src: g}, shared, byIdx))
-		for _, id := range []string{"?", "", "0n?"} {
-			if bound := string(appendJoinKeyOfSolution(nil, solutionOf(t, g, map[string]string{"x": id}), shared, byIdx)); bound == unbound {
-				t.Errorf("byIdx=%v: bound id %q collides with the unbound marker %q", byIdx, id, unbound)
-			}
+	unbound := string(appendJoinKeyOfSolution(nil, &binding.Reduced{Src: g}, shared))
+	for _, id := range []string{"?", "", "0n?"} {
+		if bound := string(appendJoinKeyOfSolution(nil, solutionOf(t, g, map[string]string{"x": id}), shared)); bound == unbound {
+			t.Errorf("bound id %q collides with the unbound marker %q", id, unbound)
 		}
 	}
 }
 
 // TestJoinKeyDifferentialFuzz is the adversarial differential suite: over
-// random binding tuples drawn from the adversarial alphabet, the compact
-// index keys and the materialized string keys must induce exactly the
-// same equivalence classes — no new collisions (a compact collision
-// without a string collision) and no lost ones (ids are in bijection with
-// indices, so the reverse would be a materialization bug).
+// random binding tuples drawn from the adversarial alphabet, the join keys
+// must induce exactly the equivalence of the tuples themselves — no
+// collision between distinct tuples and no split of equal ones, whichever
+// join side built each key.
 func TestJoinKeyDifferentialFuzz(t *testing.T) {
 	g := keyGraph(t)
 	shared := []string{"x", "y", "z"}
@@ -141,29 +133,24 @@ func TestJoinKeyDifferentialFuzz(t *testing.T) {
 	}
 	type keyed struct {
 		tuple map[string]string
-		idx   string
-		str   string
+		key   string
 	}
 	var all []keyed
 	for i := 0; i < 400; i++ {
 		tuple := randTuple()
-		var idxKey, strKey string
+		var key string
 		if i%2 == 0 { // alternate sides so sol/sol, sol/row and row/row pairs occur
-			sol := solutionOf(t, g, tuple)
-			idxKey = string(appendJoinKeyOfSolution(nil, sol, shared, true))
-			strKey = string(appendJoinKeyOfSolution(nil, sol, shared, false))
+			key = string(appendJoinKeyOfSolution(nil, solutionOf(t, g, tuple), shared))
 		} else {
-			row := rowOf(t, g, tuple)
-			idxKey = string(appendJoinKeyOfRow(nil, row, shared, true))
-			strKey = string(appendJoinKeyOfRow(nil, row, shared, false))
+			key = string(appendJoinKeyOfRow(nil, rowOf(t, g, tuple), shared))
 		}
-		all = append(all, keyed{tuple, idxKey, strKey})
+		all = append(all, keyed{tuple, key})
 	}
 	for i := range all {
 		for j := i + 1; j < len(all); j++ {
-			if (all[i].idx == all[j].idx) != (all[i].str == all[j].str) {
-				t.Fatalf("key encodings disagree on %v vs %v: idx %v, str %v",
-					all[i].tuple, all[j].tuple, all[i].idx == all[j].idx, all[i].str == all[j].str)
+			if keyEq, tupleEq := all[i].key == all[j].key, reflect.DeepEqual(all[i].tuple, all[j].tuple); keyEq != tupleEq {
+				t.Fatalf("join key equality %v disagrees with tuple equality %v on %v vs %v",
+					keyEq, tupleEq, all[i].tuple, all[j].tuple)
 			}
 		}
 	}
@@ -233,11 +220,9 @@ func TestDedupKeyDifferentialFuzz(t *testing.T) {
 }
 
 // TestJoinAdversarialIDsEndToEnd runs a two-pattern join over a graph
-// whose element ids are built from NUL bytes and kind-tag characters, in
-// both key forms — one shared store joins on compact index keys, the map
-// graph paired with its CSR snapshot (same ids, distinct stores) joins on
-// the string form — and against the classic oracle: the equi-join on x
-// and y must produce exactly the rows where both endpoints truly coincide.
+// whose element ids are built from NUL bytes and kind-tag characters,
+// against the classic oracle: the equi-join on x and y must produce
+// exactly the rows where both endpoints truly coincide.
 func TestJoinAdversarialIDsEndToEnd(t *testing.T) {
 	b := graph.NewBuilder()
 	ids := []string{"a", "a\x00nb", "b\x00nc", "c", "n", "?"}
@@ -256,86 +241,18 @@ func TestJoinAdversarialIDsEndToEnd(t *testing.T) {
 	b.Edge("eB3", "?", "c", []string{"B"})
 	g := b.MustBuild()
 	p := compile(t, `MATCH (x)-[e1:A]->(y), (x)-[e2:B]->(y)`, plan.Options{})
-	for name, stores := range map[string][]graph.Store{
-		"index keys":  {g, g},
-		"string keys": {g, graph.Snapshot(g)},
-	} {
-		res, err := EvalPlanOn(stores, p, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for side, r := range map[string]*Result{"bind-join": res, "classic": classicJoin(t, stores, p, Config{})} {
-			if len(r.Rows) != 1 {
-				t.Fatalf("%s %s: got %d rows, want 1", name, side, len(r.Rows))
-			}
-			x, _ := r.Rows[0].Get("x")
-			y, _ := r.Rows[0].Get("y")
-			if string(x.Node) != "a" || string(y.Node) != "c" {
-				t.Fatalf("%s %s: joined (%q, %q), want (a, c)", name, side, x.Node, y.Node)
-			}
-		}
-	}
-}
-
-func formatRows(t *testing.T, res *Result) string {
-	t.Helper()
-	out := ""
-	for _, row := range res.Rows {
-		for _, v := range row.Vars() {
-			b, _ := row.Get(v)
-			out += fmt.Sprintf("%s=%s;", v, b)
-		}
-		out += "\n"
-	}
-	return out
-}
-
-// TestMultiGraphPostfilterRouting pins multi-graph index routing: the
-// bind-join planner may bind a shared variable from a store other than
-// its textually-first declaring one, and the postfilter must still read
-// the element's properties from the declaring store by id — dense indices
-// are not portable across stores. The two stores below deliberately place
-// the shared node at different indices; the bind-join pipeline and the
-// classic oracle must agree.
-func TestMultiGraphPostfilterRouting(t *testing.T) {
-	// Store A: many Hub nodes first — the pattern scanning store A is
-	// deliberately expensive, so the cost-ordered planner joins the
-	// store-B pattern first and y's row binding carries store B's index —
-	// and "target" lands at a high index whose flag property is the one
-	// the postfilter must see.
-	ba := graph.NewBuilder()
-	for i := 0; i < 50; i++ {
-		ba.Node(fmt.Sprintf("fillerA%d", i), []string{"Hub"}, "flag", "no")
-	}
-	ba.Node("target", []string{"Mid"}, "flag", "yes")
-	ba.Node("endA", []string{"Plain"})
-	for i := 0; i < 50; i++ {
-		ba.Edge(fmt.Sprintf("ea%d", i), fmt.Sprintf("fillerA%d", i), "target", []string{"E"})
-	}
-	ga := ba.MustBuild()
-
-	// Store B: "target" is its very first node (index 0), with a
-	// conflicting flag value that must NOT win.
-	bb := graph.NewBuilder()
-	bb.Node("target", []string{"Sel"}, "flag", "no")
-	bb.Node("endB", []string{"Plain"})
-	bb.Edge("eb", "target", "endB", []string{"F"})
-	gb := bb.MustBuild()
-
-	p := compile(t, `MATCH (x:Hub)-[e1:E]->(y:Mid), (y)-[e2:F]->(z:Plain) WHERE y.flag='yes'`, plan.Options{})
-	stores := []graph.Store{ga, gb}
-	res, err := EvalPlanOn(stores, p, Config{})
+	res, err := EvalPlan(g, p, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 50 {
-		t.Fatalf("got %d rows, want 50 (y.flag must resolve against store A)", len(res.Rows))
-	}
-	y, _ := res.Rows[0].Get("y")
-	if string(y.Node) != "target" {
-		t.Fatalf("y = %q, want target", y.Node)
-	}
-	if got, want := formatRows(t, res), formatRows(t, classicJoin(t, stores, p, Config{})); got != want {
-		t.Fatalf("bind-join and classic rows diverge:\n%s\n--- vs ---\n%s", got, want)
+	for side, r := range map[string]*Result{"bind-join": res, "classic": classicJoin(t, g, p, Config{})} {
+		if len(r.Rows) != 1 {
+			t.Fatalf("%s: got %d rows, want 1", side, len(r.Rows))
+		}
+		x, _ := r.Rows[0].Get("x")
+		y, _ := r.Rows[0].Get("y")
+		if string(x.Node) != "a" || string(y.Node) != "c" {
+			t.Fatalf("%s: joined (%q, %q), want (a, c)", side, x.Node, y.Node)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gpml/internal/ast"
+	"gpml/internal/dataset"
 	"gpml/internal/graph"
 	"gpml/internal/parser"
 	"gpml/internal/plan"
@@ -51,22 +52,73 @@ type storeAxis struct {
 	s    graph.Store
 }
 
-// reverseAxes are the store axes of the reversal battery: the map graph,
-// its CSR, an overlay epoch with tombstones and a live delta, and a store
-// recovered from a checkpoint.
+// reverseAxes are the store axes of the reversal and identity batteries:
+// the map graph, its CSR, an overlay epoch with tombstones and a live
+// delta, a store recovered from a checkpoint, and g's content with one
+// node and some edges re-added at fresh indices beside dead holes — as an
+// overlay epoch's delta, and compacted into a checkpoint-recovered base.
 func reverseAxes(t *testing.T, g *graph.Graph) []storeAxis {
 	t.Helper()
+	ov := graph.NewOverlay(graph.Snapshot(g))
+	reinsert(t, ov, g)
 	return []storeAxis{
 		{"map", g},
 		{"csr", graph.Snapshot(g)},
 		{"tombstoned", tombstoned(t, g)},
 		{"recovered", recoveredStore(t, g)},
+		{"reinserted", ov.Snapshot()},
+		{"reinserted-recovered", recoveredStore(t, g, func(ov *graph.Overlay) { reinsert(t, ov, g) })},
 	}
 }
 
-// recoveredStore writes g through a durable overlay, checkpoints it and
+// reinsert deletes the first edge's source node (and with it every edge
+// incident to it) and one edge not incident to it, then adds them all
+// back under the same ids. The overlay gives each re-added element a fresh
+// dense index and leaves a dead hole at the old one, so the epoch holds
+// g's content at different indices.
+func reinsert(t *testing.T, ov *graph.Overlay, g *graph.Graph) {
+	t.Helper()
+	var victim *graph.Node
+	var edges []*graph.Edge
+	var other *graph.Edge
+	g.Edges(func(e *graph.Edge) bool {
+		if victim == nil {
+			victim = g.Node(e.Source)
+		}
+		if e.Source == victim.ID || e.Target == victim.ID {
+			edges = append(edges, e)
+		} else if other == nil {
+			other = e
+		}
+		return true
+	})
+	if victim == nil {
+		return
+	}
+	del := ov.Begin().DeleteNode(victim.ID)
+	if other != nil {
+		del.DeleteEdge(other.ID)
+		edges = append(edges, other)
+	}
+	add := ov.Begin().AddNode(victim.ID, victim.Labels, victim.Props)
+	for _, e := range edges {
+		if e.Direction == graph.Undirected {
+			add.AddUndirectedEdge(e.ID, e.Source, e.Target, e.Labels, e.Props)
+		} else {
+			add.AddEdge(e.ID, e.Source, e.Target, e.Labels, e.Props)
+		}
+	}
+	for _, b := range []*graph.Batch{del, add} {
+		if err := ov.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// recoveredStore writes g through a durable overlay, applies any further
+// mutations, checkpoints it (compacting the delta into the base) and
 // returns the store a fresh open recovers from the directory.
-func recoveredStore(t *testing.T, g *graph.Graph) graph.Store {
+func recoveredStore(t *testing.T, g *graph.Graph, mutate ...func(*graph.Overlay)) graph.Store {
 	t.Helper()
 	dir := t.TempDir()
 	open := func() *graph.Overlay {
@@ -95,6 +147,9 @@ func recoveredStore(t *testing.T, g *graph.Graph) graph.Store {
 	})
 	if err := ov.Apply(b); err != nil {
 		t.Fatal(err)
+	}
+	for _, m := range mutate {
+		m(ov)
 	}
 	if err := ov.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -187,5 +242,53 @@ func TestReversedPatternsAgree(t *testing.T) {
 	}
 	if reversed < 20 {
 		t.Fatalf("only %d statements had a reversible pattern", reversed)
+	}
+}
+
+// TestIdentityByIndexOnEveryAxis: within a query's pinned view, element
+// identity is the (kind, index) pair — for GQL element =/<>, SAME,
+// ALL_DIFFERENT, SOURCE OF/DESTINATION OF, the join's equi-join check
+// and edge-isomorphic mode. On every store axis, including those whose
+// re-added elements sit at fresh indices beside dead holes, the rows
+// equal those on a fresh dense snapshot of the same epoch.
+func TestIdentityByIndexOnEveryAxis(t *testing.T) {
+	queries := []string{
+		`MATCH (x:Account)-[t:Transfer]->(y:Account), (y)-[u:Transfer]->{1,3}(z:Account) WHERE x = z`,
+		`MATCH (x:Account)-[t:Transfer]->(y:Account), (y)-[u:Transfer]->(z:Account) WHERE x <> z`,
+		`MATCH (x:Account)-[t:Transfer]->(y:Account), (z:Account)-[u:Transfer]->(w:Account) WHERE SAME(t, u) AND NOT SAME(x, w)`,
+		`MATCH (x:Account)-[t:Transfer]->(y:Account)-[u:Transfer]->(z:Account) WHERE ALL_DIFFERENT(x, y, z)`,
+		`MATCH (x:Account)-[t:Transfer]->(y:Account), (z:Account) WHERE z IS SOURCE OF t`,
+		`MATCH (x:Account)-[t:Transfer]->(y:Account), (z:Account) WHERE z IS DESTINATION OF t AND z IS NOT SOURCE OF t`,
+		`MATCH (x:Account)~[h:hasPhone]~(p:Phone), (z:Account) WHERE z IS NOT SOURCE OF h`,
+	}
+	g := dataset.Fig1()
+	holes := 0
+	for _, ax := range reverseAxes(t, g) {
+		st := graph.AsStepper(ax.s)
+		if st.NodeIndexSpan() > st.NumNodes() {
+			holes++
+		}
+		fresh := graph.Snapshot(st)
+		for _, src := range queries {
+			p := compile(t, src, plan.Options{AllowElementEquality: true})
+			for _, cfg := range []Config{{}, {EdgeIsomorphic: true}} {
+				label := fmt.Sprintf("%s [%s edge-iso %v]", src, ax.name, cfg.EdgeIsomorphic)
+				want, err := EvalPlan(fresh, p, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if len(want.Rows) == 0 && !cfg.EdgeIsomorphic {
+					t.Fatalf("%s: no rows on the fresh snapshot", label)
+				}
+				got, err := EvalPlan(ax.s, p, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				diffStrings(t, label, renderResult(got), renderResult(want))
+			}
+		}
+	}
+	if holes < 2 {
+		t.Errorf("only %d axes hold dead index holes; the reinserted axes must", holes)
 	}
 }

@@ -3,7 +3,6 @@ package eval
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
 
 	"gpml/internal/binding"
@@ -64,75 +63,27 @@ type Cursor interface {
 // pipeline boundary, never surfaced to callers.
 var errStreamStopped = errors.New("eval: stream stopped")
 
-// StreamPlan builds the streaming pipeline for a plan over one store.
-// The returned cursor must be closed; see Cursor.
+// StreamPlan builds the streaming pipeline for a plan over one store: a
+// match cursor for a single pattern, the cost-ordered bind-join chain for
+// several, then the row-local filter/limit cursors. Construction does no
+// search work. The returned cursor must be closed; see Cursor.
+//
+// The store is pinned and indexed once (graph.AsStepper): every pattern
+// source, join step, the postfilter and row rendering read that one view,
+// so the query observes one epoch even while a writer keeps publishing,
+// and element identity is (kind, index) throughout.
 func StreamPlan(ctx context.Context, s graph.Store, p *plan.Plan, cfg Config) (Cursor, error) {
-	stores := make([]graph.Store, len(p.Paths))
-	for i := range stores {
-		stores[i] = s
-	}
-	return StreamPlanOn(ctx, stores, p, cfg)
-}
-
-// StreamPlanOn builds the streaming pipeline with per-pattern stores (the
-// multi-graph EvalPlanOn form): a match cursor for a single pattern, the
-// cost-ordered bind-join chain for several, then the row-local
-// filter/limit cursors. Construction does no search work.
-func StreamPlanOn(ctx context.Context, stores []graph.Store, p *plan.Plan, cfg Config) (Cursor, error) {
-	if len(stores) != len(p.Paths) {
-		return nil, fmt.Errorf("eval: %d graphs for %d path patterns", len(stores), len(p.Paths))
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Pin epoch sources once for the whole query, so every pattern source,
-	// the variable router, and the post-join filters observe one epoch
-	// even while a writer keeps publishing. The identity memo maps equal
-	// Store values to one pinned snapshot, preserving the shared-store
-	// fast path (compact index-based join keys) below.
-	{
-		pinned := make(map[graph.Store]graph.Store, 1)
-		out := make([]graph.Store, len(stores))
-		for i, s := range stores {
-			ps, ok := pinned[s]
-			if !ok {
-				ps = graph.Pin(s)
-				pinned[s] = ps
-			}
-			out[i] = ps
-		}
-		stores = out
-	}
-	// Per-variable lookup routing: the first store whose pattern declares
-	// the variable (the EvalPlanOn contract). Stores are normalized to
-	// their indexed views — the same object the engines stamp into each
-	// binding's Src — so on the single-store fast path the row resolver
-	// can see that a binding's index is already relative to the routed
-	// store and skip re-interning.
-	varGraph := map[string]graph.Store{}
-	for i, pp := range p.Paths {
-		for _, v := range pp.Vars {
-			if _, ok := varGraph[v]; !ok {
-				varGraph[v] = graph.AsStepper(stores[i])
-			}
-		}
-	}
+	st := graph.AsStepper(s)
 	var cur Cursor
 	if len(p.Paths) > 1 {
-		// Compact index-based join keys need every pattern on one shared
-		// store; multi-graph evaluation joins by materialized element id.
-		byIdx := true
-		for i := 1; i < len(stores); i++ {
-			if stores[i] != stores[0] {
-				byIdx = false
-				break
-			}
-		}
-		cur = newBindJoinCursor(ctx, stores, p, cfg, byIdx)
+		cur = newBindJoinCursor(ctx, st, p, cfg)
 	} else {
 		pp := p.Paths[0]
 		cur = &matchCursor{
-			src:    newPatternSource(ctx, stores[0], pp, cfg),
+			src:    newPatternSource(ctx, st, pp, cfg),
 			p:      p,
 			pp:     pp,
 			prefix: &Row{},
@@ -145,9 +96,8 @@ func StreamPlanOn(ctx context.Context, stores []graph.Store, p *plan.Plan, cfg C
 		}}
 	}
 	if p.Post != nil {
-		g := graph.AsStepper(stores[0])
 		cur = &filterCursor{src: cur, keep: func(row *Row) (bool, error) {
-			t, err := EvalPred(p.Post, rowResolver{g, varGraph, row, cfg.Params})
+			t, err := EvalPred(p.Post, rowResolver{st, row, cfg.Params})
 			if err != nil {
 				return false, err
 			}
@@ -212,8 +162,7 @@ type solSource interface {
 // scheduling or channel cost — and a worker-pool generator stream under
 // Parallelism > 1. Either owns a fresh budget wired to the pipeline's
 // cancellation hook.
-func newPatternSource(ctx context.Context, s graph.Store, pp *plan.PathPlan, cfg Config) solSource {
-	st := graph.AsStepper(s)
+func newPatternSource(ctx context.Context, st graph.Stepper, pp *plan.PathPlan, cfg Config) solSource {
 	seeds := seedNodes(st, pp, cfg.Params)
 	if cfg.Parallelism > 1 && len(seeds) > 1 {
 		return newParallelSolStream(ctx, st, pp, cfg, seeds)
@@ -513,10 +462,9 @@ func (c *limitCursor) Close() error { return c.src.Close() }
 
 // newBindJoinCursor builds the cost-ordered bind-join pipeline as a chain
 // of join-step cursors: rows stream through every step, and each step
-// only does the per-seed work its input rows demand. byIdx selects the
-// compact index-based join keys (single shared store).
-func newBindJoinCursor(ctx context.Context, stores []graph.Store, p *plan.Plan, cfg Config, byIdx bool) Cursor {
-	steps := plan.OrderJoin(p, storeStatsFor(stores))
+// only does the per-seed work its input rows demand.
+func newBindJoinCursor(ctx context.Context, st graph.Stepper, p *plan.Plan, cfg Config) Cursor {
+	steps := plan.OrderJoin(p, joinStats(st.LabelStats(), len(p.Paths)))
 	bound := map[string]bool{}
 	var cur Cursor
 	for k, step := range steps {
@@ -527,7 +475,7 @@ func newBindJoinCursor(ctx context.Context, stores []graph.Store, p *plan.Plan, 
 			// The first step joins against the single empty row: a pure
 			// pattern scan, streamed straight off the engines.
 			cur = &matchCursor{
-				src:    newPatternSource(ctx, stores[step.Pattern], pp, cfg),
+				src:    newPatternSource(ctx, st, pp, cfg),
 				p:      p,
 				pp:     pp,
 				prefix: &Row{},
@@ -539,14 +487,14 @@ func newBindJoinCursor(ctx context.Context, stores []graph.Store, p *plan.Plan, 
 				tailSeededSteps.Add(1)
 			}
 			cur = &bindStepCursor{
-				ctx: ctx, s: stores[step.Pattern], p: p, pp: pp, run: run, cfg: cfg,
-				seedVar: step.SeedVar, shared: shared, byIdx: byIdx, left: cur,
+				ctx: ctx, st: st, p: p, pp: pp, run: run, cfg: cfg,
+				seedVar: step.SeedVar, shared: shared, left: cur,
 				memo: map[int]*seedIndex{},
 			}
 		default:
 			cur = &hashStepCursor{
-				ctx: ctx, s: stores[step.Pattern], p: p, pp: pp, cfg: cfg,
-				shared: shared, byIdx: byIdx, left: cur,
+				ctx: ctx, st: st, p: p, pp: pp, cfg: cfg,
+				shared: shared, left: cur,
 			}
 		}
 		markBound(bound, pp)
@@ -564,11 +512,11 @@ type seedIndex struct {
 	byKey map[string][]*binding.Reduced
 }
 
-func buildSeedIndex(sols []*binding.Reduced, shared []string, byIdx bool) *seedIndex {
+func buildSeedIndex(sols []*binding.Reduced, shared []string) *seedIndex {
 	idx := &seedIndex{byKey: make(map[string][]*binding.Reduced, len(sols))}
 	var buf []byte
 	for _, sol := range sols {
-		buf = appendJoinKeyOfSolution(buf[:0], sol, shared, byIdx)
+		buf = appendJoinKeyOfSolution(buf[:0], sol, shared)
 		idx.byKey[string(buf)] = append(idx.byKey[string(buf)], sol)
 	}
 	return idx
@@ -583,9 +531,10 @@ func buildSeedIndex(sols []*binding.Reduced, shared []string, byIdx bool) *seedI
 // unseen seeds on a worker pool.
 type bindStepCursor struct {
 	ctx context.Context
-	s   graph.Store
-	p   *plan.Plan
-	pp  *plan.PathPlan
+	// st is the query's pinned view, shared with parallel chunk workers.
+	st graph.Stepper
+	p  *plan.Plan
+	pp *plan.PathPlan
 	// run is the plan the engines run: pp, or pp.Mirrored() for a tail
 	// seed, whose solutions flip back to pp's orientation before they are
 	// indexed.
@@ -593,7 +542,6 @@ type bindStepCursor struct {
 	cfg     Config
 	seedVar string
 	shared  []string
-	byIdx   bool
 	left    Cursor
 
 	// bud is the step's shared search budget: limits accounting spans
@@ -602,9 +550,6 @@ type bindStepCursor struct {
 	bud    *budget
 	solver *seedSolver
 	memo   map[int]*seedIndex
-	// st is the step's indexed topology view (memoized per store, shared
-	// with parallel chunk workers).
-	st     graph.Stepper
 	keyBuf []byte
 
 	// chunk is the prefetched left rows awaiting expansion; row/cands/ci
@@ -680,10 +625,7 @@ func (c *bindStepCursor) refill() error {
 		seen := map[int]bool{}
 		for _, row := range c.chunk {
 			if b, ok := row.Get(c.seedVar); ok && b.Kind == BoundNode {
-				si, ok := c.seedIdxOf(b)
-				if !ok {
-					continue
-				}
+				si := int(b.Idx)
 				if _, cached := c.memo[si]; !cached && !seen[si] {
 					seen[si] = true
 					seeds = append(seeds, si)
@@ -703,18 +645,6 @@ func (c *bindStepCursor) refill() error {
 	return nil
 }
 
-// seedIdxOf resolves a row's seed binding to a node index in the step's
-// store. On the shared-store fast path the row's interned index is used
-// directly; multi-graph evaluation joins by id, so the id is re-interned
-// against this pattern's store — an id unknown here joins nothing.
-func (c *bindStepCursor) seedIdxOf(b Bound) (int, bool) {
-	if c.byIdx {
-		return int(b.Idx), true
-	}
-	i, ok := c.s.InternNode(b.Node)
-	return int(i), ok
-}
-
 // candidates returns the step solutions joinable with one row: the row's
 // seed node is solved (memoized), and its solutions are probed with the
 // full shared-variable key — the same equi-join the hash join performs.
@@ -727,14 +657,11 @@ func (c *bindStepCursor) candidates(row *Row) ([]*binding.Reduced, error) {
 	if !ok || b.Kind != BoundNode {
 		return nil, nil
 	}
-	si, ok := c.seedIdxOf(b)
-	if !ok {
-		return nil, nil
-	}
+	si := int(b.Idx)
 	idx, cached := c.memo[si]
 	if !cached {
 		if c.solver == nil {
-			c.solver = newSeedSolver(c.stepper(), c.run, c.cfg, c.budget())
+			c.solver = newSeedSolver(c.st, c.run, c.cfg, c.budget())
 		}
 		sols, err := c.solver.solve(si)
 		if err != nil {
@@ -743,7 +670,7 @@ func (c *bindStepCursor) candidates(row *Row) ([]*binding.Reduced, error) {
 		idx = c.index(sols)
 		c.memo[si] = idx
 	}
-	c.keyBuf = appendJoinKeyOfRow(c.keyBuf[:0], row, c.shared, c.byIdx)
+	c.keyBuf = appendJoinKeyOfRow(c.keyBuf[:0], row, c.shared)
 	return idx.byKey[string(c.keyBuf)], nil
 }
 
@@ -755,11 +682,10 @@ func (c *bindStepCursor) solveSeedsParallel(seeds []int) ([][]*binding.Reduced, 
 	if workers > len(seeds) {
 		workers = len(seeds)
 	}
-	st := c.stepper()
 	bud := c.budget()
 	out := make([][]*binding.Reduced, len(seeds))
 	errs := runSeedPool(workers, len(seeds), nil, func() func(int) error {
-		solver := newSeedSolver(st, c.run, c.cfg, bud)
+		solver := newSeedSolver(c.st, c.run, c.cfg, bud)
 		return func(i int) error {
 			sols, err := solver.solve(seeds[i])
 			if err != nil {
@@ -785,15 +711,7 @@ func (c *bindStepCursor) index(sols []*binding.Reduced) *seedIndex {
 			sols[i] = sol.Reversed()
 		}
 	}
-	return buildSeedIndex(sols, c.shared, c.byIdx)
-}
-
-// stepper lazily resolves the step's indexed topology view.
-func (c *bindStepCursor) stepper() graph.Stepper {
-	if c.st == nil {
-		c.st = graph.AsStepper(c.s)
-	}
-	return c.st
+	return buildSeedIndex(sols, c.shared)
 }
 
 // budget lazily builds the step's shared budget, wired to the pipeline
@@ -815,12 +733,11 @@ func (c *bindStepCursor) Close() error { return c.left.Close() }
 // cross product, exactly like the materializing pipeline.
 type hashStepCursor struct {
 	ctx    context.Context
-	s      graph.Store
+	st     graph.Stepper
 	p      *plan.Plan
 	pp     *plan.PathPlan
 	cfg    Config
 	shared []string
-	byIdx  bool
 	left   Cursor
 
 	built  bool
@@ -849,19 +766,19 @@ func (c *hashStepCursor) Next() (*Row, error) {
 			// First input row: materialize the build side. Lazy, so an
 			// empty or LIMIT-cut input never enumerates the pattern —
 			// mirroring the bind-join pipeline's early exit on zero rows.
-			sols, err := matchPatternStream(c.ctx, c.s, c.pp, c.cfg)
+			sols, err := matchPatternStream(c.ctx, c.st, c.pp, c.cfg)
 			if err != nil {
 				return nil, err
 			}
 			c.index = make(map[string][]*binding.Reduced, len(sols))
 			for _, sol := range sols {
-				c.keyBuf = appendJoinKeyOfSolution(c.keyBuf[:0], sol, c.shared, c.byIdx)
+				c.keyBuf = appendJoinKeyOfSolution(c.keyBuf[:0], sol, c.shared)
 				c.index[string(c.keyBuf)] = append(c.index[string(c.keyBuf)], sol)
 			}
 			c.built = true
 		}
 		c.row = row
-		c.keyBuf = appendJoinKeyOfRow(c.keyBuf[:0], row, c.shared, c.byIdx)
+		c.keyBuf = appendJoinKeyOfRow(c.keyBuf[:0], row, c.shared)
 		c.cands = c.index[string(c.keyBuf)]
 		c.ci = 0
 	}
@@ -871,8 +788,8 @@ func (c *hashStepCursor) Close() error { return c.left.Close() }
 
 // matchPatternStream is MatchPattern through the cancellable streaming
 // machinery: full single-pattern pipeline, canonically sorted.
-func matchPatternStream(ctx context.Context, s graph.Store, pp *plan.PathPlan, cfg Config) ([]*binding.Reduced, error) {
-	sols, err := collectStream(newPatternSource(ctx, s, pp, cfg))
+func matchPatternStream(ctx context.Context, st graph.Stepper, pp *plan.PathPlan, cfg Config) ([]*binding.Reduced, error) {
+	sols, err := collectStream(newPatternSource(ctx, st, pp, cfg))
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ import (
 // the canonical order, i.e. exactly what MatchPattern materializes.
 func streamPattern(t *testing.T, s graph.Store, pp *plan.PathPlan, cfg Config) []*binding.Reduced {
 	t.Helper()
-	sols, err := collectStream(newPatternSource(context.Background(), s, pp, cfg))
+	sols, err := collectStream(newPatternSource(context.Background(), graph.AsStepper(s), pp, cfg))
 	if err != nil {
 		t.Fatalf("pattern stream: %v", err)
 	}

@@ -86,36 +86,16 @@ func (s *Session) Match(src string) (*eval.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.matchOn(g, src)
+}
+
+// matchOn compiles the statement in GQL mode and evaluates it against g.
+func (s *Session) matchOn(g graph.Store, src string) (*eval.Result, error) {
 	q, err := core.Compile(src, core.Options{GQL: true})
 	if err != nil {
 		return nil, err
 	}
 	return q.Eval(g, s.Config)
-}
-
-// MatchAcross evaluates a single concatenated MATCH whose comma-separated
-// path patterns run against different catalog graphs — the "queries on
-// multiple graphs in a single concatenated MATCH" language opportunity of
-// §7.1. graphNames aligns with the statement's path patterns in order;
-// shared singleton variables join across graphs by element identifier (the
-// natural reading when the graphs are views over shared keys).
-func (s *Session) MatchAcross(src string, graphNames []string) (*eval.Result, error) {
-	q, err := core.Compile(src, core.Options{GQL: true})
-	if err != nil {
-		return nil, err
-	}
-	if len(graphNames) != len(q.Plan.Paths) {
-		return nil, fmt.Errorf("gql: %d graph names for %d path patterns", len(graphNames), len(q.Plan.Paths))
-	}
-	graphs := make([]graph.Store, len(graphNames))
-	for i, name := range graphNames {
-		g, err := s.catalog.Graph(name)
-		if err != nil {
-			return nil, err
-		}
-		graphs[i] = g
-	}
-	return eval.EvalPlanOn(graphs, q.Plan, s.Config)
 }
 
 // MatchTable evaluates the statement and projects each match to a table
@@ -144,13 +124,15 @@ type GraphView struct {
 }
 
 // MatchGraph evaluates the statement and assembles the union subgraph of
-// all matches.
+// all matches. The current graph is pinned once, so the subgraph is
+// projected from the epoch the statement matched.
 func (s *Session) MatchGraph(src string) (*GraphView, error) {
 	g, err := s.CurrentGraph()
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.Match(src)
+	g = graph.Pin(g)
+	res, err := s.matchOn(g, src)
 	if err != nil {
 		return nil, err
 	}

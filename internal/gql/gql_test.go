@@ -7,6 +7,7 @@ import (
 	"gpml/internal/dataset"
 	"gpml/internal/graph"
 	"gpml/internal/pgq"
+	"gpml/internal/value"
 )
 
 func session(t *testing.T) *Session {
@@ -207,57 +208,77 @@ func TestSessionLimits(t *testing.T) {
 	}
 }
 
-// §7.1's multi-graph language opportunity: one MATCH whose patterns run on
-// different graphs, joined on shared variables. The "payments" graph holds
-// transfers, the "residency" graph holds locations; both are views over
-// the same account keys.
-func TestMatchAcross(t *testing.T) {
-	full := dataset.Fig1()
-	payments := graph.Induced(full, accountNodes(full))
-	cat := NewCatalog()
-	if err := cat.Register("payments", payments); err != nil {
-		t.Fatal(err)
-	}
-	if err := cat.Register("full", full); err != nil {
-		t.Fatal(err)
-	}
-	s := NewSession(cat)
-	if err := s.Use("full"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.MatchAcross(`
-		MATCH (x:Account)-[t:Transfer]->(y:Account WHERE y.isBlocked='yes'),
-		      (x)-[:isLocatedIn]->(c:City)
-		WHERE c.name = 'Ankh-Morpork'`,
-		[]string{"payments", "full"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Transfers into a4 come only from a2 (t3), and a2 is in Ankh-Morpork.
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows: %d", len(res.Rows))
-	}
-	x, _ := res.Rows[0].Get("x")
-	if x.Node != "a2" {
-		t.Errorf("x: %v", x.Node)
-	}
-	// Wrong arity is rejected.
-	if _, err := s.MatchAcross(`MATCH (x)`, []string{"full", "payments"}); err == nil {
-		t.Errorf("graph-name arity mismatch must fail")
-	}
-	if _, err := s.MatchAcross(`MATCH (x)`, []string{"ghost"}); err == nil {
-		t.Errorf("unknown graph must fail")
-	}
+// skewSource is a live overlay whose first PinEpoch hands out the current
+// epoch and then applies a batch, so every later read of the live store
+// sees a newer epoch than the one the query pinned.
+type skewSource struct {
+	*graph.Overlay
+	pinned bool
+	batch  func(*graph.Batch) *graph.Batch
 }
 
-// accountNodes selects the Account node ids of a graph.
-func accountNodes(g *graph.Graph) map[graph.NodeID]bool {
-	out := map[graph.NodeID]bool{}
-	g.Nodes(func(n *graph.Node) bool {
-		if n.HasLabel("Account") {
-			out[n.ID] = true
+func (s *skewSource) PinEpoch() graph.Store {
+	snap := s.Overlay.PinEpoch()
+	if !s.pinned {
+		s.pinned = true
+		if err := s.Apply(s.batch(s.Begin())); err != nil {
+			panic(err)
 		}
-		return true
+	}
+	return snap
+}
+
+// TestSessionProjectsThePinnedEpoch: MatchTable and MatchGraph project
+// their rows from the epoch the MATCH ran on. A write landing right after
+// the pin rewrites the matched node's owner and deletes the matched edge;
+// COLUMNS must still show the value the WHERE saw, and the graph view must
+// still hold the edge.
+func TestSessionProjectsThePinnedEpoch(t *testing.T) {
+	const match = `MATCH (x:Account WHERE x.owner='Scott')-[t:Transfer]->(y:Account)`
+	session := func(t *testing.T) *Session {
+		t.Helper()
+		cat := NewCatalog()
+		src := &skewSource{
+			Overlay: graph.NewOverlay(graph.Snapshot(dataset.Fig1())),
+			batch: func(b *graph.Batch) *graph.Batch {
+				return b.SetNodeProp("a1", "owner", value.Str("Changed")).DeleteEdge("t1")
+			},
+		}
+		if err := cat.Register("live", src); err != nil {
+			t.Fatal(err)
+		}
+		s := NewSession(cat)
+		if err := s.Use("live"); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	t.Run("table", func(t *testing.T) {
+		cols, err := pgq.ParseColumns(`x.owner AS owner, t.amount AS amount`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := session(t).MatchTable(match, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tab.NumRows() != 1 {
+			t.Fatalf("%d rows, want 1:\n%s", tab.NumRows(), tab)
+		}
+		if owner, _ := tab.Get(0, "owner"); !value.Identical(owner, value.Str("Scott")) {
+			t.Errorf("owner = %v, want the matched epoch's Scott", owner)
+		}
 	})
-	return out
+	t.Run("graph", func(t *testing.T) {
+		view, err := session(t).MatchGraph(match)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if view.Graph.Edge("t1") == nil {
+			t.Errorf("graph view lost the matched edge t1")
+		}
+		if n := view.Graph.Node("a1"); n == nil || !value.Identical(n.Prop("owner"), value.Str("Scott")) {
+			t.Errorf("graph view node a1 = %v, want owner Scott", n)
+		}
+	})
 }

@@ -416,7 +416,7 @@ func decodeCheckpoint(path string, data []byte) (*CSR, uint64, uint64, error) {
 		}
 		ed := Edge{ID: EdgeID(d.string()), Direction: Direction(d.byte()), Labels: d.strings(), Props: d.props()}
 		si, ti := edgeSrc[i], edgeTgt[i]
-		if c.NodeAt(ElemIdx(si)) == nil || c.NodeAt(ElemIdx(ti)) == nil {
+		if c.NodeByIndex(int(si)) == nil || c.NodeByIndex(int(ti)) == nil {
 			return fail("edge %d has out-of-range endpoints", i)
 		}
 		ed.Source, ed.Target = c.nodes[si].ID, c.nodes[ti].ID
@@ -446,7 +446,7 @@ func (c *CSR) arenaValid() bool {
 		}
 	}
 	for k, e := range c.incEdge {
-		if c.EdgeAt(ElemIdx(e)) == nil || c.NodeAt(ElemIdx(c.incOther[k])) == nil || c.incKind[k] > StepUndirected {
+		if c.EdgeByIndex(int(e)) == nil || c.NodeByIndex(int(c.incOther[k])) == nil || c.incKind[k] > StepUndirected {
 			return false
 		}
 	}

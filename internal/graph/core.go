@@ -11,8 +11,9 @@ import (
 // positions — runs on those integers; element id strings are materialized
 // only when a result row (or a canonical sort key) is rendered. Node and
 // edge index spaces are separate (a Ref carries the element kind).
-// Indices are only meaningful relative to the store that issued them;
-// cross-store equality goes through the materialized ids.
+// Indices are only meaningful relative to the store that issued them,
+// and a query reads one pinned store, so element identity is (kind,
+// index) everywhere inside it.
 type ElemIdx uint32
 
 // elemCore is the immutable element side of every snapshot store: the
@@ -280,7 +281,9 @@ func (c *elemCore) LabelStats() StoreStats {
 	return st
 }
 
-// InternNode answers from the dense index (the layout is the interner).
+// InternNode maps a node id to its stable dense index (ok=false for
+// unknown ids). The interner is not part of Store: overlay batch
+// validation and id lookups call it on the concrete core.
 func (c *elemCore) InternNode(id NodeID) (ElemIdx, bool) {
 	i, ok := c.nodeIdx[id]
 	return ElemIdx(i), ok
@@ -292,35 +295,19 @@ func (c *elemCore) InternEdge(id EdgeID) (ElemIdx, bool) {
 	return ElemIdx(i), ok
 }
 
-// NodeAt returns the node at a dense index, or nil when out of range or
-// a dead hole.
-func (c *elemCore) NodeAt(i ElemIdx) *Node {
-	if int(i) >= len(c.nodes) {
-		return nil
-	}
-	return c.NodeByIndex(int(i))
-}
-
-// EdgeAt returns the edge at a dense index, or nil when out of range or a
-// dead hole.
-func (c *elemCore) EdgeAt(i ElemIdx) *Edge {
-	if int(i) >= len(c.edges) {
-		return nil
-	}
-	return c.EdgeByIndex(int(i))
-}
-
-// NodeByIndex returns the node at a dense index, or nil for a dead hole.
+// NodeByIndex returns the node at a dense index, or nil when out of range
+// or a dead hole.
 func (c *elemCore) NodeByIndex(i int) *Node {
-	if isDead(c.deadN, i) {
+	if uint(i) >= uint(len(c.nodes)) || isDead(c.deadN, i) {
 		return nil
 	}
 	return &c.nodes[i]
 }
 
-// EdgeByIndex returns the edge at a dense index, or nil for a dead hole.
+// EdgeByIndex returns the edge at a dense index, or nil when out of range
+// or a dead hole.
 func (c *elemCore) EdgeByIndex(i int) *Edge {
-	if isDead(c.deadE, i) {
+	if uint(i) >= uint(len(c.edges)) || isDead(c.deadE, i) {
 		return nil
 	}
 	return &c.edges[i]

@@ -114,7 +114,7 @@ func storeConformance(t *testing.T, name string, g *Graph, s Store) {
 // the Stepper counterpart of the map graph's Incident.
 func stepIncident(st Stepper, id NodeID) []EdgeID {
 	var out []EdgeID
-	if i, ok := st.InternNode(id); ok {
+	if i, ok := internNode(st, id); ok {
 		st.Steps(int(i), func(edge, _ int, _ StepKind) bool {
 			out = append(out, st.EdgeByIndex(edge).ID)
 			return true

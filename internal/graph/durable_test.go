@@ -10,10 +10,12 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -217,6 +219,74 @@ func TestOpCodecRoundtrip(t *testing.T) {
 	if _, err := decodeOp(nil); err == nil {
 		t.Fatal("empty op accepted")
 	}
+}
+
+// FuzzDecodeOp: decodeOp on arbitrary bytes returns an op or an error and
+// never panics, and an accepted payload re-encodes to bytes that decode to
+// an equal op. Floats compare bit for bit, so NaN and -0 must survive.
+func FuzzDecodeOp(f *testing.F) {
+	nan, negZero := value.Float(math.NaN()), value.Float(math.Copysign(0, -1))
+	b := (&Batch{}).
+		AddNode("", nil, nil).
+		AddNode("n1", []string{}, map[string]value.Value{}).
+		AddNode("n2", []string{"", "A"}, map[string]value.Value{
+			"": value.Str(""), "nan": nan, "-0": negZero, "+0": value.Float(0), "null": {},
+			"min": value.Int(math.MinInt64), "max": value.Int(math.MaxInt64), "b": value.Bool(false),
+		}).
+		AddEdge("e1", "n1", "n2", []string{"T"}, map[string]value.Value{"w": value.Float(math.Inf(-1))}).
+		AddEdge("", "", "", nil, nil).
+		AddUndirectedEdge("e2", "n1", "n1", []string{}, map[string]value.Value{}).
+		DeleteNode("n1").
+		DeleteNode("").
+		DeleteEdge("e1").
+		SetNodeProp("n2", "k", nan).
+		SetNodeProp("n2", "", value.Value{}).
+		SetEdgeProp("e2", "w", negZero).
+		SetEdgeProp("", "s", value.Str("")).
+		SetNodeLabels("n2", nil).
+		SetNodeLabels("n2", []string{})
+	for i := range b.ops {
+		f.Add(encodeOp(&b.ops[i]))
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		o, err := decodeOp(p)
+		if err != nil {
+			return
+		}
+		again, err := decodeOp(encodeOp(&o))
+		if err != nil {
+			t.Fatalf("re-encoded %+v does not decode: %v", o, err)
+		}
+		if !sameOp(o, again) {
+			t.Fatalf("re-encoded op differs:\n got %+v\nwant %+v", again, o)
+		}
+	})
+}
+
+// sameOp compares two ops field by field, labels and properties by
+// content (nil and empty agree) and values by sameValue.
+func sameOp(a, b op) bool {
+	if a.kind != b.kind || a.id != b.id || a.src != b.src || a.dst != b.dst || a.dir != b.dir ||
+		a.key != b.key || !slices.Equal(a.labels, b.labels) || !sameValue(a.val, b.val) ||
+		len(a.props) != len(b.props) {
+		return false
+	}
+	for k, v := range a.props {
+		if w, ok := b.props[k]; !ok || !sameValue(v, w) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameValue is value identity with floats compared bit for bit.
+func sameValue(a, b value.Value) bool {
+	if a.Kind() == value.KindFloat && b.Kind() == value.KindFloat {
+		fa, _ := a.AsFloat()
+		fb, _ := b.AsFloat()
+		return math.Float64bits(fa) == math.Float64bits(fb)
+	}
+	return value.Identical(a, b)
 }
 
 func TestDurableRoundtrip(t *testing.T) {

@@ -271,10 +271,12 @@ func (s *OverlaySnap) Steps(i int, f func(edge, other int, kind StepKind) bool) 
 	}
 }
 
-// NodeByIndex returns the node at a dense index, or nil when tombstoned.
+// NodeByIndex returns the node at a dense index, or nil when out of range
+// or tombstoned.
 func (s *OverlaySnap) NodeByIndex(i int) *Node { return s.nodeAtIdx(i) }
 
-// EdgeByIndex returns the edge at a dense index, or nil when tombstoned.
+// EdgeByIndex returns the edge at a dense index, or nil when out of range
+// or tombstoned.
 func (s *OverlaySnap) EdgeByIndex(i int) *Edge { return s.edgeAtIdx(i) }
 
 // EdgeEnds returns the dense endpoint indices of the edge at index i.
@@ -431,22 +433,4 @@ func (s *OverlaySnap) InternEdge(id EdgeID) (ElemIdx, bool) {
 		}
 	}
 	return 0, false
-}
-
-// NodeAt returns the node at a dense index, or nil when out of range or
-// tombstoned.
-func (s *OverlaySnap) NodeAt(i ElemIdx) *Node {
-	if int(i) >= s.NodeIndexSpan() {
-		return nil
-	}
-	return s.nodeAtIdx(int(i))
-}
-
-// EdgeAt returns the edge at a dense index, or nil when out of range or
-// tombstoned.
-func (s *OverlaySnap) EdgeAt(i ElemIdx) *Edge {
-	if int(i) >= s.EdgeIndexSpan() {
-		return nil
-	}
-	return s.edgeAtIdx(int(i))
 }

@@ -113,11 +113,11 @@ func (e *Edge) Prop(p string) value.Value {
 
 // Graph is an in-memory property graph with adjacency indexes. The zero
 // value is an empty graph ready to use. It is the builder of the store
-// family, not a query backend: evaluation, the interner and the label
-// statistics all answer from a memoized CSR snapshot, rebuilt on the
-// first query after a mutation (insertion is append-only, so every
-// pre-existing element keeps its dense index across rebuilds). Overlay
-// is the store for graphs that change while they are queried.
+// family, not a query backend: evaluation and the label statistics
+// answer from a memoized CSR snapshot, rebuilt on the first query after a
+// mutation (insertion is append-only, so every pre-existing element keeps
+// its dense index across rebuilds). Overlay is the store for graphs that
+// change while they are queried.
 type Graph struct {
 	nodes map[NodeID]*Node
 	edges map[EdgeID]*Edge

@@ -33,12 +33,16 @@ func (k StepKind) String() string {
 // each step hands over the neighbour's index without id round-trips.
 //
 // Snapshots and overlay epochs implement Stepper natively from their
-// adjacency arenas; any other Store is snapshotted by AsStepper.
+// adjacency arenas; any other Store is snapshotted by AsStepper. A query
+// pins one Stepper and every stage of its pipeline reads that view, so
+// bindings, join keys and element identity stay in its index space.
 type Stepper interface {
 	Store
-	// NodeByIndex returns the node at a dense index.
+	// NodeByIndex returns the node at a dense index (insertion order), or
+	// nil when the index is out of range or a dead hole.
 	NodeByIndex(i int) *Node
-	// EdgeByIndex returns the edge at a dense index (insertion order).
+	// EdgeByIndex returns the edge at a dense index (insertion order), or
+	// nil when the index is out of range or a dead hole.
 	EdgeByIndex(i int) *Edge
 	// EdgeEnds returns the dense endpoint indices of the edge at index i
 	// (source and target as presented; equal for self-loops), so
@@ -68,9 +72,10 @@ type Stepper interface {
 // AsStepper returns the store's native indexed view when it provides one
 // (snapshots and overlay epochs do), the memoized CSR snapshot of a map
 // graph (built once per graph generation, not once per call — repeated
-// planned queries share it), or a transient Snapshot of an arbitrary
-// third-party store. An EpochSource is pinned to its current epoch first,
-// so the view is immutable.
+// planned queries share it), or a fresh Snapshot of an arbitrary
+// third-party store, which costs a full copy: evaluation calls it once
+// per query. An EpochSource is pinned to its current epoch first, so the
+// view is immutable.
 func AsStepper(s Store) Stepper {
 	s = Pin(s)
 	if st, ok := s.(Stepper); ok {

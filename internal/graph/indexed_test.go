@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -14,7 +15,7 @@ func stepSet(t *testing.T, st Stepper) []string {
 	var out []string
 	for i := 0; i < st.NumNodes(); i++ {
 		n := st.NodeByIndex(i)
-		if got, ok := st.InternNode(n.ID); !ok || int(got) != i {
+		if got, ok := internNode(st, n.ID); !ok || int(got) != i {
 			t.Fatalf("InternNode(%q) = %d,%v, want %d", n.ID, got, ok, i)
 		}
 		st.Steps(i, func(edge, other int, kind StepKind) bool {
@@ -87,7 +88,7 @@ func TestStepsMatchIncident(t *testing.T) {
 			if got, want := stepIncident(st, id), tc.ref.IncidentIDs(id); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("%s: node %s: steps %v != incident %v", tc.name, id, got, want)
 			}
-			i, _ := st.InternNode(id)
+			i, _ := internNode(st, id)
 			st.Steps(int(i), func(edge, _ int, kind StepKind) bool {
 				e := st.EdgeByIndex(edge)
 				switch kind {
@@ -118,7 +119,7 @@ func TestStepsMatchIncident(t *testing.T) {
 func TestStepsEarlyStop(t *testing.T) {
 	g := conformanceGraph(t)
 	for _, st := range []Stepper{Snapshot(g), AsStepper(Store(g))} {
-		i, _ := st.InternNode("a")
+		i, _ := internNode(st, "a")
 		count := 0
 		st.Steps(int(i), func(int, int, StepKind) bool {
 			count++
@@ -127,5 +128,28 @@ func TestStepsEarlyStop(t *testing.T) {
 		if count != 1 {
 			t.Errorf("early stop visited %d steps", count)
 		}
+	}
+}
+
+// TestStoreSurfaceHasNoInterner pins the two method sets: a third-party
+// backend implements the nine Store methods, and the index side is the six
+// Stepper methods. The id interner stays off both; it is a concrete method
+// of the core and of overlay epochs.
+func TestStoreSurfaceHasNoInterner(t *testing.T) {
+	methods := func(typ reflect.Type) []string {
+		var out []string
+		for i := 0; i < typ.NumMethod(); i++ {
+			out = append(out, typ.Method(i).Name)
+		}
+		return out
+	}
+	store := []string{"CountNodesWithLabel", "Edge", "Edges", "LabelStats", "Node", "Nodes", "NodesWithLabel", "NumEdges", "NumNodes"}
+	if got := methods(reflect.TypeOf((*Store)(nil)).Elem()); !reflect.DeepEqual(got, store) {
+		t.Errorf("Store methods = %v, want %v", got, store)
+	}
+	stepper := append([]string{"EdgeByIndex", "EdgeEnds", "NodeByIndex", "NodeIndexSpan", "NodesWithLabelIdx", "Steps"}, store...)
+	sort.Strings(stepper)
+	if got := methods(reflect.TypeOf((*Stepper)(nil)).Elem()); !reflect.DeepEqual(got, stepper) {
+		t.Errorf("Stepper methods = %v, want %v", got, stepper)
 	}
 }

@@ -44,42 +44,42 @@ func TestInternerConformance(t *testing.T) {
 	snap := Snapshot(g)
 	for _, s := range []struct {
 		name string
-		st   Store
-	}{{"map", g}, {"csr", snap}} {
+		st   Stepper
+	}{{"map", AsStepper(g)}, {"csr", snap}} {
 		t.Run(s.name, func(t *testing.T) {
 			i := 0
 			g.Nodes(func(n *Node) bool {
-				idx, ok := s.st.InternNode(n.ID)
+				idx, ok := internNode(s.st, n.ID)
 				if !ok || int(idx) != i {
 					t.Fatalf("InternNode(%q) = (%d, %v), want (%d, true)", n.ID, idx, ok, i)
 				}
-				if got := s.st.NodeAt(idx); got == nil || got.ID != n.ID {
-					t.Fatalf("NodeAt(%d) round-trip: got %v, want %q", idx, got, n.ID)
+				if got := s.st.NodeByIndex(int(idx)); got == nil || got.ID != n.ID {
+					t.Fatalf("NodeByIndex(%d) round-trip: got %v, want %q", idx, got, n.ID)
 				}
 				i++
 				return true
 			})
 			i = 0
 			g.Edges(func(e *Edge) bool {
-				idx, ok := s.st.InternEdge(e.ID)
+				idx, ok := internEdge(s.st, e.ID)
 				if !ok || int(idx) != i {
 					t.Fatalf("InternEdge(%q) = (%d, %v), want (%d, true)", e.ID, idx, ok, i)
 				}
-				if got := s.st.EdgeAt(idx); got == nil || got.ID != e.ID {
-					t.Fatalf("EdgeAt(%d) round-trip: got %v, want %q", idx, got, e.ID)
+				if got := s.st.EdgeByIndex(int(idx)); got == nil || got.ID != e.ID {
+					t.Fatalf("EdgeByIndex(%d) round-trip: got %v, want %q", idx, got, e.ID)
 				}
 				i++
 				return true
 			})
 			// Unknown ids and out-of-range indices answer negatively, not
 			// by panicking.
-			if _, ok := s.st.InternNode("missing"); ok {
+			if _, ok := internNode(s.st, "missing"); ok {
 				t.Error("InternNode on an unknown id must report !ok")
 			}
-			if _, ok := s.st.InternEdge("missing"); ok {
+			if _, ok := internEdge(s.st, "missing"); ok {
 				t.Error("InternEdge on an unknown id must report !ok")
 			}
-			if s.st.NodeAt(ElemIdx(1<<30)) != nil || s.st.EdgeAt(ElemIdx(1<<30)) != nil {
+			if s.st.NodeByIndex(1<<30) != nil || s.st.EdgeByIndex(1<<30) != nil || s.st.NodeByIndex(-1) != nil {
 				t.Error("out-of-range lookups must return nil")
 			}
 		})
@@ -93,7 +93,7 @@ func TestInternerStableAcrossMutation(t *testing.T) {
 	g := internFixture(t)
 	before := map[NodeID]ElemIdx{}
 	g.Nodes(func(n *Node) bool {
-		idx, _ := g.InternNode(n.ID)
+		idx, _ := internNode(g, n.ID)
 		before[n.ID] = idx
 		return true
 	})
@@ -101,11 +101,11 @@ func TestInternerStableAcrossMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, want := range before {
-		if got, ok := g.InternNode(id); !ok || got != want {
+		if got, ok := internNode(g, id); !ok || got != want {
 			t.Fatalf("index of %q changed after mutation: %d -> %d", id, want, got)
 		}
 	}
-	if idx, ok := g.InternNode("late"); !ok || int(idx) != g.NumNodes()-1 {
+	if idx, ok := internNode(g, "late"); !ok || int(idx) != g.NumNodes()-1 {
 		t.Fatalf("new node interned at %d, want %d", idx, g.NumNodes()-1)
 	}
 }
@@ -125,13 +125,13 @@ func TestInternerConcurrent(t *testing.T) {
 			views[w] = AsStepper(g)
 			for i := 0; i < 20; i++ {
 				id := NodeID(fmt.Sprintf("n%d", i))
-				idx, ok := g.InternNode(id)
+				idx, ok := internNode(g, id)
 				if !ok || int(idx) != i {
 					errs <- fmt.Errorf("worker %d: InternNode(%q) = (%d, %v)", w, id, idx, ok)
 					return
 				}
-				if n := g.NodeAt(idx); n == nil || n.ID != id {
-					errs <- fmt.Errorf("worker %d: NodeAt(%d) mismatch", w, idx)
+				if n := AsStepper(g).NodeByIndex(int(idx)); n == nil || n.ID != id {
+					errs <- fmt.Errorf("worker %d: NodeByIndex(%d) mismatch", w, idx)
 					return
 				}
 			}
@@ -167,7 +167,7 @@ func TestAsStepperMemoized(t *testing.T) {
 	if st3 == st1 {
 		t.Fatalf("mutation must invalidate the memoized snapshot")
 	}
-	if _, ok := st3.InternNode("invalidate"); !ok {
+	if _, ok := internNode(st3, "invalidate"); !ok {
 		t.Fatalf("rebuilt snapshot must see the new node")
 	}
 	if err := g.SetNodeProp("n0", "k", value.Int(1)); err != nil {
@@ -188,10 +188,10 @@ func TestStepperEdgeEnds(t *testing.T) {
 	g := internFixture(t)
 	for _, st := range []Stepper{AsStepper(g), Snapshot(g)} {
 		g.Edges(func(e *Edge) bool {
-			ei, _ := st.InternEdge(e.ID)
+			ei, _ := internEdge(st, e.ID)
 			src, tgt := st.EdgeEnds(int(ei))
-			wantSrc, _ := st.InternNode(e.Source)
-			wantTgt, _ := st.InternNode(e.Target)
+			wantSrc, _ := internNode(st, e.Source)
+			wantTgt, _ := internNode(st, e.Target)
 			if src != int(wantSrc) || tgt != int(wantTgt) {
 				t.Fatalf("EdgeEnds(%q) = (%d,%d), want (%d,%d)", e.ID, src, tgt, wantSrc, wantTgt)
 			}
@@ -211,7 +211,7 @@ func TestNodesWithLabelIdx(t *testing.T) {
 		for _, label := range []string{"N", "Third", "absent"} {
 			var want []int
 			s.st.NodesWithLabel(label, func(n *Node) bool {
-				i, _ := s.st.InternNode(n.ID)
+				i, _ := internNode(s.st, n.ID)
 				want = append(want, int(i))
 				return true
 			})
@@ -225,4 +225,21 @@ func TestNodesWithLabelIdx(t *testing.T) {
 			}
 		}
 	}
+}
+
+// interner is the id → index direction the package's concrete stores keep
+// off the Store interface (overlay batch validation and id lookups use it).
+type interner interface {
+	InternNode(id NodeID) (ElemIdx, bool)
+	InternEdge(id EdgeID) (ElemIdx, bool)
+}
+
+// internNode interns a node id against the store's pinned indexed view.
+func internNode(s Store, id NodeID) (ElemIdx, bool) {
+	return AsStepper(s).(interner).InternNode(id)
+}
+
+// internEdge interns an edge id against the store's pinned indexed view.
+func internEdge(s Store, id EdgeID) (ElemIdx, bool) {
+	return AsStepper(s).(interner).InternEdge(id)
 }

@@ -609,15 +609,3 @@ func (ov *Overlay) CountNodesWithLabel(label string) int {
 
 // LabelStats reports the current epoch's cardinality statistics.
 func (ov *Overlay) LabelStats() StoreStats { return ov.cur.Load().LabelStats() }
-
-// InternNode maps a node id to its stable dense index.
-func (ov *Overlay) InternNode(id NodeID) (ElemIdx, bool) { return ov.cur.Load().InternNode(id) }
-
-// InternEdge maps an edge id to its stable dense index.
-func (ov *Overlay) InternEdge(id EdgeID) (ElemIdx, bool) { return ov.cur.Load().InternEdge(id) }
-
-// NodeAt returns the node at a dense index, or nil.
-func (ov *Overlay) NodeAt(i ElemIdx) *Node { return ov.cur.Load().NodeAt(i) }
-
-// EdgeAt returns the edge at a dense index, or nil.
-func (ov *Overlay) EdgeAt(i ElemIdx) *Edge { return ov.cur.Load().EdgeAt(i) }

@@ -106,7 +106,7 @@ func TestOverlayIndexStability(t *testing.T) {
 	capture := func(s Store) ids {
 		out := ids{}
 		s.Nodes(func(n *Node) bool {
-			i, ok := s.InternNode(n.ID)
+			i, ok := internNode(s, n.ID)
 			if !ok {
 				t.Fatalf("live node %q does not intern", n.ID)
 			}
@@ -133,10 +133,10 @@ func TestOverlayIndexStability(t *testing.T) {
 	if !reflect.DeepEqual(before, after) {
 		t.Errorf("compaction renumbered elements:\nbefore %v\nafter  %v", before, after)
 	}
-	// NodeAt at the stable index resolves the same element.
+	// NodeByIndex at the stable index resolves the same element.
 	for id, i := range after {
-		if n := ov.NodeAt(i); n == nil || n.ID != id {
-			t.Errorf("NodeAt(%d) = %v, want %q", i, n, id)
+		if n := AsStepper(ov).NodeByIndex(int(i)); n == nil || n.ID != id {
+			t.Errorf("NodeByIndex(%d) = %v, want %q", i, n, id)
 		}
 	}
 }
@@ -505,7 +505,7 @@ func TestOverlayConcurrentReadWrite(t *testing.T) {
 func TestGraphPropUpdateDropsSnapshot(t *testing.T) {
 	g := conformanceGraph(t)
 	before := AsStepper(g)
-	i, _ := before.InternNode("a")
+	i, _ := internNode(before, "a")
 
 	if err := g.SetNodeProp("a", "owner", value.Str("updated")); err != nil {
 		t.Fatal(err)
@@ -517,13 +517,13 @@ func TestGraphPropUpdateDropsSnapshot(t *testing.T) {
 	if after == before {
 		t.Fatal("property update kept the memoized snapshot")
 	}
-	if got := before.NodeAt(i).Prop("owner"); got != value.Str("ann") {
+	if got := before.NodeByIndex(int(i)).Prop("owner"); got != value.Str("ann") {
 		t.Errorf("pre-update view sees owner=%v, want ann", got)
 	}
-	if got := after.NodeAt(i).Prop("owner"); got != value.Str("updated") {
+	if got := after.NodeByIndex(int(i)).Prop("owner"); got != value.Str("updated") {
 		t.Errorf("post-update view sees owner=%v at the old index, want updated", got)
 	}
-	if got := g.EdgeAt(0).Prop("amount"); got != value.Int(6) {
+	if got := AsStepper(g).EdgeByIndex(0).Prop("amount"); got != value.Int(6) {
 		t.Errorf("interner sees amount=%v, want 6", got)
 	}
 	if got := g.LabelStats(); got.Nodes != g.NumNodes() || got.Edges != g.NumEdges() {

@@ -152,7 +152,7 @@ func (p Path) ValidIn(g *Graph) error {
 }
 
 // IdxPath is a path in interned form: dense node and edge indices
-// relative to one Store. The engines build and deduplicate paths in this
+// relative to one Stepper. The engines build and deduplicate paths in this
 // representation; Materialize resolves it to element ids when a result
 // row is rendered. A zero IdxPath (no nodes) is the "no path" marker the
 // unstarted-search case uses; a single-node path has one node and no
@@ -185,31 +185,31 @@ func (p IdxPath) Reversed() IdxPath {
 
 // Materialize resolves the interned path to element ids against the
 // store that issued the indices.
-func (p IdxPath) Materialize(s Store) Path {
+func (p IdxPath) Materialize(s Stepper) Path {
 	if len(p.Nodes) == 0 {
 		return Path{}
 	}
 	nodes := make([]NodeID, len(p.Nodes))
 	for i, n := range p.Nodes {
-		nodes[i] = s.NodeAt(n).ID
+		nodes[i] = s.NodeByIndex(int(n)).ID
 	}
 	edges := make([]EdgeID, len(p.Edges))
 	for i, e := range p.Edges {
-		edges[i] = s.EdgeAt(e).ID
+		edges[i] = s.EdgeByIndex(int(e)).ID
 	}
 	return Path{Nodes: nodes, Edges: edges}
 }
 
 // AppendKeyString appends the materialized path's canonical key (the
 // Path.Key format) to a builder, for canonical sort keys.
-func (p IdxPath) AppendKeyString(b *strings.Builder, s Store) {
+func (p IdxPath) AppendKeyString(b *strings.Builder, s Stepper) {
 	for i, n := range p.Nodes {
 		if i > 0 {
 			b.WriteByte('|')
-			b.WriteString(string(s.EdgeAt(p.Edges[i-1]).ID))
+			b.WriteString(string(s.EdgeByIndex(int(p.Edges[i-1])).ID))
 			b.WriteByte('|')
 		}
-		b.WriteString(string(s.NodeAt(n).ID))
+		b.WriteString(string(s.NodeByIndex(int(n)).ID))
 	}
 }
 

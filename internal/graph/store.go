@@ -11,9 +11,9 @@ import "sort"
 // (the core plus one adjacency arena) and Overlay (a mutable delta over a
 // CSR base, optionally durable). The map-based *Graph is their builder and
 // answers queries through a memoized CSR snapshot of itself. A third-party
-// backend only needs to satisfy this interface; the evaluator snapshots it
-// per query and steps the snapshot's arena, so incidence is not part of
-// the contract.
+// backend only needs to satisfy this interface: the evaluator snapshots it
+// once per query (AsStepper) and reads only that snapshot, so incidence,
+// dense indices and the id interner are not part of the contract.
 type Store interface {
 	// Node returns the node with the given id, or nil.
 	Node(id NodeID) *Node
@@ -38,19 +38,6 @@ type Store interface {
 	// LabelStats reports element cardinalities per label, for cost
 	// estimates and reporting.
 	LabelStats() StoreStats
-
-	// The ID interner (see ElemIdx): every element has a stable dense
-	// index assigned in insertion order, and the execution path runs on
-	// those integers end to end. InternNode/InternEdge map an id to its
-	// index (ok=false for unknown ids); NodeAt/EdgeAt are the Lookup
-	// direction and return nil when the index is out of range. Snapshots
-	// answer from their native dense layout; the map graph delegates to
-	// its memoized snapshot (indices stay stable across mutations because
-	// insertion is append-only).
-	InternNode(id NodeID) (ElemIdx, bool)
-	InternEdge(id EdgeID) (ElemIdx, bool)
-	NodeAt(i ElemIdx) *Node
-	EdgeAt(i ElemIdx) *Edge
 }
 
 // StoreStats summarizes a store's cardinalities.
@@ -128,8 +115,8 @@ func (g *Graph) NodesWithLabel(label string, f func(*Node) bool) {
 	}
 }
 
-// CountNodesWithLabel, LabelStats and the interner answer from the
-// memoized snapshot; callers must treat the returned maps as read-only.
+// CountNodesWithLabel and LabelStats answer from the memoized snapshot;
+// callers must treat the returned maps as read-only.
 
 // CountNodesWithLabel counts the nodes carrying the label.
 func (g *Graph) CountNodesWithLabel(label string) int {
@@ -138,18 +125,6 @@ func (g *Graph) CountNodesWithLabel(label string) int {
 
 // LabelStats returns cardinality statistics.
 func (g *Graph) LabelStats() StoreStats { return g.snapshot().LabelStats() }
-
-// InternNode maps a node id to its stable dense index.
-func (g *Graph) InternNode(id NodeID) (ElemIdx, bool) { return g.snapshot().InternNode(id) }
-
-// InternEdge maps an edge id to its stable dense index.
-func (g *Graph) InternEdge(id EdgeID) (ElemIdx, bool) { return g.snapshot().InternEdge(id) }
-
-// NodeAt returns the node at a dense index, or nil when out of range.
-func (g *Graph) NodeAt(i ElemIdx) *Node { return g.snapshot().NodeAt(i) }
-
-// EdgeAt returns the edge at a dense index, or nil when out of range.
-func (g *Graph) EdgeAt(i ElemIdx) *Edge { return g.snapshot().EdgeAt(i) }
 
 // statically assert what each store of the family satisfies.
 var (

@@ -135,7 +135,7 @@ func GraphTableQuery(g graph.Store, q *core.Query, columns []Column, cfg eval.Co
 	}
 	t := NewTable("", names...)
 	for _, row := range res.Rows {
-		r := eval.RowResolver(g, row)
+		r := eval.RowResolver(row)
 		out := make([]value.Value, len(columns))
 		for i, c := range columns {
 			v, err := eval.EvalValue(c.Expr, r)

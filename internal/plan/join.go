@@ -284,9 +284,10 @@ func (s JoinStep) String() string {
 // set — seeded through whichever bound end variable has the fewest
 // estimated distinct values in the joined prefix, by its full estimate
 // when no end is bound. Disconnected patterns are considered only when
-// nothing connected remains. stats aligns with p.Paths (one store per
-// pattern, EvalPlanOn-style); ties break on textual pattern order, and a
-// head seed wins a tie with a tail seed, so the plan is deterministic.
+// nothing connected remains. stats aligns with p.Paths (every pattern of a
+// query reads one pinned view, so callers repeat its statistics); ties
+// break on textual pattern order, and a head seed wins a tie with a tail
+// seed, so the plan is deterministic.
 func OrderJoin(p *Plan, stats []graph.StoreStats) []JoinStep {
 	n := len(p.Paths)
 	costs := make([]PatternCost, n)

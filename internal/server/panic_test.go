@@ -16,17 +16,25 @@ import (
 	"gpml/internal/graph"
 )
 
-// panicStore is a catalog store whose NodeAt panics: a stand-in for any
-// bug a request can reach while its rows are rendered.
+// panicStore is a catalog store whose NodeByIndex panics: a stand-in for
+// any bug a request can reach while its rows are matched or rendered.
 type panicStore struct{ graph.Stepper }
 
-func (panicStore) NodeAt(graph.ElemIdx) *graph.Node { panic("injected NodeAt fault") }
+func (panicStore) NodeByIndex(int) *graph.Node { panic("injected NodeByIndex fault") }
 
 // statsPanicStore is a catalog store whose LabelStats panics: /explain
 // reads statistics when it orders a join.
 type statsPanicStore struct{ graph.Stepper }
 
 func (statsPanicStore) LabelStats() graph.StoreStats { panic("injected LabelStats fault") }
+
+// panicDurability is a durability source whose DurabilityStats panics:
+// /stats reads it on every request.
+type panicDurability struct{}
+
+func (panicDurability) DurabilityStats() graph.DurabilityStats {
+	panic("injected DurabilityStats fault")
+}
 
 // captureLog redirects the standard logger for the test's duration.
 func captureLog(t *testing.T) *syncBuffer {
@@ -81,7 +89,7 @@ func TestQueryPanicBeforeFirstByteIs500(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError || err != nil || body["error"].Kind != "internal" {
 		t.Fatalf("status %d, body %+v (%v), want 500 with an internal error", resp.StatusCode, body, err)
 	}
-	if l := logs.String(); !strings.Contains(l, "panic serving /query: injected NodeAt fault") || !strings.Contains(l, "goroutine") {
+	if l := logs.String(); !strings.Contains(l, "panic serving /query: injected NodeByIndex fault") || !strings.Contains(l, "goroutine") {
 		t.Errorf("panic not logged with its stack:\n%s", l)
 	}
 
@@ -156,6 +164,45 @@ func TestExplainPanicIs500(t *testing.T) {
 		t.Fatalf("status %d, body %+v (%v), want 500 with an internal error", resp.StatusCode, got, err)
 	}
 	if l := logs.String(); !strings.Contains(l, "injected LabelStats fault") || !strings.Contains(l, "goroutine") {
+		t.Errorf("panic not logged with its stack:\n%s", l)
+	}
+
+	resp, err = http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/healthz after the panic: %d", resp.StatusCode)
+	}
+}
+
+// TestStatsPanicIs500: a panic while /stats gathers its counters answers
+// 500 with a JSON error, logs the stack, and leaves the server serving.
+func TestStatsPanicIs500(t *testing.T) {
+	logs := captureLog(t)
+	catalog := gql.NewCatalog()
+	if err := catalog.Register("fig1", gpml.Fig1()); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Catalog: catalog, Durability: panicDurability{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]errorBody
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || err != nil || got["error"].Kind != "internal" {
+		t.Fatalf("status %d, body %+v (%v), want 500 with an internal error", resp.StatusCode, got, err)
+	}
+	if l := logs.String(); !strings.Contains(l, "injected DurabilityStats fault") || !strings.Contains(l, "goroutine") {
 		t.Errorf("panic not logged with its stack:\n%s", l)
 	}
 

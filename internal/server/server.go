@@ -582,7 +582,7 @@ func (nw *ndjsonWriter) abandon() bool {
 	return true
 }
 
-// recoverQuery, deferred by the /query and /explain handlers, turns a
+// recoverQuery, deferred by the /query, /explain and /stats handlers, turns a
 // panic into an error the client can read and logs its stack, so one bad
 // request cannot take the process down. Before the first byte (nw nil, or
 // nothing flushed yet) the answer is a 500 JSON error. After it, the
@@ -749,6 +749,7 @@ type statsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	defer recoverQuery(w, nil)
 	cs := s.cache.Stats()
 	names := s.cfg.Catalog.Names()
 	sort.Strings(names)

@@ -1,7 +1,9 @@
 package gpml_test
 
 import (
+	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gpml"
@@ -225,13 +227,15 @@ func TestGraphBuilderContract(t *testing.T) {
 		gpml.MustCompile(`MATCH (x:Late WHERE x.owner='z')`),
 		gpml.MustCompile(`MATCH ()-[t:Transfer WHERE t.amount=42]->()`),
 	}
+	// memo is the memoized snapshot the graph answers queries from.
+	memo := func() *graph.CSR { return graph.AsStepper(g).(*graph.CSR) }
 	nodeIdx := map[gpml.NodeID]graph.ElemIdx{}
 	edgeIdx := map[gpml.EdgeID]graph.ElemIdx{}
 	for _, id := range g.NodeIDs() {
-		nodeIdx[id], _ = g.InternNode(id)
+		nodeIdx[id], _ = memo().InternNode(id)
 	}
 	for _, id := range g.EdgeIDs() {
-		edgeIdx[id], _ = g.InternEdge(id)
+		edgeIdx[id], _ = memo().InternEdge(id)
 	}
 	check := func(step string, want [4]int) {
 		t.Helper()
@@ -245,12 +249,12 @@ func TestGraphBuilderContract(t *testing.T) {
 			}
 		}
 		for id, want := range nodeIdx {
-			if got, ok := g.InternNode(id); !ok || got != want {
+			if got, ok := memo().InternNode(id); !ok || got != want {
 				t.Errorf("%s: node %s moved from index %d to %d", step, id, want, got)
 			}
 		}
 		for id, want := range edgeIdx {
-			if got, ok := g.InternEdge(id); !ok || got != want {
+			if got, ok := memo().InternEdge(id); !ok || got != want {
 				t.Errorf("%s: edge %s moved from index %d to %d", step, id, want, got)
 			}
 		}
@@ -270,4 +274,61 @@ func TestGraphBuilderContract(t *testing.T) {
 	check("SetNodeProp", [4]int{1, 1, 1, 0})
 	must(g.SetEdgeProp("tlate", "amount", gpml.Int(42)))
 	check("SetEdgeProp", [4]int{1, 1, 1, 1})
+}
+
+// snapshotCounter is a third-party Store over Figure 1 that counts full
+// node scans: graph.Snapshot reads Nodes exactly once, so the count is the
+// number of snapshots evaluation built.
+type snapshotCounter struct {
+	gpml.Store
+	scans atomic.Int64
+}
+
+func (c *snapshotCounter) Nodes(f func(*gpml.Node) bool) {
+	c.scans.Add(1)
+	c.Store.Nodes(f)
+}
+
+// TestOneSnapshotPerQuery: a query pins and indexes a third-party store
+// once, however many pattern sources, join steps and postfilter variables
+// it has, through Eval and through Stream alike.
+func TestOneSnapshotPerQuery(t *testing.T) {
+	for _, src := range []string{
+		`MATCH (a:Account)-[e:Transfer]->(b:Account)`,
+		`MATCH (a:Account)-[e:Transfer]->(b:Account) WHERE a.owner = 'Scott'`,
+		`MATCH (a:Account)-[e:Transfer]->(b:Account), (b)-[f:Transfer]->(c:Account) WHERE a.owner <> c.owner`,
+	} {
+		q := gpml.MustCompile(src)
+		s := &snapshotCounter{Store: gpml.Fig1()}
+		res, err := q.EvalStore(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) == 0 {
+			t.Fatalf("%s: no rows", src)
+		}
+		if n := s.scans.Swap(0); n != 1 {
+			t.Errorf("EvalStore %s: %d snapshots, want 1", src, n)
+		}
+		rows, err := q.Stream(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed := 0
+		for rows.Next() {
+			streamed++
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if streamed != len(res.Rows) {
+			t.Errorf("Stream %s: %d rows, Eval %d", src, streamed, len(res.Rows))
+		}
+		if n := s.scans.Load(); n != 1 {
+			t.Errorf("Stream %s: %d snapshots, want 1", src, n)
+		}
+	}
 }
