@@ -78,10 +78,11 @@ func engineFor(pp *plan.PathPlan) (engine, note string) {
 func Explain(p *plan.Plan) []string { return ExplainStore(nil, p) }
 
 // ExplainStore renders one human-readable line per path pattern — the
-// selected engine, the selector, the proven seed labels, for the automaton
-// engine the labels its target set is scanned from and its state count,
-// otherwise the reason it is not used, and the pattern's streaming
-// pipeline stages with their blocking/streamable classification
+// selected engine, the selector, the proven seed labels, for the DFS
+// engine the index its target rings are read from (tail-rings=), for the
+// automaton engine the labels its target set is scanned from and its
+// state count, otherwise the reason it is not used, and the pattern's
+// streaming pipeline stages with their blocking/streamable classification
 // (plan.PathPlan.Stages) — followed by the cost-ordered join plan for
 // multi-pattern statements (ExplainJoin), each step annotated with its
 // streaming behaviour. The store, when non-nil, supplies the cardinality
@@ -106,6 +107,10 @@ func ExplainStore(s graph.Store, p *plan.Plan) []string {
 		if len(pp.SeedLabels) > 0 {
 			b.WriteString(" seed=")
 			b.WriteString(accessText(pp.SeedLabels, pp.HeadEq))
+		}
+		if ringsApply(pp) {
+			b.WriteString(" tail-rings=")
+			b.WriteString(accessText(pp.TailLabels, pp.TailEq))
 		}
 		if eng == EngineAutomaton {
 			if len(pp.TailLabels) > 0 {

@@ -121,6 +121,30 @@ func triangleSNBShape(c *graph.CSR) snbShape {
 	return snbShape{"triangle", `MATCH (a:Person WHERE a.firstName=$name)-[:knows]-(b:Person), (b)-[:knows]-(c:Person), (c)-[:knows]-(a)`, params}
 }
 
+// targetSNBShapes are the snb_traversal workload's two shapes whose end
+// is known before the search starts: trail_1_3, whose last node has a
+// country equality (the DFS prunes toward that country's persons), and
+// colike_bindjoin, whose TRAIL pattern joins with both ends bound (solved
+// per (a, b) pair). Start persons are drawn from the walk-count bands the
+// workload uses: 6,000–10,000 three-hop walks and 3,000–4,500 two-hop ones.
+func targetSNBShapes(c *graph.CSR) []snbShape {
+	x := newSNBProxies(c)
+	rng := rand.New(rand.NewSource(1))
+	trails := draw(rng, x.band(x.w3, 6000, 10000), 16)
+	starts := draw(rng, x.band(x.w2, 3000, 4500), 16)
+	countries := draw(rng, x.countries, 32)
+	trail := make([]Params, 16)
+	colike := make([]Params, 16)
+	for i := range trail {
+		trail[i] = Params{"name": value.Str(trails[i]), "country": value.Str(countries[i])}
+		colike[i] = Params{"name": value.Str(starts[i]), "country": value.Str(countries[16+i])}
+	}
+	return []snbShape{
+		{"trail_1_3", `MATCH TRAIL (a:Person WHERE a.firstName=$name)-[k:knows]-{1,3}(b:Person WHERE b.country=$country)`, trail},
+		{"colike_bindjoin", `MATCH (a:Person WHERE a.firstName=$name)-[:likes]->(m:Post)<-[:likes]-(b:Person WHERE b.country=$country), TRAIL (a)-[:knows]-{1,2}(b)`, colike},
+	}
+}
+
 // preparedShortSNBShapes are the snb_prepared_short workload's four
 // texts: every text seeds from a firstName or country equality, so this
 // is the equality-index seed path plus a short expansion. Parameters come
@@ -176,6 +200,15 @@ func BenchmarkTriangleSNB(b *testing.B) {
 	triangleSNBShape(c).bench(b, c)
 }
 
+// The snb_traversal workload's trail_1_3 and colike_bindjoin on the SNB
+// graph (tier-1), one sub-benchmark each.
+func BenchmarkTraversalSNB(b *testing.B) {
+	c := snbCSR()
+	for _, s := range targetSNBShapes(c) {
+		b.Run(s.name, func(b *testing.B) { s.bench(b, c) })
+	}
+}
+
 // The snb_prepared_short workload's four texts on the SNB graph (tier-1),
 // one sub-benchmark each.
 func BenchmarkPreparedShortSNB(b *testing.B) {
@@ -193,17 +226,20 @@ func BenchmarkPreparedShortSNB(b *testing.B) {
 // change cuts allocations for good.
 func TestSNBAllocs(t *testing.T) {
 	ceilings := map[string]float64{
-		"friends_1hop":  439,   // 366
-		"friends_2hop":  5107,  // 4,256
-		"likes_creator": 160,   // 133
-		"country_likes": 4656,  // 3,880
-		"all_shortest":  1789,  // 1,491
-		"any_shortest":  2302,  // 1,918
-		"triangle":      27623, // 23,019
+		"friends_1hop":    439,  // 366
+		"friends_2hop":    5107, // 4,256
+		"likes_creator":   160,  // 133
+		"country_likes":   4656, // 3,880
+		"all_shortest":    1789, // 1,491
+		"any_shortest":    2302, // 1,918
+		"triangle":        4957, // 4,131
+		"trail_1_3":       2786, // 2,322
+		"colike_bindjoin": 532,  // 443
 	}
 	c := snbCSR()
 	shapes := append(preparedShortSNBShapes(c), shortestSNBShapes(c)...)
 	shapes = append(shapes, triangleSNBShape(c))
+	shapes = append(shapes, targetSNBShapes(c)...)
 	for _, s := range shapes {
 		p := benchPlan(t, s.query)
 		run := func() {
@@ -222,17 +258,18 @@ func TestSNBAllocs(t *testing.T) {
 }
 
 // snbProxies holds, per SNB person, the structural proxies the serving
-// benchmark draws parameters by: knows degree (w1), two-hop knows walks
-// (w2) and likes, plus the distinct countries in first-seen order.
+// benchmark draws parameters by: knows degree (w1), two- and three-hop
+// knows walks (w2, w3) and likes, plus the distinct countries in
+// first-seen order.
 type snbProxies struct {
-	c             *graph.CSR
-	persons       []int
-	w1, w2, likes map[int]int
-	countries     []string
+	c                 *graph.CSR
+	persons           []int
+	w1, w2, w3, likes map[int]int
+	countries         []string
 }
 
 func newSNBProxies(c *graph.CSR) *snbProxies {
-	x := &snbProxies{c: c, w1: map[int]int{}, w2: map[int]int{}, likes: map[int]int{}}
+	x := &snbProxies{c: c, w1: map[int]int{}, w2: map[int]int{}, w3: map[int]int{}, likes: map[int]int{}}
 	c.NodesWithLabelIdx("Person", func(i int) bool {
 		x.persons = append(x.persons, i)
 		return true
@@ -256,6 +293,9 @@ func newSNBProxies(c *graph.CSR) *snbProxies {
 	}
 	for _, p := range x.persons {
 		out(p, "knows", func(o int) { x.w2[p] += x.w1[o] })
+	}
+	for _, p := range x.persons {
+		out(p, "knows", func(o int) { x.w3[p] += x.w2[o] })
 	}
 	return x
 }

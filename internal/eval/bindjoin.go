@@ -23,7 +23,10 @@ import (
 // is exact (plan.mirrorable), so the rows are the same. The pipeline is
 // fully streaming — rows flow through a chain of join-step cursors (see
 // stream.go), and each step solves a seed node the first time an input
-// row demands it, memoizing per seed.
+// row demands it, memoizing per seed — or per (seed, target) pair when the
+// planner found both ends bound (plan.JoinStep.Target): the target is part
+// of the join key too, so keeping only the solutions that end at it is as
+// exact as seeding.
 //
 // Seeding is exact, not approximate, for two structural reasons:
 //

@@ -138,6 +138,13 @@ type dfs struct {
 	pathSteps    []replayStep
 	bfsZeroWidth bool
 
+	// rings, when non-nil, prunes steps that cannot reach an admissible
+	// last node within maxEdges (see rings.go); pruned counts them for
+	// ringPrunes.
+	rings    *rings
+	maxEdges int
+	pruned   int64
+
 	// ticks counts edge expansions; every cancelCheckInterval the machine
 	// polls the budget's cancellation hook so streaming consumers can
 	// abort a long-running search mid-seed.
@@ -165,7 +172,12 @@ func newDFS(st graph.Stepper, prog *plan.Prog, pathVar string, limits Limits, pa
 // index, invoking emit for each.
 func (m *dfs) run(seed int) error {
 	m.seed = seed
-	return m.step(m.prog.Start)
+	err := m.step(m.prog.Start)
+	if m.pruned > 0 {
+		ringPrunes.Add(m.pruned)
+		m.pruned = 0
+	}
+	return err
 }
 
 // Resolver interface over the live machine state (used by prefilters).
@@ -498,7 +510,17 @@ func (m *dfs) stepEdge(in *plan.Instr) error {
 			}
 		}
 	} else {
+		// left is how many more edges a match may take after this step:
+		// with none or one, the step must land in ring0 or ring1.
+		left := -1
+		if m.rings != nil {
+			left = m.maxEdges - len(m.pathEdges) - 1
+		}
 		m.st.Steps(m.pos, func(ei, oi int, kind graph.StepKind) bool {
+			if left == 0 && !m.rings.ring0.has(oi) || left == 1 && !m.rings.ring1.has(oi) {
+				m.pruned++
+				return true
+			}
 			// A directed self-loop admitted in both directions is taken
 			// twice, matching the paper's §4.2 "-" semantics of returning
 			// each edge once per direction (the duplicate reduces away

@@ -344,7 +344,10 @@ func seedRunner(st graph.Stepper, pp *plan.PathPlan, engine string, cfg Config, 
 			return runBFS(st, pp.Prog, pp.Pattern.PathVar, cfg.Limits, cfg.Params, pp.Pattern.Selector, seed, bud, emit)
 		}
 	default:
-		return newDFS(st, pp.Prog, pp.Pattern.PathVar, cfg.Limits, cfg.Params, bud, emit).run
+		m := newDFS(st, pp.Prog, pp.Pattern.PathVar, cfg.Limits, cfg.Params, bud, emit)
+		m.maxEdges = pp.MaxEdges
+		m.rings, _ = bud.rings.load(func() (*rings, error) { return tailRings(st, pp, cfg.Params), nil })
+		return m.run
 	}
 }
 

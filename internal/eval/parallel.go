@@ -24,23 +24,25 @@ type budget struct {
 	// set once, before any engine runs, and never mutated afterwards, so
 	// concurrent workers read it without synchronization.
 	check func() error
-	// targets is the automaton engine's endpoint set: scanned at most once
-	// per evaluation and shared by every seed run and worker.
-	targets targetSet
+	// targets is the automaton engine's endpoint set and rings the DFS
+	// engine's target rings (see rings.go): each built at most once per
+	// evaluation and shared by every seed run and worker. A pair-seeded
+	// join step presets rings to the rings it refills per pair.
+	targets lazy[[]int32]
+	rings   lazy[*rings]
 }
 
-// targetSet is a lazily computed, concurrently shared list of node indices.
-type targetSet struct {
-	once  sync.Once
-	nodes []int32
-	err   error
-}
-
-// load computes the set on first use; later callers, concurrent ones
+// lazy is a value computed on first use; later callers, concurrent ones
 // included, get the same result.
-func (ts *targetSet) load(scan func() ([]int32, error)) ([]int32, error) {
-	ts.once.Do(func() { ts.nodes, ts.err = scan() })
-	return ts.nodes, ts.err
+type lazy[T any] struct {
+	once sync.Once
+	v    T
+	err  error
+}
+
+func (l *lazy[T]) load(build func() (T, error)) (T, error) {
+	l.once.Do(func() { l.v, l.err = build() })
+	return l.v, l.err
 }
 
 // cancelCheckInterval is how many edge expansions an engine performs

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 
 	"gpml/internal/binding"
@@ -486,11 +487,16 @@ func newBindJoinCursor(ctx context.Context, st graph.Stepper, p *plan.Plan, cfg 
 				run = pp.Mirrored()
 				tailSeededSteps.Add(1)
 			}
-			cur = &bindStepCursor{
+			bc := &bindStepCursor{
 				ctx: ctx, st: st, p: p, pp: pp, run: run, cfg: cfg,
-				seedVar: step.SeedVar, shared: shared, left: cur,
-				memo: map[int]*seedIndex{},
+				seedVar: step.SeedVar, target: step.Target, shared: shared, left: cur,
+				memo: map[uint64]*seedIndex{},
 			}
+			if step.Target != "" {
+				bc.pair = newRings(st.NodeIndexSpan(), run.MaxEdges)
+				pairSeededSteps.Add(1)
+			}
+			cur = bc
 		default:
 			cur = &hashStepCursor{
 				ctx: ctx, st: st, p: p, pp: pp, cfg: cfg,
@@ -503,8 +509,9 @@ func newBindJoinCursor(ctx context.Context, st graph.Stepper, p *plan.Plan, cfg 
 }
 
 // tailSeededSteps counts the bind-join steps built to seed from a pattern's
-// tail, so tests can tell the mirrored path ran.
-var tailSeededSteps atomic.Int64
+// tail, and pairSeededSteps those built to solve per (seed, target) pair,
+// so tests can tell the mirrored and the pair paths ran.
+var tailSeededSteps, pairSeededSteps atomic.Int64
 
 // seedIndex is one seed node's selected solutions, hash-indexed by the
 // step's shared-variable join key.
@@ -528,7 +535,9 @@ func buildSeedIndex(sols []*binding.Reduced, shared []string) *seedIndex {
 // pays for it, later rows reuse the memo — so a LIMIT that is satisfied
 // early never enumerates the seeds it didn't reach. With Parallelism > 1
 // the cursor prefetches a bounded chunk of input rows and solves their
-// unseen seeds on a worker pool.
+// unseen seeds on a worker pool. A pair-seeded step (target non-empty)
+// solves and memoizes each (seed, target) pair instead, sequentially,
+// with the target as its rings' only admissible last node.
 type bindStepCursor struct {
 	ctx context.Context
 	// st is the query's pinned view, shared with parallel chunk workers.
@@ -541,15 +550,21 @@ type bindStepCursor struct {
 	run     *plan.PathPlan
 	cfg     Config
 	seedVar string
+	target  string
 	shared  []string
 	left    Cursor
+	// pair is a pair-seeded step's rings, refilled per pair and preset as
+	// its budget's rings.
+	pair *rings
 
 	// bud is the step's shared search budget: limits accounting spans
 	// every seed run of the step — sequential or chunked-parallel —
 	// exactly like the materializing pipeline's per-step budget did.
 	bud    *budget
 	solver *seedSolver
-	memo   map[int]*seedIndex
+	// memo maps a seed node index, or a pair's seed<<32 | target, to its
+	// solutions; nil when none joins.
+	memo   map[uint64]*seedIndex
 	keyBuf []byte
 
 	// chunk is the prefetched left rows awaiting expansion; row/cands/ci
@@ -604,7 +619,8 @@ func (c *bindStepCursor) Next() (*Row, error) {
 // pre-solves their unseen seeds on a worker pool.
 func (c *bindStepCursor) refill() error {
 	want := 1
-	if c.cfg.Parallelism > 1 {
+	parallel := c.cfg.Parallelism > 1 && c.target == ""
+	if parallel {
 		want = bindChunkSize
 	}
 	c.chunk = c.chunk[:0]
@@ -620,13 +636,12 @@ func (c *bindStepCursor) refill() error {
 		}
 		c.chunk = append(c.chunk, row)
 	}
-	if c.cfg.Parallelism > 1 && len(c.chunk) > 1 {
+	if parallel && len(c.chunk) > 1 {
 		var seeds []int
 		seen := map[int]bool{}
 		for _, row := range c.chunk {
-			if b, ok := row.Get(c.seedVar); ok && b.Kind == BoundNode {
-				si := int(b.Idx)
-				if _, cached := c.memo[si]; !cached && !seen[si] {
+			if si, ok := boundNode(row, c.seedVar); ok {
+				if _, cached := c.memo[uint64(si)]; !cached && !seen[si] {
 					seen[si] = true
 					seeds = append(seeds, si)
 				}
@@ -638,7 +653,7 @@ func (c *bindStepCursor) refill() error {
 				return err
 			}
 			for i, seed := range seeds {
-				c.memo[seed] = c.index(perSeed[i])
+				c.memo[uint64(seed)] = c.index(perSeed[i], -1)
 			}
 		}
 	}
@@ -646,32 +661,51 @@ func (c *bindStepCursor) refill() error {
 }
 
 // candidates returns the step solutions joinable with one row: the row's
-// seed node is solved (memoized), and its solutions are probed with the
-// full shared-variable key — the same equi-join the hash join performs.
-// A row that does not bind the seed variable to a node joins nothing:
-// the seed variable is an unconditional singleton end variable, so every
-// solution binds it to a node and no join key can match (the check
-// mirrors the materializing pipeline's defensive fallback).
+// seed node (pair: seed and target nodes) is solved (memoized), and its
+// solutions are probed with the full shared-variable key — the same
+// equi-join the hash join performs. A row that does not bind the seed
+// (or target) variable to a node joins nothing: both are unconditional
+// singleton end variables, so every solution binds them to nodes and no
+// join key can match (the check mirrors the materializing pipeline's
+// defensive fallback).
 func (c *bindStepCursor) candidates(row *Row) ([]*binding.Reduced, error) {
-	b, ok := row.Get(c.seedVar)
-	if !ok || b.Kind != BoundNode {
+	si, ok := boundNode(row, c.seedVar)
+	if !ok {
 		return nil, nil
 	}
-	si := int(b.Idx)
-	idx, cached := c.memo[si]
+	key, ti := uint64(si), -1
+	if c.target != "" {
+		if ti, ok = boundNode(row, c.target); !ok {
+			return nil, nil
+		}
+		key = key<<32 | uint64(ti)
+	}
+	idx, cached := c.memo[key]
 	if !cached {
 		if c.solver == nil {
 			c.solver = newSeedSolver(c.st, c.run, c.cfg, c.budget())
+		}
+		if ti >= 0 {
+			c.pair.setPair(c.st, ti)
 		}
 		sols, err := c.solver.solve(si)
 		if err != nil {
 			return nil, err
 		}
-		idx = c.index(sols)
-		c.memo[si] = idx
+		idx = c.index(sols, ti)
+		c.memo[key] = idx
+	}
+	if idx == nil {
+		return nil, nil
 	}
 	c.keyBuf = appendJoinKeyOfRow(c.keyBuf[:0], row, c.shared)
 	return idx.byKey[string(c.keyBuf)], nil
+}
+
+// boundNode returns the node index a row binds a variable to.
+func boundNode(row *Row, name string) (int, bool) {
+	b, ok := row.Get(name)
+	return int(b.Idx), ok && b.Kind == BoundNode
 }
 
 // solveSeedsParallel runs the per-seed pipeline for a chunk's unseen
@@ -704,8 +738,21 @@ func (c *bindStepCursor) solveSeedsParallel(seeds []int) ([][]*binding.Reduced, 
 }
 
 // index flips a tail seed's solutions back to the pattern's textual
-// orientation and hash-indexes one seed's solutions by the join key.
-func (c *bindStepCursor) index(sols []*binding.Reduced) *seedIndex {
+// orientation and hash-indexes one seed's solutions by the join key. For
+// a pair (target node index t >= 0) it keeps only the solutions ending at
+// t, the only ones the pair's rows can join. It returns nil when no
+// solution is left.
+func (c *bindStepCursor) index(sols []*binding.Reduced, t int) *seedIndex {
+	if t >= 0 {
+		want := binding.Ref{Kind: binding.NodeElem, Idx: graph.ElemIdx(t)}
+		sols = slices.DeleteFunc(sols, func(sol *binding.Reduced) bool {
+			ref, ok := sol.Singleton(c.target)
+			return !ok || ref != want
+		})
+	}
+	if len(sols) == 0 {
+		return nil
+	}
 	if c.run != c.pp {
 		for i, sol := range sols {
 			sols[i] = sol.Reversed()
@@ -720,6 +767,9 @@ func (c *bindStepCursor) budget() *budget {
 	if c.bud == nil {
 		c.bud = newBudget(c.cfg.Limits.withDefaults())
 		c.bud.check = cancelCheck(c.ctx, nil)
+		if c.pair != nil {
+			c.bud.rings.load(func() (*rings, error) { return c.pair, nil })
+		}
 	}
 	return c.bud
 }

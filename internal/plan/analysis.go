@@ -100,6 +100,11 @@ type PathPlan struct {
 	// (label, property) equality index, and the cost model prices each at
 	// 1/NDV(label, property).
 	HeadEq, TailEq []EqConjunct
+	// MaxEdges is the most edges any match can have, or -1 when an
+	// unbounded quantifier leaves the length open (see maxEdges). The DFS
+	// engine prunes a step that leaves too few edges to reach an
+	// admissible last node.
+	MaxEdges int
 	// minSteps is the pattern's cheapest edge-step expansion, for fanout
 	// estimation (see EstimateCost).
 	minSteps []edgeStep
@@ -407,6 +412,7 @@ func (a *analyzer) pathPlan(i int, pp *ast.PathPattern) (*PathPlan, error) {
 		TailLabels:      tail,
 		HeadEq:          endEq(pp.Expr, false),
 		TailEq:          endEq(pp.Expr, true),
+		MaxEdges:        maxEdges(pp.Expr),
 		minSteps:        minEdgeSteps(pp.Expr),
 		Automaton:       auto,
 		AutomatonReason: autoReason,

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -127,6 +128,51 @@ func minEdgeSteps(e ast.PathExpr) []edgeStep {
 	}
 }
 
+// maxEdges returns the most edges any match of e can consume, or -1 when
+// that is unbounded: an edge counts one, a concatenation sums, a union
+// takes its longest branch, a bounded quantifier multiplies its inner
+// bound by its maximum (? by one), and an unbounded quantifier over a
+// body with an edge, or a product past the int range, gives -1.
+func maxEdges(e ast.PathExpr) int {
+	switch x := e.(type) {
+	case *ast.Concat:
+		sum := 0
+		for _, el := range x.Elems {
+			n := maxEdges(el)
+			if n < 0 || sum > math.MaxInt-n {
+				return -1
+			}
+			sum += n
+		}
+		return sum
+	case *ast.EdgePattern:
+		return 1
+	case *ast.Paren:
+		return maxEdges(x.Expr)
+	case *ast.Quantified:
+		inner := maxEdges(x.Inner)
+		switch {
+		case x.Question || inner == 0:
+			return inner
+		case inner < 0 || x.Unbounded() || x.Max > math.MaxInt/inner:
+			return -1
+		}
+		return inner * x.Max
+	case *ast.Union:
+		most := 0
+		for _, br := range x.Branches {
+			n := maxEdges(br)
+			if n < 0 {
+				return -1
+			}
+			most = max(most, n)
+		}
+		return most
+	default: // a node pattern
+		return 0
+	}
+}
+
 // PatternCost is the cardinality estimate of one path pattern under store
 // statistics: Seeds candidate start nodes, PerSeed estimated matches
 // enumerated per start, Rows the estimated solution count after endpoint
@@ -242,6 +288,11 @@ type JoinStep struct {
 	// patterns whose shared variables include no seedable end variable).
 	SeedVar string
 	End     SeedEnd
+	// Target is a bound variable of the pattern's other end when the step
+	// solves each (seed, target) pair of its input rows on its own, with
+	// the target node as the only admissible last node; "" when the step
+	// solves per seed.
+	Target string
 	// Connected reports whether the pattern shares at least one singleton
 	// variable with the already-joined prefix (a disconnected pattern
 	// falls back to a hash join over the cross product).
@@ -249,8 +300,8 @@ type JoinStep struct {
 	// Est is the pattern's standalone cardinality estimate. Distinct is
 	// the estimated number of distinct SeedVar values in the joined
 	// prefix. Cost is the estimated enumeration work of this step under
-	// its seeding decision: Distinct × Est.PerSeed for a seeded step,
-	// Est.Rows otherwise.
+	// its seeding decision: the estimated pair count for a pair-seeded
+	// step, Distinct × Est.PerSeed for a seeded one, Est.Rows otherwise.
 	Est      PatternCost
 	Distinct float64
 	Cost     float64
@@ -268,8 +319,11 @@ func (s JoinStep) String() string {
 	fmt.Fprintf(&b, "pattern %d", s.Pattern)
 	switch {
 	case s.SeedVar != "":
-		fmt.Fprintf(&b, " bind-join seed=%s end=%s est-distinct=%.3g est-per-seed=%.3g",
-			s.SeedVar, s.End, s.Distinct, s.Est.PerSeed)
+		fmt.Fprintf(&b, " bind-join seed=%s end=%s", s.SeedVar, s.End)
+		if s.Target != "" {
+			fmt.Fprintf(&b, " target=%s", s.Target)
+		}
+		fmt.Fprintf(&b, " est-distinct=%.3g est-per-seed=%.3g", s.Distinct, s.Est.PerSeed)
 	case s.Connected:
 		fmt.Fprintf(&b, " hash-join est-rows=%.3g", s.Est.Rows)
 	default:
@@ -284,7 +338,9 @@ func (s JoinStep) String() string {
 // set — seeded through whichever bound end variable has the fewest
 // estimated distinct values in the joined prefix, by its full estimate
 // when no end is bound. Disconnected patterns are considered only when
-// nothing connected remains. stats aligns with p.Paths (every pattern of a
+// nothing connected remains. A seeded step whose pattern also binds a
+// bound variable at its other end may solve per (seed, target) pair
+// instead (offerTargets). stats aligns with p.Paths (every pattern of a
 // query reads one pinned view, so callers repeat its statistics); ties
 // break on textual pattern order, and a head seed wins a tie with a tail
 // seed, so the plan is deterministic.
@@ -350,8 +406,40 @@ func (j *joinEstimate) stepFor(p *Plan, i int, est PatternCost, used []bool, fir
 	j.offerSeeds(&step, pp.TailVars, SeedTail)
 	if step.SeedVar != "" {
 		step.Cost = step.Distinct * est.PerSeed
+		j.offerTargets(&step, pp)
 	}
 	return step
+}
+
+// offerTargets lets a bound variable of the seeded step's other end turn
+// it into a pair-seeded step, where the DFS engine prunes every walk that
+// cannot end at the pair's target — which needs a selector-free pattern
+// of bounded length. A pair solve is priced as one unit of work, since
+// its answer is the matches between two fixed nodes, so the step costs
+// its estimated distinct pairs, min(rows, distinct seeds × distinct
+// targets). The pair wins when that is no more than the seed-only
+// Distinct × PerSeed: on a tie it materializes only matches that join.
+func (j *joinEstimate) offerTargets(step *JoinStep, pp *PathPlan) {
+	if pp.MaxEdges < 1 || pp.Pattern.Selector.Kind != ast.NoSelector {
+		return
+	}
+	others := pp.TailVars
+	if step.End == SeedTail {
+		others = pp.HeadVars
+	}
+	for _, v := range others {
+		d, bound := j.distinct[v]
+		if !bound {
+			continue
+		}
+		pairs := step.Distinct
+		if v != step.SeedVar {
+			pairs = max(1, min(j.rows, step.Distinct*d))
+		}
+		if pairs < step.Cost || step.Target == "" && pairs == step.Cost {
+			step.Target, step.Cost = v, pairs
+		}
+	}
 }
 
 // offerSeeds lets the bound variables of one pattern end seed the step,

@@ -314,6 +314,9 @@ func TestOrderJoinTriangleSeedsFromFewestDistinct(t *testing.T) {
 	if steps[1].Cost >= steps[2].Cost {
 		t.Errorf("tail-seeded closing step should be the cheaper one: %v", steps)
 	}
+	if steps[2].Target != "c" {
+		t.Errorf("the middle pattern, bound at both ends, should solve per (b, c) pair: %v", steps[2])
+	}
 }
 
 // Equality predicates on an end node are priced at 1/NDV(label, property)
@@ -378,5 +381,60 @@ func TestMirroredMemo(t *testing.T) {
 	}
 	if strings.Join(m.HeadVars, ",") != "b" || strings.Join(m.TailVars, ",") != "a" {
 		t.Errorf("mirror end vars %v / %v", m.HeadVars, m.TailVars)
+	}
+}
+
+func TestMaxEdges(t *testing.T) {
+	cases := []struct {
+		src  string
+		want int
+	}{
+		{`MATCH (x)`, 0},
+		{`MATCH (x)-[e]->(y)`, 1},
+		{`MATCH (x)-[e]->(y)<-[f]-(z)`, 2},
+		{`MATCH TRAIL (a)-[e]-{1,3}(b)`, 3},
+		{`MATCH (a) [-[e]->(m)-[f]->(n)]{2,4} (b)`, 8},
+		{`MATCH (a) [-[e]->(m) | -[f]->(n)-[g]->(o)]{1,2} (b)`, 4},
+		{`MATCH (a)-[e]->(m) [-[f]->(n)]? (b)`, 2},
+		{`MATCH (a) [[-[e]->(m)]{1,3}]{2,5} (b)`, 15},
+		{`MATCH TRAIL (a)-[e]->+(b)`, -1},
+		{`MATCH ANY SHORTEST (a)-[e]->*(b)`, -1},
+		{`MATCH TRAIL (a) [-[e]->(m) | -[f]->+(n)] (b)`, -1},
+	}
+	for _, tc := range cases {
+		if got := planFor(t, tc.src).Paths[0].MaxEdges; got != tc.want {
+			t.Errorf("%s: MaxEdges = %d, want %d", tc.src, got, tc.want)
+		}
+	}
+}
+
+// A join step bound at both ends solves per (seed, target) pair when the
+// pattern is selector-free and bounded and the pairs are no more than the
+// seed-only work; otherwise it solves per seed.
+func TestOrderJoinPairTarget(t *testing.T) {
+	st := statsFixture()
+	cases := []struct {
+		src    string
+		target string // of the last step
+	}{
+		{`MATCH (a:Admin)-[:Transfer]->(b:Account), TRAIL (a)-[:Transfer]-{1,2}(b)`, "b"},
+		{`MATCH (a:Admin)-[:Transfer]->(b:Account), (b)-[:Transfer]->{1,3}(a)`, "a"},
+		{`MATCH (a:Admin)-[:Transfer]->(a), TRAIL (a)-[:Transfer]-{1,3}(a)`, "a"},
+		// Unbounded, or under a selector: nothing prunes toward a target.
+		{`MATCH (a:Admin)-[:Transfer]->(b:Account), TRAIL (a)-[:Transfer]-+(b)`, ""},
+		{`MATCH (a:Admin)-[:Transfer]->(b:Account), ALL SHORTEST (a)-[:Transfer]-{1,2}(b)`, ""},
+		// Forty distinct pairs cost more than ten seeds of two matches.
+		{`MATCH (a:Admin)-[:Transfer]->()-[:Transfer]->()-[:Transfer]->(b:Account), (a)-[:Transfer]->{1,3}(b)`, ""},
+	}
+	for _, tc := range cases {
+		p := planFor(t, tc.src)
+		steps := OrderJoin(p, []graph.StoreStats{st, st})
+		last := steps[len(steps)-1]
+		if last.SeedVar == "" || last.Target != tc.target {
+			t.Errorf("%s: last step %s, want target %q", tc.src, last, tc.target)
+		}
+		if tc.target != "" && !strings.Contains(last.String(), " target="+tc.target+" ") {
+			t.Errorf("%s: step string %q should name the target", tc.src, last)
+		}
 	}
 }

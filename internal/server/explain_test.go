@@ -16,10 +16,12 @@ import (
 // TestExplainServedJoinPlans pins the /explain plan lines of the two
 // multi-pattern texts the serving benchmark sends (bench/workloads.go,
 // shapes triangle and colike_bindjoin), of its two selector shapes
-// (all_shortest, any_shortest) and of one short text (friends_1hop) on a
-// small SNB graph: engine per pattern, seed and target access path (an
-// equality index or a label scan), automaton size, join order, seed variables and ends with the estimates
-// each step was chosen by, and streaming notes. What Explain
+// (all_shortest, any_shortest), of trail_1_3 and of one short text
+// (friends_1hop) on a small SNB graph: engine per pattern, seed and
+// target access path (an equality index or a label scan), the index the
+// DFS target rings are read from, automaton size, join order, seed
+// variables, ends and pair targets with the estimates each step was
+// chosen by, and streaming notes. What Explain
 // prints is what runs — there is one pipeline — so a change here is a
 // change of the served plan.
 func TestExplainServedJoinPlans(t *testing.T) {
@@ -46,14 +48,17 @@ func TestExplainServedJoinPlans(t *testing.T) {
 			"join stats: nodes=410 edges=3068 avg-degree=15",
 			"join step 0: pattern 0 scan est-rows=2.07 [streaming]",
 			"join step 1: pattern 2 bind-join seed=a end=tail est-distinct=1 est-per-seed=8.51 [streaming]",
-			"join step 2: pattern 1 bind-join seed=b end=head est-distinct=2.07 est-per-seed=8.51 [streaming]",
+			"join step 2: pattern 1 bind-join seed=b end=head target=c est-distinct=2.07 est-per-seed=8.51 [streaming]",
 		}},
 		{"colike_bindjoin", `MATCH (a:Person WHERE a.firstName=$name)-[:likes]->(m:Post)<-[:likes]-(b:Person WHERE b.country=$country), TRAIL (a)-[:knows]-{1,2}(b)`, []string{
-			"pattern 0: engine=dfs seed=index(Person.firstName)" + dfs,
+			"pattern 0: engine=dfs seed=index(Person.firstName) tail-rings=index(Person.country)" + dfs,
 			"pattern 1: engine=dfs restrictor=TRAIL" + dfs,
 			"join stats: nodes=410 edges=3068 avg-degree=15",
 			"join step 0: pattern 0 scan est-rows=0.012 [streaming]",
-			"join step 1: pattern 1 bind-join seed=a end=head est-distinct=1 est-per-seed=8.51 [streaming]",
+			"join step 1: pattern 1 bind-join seed=a end=head target=b est-distinct=1 est-per-seed=8.51 [streaming]",
+		}},
+		{"trail_1_3", `MATCH TRAIL (a:Person WHERE a.firstName=$name)-[k:knows]-{1,3}(b:Person WHERE b.country=$country)`, []string{
+			"pattern 0: engine=dfs restrictor=TRAIL seed=index(Person.firstName) tail-rings=index(Person.country)" + dfs,
 		}},
 		// Both selector shapes run on the automaton; the bounded one's
 		// {1,4} unrolls into 33 states against the unbounded one's 17.

@@ -138,7 +138,8 @@ func TestQueryPanicMidStreamEndsWithErrorRecord(t *testing.T) {
 }
 
 // TestExplainPanicIs500: a panic while /explain plans a join answers 500
-// with a JSON error, logs the stack, and leaves the server serving.
+// with a JSON error, logs the stack under the /explain route, and leaves
+// the server serving.
 func TestExplainPanicIs500(t *testing.T) {
 	logs := captureLog(t)
 	catalog := gql.NewCatalog()
@@ -163,7 +164,7 @@ func TestExplainPanicIs500(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError || err != nil || got["error"].Kind != "internal" {
 		t.Fatalf("status %d, body %+v (%v), want 500 with an internal error", resp.StatusCode, got, err)
 	}
-	if l := logs.String(); !strings.Contains(l, "injected LabelStats fault") || !strings.Contains(l, "goroutine") {
+	if l := logs.String(); !strings.Contains(l, "panic serving /explain: injected LabelStats fault") || !strings.Contains(l, "goroutine") {
 		t.Errorf("panic not logged with its stack:\n%s", l)
 	}
 
@@ -178,7 +179,8 @@ func TestExplainPanicIs500(t *testing.T) {
 }
 
 // TestStatsPanicIs500: a panic while /stats gathers its counters answers
-// 500 with a JSON error, logs the stack, and leaves the server serving.
+// 500 with a JSON error, logs the stack under the /stats route, and leaves
+// the server serving.
 func TestStatsPanicIs500(t *testing.T) {
 	logs := captureLog(t)
 	catalog := gql.NewCatalog()
@@ -202,7 +204,7 @@ func TestStatsPanicIs500(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError || err != nil || got["error"].Kind != "internal" {
 		t.Fatalf("status %d, body %+v (%v), want 500 with an internal error", resp.StatusCode, got, err)
 	}
-	if l := logs.String(); !strings.Contains(l, "injected DurabilityStats fault") || !strings.Contains(l, "goroutine") {
+	if l := logs.String(); !strings.Contains(l, "panic serving /stats: injected DurabilityStats fault") || !strings.Contains(l, "goroutine") {
 		t.Errorf("panic not logged with its stack:\n%s", l)
 	}
 

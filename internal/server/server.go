@@ -215,6 +215,18 @@ func classify(err error) errorBody {
 	return b
 }
 
+// compileError is the 400 body of a statement that failed to compile: a
+// rejection without a source position is a compile error too, not an
+// internal one.
+func compileError(src string, err error) errorBody {
+	body := classify(err)
+	if body.Kind == "internal" {
+		body.Kind = "compile"
+	}
+	body.Diagnostic = gpml.Diagnostic(src, err)
+	return body
+}
+
 func writeError(w http.ResponseWriter, status int, body errorBody) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -415,7 +427,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r, req)
 	defer cancel()
-	defer recoverQuery(w, nil)
+	defer recoverQuery(w, "/query", nil)
 
 	// Admission: heavy work (compile included — a cache miss plans the
 	// query) waits for a slot so a burst degrades to queueing, not to a
@@ -430,11 +442,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	q, cached, err := s.prepare(st, req.Query, req.GQL)
 	if err != nil {
-		body := classify(err)
-		if d := gpml.Diagnostic(req.Query, err); d != "" {
-			body.Diagnostic = d
-		}
-		writeError(w, http.StatusBadRequest, body)
+		writeError(w, http.StatusBadRequest, compileError(req.Query, err))
 		return
 	}
 
@@ -583,12 +591,12 @@ func (nw *ndjsonWriter) abandon() bool {
 }
 
 // recoverQuery, deferred by the /query, /explain and /stats handlers, turns a
-// panic into an error the client can read and logs its stack, so one bad
-// request cannot take the process down. Before the first byte (nw nil, or
+// panic into an error the client can read and logs its stack under the
+// handler's route, so one bad request cannot take the process down. Before the first byte (nw nil, or
 // nothing flushed yet) the answer is a 500 JSON error. After it, the
 // status is sent, so the stream ends with an NDJSON error record and the
 // connection is closed instead of completing the response.
-func recoverQuery(w http.ResponseWriter, nw *ndjsonWriter) {
+func recoverQuery(w http.ResponseWriter, route string, nw *ndjsonWriter) {
 	p := recover()
 	if p == nil {
 		return
@@ -596,7 +604,7 @@ func recoverQuery(w http.ResponseWriter, nw *ndjsonWriter) {
 	if p == http.ErrAbortHandler {
 		panic(p) // already handled by the stream's own recoverQuery
 	}
-	log.Printf("server: panic serving /query: %v\n%s", p, debug.Stack())
+	log.Printf("server: panic serving %s: %v\n%s", route, p, debug.Stack())
 	body := errorBody{Message: "internal error", Kind: "internal"}
 	if nw == nil || nw.abandon() {
 		writeError(w, http.StatusInternalServerError, body)
@@ -651,7 +659,7 @@ func (s *Server) streamNDJSON(ctx context.Context, w http.ResponseWriter, cols [
 	w.Header().Set("X-Accel-Buffering", "no")
 	nw := &ndjsonWriter{w: w, total: &s.rows}
 	defer nw.flush(true)
-	defer recoverQuery(w, nw)
+	defer recoverQuery(w, "/query", nw)
 	nw.record(false, 0, jsonRecord(ndjsonHeader{Columns: cols, Cached: cached}))
 	n := 0
 	var row *gpml.Row
@@ -713,14 +721,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	defer recoverQuery(w, nil)
+	defer recoverQuery(w, "/explain", nil)
 	q, cached, err := s.prepare(st, req.Query, req.GQL)
 	if err != nil {
-		body := classify(err)
-		if d := gpml.Diagnostic(req.Query, err); d != "" {
-			body.Diagnostic = d
-		}
-		writeError(w, http.StatusBadRequest, body)
+		writeError(w, http.StatusBadRequest, compileError(req.Query, err))
 		return
 	}
 	resp := explainResponse{
@@ -749,7 +753,7 @@ type statsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	defer recoverQuery(w, nil)
+	defer recoverQuery(w, "/stats", nil)
 	cs := s.cache.Stats()
 	names := s.cfg.Catalog.Names()
 	sort.Strings(names)
