@@ -603,7 +603,7 @@ func BenchmarkAblation_JoinOrder(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Store backends: the map graph (answering from its memoized snapshot) vs
-// an explicit CSR snapshot, label-indexed seeding and parallel evaluation.
+// an explicit CSR snapshot and label-indexed seeding.
 // The noise graph buries the Account seeds under City/Phone nodes, so the
 // label index skips most of the node scan.
 // ---------------------------------------------------------------------------
@@ -633,7 +633,6 @@ func BenchmarkStore_LabeledSeed(b *testing.B) {
 	}
 	b.Run("map", func(b *testing.B) { run(b) })
 	b.Run("csr", func(b *testing.B) { run(b, gpml.WithStore(snap)) })
-	b.Run("csr_parallel4", func(b *testing.B) { run(b, gpml.WithStore(snap), gpml.WithParallelism(4)) })
 }
 
 // The representative labeled-seed shape: a TRAIL reachability query
@@ -651,7 +650,6 @@ func BenchmarkStore_TransferReach(b *testing.B) {
 	}
 	b.Run("map", func(b *testing.B) { run(b) })
 	b.Run("csr", func(b *testing.B) { run(b, gpml.WithStore(snap)) })
-	b.Run("csr_parallel4", func(b *testing.B) { run(b, gpml.WithStore(snap), gpml.WithParallelism(4)) })
 }
 
 // The overlay serving claim: readers on an epoch-snapshot overlay stay

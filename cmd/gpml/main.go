@@ -64,13 +64,27 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		maxMatches = fs.Int("max-matches", 0, "cap on raw matches per pattern (0 = default)")
 		csr        = fs.Bool("csr", false, "evaluate on an immutable CSR snapshot of the graph")
 		overlay    = fs.Bool("overlay", false, "evaluate on an epoch-snapshot overlay store layered over a CSR snapshot")
-		parallel   = fs.Int("parallel", 0, "evaluation workers over seed nodes (<2 = sequential)")
 		explain    = fs.Bool("explain", false, "print which engine (dfs/bfs/automaton) evaluates each pattern")
 		timeout    = fs.Duration("timeout", 0, "abort evaluation after this duration (streaming cancellation; 0 = none)")
 		first      = fs.Int("first", 0, "stream only the first N rows (LIMIT pushdown; 0 = all rows)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
+	}
+	// Zero means "no limit" for each of these; a negative value is a
+	// mistake, not a wish for no limit.
+	for _, f := range []struct {
+		name     string
+		negative bool
+	}{
+		{"first", *first < 0},
+		{"max-matches", *maxMatches < 0},
+		{"timeout", *timeout < 0},
+	} {
+		if f.negative {
+			fmt.Fprintf(stderr, "gpml: -%s must not be negative\n", f.name)
+			return exitUsage
+		}
 	}
 
 	query := strings.TrimSpace(strings.Join(fs.Args(), " "))
@@ -111,9 +125,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		// Explain and evaluation read cardinality statistics off the
 		// store; pass the map graph explicitly so both see the same one.
 		evalOpts = append(evalOpts, gpml.WithStore(g))
-	}
-	if *parallel > 1 {
-		evalOpts = append(evalOpts, gpml.WithParallelism(*parallel))
 	}
 	q, err := gpml.Compile(query, opts...)
 	if err != nil {

@@ -56,6 +56,27 @@ func TestRunUsageExitCode(t *testing.T) {
 	}
 }
 
+// A negative limit is a usage error naming its flag, not "no limit".
+func TestRunNegativeLimitUsage(t *testing.T) {
+	for _, c := range []struct{ flag, value string }{
+		{"first", "-1"},
+		{"max-matches", "-5"},
+		{"timeout", "-1s"},
+	} {
+		args := []string{"-" + c.flag, c.value, `MATCH (a:Account)-[t:Transfer]->(b)`}
+		code, out, errb := runCLI(t, args, "")
+		if code != exitUsage {
+			t.Errorf("-%s %s: exit = %d, want %d", c.flag, c.value, code, exitUsage)
+		}
+		if !strings.Contains(errb, "-"+c.flag+" ") {
+			t.Errorf("-%s %s: stderr does not name the flag: %q", c.flag, c.value, errb)
+		}
+		if out != "" {
+			t.Errorf("-%s %s: printed rows:\n%s", c.flag, c.value, out)
+		}
+	}
+}
+
 // Compile errors exit 1 and point at the offending column with a caret;
 // a character outside the grammar is one of them.
 func TestRunCompileErrorCaret(t *testing.T) {

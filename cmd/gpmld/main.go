@@ -14,9 +14,8 @@
 // name "fig1". With -overlay the graph is wrapped in an epoch-snapshot
 // overlay store, the live-mutation serving configuration: queries pin
 // epoch snapshots while writers apply batches concurrently. Otherwise the
-// graph is served from an immutable CSR snapshot. The server evaluates
-// every query sequentially (internal/server never sets
-// gpml.WithParallelism).
+// graph is served from an immutable CSR snapshot. Each query runs on its
+// request's goroutine, and -max-concurrent bounds how many run at once.
 //
 // With -data-dir the overlay is durable: every applied batch is written
 // to a write-ahead log under DIR before it becomes visible, compaction

@@ -318,14 +318,13 @@ type storeOnly struct{ gpml.Store }
 
 // gqlResult evaluates the case through the GQL frontend (catalog +
 // session) on the given store.
-func gqlResult(t *testing.T, c *conformanceCase, s gpml.Store, cfg eval.Config) string {
+func gqlResult(t *testing.T, c *conformanceCase, s gpml.Store) string {
 	t.Helper()
 	catalog := gpml.NewCatalog()
 	if err := catalog.Register("G", s); err != nil {
 		t.Fatal(err)
 	}
 	session := gpml.NewSession(catalog)
-	session.Config = cfg
 	if err := session.Use("G"); err != nil {
 		t.Fatal(err)
 	}
@@ -339,26 +338,17 @@ func gqlResult(t *testing.T, c *conformanceCase, s gpml.Store, cfg eval.Config) 
 // pgqResult evaluates the case through the SQL/PGQ GRAPH_TABLE frontend
 // on the given store. Rows arrive in match order, which the conformance
 // battery already pins down via the binding-table golden.
-func pgqResult(t *testing.T, c *conformanceCase, s gpml.Store, cfg eval.Config) string {
+func pgqResult(t *testing.T, c *conformanceCase, s gpml.Store) string {
 	t.Helper()
 	cols, err := gpml.ParseColumns(c.columns)
 	if err != nil {
 		t.Fatalf("%s: columns: %v", c.path, err)
 	}
-	tbl, err := pgq.GraphTable(s, c.query, cols, cfg)
+	tbl, err := pgq.GraphTable(s, c.query, cols, eval.Config{})
 	if err != nil {
 		t.Fatalf("%s: PGQ frontend: %v", c.path, err)
 	}
 	return tbl.String()
-}
-
-// streamOpts maps an eval.Config onto public evaluation options.
-func streamOpts(cfg eval.Config) []gpml.Option {
-	var opts []gpml.Option
-	if cfg.Parallelism > 1 {
-		opts = append(opts, gpml.WithParallelism(cfg.Parallelism))
-	}
-	return opts
 }
 
 // streamResult evaluates the case through the pull-based streaming
@@ -366,14 +356,13 @@ func streamOpts(cfg eval.Config) []gpml.Option {
 // order), so every golden also verifies the streaming executor. It
 // additionally checks that ForEach delivers exactly the same number of
 // rows the collected result holds.
-func streamResult(t *testing.T, c *conformanceCase, s gpml.Store, cfg eval.Config) string {
+func streamResult(t *testing.T, c *conformanceCase, s gpml.Store) string {
 	t.Helper()
 	q, err := gpml.Compile(c.query, gpml.GQLMode())
 	if err != nil {
 		t.Fatalf("%s: compile: %v", c.path, err)
 	}
-	opts := streamOpts(cfg)
-	rows, err := q.Stream(context.Background(), s, opts...)
+	rows, err := q.Stream(context.Background(), s)
 	if err != nil {
 		t.Fatalf("%s: Stream: %v", c.path, err)
 	}
@@ -385,7 +374,7 @@ func streamResult(t *testing.T, c *conformanceCase, s gpml.Store, cfg eval.Confi
 	if err := q.ForEach(context.Background(), s, func(*gpml.Row) error {
 		seen++
 		return nil
-	}, opts...); err != nil {
+	}); err != nil {
 		t.Fatalf("%s: ForEach: %v", c.path, err)
 	}
 	if seen != len(res.Rows) {
@@ -435,35 +424,26 @@ func TestConformanceCorpus(t *testing.T) {
 				// each query runs on one snapshot of it.
 				{"foreign", storeOnly{gpml.Snapshot(g)}},
 			}
-			configs := []struct {
-				name string
-				cfg  eval.Config
-			}{
-				{"default", eval.Config{}},
-				{"parallel", eval.Config{Parallelism: 4}},
-			}
 			if *updateGolden {
-				c.result = gqlResult(t, c, g, eval.Config{})
+				c.result = gqlResult(t, c, g)
 				if c.columns != "" {
-					c.table = pgqResult(t, c, g, eval.Config{})
+					c.table = pgqResult(t, c, g)
 				}
 				c.writeGolden(t)
 			}
 			for _, st := range stores {
-				for _, cf := range configs {
-					if got := gqlResult(t, c, st.s, cf.cfg); got != c.result {
-						t.Errorf("%s: GQL/%s/%s diverges from golden:\ngot:\n%s\nwant:\n%s",
-							path, st.name, cf.name, got, c.result)
-					}
-					if got := streamResult(t, c, st.s, cf.cfg); got != c.result {
-						t.Errorf("%s: Stream/%s/%s diverges from golden:\ngot:\n%s\nwant:\n%s",
-							path, st.name, cf.name, got, c.result)
-					}
-					if c.columns != "" {
-						if got := pgqResult(t, c, st.s, cf.cfg); got != c.table {
-							t.Errorf("%s: PGQ/%s/%s diverges from golden:\ngot:\n%s\nwant:\n%s",
-								path, st.name, cf.name, got, c.table)
-						}
+				if got := gqlResult(t, c, st.s); got != c.result {
+					t.Errorf("%s: GQL/%s diverges from golden:\ngot:\n%s\nwant:\n%s",
+						path, st.name, got, c.result)
+				}
+				if got := streamResult(t, c, st.s); got != c.result {
+					t.Errorf("%s: Stream/%s diverges from golden:\ngot:\n%s\nwant:\n%s",
+						path, st.name, got, c.result)
+				}
+				if c.columns != "" {
+					if got := pgqResult(t, c, st.s); got != c.table {
+						t.Errorf("%s: PGQ/%s diverges from golden:\ngot:\n%s\nwant:\n%s",
+							path, st.name, got, c.table)
 					}
 				}
 			}

@@ -189,35 +189,32 @@ var Null = value.Null
 // Query is a compiled GPML statement, reusable across graphs and safe for
 // concurrent evaluation.
 type Query struct {
-	q        *core.Query
-	lims     Limits
-	edgeIso  bool
-	store    Store
-	parallel int
-	limit    int
-	ctx      context.Context
-	params   map[string]Value
+	q       *core.Query
+	lims    Limits
+	edgeIso bool
+	store   Store
+	limit   int
+	ctx     context.Context
+	params  map[string]Value
 }
 
 // Option configures compilation or evaluation.
 type Option func(*options)
 
 type options struct {
-	gql      bool
-	lims     Limits
-	edgeIso  bool
-	store    Store
-	parallel int
-	limit    int
-	ctx      context.Context
-	params   map[string]Value
+	gql     bool
+	lims    Limits
+	edgeIso bool
+	store   Store
+	limit   int
+	ctx     context.Context
+	params  map[string]Value
 }
 
 func (o options) config() eval.Config {
 	return eval.Config{
 		Limits:         o.lims,
 		EdgeIsomorphic: o.edgeIso,
-		Parallelism:    o.parallel,
 		Limit:          o.limit,
 		Params:         eval.Params(o.params),
 	}
@@ -253,11 +250,6 @@ func EdgeIsomorphic() Option { return func(o *options) { o.edgeIso = true } }
 // graph handed to Eval still wins, so compiled queries stay reusable
 // across graphs.
 func WithStore(s Store) Option { return func(o *options) { o.store = s } }
-
-// WithParallelism evaluates each path pattern with n workers over the
-// seed nodes. Results are merged in seed order, so output is identical to
-// sequential evaluation; values below 2 keep evaluation sequential.
-func WithParallelism(n int) Option { return func(o *options) { o.parallel = n } }
 
 // WithContext attaches a context to evaluation: cancellation or an
 // expired deadline aborts the in-flight search promptly (the engines
@@ -315,7 +307,7 @@ func Compile(src string, opts ...Option) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Query{q: q, lims: o.lims, edgeIso: o.edgeIso, store: o.store, parallel: o.parallel, limit: o.limit, ctx: o.ctx, params: o.params}, nil
+	return &Query{q: q, lims: o.lims, edgeIso: o.edgeIso, store: o.store, limit: o.limit, ctx: o.ctx, params: o.params}, nil
 }
 
 // MustCompile is Compile that panics on error; for fixtures and examples.
@@ -346,7 +338,7 @@ func (q *Query) Eval(g *Graph, opts ...Option) (*Result, error) {
 
 // options seeds an option set from the query's compile-time defaults.
 func (q *Query) options(opts []Option) options {
-	o := options{lims: q.lims, edgeIso: q.edgeIso, parallel: q.parallel, limit: q.limit, ctx: q.ctx, params: q.params}
+	o := options{lims: q.lims, edgeIso: q.edgeIso, limit: q.limit, ctx: q.ctx, params: q.params}
 	for _, f := range opts {
 		f(&o)
 	}
@@ -378,9 +370,9 @@ var Stop = errors.New("gpml: stop iteration")
 // as the engines produce them, in deterministic pipeline order —
 // seed-major, shortest-exits-first per engine — rather than Eval's
 // canonical sorted order, which is the one blocking stage streaming
-// skips. Close must be called when done (whether or not the stream was
-// drained); it stops every pipeline goroutine and blocks until they have
-// exited, so an abandoned iterator leaks nothing. Row consumption is
+// skips. The pipeline runs on the goroutine that calls Next, so an
+// abandoned iterator does no further work; Close must still be called
+// when done (whether or not the stream was drained). Row consumption is
 // single-threaded (one goroutine drives Next/Row/Collect), but Close is
 // safe from any goroutine at any time — including concurrently with a
 // blocked Next and from several goroutines at once (a handler defer
@@ -486,12 +478,11 @@ func (r *Rows) Err() error {
 // Columns returns the output column order.
 func (r *Rows) Columns() []string { return r.q.Columns() }
 
-// Close stops the streaming pipeline and releases its goroutines,
-// blocking until they have exited. It is idempotent and safe to call
-// concurrently with Next and with other Close calls: the pipeline's
-// context is cancelled first (which unblocks an in-flight Next), the
-// cursor teardown runs exactly once, and every caller observes the
-// completed teardown and its error.
+// Close stops the streaming pipeline, waiting for an in-flight Next to
+// return. It is idempotent and safe to call concurrently with Next and
+// with other Close calls: the pipeline's context is cancelled first
+// (which unblocks an in-flight Next), the cursor teardown runs exactly
+// once, and every caller observes the completed teardown and its error.
 func (r *Rows) Close() error {
 	r.closeOnce.Do(func() {
 		r.mu.Lock()

@@ -258,32 +258,3 @@ func TestExplainJoinPlan(t *testing.T) {
 		t.Errorf("single pattern should explain in one line, got %v", single)
 	}
 }
-
-// TestBindJoinParallelParity pins the Figure 4 fraud join: the parallel
-// seeded path returns exactly the sequential rows. (Bind-join vs the
-// classic hash-join oracle is internal/eval's joindiff_test.go.)
-func TestBindJoinParallelParity(t *testing.T) {
-	g := gpml.Fig1()
-	q := gpml.MustCompile(`
-		MATCH (x:Account WHERE x.isBlocked='no')-[:isLocatedIn]->
-		      (gc:City WHERE gc.name='Ankh-Morpork')<-[:isLocatedIn]-
-		      (y:Account WHERE y.isBlocked='yes'),
-		      TRAIL (x)-[:Transfer]->+(y)`)
-	on, err := q.Eval(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The parallel seeded path distributes seed runs over a worker pool;
-	// output must stay byte-identical.
-	par, err := q.Eval(g, gpml.WithParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gpml.FormatResult(on) != gpml.FormatResult(par) {
-		t.Fatalf("parallel bind-join diverges:\nsequential:\n%s\nparallel:\n%s",
-			gpml.FormatResult(on), gpml.FormatResult(par))
-	}
-	if len(on.Rows) != 4 {
-		t.Fatalf("fraud query returns %d rows, want 4", len(on.Rows))
-	}
-}

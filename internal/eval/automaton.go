@@ -212,10 +212,9 @@ type autoTarget struct {
 type autoMeeting struct{ f, b, t, n int32 }
 
 // autoEngine runs the product search for one pattern; one instance serves
-// any number of sequential seed runs (Enumerate's worker pool builds one
-// per worker). Bindings are recovered by replaying each reconstructed
-// path on a path-constrained DFS machine (see dfs.go), shared across
-// paths so replay allocates next to nothing.
+// any number of sequential seed runs. Bindings are recovered by replaying
+// each reconstructed path on a path-constrained DFS machine (see dfs.go),
+// shared across paths so replay allocates next to nothing.
 type autoEngine struct {
 	st     graph.Stepper
 	pp     *plan.PathPlan
@@ -410,7 +409,7 @@ func (a *autoEngine) activate() error {
 // from the accepting state passes the node guards and reaches a step or
 // the start state; no match ends anywhere else. The set depends on the
 // store, the plan and the parameters only, so the evaluation's budget
-// shares one scan among all seed runs and workers.
+// shares one scan among all seed runs.
 func (a *autoEngine) scanTargets() ([]int32, error) {
 	rev := a.bwd.nfa
 	if rev.Start < 0 {
@@ -449,7 +448,7 @@ func (a *autoEngine) target(node int32) int32 {
 // scanned) and polls cancellation every cancelCheckInterval units.
 func (a *autoEngine) tick() error {
 	if a.ticks++; a.ticks%cancelCheckInterval == 0 {
-		return a.bud.checkCancel()
+		return a.bud.check()
 	}
 	return nil
 }

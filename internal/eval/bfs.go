@@ -561,7 +561,7 @@ func (b *bfs) expand(t thread) error {
 		return nil // deeper exploration abandoned; selector output is finite
 	}
 	if b.ticks++; b.ticks%cancelCheckInterval == 0 {
-		if err := b.bud.checkCancel(); err != nil {
+		if err := b.bud.check(); err != nil {
 			return err
 		}
 	}

@@ -52,8 +52,7 @@ import (
 // engine machinery (and for the automaton engine, the compiled product
 // searcher) is built once and reused across seeds. Search limits are
 // shared across all seed runs through the caller's budget, mirroring
-// Enumerate; st optionally supplies a pre-built indexed topology view so
-// worker pools share one instead of rebuilding it per worker.
+// Enumerate.
 type seedSolver struct {
 	pp  *plan.PathPlan
 	run func(int) error

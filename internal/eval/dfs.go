@@ -481,7 +481,7 @@ func (m *dfs) stepEdge(in *plan.Instr) error {
 		return &LimitError{What: "path depth", Limit: m.limits.MaxDepth}
 	}
 	if m.ticks++; m.ticks%cancelCheckInterval == 0 {
-		if err := m.bud.checkCancel(); err != nil {
+		if err := m.bud.check(); err != nil {
 			return err
 		}
 	}

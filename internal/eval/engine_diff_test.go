@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -82,7 +83,7 @@ func enumeratingMatch(t *testing.T, s graph.Store, pp *plan.PathPlan, cfg Config
 	}
 	st := graph.AsStepper(s)
 	var reduced []*binding.Reduced
-	run := seedRunner(st, pp, engine, cfg, newBudget(cfg.Limits.withDefaults()), func(b *binding.PathBinding) error {
+	run := seedRunner(st, pp, engine, cfg, newBudget(context.Background(), cfg.Limits.withDefaults()), func(b *binding.PathBinding) error {
 		reduced = append(reduced, b.Reduce())
 		return nil
 	})
@@ -135,7 +136,7 @@ func checkEngineParity(t *testing.T, label string, g *graph.Graph, p *plan.Plan,
 func backwardLayers(t *testing.T, s graph.Store, pp *plan.PathPlan, cfg Config) int {
 	t.Helper()
 	st := graph.AsStepper(s)
-	a := newAutoEngine(st, pp, cfg, newBudget(cfg.Limits.withDefaults()), func(*binding.PathBinding) error { return nil })
+	a := newAutoEngine(st, pp, cfg, newBudget(context.Background(), cfg.Limits.withDefaults()), func(*binding.PathBinding) error { return nil })
 	layers := 0
 	forEachNode(st, pp.SeedLabels, nil, nil, func(i int) bool {
 		a.bwd.depth = 0 // a rejected seed leaves the previous seed's count
@@ -231,8 +232,6 @@ func TestEndpointSearchAgreesWithEnumeration(t *testing.T) {
 		for gi, g := range graphs {
 			over := tombstoned(t, g)
 			checkEngineParity(t, fmt.Sprintf("%s graph %d", src, gi), g, p, Config{}, over)
-			// Parallel workers share one target scan through the budget.
-			checkEngineParity(t, fmt.Sprintf("%s graph %d parallel", src, gi), g, p, Config{Parallelism: 2})
 			for _, s := range []graph.Store{g, over} {
 				layers += backwardLayers(t, s, p.Paths[0], Config{})
 			}

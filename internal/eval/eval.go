@@ -19,11 +19,6 @@ type Config struct {
 	// constituent path patterns in the graph pattern [must] differ from
 	// each other". Applied after the join and before the postfilter.
 	EdgeIsomorphic bool
-	// Parallelism is the number of workers enumerating a path pattern's
-	// matches (seed nodes are distributed over the workers and the results
-	// merged back in seed order, so output is identical to sequential
-	// evaluation). Values below 2 evaluate sequentially.
-	Parallelism int
 	// Limit, when positive, ends the stream after that many output rows.
 	// In the pull pipeline this is a genuine pushdown: upstream stages
 	// never compute work the cut-off rows would have demanded. The rows
@@ -225,17 +220,11 @@ func MatchPattern(s graph.Store, pp *plan.PathPlan, cfg Config) ([]*binding.Redu
 // Enumerate produces the raw (annotated) path bindings of one pattern. It
 // seeds one engine run per candidate start node — from the store's
 // equality index or label index when the plan proved a seed label (see
-// forEachNode), a full scan otherwise — and,
-// with cfg.Parallelism > 1, distributes the seed runs over a worker pool
-// (see parallel.go). Search limits are shared across all seed runs.
+// forEachNode), a full scan otherwise. Search limits are shared across all
+// seed runs.
 func Enumerate(s graph.Store, pp *plan.PathPlan, cfg Config) ([]*binding.PathBinding, error) {
 	st := graph.AsStepper(s)
-	bud := newBudget(cfg.Limits.withDefaults())
-	if cfg.Parallelism > 1 {
-		if seeds := seedNodes(st, pp, cfg.Params); len(seeds) > 1 {
-			return enumerateParallel(st, pp, cfg, bud, seeds)
-		}
-	}
+	bud := newBudget(context.Background(), cfg.Limits.withDefaults())
 	var out []*binding.PathBinding
 	engine, _ := engineFor(pp)
 	run := seedRunner(st, pp, engine, cfg, bud, func(b *binding.PathBinding) error {
@@ -315,17 +304,6 @@ func endAccess(st graph.Stepper, labels []string, eqs []plan.EqConjunct, params 
 	return label, filters, true
 }
 
-// seedNodes materializes the candidate seed indices, for distribution
-// over the parallel worker pool.
-func seedNodes(st graph.Stepper, pp *plan.PathPlan, params Params) []int {
-	var out []int
-	forEachNode(st, pp.SeedLabels, pp.HeadEq, params, func(i int) bool {
-		out = append(out, i)
-		return true
-	})
-	return out
-}
-
 // seedRunner returns a function running one pass of the given engine per
 // seed node index. Production callers pass engineFor's choice: the
 // automaton engine when the plan proved the pattern eligible (product
@@ -333,8 +311,8 @@ func seedNodes(st graph.Stepper, pp *plan.PathPlan, params Params) []int {
 // engine for the remaining selector-bounded patterns, and the
 // backtracking DFS machine otherwise. The engine is an argument so the
 // in-package differential tests can run the enumerating engine on a
-// pattern the automaton would take. All engines run on the store's indexed
-// Stepper view (memoized per store, shared by worker pools).
+// pattern the automaton would take. All engines run on the query's pinned
+// Stepper view.
 func seedRunner(st graph.Stepper, pp *plan.PathPlan, engine string, cfg Config, bud *budget, emit func(*binding.PathBinding) error) func(int) error {
 	switch engine {
 	case EngineAutomaton:

@@ -477,7 +477,7 @@ func TestBoundString(t *testing.T) {
 // in Config selects a code path; adding a field is a deliberate edit of
 // this list.
 func TestConfigHasNoHatches(t *testing.T) {
-	want := []string{"Limits", "EdgeIsomorphic", "Parallelism", "Limit", "Params"}
+	want := []string{"Limits", "EdgeIsomorphic", "Limit", "Params"}
 	typ := reflect.TypeOf(Config{})
 	var got []string
 	for i := 0; i < typ.NumField(); i++ {

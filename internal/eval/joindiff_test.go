@@ -313,23 +313,21 @@ func TestMultiPatternJoinDifferential(t *testing.T) {
 }
 
 // checkJoinAgainstOracles runs one statement on the map and CSR stores,
-// sequentially and at Parallelism 2, byte-comparing the bind-join pipeline
-// with classicJoin, and on the map store with the naive reference.
+// byte-comparing the bind-join pipeline with classicJoin, and on the map
+// store with the naive reference.
 func checkJoinAgainstOracles(t *testing.T, label string, g *graph.Graph, p *plan.Plan, per [][]*binding.Reduced) {
 	t.Helper()
 	naive := naiveJoinReference(t, per, p)
 	for si, s := range []graph.Store{g, graph.Snapshot(g)} {
-		for _, cfg := range []Config{{}, {Parallelism: 2}} {
-			label := fmt.Sprintf("%s store %d par %d", label, si, cfg.Parallelism)
-			on, err := EvalPlan(s, p, cfg)
-			if err != nil {
-				t.Fatalf("%s: bind-join: %v", label, err)
-			}
-			off := classicJoin(t, s, p, Config{})
-			diffStrings(t, label+" [bind-join vs classic]", renderResult(on), renderResult(off))
-			if si == 0 {
-				diffStrings(t, label+" [bind-join vs naive]", keysOnly(renderResult(on)), naive)
-			}
+		label := fmt.Sprintf("%s store %d", label, si)
+		on, err := EvalPlan(s, p, Config{})
+		if err != nil {
+			t.Fatalf("%s: bind-join: %v", label, err)
+		}
+		off := classicJoin(t, s, p, Config{})
+		diffStrings(t, label+" [bind-join vs classic]", renderResult(on), renderResult(off))
+		if si == 0 {
+			diffStrings(t, label+" [bind-join vs naive]", keysOnly(renderResult(on)), naive)
 		}
 	}
 }

@@ -168,9 +168,9 @@ func recoveredStore(t *testing.T, g *graph.Graph, mutate ...func(*graph.Overlay)
 // battery statement, with each pattern textually reversed, must return
 // the same rows as the original — byte for byte once each reversed
 // pattern's bindings are flipped back and the rows canonically re-sorted
-// — on every store axis, sequentially and at Parallelism 2. The reversed
-// statements seed from the other end of every pattern, so this pits the
-// planner's head and tail seeds against each other.
+// — on every store axis. The reversed statements seed from the other end
+// of every pattern, so this pits the planner's head and tail seeds
+// against each other.
 func TestReversedPatternsAgree(t *testing.T) {
 	type reverseCase struct {
 		label, src string
@@ -209,35 +209,33 @@ func TestReversedPatternsAgree(t *testing.T) {
 			axes[c.g] = reverseAxes(t, c.g)
 		}
 		for _, ax := range axes[c.g] {
-			for _, cfg := range []Config{{}, {Parallelism: 2}} {
-				label := fmt.Sprintf("%s [%s par %d]\nreversed: %s", c.label, ax.name, cfg.Parallelism, revSrc)
-				want, err := EvalPlan(ax.s, p, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				got, err := EvalPlan(ax.s, rp, cfg)
-				if err != nil {
-					t.Fatalf("%s: reversed: %v", label, err)
-				}
-				// Rebuild each row from its flipped bindings, so group
-				// variables list their elements in the original order.
-				rows := make([]*Row, len(got.Rows))
-				for r, row := range got.Rows {
-					rows[r] = &Row{}
-					for i, pp := range p.Paths {
-						sol := row.Bindings[i]
-						if flipped[i] {
-							sol = sol.Reversed()
-						}
-						var ok bool
-						if rows[r], ok = mergeRow(p, pp, rows[r], sol); !ok {
-							t.Fatalf("%s: row %d does not rejoin", label, r)
-						}
+			label := fmt.Sprintf("%s [%s]\nreversed: %s", c.label, ax.name, revSrc)
+			want, err := EvalPlan(ax.s, p, Config{})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			got, err := EvalPlan(ax.s, rp, Config{})
+			if err != nil {
+				t.Fatalf("%s: reversed: %v", label, err)
+			}
+			// Rebuild each row from its flipped bindings, so group
+			// variables list their elements in the original order.
+			rows := make([]*Row, len(got.Rows))
+			for r, row := range got.Rows {
+				rows[r] = &Row{}
+				for i, pp := range p.Paths {
+					sol := row.Bindings[i]
+					if flipped[i] {
+						sol = sol.Reversed()
+					}
+					var ok bool
+					if rows[r], ok = mergeRow(p, pp, rows[r], sol); !ok {
+						t.Fatalf("%s: row %d does not rejoin", label, r)
 					}
 				}
-				sortRowsCanonical(rows, len(p.Paths))
-				diffStrings(t, label, renderResult(&Result{Columns: want.Columns, Rows: rows}), renderResult(want))
 			}
+			sortRowsCanonical(rows, len(p.Paths))
+			diffStrings(t, label, renderResult(&Result{Columns: want.Columns, Rows: rows}), renderResult(want))
 		}
 	}
 	if reversed < 20 {

@@ -19,7 +19,7 @@ import (
 //
 // Rings come from one of two places. For a pattern whose last node has an
 // equality conjunct, ring0 is that end's index bucket, read once per
-// evaluation (tailRings) and shared by every seed run and worker. A
+// evaluation (tailRings) and shared by every seed run. A
 // pair-seeded join step refills one rings value per (seed, target) pair
 // with ring0 = {target} (setPair). Rings belong to an evaluation, never to
 // the shared plan.

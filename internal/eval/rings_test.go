@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -125,9 +126,8 @@ func ringFamilies() []ringCase {
 // TestTailRingsExact: pruning toward the tail's index bucket changes no
 // row. Every conformance and join-battery statement, and every ring
 // family, whose tail has an equality conjunct returns, on every store
-// axis, sequentially and at Parallelism 2, the same rows as the same text
-// with those conjuncts hoisted into its WHERE. The rings must have been
-// built and must have cut steps.
+// axis, the same rows as the same text with those conjuncts hoisted into
+// its WHERE. The rings must have been built and must have cut steps.
 func TestTailRingsExact(t *testing.T) {
 	var cases []ringCase
 	files, _ := filepath.Glob(filepath.Join("..", "..", "testdata", "conformance", "*.txt"))
@@ -156,19 +156,17 @@ func TestTailRingsExact(t *testing.T) {
 			}
 		}
 		for _, ax := range reverseAxes(t, c.g) {
-			for _, par := range []int{1, 2} {
-				cfg := Config{Params: c.params, Parallelism: par}
-				label := fmt.Sprintf("%s [%s par %d]\nhoisted: %s", c.label, ax.name, par, hoisted)
-				got, err := EvalPlan(ax.s, p, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				want, err := EvalPlan(ax.s, hp, cfg)
-				if err != nil {
-					t.Fatalf("%s: hoisted: %v", label, err)
-				}
-				diffStrings(t, label, renderResult(got), renderResult(want))
+			cfg := Config{Params: c.params}
+			label := fmt.Sprintf("%s [%s]\nhoisted: %s", c.label, ax.name, hoisted)
+			got, err := EvalPlan(ax.s, p, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
+			want, err := EvalPlan(ax.s, hp, cfg)
+			if err != nil {
+				t.Fatalf("%s: hoisted: %v", label, err)
+			}
+			diffStrings(t, label, renderResult(got), renderResult(want))
 		}
 	}
 	if checked < len(ringFamilies())+3 {
@@ -196,9 +194,8 @@ var pairFamilies = []struct{ name, src string }{
 
 // TestPairSeedsMatchClassicJoin checks each pair family against
 // classicJoin, which solves every pattern in full, on every store axis of
-// the corner graph and the join battery's graphs, sequentially and at
-// Parallelism 2; and that each family really built a pair-seeded step,
-// whose rings cut steps.
+// the corner graph and the join battery's graphs; and that each family
+// really built a pair-seeded step, whose rings cut steps.
 func TestPairSeedsMatchClassicJoin(t *testing.T) {
 	graphs := append([]*graph.Graph{cornerGraph()}, joinDiffGraphs()...)
 	params := Params{"b": value.Str("no")}
@@ -208,15 +205,13 @@ func TestPairSeedsMatchClassicJoin(t *testing.T) {
 		before := pairSeededSteps.Load()
 		for gi, g := range graphs {
 			for _, ax := range reverseAxes(t, g) {
-				for _, par := range []int{1, 2} {
-					label := fmt.Sprintf("%s graph %d [%s par %d]", fam.name, gi, ax.name, par)
-					got, err := EvalPlan(ax.s, p, Config{Params: params, Parallelism: par})
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					want := classicJoin(t, ax.s, p, Config{Params: params})
-					diffStrings(t, label, renderResult(got), renderResult(want))
+				label := fmt.Sprintf("%s graph %d [%s]", fam.name, gi, ax.name)
+				got, err := EvalPlan(ax.s, p, Config{Params: params})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
+				want := classicJoin(t, ax.s, p, Config{Params: params})
+				diffStrings(t, label, renderResult(got), renderResult(want))
 			}
 		}
 		if pairSeededSteps.Load() == before {
@@ -235,7 +230,7 @@ func TestPairSeedSkipsUnboundTarget(t *testing.T) {
 	st := graph.Stepper(csr)
 	p := compile(t, pairFamilies[0].src, plan.Options{})
 	c := &bindStepCursor{
-		st: st, p: p, pp: p.Paths[1], run: p.Paths[1], cfg: Config{},
+		ctx: context.Background(), st: st, p: p, pp: p.Paths[1], run: p.Paths[1], cfg: Config{},
 		seedVar: "x", target: "y", shared: []string{"x", "y"},
 		pair: newRings(st.NodeIndexSpan(), p.Paths[1].MaxEdges),
 		memo: map[uint64]*seedIndex{},

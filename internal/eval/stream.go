@@ -2,7 +2,6 @@ package eval
 
 import (
 	"context"
-	"errors"
 	"slices"
 	"sync/atomic"
 
@@ -29,10 +28,8 @@ import (
 //     nodes lazily and memoizes, a hash-join fallback step materializes
 //     only the pattern it joins against.
 //
-// Sequential evaluation runs the whole pipeline on the consumer's
-// goroutine (next() advances the engine one seed at a time — no channels,
-// no scheduling); only Parallelism > 1 starts a worker pool, whose
-// per-seed batches are emitted in seed order over a channel.
+// The whole pipeline runs on the consumer's goroutine: next() advances the
+// engine one seed at a time, with no channels and no scheduling.
 //
 // Eval is a thin collect-all wrapper: drain the cursor, apply the
 // canonical sort. Because deduplicated binding keys are unique, the sort
@@ -40,29 +37,22 @@ import (
 // order the pipeline produced rows in (the same argument that makes the
 // bind-join exact; see bindjoin.go).
 //
-// Cancellation: the pipeline carries a context (and, for the parallel
-// stream, a stop channel). Generator goroutines select on both at every
-// send, and the engines poll budget.checkCancel every
-// cancelCheckInterval edge expansions, so a cancelled context or an
-// abandoned cursor stops an in-flight search in microseconds, not at the
-// next match.
+// Cancellation: the pipeline carries a context, and the engines poll it
+// (budget.check) every cancelCheckInterval edge expansions, so a cancelled
+// context stops an in-flight search in microseconds, not at the next
+// match. An abandoned cursor needs no stopping: no work happens between
+// calls to Next.
 
 // Cursor is the pull-based operator interface. Next returns the next
-// result row, or (nil, nil) when the stream is exhausted. Close releases
-// the pipeline's resources — generator goroutines, worker pools — and
-// must be called exactly once when the consumer is done, whether or not
-// the stream was drained; it blocks until every goroutine has exited, so
-// a closed cursor leaks nothing. Cursors are not safe for concurrent use;
-// cancel the pipeline's context to abort from another goroutine.
+// result row, or (nil, nil) when the stream is exhausted. Close ends the
+// stream and must be called exactly once when the consumer is done,
+// whether or not the stream was drained. Cursors are not safe for
+// concurrent use; cancel the pipeline's context to abort from another
+// goroutine.
 type Cursor interface {
 	Next() (*Row, error)
 	Close() error
 }
-
-// errStreamStopped is the internal sentinel an engine run returns when the
-// consumer closed the stream: normal early termination, filtered at the
-// pipeline boundary, never surfaced to callers.
-var errStreamStopped = errors.New("eval: stream stopped")
 
 // StreamPlan builds the streaming pipeline for a plan over one store: a
 // match cursor for a single pattern, the cost-ordered bind-join chain for
@@ -130,60 +120,30 @@ func Collect(cur Cursor, p *plan.Plan) (*Result, error) {
 	return &Result{Columns: p.Columns, Rows: rows}, nil
 }
 
-// cancelCheck builds the budget poll hook: a closed stop channel reports
-// the internal stopped sentinel (normal early termination); a cancelled
-// context reports its error (surfaced to the caller).
-func cancelCheck(ctx context.Context, stop <-chan struct{}) func() error {
-	return func() error {
-		select {
-		case <-stop:
-			return errStreamStopped
-		default:
-		}
-		return ctx.Err()
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Pattern sources: one pattern's selected solutions, produced incrementally
 // (the full §6 single-pattern pipeline: enumerate, reduce, dedup, select,
 // at per-seed granularity).
 
-// solSource streams one path pattern's solutions. next returns (nil, nil)
-// at exhaustion; close releases any resources (for the parallel stream,
-// it stops the worker pool and blocks until every goroutine has exited).
-type solSource interface {
-	next() (*binding.Reduced, error)
-	close()
+// newPatternSource builds the pattern's solution source, which owns a
+// fresh budget wired to the pipeline's context.
+func newPatternSource(ctx context.Context, st graph.Stepper, pp *plan.PathPlan, cfg Config) *solSource {
+	src := &solSource{solver: newSeedSolver(st, pp, cfg, newBudget(ctx, cfg.Limits.withDefaults()))}
+	forEachNode(st, pp.SeedLabels, pp.HeadEq, cfg.Params, func(i int) bool {
+		src.seeds = append(src.seeds, i)
+		return true
+	})
+	return src
 }
 
-// newPatternSource builds the pattern's solution source: a synchronous
-// pull source normally — the consumer's next() runs the engine one seed
-// at a time on its own goroutine, so sequential evaluation pays zero
-// scheduling or channel cost — and a worker-pool generator stream under
-// Parallelism > 1. Either owns a fresh budget wired to the pipeline's
-// cancellation hook.
-func newPatternSource(ctx context.Context, st graph.Stepper, pp *plan.PathPlan, cfg Config) solSource {
-	seeds := seedNodes(st, pp, cfg.Params)
-	if cfg.Parallelism > 1 && len(seeds) > 1 {
-		return newParallelSolStream(ctx, st, pp, cfg, seeds)
-	}
-	bud := newBudget(cfg.Limits.withDefaults())
-	bud.check = cancelCheck(ctx, nil)
-	return &syncSolSource{
-		solver: newSeedSolver(st, pp, cfg, bud),
-		seeds:  seeds,
-	}
-}
-
-// syncSolSource pulls solutions seed by seed with no goroutines: one
-// seed's pipeline output is buffered (bounded by that seed's matches,
-// never the total), handed out solution by solution, and the next seed
-// runs only when the buffer empties — so a LIMIT-cut or abandoned
-// consumer never pays for seeds it didn't reach. The seed ids are
-// materialized up front (O(#seeds) ids, far below the old pipeline's
-// O(#solutions) buffering).
-type syncSolSource struct {
+// solSource streams one path pattern's solutions, pulling them seed by
+// seed: one seed's pipeline output is buffered (bounded by that seed's
+// matches, never the total), handed out solution by solution, and the
+// next seed runs only when the buffer empties — so a LIMIT-cut or
+// abandoned consumer never pays for seeds it didn't reach. The seed ids
+// are materialized up front (O(#seeds) ids, far below the O(#solutions)
+// a materializing pipeline buffers).
+type solSource struct {
 	solver *seedSolver
 	seeds  []int
 	at     int
@@ -191,7 +151,8 @@ type syncSolSource struct {
 	bufAt  int
 }
 
-func (c *syncSolSource) next() (*binding.Reduced, error) {
+// next returns the next solution, or (nil, nil) at exhaustion.
+func (c *solSource) next() (*binding.Reduced, error) {
 	for {
 		if c.bufAt < len(c.buf) {
 			sol := c.buf[c.bufAt]
@@ -211,164 +172,9 @@ func (c *syncSolSource) next() (*binding.Reduced, error) {
 	}
 }
 
-func (c *syncSolSource) close() {}
-
-// solStream is the parallel pattern source: a worker pool solves seeds
-// concurrently and a generator goroutine emits the per-seed batches in
-// seed order over a channel.
-type solStream struct {
-	ctx    context.Context
-	ch     chan []*binding.Reduced
-	stop   chan struct{}
-	err    error // set before ch closes; errStreamStopped is filtered
-	buf    []*binding.Reduced
-	closed bool
-}
-
-// newParallelSolStream starts the worker pool and ordering emitter.
-func newParallelSolStream(ctx context.Context, st graph.Stepper, pp *plan.PathPlan, cfg Config, seeds []int) *solStream {
-	ps := &solStream{ctx: ctx, ch: make(chan []*binding.Reduced, 8), stop: make(chan struct{})}
-	bud := newBudget(cfg.Limits.withDefaults())
-	bud.check = cancelCheck(ctx, ps.stop)
-	go func() {
-		defer close(ps.ch)
-		ps.setErr(ps.runParallel(st, pp, cfg, bud, seeds))
-	}()
-	return ps
-}
-
-// setErr records the generator's terminal error; the stopped sentinel is
-// normal early termination, not an error.
-func (ps *solStream) setErr(err error) {
-	if err != nil && !errors.Is(err, errStreamStopped) {
-		ps.err = err
-	}
-}
-
-// send hands one batch to the consumer, aborting when the stream is
-// closed or the context cancelled.
-func (ps *solStream) send(batch []*binding.Reduced) error {
-	select {
-	case ps.ch <- batch:
-		return nil
-	case <-ps.stop:
-		return errStreamStopped
-	case <-ps.ctx.Done():
-		return ps.ctx.Err()
-	}
-}
-
-// next returns the next solution, or (nil, nil) at exhaustion.
-func (ps *solStream) next() (*binding.Reduced, error) {
-	for len(ps.buf) == 0 {
-		batch, ok := <-ps.ch
-		if !ok {
-			return nil, ps.err
-		}
-		ps.buf = batch
-	}
-	sol := ps.buf[0]
-	ps.buf = ps.buf[1:]
-	return sol, nil
-}
-
-// close stops the generator and waits for it to exit (draining the
-// channel until the generator closes it), so no goroutine outlives the
-// stream.
-func (ps *solStream) close() {
-	if ps.closed {
-		return
-	}
-	ps.closed = true
-	close(ps.stop)
-	for range ps.ch { //nolint:revive // drain until the generator exits
-	}
-}
-
-// runParallel distributes per-seed pipeline runs over cfg.Parallelism
-// workers and emits the results in seed order (the reorder buffer holds
-// only batches that finished ahead of the emission head), so the
-// stream's order is identical to sequential evaluation. Workers claim
-// contiguous seed chunks — small enough for load balance, large enough
-// that channel and reorder bookkeeping amortizes to nothing on
-// many-seed workloads — and stop claiming when the stream stops;
-// mid-seed runs abort through the shared budget's cancellation hook.
-func (ps *solStream) runParallel(st graph.Stepper, pp *plan.PathPlan, cfg Config, bud *budget, seeds []int) error {
-	workers := cfg.Parallelism
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
-	// Seeds are claimed in contiguous chunks (see chunkStarts): single
-	// seeds first for first-row latency, growing toward 64 so channel and
-	// reorder bookkeeping amortizes away on many-seed workloads.
-	starts := chunkStarts(len(seeds), workers)
-	nchunks := len(starts) - 1
-	type seedResult struct {
-		i    int
-		sols []*binding.Reduced
-	}
-	resCh := make(chan seedResult, workers)
-	var errs []error
-	go func() {
-		errs = runSeedPool(workers, nchunks, ps.stop, func() func(int) error {
-			solver := newSeedSolver(st, pp, cfg, bud)
-			return func(ci int) error {
-				lo, hi := starts[ci], starts[ci+1]
-				var batch []*binding.Reduced
-				for _, seed := range seeds[lo:hi] {
-					sols, err := solver.solve(seed)
-					if err != nil {
-						return err
-					}
-					batch = append(batch, sols...)
-				}
-				// Empty batches are sent too: the emitter advances its
-				// reorder head strictly in chunk order.
-				select {
-				case resCh <- seedResult{i: ci, sols: batch}:
-					return nil
-				case <-ps.stop:
-					return errStreamStopped
-				}
-			}
-		})
-		close(resCh) // errs is visible to the emitter once the range ends
-	}()
-	// Emit per-seed batches in seed order; the reorder buffer holds only
-	// seeds that finished ahead of the emission head. On failure or stop,
-	// keep draining so the workers can exit, then report the first error
-	// in seed order (matching the materializing pool's behaviour).
-	pending := map[int][]*binding.Reduced{}
-	emitAt := 0
-	var emitErr error
-	for r := range resCh {
-		if emitErr != nil {
-			continue
-		}
-		pending[r.i] = r.sols
-		for sols, ok := pending[emitAt]; ok; sols, ok = pending[emitAt] {
-			delete(pending, emitAt)
-			emitAt++
-			if len(sols) == 0 {
-				continue
-			}
-			if emitErr = ps.send(sols); emitErr != nil {
-				break
-			}
-		}
-	}
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, errStreamStopped) {
-			return err
-		}
-	}
-	return emitErr
-}
-
 // collectStream drains a pattern source into a solution slice — the
 // cancellable materialization used by blocking join inputs.
-func collectStream(ps solSource) ([]*binding.Reduced, error) {
-	defer ps.close()
+func collectStream(ps *solSource) ([]*binding.Reduced, error) {
 	var out []*binding.Reduced
 	for {
 		sol, err := ps.next()
@@ -389,7 +195,7 @@ func collectStream(ps solSource) ([]*binding.Reduced, error) {
 // merging each solution into a fixed prefix row (the first/only join
 // step).
 type matchCursor struct {
-	src    solSource
+	src    *solSource
 	p      *plan.Plan
 	pp     *plan.PathPlan
 	prefix *Row
@@ -407,10 +213,7 @@ func (c *matchCursor) Next() (*Row, error) {
 	}
 }
 
-func (c *matchCursor) Close() error {
-	c.src.close()
-	return nil
-}
+func (c *matchCursor) Close() error { return nil }
 
 // filterCursor keeps the rows a predicate admits (edge-isomorphic match
 // mode, the final WHERE postfilter).
@@ -533,17 +336,14 @@ func buildSeedIndex(sols []*binding.Reduced, shared []string) *seedIndex {
 // engine runs from each row's binding of the planner-chosen seed
 // variable. Seeds are solved lazily — the first row that needs a seed
 // pays for it, later rows reuse the memo — so a LIMIT that is satisfied
-// early never enumerates the seeds it didn't reach. With Parallelism > 1
-// the cursor prefetches a bounded chunk of input rows and solves their
-// unseen seeds on a worker pool. A pair-seeded step (target non-empty)
-// solves and memoizes each (seed, target) pair instead, sequentially,
+// early never enumerates the seeds it didn't reach. A pair-seeded step
+// (target non-empty) solves and memoizes each (seed, target) pair instead,
 // with the target as its rings' only admissible last node.
 type bindStepCursor struct {
 	ctx context.Context
-	// st is the query's pinned view, shared with parallel chunk workers.
-	st graph.Stepper
-	p  *plan.Plan
-	pp *plan.PathPlan
+	st  graph.Stepper
+	p   *plan.Plan
+	pp  *plan.PathPlan
 	// run is the plan the engines run: pp, or pp.Mirrored() for a tail
 	// seed, whose solutions flip back to pp's orientation before they are
 	// indexed.
@@ -557,9 +357,9 @@ type bindStepCursor struct {
 	// its budget's rings.
 	pair *rings
 
-	// bud is the step's shared search budget: limits accounting spans
-	// every seed run of the step — sequential or chunked-parallel —
-	// exactly like the materializing pipeline's per-step budget did.
+	// bud is the step's search budget: limits accounting spans every seed
+	// run of the step, exactly like the materializing pipeline's per-step
+	// budget did.
 	bud    *budget
 	solver *seedSolver
 	// memo maps a seed node index, or a pair's seed<<32 | target, to its
@@ -567,20 +367,11 @@ type bindStepCursor struct {
 	memo   map[uint64]*seedIndex
 	keyBuf []byte
 
-	// chunk is the prefetched left rows awaiting expansion; row/cands/ci
-	// is the in-flight expansion head.
-	chunk   []*Row
-	chunkAt int
-	row     *Row
-	cands   []*binding.Reduced
-	ci      int
-	done    bool // left exhausted
+	// row/cands/ci is the in-flight expansion head.
+	row   *Row
+	cands []*binding.Reduced
+	ci    int
 }
-
-// bindChunkSize bounds the prefetched left rows under Parallelism > 1:
-// large enough to keep a worker pool busy, small enough that LIMIT-bound
-// consumers don't drag in much speculative work.
-const bindChunkSize = 128
 
 func (c *bindStepCursor) Next() (*Row, error) {
 	for {
@@ -592,72 +383,16 @@ func (c *bindStepCursor) Next() (*Row, error) {
 				return merged, nil
 			}
 		}
-		// Advance to the next prefetched row.
-		if c.chunkAt < len(c.chunk) {
-			row := c.chunk[c.chunkAt]
-			c.chunkAt++
-			cands, err := c.candidates(row)
-			if err != nil {
-				return nil, err
-			}
-			c.row, c.cands, c.ci = row, cands, 0
-			continue
-		}
-		if c.done {
-			return nil, nil
-		}
-		if err := c.refill(); err != nil {
+		row, err := c.left.Next()
+		if row == nil || err != nil {
 			return nil, err
 		}
-		if len(c.chunk) == 0 {
-			return nil, nil
-		}
-	}
-}
-
-// refill pulls the next chunk of left rows and, under parallelism,
-// pre-solves their unseen seeds on a worker pool.
-func (c *bindStepCursor) refill() error {
-	want := 1
-	parallel := c.cfg.Parallelism > 1 && c.target == ""
-	if parallel {
-		want = bindChunkSize
-	}
-	c.chunk = c.chunk[:0]
-	c.chunkAt = 0
-	for len(c.chunk) < want {
-		row, err := c.left.Next()
+		cands, err := c.candidates(row)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if row == nil {
-			c.done = true
-			break
-		}
-		c.chunk = append(c.chunk, row)
+		c.row, c.cands, c.ci = row, cands, 0
 	}
-	if parallel && len(c.chunk) > 1 {
-		var seeds []int
-		seen := map[int]bool{}
-		for _, row := range c.chunk {
-			if si, ok := boundNode(row, c.seedVar); ok {
-				if _, cached := c.memo[uint64(si)]; !cached && !seen[si] {
-					seen[si] = true
-					seeds = append(seeds, si)
-				}
-			}
-		}
-		if len(seeds) > 1 {
-			perSeed, err := c.solveSeedsParallel(seeds)
-			if err != nil {
-				return err
-			}
-			for i, seed := range seeds {
-				c.memo[uint64(seed)] = c.index(perSeed[i], -1)
-			}
-		}
-	}
-	return nil
 }
 
 // candidates returns the step solutions joinable with one row: the row's
@@ -708,35 +443,6 @@ func boundNode(row *Row, name string) (int, bool) {
 	return int(b.Idx), ok && b.Kind == BoundNode
 }
 
-// solveSeedsParallel runs the per-seed pipeline for a chunk's unseen
-// seeds on a worker pool (one solver per worker, budget shared with the
-// sequential solver's step budget semantics).
-func (c *bindStepCursor) solveSeedsParallel(seeds []int) ([][]*binding.Reduced, error) {
-	workers := c.cfg.Parallelism
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
-	bud := c.budget()
-	out := make([][]*binding.Reduced, len(seeds))
-	errs := runSeedPool(workers, len(seeds), nil, func() func(int) error {
-		solver := newSeedSolver(c.st, c.run, c.cfg, bud)
-		return func(i int) error {
-			sols, err := solver.solve(seeds[i])
-			if err != nil {
-				return err
-			}
-			out[i] = sols
-			return nil
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // index flips a tail seed's solutions back to the pattern's textual
 // orientation and hash-indexes one seed's solutions by the join key. For
 // a pair (target node index t >= 0) it keeps only the solutions ending at
@@ -761,12 +467,10 @@ func (c *bindStepCursor) index(sols []*binding.Reduced, t int) *seedIndex {
 	return buildSeedIndex(sols, c.shared)
 }
 
-// budget lazily builds the step's shared budget, wired to the pipeline
-// context.
+// budget lazily builds the step's budget, wired to the pipeline context.
 func (c *bindStepCursor) budget() *budget {
 	if c.bud == nil {
-		c.bud = newBudget(c.cfg.Limits.withDefaults())
-		c.bud.check = cancelCheck(c.ctx, nil)
+		c.bud = newBudget(c.ctx, c.cfg.Limits.withDefaults())
 		if c.pair != nil {
 			c.bud.rings.load(func() (*rings, error) { return c.pair, nil })
 		}

@@ -3,7 +3,6 @@ package eval
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -29,7 +28,7 @@ func streamPattern(t *testing.T, s graph.Store, pp *plan.PathPlan, cfg Config) [
 // TestStreamingPatternDifferential pits the pull-based pattern stream
 // (per-seed dedup/selector, incremental emission) against the
 // materializing MatchPattern pipeline over the engine-differential query
-// battery, on both backends, sequential and parallel: the §6 pipeline
+// battery, on both backends: the §6 pipeline
 // must be invisible to streaming. This is the streaming-on/off axis of
 // the differential suites.
 func TestStreamingPatternDifferential(t *testing.T) {
@@ -55,12 +54,10 @@ func TestStreamingPatternDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("MatchPattern: %v", err)
 				}
-				for _, cfg := range []Config{{}, {Parallelism: 4}} {
-					got := streamPattern(t, s, p.Paths[0], cfg)
-					if binding.FormatTable(got) != binding.FormatTable(want) {
-						t.Errorf("graph %d store %d cfg %+v %s: streaming diverges\nstream:\n%s\nmaterialized:\n%s",
-							gi, si, cfg, src, binding.FormatTable(got), binding.FormatTable(want))
-					}
+				got := streamPattern(t, s, p.Paths[0], Config{})
+				if binding.FormatTable(got) != binding.FormatTable(want) {
+					t.Errorf("graph %d store %d %s: streaming diverges\nstream:\n%s\nmaterialized:\n%s",
+						gi, si, src, binding.FormatTable(got), binding.FormatTable(want))
 				}
 			}
 		}
@@ -111,95 +108,9 @@ func TestStreamLimitPrefix(t *testing.T) {
 	}
 }
 
-// TestStreamBindJoinParallelChunking covers the bind-join step's chunked
-// parallel prefetch: with Parallelism > 1 the step pulls a chunk of input
-// rows and solves their unseen seeds on a worker pool; results must be
-// byte-identical to sequential streaming.
-func TestStreamBindJoinParallelChunking(t *testing.T) {
-	g := dataset.Random(dataset.RandomConfig{Accounts: 120, AvgDegree: 3, Cities: 8, Phones: 12, BlockedFraction: 0.2, Seed: 17, UndirectedPhones: true})
-	snap := graph.Snapshot(g)
-	queries := []string{
-		// Planner output: pattern 0 scan, then bind-join seeded through x
-		// (the shape TestExplainJoinPlan pins) — which is the chunked
-		// prefetch path under parallelism.
-		`MATCH (x:Account WHERE x.isBlocked='yes')-[:isLocatedIn]->(c:City), (x)-[t:Transfer]->(y:Account)`,
-		`MATCH (x:Account)-[:isLocatedIn]->(c:City), (x)-[t:Transfer]->(y:Account)-[u:Transfer]->(z:Account)`,
-	}
-	for qi, src := range queries {
-		p := compile(t, src, plan.Options{})
-		if qi == 0 {
-			steps := plan.OrderJoin(p, make([]graph.StoreStats, len(p.Paths)))
-			seeded := false
-			for _, st := range steps {
-				if st.SeedVar != "" {
-					seeded = true
-				}
-			}
-			if !seeded {
-				t.Fatalf("test premise broken: no seeded bind-join step in %v", steps)
-			}
-		}
-		for si, s := range []graph.Store{g, snap} {
-			want, err := EvalPlan(s, p, Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := EvalPlan(s, p, Config{Parallelism: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffStrings(t, fmt.Sprintf("store %d %s [parallel vs sequential]", si, src),
-				renderResult(got), renderResult(want))
-			// And the parallel chunk path under a limit: a strict prefix
-			// of the work, same per-row content.
-			lim, err := EvalPlan(s, p, Config{Parallelism: 4, Limit: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(want.Rows) >= 3 && len(lim.Rows) != 3 {
-				t.Errorf("store %d %s: limited parallel run returned %d rows", si, src, len(lim.Rows))
-			}
-		}
-	}
-}
-
-// TestStreamParallelManySeeds pins the chunk-planning arithmetic at a
-// seed count large enough that the geometric chunk-size exponent passes
-// its cap many times over (a naive uncapped shift overflows into a
-// negative size around 3700×workers seeds and hangs the planner
-// forever). The run must terminate and return every row.
-func TestStreamParallelManySeeds(t *testing.T) {
-	g := graph.New()
-	const n = 9000
-	for i := 0; i < n; i++ {
-		if err := g.AddNode(graph.NodeID(fmt.Sprintf("a%d", i)), []string{"Account"}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p := compile(t, `MATCH (x:Account)`, plan.Options{})
-	done := make(chan struct{})
-	var res *Result
-	var err error
-	go func() {
-		res, err = EvalPlan(g, p, Config{Parallelism: 2})
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("parallel evaluation with many seeds did not terminate")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != n {
-		t.Fatalf("got %d rows, want %d", len(res.Rows), n)
-	}
-}
-
 // TestStreamCursorEarlyClose exercises abandoning a cursor mid-stream:
-// Close must stop the pipeline's goroutines and return without deadlock,
-// whatever mix of patterns, selectors and parallelism is in flight.
+// Close must return cleanly, whatever mix of patterns and selectors is in
+// flight.
 func TestStreamCursorEarlyClose(t *testing.T) {
 	g := dataset.Random(dataset.RandomConfig{Accounts: 60, AvgDegree: 3, Cities: 6, Phones: 10, BlockedFraction: 0.2, Seed: 13, UndirectedPhones: true})
 	queries := []string{
@@ -209,27 +120,18 @@ func TestStreamCursorEarlyClose(t *testing.T) {
 	}
 	for _, src := range queries {
 		p := compile(t, src, plan.Options{})
-		for _, cfg := range []Config{{}, {Parallelism: 4}} {
-			for _, take := range []int{0, 1, 5} {
-				cur, err := StreamPlan(context.Background(), g, p, cfg)
-				if err != nil {
+		for _, take := range []int{0, 1, 5} {
+			cur, err := StreamPlan(context.Background(), g, p, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < take; i++ {
+				if _, err := cur.Next(); err != nil {
 					t.Fatal(err)
 				}
-				for i := 0; i < take; i++ {
-					if _, err := cur.Next(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				done := make(chan struct{})
-				go func() {
-					cur.Close()
-					close(done)
-				}()
-				select {
-				case <-done:
-				case <-time.After(10 * time.Second):
-					t.Fatalf("%s (parallelism %d, take %d): Close did not return", src, cfg.Parallelism, take)
-				}
+			}
+			if err := cur.Close(); err != nil {
+				t.Fatalf("%s (take %d): Close: %v", src, take, err)
 			}
 		}
 	}
@@ -244,29 +146,27 @@ func TestStreamContextCancelMidSearch(t *testing.T) {
 	// second.
 	g := dataset.Grid(7, 7)
 	p := compile(t, `MATCH TRAIL (x)-[e:Transfer]->+(y)`, plan.Options{})
-	for _, cfg := range []Config{{}, {Parallelism: 4}} {
-		ctx, cancel := context.WithCancel(context.Background())
-		cur, err := StreamPlan(ctx, g, p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cur.Next(); err != nil {
-			t.Fatalf("first row: %v", err)
-		}
-		cancel()
-		deadline := time.Now().Add(5 * time.Second)
-		var lastErr error
-		for time.Now().Before(deadline) {
-			_, lastErr = cur.Next()
-			if lastErr != nil {
-				break
-			}
-		}
-		if !errors.Is(lastErr, context.Canceled) {
-			t.Fatalf("parallelism %d: expected context.Canceled, got %v", cfg.Parallelism, lastErr)
-		}
-		cur.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cur, err := StreamPlan(ctx, g, p, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := cur.Next(); err != nil {
+		t.Fatalf("first row: %v", err)
+	}
+	cancel()
+	deadline := time.Now().Add(5 * time.Second)
+	var lastErr error
+	for time.Now().Before(deadline) {
+		_, lastErr = cur.Next()
+		if lastErr != nil {
+			break
+		}
+	}
+	if !errors.Is(lastErr, context.Canceled) {
+		t.Fatalf("expected context.Canceled, got %v", lastErr)
+	}
+	cur.Close()
 }
 
 // TestStreamStagesAnnotation pins the Explain surface: every pattern line
@@ -302,35 +202,30 @@ func TestStreamStagesAnnotation(t *testing.T) {
 	}
 }
 
-// TestStreamErrorPropagation: a search-limit error inside a generator
-// goroutine must surface through Next, not vanish.
+// TestStreamErrorPropagation: a search-limit error inside an engine run
+// must surface through Next, not vanish.
 func TestStreamErrorPropagation(t *testing.T) {
 	g := dataset.Grid(5, 5)
 	p := compile(t, `MATCH TRAIL (x)-[e:Transfer]->+(y)`, plan.Options{})
-	for _, cfg := range []Config{
-		{Limits: Limits{MaxMatches: 50}},
-		{Limits: Limits{MaxMatches: 50}, Parallelism: 4},
-	} {
-		cur, err := StreamPlan(context.Background(), g, p, cfg)
+	cur, err := StreamPlan(context.Background(), g, p, Config{Limits: Limits{MaxMatches: 50}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lastErr error
+	for {
+		row, err := cur.Next()
 		if err != nil {
-			t.Fatal(err)
+			lastErr = err
+			break
 		}
-		var lastErr error
-		for {
-			row, err := cur.Next()
-			if err != nil {
-				lastErr = err
-				break
-			}
-			if row == nil {
-				break
-			}
+		if row == nil {
+			break
 		}
-		cur.Close()
-		var lim *LimitError
-		if !errors.As(lastErr, &lim) {
-			t.Fatalf("parallelism %d: expected LimitError, got %v", cfg.Parallelism, lastErr)
-		}
+	}
+	cur.Close()
+	var lim *LimitError
+	if !errors.As(lastErr, &lim) {
+		t.Fatalf("expected LimitError, got %v", lastErr)
 	}
 }
 

@@ -27,7 +27,9 @@
 // the log is always an exact committed prefix after Open. If valid
 // records do follow the damage, the middle of the log is corrupt (e.g. a
 // latent media bit-flip) and Open fails loudly rather than dropping
-// committed batches.
+// committed batches. The scan's hashing is capped at a constant times the
+// segment's size; a segment that exhausts the cap is refused, never
+// truncated.
 //
 // Durability is configurable: SyncAlways fsyncs at every COMMIT,
 // SyncInterval fsyncs on a timer (bounded loss window), SyncNone leaves
@@ -394,8 +396,16 @@ func parseSegment(data []byte, firstSeq uint64, last bool, name string) (batches
 		// The record at p is invalid. A torn tail has nothing valid after
 		// it; anything else is mid-log corruption (a flipped length byte
 		// masquerading as EOF must not silently swallow the committed
-		// batches that follow it).
-		if !last || hasValidRecordAfter(data, p) {
+		// batches that follow it). A scan that runs out of budget cannot
+		// tell the two apart, so it refuses the segment too.
+		if !last {
+			return nil, 0, &CorruptionError{Segment: name, Offset: p, Reason: reason}
+		}
+		switch found, exhausted := hasValidRecordAfter(data, p); {
+		case exhausted:
+			return nil, 0, &CorruptionError{Segment: name, Offset: p, Reason: fmt.Sprintf(
+				"%s; the resync scan after it hashed %d× the segment size without an answer", reason, resyncHashFactor)}
+		case found:
 			return nil, 0, &CorruptionError{Segment: name, Offset: p, Reason: reason}
 		}
 		tornAt = p
@@ -469,7 +479,9 @@ func parseSegment(data []byte, firstSeq uint64, last bool, name string) (batches
 // candidate only counts if records chain contiguously from it to the end
 // of the segment (at most the final one cut off mid-record), which a
 // frame embedded at a random payload offset essentially never does.
-func hasValidRecordAfter(data []byte, p int64) bool {
+// exhausted reports that the scan's hashing budget (resyncHashFactor) ran
+// out before an answer.
+func hasValidRecordAfter(data []byte, p int64) (found, exhausted bool) {
 	size := int64(len(data))
 	start := p + 1
 	if size-p >= recHdrSize {
@@ -477,19 +489,35 @@ func hasValidRecordAfter(data []byte, p int64) bool {
 			start = p + recHdrSize + int64(n)
 		}
 	}
+	budget := resyncHashFactor * size
 	for c := start; c+recHdrSize <= size; c++ {
-		if chainsToEnd(data, c) {
-			return true
+		if chainsToEnd(data, c, &budget) {
+			return true, false
+		}
+		if budget < 0 {
+			return false, true
 		}
 	}
-	return false
+	return false, false
 }
+
+// resyncHashFactor caps the resync scan's hashing at this many times the
+// segment size. Every candidate whose length word is plausible costs a
+// CRC over its claimed body, so a segment crafted to make each offset
+// claim a long body would make an uncapped scan quadratic. An honest one
+// stays far below the cap: the chain that proves valid records follow is
+// hashed once, at most the segment's size, and a false candidate inside
+// caller-encoded payload bytes claims a length that is short, or
+// implausible and rejected unhashed, at all but a few offsets.
+const resyncHashFactor = 4
 
 // chainsToEnd reports whether a well-formed record starts at c and
 // records parse contiguously from there to the end of the segment. Only
 // the final record may be incomplete (header or body cut off at EOF);
 // any fully-contained invalid record mid-chain rejects the candidate.
-func chainsToEnd(data []byte, c int64) bool {
+// Each body it hashes is charged to budget, and it gives up once the
+// budget is spent.
+func chainsToEnd(data []byte, c int64, budget *int64) bool {
 	size := int64(len(data))
 	valid := false
 	for c < size {
@@ -504,8 +532,13 @@ func chainsToEnd(data []byte, c int64) bool {
 			break // final body cut off at EOF
 		}
 		body := data[c+recHdrSize : c+recHdrSize+int64(n)]
-		if body[0] < rBegin || body[0] > rCommit ||
-			crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[c+4:]) {
+		if body[0] < rBegin || body[0] > rCommit {
+			return false
+		}
+		if *budget -= int64(n); *budget < 0 {
+			return false
+		}
+		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[c+4:]) {
 			return false
 		}
 		valid = true

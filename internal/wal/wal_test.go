@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -382,6 +383,42 @@ func TestFlippedLengthDoesNotSwallowLog(t *testing.T) {
 	var ce *CorruptionError
 	if !errors.As(err, &ce) {
 		t.Fatalf("Open = %v, want CorruptionError", err)
+	}
+}
+
+// TestResyncScanBudget: a last segment whose every 4-byte word claims a
+// body a quarter of the segment long made the resync scan hash that
+// quarter at each of its offsets, quadratic in the segment size. The
+// scan's budget must refuse it promptly, and Open must leave the file as
+// it was rather than truncate it.
+func TestResyncScanBudget(t *testing.T) {
+	const size = 2 << 20
+	data := make([]byte, size)
+	copy(data, magic)
+	binary.LittleEndian.PutUint64(data[8:], 1)
+	for off := hdrSize; off+4 <= size; off += 4 {
+		binary.LittleEndian.PutUint32(data[off:], size/4|1)
+	}
+	start := time.Now()
+	_, _, err := parseSegment(data, 1, true, "crafted")
+	var ce *CorruptionError
+	if !errors.As(err, &ce) || !strings.Contains(ce.Reason, "resync scan") {
+		t.Fatalf("parseSegment = %v, want a CorruptionError naming the resync budget", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("refusing the crafted segment took %v", d)
+	}
+
+	dir := t.TempDir()
+	p := filepath.Join(dir, fmt.Sprintf("wal-%016x.seg", 1))
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(Options{Dir: dir}); !errors.As(err, &ce) {
+		t.Fatalf("Open = %v, want CorruptionError", err)
+	}
+	if st, err := os.Stat(p); err != nil || st.Size() != size {
+		t.Fatalf("Open changed the refused segment: %v, %v", st, err)
 	}
 }
 

@@ -42,56 +42,45 @@ func TestParamsMatchLiteralQuery(t *testing.T) {
 }
 
 // Parameters must work in every predicate path: element predicates in
-// the engines, sequential and parallel, and the statement-level
-// postfilter. (Automaton-vs-enumerating agreement under bound parameters
-// is internal/eval's TestEnginesAgreeOnCorpus.)
+// the engines and the statement-level postfilter. Each prepared query
+// must return what the same text with its arguments written as literals
+// returns. (Automaton-vs-enumerating agreement under bound parameters is
+// internal/eval's TestEnginesAgreeOnCorpus.)
 func TestParamsAcrossEngines(t *testing.T) {
 	g := gpml.Fig1()
-	queries := []string{
+	cases := []struct{ prepared, literal string }{
 		// node predicate (seed filter)
-		`MATCH (x:Account WHERE x.isBlocked = $b)`,
+		{`MATCH (x:Account WHERE x.isBlocked = $b)`,
+			`MATCH (x:Account WHERE x.isBlocked = 'no')`},
 		// edge predicate inside a quantified pattern (automaton-eligible)
-		`MATCH TRAIL (x:Account)-[t:Transfer WHERE t.amount > $min]->+(y:Account)`,
+		{`MATCH TRAIL (x:Account)-[t:Transfer WHERE t.amount > $min]->+(y:Account)`,
+			`MATCH TRAIL (x:Account)-[t:Transfer WHERE t.amount > 900000]->+(y:Account)`},
 		// statement-level postfilter over two variables
-		`MATCH (x:Account)-[t:Transfer]->(y:Account) WHERE x.isBlocked = $b AND y.isBlocked = $b`,
+		{`MATCH (x:Account)-[t:Transfer]->(y:Account) WHERE x.isBlocked = $b AND y.isBlocked = $b`,
+			`MATCH (x:Account)-[t:Transfer]->(y:Account) WHERE x.isBlocked = 'no' AND y.isBlocked = 'no'`},
 	}
 	allArgs := map[string]gpml.Value{"b": gpml.Str("no"), "min": gpml.Int(900_000)}
-	engines := map[string][]gpml.Option{
-		"default":  nil,
-		"parallel": {gpml.WithParallelism(4)},
-	}
-	for _, src := range queries {
-		q := gpml.MustCompile(src)
+	for _, c := range cases {
+		q := gpml.MustCompile(c.prepared)
 		// Binding is strict (exact arity), so pass each query only the
 		// parameters it declares.
 		args := make(map[string]gpml.Value)
 		for _, name := range q.Params() {
 			args[name] = allArgs[name]
 		}
-		var baseline string
-		first := true
-		names := make([]string, 0, len(engines))
-		for name := range engines {
-			names = append(names, name)
+		got, err := q.Eval(g, gpml.WithParams(args))
+		if err != nil {
+			t.Fatalf("%s: %v", c.prepared, err)
 		}
-		sort.Strings(names)
-		for _, name := range names {
-			opts := append([]gpml.Option{gpml.WithParams(args)}, engines[name]...)
-			res, err := q.Eval(g, opts...)
-			if err != nil {
-				t.Fatalf("%s [%s]: %v", src, name, err)
-			}
-			out := gpml.FormatResult(res)
-			if first {
-				baseline, first = out, false
-				if len(res.Rows) == 0 {
-					t.Fatalf("%s: no rows — parameter predicate matched nothing, test is vacuous", src)
-				}
-				continue
-			}
-			if out != baseline {
-				t.Errorf("%s [%s]: diverges from default engine:\ngot:\n%s\nwant:\n%s", src, name, out, baseline)
-			}
+		want, err := gpml.MustCompile(c.literal).Eval(g)
+		if err != nil {
+			t.Fatalf("%s: %v", c.literal, err)
+		}
+		if len(want.Rows) == 0 {
+			t.Fatalf("%s: no rows — the predicate matched nothing, test is vacuous", c.literal)
+		}
+		if out, lit := gpml.FormatResult(got), gpml.FormatResult(want); out != lit {
+			t.Errorf("%s: diverges from the literal query:\ngot:\n%s\nwant:\n%s", c.prepared, out, lit)
 		}
 	}
 }

@@ -1,30 +1,24 @@
 // Bench-scale tier: enumeration throughput, first-row latency and
 // bind-join speed on the LDBC-SNB-flavored graph (internal/dataset SNB)
-// as a function of scale factor and parallelism on the CSR snapshot
-// (`/sf=<f>/par=1|2|4`, par=1 being the serial floor), one benchmark cell
-// per pair; compare cells across changes with `go test -bench`.
+// as a function of scale factor on the CSR snapshot (`/sf=<f>`), one
+// benchmark cell per scale factor; compare cells across changes with
+// `go test -bench`.
 //
 // The enumeration queries use a {1,2} quantifier so the work is path
 // stepping over the adjacency arena rather than row materialization.
 //
 // Defaults stay laptop-sized (SF 0.1). Larger sweeps opt in via
-// GPML_SCALE_SF (comma-separated scale factors, e.g. "0.1,1,3"); the
-// wall-clock gates of TestScaleParallelSpeedup and
-// TestScaleFirstRowLatency arm only under GPML_TIMING_GATES=1 on
-// multi-core hosts, following the serving-path gate convention in
-// internal/server.
+// GPML_SCALE_SF (comma-separated scale factors, e.g. "0.1,1,3").
 package gpml_test
 
 import (
 	"context"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"gpml"
 	"gpml/internal/dataset"
@@ -54,22 +48,21 @@ const scaleBindJoinQuery = `MATCH (f:Forum)-[:hasModerator]->(p:Person WHERE p.c
 var scaleLims = gpml.Limits{MaxMatches: 100_000_000}
 
 var (
-	scaleGraphMu    sync.Mutex
-	scaleGraphCache = map[float64]*gpml.Graph{}
-	scaleCellCache  = map[float64][]scaleCell{}
+	scaleMu       sync.Mutex
+	scaleCSRCache = map[float64]gpml.Store{}
 )
 
-// scaleGraph builds (once per process per scale factor) the seeded SNB
-// graph the tier runs against.
-func scaleGraph(sf float64) *gpml.Graph {
-	scaleGraphMu.Lock()
-	defer scaleGraphMu.Unlock()
-	g, ok := scaleGraphCache[sf]
+// scaleCSR builds (once per process per scale factor) the CSR snapshot
+// of the seeded SNB graph the tier runs against.
+func scaleCSR(sf float64) gpml.Store {
+	scaleMu.Lock()
+	defer scaleMu.Unlock()
+	csr, ok := scaleCSRCache[sf]
 	if !ok {
-		g = dataset.SNB(dataset.SNBConfig{ScaleFactor: sf, Seed: 42})
-		scaleGraphCache[sf] = g
+		csr = gpml.Snapshot(dataset.SNB(dataset.SNBConfig{ScaleFactor: sf, Seed: 42}))
+		scaleCSRCache[sf] = csr
 	}
-	return g
+	return csr
 }
 
 // scaleSFs reports the scale factors to sweep: SF 0.1 by default,
@@ -90,47 +83,19 @@ func scaleSFs(tb testing.TB) []float64 {
 	return sfs
 }
 
-// scaleCell is one cell of the sweep: a store and the parallelism it is
-// queried with.
-type scaleCell struct {
-	name string
-	st   gpml.Store
-	par  int
-}
-
-// scaleCells builds (once per process per scale factor) the sweep:
-// parallelism 1/2/4 on the CSR.
-func scaleCells(sf float64) []scaleCell {
-	g := scaleGraph(sf)
-	scaleGraphMu.Lock()
-	defer scaleGraphMu.Unlock()
-	cells, ok := scaleCellCache[sf]
-	if !ok {
-		csr := gpml.Snapshot(g)
-		cells = []scaleCell{
-			{"par=1", csr, 1},
-			{"par=2", csr, 2},
-			{"par=4", csr, 4},
-		}
-		scaleCellCache[sf] = cells
-	}
-	return cells
-}
-
-// benchScaleEval times full evaluation of src over every sweep cell.
+// benchScaleEval times full evaluation of src at every scale factor.
 func benchScaleEval(b *testing.B, src string) {
 	q := gpml.MustCompile(src)
 	for _, sf := range scaleSFs(b) {
-		for _, c := range scaleCells(sf) {
-			b.Run(fmt.Sprintf("sf=%g/%s", sf, c.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := q.EvalStore(c.st, gpml.WithParallelism(c.par), gpml.WithLimits(scaleLims)); err != nil {
-						b.Fatal(err)
-					}
+		csr := scaleCSR(sf)
+		b.Run(fmt.Sprintf("sf=%g", sf), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := q.EvalStore(csr, gpml.WithLimits(scaleLims)); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -141,132 +106,18 @@ func BenchmarkScaleBindJoin(b *testing.B) { benchScaleEval(b, scaleBindJoinQuery
 func BenchmarkScaleFirstRow(b *testing.B) {
 	q := gpml.MustCompile(scaleFirstRowQuery)
 	for _, sf := range scaleSFs(b) {
-		for _, c := range scaleCells(sf) {
-			b.Run(fmt.Sprintf("sf=%g/%s", sf, c.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					rows, err := q.Stream(context.Background(), c.st, gpml.WithParallelism(c.par), gpml.WithLimits(scaleLims))
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !rows.Next() {
-						b.Fatal("no rows")
-					}
-					rows.Close()
+		csr := scaleCSR(sf)
+		b.Run(fmt.Sprintf("sf=%g", sf), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rows, err := q.Stream(context.Background(), csr, gpml.WithLimits(scaleLims))
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
-	}
-}
-
-// TestScaleParallelMatchesSerial pins the tier's correctness premise at
-// bench scale: every query the tier times returns byte-identical rows on
-// the CSR snapshot at parallelism 2 and 4 as at parallelism 1.
-func TestScaleParallelMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench-scale graph build in -short")
-	}
-	csr := gpml.Snapshot(scaleGraph(0.05))
-	for _, src := range []string{scaleEnumerateQuery, scaleFirstRowQuery, scaleBindJoinQuery} {
-		q := gpml.MustCompile(src)
-		want, err := q.EvalStore(csr, gpml.WithLimits(scaleLims))
-		if err != nil {
-			t.Fatalf("%s at par=1: %v", src, err)
-		}
-		for _, par := range []int{2, 4} {
-			got, err := q.EvalStore(csr, gpml.WithParallelism(par), gpml.WithLimits(scaleLims))
-			if err != nil {
-				t.Fatalf("%s at par=%d: %v", src, par, err)
+				if !rows.Next() {
+					b.Fatal("no rows")
+				}
+				rows.Close()
 			}
-			if gpml.FormatResult(got) != gpml.FormatResult(want) {
-				t.Errorf("%s: par=%d rows differ from par=1 (%d vs %d rows)",
-					src, par, len(got.Rows), len(want.Rows))
-			}
-		}
-	}
-}
-
-// bestOf measures f's best wall-clock over rounds runs, the same
-// noise-shedding used by the serving-path gates.
-func bestOf(rounds int, f func()) time.Duration {
-	best := time.Duration(1<<63 - 1)
-	for r := 0; r < rounds; r++ {
-		start := time.Now()
-		f()
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-// TestScaleParallelSpeedup is the tier's headline gate: at SF >= 1, four
-// workers must enumerate at least twice as fast as one on the same CSR
-// snapshot. Wall-clock assertions are too noisy for every `go test` run,
-// and the speedup physically requires spare cores, so the gate arms only
-// under GPML_TIMING_GATES=1 on hosts with at least 4 CPUs.
-func TestScaleParallelSpeedup(t *testing.T) {
-	if os.Getenv("GPML_TIMING_GATES") != "1" {
-		t.Skip("set GPML_TIMING_GATES=1 to run wall-clock gates")
-	}
-	if runtime.NumCPU() < 4 {
-		t.Skipf("parallel speedup needs >= 4 CPUs, have %d", runtime.NumCPU())
-	}
-	sf := 1.0
-	if env := os.Getenv("GPML_SCALE_SF"); env != "" {
-		for _, s := range scaleSFs(t) {
-			if s > sf {
-				sf = s
-			}
-		}
-	}
-	q := gpml.MustCompile(scaleEnumerateQuery)
-	csr := gpml.Snapshot(scaleGraph(sf))
-	run := func(parallel int) func() {
-		return func() {
-			if _, err := q.EvalStore(csr, gpml.WithParallelism(parallel), gpml.WithLimits(scaleLims)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	run(1)() // warm the store
-	serial := bestOf(3, run(1))
-	parallel := bestOf(3, run(4))
-	t.Logf("sf=%g par=1 %v, par=4 %v (%.2fx)", sf, serial, parallel, float64(serial)/float64(parallel))
-	if parallel*2 > serial {
-		t.Errorf("parallel speedup below 2x: par=1 %v vs par=4 %v", serial, parallel)
-	}
-}
-
-// TestScaleFirstRowLatency gates the gather side: four workers must not
-// delay the head of the stream. First-row latency on the CSR at par 4
-// stays within 1.5x of its serial floor — the reorder emitter releases
-// seed 0's chunk first, so the head arrives without waiting on the other
-// workers.
-func TestScaleFirstRowLatency(t *testing.T) {
-	if os.Getenv("GPML_TIMING_GATES") != "1" {
-		t.Skip("set GPML_TIMING_GATES=1 to run wall-clock gates")
-	}
-	q := gpml.MustCompile(scaleFirstRowQuery)
-	csr := gpml.Snapshot(scaleGraph(1))
-	firstRow := func(parallel int) func() {
-		return func() {
-			rows, err := q.Stream(context.Background(), csr, gpml.WithParallelism(parallel), gpml.WithLimits(scaleLims))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rows.Next() {
-				t.Fatal("no rows")
-			}
-			rows.Close()
-		}
-	}
-	firstRow(1)()
-	firstRow(4)()
-	const rounds = 5
-	floor := bestOf(rounds, firstRow(1))
-	parallel := bestOf(rounds, firstRow(4))
-	t.Logf("first row: par=1 %v, par=4 %v (%.2fx)", floor, parallel, float64(parallel)/float64(floor))
-	if parallel > floor+floor/2 {
-		t.Errorf("par=4 first-row latency %v exceeds 1.5x the serial floor %v", parallel, floor)
+		})
 	}
 }

@@ -2,6 +2,7 @@ package gpml_test
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,8 +13,8 @@ import (
 )
 
 // conformanceQueries is the cross-backend battery: every query must return
-// byte-identical formatted results on the map backend, the CSR snapshot,
-// and parallel evaluation over either. The set covers labeled and
+// byte-identical formatted results on the map backend and the CSR
+// snapshot. The set covers labeled and
 // unlabeled seeds, the edge orientations over undirected multi-edges and
 // self-loops, quantifiers with group aggregates, restrictors, selectors,
 // unions, multi-pattern joins and postfilters.
@@ -84,8 +85,8 @@ func conformanceGraph(t *testing.T) *gpml.Graph {
 	return g
 }
 
-// TestStoreQueryConformance runs the battery on both backends, sequential
-// and parallel, and demands byte-identical output everywhere. A
+// TestStoreQueryConformance runs the battery on both backends and
+// demands byte-identical output. A
 // 200-account random banking graph has too many trails for the whole
 // battery, so it runs three shapes: a filtered hop, the same-phone join
 // and a shortest path to a city.
@@ -118,26 +119,24 @@ func TestStoreQueryConformance(t *testing.T) {
 				t.Fatalf("map eval %s: %v", src, err)
 			}
 			want := gpml.FormatResult(ref) + "|" + gpml.FormatBindings(ref)
-			check := func(name string, opts ...gpml.Option) {
-				res, err := q.Eval(g, opts...)
-				if err != nil {
-					t.Fatalf("%s eval %s: %v", name, src, err)
-				}
-				if got := gpml.FormatResult(res) + "|" + gpml.FormatBindings(res); got != want {
-					t.Errorf("%s diverges on %s:\n got  %q\n want %q", name, src, got, want)
-				}
+			res, err := q.Eval(g, gpml.WithStore(snap))
+			if err != nil {
+				t.Fatalf("csr eval %s: %v", src, err)
 			}
-			check("csr", gpml.WithStore(snap))
-			check("map-parallel", gpml.WithParallelism(4))
-			check("csr-parallel", gpml.WithStore(snap), gpml.WithParallelism(4))
-			check("csr-parallel-many", gpml.WithStore(snap), gpml.WithParallelism(16))
+			if got := gpml.FormatResult(res) + "|" + gpml.FormatBindings(res); got != want {
+				t.Errorf("csr diverges on %s:\n got  %q\n want %q", src, got, want)
+			}
 		}
 	}
 }
 
-// TestParallelRace hammers one shared CSR snapshot from many goroutines,
-// each running parallel evaluations; run with -race (the CI does).
-func TestParallelRace(t *testing.T) {
+// TestConcurrentQueriesRace hammers one shared CSR snapshot and one set
+// of compiled queries from many goroutines, each evaluating on its own;
+// run with -race (the CI does). Two of the shapes keep per-evaluation
+// state that must never reach the shared plan: the TRAIL pattern's tail
+// rings and the triangle's pair-seeded join step, whose Explain lines
+// prove they take those paths.
+func TestConcurrentQueriesRace(t *testing.T) {
 	g := dataset.Random(dataset.RandomConfig{
 		Accounts: 120, AvgDegree: 2, Cities: 8, Phones: 16,
 		BlockedFraction: 0.1, Seed: 5, UndirectedPhones: true,
@@ -147,12 +146,28 @@ func TestParallelRace(t *testing.T) {
 		gpml.MustCompile(`MATCH (x:Account WHERE x.isBlocked='yes')-[t:Transfer]->(y:Account)`),
 		gpml.MustCompile(`MATCH ANY SHORTEST p = (a:Account WHERE a.owner='owner0')-[:Transfer]->+(z:Account WHERE z.isBlocked='yes')`),
 		gpml.MustCompile(`MATCH (p:Phone)~[:hasPhone]~(s:Account)-[t:Transfer]->(d:Account)`),
+		gpml.MustCompile(`MATCH TRAIL (x:Account)-[t:Transfer]->{1,3}(y:Account WHERE y.isBlocked='yes')`),
+		gpml.MustCompile(`MATCH (x:Account WHERE x.isBlocked='no')-[t1:Transfer]->(y:Account), (y)-[t2:Transfer]->(z:Account), (z)-[t3:Transfer]->(x)`),
+	}
+	for _, c := range []struct {
+		q    *gpml.Query
+		want string
+	}{
+		{queries[3], "tail-rings="},
+		{queries[4], "target="},
+	} {
+		if lines := c.q.Explain(gpml.WithStore(snap)); !strings.Contains(strings.Join(lines, "\n"), c.want) {
+			t.Fatalf("explain lacks %q:\n%s", c.want, strings.Join(lines, "\n"))
+		}
 	}
 	want := make([]string, len(queries))
 	for i, q := range queries {
 		res, err := q.Eval(nil, gpml.WithStore(snap))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(res.Rows) == 0 {
+			t.Fatalf("query %d has no rows; the race check would be vacuous", i)
 		}
 		want[i] = gpml.FormatResult(res)
 	}
@@ -163,13 +178,13 @@ func TestParallelRace(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
 				for i, q := range queries {
-					res, err := q.Eval(nil, gpml.WithStore(snap), gpml.WithParallelism(1+(w+round)%5))
+					res, err := q.Eval(nil, gpml.WithStore(snap))
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					if gpml.FormatResult(res) != want[i] {
-						t.Errorf("worker %d: parallel result diverges on query %d", w, i)
+						t.Errorf("worker %d: result diverges on query %d", w, i)
 						return
 					}
 				}
@@ -194,7 +209,7 @@ func TestWithStoreAPI(t *testing.T) {
 	}
 	// Compile-time options persist into evaluation.
 	q2, err := gpml.Compile(`MATCH (x:Account WHERE x.isBlocked='yes')`,
-		gpml.WithStore(snap), gpml.WithParallelism(2))
+		gpml.WithStore(snap))
 	if err != nil {
 		t.Fatal(err)
 	}

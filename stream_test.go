@@ -14,9 +14,8 @@ import (
 )
 
 // Goroutine/leak hygiene for the streaming pipeline: early termination —
-// LIMIT hit, context cancel, iterator abandoned via Rows.Close — under
-// WithParallelism must stop promptly and leak no goroutines. Run with
-// -race (CI does).
+// LIMIT hit, context cancel, iterator abandoned via Rows.Close — must stop
+// promptly and leak no goroutines. Run with -race (CI does).
 
 // settleGoroutines polls until the goroutine count returns to the
 // baseline (plus slack for runtime/test plumbing) or the deadline hits.
@@ -53,82 +52,76 @@ func TestStreamCloseAbandonedNoLeak(t *testing.T) {
 	g := leakGraph()
 	q := gpml.MustCompile(leakQuery)
 	baseline := runtime.NumGoroutine()
-	for _, par := range []int{0, 8} {
-		rows, err := q.Stream(context.Background(), g, gpml.WithParallelism(par))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Pull a few rows, then abandon the iterator mid-stream.
-		for i := 0; i < 3 && rows.Next(); i++ {
-		}
-		if err := rows.Err(); err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		if err := rows.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if d := time.Since(start); d > 2*time.Second {
-			t.Errorf("parallelism %d: Close took %v, want prompt shutdown", par, d)
-		}
-		settleGoroutines(t, baseline)
+	rows, err := q.Stream(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
 	}
+	// Pull a few rows, then abandon the iterator mid-stream.
+	for i := 0; i < 3 && rows.Next(); i++ {
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("Close took %v, want prompt shutdown", d)
+	}
+	settleGoroutines(t, baseline)
 }
 
 func TestStreamLimitStopsPromptlyNoLeak(t *testing.T) {
 	g := leakGraph()
 	q := gpml.MustCompile(leakQuery)
 	baseline := runtime.NumGoroutine()
-	for _, par := range []int{0, 8} {
-		// Full enumeration yields hundreds of thousands of rows; LIMIT 5
-		// must come back in a tiny fraction of that work.
-		start := time.Now()
-		res, err := q.Eval(g, gpml.WithParallelism(par), gpml.WithLimit(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Rows) != 5 {
-			t.Fatalf("parallelism %d: got %d rows, want 5", par, len(res.Rows))
-		}
-		if d := time.Since(start); d > 5*time.Second {
-			t.Errorf("parallelism %d: LIMIT 5 took %v", par, d)
-		}
-		settleGoroutines(t, baseline)
+	// Full enumeration yields hundreds of thousands of rows; LIMIT 5
+	// must come back in a tiny fraction of that work.
+	start := time.Now()
+	res, err := q.Eval(g, gpml.WithLimit(5))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(res.Rows) != 5 {
+		t.Fatalf("got %d rows, want 5", len(res.Rows))
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("LIMIT 5 took %v", d)
+	}
+	settleGoroutines(t, baseline)
 }
 
 func TestStreamContextCancelNoLeak(t *testing.T) {
 	g := leakGraph()
 	q := gpml.MustCompile(leakQuery)
 	baseline := runtime.NumGoroutine()
-	for _, par := range []int{0, 8} {
-		ctx, cancel := context.WithCancel(context.Background())
-		rows, err := q.Stream(ctx, g, gpml.WithParallelism(par))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rows.Next() {
-			t.Fatalf("parallelism %d: no first row: %v", par, rows.Err())
-		}
-		cancel()
-		// Iteration must end with the context's error, promptly.
-		start := time.Now()
-		for rows.Next() {
-			if time.Since(start) > 5*time.Second {
-				t.Fatalf("parallelism %d: cancellation not observed", par)
-			}
-		}
-		if err := rows.Err(); !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallelism %d: want context.Canceled, got %v", par, err)
-		}
-		// Collect after a recorded iteration error must surface the error,
-		// not a silently truncated Result.
-		if _, cerr := rows.Collect(); !errors.Is(cerr, context.Canceled) {
-			t.Fatalf("parallelism %d: Collect after error: want context.Canceled, got %v", par, cerr)
-		}
-		rows.Close()
-		settleGoroutines(t, baseline)
+	ctx, cancel := context.WithCancel(context.Background())
+	rows, err := q.Stream(ctx, g)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !rows.Next() {
+		t.Fatalf("no first row: %v", rows.Err())
+	}
+	cancel()
+	// Iteration must end with the context's error, promptly.
+	start := time.Now()
+	for rows.Next() {
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("cancellation not observed")
+		}
+	}
+	if err := rows.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	// Collect after a recorded iteration error must surface the error,
+	// not a silently truncated Result.
+	if _, cerr := rows.Collect(); !errors.Is(cerr, context.Canceled) {
+		t.Fatalf("Collect after error: want context.Canceled, got %v", cerr)
+	}
+	rows.Close()
+	settleGoroutines(t, baseline)
 }
 
 func TestStreamDeadlineAbortsEval(t *testing.T) {
@@ -143,7 +136,7 @@ func TestStreamDeadlineAbortsEval(t *testing.T) {
 	defer cancel()
 	baseline := runtime.NumGoroutine()
 	start := time.Now()
-	_, err := q.Eval(g, gpml.WithContext(ctx), gpml.WithParallelism(4))
+	_, err := q.Eval(g, gpml.WithContext(ctx))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
@@ -157,72 +150,66 @@ func TestForEachStopNoLeak(t *testing.T) {
 	g := leakGraph()
 	q := gpml.MustCompile(leakQuery)
 	baseline := runtime.NumGoroutine()
-	for _, par := range []int{0, 8} {
-		seen := 0
-		err := q.ForEach(context.Background(), g, func(*gpml.Row) error {
-			seen++
-			if seen == 7 {
-				return gpml.Stop
-			}
-			return nil
-		}, gpml.WithParallelism(par))
-		if err != nil {
-			t.Fatal(err)
+	seen := 0
+	err := q.ForEach(context.Background(), g, func(*gpml.Row) error {
+		seen++
+		if seen == 7 {
+			return gpml.Stop
 		}
-		if seen != 7 {
-			t.Fatalf("parallelism %d: saw %d rows, want 7", par, seen)
-		}
-		settleGoroutines(t, baseline)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if seen != 7 {
+		t.Fatalf("saw %d rows, want 7", seen)
+	}
+	settleGoroutines(t, baseline)
 }
 
 // TestStreamJoinChainCloseAbandonedNoLeak is the multi-pattern variant of
 // the abandonment test: a three-hop statement split into three patterns
-// on a CSR snapshot runs a scan plus two seeded bind-join steps,
-// sequential and with the chunked parallel prefetch; abandoning or
-// cancelling the stream mid-chain must shut down promptly and leak
-// nothing.
+// on a CSR snapshot runs a scan plus two seeded bind-join steps;
+// abandoning or cancelling the stream mid-chain must shut down promptly
+// and leak nothing.
 func TestStreamJoinChainCloseAbandonedNoLeak(t *testing.T) {
 	snap := gpml.Snapshot(leakGraph())
 	q := gpml.MustCompile(`MATCH (a)-[:Transfer]->(b), (b)-[:Transfer]->(c), (c)-[:Transfer]->(d)`)
 	baseline := runtime.NumGoroutine()
-	for _, par := range []int{0, 8} {
-		rows, err := q.Stream(context.Background(), snap, gpml.WithParallelism(par))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3 && rows.Next(); i++ {
-		}
-		if err := rows.Err(); err != nil {
-			t.Fatal(err)
-		}
-		if err := rows.Close(); err != nil {
-			t.Fatal(err)
-		}
-		settleGoroutines(t, baseline)
-
-		ctx, cancel := context.WithCancel(context.Background())
-		rows, err = q.Stream(ctx, snap, gpml.WithParallelism(par))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rows.Next() {
-			t.Fatalf("parallelism %d: no first row: %v", par, rows.Err())
-		}
-		cancel()
-		for rows.Next() {
-		}
-		if err := rows.Err(); !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallelism %d: want context.Canceled, got %v", par, err)
-		}
-		rows.Close()
-		settleGoroutines(t, baseline)
+	rows, err := q.Stream(context.Background(), snap)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for i := 0; i < 3 && rows.Next(); i++ {
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	settleGoroutines(t, baseline)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	rows, err = q.Stream(ctx, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rows.Next() {
+		t.Fatalf("no first row: %v", rows.Err())
+	}
+	cancel()
+	for rows.Next() {
+	}
+	if err := rows.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	rows.Close()
+	settleGoroutines(t, baseline)
 }
 
 // TestStreamCollectMatchesEval pins the public equivalence: Stream +
-// Collect is byte-identical to Eval, across engines, selectors, joins
-// and parallelism.
+// Collect is byte-identical to Eval, across engines, selectors and joins.
 func TestStreamCollectMatchesEval(t *testing.T) {
 	g := dataset.Random(dataset.RandomConfig{Accounts: 40, AvgDegree: 2, Cities: 5, Phones: 8, BlockedFraction: 0.2, Seed: 9, UndirectedPhones: true})
 	queries := []string{
@@ -232,22 +219,20 @@ func TestStreamCollectMatchesEval(t *testing.T) {
 	}
 	for _, src := range queries {
 		q := gpml.MustCompile(src)
-		for _, par := range []int{0, 4} {
-			want, err := q.Eval(g, gpml.WithParallelism(par))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows, err := q.Stream(context.Background(), g, gpml.WithParallelism(par))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := rows.Collect()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gpml.FormatResult(got) != gpml.FormatResult(want) {
-				t.Errorf("%s parallelism %d: Stream+Collect diverges from Eval", src, par)
-			}
+		want, err := q.Eval(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := q.Stream(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rows.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gpml.FormatResult(got) != gpml.FormatResult(want) {
+			t.Errorf("%s: Stream+Collect diverges from Eval", src)
 		}
 	}
 }
@@ -259,36 +244,34 @@ func TestStreamDoubleCloseConcurrentNoLeak(t *testing.T) {
 	g := leakGraph()
 	q := gpml.MustCompile(leakQuery)
 	baseline := runtime.NumGoroutine()
-	for _, par := range []int{0, 8} {
-		rows, err := q.Stream(context.Background(), g, gpml.WithParallelism(par))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 2 && rows.Next(); i++ {
-		}
-		var wg sync.WaitGroup
-		for i := 0; i < 4; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := rows.Close(); err != nil {
-					t.Errorf("parallelism %d: Close: %v", par, err)
-				}
-			}()
-		}
-		wg.Wait()
-		// And once more sequentially: still idempotent after the race.
-		if err := rows.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if rows.Next() {
-			t.Errorf("parallelism %d: Next returned true after Close", par)
-		}
-		if err := rows.Err(); err != nil {
-			t.Errorf("parallelism %d: Err after clean Close: %v", par, err)
-		}
-		settleGoroutines(t, baseline)
+	rows, err := q.Stream(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for i := 0; i < 2 && rows.Next(); i++ {
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := rows.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	// And once more sequentially: still idempotent after the race.
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rows.Next() {
+		t.Errorf("Next returned true after Close")
+	}
+	if err := rows.Err(); err != nil {
+		t.Errorf("Err after clean Close: %v", err)
+	}
+	settleGoroutines(t, baseline)
 }
 
 // Close racing a Next that is blocked inside the pipeline: Close must
@@ -299,28 +282,26 @@ func TestStreamCloseDuringNextNoLeak(t *testing.T) {
 	g := leakGraph()
 	q := gpml.MustCompile(leakQuery)
 	baseline := runtime.NumGoroutine()
-	for _, par := range []int{0, 8} {
-		for round := 0; round < 3; round++ {
-			rows, err := q.Stream(context.Background(), g, gpml.WithParallelism(par))
-			if err != nil {
-				t.Fatal(err)
-			}
-			drained := make(chan struct{})
-			go func() {
-				defer close(drained)
-				for rows.Next() { // racing Close lands at an arbitrary point in here
-				}
-			}()
-			time.Sleep(time.Duration(round) * 500 * time.Microsecond)
-			if err := rows.Close(); err != nil {
-				t.Fatal(err)
-			}
-			<-drained
-			if err := rows.Err(); err != nil {
-				t.Errorf("parallelism %d: Err after Close-during-Next: %v (want nil: cancellation was self-inflicted)", par, err)
-			}
-			settleGoroutines(t, baseline)
+	for round := 0; round < 3; round++ {
+		rows, err := q.Stream(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
 		}
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			for rows.Next() { // racing Close lands at an arbitrary point in here
+			}
+		}()
+		time.Sleep(time.Duration(round) * 500 * time.Microsecond)
+		if err := rows.Close(); err != nil {
+			t.Fatal(err)
+		}
+		<-drained
+		if err := rows.Err(); err != nil {
+			t.Errorf("Err after Close-during-Next: %v (want nil: cancellation was self-inflicted)", err)
+		}
+		settleGoroutines(t, baseline)
 	}
 }
 
@@ -343,33 +324,6 @@ func TestStreamCallerCancelStillReportsError(t *testing.T) {
 	}
 	if err := rows.Err(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Err = %v, want context.Canceled", err)
-	}
-}
-
-const parallelLeakQuery = `MATCH (x:Account)-[:Transfer]->{1,2}(y:Account)`
-
-// TestStreamParallelCollectMatchesEval pins that parallelism changes no
-// output: Stream+Collect of a quantified pattern on the CSR under the
-// scatter is byte-identical to serial Eval on it.
-func TestStreamParallelCollectMatchesEval(t *testing.T) {
-	st := gpml.Snapshot(leakGraph())
-	q := gpml.MustCompile(parallelLeakQuery)
-	want, err := q.EvalStore(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{2, 8} {
-		rows, err := q.Stream(context.Background(), st, gpml.WithParallelism(par))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := rows.Collect()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gpml.FormatResult(got) != gpml.FormatResult(want) {
-			t.Errorf("parallelism %d: Stream+Collect diverges from serial Eval", par)
-		}
 	}
 }
 
