@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"gpml/internal/binding"
 	"gpml/internal/core"
@@ -220,13 +221,6 @@ func (o options) config() eval.Config {
 	}
 }
 
-func (o options) context() context.Context {
-	if o.ctx != nil {
-		return o.ctx
-	}
-	return context.Background()
-}
-
 // GQLMode enables GQL host semantics: element references may be compared
 // with = and <> (§4.7). The default is the portable core (SQL/PGQ rules).
 func GQLMode() Option { return func(o *options) { o.gql = true } }
@@ -325,15 +319,11 @@ func MustCompile(src string, opts ...Option) *Query {
 // an explicitly passed graph is never silently shadowed by a store the
 // query was compiled with.
 func (q *Query) Eval(g *Graph, opts ...Option) (*Result, error) {
-	o := q.options(opts)
-	s, err := q.target(o, g)
+	rows, err := q.open(q.options(opts), g)
 	if err != nil {
 		return nil, err
 	}
-	if err := q.q.Plan.CheckBind(o.params); err != nil {
-		return nil, err
-	}
-	return q.q.EvalCtx(o.context(), s, o.config())
+	return rows.Collect()
 }
 
 // options seeds an option set from the query's compile-time defaults.
@@ -343,22 +333,6 @@ func (q *Query) options(opts []Option) options {
 		f(&o)
 	}
 	return o
-}
-
-// target resolves the evaluation store: a WithStore option wins, then a
-// non-nil graph argument, then a store fixed at Compile time.
-func (q *Query) target(o options, g *Graph) (Store, error) {
-	s := o.store
-	if s == nil && g != nil {
-		s = g
-	}
-	if s == nil {
-		s = q.store
-	}
-	if s == nil {
-		return nil, fmt.Errorf("gpml: nil graph (pass a graph or WithStore)")
-	}
-	return s, nil
 }
 
 // Stop, returned from a ForEach callback, ends iteration early without
@@ -375,8 +349,7 @@ var Stop = errors.New("gpml: stop iteration")
 // when done (whether or not the stream was drained). Row consumption is
 // single-threaded (one goroutine drives Next/Row/Collect), but Close is
 // safe from any goroutine at any time — including concurrently with a
-// blocked Next and from several goroutines at once (a handler defer
-// racing a deadline watchdog is the intended shape) — and a Next
+// blocked Next and from several goroutines at once — and a Next
 // interrupted by Close ends the stream cleanly instead of reporting the
 // self-inflicted cancellation.
 //
@@ -388,78 +361,43 @@ var Stop = errors.New("gpml: stop iteration")
 //	}
 //	if err := rows.Err(); err != nil { ... }
 type Rows struct {
-	q *Query
-	// cur is single-threaded, so every Next/Close on it serializes on
-	// opMu. Close cancels the pipeline's derived context before taking
-	// opMu, so a Next blocked inside the cursor returns promptly instead
-	// of holding the lock indefinitely.
-	cur    eval.Cursor
+	q      *Query
 	cancel context.CancelFunc
-	opMu   sync.Mutex
+	// closed is set by Close before it cancels the pipeline's context and
+	// waits for mu, so a Next it cuts off can tell the cancellation was
+	// self-inflicted.
+	closed atomic.Bool
 
-	closeOnce sync.Once
-	closeDone chan struct{}
-	closeErr  error
-
-	mu     sync.Mutex // guards err, closed
-	err    error
-	closed bool
-	row    *Row // the consumer's alone: Next sets it, Row reads it
-}
-
-func newRows(q *Query, cur eval.Cursor, cancel context.CancelFunc) *Rows {
-	return &Rows{q: q, cur: cur, cancel: cancel, closeDone: make(chan struct{})}
+	// mu serializes the single-threaded cursor: Next, Collect and Close
+	// hold it across their cursor calls. cur is nil once torn down.
+	mu  sync.Mutex
+	cur eval.Cursor
+	err error
+	row *Row // the consumer's alone: Next sets it, Row reads it
 }
 
 // Next advances to the next row, reporting whether one is available. It
 // returns false at exhaustion, on error (see Err), and after Close.
 func (r *Rows) Next() bool {
 	r.mu.Lock()
-	if r.closed || r.err != nil {
-		r.mu.Unlock()
-		return false
-	}
-	r.mu.Unlock()
-
-	row, err, open := r.pull()
-	if !open {
-		// Close won the race for the cursor; the stream is over.
-		r.row = nil
-		return false
-	}
-
-	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
+	r.row = nil
+	if r.closed.Load() || r.err != nil {
+		return false
+	}
+	row, err := r.cur.Next()
+	if r.closed.Load() {
 		// Close cancelled the pipeline under this Next; the cancellation
 		// (and any error it surfaced) is self-inflicted, so a closed
 		// iterator ends cleanly rather than failing.
-		r.row = nil
 		return false
 	}
 	if err != nil {
 		r.err = err
-		r.row = nil
 		return false
 	}
 	r.row = row
 	return row != nil
-}
-
-// pull takes the cursor's next row under opMu, unless Close got there
-// first. opMu is released even when the cursor panics, so a caller that
-// recovers can still Close.
-func (r *Rows) pull() (row *Row, err error, open bool) {
-	r.opMu.Lock()
-	defer r.opMu.Unlock()
-	r.mu.Lock()
-	closed := r.closed
-	r.mu.Unlock()
-	if closed {
-		return nil, nil, false
-	}
-	row, err = r.cur.Next()
-	return row, err, true
 }
 
 // Row returns the current row (valid after a true Next). Only the
@@ -482,30 +420,25 @@ func (r *Rows) Columns() []string { return r.q.Columns() }
 // return. It is idempotent and safe to call concurrently with Next and
 // with other Close calls: the pipeline's context is cancelled first
 // (which unblocks an in-flight Next), the cursor teardown runs exactly
-// once, and every caller observes the completed teardown and its error.
+// once, and every caller returns after it has completed. The first
+// teardown returns the cursor's Close error; later calls return nil.
 func (r *Rows) Close() error {
-	r.closeOnce.Do(func() {
-		r.mu.Lock()
-		r.closed = true
-		r.mu.Unlock()
-		if r.cancel != nil {
-			r.cancel()
-		}
-		r.opMu.Lock()
-		r.closeErr = r.cur.Close()
-		r.opMu.Unlock()
-		close(r.closeDone)
-	})
-	<-r.closeDone
-	return r.closeErr
+	r.closed.Store(true)
+	r.cancel()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.teardown()
 }
 
-// noCloseCursor lets Collect reuse the eval-layer drain while keeping
-// cursor teardown behind Rows.Close's once-only path.
-type noCloseCursor struct{ c eval.Cursor }
-
-func (n noCloseCursor) Next() (*Row, error) { return n.c.Next() }
-func (n noCloseCursor) Close() error        { return nil }
+// teardown closes the cursor once; r.mu must be held.
+func (r *Rows) teardown() error {
+	cur := r.cur
+	if cur == nil {
+		return nil
+	}
+	r.cur = nil
+	return cur.Close()
+}
 
 // Collect drains the remaining rows, closes the iterator, and returns
 // them as a Result in Eval's canonical order. When no rows have been
@@ -513,28 +446,23 @@ func (n noCloseCursor) Close() error        { return nil }
 // delivered through Next are not re-collected.
 func (r *Rows) Collect() (*Result, error) {
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
+	defer r.mu.Unlock()
+	if r.closed.Load() {
 		return nil, fmt.Errorf("gpml: Collect on closed Rows")
 	}
-	prevErr := r.err
-	r.mu.Unlock()
-	if prevErr != nil {
+	r.closed.Store(true)
+	defer r.cancel()
+	if r.err != nil {
 		// Iteration already failed; a partial collection would silently
 		// mask the evaluation error.
-		r.Close()
-		return nil, prevErr
+		r.teardown()
+		return nil, r.err
 	}
-	r.opMu.Lock()
-	res, err := eval.Collect(noCloseCursor{r.cur}, r.q.q.Plan)
-	r.opMu.Unlock()
-	r.Close()
+	cur := r.cur
+	r.cur = nil
+	res, err := eval.Collect(cur, r.q.q.Plan) // closes cur
 	if err != nil {
-		r.mu.Lock()
-		if r.err == nil {
-			r.err = err
-		}
-		r.mu.Unlock()
+		r.err = err
 		return nil, err
 	}
 	return res, nil
@@ -563,22 +491,35 @@ func (q *Query) Stream(ctx context.Context, s Store, opts ...Option) (*Rows, err
 	} else if s != nil && o.store == nil {
 		o.store = s
 	}
-	st, err := q.target(o, g)
-	if err != nil {
-		return nil, err
+	return q.open(o, g)
+}
+
+// open starts the pipeline on the evaluation store: a WithStore option
+// wins, then a non-nil graph argument, then a store fixed at Compile time.
+func (q *Query) open(o options, g *Graph) (*Rows, error) {
+	st := o.store
+	if st == nil && g != nil {
+		st = g
 	}
-	if err := q.q.Plan.CheckBind(o.params); err != nil {
-		return nil, err
+	if st == nil {
+		st = q.store
+	}
+	if st == nil {
+		return nil, fmt.Errorf("gpml: nil graph (pass a graph or WithStore)")
+	}
+	ctx := o.ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	// The Rows owns a derived cancel so Close can abort a Next blocked in
 	// the pipeline from another goroutine.
-	cctx, cancel := context.WithCancel(o.context())
-	cur, err := eval.StreamPlan(cctx, st, q.q.Plan, o.config())
+	ctx, cancel := context.WithCancel(ctx)
+	cur, err := eval.StreamPlan(ctx, st, q.q.Plan, o.config())
 	if err != nil {
 		cancel()
 		return nil, err
 	}
-	return newRows(q, cur, cancel), nil
+	return &Rows{q: q, cur: cur, cancel: cancel}, nil
 }
 
 // ForEach streams the query's rows through fn, stopping at the first

@@ -96,6 +96,43 @@ func TestWithLimits(t *testing.T) {
 	}
 }
 
+// EdgeIsomorphic drops exactly the rows whose patterns reuse an edge:
+// two Transfer patterns keep every ordered pair of distinct transfers.
+func TestEdgeIsomorphicOption(t *testing.T) {
+	const src = `MATCH (a)-[e:Transfer]->(b), (c)-[f:Transfer]->(d)`
+	all, err := gpml.MustCompile(src).Eval(gpml.Fig1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	iso, err := gpml.MustCompile(src, gpml.EdgeIsomorphic()).Eval(gpml.Fig1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := func(res *gpml.Result) (distinct, reused []string) {
+		for _, row := range res.Rows {
+			e, _ := row.Get("e")
+			f, _ := row.Get("f")
+			if pair := string(e.Edge) + "," + string(f.Edge); e.Edge == f.Edge {
+				reused = append(reused, pair)
+			} else {
+				distinct = append(distinct, pair)
+			}
+		}
+		return distinct, reused
+	}
+	wantKept, dropped := pairs(all)
+	gotKept, reused := pairs(iso)
+	if len(dropped) == 0 || len(wantKept) == 0 {
+		t.Fatalf("fixture: %d distinct and %d reusing rows, want both", len(wantKept), len(dropped))
+	}
+	if len(reused) != 0 {
+		t.Errorf("EdgeIsomorphic kept rows that reuse an edge: %v", reused)
+	}
+	if strings.Join(gotKept, " ") != strings.Join(wantKept, " ") {
+		t.Errorf("EdgeIsomorphic kept %v, want the distinct-edge rows %v", gotKept, wantKept)
+	}
+}
+
 func TestGraphTableFacade(t *testing.T) {
 	cols, err := gpml.ParseColumns("x.owner AS A, y.owner AS B")
 	if err != nil {

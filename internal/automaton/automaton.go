@@ -191,31 +191,27 @@ func (c config) markProgress() config {
 
 // compiler interns configs as automaton states and derives transitions.
 type compiler struct {
-	prog         *plan.Prog
-	dfsZeroWidth bool
-	states       []State
-	configs      []config
-	index        map[string]int
-	maxStates    int
+	prog      *plan.Prog
+	states    []State
+	configs   []config
+	index     map[string]int
+	maxStates int
 }
 
-// Compile builds the pattern automaton for a compiled program.
+// Compile builds the pattern automaton for a compiled program. A
+// zero-width iteration (one that consumes no edge) repeats in place until
+// the quantifier minimum is met, then exits the loop, as in every engine.
 //
-// dfsZeroWidth selects the zero-width-iteration rule of the engine the
-// pattern would otherwise run on, so the automaton's language matches that
-// engine exactly: the DFS engine abandons a zero-width iteration that has
-// not yet reached the quantifier minimum, while the BFS engine keeps
-// iterating in place until the minimum is met.
+// The bool parameter is unread; it is kept so existing callers compile.
 //
 // Compile fails (with a descriptive error) on programs that are not
 // memoryless — restrictor scopes or subpattern WHERE prefilters — and on
 // programs whose counter unrolling exceeds MaxStates.
-func Compile(prog *plan.Prog, dfsZeroWidth bool) (*NFA, error) {
+func Compile(prog *plan.Prog, _ bool) (*NFA, error) {
 	c := &compiler{
-		prog:         prog,
-		dfsZeroWidth: dfsZeroWidth,
-		index:        map[string]int{},
-		maxStates:    MaxStates,
+		prog:      prog,
+		index:     map[string]int{},
+		maxStates: MaxStates,
 	}
 	start, err := c.intern(config{pc: prog.Start})
 	if err != nil {
@@ -301,14 +297,10 @@ func (c *compiler) expand(id int) error {
 			return eps(next.withPC(in.Next), nil) // back to the check
 		}
 		// Zero-width iteration: mirror the engines' guard exactly.
-		n := next.counters[len(next.counters)-1]
-		if n >= in.Min {
+		if next.counters[len(next.counters)-1] >= in.Min {
 			return eps(next.withPC(in.Alt), nil) // forced loop exit
 		}
-		if c.dfsZeroWidth {
-			return nil // DFS abandons the thread
-		}
-		return eps(next.withPC(in.Next), nil) // BFS keeps spinning to the minimum
+		return eps(next.withPC(in.Next), nil) // repeat in place up to the minimum
 	case plan.OpLoopEnd:
 		return eps(cf.popCounter().withPC(in.Next), nil)
 	case plan.OpTag:

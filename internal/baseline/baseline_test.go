@@ -59,7 +59,7 @@ func TestBaselineMatchesEngineTrails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := q.Eval(g, eval.Config{})
+	res, err := eval.EvalPlan(g, q.Plan, eval.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestShortestAgreesWithEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := q.Eval(g, eval.Config{})
+	res, err := eval.EvalPlan(g, q.Plan, eval.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestAllShortestAgreesWithEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := q.Eval(g, eval.Config{})
+	res, err := eval.EvalPlan(g, q.Plan, eval.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestConcurrentEvaluation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				res, err := q.Eval(g, eval.Config{})
+				res, err := eval.EvalPlan(g, q.Plan, eval.Config{})
 				if err != nil {
 					errs <- err
 					return
@@ -67,7 +67,7 @@ func TestConcurrentEvaluationAcrossGraphs(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			res, err := q.Eval(g1, eval.Config{})
+			res, err := eval.EvalPlan(g1, q.Plan, eval.Config{})
 			if err != nil || len(res.Rows) != 6 {
 				fail <- "fig1"
 				return
@@ -77,7 +77,7 @@ func TestConcurrentEvaluationAcrossGraphs(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			res, err := q.Eval(g2, eval.Config{})
+			res, err := eval.EvalPlan(g2, q.Plan, eval.Config{})
 			if err != nil || len(res.Rows) != 30 {
 				fail <- "chain"
 				return
@@ -97,7 +97,7 @@ func TestCoreAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Eval(nil, eval.Config{}); err == nil {
+	if _, err := eval.EvalPlan(nil, q.Plan, eval.Config{}); err == nil {
 		t.Errorf("nil graph must error")
 	}
 	cols := q.Columns()

@@ -1,16 +1,12 @@
-// Package core orchestrates the full GPML pipeline of the paper's
-// execution model (§6): parse → normalize → static analysis/compile →
-// evaluate (lazy expansion, rigid-pattern matching, reduction,
-// deduplication, selectors) → join → postfilter.
+// Package core runs the front half of the paper's execution model (§6):
+// parse → normalize → static analysis/compile. The compiled Plan is
+// evaluated by package eval (StreamPlan, EvalPlan): lazy expansion,
+// rigid-pattern matching, reduction, deduplication, selectors, join and
+// postfilter.
 package core
 
 import (
-	"context"
-	"fmt"
-
 	"gpml/internal/ast"
-	"gpml/internal/eval"
-	"gpml/internal/graph"
 	"gpml/internal/normalize"
 	"gpml/internal/parser"
 	"gpml/internal/plan"
@@ -47,34 +43,6 @@ func Compile(src string, opts Options) (*Query, error) {
 		return nil, err
 	}
 	return &Query{Source: src, Parsed: stmt, Normalized: norm, Plan: p}, nil
-}
-
-// Eval runs the query against a graph store (the map-backed *graph.Graph,
-// a CSR snapshot, or any other Store implementation).
-func (q *Query) Eval(s graph.Store, cfg eval.Config) (*eval.Result, error) {
-	return q.EvalCtx(context.Background(), s, cfg)
-}
-
-// EvalCtx is Eval under a context: evaluation is the streaming pipeline
-// drained to completion (then canonically ordered), and a cancelled
-// context or an expired deadline aborts the in-flight search promptly.
-func (q *Query) EvalCtx(ctx context.Context, s graph.Store, cfg eval.Config) (*eval.Result, error) {
-	cur, err := q.Stream(ctx, s, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return eval.Collect(cur, q.Plan)
-}
-
-// Stream starts the pull-based streaming pipeline for the query: rows
-// arrive as the engines produce them (deterministic pipeline order — the
-// canonical sort is the one stage Stream skips). The cursor must be
-// closed.
-func (q *Query) Stream(ctx context.Context, s graph.Store, cfg eval.Config) (eval.Cursor, error) {
-	if s == nil {
-		return nil, fmt.Errorf("core: nil graph")
-	}
-	return eval.StreamPlan(ctx, s, q.Plan, cfg)
 }
 
 // Columns returns the output column order (named variables by first

@@ -119,7 +119,7 @@ func TestRandomQueriesNeverPanic(t *testing.T) {
 				return // static rejection is fine
 			}
 			compiled++
-			_, err = q.Eval(g, eval.Config{Limits: eval.Limits{
+			_, err = eval.EvalPlan(g, q.Plan, eval.Config{Limits: eval.Limits{
 				MaxMatches: 50_000, MaxDepth: 64, MaxThreads: 200_000,
 			}})
 			if err != nil {

@@ -18,7 +18,7 @@ func run(t *testing.T, src string) *eval.Result {
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
-	res, err := q.Eval(dataset.Fig1(), eval.Config{})
+	res, err := eval.EvalPlan(dataset.Fig1(), q.Plan, eval.Config{})
 	if err != nil {
 		t.Fatalf("eval %q: %v", src, err)
 	}
@@ -511,7 +511,7 @@ func TestSection47_ElementEqualityModes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GQL mode should accept element equality: %v", err)
 	}
-	res, err := cq.Eval(dataset.Fig1(), eval.Config{})
+	res, err := eval.EvalPlan(dataset.Fig1(), cq.Plan, eval.Config{})
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}

@@ -18,7 +18,7 @@ func evalPaths(t *testing.T, src string) []string {
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
-	res, err := q.Eval(dataset.Fig1(), eval.Config{})
+	res, err := eval.EvalPlan(dataset.Fig1(), q.Plan, eval.Config{})
 	if err != nil {
 		t.Fatalf("eval %q: %v", src, err)
 	}
@@ -178,7 +178,7 @@ func TestSection52_PrefilterWithoutT6MatchesPaperText(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	res, err := q.Eval(g, eval.Config{})
+	res, err := eval.EvalPlan(g, q.Plan, eval.Config{})
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}

@@ -32,7 +32,7 @@ func matchReduced(t *testing.T, src string) []*binding.Reduced {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	res, err := q.Eval(dataset.Fig1(), eval.Config{})
+	res, err := eval.EvalPlan(dataset.Fig1(), q.Plan, eval.Config{})
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}

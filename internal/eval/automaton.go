@@ -46,7 +46,7 @@ const (
 // compilation failed (state budget); the result is memoized on the plan.
 func automatonFor(pp *plan.PathPlan) *automaton.NFA {
 	v := pp.CompiledAutomaton(func() any {
-		nfa, err := automaton.Compile(pp.Prog, pp.Mode == plan.ModeDFS)
+		nfa, err := automaton.Compile(pp.Prog, false)
 		if err != nil {
 			return (*automaton.NFA)(nil)
 		}
@@ -275,7 +275,6 @@ func newAutoEngine(st graph.Stepper, pp *plan.PathPlan, cfg Config, bud *budget,
 		a.emitted++
 		return emit(b)
 	})
-	a.rep.bfsZeroWidth = pp.Mode == plan.ModeBFS
 	return a
 }
 

@@ -321,8 +321,8 @@ func (b *bfs) counterBounds(t thread, i int) (int, int) {
 	return 0, 1 << 30
 }
 
-// threadResolver adapts a thread for prefilter evaluation; it serves both
-// the BFS engine and the automaton engine's path replayer.
+// threadResolver adapts a BFS thread for prefilter evaluation (the
+// automaton engine's path replayer runs on the DFS machine instead).
 type threadResolver struct {
 	g      graph.Stepper
 	t      *thread
@@ -654,9 +654,7 @@ func (b *bfs) accept(t thread) error {
 	return b.emit(materializeThread(t, b.pathVar, b.st))
 }
 
-// materializeThread converts a completed thread into a path binding; shared
-// by the BFS engine and the automaton engine's path replayer so both
-// produce byte-identical bindings.
+// materializeThread converts a completed BFS thread into a path binding.
 func materializeThread(t thread, pathVar string, src graph.Stepper) *binding.PathBinding {
 	final := appendEntries(t.entries, t.pending)
 	count := 0

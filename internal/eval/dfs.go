@@ -131,12 +131,8 @@ type dfs struct {
 	// Path constraint for automaton replay: when pathSteps is non-nil,
 	// every OpEdge consumes the next step of the reconstructed path
 	// instead of scanning incident edges, and accept requires the whole
-	// path to be consumed. bfsZeroWidth additionally selects the BFS
-	// engine's zero-width-iteration rule (keep spinning in place until the
-	// quantifier minimum) so replayed bindings match the engine the
-	// pattern would otherwise run on.
-	pathSteps    []replayStep
-	bfsZeroWidth bool
+	// path to be consumed.
+	pathSteps []replayStep
 
 	// rings, when non-nil, prunes steps that cannot reach an admissible
 	// last node within maxEdges (see rings.go); pruned counts them for
@@ -259,18 +255,14 @@ func (m *dfs) step(pc int) error {
 		m.frames = m.frames[:len(m.frames)-1]
 		ci := f.counterIdx
 		m.counters[ci]++
-		zeroWidth := len(m.pathEdges) == f.startEdges
 		var err error
-		if zeroWidth {
-			// A zero-width iteration cannot make progress; exit the loop
-			// once the minimum is satisfied (prevents infinite unrolling).
-			// Under the BFS rule (automaton replay of a BFS-mode pattern)
-			// an under-minimum iteration keeps spinning in place instead.
-			if m.counters[ci] >= in.Min {
-				err = m.step(in.Alt) // jump to loop end
-			} else if m.bfsZeroWidth {
-				err = m.step(in.Next)
-			}
+		if len(m.pathEdges) == f.startEdges && m.counters[ci] >= in.Min {
+			// A zero-width iteration cannot make progress: once the minimum
+			// is met it exits the loop (prevents infinite unrolling); below
+			// it, it repeats in place until the minimum is reached, so a
+			// {n,m} match is also an {n,m'} match (GPC's π^{n..m} is the
+			// union of the π^i).
+			err = m.step(in.Alt) // jump to loop end
 		} else {
 			err = m.step(in.Next) // back to the check
 		}

@@ -28,9 +28,10 @@ type Config struct {
 	// Params binds the statement's $name placeholders for this execution.
 	// Binding happens here — not in the plan — so one compiled plan (with
 	// its memoized automaton) serves any number of argument sets
-	// concurrently. Callers should validate the set against the plan first
-	// (plan.CheckBind); an unbound placeholder reached during evaluation
-	// is a *plan.BindError.
+	// concurrently. StreamPlan (and EvalPlan through it) validates the set
+	// against the plan (plan.CheckBind) before it builds the pipeline;
+	// Enumerate and MatchPattern do not, and an unbound placeholder they
+	// reach is a *plan.BindError.
 	Params Params
 }
 

@@ -487,3 +487,31 @@ func TestConfigHasNoHatches(t *testing.T) {
 		t.Errorf("eval.Config fields = %v, want %v", got, want)
 	}
 }
+
+// A zero-width iteration below the quantifier minimum repeats in place
+// until the minimum is met, under every selector and so on every engine:
+// {2,2}, {2,3} and {2,} all match Scott's account once, with x bound
+// twice to it (a {2,2} match is also a {2,3} and a {2,} match).
+func TestZeroWidthMinimumAgreesAcrossSelectors(t *testing.T) {
+	g := dataset.Fig1()
+	for _, sel := range []string{"", "TRAIL", "ANY", "ANY SHORTEST", "ALL SHORTEST", "ANY 2", "SHORTEST 2", "SHORTEST 2 GROUP"} {
+		for _, q := range []string{"{2,2}", "{2,3}", "{2,}"} {
+			if sel == "" && q == "{2,}" {
+				continue // unbounded needs a selector or restrictor
+			}
+			src := `MATCH ` + sel + ` (a WHERE a.owner='Scott')[(x)]` + q + `(b)`
+			var got []string
+			for _, row := range evalQuery(t, g, src).Rows {
+				var cells []string
+				for _, v := range []string{"a", "x", "b"} {
+					b, _ := row.Get(v)
+					cells = append(cells, b.String())
+				}
+				got = append(got, strings.Join(cells, " | "))
+			}
+			if want := "a1 | [a1,a1] | a1"; len(got) != 1 || got[0] != want {
+				t.Errorf("%s: got %q, want one row %q", src, got, want)
+			}
+		}
+	}
+}

@@ -37,9 +37,9 @@ type Params map[string]value.Value
 
 // paramScope is optionally implemented by resolvers evaluating under a
 // bound parameter set. Resolvers without it (or without the name) make a
-// $name leaf an unbound-parameter error — execution entry points validate
-// bindings up front (plan.CheckBind), so hitting it indicates a caller
-// that skipped validation.
+// $name leaf an unbound-parameter error — StreamPlan validates bindings
+// up front (plan.CheckBind), so only the single-pattern entry points
+// (Enumerate, MatchPattern) can reach it.
 type paramScope interface {
 	ParamValue(name string) (value.Value, bool)
 }
@@ -376,7 +376,7 @@ func evalAggregate(agg *ast.Aggregate, r Resolver) (value.Value, error) {
 				ids = append(ids, value.Str(binding.ElemID(r.Graph(), ref.Kind, ref.Idx)))
 			}
 			if agg.Distinct {
-				ids = distinctValues(ids)
+				ids = value.Distinct(ids)
 			}
 			return value.ListAgg(ids, agg.Sep), nil
 		}
@@ -400,26 +400,12 @@ func evalAggregate(agg *ast.Aggregate, r Resolver) (value.Value, error) {
 		if agg.Kind == value.AggCount {
 			return value.CountDistinct(vals), nil
 		}
-		vals = distinctValues(vals)
+		vals = value.Distinct(vals)
 	}
 	if agg.Kind == value.AggListagg {
 		return value.ListAgg(vals, agg.Sep), nil
 	}
 	return value.Aggregate(agg.Kind, vals)
-}
-
-func distinctValues(vals []value.Value) []value.Value {
-	seen := map[string]struct{}{}
-	out := vals[:0]
-	for _, v := range vals {
-		k := v.Key()
-		if _, ok := seen[k]; ok {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, v)
-	}
-	return out
 }
 
 // propOf reads a property from a bound element — a slice index into the

@@ -269,3 +269,25 @@ func TestIsDirectedOnNonEdge(t *testing.T) {
 		t.Errorf("dangling edge reference must error")
 	}
 }
+
+// DISTINCT aggregates agree with =: an int 1 and a float 1.0 are one
+// value, so over e.x = 1, 1.0, 3 each DISTINCT aggregate sees {1, 3}.
+func TestDistinctAggregatesAgreeWithEq(t *testing.T) {
+	g := graph.NewBuilder().
+		Node("n0", nil).Node("n1", nil).Node("n2", nil).Node("n3", nil).
+		Edge("e1", "n0", "n1", nil, "x", 1).
+		Edge("e2", "n1", "n2", nil, "x", 1.0).
+		Edge("e3", "n2", "n3", nil, "x", 3).
+		MustBuild()
+	for _, cond := range []string{
+		`COUNT(DISTINCT e.x) = 2`,
+		`SUM(DISTINCT e.x) = 4`,
+		`AVG(DISTINCT e.x) = 2`,
+		`LISTAGG(DISTINCT e.x, ',') = '1,3'`,
+	} {
+		src := `MATCH (a)-[e]->{3}(b) WHERE ` + cond
+		if res := evalQuery(t, g, src); len(res.Rows) != 1 {
+			t.Errorf("%s: %d rows, want 1", src, len(res.Rows))
+		}
+	}
+}

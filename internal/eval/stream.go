@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sync/atomic"
 
@@ -25,8 +26,8 @@ import (
 //     deterministic pipeline order (seed-major, per-seed pipeline order)
 //     and skips the sort entirely, which is what buys first-row latency;
 //   - joins stream their probe side; a seeded bind-join step solves seed
-//     nodes lazily and memoizes, a hash-join fallback step materializes
-//     only the pattern it joins against.
+//     nodes lazily and memoizes, and a step with no seed (a hash join)
+//     memoizes the whole pattern it joins against as one entry.
 //
 // The whole pipeline runs on the consumer's goroutine: next() advances the
 // engine one seed at a time, with no channels and no scheduling.
@@ -64,6 +65,12 @@ type Cursor interface {
 // so the query observes one epoch even while a writer keeps publishing,
 // and element identity is (kind, index) throughout.
 func StreamPlan(ctx context.Context, s graph.Store, p *plan.Plan, cfg Config) (Cursor, error) {
+	if s == nil {
+		return nil, fmt.Errorf("eval: nil graph")
+	}
+	if err := p.CheckBind(cfg.Params); err != nil {
+		return nil, err
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -172,22 +179,6 @@ func (c *solSource) next() (*binding.Reduced, error) {
 	}
 }
 
-// collectStream drains a pattern source into a solution slice — the
-// cancellable materialization used by blocking join inputs.
-func collectStream(ps *solSource) ([]*binding.Reduced, error) {
-	var out []*binding.Reduced
-	for {
-		sol, err := ps.next()
-		if err != nil {
-			return nil, err
-		}
-		if sol == nil {
-			return out, nil
-		}
-		out = append(out, sol)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Row operators.
 
@@ -284,27 +275,23 @@ func newBindJoinCursor(ctx context.Context, st graph.Stepper, p *plan.Plan, cfg 
 				pp:     pp,
 				prefix: &Row{},
 			}
-		case step.SeedVar != "" && bound[step.SeedVar]:
-			run := pp
-			if step.End == plan.SeedTail {
-				run = pp.Mirrored()
-				tailSeededSteps.Add(1)
-			}
+		default:
 			bc := &bindStepCursor{
-				ctx: ctx, st: st, p: p, pp: pp, run: run, cfg: cfg,
-				seedVar: step.SeedVar, target: step.Target, shared: shared, left: cur,
-				memo: map[uint64]*seedIndex{},
+				ctx: ctx, st: st, p: p, pp: pp, run: pp, cfg: cfg,
+				shared: shared, left: cur, memo: map[uint64]*seedIndex{},
 			}
-			if step.Target != "" {
-				bc.pair = newRings(st.NodeIndexSpan(), run.MaxEdges)
-				pairSeededSteps.Add(1)
+			if step.SeedVar != "" && bound[step.SeedVar] {
+				bc.seedVar, bc.target = step.SeedVar, step.Target
+				if step.End == plan.SeedTail {
+					bc.run = pp.Mirrored()
+					tailSeededSteps.Add(1)
+				}
+				if step.Target != "" {
+					bc.pair = newRings(st.NodeIndexSpan(), bc.run.MaxEdges)
+					pairSeededSteps.Add(1)
+				}
 			}
 			cur = bc
-		default:
-			cur = &hashStepCursor{
-				ctx: ctx, st: st, p: p, pp: pp, cfg: cfg,
-				shared: shared, left: cur,
-			}
 		}
 		markBound(bound, pp)
 	}
@@ -316,8 +303,9 @@ func newBindJoinCursor(ctx context.Context, st graph.Stepper, p *plan.Plan, cfg 
 // so tests can tell the mirrored and the pair paths ran.
 var tailSeededSteps, pairSeededSteps atomic.Int64
 
-// seedIndex is one seed node's selected solutions, hash-indexed by the
-// step's shared-variable join key.
+// seedIndex is one memo entry's selected solutions (a seed node's, a
+// pair's, or a hash step's whole pattern), hash-indexed by the step's
+// shared-variable join key.
 type seedIndex struct {
 	byKey map[string][]*binding.Reduced
 }
@@ -338,7 +326,10 @@ func buildSeedIndex(sols []*binding.Reduced, shared []string) *seedIndex {
 // pays for it, later rows reuse the memo — so a LIMIT that is satisfied
 // early never enumerates the seeds it didn't reach. A pair-seeded step
 // (target non-empty) solves and memoizes each (seed, target) pair instead,
-// with the target as its rings' only admissible last node.
+// with the target as its rings' only admissible last node. A hash step
+// (no seedVar: a disconnected fragment, or no bound end variable) solves
+// the whole pattern once, on its first input row, as the memo's one entry
+// (key 0); with no shared variables it is the cross product.
 type bindStepCursor struct {
 	ctx context.Context
 	st  graph.Stepper
@@ -349,7 +340,7 @@ type bindStepCursor struct {
 	// indexed.
 	run     *plan.PathPlan
 	cfg     Config
-	seedVar string
+	seedVar string // empty for a hash step
 	target  string
 	shared  []string
 	left    Cursor
@@ -362,8 +353,8 @@ type bindStepCursor struct {
 	// budget did.
 	bud    *budget
 	solver *seedSolver
-	// memo maps a seed node index, or a pair's seed<<32 | target, to its
-	// solutions; nil when none joins.
+	// memo maps a seed node index, a pair's seed<<32 | target, or a hash
+	// step's 0 to its solutions; nil when none joins.
 	memo   map[uint64]*seedIndex
 	keyBuf []byte
 
@@ -396,34 +387,31 @@ func (c *bindStepCursor) Next() (*Row, error) {
 }
 
 // candidates returns the step solutions joinable with one row: the row's
-// seed node (pair: seed and target nodes) is solved (memoized), and its
-// solutions are probed with the full shared-variable key — the same
-// equi-join the hash join performs. A row that does not bind the seed
-// (or target) variable to a node joins nothing: both are unconditional
-// singleton end variables, so every solution binds them to nodes and no
-// join key can match (the check mirrors the materializing pipeline's
-// defensive fallback).
+// seed node (pair: seed and target nodes; hash step: the whole pattern)
+// is solved (memoized), and its solutions are probed with the full
+// shared-variable key. A row that does not bind the seed (or target)
+// variable to a node joins nothing: both are unconditional singleton end
+// variables, so every solution binds them to nodes and no join key can
+// match.
 func (c *bindStepCursor) candidates(row *Row) ([]*binding.Reduced, error) {
-	si, ok := boundNode(row, c.seedVar)
-	if !ok {
-		return nil, nil
-	}
-	key, ti := uint64(si), -1
-	if c.target != "" {
-		if ti, ok = boundNode(row, c.target); !ok {
+	var key uint64
+	si, ti := -1, -1
+	if c.seedVar != "" {
+		var ok bool
+		if si, ok = boundNode(row, c.seedVar); !ok {
 			return nil, nil
 		}
-		key = key<<32 | uint64(ti)
+		key = uint64(si)
+		if c.target != "" {
+			if ti, ok = boundNode(row, c.target); !ok {
+				return nil, nil
+			}
+			key = key<<32 | uint64(ti)
+		}
 	}
 	idx, cached := c.memo[key]
 	if !cached {
-		if c.solver == nil {
-			c.solver = newSeedSolver(c.st, c.run, c.cfg, c.budget())
-		}
-		if ti >= 0 {
-			c.pair.setPair(c.st, ti)
-		}
-		sols, err := c.solver.solve(si)
+		sols, err := c.solve(si, ti)
 		if err != nil {
 			return nil, err
 		}
@@ -435,6 +423,21 @@ func (c *bindStepCursor) candidates(row *Row) ([]*binding.Reduced, error) {
 	}
 	c.keyBuf = appendJoinKeyOfRow(c.keyBuf[:0], row, c.shared)
 	return idx.byKey[string(c.keyBuf)], nil
+}
+
+// solve returns the solutions of seed si (pair: with target ti), or, for
+// a hash step (si < 0), the whole pattern's, canonically sorted.
+func (c *bindStepCursor) solve(si, ti int) ([]*binding.Reduced, error) {
+	if si < 0 {
+		return matchPatternStream(c.ctx, c.st, c.pp, c.cfg)
+	}
+	if c.solver == nil {
+		c.solver = newSeedSolver(c.st, c.run, c.cfg, c.budget())
+	}
+	if ti >= 0 {
+		c.pair.setPair(c.st, ti)
+	}
+	return c.solver.solve(si)
 }
 
 // boundNode returns the node index a row binds a variable to.
@@ -480,73 +483,20 @@ func (c *bindStepCursor) budget() *budget {
 
 func (c *bindStepCursor) Close() error { return c.left.Close() }
 
-// hashStepCursor joins one pattern into the row stream by classic hash
-// join: the pattern (no usable seed variable — a disconnected fragment,
-// or no bound head var) is materialized lazily on the first input row,
-// and input rows probe it. With no shared variables it degenerates to the
-// cross product, exactly like the materializing pipeline.
-type hashStepCursor struct {
-	ctx    context.Context
-	st     graph.Stepper
-	p      *plan.Plan
-	pp     *plan.PathPlan
-	cfg    Config
-	shared []string
-	left   Cursor
-
-	built  bool
-	index  map[string][]*binding.Reduced
-	keyBuf []byte
-
-	row   *Row
-	cands []*binding.Reduced
-	ci    int
-}
-
-func (c *hashStepCursor) Next() (*Row, error) {
-	for {
-		for c.ci < len(c.cands) {
-			sol := c.cands[c.ci]
-			c.ci++
-			if merged, ok := mergeRow(c.p, c.pp, c.row, sol); ok {
-				return merged, nil
-			}
-		}
-		row, err := c.left.Next()
-		if row == nil || err != nil {
-			return nil, err
-		}
-		if !c.built {
-			// First input row: materialize the build side. Lazy, so an
-			// empty or LIMIT-cut input never enumerates the pattern —
-			// mirroring the bind-join pipeline's early exit on zero rows.
-			sols, err := matchPatternStream(c.ctx, c.st, c.pp, c.cfg)
-			if err != nil {
-				return nil, err
-			}
-			c.index = make(map[string][]*binding.Reduced, len(sols))
-			for _, sol := range sols {
-				c.keyBuf = appendJoinKeyOfSolution(c.keyBuf[:0], sol, c.shared)
-				c.index[string(c.keyBuf)] = append(c.index[string(c.keyBuf)], sol)
-			}
-			c.built = true
-		}
-		c.row = row
-		c.keyBuf = appendJoinKeyOfRow(c.keyBuf[:0], row, c.shared)
-		c.cands = c.index[string(c.keyBuf)]
-		c.ci = 0
-	}
-}
-
-func (c *hashStepCursor) Close() error { return c.left.Close() }
-
 // matchPatternStream is MatchPattern through the cancellable streaming
 // machinery: full single-pattern pipeline, canonically sorted.
 func matchPatternStream(ctx context.Context, st graph.Stepper, pp *plan.PathPlan, cfg Config) ([]*binding.Reduced, error) {
-	sols, err := collectStream(newPatternSource(ctx, st, pp, cfg))
-	if err != nil {
-		return nil, err
+	src := newPatternSource(ctx, st, pp, cfg)
+	var sols []*binding.Reduced
+	for {
+		sol, err := src.next()
+		if err != nil {
+			return nil, err
+		}
+		if sol == nil {
+			binding.SortStable(sols)
+			return sols, nil
+		}
+		sols = append(sols, sol)
 	}
-	binding.SortStable(sols)
-	return sols, nil
 }

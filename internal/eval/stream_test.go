@@ -17,11 +17,10 @@ import (
 // the canonical order, i.e. exactly what MatchPattern materializes.
 func streamPattern(t *testing.T, s graph.Store, pp *plan.PathPlan, cfg Config) []*binding.Reduced {
 	t.Helper()
-	sols, err := collectStream(newPatternSource(context.Background(), graph.AsStepper(s), pp, cfg))
+	sols, err := matchPatternStream(context.Background(), graph.AsStepper(s), pp, cfg)
 	if err != nil {
 		t.Fatalf("pattern stream: %v", err)
 	}
-	binding.SortStable(sols)
 	return sols
 }
 

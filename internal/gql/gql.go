@@ -95,7 +95,7 @@ func (s *Session) matchOn(g graph.Store, src string) (*eval.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return q.Eval(g, s.Config)
+	return eval.EvalPlan(g, q.Plan, s.Config)
 }
 
 // MatchTable evaluates the statement and projects each match to a table

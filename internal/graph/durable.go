@@ -307,21 +307,6 @@ func (ov *Overlay) Checkpoint() error {
 	return d.checkpoint(base, cut, epoch)
 }
 
-// SyncWAL flushes the WAL to stable storage regardless of fsync policy.
-func (ov *Overlay) SyncWAL() error {
-	d := ov.durable()
-	if d == nil {
-		return nil
-	}
-	d.ckptMu.Lock()
-	log := d.log
-	d.ckptMu.Unlock()
-	if log == nil {
-		return nil
-	}
-	return log.Sync()
-}
-
 // CloseDurable drains any in-flight compaction, flushes the WAL, and
 // closes it. Further Applies fail. Safe to call more than once, and a
 // no-op on non-durable overlays.

@@ -348,21 +348,6 @@ func TestReverse(t *testing.T) {
 	}
 }
 
-func TestInduced(t *testing.T) {
-	g := small(t)
-	sub := Induced(g, map[NodeID]bool{"a": true, "b": true})
-	if sub.NumNodes() != 2 {
-		t.Errorf("induced nodes: %d", sub.NumNodes())
-	}
-	// e1 (a→b) and e3 (b→b) survive; e2 (b~c) loses an endpoint.
-	if sub.NumEdges() != 2 || sub.Edge("e2") != nil {
-		t.Errorf("induced edges: %d", sub.NumEdges())
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestLabelStatsMemoInvalidation pins the stats memo: repeated calls
 // return consistent counts, and a mutation refreshes them.
 func TestLabelStatsMemoInvalidation(t *testing.T) {

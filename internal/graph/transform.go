@@ -26,33 +26,3 @@ func Reverse(g *Graph) *Graph {
 	})
 	return out
 }
-
-// Induced returns the subgraph induced by the given node set: those nodes
-// and every edge whose both endpoints are included.
-func Induced(g *Graph, nodes map[NodeID]bool) *Graph {
-	out := New()
-	g.Nodes(func(n *Node) bool {
-		if nodes[n.ID] {
-			if err := out.AddNode(n.ID, n.Labels, n.Props); err != nil {
-				panic(err)
-			}
-		}
-		return true
-	})
-	g.Edges(func(e *Edge) bool {
-		if !nodes[e.Source] || !nodes[e.Target] {
-			return true
-		}
-		var err error
-		if e.Direction == Directed {
-			err = out.AddEdge(e.ID, e.Source, e.Target, e.Labels, e.Props)
-		} else {
-			err = out.AddUndirectedEdge(e.ID, e.Source, e.Target, e.Labels, e.Props)
-		}
-		if err != nil {
-			panic(err)
-		}
-		return true
-	})
-	return out
-}

@@ -125,7 +125,7 @@ func GraphTableQuery(g graph.Store, q *core.Query, columns []Column, cfg eval.Co
 			}
 		}
 	}
-	res, err := q.Eval(g, cfg)
+	res, err := eval.EvalPlan(g, q.Plan, cfg)
 	if err != nil {
 		return nil, err
 	}

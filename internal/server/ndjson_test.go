@@ -238,7 +238,7 @@ func TestFlushFirstRowBeforeSecondPull(t *testing.T) {
 			atSecondPull = rec.lines()
 		}
 	}}
-	testServer(t).streamNDJSON(context.Background(), rec, cols, src, false, 0)
+	testServer(t).streamNDJSON(rec, cols, src, false, 0)
 	if len(atSecondPull) != 2 || !strings.HasPrefix(atSecondPull[0], `{"columns"`) || !strings.HasPrefix(atSecondPull[1], `{"row"`) {
 		t.Fatalf("on the wire when the second row was pulled: %q, want header and first row", atSecondPull)
 	}
@@ -267,7 +267,7 @@ func TestFlushStalledProducerBoundsStaleness(t *testing.T) {
 		seen = waitFor(func() bool { return len(rec.lines()) >= 3 })
 		waited = time.Since(start)
 	}}
-	testServer(t).streamNDJSON(context.Background(), rec, cols, src, false, 0)
+	testServer(t).streamNDJSON(rec, cols, src, false, 0)
 	if !seen {
 		t.Fatalf("second row never reached the wire while the producer stalled; wire: %q", rec.lines())
 	}
@@ -283,7 +283,7 @@ func TestFlushHeaderAloneBoundsStaleness(t *testing.T) {
 	src := &scriptedRows{rows: rows, n: 1, before: func(int) {
 		seen = waitFor(func() bool { return len(rec.lines()) >= 1 })
 	}}
-	testServer(t).streamNDJSON(context.Background(), rec, cols, src, true, 0)
+	testServer(t).streamNDJSON(rec, cols, src, true, 0)
 	if !seen {
 		t.Fatal("header never reached the wire while the first row was slow")
 	}
@@ -297,7 +297,7 @@ func TestFlushCoalescesFastStream(t *testing.T) {
 	rec := newRecorder()
 	s := testServer(t)
 	const n = 10_000
-	s.streamNDJSON(context.Background(), rec, cols, &scriptedRows{rows: rows, n: n}, false, 0)
+	s.streamNDJSON(rec, cols, &scriptedRows{rows: rows, n: n}, false, 0)
 	lines := rec.lines()
 	if len(lines) != n+2 || lines[n+1] != `{"rows":10000}` {
 		t.Fatalf("%d lines, trailer %q", len(lines), lines[len(lines)-1])
@@ -322,7 +322,7 @@ func TestFlushWriteErrorStopsPulling(t *testing.T) {
 		src := &scriptedRows{rows: rows, n: 100_000}
 		pulledAtFail := -1
 		rec.failAt, rec.onFail = 2, func() { pulledAtFail, _ = src.state() }
-		testServer(t).streamNDJSON(context.Background(), rec, cols, src, false, 0)
+		testServer(t).streamNDJSON(rec, cols, src, false, 0)
 		pulled, closed := src.state()
 		if pulledAtFail < 0 || pulled > pulledAtFail+1 {
 			t.Errorf("pulled %d rows, write failed at %d: want at most one more", pulled, pulledAtFail)
@@ -348,7 +348,7 @@ func TestFlushWriteErrorStopsPulling(t *testing.T) {
 				}
 			}
 		}
-		testServer(t).streamNDJSON(context.Background(), rec, cols, src, false, 0)
+		testServer(t).streamNDJSON(rec, cols, src, false, 0)
 		pulled, closed := src.state()
 		if pulledAtFail < 0 || pulled > pulledAtFail+1 {
 			t.Errorf("pulled %d rows, write failed at %d: want at most one more", pulled, pulledAtFail)
@@ -361,22 +361,18 @@ func TestFlushWriteErrorStopsPulling(t *testing.T) {
 
 func TestStreamCutEndsInOneErrorRecord(t *testing.T) {
 	cols, rows := fig1Rows(t)
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
 	cases := []struct {
 		name   string
-		ctx    context.Context
 		endErr error
 		kind   string
 	}{
-		{"cursor-deadline", context.Background(), context.DeadlineExceeded, "deadline"},
-		{"watchdog-closed-first", cancelled, nil, "canceled"},
+		{"cursor-deadline", context.DeadlineExceeded, "deadline"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := newRecorder()
 			const n = 1500 // more than one buffer, the last one part full
-			testServer(t).streamNDJSON(tc.ctx, rec, cols, &scriptedRows{rows: rows, n: n, endErr: tc.endErr}, false, 0)
+			testServer(t).streamNDJSON(rec, cols, &scriptedRows{rows: rows, n: n, endErr: tc.endErr}, false, 0)
 			lines := rec.lines()
 			if len(lines) != n+2 {
 				t.Fatalf("%d records, want header + %d rows + 1 error", len(lines), n)
@@ -441,7 +437,7 @@ func TestStreamMatchesOracleOnHostileIDs(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := newRecorder()
-		testServer(t).streamNDJSON(context.Background(), rec, cols, rows, false, 0)
+		testServer(t).streamNDJSON(rec, cols, rows, false, 0)
 		got := bytes.SplitAfter(bytes.Join(rec.writes, nil), []byte("\n"))
 		if len(want) == 0 || len(got) != len(want)+3 { // header, trailer, empty tail
 			t.Fatalf("%s: %d records for %d rows", query, len(got), len(want))

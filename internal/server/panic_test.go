@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"log"
 	"net/http"
@@ -123,7 +122,7 @@ func TestQueryPanicMidStreamEndsWithErrorRecord(t *testing.T) {
 				t.Errorf("handler ended with %v, want http.ErrAbortHandler", p)
 			}
 		}()
-		testServer(t).streamNDJSON(context.Background(), rec, cols, src, false, 0)
+		testServer(t).streamNDJSON(rec, cols, src, false, 0)
 	}()
 	lines := rec.lines()
 	if len(lines) != at+2 {

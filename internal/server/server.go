@@ -470,14 +470,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, body)
 		return
 	}
-	// The deadline watchdog closes the stream from its own goroutine;
-	// Rows.Close is concurrency-safe against the drain loop and the
-	// deferred close below, so the double (even triple) close is fine.
+	// The stream runs on ctx: a deadline, a drain or a departed client
+	// cancels it, and the cut surfaces through rows.Err.
 	defer rows.Close()
-	watchdog := context.AfterFunc(ctx, func() { rows.Close() })
-	defer watchdog()
 
-	s.streamNDJSON(ctx, w, q.Columns(), rows, cached, limit)
+	s.streamNDJSON(w, q.Columns(), rows, cached, limit)
 }
 
 // ndjsonHeader opens every stream: column order plus plan-cache
@@ -654,7 +651,7 @@ func appendJSONString(dst, s []byte) []byte {
 // streamNDJSON writes header, one record per row, and a trailer (or an
 // error record) under ndjsonWriter's flush policy. A failed write ends the
 // stream at once: no further row is pulled and rows is closed.
-func (s *Server) streamNDJSON(ctx context.Context, w http.ResponseWriter, cols []string, rows rowStream, cached bool, limit int) {
+func (s *Server) streamNDJSON(w http.ResponseWriter, cols []string, rows rowStream, cached bool, limit int) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no")
 	nw := &ndjsonWriter{w: w, total: &s.rows}
@@ -682,16 +679,8 @@ func (s *Server) streamNDJSON(ctx context.Context, w http.ResponseWriter, cols [
 			return
 		}
 	}
-	// The deadline can surface two ways: the cursor returns the context
-	// error (rows.Err), or the watchdog's Close wins the race and ends
-	// the stream cleanly first. Check the request context as well so
-	// both paths report the cut instead of masquerading as completion.
-	err := rows.Err()
-	if err == nil && ctx.Err() != nil {
-		err = ctx.Err()
-	}
 	var last any = ndjsonTrailer{Rows: n, Truncated: limit > 0 && n == limit}
-	if err != nil {
+	if err := rows.Err(); err != nil {
 		last = map[string]errorBody{"error": classify(err)}
 	}
 	if nw.filled {

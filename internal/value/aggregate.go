@@ -1,6 +1,9 @@
 package value
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // AggKind identifies an aggregate function over group variables (§4.4,
 // §5.3 of the paper: SUM, COUNT, AVG, MIN, MAX over properties of group
@@ -160,12 +163,34 @@ func ListAgg(vs []Value, sep string) Value {
 
 // CountDistinct counts distinct non-NULL values (COUNT(DISTINCT x)).
 func CountDistinct(vs []Value) Value {
+	n := 0
+	for _, v := range Distinct(vs) {
+		if !v.IsNull() {
+			n++
+		}
+	}
+	return Int(int64(n))
+}
+
+// Distinct returns the first occurrence of each value of vs, in order:
+// the input of every DISTINCT aggregate. Two numbers are one value when
+// they are equal, as with =, so int 1 and float 1.0 collapse, -0 is 0
+// and every NaN is one NaN; ints are compared exactly, so distinct ints
+// above 2^53 stay distinct.
+func Distinct(vs []Value) []Value {
 	seen := make(map[string]struct{}, len(vs))
+	out := make([]Value, 0, len(vs))
 	for _, v := range vs {
-		if v.IsNull() {
+		k := v
+		if f := v.f; v.kind == KindFloat && f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
+			k = Int(int64(f)) // an integral float keys as its int; -0 as 0
+		}
+		key := k.Key()
+		if _, dup := seen[key]; dup {
 			continue
 		}
-		seen[v.Key()] = struct{}{}
+		seen[key] = struct{}{}
+		out = append(out, v)
 	}
-	return Int(int64(len(seen)))
+	return out
 }

@@ -312,6 +312,28 @@ func TestAggregates(t *testing.T) {
 	}
 }
 
+// Distinct keys numbers by exact value: int 1 and float 1.0, 0 and -0,
+// and any two NaNs collapse (first occurrence kept), while ints above 2^53
+// that one float64 cannot tell apart stay distinct.
+func TestDistinctKeysNumbersByValue(t *testing.T) {
+	const big = 1 << 53
+	in := []Value{Int(1), Float(1), Int(0), Float(math.Copysign(0, -1)), Float(math.NaN()), Float(-math.NaN()),
+		Int(big + 1), Int(big), Float(big), Float(0.5), Float(math.Inf(1)), Str("1"), Null, Null}
+	want := []Value{Int(1), Int(0), Float(math.NaN()), Int(big + 1), Int(big), Float(0.5), Float(math.Inf(1)), Str("1"), Null}
+	got := Distinct(in)
+	if len(got) != len(want) {
+		t.Fatalf("Distinct = %v, want %v", got, want)
+	}
+	for i := range want {
+		if !Identical(got[i], want[i]) {
+			t.Errorf("Distinct[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if c := CountDistinct(in); !Identical(c, Int(int64(len(want)-1))) {
+		t.Errorf("CountDistinct = %v, want %d", c, len(want)-1)
+	}
+}
+
 func TestAggKindHelpers(t *testing.T) {
 	for _, name := range []string{"COUNT", "SUM", "AVG", "MIN", "MAX"} {
 		k, ok := ParseAggKind(name)

@@ -237,9 +237,9 @@ func TestStreamCollectMatchesEval(t *testing.T) {
 	}
 }
 
-// Double-close from different goroutines: the server handler's deferred
-// Close races a deadline watchdog's Close. Neither may panic, both must
-// observe the completed teardown, and the pipeline must leak nothing.
+// Double-close from different goroutines: several Close calls race one
+// another. None may panic, each must observe the completed teardown, and
+// the pipeline must leak nothing.
 func TestStreamDoubleCloseConcurrentNoLeak(t *testing.T) {
 	g := leakGraph()
 	q := gpml.MustCompile(leakQuery)
