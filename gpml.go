@@ -406,7 +406,9 @@ func (r *Rows) Next() bool {
 func (r *Rows) Row() *Row { return r.row }
 
 // Err returns the error that ended iteration, if any. A cancelled
-// context surfaces here as the context's error.
+// context surfaces here as the context's error. Err shares the lock Next
+// and Collect hold across their cursor calls, so a call from another
+// goroutine waits for an in-flight Next or Collect to return.
 func (r *Rows) Err() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

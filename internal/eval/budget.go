@@ -10,8 +10,10 @@ type budget struct {
 	maxThreads int64
 	matches    int64
 	threads    int64
-	// ctx is the evaluation's context, polled by check.
+	// ctx is the evaluation's context, polled by check and tick.
 	ctx context.Context
+	// ticks counts the row work tick accounts.
+	ticks int
 	// targets is the automaton engine's endpoint set and rings the DFS
 	// engine's target rings (see rings.go): each built at most once per
 	// evaluation and shared by every seed run. A pair-seeded join step
@@ -52,6 +54,18 @@ func newBudget(ctx context.Context, lims Limits) *budget {
 // cancelCheckInterval edge expansions (the automaton engine: incidences),
 // so a cancelled context aborts an in-flight search promptly.
 func (b *budget) check() error { return b.ctx.Err() }
+
+// tick accounts one unit of row work that expands no edge, so no engine
+// polls during it: a seed solved by a pattern source, a left row or a
+// candidate merged by a join step. A node-only pattern or a memoized join
+// produces rows by this work alone; every cancelCheckInterval ticks it
+// polls the context, so a cancelled context ends those streams too.
+func (b *budget) tick() error {
+	if b.ticks++; b.ticks%cancelCheckInterval == 0 {
+		return b.ctx.Err()
+	}
+	return nil
+}
 
 // addMatch accounts one emitted match; it errors when the match budget is
 // exhausted.

@@ -41,8 +41,11 @@ import (
 // Cancellation: the pipeline carries a context, and the engines poll it
 // (budget.check) every cancelCheckInterval edge expansions, so a cancelled
 // context stops an in-flight search in microseconds, not at the next
-// match. An abandoned cursor needs no stopping: no work happens between
-// calls to Next.
+// match. Pattern sources and join steps poll it too (budget.tick) every
+// cancelCheckInterval seeds, rows and candidates, so a stream with no
+// edge work (a node-only pattern, a memoized join's fan-out) also ends.
+// An abandoned cursor needs no stopping: no work happens between calls to
+// Next.
 
 // Cursor is the pull-based operator interface. Next returns the next
 // result row, or (nil, nil) when the stream is exhausted. Close ends the
@@ -135,7 +138,8 @@ func Collect(cur Cursor, p *plan.Plan) (*Result, error) {
 // newPatternSource builds the pattern's solution source, which owns a
 // fresh budget wired to the pipeline's context.
 func newPatternSource(ctx context.Context, st graph.Stepper, pp *plan.PathPlan, cfg Config) *solSource {
-	src := &solSource{solver: newSeedSolver(st, pp, cfg, newBudget(ctx, cfg.Limits.withDefaults()))}
+	bud := newBudget(ctx, cfg.Limits.withDefaults())
+	src := &solSource{solver: newSeedSolver(st, pp, cfg, bud), bud: bud}
 	forEachNode(st, pp.SeedLabels, pp.HeadEq, cfg.Params, func(i int) bool {
 		src.seeds = append(src.seeds, i)
 		return true
@@ -152,6 +156,7 @@ func newPatternSource(ctx context.Context, st graph.Stepper, pp *plan.PathPlan, 
 // a materializing pipeline buffers).
 type solSource struct {
 	solver *seedSolver
+	bud    *budget
 	seeds  []int
 	at     int
 	buf    []*binding.Reduced
@@ -168,6 +173,9 @@ func (c *solSource) next() (*binding.Reduced, error) {
 		}
 		if c.at >= len(c.seeds) {
 			return nil, nil
+		}
+		if err := c.bud.tick(); err != nil {
+			return nil, err
 		}
 		seed := c.seeds[c.at]
 		c.at++
@@ -350,7 +358,7 @@ type bindStepCursor struct {
 
 	// bud is the step's search budget: limits accounting spans every seed
 	// run of the step, exactly like the materializing pipeline's per-step
-	// budget did.
+	// budget did, and its tick polls the context as rows fan out.
 	bud    *budget
 	solver *seedSolver
 	// memo maps a seed node index, a pair's seed<<32 | target, or a hash
@@ -368,6 +376,9 @@ func (c *bindStepCursor) Next() (*Row, error) {
 	for {
 		// Drain the in-flight expansion first.
 		for c.ci < len(c.cands) {
+			if err := c.budget().tick(); err != nil {
+				return nil, err
+			}
 			sol := c.cands[c.ci]
 			c.ci++
 			if merged, ok := mergeRow(c.p, c.pp, c.row, sol); ok {
@@ -376,6 +387,9 @@ func (c *bindStepCursor) Next() (*Row, error) {
 		}
 		row, err := c.left.Next()
 		if row == nil || err != nil {
+			return nil, err
+		}
+		if err := c.budget().tick(); err != nil {
 			return nil, err
 		}
 		cands, err := c.candidates(row)
@@ -470,7 +484,8 @@ func (c *bindStepCursor) index(sols []*binding.Reduced, t int) *seedIndex {
 	return buildSeedIndex(sols, c.shared)
 }
 
-// budget lazily builds the step's budget, wired to the pipeline context.
+// budget lazily builds the step's budget, wired to the pipeline context;
+// a hash step builds it only to tick.
 func (c *bindStepCursor) budget() *budget {
 	if c.bud == nil {
 		c.bud = newBudget(c.ctx, c.cfg.Limits.withDefaults())

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -166,6 +167,51 @@ func TestStreamContextCancelMidSearch(t *testing.T) {
 		t.Fatalf("expected context.Canceled, got %v", lastErr)
 	}
 	cur.Close()
+}
+
+// TestStreamContextCancelWithoutEdgeWork: streams that expand no edge (a
+// node-only pattern, a cross product fanned out of a hash step's memo,
+// one whose postfilter rejects every row) give the engines nothing to
+// poll, so the pattern sources and join steps must poll the context
+// themselves. A context cancelled before the first Next surfaces within
+// a couple of poll intervals, not after the whole answer.
+func TestStreamContextCancelWithoutEdgeWork(t *testing.T) {
+	b := graph.NewBuilder()
+	for i := 0; i < 3000; i++ {
+		b.Node(fmt.Sprintf("n%d", i), []string{"Account"}, "owner", "x")
+	}
+	g := b.MustBuild()
+	for _, src := range []string{
+		`MATCH (a)`,
+		`MATCH (a), (b)`,
+		`MATCH (a), (b) WHERE a.owner = 'nobody'`,
+	} {
+		p := compile(t, src, plan.Options{})
+		ctx, cancel := context.WithCancel(context.Background())
+		cur, err := StreamPlan(ctx, g, p, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		rows := 0
+		for ; rows <= 2*cancelCheckInterval; rows++ {
+			row, err := cur.Next()
+			if err != nil {
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("%s: got %v, want context.Canceled", src, err)
+				}
+				break
+			}
+			if row == nil {
+				t.Errorf("%s: stream ended cleanly after %d rows; want context.Canceled", src, rows)
+				break
+			}
+		}
+		if rows > 2*cancelCheckInterval {
+			t.Errorf("%s: still streaming after %d rows of a cancelled context", src, rows)
+		}
+		cur.Close()
+	}
 }
 
 // TestStreamStagesAnnotation pins the Explain surface: every pattern line

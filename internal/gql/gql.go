@@ -55,7 +55,10 @@ func (c *Catalog) Names() []string { return append([]string(nil), c.order...) }
 type Session struct {
 	catalog *Catalog
 	current string
-	Config  eval.Config
+	// Config serves every statement; eval.StreamPlan refuses a statement
+	// whose parameters Config.Params does not match exactly (missing or
+	// unused), so a session binds parameters for one statement at a time.
+	Config eval.Config
 }
 
 // NewSession opens a session on a catalog.

@@ -279,6 +279,96 @@ func TestDeadlineMidStream(t *testing.T) {
 	}
 }
 
+// nodeOnlyServer serves a graph of n nodes and no edges, on which
+// MATCH (a), (b) streams n*n rows without one edge expansion.
+func nodeOnlyServer(t *testing.T, n int, cfg server.Config) (*server.Server, *httptest.Server) {
+	t.Helper()
+	b := graph.NewBuilder()
+	for i := 0; i < n; i++ {
+		b.Node(fmt.Sprintf("n%d", i), []string{"Account"})
+	}
+	catalog := gql.NewCatalog()
+	if err := catalog.Register("nodes", gpml.Snapshot(b.MustBuild())); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Catalog = catalog
+	return newTestServer(t, cfg)
+}
+
+// streamEndKind posts a query and reads its NDJSON stream without keeping
+// the rows, calling afterFirstRow (if any) once the first row arrives. It
+// returns the terminal record's error kind ("" for a trailer) and fails
+// once maxRows rows have streamed, so a stream nothing cuts cannot hold
+// the test for its whole answer.
+func streamEndKind(t *testing.T, url string, body map[string]any, afterFirstRow func(), maxRows int) string {
+	t.Helper()
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/query", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	rows := -1 // the header is not a row
+	var last []byte
+	for sc.Scan() {
+		last = sc.Bytes()
+		if rows++; rows == 1 && afterFirstRow != nil {
+			afterFirstRow()
+		}
+		if rows > maxRows {
+			t.Fatalf("still streaming after %d rows; the stream was not cut", maxRows)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var rec struct {
+		Error *struct{ Kind string } `json:"error"`
+	}
+	if err := json.Unmarshal(last, &rec); err != nil {
+		t.Fatalf("terminal record: %v in %s", err, last)
+	}
+	if rec.Error == nil {
+		return ""
+	}
+	return rec.Error.Kind
+}
+
+// A node-only cross product expands no edge, so no engine polls its
+// context: the pattern sources and join steps must, or a deadline would
+// let its 10^8 rows stream on. The cut is a terminal "deadline" record.
+func TestDeadlineCutsNodeOnlyStream(t *testing.T) {
+	_, ts := nodeOnlyServer(t, 10000, server.Config{})
+	kind := streamEndKind(t, ts.URL, map[string]any{
+		"query":      `MATCH (a), (b)`,
+		"gql":        true,
+		"timeout_ms": 50,
+	}, nil, 5_000_000)
+	if kind != "deadline" {
+		t.Fatalf("terminal record kind %q, want deadline", kind)
+	}
+}
+
+// Abort cuts the same stream with a terminal "canceled" record, so a
+// drain that gives up does not wait for a node-only answer to finish.
+func TestAbortCutsNodeOnlyStream(t *testing.T) {
+	srv, ts := nodeOnlyServer(t, 10000, server.Config{})
+	kind := streamEndKind(t, ts.URL, map[string]any{
+		"query": `MATCH (a), (b)`,
+		"gql":   true,
+	}, srv.Abort, 5_000_000)
+	if kind != "canceled" {
+		t.Fatalf("terminal record kind %q, want canceled", kind)
+	}
+}
+
 func TestStatsAndHealthz(t *testing.T) {
 	srv, ts := newTestServer(t, server.Config{})
 	if _, res := postQuery(t, ts.URL, map[string]any{"query": "MATCH (x:Account)"}); res.errKind != "" {
