@@ -9,10 +9,8 @@
 // binding tables are printed instead of the variable table; -normalized
 // additionally prints the §6.2 normalized pattern. -explain reports which
 // engine (dfs, bfs, or the pattern automaton) evaluates each path pattern
-// and why, plus the cost-ordered join plan of multi-pattern statements;
-// -csr evaluates on an immutable CSR snapshot and -overlay on an
-// epoch-snapshot overlay store (the live-mutation serving configuration).
-// -first N streams only the first N rows (LIMIT pushdown: enumeration
+// and why, plus the cost-ordered join plan of multi-pattern statements.
+// Queries evaluate on the graph's memoized CSR snapshot. -first N streams only the first N rows (LIMIT pushdown: enumeration
 // stops once they are produced) and -timeout aborts evaluation after a
 // duration via streaming cancellation.
 //
@@ -62,8 +60,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		bindings   = fs.Bool("bindings", false, "print reduced path binding tables (§6.4 presentation)")
 		normalized = fs.Bool("normalized", false, "print the normalized pattern before results")
 		maxMatches = fs.Int("max-matches", 0, "cap on raw matches per pattern (0 = default)")
-		csr        = fs.Bool("csr", false, "evaluate on an immutable CSR snapshot of the graph")
-		overlay    = fs.Bool("overlay", false, "evaluate on an epoch-snapshot overlay store layered over a CSR snapshot")
 		explain    = fs.Bool("explain", false, "print which engine (dfs/bfs/automaton) evaluates each pattern")
 		timeout    = fs.Duration("timeout", 0, "abort evaluation after this duration (streaming cancellation; 0 = none)")
 		first      = fs.Int("first", 0, "stream only the first N rows (LIMIT pushdown; 0 = all rows)")
@@ -114,18 +110,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if *maxMatches > 0 {
 		opts = append(opts, gpml.WithLimits(gpml.Limits{MaxMatches: *maxMatches}))
 	}
-	var evalOpts []gpml.Option
-	if *overlay {
-		// The serving-engine configuration: queries pin epoch snapshots of
-		// the overlay, exactly as a process applying live mutations would.
-		evalOpts = append(evalOpts, gpml.WithStore(gpml.NewOverlay(g)))
-	} else if *csr {
-		evalOpts = append(evalOpts, gpml.WithStore(gpml.Snapshot(g)))
-	} else {
-		// Explain and evaluation read cardinality statistics off the
-		// store; pass the map graph explicitly so both see the same one.
-		evalOpts = append(evalOpts, gpml.WithStore(g))
-	}
+	// Explain and evaluation read cardinality statistics off the store;
+	// pass the graph explicitly so both see the same one.
+	evalOpts := []gpml.Option{gpml.WithStore(g)}
 	q, err := gpml.Compile(query, opts...)
 	if err != nil {
 		fmt.Fprintln(stderr, "gpml:", err)

@@ -4,31 +4,29 @@
 //
 // Usage:
 //
-//	gpmld [-addr :7687] [-graph graph.json] [-overlay] [-data-dir DIR]
+//	gpmld [-addr :7687] [-graph graph.json] [-data-dir DIR]
 //	      [-fsync always|interval|none] [-fsync-interval 50ms]
 //	      [-cache 256] [-max-concurrent 8] [-max-queue 0]
 //	      [-default-timeout 0] [-max-timeout 0] [-max-rows 0]
 //	      [-drain-grace 10s]
 //
 // Without -graph, the paper's Figure 1 banking graph is served under the
-// name "fig1". With -overlay the graph is wrapped in an epoch-snapshot
-// overlay store, the live-mutation serving configuration: queries pin
-// epoch snapshots while writers apply batches concurrently. Otherwise the
-// graph is served from an immutable CSR snapshot. Each query runs on its
-// request's goroutine, and -max-concurrent bounds how many run at once.
+// name "fig1". The graph is served from an immutable CSR snapshot. Each
+// query runs on its request's goroutine, and -max-concurrent bounds how
+// many run at once.
 //
-// With -data-dir the overlay is durable: every applied batch is written
-// to a write-ahead log under DIR before it becomes visible, compaction
-// checkpoints the merged base to DIR and truncates the log prefix it
-// covers, and a restart recovers the newest checkpoint plus the
-// committed WAL suffix — the server answers 503 "recovering" on /query
-// and /healthz until replay completes. -fsync picks the WAL durability
-// policy: "always" fsyncs per batch (every acknowledged batch survives
-// power loss), "interval" fsyncs on a timer (-fsync-interval, bounding
-// loss to that window), "none" leaves syncing to the OS. On a fresh
-// data directory the -graph (or Figure 1) graph is imported as the first
-// durable batch; on restart the directory's contents win and -graph is
-// ignored. -data-dir implies -overlay.
+// With -data-dir the graph is served from a durable epoch-snapshot
+// overlay store instead: every applied batch is written to a write-ahead
+// log under DIR before it becomes visible, compaction checkpoints the
+// merged base to DIR and truncates the log prefix it covers, and a
+// restart recovers the newest checkpoint plus the committed WAL suffix —
+// the server answers 503 "recovering" on /query and /healthz until
+// replay completes. -fsync picks the WAL durability policy: "always"
+// fsyncs per batch (every acknowledged batch survives power loss),
+// "interval" fsyncs on a timer (-fsync-interval, bounding loss to that
+// window), "none" leaves syncing to the OS. On a fresh data directory the
+// -graph (or Figure 1) graph is imported as the first durable batch; on
+// restart the directory's contents win and -graph is ignored.
 //
 // Endpoints (see internal/server):
 //
@@ -77,8 +75,7 @@ func run() int {
 	var (
 		addr       = flag.String("addr", ":7687", "listen address")
 		graphFile  = flag.String("graph", "", "graph JSON file served as \"main\" (default: the paper's Figure 1 graph as \"fig1\")")
-		overlay    = flag.Bool("overlay", false, "wrap the graph in an epoch-snapshot overlay store (live-mutation serving)")
-		dataDir    = flag.String("data-dir", "", "durable overlay data directory: WAL + checkpoints, crash recovery on boot (implies -overlay)")
+		dataDir    = flag.String("data-dir", "", "durable overlay data directory: WAL + checkpoints, crash recovery on boot")
 		fsyncPol   = flag.String("fsync", "always", "WAL fsync policy: always | interval | none")
 		fsyncIvl   = flag.Duration("fsync-interval", 50*time.Millisecond, "fsync period when -fsync=interval")
 		cacheSize  = flag.Int("cache", 256, "compiled-plan LRU capacity")
@@ -141,8 +138,6 @@ func run() int {
 			return 1
 		}
 		st = dov
-	case *overlay:
-		st = gpml.NewOverlay(g)
 	default:
 		// Immutable CSR snapshot: safe for any number of concurrent
 		// readers, and the fastest read path.

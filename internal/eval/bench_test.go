@@ -41,9 +41,9 @@ func BenchmarkDFSTrailEnumeration(b *testing.B) {
 	}
 }
 
-// Selector-bounded all-shortest search; the automaton engine runs this as
-// a product-graph BFS (tier-1 bench).
-func BenchmarkBFSAllShortest(b *testing.B) {
+// Selector-bounded all-shortest search between two grid corners on the
+// automaton engine; replaying its 3,432 shortest paths dominates.
+func BenchmarkAutomatonAllShortestCorners(b *testing.B) {
 	g := dataset.Grid(8, 8)
 	p := benchPlan(b, `
 		MATCH ALL SHORTEST p = (a WHERE a.owner='u0_0')-[e:Transfer]->+
@@ -54,6 +54,41 @@ func BenchmarkBFSAllShortest(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// bfsBench evaluates one pattern on the BFS engine from a single seed of
+// a random Transfer graph with cycles. It fails unless the plan routes the
+// pattern to the BFS engine, so the benchmark cannot drift onto another
+// engine.
+func bfsBench(b *testing.B, src string) {
+	g := graph.Snapshot(dataset.Random(dataset.RandomConfig{Accounts: 1000, AvgDegree: 2, BlockedFraction: 0.1, Seed: 5}))
+	p := benchPlan(b, src)
+	if eng, _ := engineFor(p.Paths[0]); eng != EngineBFS {
+		b.Fatalf("%s: engine %s, want %s", src, eng, EngineBFS)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EvalPlan(g, p, Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// Unbounded ANY SHORTEST: one admitted state per product state.
+func BenchmarkBFSAnyShortest(b *testing.B) {
+	bfsBench(b, `MATCH ANY SHORTEST p = (a WHERE a.owner='owner0')-[e:Transfer]->+(z)`)
+}
+
+// SHORTEST k GROUP: arrivals within the first k depths per state.
+func BenchmarkBFSShortestKGroup(b *testing.B) {
+	bfsBench(b, `MATCH SHORTEST 2 GROUP p = (a WHERE a.owner='owner0')-[e:Transfer]->+(z)`)
+}
+
+// A WHERE across elements (each quantified edge against the first) is
+// not memoryless, so ALL SHORTEST stays on the BFS engine.
+func BenchmarkBFSCrossElementWhere(b *testing.B) {
+	bfsBench(b, `MATCH ALL SHORTEST p = (a WHERE a.owner='owner0')-[e:Transfer]->(m)-[f:Transfer WHERE f.amount <> e.amount]->+(z)`)
 }
 
 // Point-to-point all-shortest search (tier-1): the endpoints lie on one

@@ -76,7 +76,8 @@ func (b *budget) addMatch() error {
 	return nil
 }
 
-// addThread accounts one admitted BFS search state.
+// addThread accounts one admitted search state (a BFS park or an
+// automaton product state).
 func (b *budget) addThread() error {
 	if b.threads++; b.threads > b.maxThreads {
 		return &LimitError{What: "search state", Limit: int(b.maxThreads)}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 
 	"gpml/internal/ast"
 	"gpml/internal/binding"
@@ -17,7 +18,9 @@ type Limits struct {
 	MaxMatches int
 	// MaxDepth caps the number of edges in a matched path.
 	MaxDepth int
-	// MaxThreads caps the number of admitted BFS search states.
+	// MaxThreads caps the number of admitted search states: the parks
+	// the BFS engine keeps for resumption, and the product states the
+	// automaton engine admits on either side of its search.
 	MaxThreads int
 }
 
@@ -63,7 +66,8 @@ type iterFrame struct {
 	locals     []localBind
 }
 
-// localBind is one iteration-local variable binding.
+// localBind is one variable binding: an iteration local, or one element
+// of a group variable's list.
 type localBind struct {
 	name string
 	ref  binding.Ref
@@ -90,11 +94,13 @@ type scopeState struct {
 	usedNodes  map[int]struct{}
 }
 
-// dfs is the backtracking matcher. Every case of step restores all state it
-// mutated before returning. One machine explores every match anchored at a
-// single seed node; Enumerate runs one machine per seed. The machine is
-// integer-dense: positions, path elements and bindings are dense indices
-// against the stepper's arena — no id strings are built during search.
+// dfs is the backtracking matcher, and the one interpreter of plan.Prog:
+// the BFS engine (bfs.go) and the automaton engine's path replay run it
+// too. Every case of step restores all state it mutated before returning.
+// One machine explores every match anchored at a single seed node;
+// Enumerate runs one machine per seed. The machine is integer-dense:
+// positions, path elements and bindings are dense indices against the
+// stepper's arena — no id strings are built during search.
 type dfs struct {
 	st     graph.Stepper
 	prog   *plan.Prog
@@ -122,8 +128,12 @@ type dfs struct {
 	framePool []*iterFrame
 	scopes    []*scopeState
 
-	env    map[string]binding.Ref
-	groups map[string][]binding.Ref
+	env map[string]binding.Ref
+	// groups holds every group-variable binding in binding order across
+	// variables (the BFS admission key needs that order); groupBuf backs
+	// the list dfsResolver.Group returns.
+	groups   []localBind
+	groupBuf []binding.Ref
 
 	out  binding.PathBinding // the emitted binding, reused across matches
 	emit func(*binding.PathBinding) error
@@ -145,6 +155,13 @@ type dfs struct {
 	// polls the budget's cancellation hook so streaming consumers can
 	// abort a long-running search mid-seed.
 	ticks int
+
+	// bfs, when non-nil, runs the machine breadth first (see bfs.go): an
+	// OpEdge parks the state with the queue instead of stepping. base is
+	// the path of the park being resumed; entries, tags and the path
+	// elements on the machine then hold only what followed it.
+	bfs  *bfsQueue
+	base *pathLink
 }
 
 // newDFS builds a reusable matcher. Every run restores all machine state
@@ -158,7 +175,6 @@ func newDFS(st graph.Stepper, prog *plan.Prog, pathVar string, limits Limits, pa
 		params: params,
 		bud:    bud,
 		env:    map[string]binding.Ref{},
-		groups: map[string][]binding.Ref{},
 		out:    binding.PathBinding{PathVar: pathVar, Src: st},
 		emit:   emit,
 	}
@@ -192,9 +208,16 @@ func (r dfsResolver) Elem(name string) (binding.Ref, bool) {
 	return ref, ok
 }
 
+// Group returns the variable's list, valid until the next Group call.
 func (r dfsResolver) Group(name string) ([]binding.Ref, bool) {
-	g, ok := r.m.groups[name]
-	return g, ok
+	refs := r.m.groupBuf[:0]
+	for _, g := range r.m.groups {
+		if g.name == name {
+			refs = append(refs, g.ref)
+		}
+	}
+	r.m.groupBuf = refs
+	return refs, len(refs) > 0
 }
 
 func (r dfsResolver) ParamValue(name string) (value.Value, bool) {
@@ -209,6 +232,9 @@ func (m *dfs) step(pc int) error {
 	case plan.OpNode:
 		return m.stepNode(in)
 	case plan.OpEdge:
+		if m.bfs != nil {
+			return m.bfs.park(m, pc)
+		}
 		return m.stepEdge(in)
 	case plan.OpSplit:
 		if err := m.step(in.Next); err != nil {
@@ -234,14 +260,7 @@ func (m *dfs) step(pc int) error {
 		}
 		return nil
 	case plan.OpIterStart:
-		var f *iterFrame
-		if n := len(m.framePool); n > 0 {
-			f = m.framePool[n-1]
-			m.framePool = m.framePool[:n-1]
-			f.locals = f.locals[:0]
-		} else {
-			f = &iterFrame{}
-		}
+		f := m.newFrame()
 		f.qid = in.QID
 		f.counterIdx = len(m.counters) - 1
 		f.startEdges = len(m.pathEdges)
@@ -313,6 +332,18 @@ func (m *dfs) step(pc int) error {
 	default:
 		return fmt.Errorf("eval: unknown opcode %v", in.Op)
 	}
+}
+
+// newFrame takes a frame with no locals from the pool.
+func (m *dfs) newFrame() *iterFrame {
+	n := len(m.framePool)
+	if n == 0 {
+		return &iterFrame{}
+	}
+	f := m.framePool[n-1]
+	m.framePool = m.framePool[:n-1]
+	f.locals = f.locals[:0]
+	return f
 }
 
 func (s *scopeState) init(first int) {
@@ -427,7 +458,7 @@ func (m *dfs) undoBind(u bindUndo, varName string) {
 	case undoLocalGroup:
 		f := m.frames[len(m.frames)-1]
 		f.locals = f.locals[:len(f.locals)-1]
-		m.groups[varName] = m.groups[varName][:len(m.groups[varName])-1]
+		m.groups = m.groups[:len(m.groups)-1]
 	case undoEnv:
 		delete(m.env, varName)
 	}
@@ -451,7 +482,7 @@ func (m *dfs) bindElem(varName string, kind binding.ElemKind, idx int) (bindUndo
 		if anon {
 			return undoLocal, true
 		}
-		m.groups[varName] = append(m.groups[varName], ref)
+		m.groups = append(m.groups, localBind{varName, ref})
 		return undoLocalGroup, true
 	}
 	if prev, ok := m.env[varName]; ok {
@@ -468,7 +499,8 @@ func (m *dfs) stepEdge(in *plan.Instr) error {
 		return fmt.Errorf("eval: edge pattern before any node pattern (normalization bug)")
 	}
 	// A replayed path is already within the depth limit: the automaton
-	// search cuts there, like the BFS engine, rather than failing.
+	// search cuts there rather than failing. So does the BFS engine, before
+	// it resumes a park; a resumed machine's path holds no edge yet here.
 	if m.pathSteps == nil && len(m.pathEdges) >= m.limits.MaxDepth {
 		return &LimitError{What: "path depth", Limit: m.limits.MaxDepth}
 	}
@@ -687,6 +719,7 @@ func (m *dfs) traverse(in *plan.Instr, ei, target int) error {
 // accept emits the completed path binding: the machine's own, entries
 // included, reused by the next match (binding.PathBinding's contract).
 // Only the path, which reduced bindings share, is allocated — as one slice.
+// A resumed BFS machine prefixes what its base park's path recorded.
 func (m *dfs) accept() error {
 	if m.pathSteps != nil && len(m.pathEdges) != len(m.pathSteps) {
 		return nil // replay run left part of the path unconsumed
@@ -694,11 +727,34 @@ func (m *dfs) accept() error {
 	if err := m.bud.addMatch(); err != nil {
 		return err
 	}
-	m.out.Entries = append(append(m.out.Entries[:0], m.entries...), m.posArena[m.posStart:]...)
-	m.out.Tags = append([]binding.Tag(nil), m.tags...)
-	path := make([]graph.ElemIdx, len(m.pathNodes)+len(m.pathEdges))
-	n := copy(path, m.pathNodes)
-	copy(path[n:], m.pathEdges)
-	m.out.Path = graph.IdxPath{Nodes: path[:n:n], Edges: path[n:]}
+	var nEntries, nTags, nNodes, nEdges int
+	if b := m.base; b != nil {
+		nEntries, nTags, nNodes, nEdges = b.nEntries, b.nTags, b.depth+1, b.depth
+	}
+	entries := slices.Grow(m.out.Entries[:0], nEntries)[:nEntries]
+	m.out.Entries = append(append(entries, m.entries...), m.posArena[m.posStart:]...)
+	m.out.Tags = nil
+	if n := nTags + len(m.tags); n > 0 {
+		m.out.Tags = append(make([]binding.Tag, nTags, n), m.tags...)
+	}
+	nNodes += len(m.pathNodes)
+	path := make([]graph.ElemIdx, nNodes+nEdges+len(m.pathEdges))
+	copy(path[nNodes-len(m.pathNodes):], m.pathNodes)
+	copy(path[nNodes+nEdges:], m.pathEdges)
+	m.out.Path = graph.IdxPath{Nodes: path[:nNodes:nNodes], Edges: path[nNodes:]}
+	m.base.fill(m.out.Entries, m.out.Tags, m.out.Path.Nodes, m.out.Path.Edges)
 	return m.emit(&m.out)
+}
+
+// fill writes a resumed machine's base path up to l into the prefixes of
+// entries, tags, nodes and edges, each sized by accept from l's counts.
+func (l *pathLink) fill(entries []binding.Entry, tags []binding.Tag, nodes, edges []graph.ElemIdx) {
+	for ; l != nil; l = l.prev {
+		copy(entries[l.nEntries-len(l.entries):], l.entries)
+		copy(tags[l.nTags-len(l.tags):], l.tags)
+		nodes[l.depth] = l.node
+		if l.depth > 0 {
+			edges[l.depth-1] = l.edge
+		}
+	}
 }

@@ -71,16 +71,23 @@ func cornerGraph() *graph.Graph {
 	return b.MustBuild()
 }
 
-// enumeratingMatch is MatchPattern with the engine pinned to the
-// enumerating one engineFor falls back to (BFS for selector-bounded
-// patterns, DFS otherwise): enumerate seed by seed, reduce, deduplicate,
-// select, sort.
+// enumeratingMatch is materializedMatch on the enumerating engine
+// engineFor falls back to (BFS for selector-bounded patterns, DFS
+// otherwise).
 func enumeratingMatch(t *testing.T, s graph.Store, pp *plan.PathPlan, cfg Config) []*binding.Reduced {
 	t.Helper()
 	engine := EngineDFS
 	if pp.Mode == plan.ModeBFS {
 		engine = EngineBFS
 	}
+	return materializedMatch(t, s, pp, cfg, engine)
+}
+
+// materializedMatch runs the §6 stage order around the given engine over
+// the whole match set: enumerate seed by seed, reduce, deduplicate,
+// select, sort.
+func materializedMatch(t *testing.T, s graph.Store, pp *plan.PathPlan, cfg Config, engine string) []*binding.Reduced {
+	t.Helper()
 	st := graph.AsStepper(s)
 	var reduced []*binding.Reduced
 	run := seedRunner(st, pp, engine, cfg, newBudget(context.Background(), cfg.Limits.withDefaults()), func(b *binding.PathBinding) error {

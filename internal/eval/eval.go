@@ -201,21 +201,11 @@ func EvalPlan(s graph.Store, p *plan.Plan, cfg Config) (*Result, error) {
 	return Collect(cur, p)
 }
 
-// MatchPattern runs the full single-pattern pipeline: enumerate (DFS or
-// BFS), reduce, deduplicate, then apply the selector — exactly the §6
-// stage order.
+// MatchPattern runs the full single-pattern pipeline — enumerate,
+// reduce, deduplicate, select, in the §6 stage order per seed — and
+// returns the solutions canonically sorted.
 func MatchPattern(s graph.Store, pp *plan.PathPlan, cfg Config) ([]*binding.Reduced, error) {
-	raw, err := Enumerate(s, pp, cfg)
-	if err != nil {
-		return nil, err
-	}
-	reduced := make([]*binding.Reduced, len(raw))
-	for i, b := range raw {
-		reduced[i] = b.Reduce()
-	}
-	selected := ApplySelector(pp.Pattern.Selector, binding.Dedup(reduced))
-	binding.SortStable(selected)
-	return selected, nil
+	return matchPatternStream(context.Background(), graph.AsStepper(s), pp, cfg)
 }
 
 // Enumerate produces the raw (annotated) path bindings of one pattern. It
@@ -308,20 +298,18 @@ func endAccess(st graph.Stepper, labels []string, eqs []plan.EqConjunct, params 
 // seedRunner returns a function running one pass of the given engine per
 // seed node index. Production callers pass engineFor's choice: the
 // automaton engine when the plan proved the pattern eligible (product
-// search plus replay, reused across seeds), the level-synchronous BFS
-// engine for the remaining selector-bounded patterns, and the
-// backtracking DFS machine otherwise. The engine is an argument so the
-// in-package differential tests can run the enumerating engine on a
-// pattern the automaton would take. All engines run on the query's pinned
-// Stepper view.
+// search plus replay, reused across seeds), the DFS machine run level by
+// level by the BFS engine for the remaining selector-bounded patterns,
+// and the backtracking DFS machine otherwise. The engine is an argument
+// so the in-package differential tests can run the enumerating engine on
+// a pattern the automaton would take. All engines run on the query's
+// pinned Stepper view.
 func seedRunner(st graph.Stepper, pp *plan.PathPlan, engine string, cfg Config, bud *budget, emit func(*binding.PathBinding) error) func(int) error {
 	switch engine {
 	case EngineAutomaton:
 		return newAutoEngine(st, pp, cfg, bud, emit).run
 	case EngineBFS:
-		return func(seed int) error {
-			return runBFS(st, pp.Prog, pp.Pattern.PathVar, cfg.Limits, cfg.Params, pp.Pattern.Selector, seed, bud, emit)
-		}
+		return newBFS(st, pp.Prog, pp.Pattern.PathVar, cfg.Limits, cfg.Params, pp.Pattern.Selector, bud, emit).runBFS
 	default:
 		m := newDFS(st, pp.Prog, pp.Pattern.PathVar, cfg.Limits, cfg.Params, bud, emit)
 		m.maxEdges = pp.MaxEdges

@@ -498,8 +498,8 @@ func (c *bindStepCursor) budget() *budget {
 
 func (c *bindStepCursor) Close() error { return c.left.Close() }
 
-// matchPatternStream is MatchPattern through the cancellable streaming
-// machinery: full single-pattern pipeline, canonically sorted.
+// matchPatternStream drains the pattern source of one path pattern, the
+// full single-pattern pipeline, and sorts its solutions canonically.
 func matchPatternStream(ctx context.Context, st graph.Stepper, pp *plan.PathPlan, cfg Config) ([]*binding.Reduced, error) {
 	src := newPatternSource(ctx, st, pp, cfg)
 	var sols []*binding.Reduced

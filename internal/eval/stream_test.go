@@ -15,7 +15,7 @@ import (
 )
 
 // streamPattern drains the streaming single-pattern pipeline and restores
-// the canonical order, i.e. exactly what MatchPattern materializes.
+// the canonical order, i.e. exactly what MatchPattern returns.
 func streamPattern(t *testing.T, s graph.Store, pp *plan.PathPlan, cfg Config) []*binding.Reduced {
 	t.Helper()
 	sols, err := matchPatternStream(context.Background(), graph.AsStepper(s), pp, cfg)
@@ -27,7 +27,8 @@ func streamPattern(t *testing.T, s graph.Store, pp *plan.PathPlan, cfg Config) [
 
 // TestStreamingPatternDifferential pits the pull-based pattern stream
 // (per-seed dedup/selector, incremental emission) against the
-// materializing MatchPattern pipeline over the engine-differential query
+// materializing pipeline over the whole match set (materializedMatch, on
+// the engine engineFor picks) over the engine-differential query
 // battery, on both backends: the §6 pipeline
 // must be invisible to streaming. This is the streaming-on/off axis of
 // the differential suites.
@@ -50,10 +51,8 @@ func TestStreamingPatternDifferential(t *testing.T) {
 		for _, src := range queries {
 			p := compile(t, src, plan.Options{})
 			for si, s := range []graph.Store{g, snap} {
-				want, err := MatchPattern(s, p.Paths[0], Config{})
-				if err != nil {
-					t.Fatalf("MatchPattern: %v", err)
-				}
+				engine, _ := engineFor(p.Paths[0])
+				want := materializedMatch(t, s, p.Paths[0], Config{}, engine)
 				got := streamPattern(t, s, p.Paths[0], Config{})
 				if binding.FormatTable(got) != binding.FormatTable(want) {
 					t.Errorf("graph %d store %d %s: streaming diverges\nstream:\n%s\nmaterialized:\n%s",
