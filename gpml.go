@@ -253,11 +253,12 @@ func WithStore(s Store) Option { return func(o *options) { o.store = s } }
 func WithContext(ctx context.Context) Option { return func(o *options) { o.ctx = ctx } }
 
 // WithLimit caps the number of output rows at n (0 = unlimited). In the
-// streaming pipeline this is a genuine LIMIT pushdown: once n rows have
-// been produced no upstream stage computes anything further, so a
-// selective limit over a huge match space pays per-row cost, not
-// total-enumeration cost. The rows kept are the first n in streaming
-// order; Eval presents them canonically ordered.
+// streaming pipeline this is a LIMIT pushdown at seed granularity: once n
+// rows have been produced no further seed is searched, so a selective
+// limit over a match space spread over many seeds pays for the seeds it
+// reaches, not the total enumeration; a seed, once started, is searched
+// to the end. The rows kept are the first n in streaming order; Eval
+// presents them canonically ordered.
 func WithLimit(n int) Option { return func(o *options) { o.limit = n } }
 
 // WithParams binds values to the statement's $name placeholders for one

@@ -5,7 +5,9 @@
 // strips annotations and merges anonymous variables; reduced bindings are
 // collected into a set (deduplication, §6.5), except that matches produced
 // by different branches of a multiset alternation |+| carry branch tags
-// that keep them distinct.
+// that keep them distinct. The set only does work when two distinct raw
+// matches can reduce alike; the evaluator builds it (Keyer, Dedup) only
+// for the patterns whose plan says they can (plan.PathPlan.DupReason).
 //
 // Bindings are integer-dense: elements are referenced by their interned
 // dense index (graph.ElemIdx) relative to the pinned view the binding was

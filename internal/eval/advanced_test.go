@@ -120,6 +120,51 @@ func TestBFSWithBoundedGroupPrefilter(t *testing.T) {
 	_ = p
 }
 
+// A prefilter reads a group variable per iteration of the innermost
+// quantifier enclosing both the prefilter and the declaration: a WHERE
+// in an outer iteration's body counts only that iteration's inner
+// bindings, while one outside the declaring quantifier counts all of
+// them. On a 4-node chain each outer iteration of the first query takes
+// one edge, so = 1 and >= 1 keep the same 6 paths, on the DFS engine and
+// under an unbounded outer quantifier, which the BFS engine runs (and
+// agrees with its oracle on).
+func TestNestedGroupReadScopedToIteration(t *testing.T) {
+	g := dataset.Chain(4)
+	rows := func(src string) []string {
+		t.Helper()
+		var out []string
+		for _, row := range evalQuery(t, g, src).Rows {
+			a, _ := row.Get("a")
+			z, _ := row.Get("z")
+			out = append(out, a.String()+"-"+z.String())
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		query, engine string
+		want          int
+	}{
+		{`MATCH TRAIL (a)[[()-[e:Transfer]->()]{1,1} WHERE COUNT(e.*) %s 1]{1,3}(z)`, EngineDFS, 6},
+		{`MATCH ANY SHORTEST (a)[[()-[e:Transfer]->()]{1,1} WHERE COUNT(e.*) %s 1]+(z)`, EngineBFS, 6},
+		// A sibling quantifier reads every binding of the first one.
+		{`MATCH (a)[()-[e:Transfer]->()]{1,2}[()-[f:Transfer]->() WHERE COUNT(e.*) %s 1]{1,1}(z)`, EngineDFS, 2},
+	} {
+		eq, ge := fmt.Sprintf(tc.query, "="), fmt.Sprintf(tc.query, ">=")
+		pp := compile(t, eq, plan.Options{}).Paths[0]
+		if engine, _ := engineFor(pp); engine != tc.engine {
+			t.Errorf("%s: engine %s, want %s", eq, engine, tc.engine)
+		}
+		if tc.engine == EngineBFS {
+			// Parks re-base each iteration's group start; so must the oracle.
+			checkBFSOracle(t, eq, g, pp, Config{})
+		}
+		got, all := rows(eq), rows(ge)
+		if len(got) != tc.want || strings.Join(got, " ") != strings.Join(all[:min(len(all), tc.want)], " ") {
+			t.Errorf("%s: rows %v, want the %d rows of %s: %v", eq, got, tc.want, ge, all)
+		}
+	}
+}
+
 // ANY on a disconnected pair returns nothing, and on connected pairs
 // exactly one row per partition.
 func TestAnySelectorPartitions(t *testing.T) {

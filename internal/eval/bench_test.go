@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -119,6 +120,28 @@ func BenchmarkAllShortestPointToPoint(b *testing.B) {
 type snbShape struct {
 	name, query string
 	params      []Params
+	// stream drains the rows through StreamPlan, as the server does,
+	// instead of collecting them in canonical order through EvalPlan.
+	stream bool
+}
+
+// run evaluates the shape's plan once with one parameter set.
+func (s snbShape) run(c *graph.CSR, p *plan.Plan, params Params) error {
+	if !s.stream {
+		_, err := EvalPlan(c, p, Config{Params: params})
+		return err
+	}
+	cur, err := StreamPlan(context.Background(), c, p, Config{Params: params})
+	if err != nil {
+		return err
+	}
+	defer cur.Close()
+	for {
+		row, err := cur.Next()
+		if row == nil || err != nil {
+			return err
+		}
+	}
 }
 
 // snbCSR builds the SNB snapshot the shapes run on.
@@ -138,8 +161,8 @@ func shortestSNBShapes(c *graph.CSR) []snbShape {
 		params[i] = Params{"src": value.Str(pair[0]), "dst": value.Str(pair[1])}
 	}
 	return []snbShape{
-		{"all_shortest", `MATCH ALL SHORTEST p = (a:Person WHERE a.firstName=$src)-[:knows]-+(b:Person WHERE b.firstName=$dst)`, params},
-		{"any_shortest", `MATCH ANY SHORTEST p = (a:Person WHERE a.firstName=$src)-[:knows]-{1,4}(b:Person WHERE b.firstName=$dst)`, params},
+		{"all_shortest", `MATCH ALL SHORTEST p = (a:Person WHERE a.firstName=$src)-[:knows]-+(b:Person WHERE b.firstName=$dst)`, params, false},
+		{"any_shortest", `MATCH ANY SHORTEST p = (a:Person WHERE a.firstName=$src)-[:knows]-{1,4}(b:Person WHERE b.firstName=$dst)`, params, false},
 	}
 }
 
@@ -153,7 +176,7 @@ func triangleSNBShape(c *graph.CSR) snbShape {
 	for i, s := range starts {
 		params[i] = Params{"name": value.Str(s[0])}
 	}
-	return snbShape{"triangle", `MATCH (a:Person WHERE a.firstName=$name)-[:knows]-(b:Person), (b)-[:knows]-(c:Person), (c)-[:knows]-(a)`, params}
+	return snbShape{"triangle", `MATCH (a:Person WHERE a.firstName=$name)-[:knows]-(b:Person), (b)-[:knows]-(c:Person), (c)-[:knows]-(a)`, params, false}
 }
 
 // targetSNBShapes are the snb_traversal workload's two shapes whose end
@@ -175,8 +198,8 @@ func targetSNBShapes(c *graph.CSR) []snbShape {
 		colike[i] = Params{"name": value.Str(starts[i]), "country": value.Str(countries[16+i])}
 	}
 	return []snbShape{
-		{"trail_1_3", `MATCH TRAIL (a:Person WHERE a.firstName=$name)-[k:knows]-{1,3}(b:Person WHERE b.country=$country)`, trail},
-		{"colike_bindjoin", `MATCH (a:Person WHERE a.firstName=$name)-[:likes]->(m:Post)<-[:likes]-(b:Person WHERE b.country=$country), TRAIL (a)-[:knows]-{1,2}(b)`, colike},
+		{"trail_1_3", `MATCH TRAIL (a:Person WHERE a.firstName=$name)-[k:knows]-{1,3}(b:Person WHERE b.country=$country)`, trail, false},
+		{"colike_bindjoin", `MATCH (a:Person WHERE a.firstName=$name)-[:likes]->(m:Post)<-[:likes]-(b:Person WHERE b.country=$country), TRAIL (a)-[:knows]-{1,2}(b)`, colike, false},
 	}
 }
 
@@ -203,9 +226,29 @@ func preparedShortSNBShapes(c *graph.CSR) []snbShape {
 		for j, v := range vals {
 			params[j] = Params{s.param: value.Str(v)}
 		}
-		out[i] = snbShape{s.name, s.query, params}
+		out[i] = snbShape{s.name, s.query, params, false}
 	}
 	return out
+}
+
+// streamRowsSNBShapes are the snb_stream_rows workload's two shapes,
+// drawn as it draws them: colikers from the countries whose answer has
+// 15,100–16,700 rows, hub_neighbourhood from the persons with
+// 30,000–34,000 two-hop knows walks. Both stream their rows.
+func streamRowsSNBShapes(c *graph.CSR) []snbShape {
+	x := newSNBProxies(c)
+	rng := rand.New(rand.NewSource(1))
+	var colikers, hubs []Params
+	for _, country := range draw(rng, x.countryBand(15100, 16700), 3) {
+		colikers = append(colikers, Params{"country": value.Str(country)})
+	}
+	for _, name := range draw(rng, x.band(x.w2, 30000, 34000), 2) {
+		hubs = append(hubs, Params{"name": value.Str(name)})
+	}
+	return []snbShape{
+		{"colikers", `MATCH (a:Person WHERE a.country=$country)-[:likes]->(m:Post)<-[:likes]-(b:Person)`, colikers, true},
+		{"hub_neighbourhood", `MATCH (a:Person WHERE a.firstName=$name)-[k:knows]-{1,2}(b:Person)`, hubs, true},
+	}
 }
 
 // bench times the shape, cycling through its parameter sets.
@@ -214,7 +257,7 @@ func (s snbShape) bench(b *testing.B, c *graph.CSR) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EvalPlan(c, p, Config{Params: s.params[i%len(s.params)]}); err != nil {
+		if err := s.run(c, p, s.params[i%len(s.params)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -253,33 +296,46 @@ func BenchmarkPreparedShortSNB(b *testing.B) {
 	}
 }
 
+// The snb_stream_rows workload's two shapes on the SNB graph (tier-1),
+// drained through StreamPlan, one sub-benchmark each.
+func BenchmarkStreamRowsSNB(b *testing.B) {
+	c := snbCSR()
+	for _, s := range streamRowsSNBShapes(c) {
+		b.Run(s.name, func(b *testing.B) { s.bench(b, c) })
+	}
+}
+
 // TestSNBAllocs pins the allocations per query of the tier-1 SNB shapes,
-// as the mean over each shape's 16 parameter sets after a warm-up run
-// (which also builds the equality index the seeds read). Each ceiling is
-// 1.2× the count measured when the pin was set; the counts were identical
-// over repeated runs, with and without -race. Lower a ceiling when a
-// change cuts allocations for good.
+// as the mean over each shape's parameter sets (16; the streamed
+// snb_stream_rows shapes 3 and 2) after a warm-up run (which also builds
+// the equality index the seeds read). Each ceiling is 1.2× the count
+// measured when the pin was set; the counts were identical over repeated
+// runs, with and without -race (the selector shapes by one). Lower a
+// ceiling when a change cuts allocations for good.
 func TestSNBAllocs(t *testing.T) {
 	ceilings := map[string]float64{
-		"friends_1hop":    439,  // 366
-		"friends_2hop":    5107, // 4,256
-		"likes_creator":   160,  // 133
-		"country_likes":   4656, // 3,880
-		"all_shortest":    1789, // 1,491
-		"any_shortest":    2302, // 1,918
-		"triangle":        4957, // 4,131
-		"trail_1_3":       2786, // 2,322
-		"colike_bindjoin": 532,  // 443
+		"friends_1hop":      378,    // 315
+		"friends_2hop":      4618,   // 3,848
+		"likes_creator":     133,    // 111
+		"country_likes":     4199,   // 3,499
+		"all_shortest":      1758,   // 1,465
+		"any_shortest":      2270,   // 1,892
+		"triangle":          4806,   // 4,005
+		"trail_1_3":         2563,   // 2,136
+		"colike_bindjoin":   478,    // 398
+		"colikers":          76520,  // 63,767
+		"hub_neighbourhood": 157067, // 130,889
 	}
 	c := snbCSR()
 	shapes := append(preparedShortSNBShapes(c), shortestSNBShapes(c)...)
 	shapes = append(shapes, triangleSNBShape(c))
 	shapes = append(shapes, targetSNBShapes(c)...)
+	shapes = append(shapes, streamRowsSNBShapes(c)...)
 	for _, s := range shapes {
 		p := benchPlan(t, s.query)
 		run := func() {
 			for _, params := range s.params {
-				if _, err := EvalPlan(c, p, Config{Params: params}); err != nil {
+				if err := s.run(c, p, params); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -301,10 +357,13 @@ type snbProxies struct {
 	persons           []int
 	w1, w2, w3, likes map[int]int
 	countries         []string
+	// colikers counts, per country, the rows of the colikers shape: one
+	// per liker of each post a person of the country likes.
+	colikers map[string]int
 }
 
 func newSNBProxies(c *graph.CSR) *snbProxies {
-	x := &snbProxies{c: c, w1: map[int]int{}, w2: map[int]int{}, w3: map[int]int{}, likes: map[int]int{}}
+	x := &snbProxies{c: c, w1: map[int]int{}, w2: map[int]int{}, w3: map[int]int{}, likes: map[int]int{}, colikers: map[string]int{}}
 	c.NodesWithLabelIdx("Person", func(i int) bool {
 		x.persons = append(x.persons, i)
 		return true
@@ -326,6 +385,14 @@ func newSNBProxies(c *graph.CSR) *snbProxies {
 			x.countries = append(x.countries, s)
 		}
 	}
+	likers := map[int]int{}
+	for _, p := range x.persons {
+		out(p, "likes", func(post int) { likers[post]++ })
+	}
+	for _, p := range x.persons {
+		country, _ := c.NodeByIndex(p).Prop("country").AsString()
+		out(p, "likes", func(post int) { x.colikers[country] += likers[post] })
+	}
 	for _, p := range x.persons {
 		out(p, "knows", func(o int) { x.w2[p] += x.w1[o] })
 	}
@@ -343,6 +410,18 @@ func (x *snbProxies) band(w map[int]int, lo, hi int) []string {
 		if w[p] >= lo && w[p] <= hi {
 			s, _ := x.c.NodeByIndex(p).Prop("firstName").AsString()
 			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// countryBand lists, in first-seen order, the countries whose colikers
+// answer has between lo and hi rows.
+func (x *snbProxies) countryBand(lo, hi int) []string {
+	var out []string
+	for _, country := range x.countries {
+		if n := x.colikers[country]; n >= lo && n <= hi {
+			out = append(out, country)
 		}
 	}
 	return out

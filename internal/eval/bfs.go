@@ -209,18 +209,33 @@ func (d *bfsQueue) park(m *dfs, pc int) error {
 		frames:   make([]iterFrame, len(m.frames)),
 	}
 	for i, f := range m.frames {
-		p.frames[i] = iterFrame{qid: f.qid, counterIdx: f.counterIdx, startEdges: f.startEdges + baseDepth, locals: slices.Clone(f.locals)}
+		// The group start indexes p.groups, which keeps only the bindings
+		// prefilters read.
+		p.frames[i] = iterFrame{qid: f.qid, counterIdx: f.counterIdx, startEdges: f.startEdges + baseDepth, groupStart: prefilterReads(m.prog, m.groups[:f.groupStart]), locals: slices.Clone(f.locals)}
 	}
 	for name, ref := range m.env {
 		p.env = append(p.env, localBind{name, ref})
 	}
 	for _, g := range m.groups {
-		if m.prog.PrefilterGroups[g.name] {
+		if _, ok := m.prog.PrefilterGroups[g.name]; ok {
 			p.groups = append(p.groups, g)
 		}
 	}
 	d.next = append(d.next, p)
 	return nil
+}
+
+// prefilterReads counts the bindings among groups that prefilters read.
+func prefilterReads(prog *plan.Prog, groups []localBind) int {
+	n := 0
+	if prog.PrefilterGroups != nil {
+		for _, g := range groups {
+			if _, ok := prog.PrefilterGroups[g.name]; ok {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // resume restores a parked state on the machine and steps its edge. The
@@ -235,7 +250,7 @@ func (m *dfs) resume(p *parked) error {
 	m.counters = append(m.counters[:0], p.counters...)
 	for _, f := range p.frames {
 		nf := m.newFrame()
-		nf.qid, nf.counterIdx, nf.startEdges = f.qid, f.counterIdx, f.startEdges-p.at.depth
+		nf.qid, nf.counterIdx, nf.startEdges, nf.groupStart = f.qid, f.counterIdx, f.startEdges-p.at.depth, f.groupStart
 		nf.locals = append(nf.locals, f.locals...)
 		m.frames = append(m.frames, nf)
 	}
@@ -307,9 +322,18 @@ func (d *bfsQueue) key(m *dfs, pc int) []byte {
 		buf = binary.AppendUvarint(buf, uint64(r.idx))
 	}
 	// Group lists read by prefilters (effectively bounded, §5.3), in
-	// binding order across variables.
+	// binding order across variables, led by where in them each iteration
+	// that scopes such a read began (pc fixes how many such iterations
+	// are active).
+	if scopes := m.prog.GroupScopes; scopes != nil {
+		for _, f := range m.frames {
+			if scopes[f.qid] {
+				buf = binary.AppendUvarint(buf, uint64(prefilterReads(m.prog, m.groups[:f.groupStart])))
+			}
+		}
+	}
 	for _, g := range m.groups {
-		if m.prog.PrefilterGroups[g.name] {
+		if _, ok := m.prog.PrefilterGroups[g.name]; ok {
 			buf = append(buf, g.name...)
 			buf = append(buf, 0, byte(g.ref.Kind))
 			buf = binary.AppendUvarint(buf, uint64(g.ref.Idx))

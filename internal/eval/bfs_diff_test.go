@@ -234,10 +234,12 @@ func compileErr(src string) (*plan.Plan, error) {
 }
 
 // bfsQueryGen is the random pattern grammar of internal/core's queryGen
-// over the Figure 1 schema, with every pattern under a selector.
+// over the Figure 1 schema; pathPattern puts every pattern under a
+// selector. anonEdges also draws anonymous edge patterns.
 type bfsQueryGen struct {
-	rng *rand.Rand
-	n   int // fresh variable counter
+	rng       *rand.Rand
+	n         int // fresh variable counter
+	anonEdges bool
 }
 
 func (qg *bfsQueryGen) fresh(prefix string) string {
@@ -266,7 +268,11 @@ func (qg *bfsQueryGen) nodePattern() string {
 func (qg *bfsQueryGen) edgePattern() string {
 	arrow := qg.pick("-[%s]->", "<-[%s]-", "~[%s]~", "-[%s]-", "<~[%s]~", "~[%s]~>", "<-[%s]->")
 	spec := ""
-	switch qg.rng.Intn(3) {
+	kinds := 3
+	if qg.anonEdges {
+		kinds = 5
+	}
+	switch qg.rng.Intn(kinds) {
 	case 0:
 		spec = qg.fresh("e")
 	case 1:
@@ -274,6 +280,8 @@ func (qg *bfsQueryGen) edgePattern() string {
 	case 2:
 		v := qg.fresh("e")
 		spec = fmt.Sprintf("%s:Transfer WHERE %s.amount > %dM", v, v, 1+qg.rng.Intn(10))
+	case 3:
+		spec = ":Transfer"
 	}
 	return fmt.Sprintf(arrow, spec)
 }
@@ -291,7 +299,14 @@ func (qg *bfsQueryGen) quantifier() string {
 	}
 }
 
+// pathPattern draws a pattern under a selector.
 func (qg *bfsQueryGen) pathPattern(depth int) string {
+	body := qg.body(depth)
+	return qg.pick("ANY SHORTEST ", "ALL SHORTEST ", "ANY ", "SHORTEST 2 ", "ANY 2 ", "SHORTEST 2 GROUP ") + body
+}
+
+// body draws a pattern without a selector or restrictor.
+func (qg *bfsQueryGen) body(depth int) string {
 	var b strings.Builder
 	b.WriteString(qg.nodePattern())
 	steps := 1 + qg.rng.Intn(3)
@@ -307,5 +322,5 @@ func (qg *bfsQueryGen) pathPattern(depth int) string {
 		}
 		b.WriteString(qg.nodePattern())
 	}
-	return qg.pick("ANY SHORTEST ", "ALL SHORTEST ", "ANY ", "SHORTEST 2 ", "ANY 2 ", "SHORTEST 2 GROUP ") + b.String()
+	return b.String()
 }

@@ -3,6 +3,7 @@ package eval
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"gpml/internal/ast"
@@ -47,7 +48,9 @@ type oracleFrame struct {
 	counterIdx int
 	startDepth int
 	locals     *oracleBind
-	prev       *oracleFrame
+	// groups is the thread's group list when the iteration began.
+	groups *oracleGroup
+	prev   *oracleFrame
 }
 
 type oracleEntry struct {
@@ -227,12 +230,27 @@ func (b *oracleBFS) key(t oracleThread) string {
 		buf = append(buf, byte(r.kind))
 		buf = binary.AppendUvarint(buf, uint64(r.idx))
 	}
+	// How many group bindings prefilters read preceded each iteration
+	// that scopes such a read.
+	if b.prog.GroupScopes != nil {
+		for f := t.frames; f != nil; f = f.prev {
+			if b.prog.GroupScopes[f.qid] {
+				n := 0
+				for g := f.groups; g != nil; g = g.prev {
+					if _, ok := b.prog.PrefilterGroups[g.name]; ok {
+						n++
+					}
+				}
+				buf = binary.AppendUvarint(buf, uint64(n))
+			}
+		}
+	}
 	// Group lists read by prefilters (effectively bounded, §5.3), in
 	// chronological order (cons lists are LIFO, so reverse).
 	if len(b.prog.PrefilterGroups) > 0 {
 		gs := binds[len(binds):]
 		for n := t.groups; n != nil; n = n.prev {
-			if b.prog.PrefilterGroups[n.name] {
+			if _, ok := b.prog.PrefilterGroups[n.name]; ok {
 				gs = append(gs, oracleBindRec{name: n.name, kind: n.ref.Kind, idx: n.ref.Idx})
 			}
 		}
@@ -274,6 +292,7 @@ func (b *oracleBFS) counterBounds(t oracleThread, i int) (int, int) {
 // automaton engine's path replayer runs on the DFS machine instead).
 type oracleResolver struct {
 	g      graph.Stepper
+	prog   *plan.Prog
 	t      *oracleThread
 	params Params
 }
@@ -294,10 +313,19 @@ func (r oracleResolver) Elem(name string) (binding.Ref, bool) {
 	return r.t.env.lookup(name)
 }
 
+// Group reads the bindings the variable made since the current iteration
+// of the innermost active quantifier enclosing its declaration began.
 func (r oracleResolver) Group(name string) ([]binding.Ref, bool) {
 	var out []binding.Ref
 	found := false
-	for n := r.t.groups; n != nil; n = n.prev {
+	var stop *oracleGroup
+	for f := r.t.frames; f != nil; f = f.prev {
+		if slices.Contains(r.prog.PrefilterGroups[name], f.qid) {
+			stop = f.groups
+			break
+		}
+	}
+	for n := r.t.groups; n != stop; n = n.prev {
 		if n.name == name {
 			out = append(out, n.ref)
 			found = true
@@ -360,6 +388,7 @@ func (b *oracleBFS) closure(t oracleThread) error {
 			counterIdx: len(t.counters) - 1,
 			startDepth: t.depth,
 			locals:     nil,
+			groups:     t.groups,
 			prev:       t.frames,
 		}
 		t2.pc = in.Next
@@ -389,7 +418,7 @@ func (b *oracleBFS) closure(t oracleThread) error {
 	case plan.OpScopeStart, plan.OpScopeEnd:
 		return fmt.Errorf("eval: restrictor scope in BFS mode (planner bug)")
 	case plan.OpWhere:
-		tri, err := EvalPred(in.Where, oracleResolver{b.st, &t, b.params})
+		tri, err := EvalPred(in.Where, oracleResolver{b.st, b.prog, &t, b.params})
 		if err != nil {
 			return err
 		}
@@ -431,7 +460,7 @@ func (b *oracleBFS) matchNode(t oracleThread, in *plan.Instr, n *graph.Node) err
 	}
 	t2.pending = oraclePushPending(t2, np.Var, binding.NodeElem, t.pos)
 	if np.Where != nil {
-		tri, err := EvalPred(np.Where, oracleResolver{b.st, &t2, b.params})
+		tri, err := EvalPred(np.Where, oracleResolver{b.st, b.prog, &t2, b.params})
 		if err != nil {
 			return err
 		}
@@ -522,23 +551,7 @@ func (b *oracleBFS) expand(t oracleThread) error {
 
 	var firstErr error
 	b.st.Steps(t.pos, func(ei, oi int, kind graph.StepKind) bool {
-		// Directed self-loops step once per admitted direction (§4.2);
-		// every other step has exactly one orientation.
-		if kind == graph.StepLoop {
-			if ep.Orientation.AllowsRight() {
-				if err := b.traverse(base, in, ei, oi); err != nil {
-					firstErr = err
-					return false
-				}
-			}
-			if ep.Orientation.AllowsLeft() {
-				if err := b.traverse(base, in, ei, oi); err != nil {
-					firstErr = err
-					return false
-				}
-			}
-			return true
-		}
+		// Every step, a directed self-loop included, is taken once.
 		if !stepAllowed(ep.Orientation, kind) {
 			return true
 		}
@@ -583,7 +596,7 @@ func (b *oracleBFS) traverse(base oracleThread, in *plan.Instr, ei, target int) 
 	}
 	t2.steps = &oracleStep{edge: graph.ElemIdx(ei), node: graph.ElemIdx(target), prev: base.steps, n: n}
 	if ep.Where != nil {
-		tri, err := EvalPred(ep.Where, oracleResolver{b.st, &t2, b.params})
+		tri, err := EvalPred(ep.Where, oracleResolver{b.st, b.prog, &t2, b.params})
 		if err != nil {
 			return err
 		}

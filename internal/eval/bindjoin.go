@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gpml/internal/ast"
@@ -52,22 +53,28 @@ import (
 // engine machinery (and for the automaton engine, the compiled product
 // searcher) is built once and reused across seeds. Search limits are
 // shared across all seed runs through the caller's budget, mirroring
-// Enumerate.
+// Enumerate. Only a pattern that can produce duplicates
+// (plan.PathPlan.DupReason) is deduplicated: for any other, distinct raw
+// matches reduce to distinct bindings, so a seen-set would drop nothing.
 type seedSolver struct {
 	pp  *plan.PathPlan
 	run func(int) error
 	buf []*binding.Reduced // the current seed's matches, reduced as emitted
 	// seen is the reusable per-seed dedup set (cleared between seeds —
-	// exact, since dedup keys never collide across seeds). Reusing it
-	// keeps the per-seed constant cost near zero on many-seed workloads.
-	// Keys are the Keyer's compact binary form (its variable codes only
-	// grow, so one Keyer is consistent across all of the solver's seeds).
+	// exact, since dedup keys never collide across seeds), nil for a
+	// duplicate-free pattern. Reusing it keeps the per-seed constant cost
+	// near zero on many-seed workloads. Keys are the Keyer's compact
+	// binary form (its variable codes only grow, so one Keyer is
+	// consistent across all of the solver's seeds).
 	seen  map[string]struct{}
 	keyer *binding.Keyer
 }
 
 func newSeedSolver(st graph.Stepper, pp *plan.PathPlan, cfg Config, bud *budget) *seedSolver {
-	ss := &seedSolver{pp: pp, seen: map[string]struct{}{}, keyer: binding.NewKeyer()}
+	ss := &seedSolver{pp: pp}
+	if pp.DupReason != "" {
+		ss.seen, ss.keyer = map[string]struct{}{}, binding.NewKeyer()
+	}
 	engine, _ := engineFor(pp)
 	ss.run = seedRunner(st, pp, engine, cfg, bud, func(b *binding.PathBinding) error {
 		ss.buf = append(ss.buf, b.Reduce())
@@ -77,12 +84,13 @@ func newSeedSolver(st graph.Stepper, pp *plan.PathPlan, cfg Config, bud *budget)
 }
 
 // solve returns the pattern's selected solutions anchored at one seed
-// node index. Per-seed reduction, deduplication and selection agree
-// exactly with the full pipeline restricted to this seed (see the package
-// comment above). Selector-free patterns skip the per-seed sort: their
-// solution multiset is order-independent downstream (Eval's canonical row
-// sort is total because deduplicated keys are unique, and joins probe by
-// key), so the engines' deterministic emission order stands.
+// node index, in a slice the caller owns. Per-seed reduction,
+// deduplication and selection agree exactly with the full pipeline
+// restricted to this seed (see the package comment above). Selector-free
+// patterns skip the per-seed sort: their solution multiset is
+// order-independent downstream (Eval's canonical row sort is total
+// because deduplicated keys are unique, and joins probe by key), so the
+// engines' deterministic emission order stands.
 func (ss *seedSolver) solve(seed int) ([]*binding.Reduced, error) {
 	ss.buf = ss.buf[:0]
 	if err := ss.run(seed); err != nil {
@@ -91,6 +99,25 @@ func (ss *seedSolver) solve(seed int) ([]*binding.Reduced, error) {
 	if len(ss.buf) == 0 {
 		return nil, nil
 	}
+	sols, sel := ss.buf, ss.pp.Pattern.Selector
+	switch {
+	case ss.seen != nil:
+		sols = ss.dedup()
+	case sel.Kind == ast.NoSelector:
+		sols = slices.Clone(sols)
+	}
+	if sel.Kind == ast.NoSelector {
+		return sols, nil
+	}
+	// ApplySelector keeps its choice in a new slice.
+	sols = ApplySelector(sel, sols)
+	binding.SortStable(sols)
+	return sols, nil
+}
+
+// dedup returns the first occurrence of each binding in the seed's
+// buffer, in order, as a new slice.
+func (ss *seedSolver) dedup() []*binding.Reduced {
 	clear(ss.seen)
 	out := make([]*binding.Reduced, 0, len(ss.buf))
 	for _, r := range ss.buf {
@@ -101,12 +128,7 @@ func (ss *seedSolver) solve(seed int) ([]*binding.Reduced, error) {
 		ss.seen[string(key)] = struct{}{}
 		out = append(out, r)
 	}
-	if ss.pp.Pattern.Selector.Kind == ast.NoSelector {
-		return out, nil
-	}
-	sols := ApplySelector(ss.pp.Pattern.Selector, out)
-	binding.SortStable(sols)
-	return sols, nil
+	return out
 }
 
 // sortRowsCanonical puts rows in the canonical order: rows

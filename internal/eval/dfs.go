@@ -63,6 +63,10 @@ type iterFrame struct {
 	qid        int
 	counterIdx int
 	startEdges int
+	// groupStart is the length of the machine's group list when the
+	// iteration began: a prefilter scoped by this iteration reads the
+	// group bindings from there on.
+	groupStart int
 	locals     []localBind
 }
 
@@ -208,15 +212,27 @@ func (r dfsResolver) Elem(name string) (binding.Ref, bool) {
 	return ref, ok
 }
 
-// Group returns the variable's list, valid until the next Group call.
+// Group returns the variable's list, valid until the next Group call: the
+// bindings it made in the current iteration of the innermost active
+// quantifier enclosing its declaration, or all of them when none is
+// active. The active frames are the quantifiers enclosing the reading
+// prefilter, so that quantifier is the innermost one enclosing both.
 func (r dfsResolver) Group(name string) ([]binding.Ref, bool) {
-	refs := r.m.groupBuf[:0]
-	for _, g := range r.m.groups {
+	m := r.m
+	decl, from := m.prog.PrefilterGroups[name], 0
+	for i := len(m.frames) - 1; i >= 0; i-- {
+		if slices.Contains(decl, m.frames[i].qid) {
+			from = m.frames[i].groupStart
+			break
+		}
+	}
+	refs := m.groupBuf[:0]
+	for _, g := range m.groups[from:] {
 		if g.name == name {
 			refs = append(refs, g.ref)
 		}
 	}
-	r.m.groupBuf = refs
+	m.groupBuf = refs
 	return refs, len(refs) > 0
 }
 
@@ -264,6 +280,7 @@ func (m *dfs) step(pc int) error {
 		f.qid = in.QID
 		f.counterIdx = len(m.counters) - 1
 		f.startEdges = len(m.pathEdges)
+		f.groupStart = len(m.groups)
 		m.frames = append(m.frames, f)
 		err := m.step(in.Next)
 		m.frames = m.frames[:len(m.frames)-1]
@@ -545,25 +562,10 @@ func (m *dfs) stepEdge(in *plan.Instr) error {
 				m.pruned++
 				return true
 			}
-			// A directed self-loop admitted in both directions is taken
-			// twice, matching the paper's §4.2 "-" semantics of returning
-			// each edge once per direction (the duplicate reduces away
-			// downstream); all other steps have exactly one orientation.
-			if kind == graph.StepLoop {
-				if ep.Orientation.AllowsRight() {
-					if err := m.traverse(in, ei, oi); err != nil {
-						firstErr = err
-						return false
-					}
-				}
-				if ep.Orientation.AllowsLeft() {
-					if err := m.traverse(in, ei, oi); err != nil {
-						firstErr = err
-						return false
-					}
-				}
-				return true
-			}
+			// A directed self-loop is taken once, even where the
+			// orientation admits it both ways: both traversals would bind
+			// the same entries, so the second could only duplicate the
+			// first.
 			if !stepAllowed(ep.Orientation, kind) {
 				return true
 			}

@@ -20,10 +20,13 @@ type Config struct {
 	// each other". Applied after the join and before the postfilter.
 	EdgeIsomorphic bool
 	// Limit, when positive, ends the stream after that many output rows.
-	// In the pull pipeline this is a genuine pushdown: upstream stages
-	// never compute work the cut-off rows would have demanded. The rows
-	// kept are the first n in streaming (pipeline) order; Eval then
-	// presents them in canonical order.
+	// In the pull pipeline this is a pushdown at seed granularity: no
+	// pattern source starts a seed the kept rows do not reach, but each
+	// seed it starts runs to completion before its first solution is
+	// handed out, so a one-seed pattern pays for its whole answer (the
+	// ROADMAP item "stream inside a seed" lifts this). The rows kept are
+	// the first n in streaming (pipeline) order; Eval then presents them
+	// in canonical order.
 	Limit int
 	// Params binds the statement's $name placeholders for this execution.
 	// Binding happens here — not in the plan — so one compiled plan (with

@@ -16,11 +16,12 @@ import (
 // blocking stages buffer anything:
 //
 //   - enumerate / reduce / dedup / select stream at per-seed granularity:
-//     dedup keys never collide across seed nodes (every key embeds the
-//     path, whose first node is the seed) and Fig 8's selector partitions
-//     are keyed on path endpoints, whose first is the seed — so the
-//     per-seed pipeline is exact and buffering is bounded by one seed's
-//     matches, never the total;
+//     dedup, which runs only for a pattern that can produce duplicates
+//     (plan.PathPlan.DupReason), has keys that never collide across seed
+//     nodes (every key embeds the path, whose first node is the seed),
+//     and Fig 8's selector partitions are keyed on path endpoints, whose
+//     first is the seed — so the per-seed pipeline is exact and
+//     buffering is bounded by one seed's matches, never the total;
 //   - the canonical (path length, binding key) sort is the only truly
 //     blocking stage, and only Eval applies it — Stream emits rows in
 //     deterministic pipeline order (seed-major, per-seed pipeline order)
@@ -241,7 +242,8 @@ func (c *filterCursor) Close() error { return c.src.Close() }
 
 // limitCursor ends the stream after n rows — the LIMIT pushdown: in a
 // pull pipeline, not asking for the (n+1)-th row is what stops every
-// upstream stage from computing it.
+// upstream stage from starting work for it (a seed already started has
+// been searched to the end).
 type limitCursor struct {
 	src       Cursor
 	remaining int

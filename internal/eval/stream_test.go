@@ -215,17 +215,20 @@ func TestStreamContextCancelWithoutEdgeWork(t *testing.T) {
 
 // TestStreamStagesAnnotation pins the Explain surface: every pattern line
 // reports its pipeline stages, selectors are the per-seed blocking stage,
-// and the sort is flagged blocking.
+// the sort is flagged blocking, and only a pattern that can produce
+// duplicates has a dedup stage, which names why.
 func TestStreamStagesAnnotation(t *testing.T) {
 	p := compile(t, `MATCH ANY SHORTEST (a:Account)-[:Transfer]->+(b)`, plan.Options{})
 	lines := Explain(p)
 	if len(lines) != 1 {
 		t.Fatalf("want one line, got %v", lines)
 	}
-	for _, want := range []string{"stages=", "enumerate", "dedup", "select ANY SHORTEST[blocking]", "sort[blocking]"} {
-		if !strings.Contains(lines[0], want) {
-			t.Errorf("explain line missing %q: %s", want, lines[0])
-		}
+	if want := "stages=enumerate→reduce→select ANY SHORTEST[blocking]→sort[blocking]"; !strings.Contains(lines[0], want) {
+		t.Errorf("explain line missing %q: %s", want, lines[0])
+	}
+	union := Explain(compile(t, `MATCH ANY SHORTEST (a:Account) [-[:Transfer]->() | <-[:Transfer]-()]+ (b)`, plan.Options{}))
+	if want := "stages=enumerate→reduce→dedup(set union)→select ANY SHORTEST[blocking]→sort[blocking]"; !strings.Contains(union[0], want) {
+		t.Errorf("explain line missing %q: %s", want, union[0])
 	}
 	stages := p.Paths[0].Stages()
 	blocking := 0

@@ -100,6 +100,13 @@ type PathPlan struct {
 	// (label, property) equality index, and the cost model prices each at
 	// 1/NDV(label, property).
 	HeadEq, TailEq []EqConjunct
+	// DupReason says why two distinct raw matches of the pattern may reduce
+	// to the same binding, so that its solutions must be collected into a
+	// set (§6.5): "set union", "multiset union", "several quantifiers" or
+	// "edgeless quantifier body". It is empty when the pattern is
+	// duplicate-free (see noteDup), and the evaluator then skips the
+	// per-seed seen-set.
+	DupReason string
 	// MaxEdges is the most edges any match can have, or -1 when an
 	// unbounded quantifier leaves the length open (see maxEdges). The DFS
 	// engine prunes a step that leaves too few edges to reach an
@@ -314,6 +321,10 @@ type analyzer struct {
 	underRestr map[int]bool // quantifier id -> inside a restrictor scope
 	sites      []exprSite
 	patVars    []string
+	// nquants counts quantifiers, ? included, and nedges edge patterns, as
+	// walk meets them; dup is the first duplicate reason found (noteDup).
+	nquants, nedges int
+	dup             string
 
 	// statement-wide parameter uses, first occurrence per name
 	params    []ParamUse
@@ -373,6 +384,7 @@ func (a *analyzer) pathPlan(i int, pp *ast.PathPattern) (*PathPlan, error) {
 	a.underRestr = map[int]bool{}
 	a.sites = a.sites[:0]
 	a.patVars = nil
+	a.nquants, a.nedges, a.dup = 0, 0, ""
 
 	if pp.PathVar != "" {
 		if err := a.declare(pp.PathVar, VarPath, nil, false); err != nil {
@@ -392,7 +404,7 @@ func (a *analyzer) pathPlan(i int, pp *ast.PathPattern) (*PathPlan, error) {
 	}
 
 	prog := compileProg(pp, a.quants, a.unions)
-	prog.PrefilterGroups = a.prefilterGroups()
+	prog.PrefilterGroups, prog.GroupScopes = a.prefilterGroups()
 
 	mode, hasUnbounded, err := a.decideMode(pp)
 	if err != nil {
@@ -406,6 +418,7 @@ func (a *analyzer) pathPlan(i int, pp *ast.PathPattern) (*PathPlan, error) {
 		Prog:            prog,
 		Mode:            mode,
 		HasUnbounded:    hasUnbounded,
+		DupReason:       a.dup,
 		Vars:            a.patVars,
 		SeedLabels:      seed,
 		HeadVars:        a.singletonEndVars(pp.Expr, false),
@@ -500,6 +513,7 @@ func (a *analyzer) walk(e ast.PathExpr, chain []int, restr bool, underQuestion b
 		}
 		return nil
 	case *ast.EdgePattern:
+		a.nedges++
 		if err := a.declare(x.Var, VarEdge, chain, ast.IsAnonVar(x.Var)); err != nil {
 			return err
 		}
@@ -517,16 +531,31 @@ func (a *analyzer) walk(e ast.PathExpr, chain []int, restr bool, underQuestion b
 		}
 		return nil
 	case *ast.Quantified:
+		if a.nquants++; a.nquants > 1 {
+			a.noteDup(dupQuantifiers)
+		}
+		edges := a.nedges
+		var err error
 		if x.Question {
 			// ? introduces no group scope (§4.6).
-			return a.walk(x.Inner, chain, restr, true)
+			err = a.walk(x.Inner, chain, restr, true)
+		} else {
+			id := len(a.quants)
+			a.quants[x] = id
+			a.quantByID[id] = x
+			a.underRestr[id] = restr
+			err = a.walk(x.Inner, append(chain, id), restr, underQuestion)
 		}
-		id := len(a.quants)
-		a.quants[x] = id
-		a.quantByID[id] = x
-		a.underRestr[id] = restr
-		return a.walk(x.Inner, append(chain, id), restr, underQuestion)
+		if a.nedges == edges {
+			a.noteDup(dupEdgelessBody)
+		}
+		return err
 	case *ast.Union:
+		if slices.Contains(x.Ops, ast.Multiset) {
+			a.noteDup(dupMultisetUnion)
+		} else {
+			a.noteDup(dupSetUnion)
+		}
 		a.unions[x] = len(a.unions)
 		for _, br := range x.Branches {
 			if err := a.walk(br, chain, restr, underQuestion); err != nil {
@@ -536,6 +565,36 @@ func (a *analyzer) walk(e ast.PathExpr, chain []int, restr bool, underQuestion b
 		return nil
 	default:
 		return fmt.Errorf("plan: unknown path expression %T", e)
+	}
+}
+
+// Why a pattern may produce duplicates (PathPlan.DupReason).
+const (
+	dupSetUnion      = "set union"
+	dupMultisetUnion = "multiset union"
+	dupQuantifiers   = "several quantifiers"
+	dupEdgelessBody  = "edgeless quantifier body"
+)
+
+// noteDup records the first reason walk finds for which two distinct raw
+// matches of the pattern may reduce to the same binding. A pattern is
+// duplicate-free when it has no union of either kind and at most one
+// quantifier (? counts), whose body consumes at least one edge: then a
+// match's path fixes the whole run. Without a union or a second
+// quantifier the pattern is a fixed prefix, the quantified body repeated,
+// and a fixed suffix; each part consumes a fixed number of edges, the
+// body at least one, so the path's length fixes the iteration count, and
+// with it which pattern element matched each path position. The engines
+// take every step at most once (a self-loop included), so one path is one
+// run, and distinct runs have distinct paths, which every binding key
+// holds. The rule is conservative: two quantifiers split one path in
+// several ways, and those runs reduce alike whenever the split elements
+// are anonymous (both (x)-[:T]->{1,2}()-[:T]->{1,2}(y) and
+// (x)-[:T]->?()-[:T]->?(y) duplicate on Figure 1), so it is kept until
+// an argument that separates such splits comes with a test.
+func (a *analyzer) noteDup(reason string) {
+	if a.dup == "" {
+		a.dup = reason
 	}
 }
 
@@ -609,21 +668,33 @@ func collectDecls(e ast.PathExpr, out map[string]struct{}) {
 	})
 }
 
-// prefilterGroups collects group variables referenced by prefilters.
-func (a *analyzer) prefilterGroups() map[string]bool {
-	out := map[string]bool{}
+// prefilterGroups collects the group variables prefilters reference
+// across their quantifiers, each with its declaration's quantifier chain,
+// and marks the quantifiers whose iteration scopes such a reference: the
+// innermost quantifier enclosing both the reference and the declaration.
+// Both are nil when no prefilter reads a group.
+func (a *analyzer) prefilterGroups() (map[string][]int, []bool) {
+	var groups map[string][]int
+	var scopes []bool
 	for _, site := range a.sites {
 		for name := range ast.ExprVars(site.expr) {
 			info := a.vars[name]
-			if info != nil && info.Group && !isPrefix(info.QuantChain, site.chain) {
-				out[name] = true
+			if info == nil || !info.Group || isPrefix(info.QuantChain, site.chain) {
+				continue
+			}
+			if groups == nil {
+				groups = map[string][]int{}
+			}
+			groups[name] = info.QuantChain
+			if n := commonPrefixLen(info.QuantChain, site.chain); n > 0 {
+				if scopes == nil {
+					scopes = make([]bool, len(a.quants))
+				}
+				scopes[site.chain[n-1]] = true
 			}
 		}
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return groups, scopes
 }
 
 // isPrefix reports whether decl is a prefix of ref: the declaration's

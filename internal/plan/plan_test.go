@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -126,8 +127,71 @@ func TestUnboundedAggregateRule(t *testing.T) {
 	// Bounded quantifier: prefilter aggregation allowed.
 	mustAnalyze(t, `MATCH [(x)-[e]->(y)]{1,4} (z) WHERE SUM(e.amount) > 10`)
 	p := mustAnalyze(t, `MATCH ANY SHORTEST (a) [[(x)-[e]->(y)]{1,3} WHERE SUM(e.amount) > 10]* (b)`)
-	if !p.Paths[0].Prog.PrefilterGroups["e"] {
-		t.Errorf("e must be recorded as a prefilter group variable")
+	prog := p.Paths[0].Prog
+	if got := prog.PrefilterGroups["e"]; !slices.Equal(got, []int{0, 1}) {
+		t.Errorf("e must be recorded as a prefilter group variable declared under quantifiers [0 1], got %v", got)
+	}
+	// The WHERE reads e per iteration of the outer quantifier, 0.
+	if !slices.Equal(prog.GroupScopes, []bool{true, false}) {
+		t.Errorf("group scopes: got %v, want [true false]", prog.GroupScopes)
+	}
+	// A read outside every quantifier has no scope.
+	p = mustAnalyze(t, `MATCH [(a)[()-[e]->()]{1,3}(b) WHERE SUM(e.amount) > 10]`)
+	if prog := p.Paths[0].Prog; prog.PrefilterGroups["e"] == nil || prog.GroupScopes != nil {
+		t.Errorf("unscoped read: groups %v, scopes %v", prog.PrefilterGroups, prog.GroupScopes)
+	}
+}
+
+// TestDupReason gives each reason a pattern may produce duplicates for,
+// and patterns that cannot: no union, at most one quantifier (? counts),
+// and that quantifier's body consumes an edge. Every pattern of the
+// served workloads is duplicate-free.
+func TestDupReason(t *testing.T) {
+	for _, tc := range []struct{ query, want string }{
+		// snb_stream_rows, snb_prepared_short and snb_traversal.
+		{`MATCH (a:Person WHERE a.country=$country)-[:likes]->(m:Post)<-[:likes]-(b:Person)`, ""},
+		{`MATCH (a:Person WHERE a.firstName=$name)-[k:knows]-{1,2}(b:Person) WHERE b.country<>$country`, ""},
+		{`MATCH TRAIL (a:Person WHERE a.firstName=$name)-[k:knows]-{1,3}(b:Person WHERE b.country=$country)`, ""},
+		{`MATCH (a:Person WHERE a.firstName=$name)-[:knows]-(b:Person)-[:knows]-(c:Person)`, ""},
+		{`MATCH (a:Person WHERE a.firstName=$name)-[:likes]->(m:Post)-[:hasCreator]->(c:Person)`, ""},
+		{`MATCH (a:Person WHERE a.country=$country)-[l:likes]->(m:Post)`, ""},
+		{`MATCH (a:Person WHERE a.firstName=$name)-[:knows]-(b:Person), (b)-[:knows]-(c:Person), (c)-[:knows]-(a)`, ""},
+		{`MATCH (a:Person WHERE a.firstName=$name)-[:likes]->(m:Post)<-[:likes]-(b:Person WHERE b.country=$country), TRAIL (a)-[:knows]-{1,2}(b)`, ""},
+		{`MATCH ANY SHORTEST p = (a:Person WHERE a.firstName=$src)-[:knows]-{1,4}(b:Person WHERE b.firstName=$dst)`, ""},
+		{`MATCH ALL SHORTEST p = (a:Person WHERE a.firstName=$src)-[:knows]-+(b:Person WHERE b.firstName=$dst)`, ""},
+		{`MATCH (x)`, ""},
+		{`MATCH (a)-[e]->(b)<-[f]-(c)`, ""},
+		{`MATCH (a)-[:knows]-{1,2}(b)`, ""},
+		{`MATCH TRAIL (a)-[e]->+(b)`, ""},
+		{`MATCH ALL SHORTEST (a)-[e]->*(b)`, ""},
+		{`MATCH (a)-[e]->?(b)`, ""},
+		{`MATCH (a) [(x)-[e]->(y)-[f]->(z)]{2,3} (b)`, ""},
+		{`MATCH (c:City) | (c:Country)`, "set union"},
+		{`MATCH (a) [-[e]->() |+| -[e]->()] (b)`, "multiset union"},
+		{`MATCH (x)-[:Transfer]->{1,2}()-[:Transfer]->{1,2}(y)`, "several quantifiers"},
+		{`MATCH (x)-[:Transfer]->?()-[:Transfer]->?(y)`, "several quantifiers"},
+		{`MATCH (a) [[(x)-[e]->(y)]{1,2}]{1,2} (b)`, "several quantifiers"},
+		{`MATCH (a) [()]{0,2} (b)`, "edgeless quantifier body"},
+		{`MATCH (a) [(y)]? (b)`, "edgeless quantifier body"},
+	} {
+		p := mustAnalyze(t, tc.query)
+		for _, pp := range p.Paths {
+			if pp.DupReason != tc.want {
+				t.Errorf("%s pattern %d: DupReason %q, want %q", tc.query, pp.Index, pp.DupReason, tc.want)
+			}
+		}
+		pp := p.Paths[0]
+		// The mirror a tail seed runs has the same structure.
+		if tc.want == "" && pp.Mirrored().DupReason != "" {
+			t.Errorf("%s: mirror DupReason %q", tc.query, pp.Mirrored().DupReason)
+		}
+		stages := ""
+		for _, st := range pp.Stages() {
+			stages += st.Name + " "
+		}
+		if wantDedup := tc.want != ""; strings.Contains(stages, "dedup("+tc.want+")") != wantDedup || strings.Contains(stages, "dedup") != wantDedup {
+			t.Errorf("%s: stages %q", tc.query, stages)
+		}
 	}
 }
 

@@ -96,11 +96,19 @@ type Prog struct {
 	NumQuants int
 	NumScopes int
 
-	// PrefilterGroups lists group variables referenced (through aggregates)
-	// by prefilters; the BFS engine must include their accumulated values
-	// in its pruning key. The §5.3 check guarantees the quantifiers feeding
-	// them are effectively bounded.
-	PrefilterGroups map[string]bool
+	// PrefilterGroups maps each group variable prefilters reference
+	// (through aggregates) to the ids of the quantifiers enclosing its
+	// declaration, outermost first. A prefilter reads the bindings the
+	// variable made since the current iteration of the innermost of them
+	// that encloses the prefilter began (all of them when none does). The
+	// BFS engine must include their accumulated values in its pruning key.
+	// The §5.3 check guarantees the quantifiers feeding them are
+	// effectively bounded.
+	PrefilterGroups map[string][]int
+	// GroupScopes marks, by quantifier id, the quantifiers whose current
+	// iteration bounds such a read (nil when none does): where that
+	// iteration began belongs in the BFS pruning key too.
+	GroupScopes []bool
 }
 
 // String disassembles the program for debugging.

@@ -25,12 +25,16 @@ type Stage struct {
 // selectors buffer one seed's matches (Fig 8 partitions on path
 // endpoints, and the first endpoint is the seed); the canonical sort is
 // the only globally blocking stage and only collect-all evaluation (Eval)
-// applies it — Stream skips it and emits in pipeline order.
+// applies it — Stream skips it and emits in pipeline order. The dedup
+// stage is listed, with its reason, only for a pattern that can produce
+// duplicates (DupReason); a duplicate-free pattern has none.
 func (pp *PathPlan) Stages() []Stage {
 	out := []Stage{
 		{Name: "enumerate", Note: "engines emit matches as found"},
 		{Name: "reduce", Note: "per-binding"},
-		{Name: "dedup", Note: "per-seed seen-set; keys never span seeds"},
+	}
+	if pp.DupReason != "" {
+		out = append(out, Stage{Name: "dedup(" + pp.DupReason + ")", Note: "per-seed seen-set; keys never span seeds"})
 	}
 	if sel := pp.Pattern.Selector; sel.Kind != ast.NoSelector {
 		out = append(out, Stage{

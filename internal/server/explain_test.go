@@ -33,7 +33,7 @@ func TestExplainServedJoinPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const dfs = " (automaton unavailable: no selector (output is the full enumeration)) stages=enumerate→reduce→dedup→sort[blocking]"
+	const dfs = " (automaton unavailable: no selector (output is the full enumeration)) stages=enumerate→reduce→sort[blocking]"
 	for _, tc := range []struct {
 		shape, query string
 		want         []string
@@ -63,10 +63,10 @@ func TestExplainServedJoinPlans(t *testing.T) {
 		// Both selector shapes run on the automaton; the bounded one's
 		// {1,4} unrolls into 33 states against the unbounded one's 17.
 		{"all_shortest", `MATCH ALL SHORTEST p = (a:Person WHERE a.firstName=$src)-[:knows]-+(b:Person WHERE b.firstName=$dst)`, []string{
-			"pattern 0: engine=automaton selector=ALL SHORTEST seed=index(Person.firstName) target=index(Person.firstName) states=17 stages=enumerate→reduce→dedup→select ALL SHORTEST[blocking]→sort[blocking]",
+			"pattern 0: engine=automaton selector=ALL SHORTEST seed=index(Person.firstName) target=index(Person.firstName) states=17 stages=enumerate→reduce→select ALL SHORTEST[blocking]→sort[blocking]",
 		}},
 		{"any_shortest", `MATCH ANY SHORTEST p = (a:Person WHERE a.firstName=$src)-[:knows]-{1,4}(b:Person WHERE b.firstName=$dst)`, []string{
-			"pattern 0: engine=automaton selector=ANY SHORTEST seed=index(Person.firstName) target=index(Person.firstName) states=33 stages=enumerate→reduce→dedup→select ANY SHORTEST[blocking]→sort[blocking]",
+			"pattern 0: engine=automaton selector=ANY SHORTEST seed=index(Person.firstName) target=index(Person.firstName) states=33 stages=enumerate→reduce→select ANY SHORTEST[blocking]→sort[blocking]",
 		}},
 	} {
 		body, err := json.Marshal(map[string]string{"query": tc.query, "graph": "snb"})
