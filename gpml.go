@@ -92,7 +92,10 @@ type (
 	Value = value.Value
 	// Result is a set of joined match rows.
 	Result = eval.Result
-	// Row is one match of the whole graph pattern.
+	// Row is one match of the whole graph pattern. A streamed row
+	// (Rows.Row, a ForEach callback's argument) is borrowed until the
+	// next Next or Close; Row.Clone returns a copy to keep. A Result's
+	// rows are the caller's.
 	Row = eval.Row
 	// Bound is the value of one variable in a row.
 	Bound = eval.Bound
@@ -358,7 +361,7 @@ var Stop = errors.New("gpml: stop iteration")
 //	if err != nil { ... }
 //	defer rows.Close()
 //	for rows.Next() {
-//	    use(rows.Row())
+//	    use(rows.Row()) // borrowed until the next Next; keep rows.Row().Clone()
 //	}
 //	if err := rows.Err(); err != nil { ... }
 type Rows struct {
@@ -401,9 +404,11 @@ func (r *Rows) Next() bool {
 	return row != nil
 }
 
-// Row returns the current row (valid after a true Next). Only the
-// consuming goroutine reads or writes it (Close leaves it alone), so it
-// takes no lock.
+// Row returns the current row, valid after a true Next and until the next
+// call to Next or Close, like bufio.Scanner.Bytes: the pipeline writes
+// the next row into the same storage. A caller that keeps a row past
+// that keeps row.Clone(). Only the consuming goroutine reads or writes
+// it (Close leaves it alone), so it takes no lock.
 func (r *Rows) Row() *Row { return r.row }
 
 // Err returns the error that ended iteration, if any. A cancelled
@@ -526,8 +531,9 @@ func (q *Query) open(o options, g *Graph) (*Rows, error) {
 }
 
 // ForEach streams the query's rows through fn, stopping at the first
-// error; returning Stop ends iteration early with a nil error. The
-// pipeline is always closed before ForEach returns.
+// error; returning Stop ends iteration early with a nil error. The row fn
+// receives is valid only until fn returns: fn keeps row.Clone(), not the
+// row. The pipeline is always closed before ForEach returns.
 func (q *Query) ForEach(ctx context.Context, s Store, fn func(*Row) error, opts ...Option) error {
 	rows, err := q.Stream(ctx, s, opts...)
 	if err != nil {

@@ -16,6 +16,12 @@
 // canonical textual sort key (CanonKey — computed once per output row,
 // when a canonical order or a selector choice is needed) and the
 // rendering helpers (String, ValueRow, FormatTable).
+//
+// Bindings are borrowed, not owned. An engine hands its emit callback a
+// binding it overwrites on the next match, path included, and a binding
+// reduced into an Arena lives until the arena is reset. Reduce and Clone
+// return copies the caller owns; ReduceInto borrows the caller's
+// storage. Only the consumers that keep bindings copy them.
 package binding
 
 import (
@@ -27,6 +33,7 @@ import (
 	"strings"
 
 	"gpml/internal/ast"
+	"gpml/internal/chunk"
 	"gpml/internal/graph"
 )
 
@@ -148,10 +155,11 @@ type Tag struct {
 }
 
 // PathBinding is the (annotated) result of matching one path pattern.
-// Src is the view the indices refer to. An engine may hand its emit
-// callback a binding it reuses for the next match, Entries included: a
-// receiver that keeps the binding past the callback keeps a Clone. Tags
-// and Path are never reused — Reduce shares them with its result.
+// Src is the view the indices refer to. An emitted binding is valid only
+// during the emit callback: the engine reuses it for the next match,
+// Entries, Tags and Path included. A receiver that keeps it past the
+// callback keeps a Clone, or reduces it with Reduce (owned) or ReduceInto
+// (storage the receiver owns).
 type PathBinding struct {
 	Entries []Entry
 	Tags    []Tag
@@ -160,17 +168,27 @@ type PathBinding struct {
 	Src     graph.Stepper
 }
 
-// Clone returns a copy that owns its Entries.
+// Clone returns a copy that owns its Entries, Tags and Path.
 func (b *PathBinding) Clone() *PathBinding {
 	c := *b
-	c.Entries = append([]Entry(nil), b.Entries...)
+	c.Entries = slices.Clone(b.Entries)
+	c.Tags = slices.Clone(b.Tags)
+	c.Path = copyPath(b.Path, make([]graph.ElemIdx, len(b.Path.Nodes)+len(b.Path.Edges)))
 	return &c
 }
 
+// copyPath copies p into buf, which holds exactly its nodes and edges.
+func copyPath(p graph.IdxPath, buf []graph.ElemIdx) graph.IdxPath {
+	n := copy(buf, p.Nodes)
+	copy(buf[n:], p.Edges)
+	return graph.IdxPath{Nodes: buf[:n:n], Edges: buf[n:]}
+}
+
 // Reduced is a reduced path binding (§6.5): annotations stripped, anonymous
-// variables merged to the markers □ and −. A Reduced is immutable once
-// built; CanonKey memoizes its canonical textual identity (it is compared
-// O(n log n) times during sorting).
+// variables merged to the markers □ and −. A Reduced is not changed once
+// built, except by Reverse on a copy its caller owns; CanonKey memoizes
+// its canonical textual identity (it is compared O(n log n) times during
+// sorting).
 type Reduced struct {
 	Cols    []ReducedCol
 	Tags    []Tag
@@ -188,24 +206,97 @@ type ReducedCol struct {
 	Idx  graph.ElemIdx
 }
 
-// Reduce strips annotations from the binding (§6.5).
+// Reduce strips annotations from the binding (§6.5) into a Reduced the
+// caller owns.
 func (b *PathBinding) Reduce() *Reduced {
-	r := &Reduced{Tags: b.Tags, Path: b.Path, PathVar: b.PathVar, Src: b.Src}
-	r.Cols = make([]ReducedCol, len(b.Entries))
-	for i, e := range b.Entries {
-		r.Cols[i] = ReducedCol{Var: ast.ReducedVar(e.Var), Kind: e.Kind, Idx: e.Idx}
+	r := &Reduced{
+		Cols:    make([]ReducedCol, len(b.Entries)),
+		Tags:    slices.Clone(b.Tags),
+		Path:    copyPath(b.Path, make([]graph.ElemIdx, len(b.Path.Nodes)+len(b.Path.Edges))),
+		PathVar: b.PathVar,
+		Src:     b.Src,
 	}
+	b.reduceCols(r.Cols)
 	return r
 }
 
-// Reversed returns the binding of the same match walked from its last node
-// to its first: columns and path in reverse order; tags, path variable and
-// view kept. A tail-seeded join step runs a pattern's mirror and flips
-// each solution back with it.
-func (r *Reduced) Reversed() *Reduced {
-	out := &Reduced{Cols: slices.Clone(r.Cols), Tags: r.Tags, Path: r.Path.Reversed(), PathVar: r.PathVar, Src: r.Src}
-	slices.Reverse(out.Cols)
-	return out
+// ReduceInto is Reduce into the arena's storage: the result lives until
+// the arena is reset.
+func (b *PathBinding) ReduceInto(a *Arena) *Reduced {
+	r := a.reds.New()
+	*r = Reduced{
+		Cols:    a.cols.Take(len(b.Entries)),
+		Tags:    a.tags.Take(len(b.Tags)),
+		Path:    copyPath(b.Path, a.idxs.Take(len(b.Path.Nodes)+len(b.Path.Edges))),
+		PathVar: b.PathVar,
+		Src:     b.Src,
+	}
+	copy(r.Tags, b.Tags)
+	b.reduceCols(r.Cols)
+	return r
+}
+
+// reduceCols writes the reduced columns of the binding's entries to dst.
+func (b *PathBinding) reduceCols(dst []ReducedCol) {
+	for i, e := range b.Entries {
+		dst[i] = ReducedCol{Var: ast.ReducedVar(e.Var), Kind: e.Kind, Idx: e.Idx}
+	}
+}
+
+// Arena is chunked storage for reduced bindings: their structs, columns,
+// tags and paths. Storage grows chunk by chunk and never moves (package
+// chunk), so a binding handed out stays put while the arena grows. Its
+// owner decides how long bindings live: a per-seed solver resets it
+// before each seed, a consumer that keeps rows never does. The zero value
+// is ready to use.
+type Arena struct {
+	reds chunk.Buf[Reduced]
+	cols chunk.Buf[ReducedCol]
+	tags chunk.Buf[Tag]
+	idxs chunk.Buf[graph.ElemIdx]
+}
+
+// Reset hands the arena's storage out again; every binding it held is
+// then invalid.
+func (a *Arena) Reset() {
+	a.reds.Reset()
+	a.cols.Reset()
+	a.tags.Reset()
+	a.idxs.Reset()
+}
+
+// Clone copies r into the arena, its memoized CanonKey included.
+func (a *Arena) Clone(r *Reduced) *Reduced {
+	return r.copyTo(a.reds.New(), a.cols.Take(len(r.Cols)), a.tags.Take(len(r.Tags)), a.idxs.Take(len(r.Path.Nodes)+len(r.Path.Edges)))
+}
+
+// Clone returns a copy of r that owns its storage, its memoized CanonKey
+// included.
+func (r *Reduced) Clone() *Reduced {
+	return r.copyTo(new(Reduced), make([]ReducedCol, len(r.Cols)), slices.Clone(r.Tags), make([]graph.ElemIdx, len(r.Path.Nodes)+len(r.Path.Edges)))
+}
+
+// copyTo copies r into c, its columns, tags and path into storage sized
+// for them.
+func (r *Reduced) copyTo(c *Reduced, cols []ReducedCol, tags []Tag, idxs []graph.ElemIdx) *Reduced {
+	*c = *r
+	c.Cols, c.Tags = cols, tags
+	copy(cols, r.Cols)
+	copy(tags, r.Tags)
+	c.Path = copyPath(r.Path, idxs)
+	return c
+}
+
+// Reverse turns the binding, which its caller must own, into that of the
+// same match walked from its last node to its first: columns and path in
+// reverse order; tags, path variable and view kept. A tail-seeded join
+// step runs a pattern's mirror and flips each solution it keeps back with
+// it.
+func (r *Reduced) Reverse() {
+	slices.Reverse(r.Cols)
+	slices.Reverse(r.Path.Nodes)
+	slices.Reverse(r.Path.Edges)
+	r.canon = ""
 }
 
 // ColID materializes the element id of column i.

@@ -295,3 +295,45 @@ func TestDedupIdempotentProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestOwnedCopies: Reduce, Clone and Arena.Clone copy everything they
+// return, so overwriting the source binding — as an engine does for its
+// next match — changes none of them; ReduceInto borrows the arena's
+// storage, which Reset hands out again; Reverse flips an owned copy.
+func TestOwnedCopies(t *testing.T) {
+	f := newFixture(t)
+	src := f.sample(t)
+	src.Tags = []Tag{{Union: 1, Branch: 2}}
+	want := src.Reduce().CanonKey()
+
+	reduced, cloned := src.Reduce(), src.Clone()
+	var a Arena
+	into := src.ReduceInto(&a)
+	kept := new(Arena).Clone(into)
+	// Overwrite the source in place, as accept does for the next match.
+	for i := range src.Entries {
+		src.Entries[i].Idx = f.node(t, "x")
+		src.Entries[i].Var = "z"
+	}
+	for i := range src.Path.Nodes {
+		src.Path.Nodes[i] = f.node(t, "x")
+	}
+	src.Path.Edges[0] = f.edge(t, "t9")
+	src.Tags[0] = Tag{}
+	for name, r := range map[string]*Reduced{"Reduce": reduced, "Clone": cloned.Reduce(), "ReduceInto": into, "Arena.Clone": kept} {
+		if got := r.CanonKey(); got != want {
+			t.Errorf("%s after the source changed:\ngot  %s\nwant %s", name, got, want)
+		}
+	}
+
+	a.Reset()
+	reused := src.ReduceInto(&a)
+	if reused != into || into.CanonKey() == want {
+		t.Errorf("Reset did not hand the arena's storage out again")
+	}
+
+	kept.Reverse()
+	if n := len(kept.Cols); kept.Cols[0] != reduced.Cols[n-1] || kept.Path.Nodes[0] != reduced.Path.Last() || kept.CanonKey() == want {
+		t.Errorf("Reverse: cols %v path %v", kept.Cols, kept.Path)
+	}
+}

@@ -311,20 +311,22 @@ func BenchmarkStreamRowsSNB(b *testing.B) {
 // the equality index the seeds read). Each ceiling is 1.2× the count
 // measured when the pin was set; the counts were identical over repeated
 // runs, with and without -race (the selector shapes by one). Lower a
-// ceiling when a change cuts allocations for good.
+// ceiling when a change cuts allocations for good. The streamed shapes
+// borrow their rows and reuse their per-seed storage, so they also stay
+// under 0.1 allocations per row, whatever the answer's size.
 func TestSNBAllocs(t *testing.T) {
 	ceilings := map[string]float64{
-		"friends_1hop":      378,    // 315
-		"friends_2hop":      4618,   // 3,848
-		"likes_creator":     133,    // 111
-		"country_likes":     4199,   // 3,499
-		"all_shortest":      1758,   // 1,465
-		"any_shortest":      2270,   // 1,892
-		"triangle":          4806,   // 4,005
-		"trail_1_3":         2563,   // 2,136
-		"colike_bindjoin":   478,    // 398
-		"colikers":          76520,  // 63,767
-		"hub_neighbourhood": 157067, // 130,889
+		"friends_1hop":      263,  // 219
+		"friends_2hop":      2879, // 2,399
+		"likes_creator":     126,  // 105
+		"country_likes":     2438, // 2,032
+		"all_shortest":      1746, // 1,455
+		"any_shortest":      2261, // 1,884
+		"triangle":          2779, // 2,316
+		"trail_1_3":         1849, // 1,541
+		"colike_bindjoin":   438,  // 365
+		"colikers":          1076, // 897
+		"hub_neighbourhood": 1008, // 840
 	}
 	c := snbCSR()
 	shapes := append(preparedShortSNBShapes(c), shortestSNBShapes(c)...)
@@ -344,6 +346,22 @@ func TestSNBAllocs(t *testing.T) {
 		t.Logf("%s: %.0f allocs/query", s.name, perQuery)
 		if ceiling := ceilings[s.name]; perQuery > ceiling {
 			t.Errorf("%s: %.0f allocs per query, want <= %.0f", s.name, perQuery, ceiling)
+		}
+		if !s.stream {
+			continue
+		}
+		rows := 0
+		for _, params := range s.params {
+			res, err := EvalPlan(c, p, Config{Params: params})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows += len(res.Rows)
+		}
+		perRow := perQuery * float64(len(s.params)) / float64(rows)
+		t.Logf("%s: %.4f allocs/row over %d rows/query", s.name, perRow, rows/len(s.params))
+		if perRow > 0.1 {
+			t.Errorf("%s: %.4f allocs per row, want <= 0.1", s.name, perRow)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"gpml/internal/ast"
@@ -19,7 +18,7 @@ import (
 // head variable is already bound only ever explores matches starting at
 // the handful of nodes the join has produced so far. A pattern whose tail
 // variable is bound instead runs its mirror (plan.PathPlan.Mirrored) from
-// the tail, and each solution is flipped back (binding.Reduced.Reversed)
+// the tail, and each solution is flipped back (binding.Reduced.Reverse)
 // before it is joined; the planner only offers tail seeds where the flip
 // is exact (plan.mirrorable), so the rows are the same. The pipeline is
 // fully streaming — rows flow through a chain of join-step cursors (see
@@ -59,7 +58,11 @@ import (
 type seedSolver struct {
 	pp  *plan.PathPlan
 	run func(int) error
-	buf []*binding.Reduced // the current seed's matches, reduced as emitted
+	// arena holds the current seed's matches, reduced as emitted, and buf
+	// lists them; both are reused from seed to seed, so a seed's
+	// solutions are valid until the next solve.
+	arena binding.Arena
+	buf   []*binding.Reduced
 	// seen is the reusable per-seed dedup set (cleared between seeds —
 	// exact, since dedup keys never collide across seeds), nil for a
 	// duplicate-free pattern. Reusing it keeps the per-seed constant cost
@@ -77,49 +80,49 @@ func newSeedSolver(st graph.Stepper, pp *plan.PathPlan, cfg Config, bud *budget)
 	}
 	engine, _ := engineFor(pp)
 	ss.run = seedRunner(st, pp, engine, cfg, bud, func(b *binding.PathBinding) error {
-		ss.buf = append(ss.buf, b.Reduce())
+		ss.buf = append(ss.buf, b.ReduceInto(&ss.arena))
 		return nil
 	})
 	return ss
 }
 
 // solve returns the pattern's selected solutions anchored at one seed
-// node index, in a slice the caller owns. Per-seed reduction,
-// deduplication and selection agree exactly with the full pipeline
-// restricted to this seed (see the package comment above). Selector-free
-// patterns skip the per-seed sort: their solution multiset is
-// order-independent downstream (Eval's canonical row sort is total
+// node index. They are borrowed: the slice and the bindings are the
+// solver's, valid until the next solve, and a caller that keeps them
+// copies them (the slice it may reorder or filter in place). Per-seed
+// reduction, deduplication and selection agree exactly with the full
+// pipeline restricted to this seed (see the package comment above).
+// Selector-free patterns skip the per-seed sort: their solution multiset
+// is order-independent downstream (Eval's canonical row sort is total
 // because deduplicated keys are unique, and joins probe by key), so the
 // engines' deterministic emission order stands.
 func (ss *seedSolver) solve(seed int) ([]*binding.Reduced, error) {
 	ss.buf = ss.buf[:0]
+	ss.arena.Reset()
 	if err := ss.run(seed); err != nil {
 		return nil, err
 	}
 	if len(ss.buf) == 0 {
 		return nil, nil
 	}
-	sols, sel := ss.buf, ss.pp.Pattern.Selector
-	switch {
-	case ss.seen != nil:
-		sols = ss.dedup()
-	case sel.Kind == ast.NoSelector:
-		sols = slices.Clone(sols)
+	if ss.seen != nil {
+		ss.dedup()
 	}
+	sel := ss.pp.Pattern.Selector
 	if sel.Kind == ast.NoSelector {
-		return sols, nil
+		return ss.buf, nil
 	}
 	// ApplySelector keeps its choice in a new slice.
-	sols = ApplySelector(sel, sols)
+	sols := ApplySelector(sel, ss.buf)
 	binding.SortStable(sols)
 	return sols, nil
 }
 
-// dedup returns the first occurrence of each binding in the seed's
-// buffer, in order, as a new slice.
-func (ss *seedSolver) dedup() []*binding.Reduced {
+// dedup keeps the first occurrence of each binding in the seed's buffer,
+// in order, filtering it in place.
+func (ss *seedSolver) dedup() {
 	clear(ss.seen)
-	out := make([]*binding.Reduced, 0, len(ss.buf))
+	out := ss.buf[:0]
 	for _, r := range ss.buf {
 		key := ss.keyer.Key(r)
 		if _, dup := ss.seen[string(key)]; dup {
@@ -128,7 +131,7 @@ func (ss *seedSolver) dedup() []*binding.Reduced {
 		ss.seen[string(key)] = struct{}{}
 		out = append(out, r)
 	}
-	return out
+	ss.buf = out
 }
 
 // sortRowsCanonical puts rows in the canonical order: rows

@@ -139,8 +139,11 @@ type dfs struct {
 	groups   []localBind
 	groupBuf []binding.Ref
 
-	out  binding.PathBinding // the emitted binding, reused across matches
-	emit func(*binding.PathBinding) error
+	// out is the emitted binding and pathBuf backs its Path, both reused
+	// across matches (binding.PathBinding's contract).
+	out     binding.PathBinding
+	pathBuf []graph.ElemIdx
+	emit    func(*binding.PathBinding) error
 
 	// Path constraint for automaton replay: when pathSteps is non-nil,
 	// every OpEdge consumes the next step of the reconstructed path
@@ -718,10 +721,11 @@ func (m *dfs) traverse(in *plan.Instr, ei, target int) error {
 	return err
 }
 
-// accept emits the completed path binding: the machine's own, entries
-// included, reused by the next match (binding.PathBinding's contract).
-// Only the path, which reduced bindings share, is allocated — as one slice.
-// A resumed BFS machine prefixes what its base park's path recorded.
+// accept emits the completed path binding: the machine's own, entries,
+// tags and path included, reused by the next match
+// (binding.PathBinding's contract), so emitting allocates nothing once
+// the buffers have grown. A resumed BFS machine prefixes what its base
+// park's path recorded.
 func (m *dfs) accept() error {
 	if m.pathSteps != nil && len(m.pathEdges) != len(m.pathSteps) {
 		return nil // replay run left part of the path unconsumed
@@ -735,12 +739,11 @@ func (m *dfs) accept() error {
 	}
 	entries := slices.Grow(m.out.Entries[:0], nEntries)[:nEntries]
 	m.out.Entries = append(append(entries, m.entries...), m.posArena[m.posStart:]...)
-	m.out.Tags = nil
-	if n := nTags + len(m.tags); n > 0 {
-		m.out.Tags = append(make([]binding.Tag, nTags, n), m.tags...)
-	}
+	m.out.Tags = append(slices.Grow(m.out.Tags[:0], nTags+len(m.tags))[:nTags], m.tags...)
 	nNodes += len(m.pathNodes)
-	path := make([]graph.ElemIdx, nNodes+nEdges+len(m.pathEdges))
+	n := nNodes + nEdges + len(m.pathEdges)
+	m.pathBuf = slices.Grow(m.pathBuf[:0], n)[:n]
+	path := m.pathBuf
 	copy(path[nNodes-len(m.pathNodes):], m.pathNodes)
 	copy(path[nNodes+nEdges:], m.pathEdges)
 	m.out.Path = graph.IdxPath{Nodes: path[:nNodes:nNodes], Edges: path[nNodes:]}

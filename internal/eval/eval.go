@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"gpml/internal/binding"
+	"gpml/internal/chunk"
 	"gpml/internal/graph"
 	"gpml/internal/plan"
 	"gpml/internal/value"
@@ -125,18 +126,59 @@ type rowVar struct {
 	sol  *binding.Reduced // the pattern solution that bound the variable
 }
 
-// Row is one joined match of the whole graph pattern.
+// Row is one joined match of the whole graph pattern. A row a cursor
+// hands out is borrowed (see Cursor): keep its Clone.
 type Row struct {
 	vars []rowVar
 	// Bindings holds one reduced binding per path pattern, indexed by
 	// pattern (textual) order. During a join, patterns not yet joined are
 	// nil; every completed row has all entries set.
 	Bindings []*binding.Reduced
+}
 
-	// Inline backing of vars and Bindings: the row of a single-pattern
-	// statement binding up to four variables is one allocation.
-	inlVars [4]rowVar
-	inlBind [1]*binding.Reduced
+// Clone returns a deep copy of the row, its bindings included, that stays
+// valid after the cursor that produced the row moves on or closes.
+func (r *Row) Clone() *Row {
+	return r.copyTo(new(Row), make([]rowVar, len(r.vars)), make([]*binding.Reduced, len(r.Bindings)), (*binding.Reduced).Clone)
+}
+
+// copyTo copies r into out, its variables and bindings into storage sized
+// for them, each binding by clone.
+func (r *Row) copyTo(out *Row, vars []rowVar, binds []*binding.Reduced, clone func(*binding.Reduced) *binding.Reduced) *Row {
+	*out = Row{vars: vars, Bindings: binds}
+	for i, b := range r.Bindings {
+		if b != nil {
+			binds[i] = clone(b)
+		}
+	}
+	copy(vars, r.vars)
+	// Every variable points at the binding of the pattern that bound it.
+	for i := range vars {
+		for k, b := range r.Bindings {
+			if vars[i].sol == b {
+				vars[i].sol = binds[k]
+				break
+			}
+		}
+	}
+	return out
+}
+
+// emptyRow is the prefix a pattern's solutions merge into when no pattern
+// has been joined before it. It is never written.
+var emptyRow Row
+
+// rowArena is chunked storage for the rows Collect keeps.
+type rowArena struct {
+	rows  chunk.Buf[Row]
+	vars  chunk.Buf[rowVar]
+	binds chunk.Buf[*binding.Reduced]
+	sols  binding.Arena
+}
+
+// clone copies r and its bindings into the arena.
+func (a *rowArena) clone(r *Row) *Row {
+	return r.copyTo(a.rows.New(), a.vars.Take(len(r.vars)), a.binds.Take(len(r.Bindings)), a.sols.Clone)
 }
 
 // Get returns the binding of a variable in this row (a linear scan).
@@ -206,16 +248,17 @@ func EvalPlan(s graph.Store, p *plan.Plan, cfg Config) (*Result, error) {
 
 // MatchPattern runs the full single-pattern pipeline — enumerate,
 // reduce, deduplicate, select, in the §6 stage order per seed — and
-// returns the solutions canonically sorted.
+// returns the solutions canonically sorted, in storage the caller owns.
 func MatchPattern(s graph.Store, pp *plan.PathPlan, cfg Config) ([]*binding.Reduced, error) {
-	return matchPatternStream(context.Background(), graph.AsStepper(s), pp, cfg)
+	return matchPatternStream(context.Background(), graph.AsStepper(s), pp, cfg, new(binding.Arena))
 }
 
 // Enumerate produces the raw (annotated) path bindings of one pattern. It
 // seeds one engine run per candidate start node — from the store's
 // equality index or label index when the plan proved a seed label (see
 // forEachNode), a full scan otherwise. Search limits are shared across all
-// seed runs.
+// seed runs. It keeps every binding the engines emit, so it keeps a Clone
+// of each.
 func Enumerate(s graph.Store, pp *plan.PathPlan, cfg Config) ([]*binding.PathBinding, error) {
 	st := graph.AsStepper(s)
 	bud := newBudget(context.Background(), cfg.Limits.withDefaults())
@@ -389,13 +432,15 @@ func appendJoinKeyOfRow(buf []byte, row *Row, shared []string) []byte {
 	return buf
 }
 
-// mergeRow extends a partial row with one pattern solution, checking the
-// implicit equi-joins on shared unconditional singletons by (kind, index).
-// This is where a match's element id strings are materialized — once per
-// assembled row, never during search.
-func mergeRow(p *plan.Plan, pp *plan.PathPlan, row *Row, sol *binding.Reduced) (*Row, bool) {
-	out := &Row{}
-	vars := append(out.inlVars[:0], row.vars...)
+// mergeRow writes into dst the partial row prefix extended with one
+// pattern solution, checking the implicit equi-joins on shared
+// unconditional singletons by (kind, index). It reports false when they
+// fail, leaving dst half written. dst is the calling cursor's one row,
+// reused from row to row; prefix is another cursor's. This is where a
+// match's element id strings are materialized — once per assembled row,
+// never during search.
+func mergeRow(p *plan.Plan, pp *plan.PathPlan, dst, prefix *Row, sol *binding.Reduced) bool {
+	vars := append(dst.vars[:0], prefix.vars...)
 	for _, name := range pp.Vars {
 		info := p.Var(name)
 		if info == nil {
@@ -429,7 +474,7 @@ func mergeRow(p *plan.Plan, pp *plan.PathPlan, row *Row, sol *binding.Reduced) (
 			// Implicit equi-join across path patterns (static analysis
 			// guarantees these are unconditional singletons).
 			if vars[prevAt].kind != v.kind || vars[prevAt].idx != v.idx {
-				return nil, false
+				return false
 			}
 			continue
 		}
@@ -438,13 +483,16 @@ func mergeRow(p *plan.Plan, pp *plan.PathPlan, row *Row, sol *binding.Reduced) (
 	if pv := pp.Pattern.PathVar; pv != "" {
 		vars = append(vars, rowVar{name: pv, kind: BoundPath, sol: sol})
 	}
-	out.vars, out.Bindings = vars, out.inlBind[:]
-	if len(p.Paths) > 1 {
-		out.Bindings = make([]*binding.Reduced, len(p.Paths))
-		copy(out.Bindings, row.Bindings)
+	dst.vars = vars
+	if n := len(p.Paths); cap(dst.Bindings) < n {
+		dst.Bindings = make([]*binding.Reduced, n)
+	} else {
+		dst.Bindings = dst.Bindings[:n]
 	}
-	out.Bindings[pp.Index] = sol
-	return out, true
+	copy(dst.Bindings, prefix.Bindings)
+	clear(dst.Bindings[len(prefix.Bindings):])
+	dst.Bindings[pp.Index] = sol
+	return true
 }
 
 // rowEdgeIsomorphic reports whether every edge occurrence across the row's

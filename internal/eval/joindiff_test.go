@@ -73,7 +73,7 @@ func joinPattern(p *plan.Plan, pp *plan.PathPlan, rows []*Row, solutions []*bind
 	for _, row := range rows {
 		buf = appendJoinKeyOfRow(buf[:0], row, shared)
 		for _, sol := range index[string(buf)] {
-			if merged, ok := mergeRow(p, pp, row, sol); ok {
+			if merged := (&Row{}); mergeRow(p, pp, merged, row, sol) {
 				next = append(next, merged)
 			}
 		}

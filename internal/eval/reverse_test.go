@@ -226,12 +226,13 @@ func TestReversedPatternsAgree(t *testing.T) {
 				for i, pp := range p.Paths {
 					sol := row.Bindings[i]
 					if flipped[i] {
-						sol = sol.Reversed()
+						sol.Reverse() // got's own copy, not read again
 					}
-					var ok bool
-					if rows[r], ok = mergeRow(p, pp, rows[r], sol); !ok {
+					merged := &Row{}
+					if !mergeRow(p, pp, merged, rows[r], sol) {
 						t.Fatalf("%s: row %d does not rejoin", label, r)
 					}
+					rows[r] = merged
 				}
 			}
 			sortRowsCanonical(rows, len(p.Paths))

@@ -49,11 +49,13 @@ import (
 // Next.
 
 // Cursor is the pull-based operator interface. Next returns the next
-// result row, or (nil, nil) when the stream is exhausted. Close ends the
-// stream and must be called exactly once when the consumer is done,
-// whether or not the stream was drained. Cursors are not safe for
-// concurrent use; cancel the pipeline's context to abort from another
-// goroutine.
+// result row, or (nil, nil) when the stream is exhausted. The row is
+// borrowed, like bufio.Scanner.Bytes: it is valid until the next call to
+// Next or Close, which may overwrite it, and a consumer that keeps a row
+// keeps its Clone. Close ends the stream and must be called exactly once
+// when the consumer is done, whether or not the stream was drained.
+// Cursors are not safe for concurrent use; cancel the pipeline's context
+// to abort from another goroutine.
 type Cursor interface {
 	Next() (*Row, error)
 	Close() error
@@ -84,12 +86,7 @@ func StreamPlan(ctx context.Context, s graph.Store, p *plan.Plan, cfg Config) (C
 		cur = newBindJoinCursor(ctx, st, p, cfg)
 	} else {
 		pp := p.Paths[0]
-		cur = &matchCursor{
-			src:    newPatternSource(ctx, st, pp, cfg),
-			p:      p,
-			pp:     pp,
-			prefix: &Row{},
-		}
+		cur = &matchCursor{src: newPatternSource(ctx, st, pp, cfg), p: p, pp: pp}
 	}
 	// Post-join stages: all row-local, all streaming.
 	if cfg.EdgeIsomorphic {
@@ -114,8 +111,11 @@ func StreamPlan(ctx context.Context, s graph.Store, p *plan.Plan, cfg Config) (C
 
 // Collect drains a cursor, closes it, and restores the canonical row
 // order (sortRowsCanonical) — the collect-all wrapper Eval is built on.
+// It keeps every row, so it copies each into chunked storage the Result
+// owns.
 func Collect(cur Cursor, p *plan.Plan) (*Result, error) {
 	defer cur.Close()
+	var kept rowArena
 	var rows []*Row
 	for {
 		row, err := cur.Next()
@@ -125,7 +125,7 @@ func Collect(cur Cursor, p *plan.Plan) (*Result, error) {
 		if row == nil {
 			break
 		}
-		rows = append(rows, row)
+		rows = append(rows, kept.clone(row))
 	}
 	sortRowsCanonical(rows, len(p.Paths))
 	return &Result{Columns: p.Columns, Rows: rows}, nil
@@ -154,7 +154,9 @@ func newPatternSource(ctx context.Context, st graph.Stepper, pp *plan.PathPlan, 
 // next seed runs only when the buffer empties — so a LIMIT-cut or
 // abandoned consumer never pays for seeds it didn't reach. The seed ids
 // are materialized up front (O(#seeds) ids, far below the O(#solutions)
-// a materializing pipeline buffers).
+// a materializing pipeline buffers). A solution is the solver's, valid
+// until next starts another seed; that happens only in a later Next of
+// the cursor the source feeds, which keeps its row valid until then.
 type solSource struct {
 	solver *seedSolver
 	bud    *budget
@@ -191,14 +193,13 @@ func (c *solSource) next() (*binding.Reduced, error) {
 // ---------------------------------------------------------------------------
 // Row operators.
 
-// matchCursor maps one pattern's solution stream to result rows by
-// merging each solution into a fixed prefix row (the first/only join
-// step).
+// matchCursor maps one pattern's solution stream to result rows (the
+// first/only join step), each written into the cursor's one row.
 type matchCursor struct {
-	src    *solSource
-	p      *plan.Plan
-	pp     *plan.PathPlan
-	prefix *Row
+	src *solSource
+	p   *plan.Plan
+	pp  *plan.PathPlan
+	out Row // the row Next hands out
 }
 
 func (c *matchCursor) Next() (*Row, error) {
@@ -207,8 +208,8 @@ func (c *matchCursor) Next() (*Row, error) {
 		if sol == nil || err != nil {
 			return nil, err
 		}
-		if merged, ok := mergeRow(c.p, c.pp, c.prefix, sol); ok {
-			return merged, nil
+		if mergeRow(c.p, c.pp, &c.out, &emptyRow, sol) {
+			return &c.out, nil
 		}
 	}
 }
@@ -279,12 +280,7 @@ func newBindJoinCursor(ctx context.Context, st graph.Stepper, p *plan.Plan, cfg 
 		case k == 0:
 			// The first step joins against the single empty row: a pure
 			// pattern scan, streamed straight off the engines.
-			cur = &matchCursor{
-				src:    newPatternSource(ctx, st, pp, cfg),
-				p:      p,
-				pp:     pp,
-				prefix: &Row{},
-			}
+			cur = &matchCursor{src: newPatternSource(ctx, st, pp, cfg), p: p, pp: pp}
 		default:
 			bc := &bindStepCursor{
 				ctx: ctx, st: st, p: p, pp: pp, run: pp, cfg: cfg,
@@ -315,7 +311,7 @@ var tailSeededSteps, pairSeededSteps atomic.Int64
 
 // seedIndex is one memo entry's selected solutions (a seed node's, a
 // pair's, or a hash step's whole pattern), hash-indexed by the step's
-// shared-variable join key.
+// shared-variable join key. The solutions are the step's own copies.
 type seedIndex struct {
 	byKey map[string][]*binding.Reduced
 }
@@ -339,7 +335,8 @@ func buildSeedIndex(sols []*binding.Reduced, shared []string) *seedIndex {
 // with the target as its rings' only admissible last node. A hash step
 // (no seedVar: a disconnected fragment, or no bound end variable) solves
 // the whole pattern once, on its first input row, as the memo's one entry
-// (key 0); with no shared variables it is the cross product.
+// (key 0); with no shared variables it is the cross product. The memo
+// outlives the solver's per-seed storage, so it keeps copies, in kept.
 type bindStepCursor struct {
 	ctx context.Context
 	st  graph.Stepper
@@ -366,12 +363,16 @@ type bindStepCursor struct {
 	// memo maps a seed node index, a pair's seed<<32 | target, or a hash
 	// step's 0 to its solutions; nil when none joins.
 	memo   map[uint64]*seedIndex
+	kept   binding.Arena
 	keyBuf []byte
 
-	// row/cands/ci is the in-flight expansion head.
+	// row/cands/ci is the in-flight expansion head: row is the left
+	// cursor's, valid until the next left.Next. out is the row Next hands
+	// out.
 	row   *Row
 	cands []*binding.Reduced
 	ci    int
+	out   Row
 }
 
 func (c *bindStepCursor) Next() (*Row, error) {
@@ -383,8 +384,8 @@ func (c *bindStepCursor) Next() (*Row, error) {
 			}
 			sol := c.cands[c.ci]
 			c.ci++
-			if merged, ok := mergeRow(c.p, c.pp, c.row, sol); ok {
-				return merged, nil
+			if mergeRow(c.p, c.pp, &c.out, c.row, sol) {
+				return &c.out, nil
 			}
 		}
 		row, err := c.left.Next()
@@ -427,11 +428,10 @@ func (c *bindStepCursor) candidates(row *Row) ([]*binding.Reduced, error) {
 	}
 	idx, cached := c.memo[key]
 	if !cached {
-		sols, err := c.solve(si, ti)
-		if err != nil {
+		var err error
+		if idx, err = c.solve(si, ti); err != nil {
 			return nil, err
 		}
-		idx = c.index(sols, ti)
 		c.memo[key] = idx
 	}
 	if idx == nil {
@@ -441,11 +441,16 @@ func (c *bindStepCursor) candidates(row *Row) ([]*binding.Reduced, error) {
 	return idx.byKey[string(c.keyBuf)], nil
 }
 
-// solve returns the solutions of seed si (pair: with target ti), or, for
-// a hash step (si < 0), the whole pattern's, canonically sorted.
-func (c *bindStepCursor) solve(si, ti int) ([]*binding.Reduced, error) {
+// solve indexes the solutions of seed si (pair: with target ti), or, for
+// a hash step (si < 0), the whole pattern's, canonically sorted. It
+// returns nil when none is left to join.
+func (c *bindStepCursor) solve(si, ti int) (*seedIndex, error) {
 	if si < 0 {
-		return matchPatternStream(c.ctx, c.st, c.pp, c.cfg)
+		sols, err := matchPatternStream(c.ctx, c.st, c.pp, c.cfg, &c.kept)
+		if err != nil || len(sols) == 0 {
+			return nil, err
+		}
+		return buildSeedIndex(sols, c.shared), nil
 	}
 	if c.solver == nil {
 		c.solver = newSeedSolver(c.st, c.run, c.cfg, c.budget())
@@ -453,7 +458,11 @@ func (c *bindStepCursor) solve(si, ti int) ([]*binding.Reduced, error) {
 	if ti >= 0 {
 		c.pair.setPair(c.st, ti)
 	}
-	return c.solver.solve(si)
+	sols, err := c.solver.solve(si)
+	if err != nil {
+		return nil, err
+	}
+	return c.index(sols, ti), nil
 }
 
 // boundNode returns the node index a row binds a variable to.
@@ -462,11 +471,12 @@ func boundNode(row *Row, name string) (int, bool) {
 	return int(b.Idx), ok && b.Kind == BoundNode
 }
 
-// index flips a tail seed's solutions back to the pattern's textual
-// orientation and hash-indexes one seed's solutions by the join key. For
-// a pair (target node index t >= 0) it keeps only the solutions ending at
-// t, the only ones the pair's rows can join. It returns nil when no
-// solution is left.
+// index copies one seed's solutions into the step's storage, flipping a
+// tail seed's back to the pattern's textual orientation, and hash-indexes
+// them by the join key. For a pair (target node index t >= 0) it keeps
+// only the solutions ending at t, the only ones the pair's rows can join.
+// It returns nil when no solution is left. sols is the solver's, so it is
+// filtered in place.
 func (c *bindStepCursor) index(sols []*binding.Reduced, t int) *seedIndex {
 	if t >= 0 {
 		want := binding.Ref{Kind: binding.NodeElem, Idx: graph.ElemIdx(t)}
@@ -478,9 +488,10 @@ func (c *bindStepCursor) index(sols []*binding.Reduced, t int) *seedIndex {
 	if len(sols) == 0 {
 		return nil
 	}
-	if c.run != c.pp {
-		for i, sol := range sols {
-			sols[i] = sol.Reversed()
+	for i, sol := range sols {
+		sols[i] = c.kept.Clone(sol)
+		if c.run != c.pp {
+			sols[i].Reverse()
 		}
 	}
 	return buildSeedIndex(sols, c.shared)
@@ -501,8 +512,9 @@ func (c *bindStepCursor) budget() *budget {
 func (c *bindStepCursor) Close() error { return c.left.Close() }
 
 // matchPatternStream drains the pattern source of one path pattern, the
-// full single-pattern pipeline, and sorts its solutions canonically.
-func matchPatternStream(ctx context.Context, st graph.Stepper, pp *plan.PathPlan, cfg Config) ([]*binding.Reduced, error) {
+// full single-pattern pipeline, copies its solutions into kept, and sorts
+// them canonically.
+func matchPatternStream(ctx context.Context, st graph.Stepper, pp *plan.PathPlan, cfg Config, kept *binding.Arena) ([]*binding.Reduced, error) {
 	src := newPatternSource(ctx, st, pp, cfg)
 	var sols []*binding.Reduced
 	for {
@@ -514,6 +526,6 @@ func matchPatternStream(ctx context.Context, st graph.Stepper, pp *plan.PathPlan
 			binding.SortStable(sols)
 			return sols, nil
 		}
-		sols = append(sols, sol)
+		sols = append(sols, kept.Clone(sol))
 	}
 }

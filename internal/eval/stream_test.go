@@ -18,7 +18,7 @@ import (
 // the canonical order, i.e. exactly what MatchPattern returns.
 func streamPattern(t *testing.T, s graph.Store, pp *plan.PathPlan, cfg Config) []*binding.Reduced {
 	t.Helper()
-	sols, err := matchPatternStream(context.Background(), graph.AsStepper(s), pp, cfg)
+	sols, err := matchPatternStream(context.Background(), graph.AsStepper(s), pp, cfg, new(binding.Arena))
 	if err != nil {
 		t.Fatalf("pattern stream: %v", err)
 	}

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 )
 
@@ -170,18 +169,6 @@ func (p IdxPath) First() ElemIdx { return p.Nodes[0] }
 
 // Last returns the final node index.
 func (p IdxPath) Last() ElemIdx { return p.Nodes[len(p.Nodes)-1] }
-
-// Reversed returns the path walked from its last node to its first, in
-// fresh slices.
-func (p IdxPath) Reversed() IdxPath {
-	if len(p.Nodes) == 0 {
-		return p
-	}
-	out := IdxPath{Nodes: slices.Clone(p.Nodes), Edges: slices.Clone(p.Edges)}
-	slices.Reverse(out.Nodes)
-	slices.Reverse(out.Edges)
-	return out
-}
 
 // Materialize resolves the interned path to element ids against the
 // store that issued the indices.

@@ -195,7 +195,7 @@ func fig1Rows(t *testing.T) (cols []string, rows []*gpml.Row) {
 	}
 	defer rs.Close()
 	for rs.Next() {
-		rows = append(rows, rs.Row())
+		rows = append(rows, rs.Row().Clone()) // Row is borrowed until the next Next
 	}
 	if err := rs.Err(); err != nil || len(rows) == 0 {
 		t.Fatalf("fig1 rows: %d, err %v", len(rows), err)

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -521,7 +520,6 @@ type ndjsonWriter struct {
 	timer  *time.Timer // running while bytes are pending
 	closed bool        // the handler has returned: w must not be touched
 	wrote  bool        // bytes have reached w: the status is committed
-	filled bool        // a write was forced by flushBytes (handler's goroutine only)
 	err    error       // first write error; the stream is dead after it
 }
 
@@ -567,7 +565,6 @@ func (nw *ndjsonWriter) add(now bool, rows uint64, encode func(dst []byte) []byt
 	}
 	nw.buf, nw.rows = append(encode(nw.buf), '\n'), nw.rows+rows
 	ok, full = nw.err == nil, now || len(nw.buf) >= flushBytes
-	nw.filled = nw.filled || full && !now
 	return ok, full
 }
 
@@ -682,16 +679,6 @@ func (s *Server) streamNDJSON(w http.ResponseWriter, cols []string, rows rowStre
 	var last any = ndjsonTrailer{Rows: n, Truncated: limit > 0 && n == limit}
 	if err := rows.Err(); err != nil {
 		last = map[string]errorBody{"error": classify(err)}
-	}
-	if nw.filled {
-		// A handler that streamed for long owes the GC's fractional mark
-		// worker its share of this P, and the worker takes it, in one slice
-		// of several milliseconds, the next time the P reschedules.
-		// Rescheduling here bills that wait to the request that ran up the
-		// debt; left to the gap after the response, a machine with few Ps
-		// cannot pick up the connection's next request until the slice is
-		// over.
-		runtime.Gosched()
 	}
 	nw.record(true, 0, jsonRecord(last))
 }

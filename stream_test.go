@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -376,5 +378,55 @@ func TestStreamHeadTenTimesFasterThanFull(t *testing.T) {
 		full, first, float64(full)/float64(first), limit, float64(full)/float64(limit))
 	if first*10 > full || limit*10 > full {
 		t.Errorf("first row %v and LIMIT 100 %v must each be >= 10× faster than full %v", first, limit, full)
+	}
+}
+
+// TestRowsRowCloneSurvivesNext: the row Rows.Row returns is borrowed
+// until the next Next or Close. A Clone kept from each row still reads
+// that row after the stream moved on and closed, and the kept rows are
+// Eval's rows.
+func TestRowsRowCloneSurvivesNext(t *testing.T) {
+	q := gpml.MustCompile(`MATCH (x:Account)-[t:Transfer]->(y:Account), TRAIL (y)-[u:Transfer]->{1,2}(z:Account)`)
+	g := gpml.Fig1()
+	render := func(rows []*gpml.Row) []string {
+		var out []string
+		for _, row := range rows {
+			line := ""
+			for _, c := range q.Columns() {
+				b, _ := row.Get(c)
+				line += b.String() + "|"
+			}
+			out = append(out, line)
+		}
+		sort.Strings(out)
+		return out
+	}
+	rows, err := q.Stream(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var atNext []string
+	var kept []*gpml.Row
+	for rows.Next() {
+		atNext = append(atNext, render([]*gpml.Row{rows.Row()})...)
+		kept = append(kept, rows.Row().Clone())
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	rows.Close()
+	res, err := q.Eval(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := render(res.Rows)
+	if len(want) < 10 {
+		t.Fatalf("vacuous: %d rows", len(want))
+	}
+	sort.Strings(atNext)
+	for name, got := range map[string][]string{"at Next": atNext, "kept clones": render(kept)} {
+		if !slices.Equal(got, want) {
+			t.Errorf("rows %s:\n%v\nwant Eval's:\n%v", name, got, want)
+		}
 	}
 }
