@@ -120,8 +120,9 @@ func BenchmarkAllShortestPointToPoint(b *testing.B) {
 type snbShape struct {
 	name, query string
 	params      []Params
-	// stream drains the rows through StreamPlan, as the server does,
-	// instead of collecting them in canonical order through EvalPlan.
+	// stream drains the rows through StreamPlan and renders every column
+	// of each through AppendCell, as the server does, instead of
+	// collecting them in canonical order through EvalPlan.
 	stream bool
 }
 
@@ -136,10 +137,14 @@ func (s snbShape) run(c *graph.CSR, p *plan.Plan, params Params) error {
 		return err
 	}
 	defer cur.Close()
+	var cell []byte
 	for {
 		row, err := cur.Next()
 		if row == nil || err != nil {
 			return err
+		}
+		for _, col := range p.Columns {
+			cell = row.AppendCell(cell[:0], col)
 		}
 	}
 }

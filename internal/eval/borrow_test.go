@@ -27,7 +27,8 @@ type borrowCase struct {
 
 // drainBorrowed streams the statement and returns its rows rendered at
 // each Next (renderResult's form) and the Clones it kept, rendered after
-// the stream was drained and closed.
+// the stream was drained and closed. At each Next, every column's
+// AppendCell must render what Get and String do.
 func drainBorrowed(t *testing.T, c borrowCase) (atNext, kept []string) {
 	t.Helper()
 	cur, err := StreamPlan(context.Background(), c.s, c.p, Config{})
@@ -44,6 +45,11 @@ func drainBorrowed(t *testing.T, c borrowCase) (atNext, kept []string) {
 			break
 		}
 		atNext = append(atNext, renderResult(&Result{Columns: c.p.Columns, Rows: []*Row{row}})...)
+		for _, col := range c.p.Columns {
+			if b, _ := row.Get(col); string(row.AppendCell(nil, col)) != b.String() {
+				t.Fatalf("%s: column %s: AppendCell %q, Get %q", c.label, col, row.AppendCell(nil, col), b.String())
+			}
+		}
 		clones = append(clones, row.Clone())
 	}
 	cur.Close()

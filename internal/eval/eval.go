@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"gpml/internal/binding"
@@ -51,11 +52,11 @@ const (
 	BoundPath
 )
 
-// Bound is the value of one variable in a result row. Node/Edge ids are
-// materialized once, when the row is assembled, the Group list and the
-// Path by each Get; Idx keeps the element's dense index (relative to the
-// query's pinned view) so downstream expression evaluation and joins stay
-// integer-dense. Group entries stay interned.
+// Bound is the value of one variable in a result row. Node/Edge ids,
+// the Group list and the Path are materialized by each Get; Idx keeps the
+// element's dense index (relative to the query's pinned view) so
+// downstream expression evaluation and joins stay integer-dense. Group
+// entries stay interned.
 type Bound struct {
 	Kind  BoundKind
 	Idx   graph.ElemIdx
@@ -90,140 +91,152 @@ func (b Bound) String() string {
 		return string(b.Node)
 	case BoundEdge:
 		return string(b.Edge)
-	case BoundGroup, BoundPath:
-		return string(b.AppendText(nil))
+	case BoundGroup:
+		return "[" + strings.Join(b.GroupIDs(), ",") + "]"
+	case BoundPath:
+		return b.Path.String()
 	}
 	return "NULL"
 }
 
-// AppendText appends the String rendering to dst.
-func (b Bound) AppendText(dst []byte) []byte {
-	switch b.Kind {
-	case BoundGroup:
-		dst = append(dst, '[')
-		for i, r := range b.Group {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, binding.ElemID(b.src, r.Kind, r.Idx)...)
-		}
-		return append(dst, ']')
-	case BoundPath:
-		return b.Path.AppendText(dst)
-	}
-	return append(dst, b.String()...)
-}
-
-// rowVar is one bound variable of a row, in compact form: node and edge
-// bindings hold their materialized id, group and path bindings only the
-// solution Get expands them from. Rows bind a handful of variables, so an
-// association list beats a map: linear scans that stay in cache.
-type rowVar struct {
-	name string
-	kind BoundKind
-	idx  graph.ElemIdx
-	id   string           // node or edge id
-	sol  *binding.Reduced // the pattern solution that bound the variable
-}
-
-// Row is one joined match of the whole graph pattern. A row a cursor
-// hands out is borrowed (see Cursor): keep its Clone.
+// Row is one joined match of the whole graph pattern: one reduced binding
+// per path pattern (§6.5), read through the plan's variable table. A
+// variable's value is its binding in the first joined pattern that
+// declares it; a shared variable reads the same element from each, since
+// the join key encodes it by kind and index. A row a cursor hands out is
+// borrowed (see Cursor): keep its Clone.
 type Row struct {
-	vars []rowVar
 	// Bindings holds one reduced binding per path pattern, indexed by
 	// pattern (textual) order. During a join, patterns not yet joined are
 	// nil; every completed row has all entries set.
 	Bindings []*binding.Reduced
+	table    map[string]*plan.VarInfo // the plan's Vars
+}
+
+// newRow returns a row of the plan with no pattern joined yet.
+func newRow(p *plan.Plan) Row {
+	return Row{Bindings: make([]*binding.Reduced, len(p.Paths)), table: p.Vars}
 }
 
 // Clone returns a deep copy of the row, its bindings included, that stays
 // valid after the cursor that produced the row moves on or closes.
 func (r *Row) Clone() *Row {
-	return r.copyTo(new(Row), make([]rowVar, len(r.vars)), make([]*binding.Reduced, len(r.Bindings)), (*binding.Reduced).Clone)
+	return r.copyTo(new(Row), make([]*binding.Reduced, len(r.Bindings)), (*binding.Reduced).Clone)
 }
 
-// copyTo copies r into out, its variables and bindings into storage sized
-// for them, each binding by clone.
-func (r *Row) copyTo(out *Row, vars []rowVar, binds []*binding.Reduced, clone func(*binding.Reduced) *binding.Reduced) *Row {
-	*out = Row{vars: vars, Bindings: binds}
+// copyTo copies r into out, its bindings into storage sized for them,
+// each by clone.
+func (r *Row) copyTo(out *Row, binds []*binding.Reduced, clone func(*binding.Reduced) *binding.Reduced) *Row {
+	*out = Row{Bindings: binds, table: r.table}
 	for i, b := range r.Bindings {
 		if b != nil {
 			binds[i] = clone(b)
 		}
 	}
-	copy(vars, r.vars)
-	// Every variable points at the binding of the pattern that bound it.
-	for i := range vars {
-		for k, b := range r.Bindings {
-			if vars[i].sol == b {
-				vars[i].sol = binds[k]
-				break
-			}
-		}
-	}
 	return out
 }
-
-// emptyRow is the prefix a pattern's solutions merge into when no pattern
-// has been joined before it. It is never written.
-var emptyRow Row
 
 // rowArena is chunked storage for the rows Collect keeps.
 type rowArena struct {
 	rows  chunk.Buf[Row]
-	vars  chunk.Buf[rowVar]
 	binds chunk.Buf[*binding.Reduced]
 	sols  binding.Arena
 }
 
 // clone copies r and its bindings into the arena.
 func (a *rowArena) clone(r *Row) *Row {
-	return r.copyTo(a.rows.New(), a.vars.Take(len(r.vars)), a.binds.Take(len(r.Bindings)), a.sols.Clone)
+	return r.copyTo(a.rows.New(), a.binds.Take(len(r.Bindings)), a.sols.Clone)
 }
 
-// Get returns the binding of a variable in this row (a linear scan).
-func (r *Row) Get(name string) (b Bound, ok bool) {
-	for i := range r.vars {
-		v := &r.vars[i]
-		if v.name != name {
-			continue
-		}
-		b.Kind, b.Idx = v.kind, v.idx
-		switch v.kind {
-		case BoundNull:
-			return b, true
-		case BoundNode:
-			b.Node = graph.NodeID(v.id)
-		case BoundEdge:
-			b.Edge = graph.EdgeID(v.id)
-		case BoundGroup:
-			b.Group = v.sol.Group(name)
-		case BoundPath:
-			b.Path = v.sol.Path.Materialize(v.sol.Src)
-		}
-		b.src = v.sol.Src
-		return b, true
+// lookup returns a variable's plan entry and the binding that holds it;
+// ok is false when the row binds no such variable (unknown, anonymous,
+// or declared only by patterns not joined yet).
+func (r *Row) lookup(name string) (info *plan.VarInfo, sol *binding.Reduced, ok bool) {
+	if info = r.table[name]; info == nil || info.Anon {
+		return nil, nil, false
 	}
-	return b, false
+	for _, i := range info.Patterns {
+		if sol = r.Bindings[i]; sol != nil {
+			return info, sol, true
+		}
+	}
+	return nil, nil, false
+}
+
+// singleton returns the element a singleton variable is bound to; ok is
+// false for an unbound, group or path variable.
+func (r *Row) singleton(name string) (binding.Ref, bool) {
+	info, sol, ok := r.lookup(name)
+	if !ok || info.Group || info.Kind == plan.VarPath {
+		return binding.Ref{}, false
+	}
+	return sol.Singleton(name)
+}
+
+// Get returns the binding of a variable in this row, its ids
+// materialized. A declared singleton that did not bind is BoundNull.
+func (r *Row) Get(name string) (b Bound, ok bool) {
+	info, sol, ok := r.lookup(name)
+	if !ok {
+		return b, false
+	}
+	switch {
+	case info.Kind == plan.VarPath:
+		b.Kind, b.Path = BoundPath, sol.Path.Materialize(sol.Src)
+	case info.Group:
+		b.Kind, b.Group = BoundGroup, sol.Group(name)
+	default:
+		ref, bound := sol.Singleton(name)
+		if !bound {
+			return b, true // conditional singleton, unbound
+		}
+		b.Idx = ref.Idx
+		if ref.Kind == binding.EdgeElem {
+			b.Kind, b.Edge = BoundEdge, graph.EdgeID(sol.RefID(ref))
+		} else {
+			b.Kind, b.Node = BoundNode, graph.NodeID(sol.RefID(ref))
+		}
+	}
+	b.src = sol.Src
+	return b, true
 }
 
 // AppendCell appends what Get followed by String renders for a variable
-// (NULL when unbound), element ids straight from their interned strings.
+// (NULL when unbound), straight from the binding: element ids from their
+// interned strings, a group from the binding's columns and a path from
+// its index path, so a cell allocates nothing.
 func (r *Row) AppendCell(dst []byte, name string) []byte {
-	for i := range r.vars {
-		if v := &r.vars[i]; v.name == name && (v.kind == BoundNode || v.kind == BoundEdge) {
-			return append(dst, v.id...)
+	info, sol, ok := r.lookup(name)
+	switch {
+	case !ok:
+	case info.Kind == plan.VarPath:
+		return sol.Path.AppendText(dst, sol.Src)
+	case info.Group:
+		dst = append(dst, '[')
+		sep := ""
+		for _, c := range sol.Cols {
+			if c.Var == name {
+				dst = append(dst, sep...)
+				dst = append(dst, binding.ElemID(sol.Src, c.Kind, c.Idx)...)
+				sep = ","
+			}
+		}
+		return append(dst, ']')
+	default:
+		if ref, bound := sol.Singleton(name); bound {
+			return append(dst, sol.RefID(ref)...)
 		}
 	}
-	b, _ := r.Get(name)
-	return b.AppendText(dst)
+	return append(dst, "NULL"...)
 }
 
 // Vars lists the bound variables of the row (sorted).
 func (r *Row) Vars() []string {
-	out := make([]string, 0, len(r.vars))
-	for i := range r.vars {
-		out = append(out, r.vars[i].name)
+	var out []string
+	for name := range r.table {
+		if _, _, ok := r.lookup(name); ok {
+			out = append(out, name)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -377,13 +390,11 @@ func sharedVars(p *plan.Plan, pp *plan.PathPlan, bound map[string]bool) []string
 	return shared
 }
 
-// markBound records the variables a joined pattern binds.
+// markBound records the variables a joined pattern binds (pp.Vars lists
+// its path variable too).
 func markBound(bound map[string]bool, pp *plan.PathPlan) {
 	for _, v := range pp.Vars {
 		bound[v] = true
-	}
-	if pv := pp.Pattern.PathVar; pv != "" {
-		bound[pv] = true
 	}
 }
 
@@ -419,80 +430,25 @@ func appendJoinKeyOfSolution(buf []byte, sol *binding.Reduced, shared []string) 
 // to buf.
 func appendJoinKeyOfRow(buf []byte, row *Row, shared []string) []byte {
 	for _, v := range shared {
-		b, _ := row.Get(v)
-		switch b.Kind {
-		case BoundNode:
-			buf = appendIdxComponent(buf, binding.NodeElem, b.Idx)
-		case BoundEdge:
-			buf = appendIdxComponent(buf, binding.EdgeElem, b.Idx)
-		default:
+		if ref, ok := row.singleton(v); ok {
+			buf = appendIdxComponent(buf, ref.Kind, ref.Idx)
+		} else {
 			buf = append(buf, unboundKeyByte)
 		}
 	}
 	return buf
 }
 
-// mergeRow writes into dst the partial row prefix extended with one
-// pattern solution, checking the implicit equi-joins on shared
-// unconditional singletons by (kind, index). It reports false when they
-// fail, leaving dst half written. dst is the calling cursor's one row,
-// reused from row to row; prefix is another cursor's. This is where a
-// match's element id strings are materialized — once per assembled row,
-// never during search.
-func mergeRow(p *plan.Plan, pp *plan.PathPlan, dst, prefix *Row, sol *binding.Reduced) bool {
-	vars := append(dst.vars[:0], prefix.vars...)
-	for _, name := range pp.Vars {
-		info := p.Var(name)
-		if info == nil {
-			continue
-		}
-		v := rowVar{name: name, sol: sol}
-		switch {
-		case info.Kind == plan.VarPath:
-			continue // handled below via PathVar
-		case info.Group:
-			v.kind = BoundGroup
-		default:
-			ref, ok := sol.Singleton(name)
-			if !ok {
-				v.kind = BoundNull // conditional singleton, unbound
-			} else {
-				v.kind, v.idx, v.id = BoundNode, ref.Idx, sol.RefID(ref)
-				if ref.Kind == binding.EdgeElem {
-					v.kind = BoundEdge
-				}
-			}
-		}
-		prevAt := -1
-		for i := range vars {
-			if vars[i].name == name {
-				prevAt = i
-				break
-			}
-		}
-		if prevAt >= 0 {
-			// Implicit equi-join across path patterns (static analysis
-			// guarantees these are unconditional singletons).
-			if vars[prevAt].kind != v.kind || vars[prevAt].idx != v.idx {
-				return false
-			}
-			continue
-		}
-		vars = append(vars, v)
-	}
-	if pv := pp.Pattern.PathVar; pv != "" {
-		vars = append(vars, rowVar{name: pv, kind: BoundPath, sol: sol})
-	}
-	dst.vars = vars
-	if n := len(p.Paths); cap(dst.Bindings) < n {
-		dst.Bindings = make([]*binding.Reduced, n)
-	} else {
-		dst.Bindings = dst.Bindings[:n]
-	}
+// joinRow writes into dst, a row of the same plan, the row prefix
+// extended with a solution of pattern at, and returns dst. It checks
+// nothing: the probe key already made sol agree with prefix on every
+// shared variable by (kind, index), and the plan joins patterns only on
+// unconditional singletons (§4.6). dst is the calling cursor's one row,
+// reused from row to row; prefix is another cursor's.
+func joinRow(dst, prefix *Row, at int, sol *binding.Reduced) *Row {
 	copy(dst.Bindings, prefix.Bindings)
-	clear(dst.Bindings[len(prefix.Bindings):])
-	dst.Bindings[pp.Index] = sol
-	return true
+	dst.Bindings[at] = sol
+	return dst
 }
 
 // rowEdgeIsomorphic reports whether every edge occurrence across the row's
@@ -529,20 +485,7 @@ func (r rowResolver) ParamValue(name string) (value.Value, bool) {
 
 func (r rowResolver) Graph() graph.Stepper { return r.g }
 
-func (r rowResolver) Elem(name string) (binding.Ref, bool) {
-	b, ok := r.row.Get(name)
-	if !ok {
-		return binding.Ref{}, false
-	}
-	switch b.Kind {
-	case BoundNode:
-		return binding.Ref{Kind: binding.NodeElem, Idx: b.Idx}, true
-	case BoundEdge:
-		return binding.Ref{Kind: binding.EdgeElem, Idx: b.Idx}, true
-	default:
-		return binding.Ref{}, false
-	}
-}
+func (r rowResolver) Elem(name string) (binding.Ref, bool) { return r.row.singleton(name) }
 
 func (r rowResolver) Group(name string) ([]binding.Ref, bool) {
 	b, ok := r.row.Get(name)

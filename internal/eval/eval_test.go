@@ -440,8 +440,21 @@ func TestRowAccessors(t *testing.T) {
 	if _, ok := row.Get("nope"); ok {
 		t.Errorf("missing var must be !ok")
 	}
+	if got := string(row.AppendCell(nil, "nope")); got != "NULL" {
+		t.Errorf("missing var renders %q, want NULL", got)
+	}
 	if res.Columns[0] != "p" {
 		t.Errorf("columns: %v", res.Columns)
+	}
+	// Anonymous variables are the plan's, not the row's.
+	row = evalQuery(t, g, `MATCH (x:Account WHERE x.owner='Jay')-[]->()`).Rows[0]
+	if vars := row.Vars(); strings.Join(vars, ",") != "x" {
+		t.Errorf("vars with anonymous elements: %v", vars)
+	}
+	for _, anon := range []string{ast.AnonNodeVar(0), ast.AnonNodeVar(1), ast.AnonEdgeVar(0)} {
+		if _, ok := row.Get(anon); ok {
+			t.Errorf("anonymous %s must be !ok", anon)
+		}
 	}
 }
 

@@ -33,14 +33,15 @@ import (
 func classicJoin(t *testing.T, s graph.Store, p *plan.Plan, cfg Config) *Result {
 	t.Helper()
 	st := graph.AsStepper(s)
-	rows := []*Row{{}}
+	empty := newRow(p)
+	rows := []*Row{&empty}
 	bound := map[string]bool{}
 	for i, pp := range p.Paths {
 		solutions, err := MatchPattern(st, pp, cfg)
 		if err != nil {
 			t.Fatalf("classic join: pattern %d: %v", i, err)
 		}
-		rows = joinPattern(p, pp, rows, solutions, sharedVars(p, pp, bound))
+		rows = joinPattern(p, pp.Index, rows, solutions, sharedVars(p, pp, bound))
 		markBound(bound, pp)
 	}
 	if p.Post != nil {
@@ -60,9 +61,9 @@ func classicJoin(t *testing.T, s graph.Store, p *plan.Plan, cfg Config) *Result 
 	return &Result{Columns: p.Columns, Rows: rows}
 }
 
-// joinPattern hash-joins one pattern's solutions into the accumulated
+// joinPattern hash-joins the solutions of pattern at into the accumulated
 // rows; with no shared variables it degenerates to a cross product.
-func joinPattern(p *plan.Plan, pp *plan.PathPlan, rows []*Row, solutions []*binding.Reduced, shared []string) []*Row {
+func joinPattern(p *plan.Plan, at int, rows []*Row, solutions []*binding.Reduced, shared []string) []*Row {
 	index := map[string][]*binding.Reduced{}
 	var buf []byte
 	for _, sol := range solutions {
@@ -73,12 +74,30 @@ func joinPattern(p *plan.Plan, pp *plan.PathPlan, rows []*Row, solutions []*bind
 	for _, row := range rows {
 		buf = appendJoinKeyOfRow(buf[:0], row, shared)
 		for _, sol := range index[string(buf)] {
-			if merged := (&Row{}); mergeRow(p, pp, merged, row, sol) {
-				next = append(next, merged)
-			}
+			merged := newRow(p)
+			next = append(next, joinRow(&merged, row, at, sol))
 		}
 	}
 	return next
+}
+
+// disagreement names a variable that two of its declaring patterns bind
+// to different elements in row, or to none, or returns "" when each
+// shared variable reads the same (kind, index) from every pattern that
+// declares it: the implicit equi-join the probe key enforces.
+func disagreement(p *plan.Plan, row *Row) string {
+	for name, info := range p.Vars {
+		if len(info.Patterns) < 2 {
+			continue
+		}
+		first, ok := row.Bindings[info.Patterns[0]].Singleton(name)
+		for _, i := range info.Patterns[1:] {
+			if ref, bound := row.Bindings[i].Singleton(name); !ok || !bound || ref != first {
+				return name
+			}
+		}
+	}
+	return ""
 }
 
 // joinFragments are the path-pattern building blocks. Variables overlap
@@ -139,13 +158,7 @@ func naiveJoinReference(t *testing.T, per [][]*binding.Reduced, p *plan.Plan) []
 		if len(info.Patterns) < 2 || info.Group || info.Kind == plan.VarPath {
 			continue
 		}
-		var pats []int
-		for i := range p.Paths {
-			if info.Patterns[i] {
-				pats = append(pats, i)
-			}
-		}
-		shared = append(shared, sharing{name, pats})
+		shared = append(shared, sharing{name, info.Patterns})
 	}
 	var out []string
 	pick := make([]*binding.Reduced, len(p.Paths))
@@ -323,6 +336,11 @@ func checkJoinAgainstOracles(t *testing.T, label string, g *graph.Graph, p *plan
 		on, err := EvalPlan(s, p, Config{})
 		if err != nil {
 			t.Fatalf("%s: bind-join: %v", label, err)
+		}
+		for r, row := range on.Rows {
+			if v := disagreement(p, row); v != "" {
+				t.Fatalf("%s: row %d binds %s differently across its patterns", label, r, v)
+			}
 		}
 		off := classicJoin(t, s, p, Config{})
 		diffStrings(t, label+" [bind-join vs classic]", renderResult(on), renderResult(off))

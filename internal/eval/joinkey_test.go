@@ -56,17 +56,15 @@ func solutionOf(t testing.TB, s *graph.CSR, vars map[string]string) *binding.Red
 	return r
 }
 
+// rowOf builds a one-pattern row binding vars, from its one solution and
+// a variable table that declares each variable a node of pattern 0.
 func rowOf(t testing.TB, s *graph.CSR, vars map[string]string) *Row {
 	t.Helper()
-	row := &Row{}
-	for v, id := range vars {
-		idx, ok := s.InternNode(graph.NodeID(id))
-		if !ok {
-			t.Fatalf("unknown node %q", id)
-		}
-		row.vars = append(row.vars, rowVar{name: v, kind: BoundNode, idx: idx, id: id, sol: &binding.Reduced{Src: s}})
+	table := map[string]*plan.VarInfo{}
+	for v := range vars {
+		table[v] = &plan.VarInfo{Name: v, Kind: plan.VarNode, Patterns: []int{0}}
 	}
-	return row
+	return &Row{Bindings: []*binding.Reduced{solutionOf(t, s, vars)}, table: table}
 }
 
 func TestJoinKeyAdversarialIDs(t *testing.T) {

@@ -222,18 +222,17 @@ func TestReversedPatternsAgree(t *testing.T) {
 			// variables list their elements in the original order.
 			rows := make([]*Row, len(got.Rows))
 			for r, row := range got.Rows {
-				rows[r] = &Row{}
-				for i, pp := range p.Paths {
-					sol := row.Bindings[i]
+				joined := newRow(p)
+				for i, sol := range row.Bindings {
 					if flipped[i] {
 						sol.Reverse() // got's own copy, not read again
 					}
-					merged := &Row{}
-					if !mergeRow(p, pp, merged, rows[r], sol) {
-						t.Fatalf("%s: row %d does not rejoin", label, r)
-					}
-					rows[r] = merged
+					joined.Bindings[i] = sol
 				}
+				if v := disagreement(p, &joined); v != "" {
+					t.Fatalf("%s: row %d does not rejoin on %s", label, r, v)
+				}
+				rows[r] = &joined
 			}
 			sortRowsCanonical(rows, len(p.Paths))
 			diffStrings(t, label, renderResult(&Result{Columns: want.Columns, Rows: rows}), renderResult(want))

@@ -234,19 +234,21 @@ func TestPairSeedSkipsUnboundTarget(t *testing.T) {
 	st := graph.Stepper(csr)
 	p := compile(t, pairFamilies[0].src, plan.Options{})
 	c := &bindStepCursor{
-		ctx: context.Background(), st: st, p: p, pp: p.Paths[1], run: p.Paths[1], cfg: Config{},
+		ctx: context.Background(), st: st, pp: p.Paths[1], run: p.Paths[1], cfg: Config{},
 		seedVar: "x", target: "y", shared: []string{"x", "y"},
 		pair: newRings(st.NodeIndexSpan(), p.Paths[1].MaxEdges),
 		memo: map[uint64]*seedIndex{},
 	}
 	x, _ := csr.InternNode("a0")
-	row := &Row{vars: []rowVar{{name: "x", kind: BoundNode, idx: x, sol: &binding.Reduced{Src: st}}}}
-	if sols, err := c.candidates(row); err != nil || sols != nil {
+	sol := &binding.Reduced{Src: st, Cols: []binding.ReducedCol{{Var: "x", Kind: binding.NodeElem, Idx: x}}}
+	row := newRow(p)
+	row.Bindings[0] = sol
+	if sols, err := c.candidates(&row); err != nil || sols != nil {
 		t.Fatalf("unbound target: %v, %v", sols, err)
 	}
 	p0, _ := csr.InternNode("p0")
-	row.vars = append(row.vars, rowVar{name: "y", kind: BoundNode, idx: p0, sol: row.vars[0].sol})
-	if sols, err := c.candidates(row); err != nil || sols != nil {
+	sol.Cols = append(sol.Cols, binding.ReducedCol{Var: "y", Kind: binding.NodeElem, Idx: p0})
+	if sols, err := c.candidates(&row); err != nil || sols != nil {
 		t.Fatalf("pair without a match: %v, %v", sols, err)
 	}
 	if idx, ok := c.memo[uint64(x)<<32|uint64(p0)]; !ok || idx != nil {

@@ -85,8 +85,7 @@ func StreamPlan(ctx context.Context, s graph.Store, p *plan.Plan, cfg Config) (C
 	if len(p.Paths) > 1 {
 		cur = newBindJoinCursor(ctx, st, p, cfg)
 	} else {
-		pp := p.Paths[0]
-		cur = &matchCursor{src: newPatternSource(ctx, st, pp, cfg), p: p, pp: pp}
+		cur = newMatchCursor(ctx, st, p, p.Paths[0], cfg)
 	}
 	// Post-join stages: all row-local, all streaming.
 	if cfg.EdgeIsomorphic {
@@ -197,21 +196,22 @@ func (c *solSource) next() (*binding.Reduced, error) {
 // first/only join step), each written into the cursor's one row.
 type matchCursor struct {
 	src *solSource
-	p   *plan.Plan
-	pp  *plan.PathPlan
+	at  int // the pattern's index
 	out Row // the row Next hands out
 }
 
+// newMatchCursor streams pattern pp's solutions as rows of plan p.
+func newMatchCursor(ctx context.Context, st graph.Stepper, p *plan.Plan, pp *plan.PathPlan, cfg Config) *matchCursor {
+	return &matchCursor{src: newPatternSource(ctx, st, pp, cfg), at: pp.Index, out: newRow(p)}
+}
+
 func (c *matchCursor) Next() (*Row, error) {
-	for {
-		sol, err := c.src.next()
-		if sol == nil || err != nil {
-			return nil, err
-		}
-		if mergeRow(c.p, c.pp, &c.out, &emptyRow, sol) {
-			return &c.out, nil
-		}
+	sol, err := c.src.next()
+	if sol == nil || err != nil {
+		return nil, err
 	}
+	c.out.Bindings[c.at] = sol
+	return &c.out, nil
 }
 
 func (c *matchCursor) Close() error { return nil }
@@ -280,11 +280,11 @@ func newBindJoinCursor(ctx context.Context, st graph.Stepper, p *plan.Plan, cfg 
 		case k == 0:
 			// The first step joins against the single empty row: a pure
 			// pattern scan, streamed straight off the engines.
-			cur = &matchCursor{src: newPatternSource(ctx, st, pp, cfg), p: p, pp: pp}
+			cur = newMatchCursor(ctx, st, p, pp, cfg)
 		default:
 			bc := &bindStepCursor{
-				ctx: ctx, st: st, p: p, pp: pp, run: pp, cfg: cfg,
-				shared: shared, left: cur, memo: map[uint64]*seedIndex{},
+				ctx: ctx, st: st, pp: pp, run: pp, cfg: cfg,
+				shared: shared, left: cur, memo: map[uint64]*seedIndex{}, out: newRow(p),
 			}
 			if step.SeedVar != "" && bound[step.SeedVar] {
 				bc.seedVar, bc.target = step.SeedVar, step.Target
@@ -340,7 +340,6 @@ func buildSeedIndex(sols []*binding.Reduced, shared []string) *seedIndex {
 type bindStepCursor struct {
 	ctx context.Context
 	st  graph.Stepper
-	p   *plan.Plan
 	pp  *plan.PathPlan
 	// run is the plan the engines run: pp, or pp.Mirrored() for a tail
 	// seed, whose solutions flip back to pp's orientation before they are
@@ -384,9 +383,7 @@ func (c *bindStepCursor) Next() (*Row, error) {
 			}
 			sol := c.cands[c.ci]
 			c.ci++
-			if mergeRow(c.p, c.pp, &c.out, c.row, sol) {
-				return &c.out, nil
-			}
+			return joinRow(&c.out, c.row, c.pp.Index, sol), nil
 		}
 		row, err := c.left.Next()
 		if row == nil || err != nil {
@@ -467,8 +464,8 @@ func (c *bindStepCursor) solve(si, ti int) (*seedIndex, error) {
 
 // boundNode returns the node index a row binds a variable to.
 func boundNode(row *Row, name string) (int, bool) {
-	b, ok := row.Get(name)
-	return int(b.Idx), ok && b.Kind == BoundNode
+	ref, ok := row.singleton(name)
+	return int(ref.Idx), ok && ref.Kind == binding.NodeElem
 }
 
 // index copies one seed's solutions into the step's storage, flipping a

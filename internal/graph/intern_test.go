@@ -243,3 +243,21 @@ func internNode(s Store, id NodeID) (ElemIdx, bool) {
 func internEdge(s Store, id EdgeID) (ElemIdx, bool) {
 	return AsStepper(s).(interner).InternEdge(id)
 }
+
+// TestIdxPathAppendText: rendering an index path straight from the store
+// equals rendering its materialized Path, the empty path included.
+func TestIdxPathAppendText(t *testing.T) {
+	s := Snapshot(internFixture(t))
+	n := func(id NodeID) ElemIdx { i, _ := s.InternNode(id); return i }
+	e := func(id EdgeID) ElemIdx { i, _ := s.InternEdge(id); return i }
+	for _, p := range []IdxPath{
+		{},
+		{Nodes: []ElemIdx{n("n3")}},
+		{Nodes: []ElemIdx{n("n0"), n("n0"), n("n1"), n("n5")}, Edges: []ElemIdx{e("loop"), e("e0"), e("und")}},
+	} {
+		want := string(p.Materialize(s).AppendText([]byte("x:")))
+		if got := string(p.AppendText([]byte("x:"), s)); got != want {
+			t.Errorf("AppendText %q, want %q", got, want)
+		}
+	}
+}

@@ -187,6 +187,21 @@ func (p IdxPath) Materialize(s Stepper) Path {
 	return Path{Nodes: nodes, Edges: edges}
 }
 
+// AppendText appends the materialized path's Path.AppendText rendering
+// to dst, reading ids from the store's interned strings.
+func (p IdxPath) AppendText(dst []byte, s Stepper) []byte {
+	dst = append(dst, "path("...)
+	for i, n := range p.Nodes {
+		if i > 0 {
+			dst = append(dst, ',')
+			dst = append(dst, s.EdgeByIndex(int(p.Edges[i-1])).ID...)
+			dst = append(dst, ',')
+		}
+		dst = append(dst, s.NodeByIndex(int(n)).ID...)
+	}
+	return append(dst, ')')
+}
+
 // AppendKeyString appends the materialized path's canonical key (the
 // Path.Key format) to a builder, for canonical sort keys.
 func (p IdxPath) AppendKeyString(b *strings.Builder, s Stepper) {

@@ -42,7 +42,7 @@ type VarInfo struct {
 	Group       bool  // declared under at least one quantifier
 	Conditional bool  // singleton that may remain unbound
 	QuantChain  []int // ids of enclosing quantifiers at the declaration
-	Patterns    map[int]bool
+	Patterns    []int // the patterns that declare it, ascending
 	DeclOrder   int
 }
 
@@ -447,7 +447,7 @@ func (a *analyzer) declare(name string, kind VarKind, chain []int, anon bool) er
 			Anon:       anon,
 			Group:      len(chain) > 0,
 			QuantChain: append([]int(nil), chain...),
-			Patterns:   map[int]bool{a.patIdx: true},
+			Patterns:   []int{a.patIdx},
 			DeclOrder:  a.order,
 		}
 		a.order++
@@ -463,9 +463,11 @@ func (a *analyzer) declare(name string, kind VarKind, chain []int, anon bool) er
 	if kind == VarPath {
 		return fmt.Errorf("plan: path variable %q declared more than once", name)
 	}
-	if !info.Patterns[a.patIdx] {
+	if !slices.Contains(info.Patterns, a.patIdx) {
 		// Declared in another top-level pattern: an implicit equi-join.
-		info.Patterns[a.patIdx] = true
+		// Patterns are analysed in textual order, so the list stays
+		// ascending.
+		info.Patterns = append(info.Patterns, a.patIdx)
 		if len(chain) > 0 || info.Group {
 			return fmt.Errorf("plan: group variable %q cannot be shared between path patterns", name)
 		}

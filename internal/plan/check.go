@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"gpml/internal/ast"
 	"gpml/internal/value"
@@ -250,7 +251,7 @@ func (a *analyzer) refCheck(name string, site exprSite, inAgg bool) (*VarInfo, e
 		}
 		return nil, fmt.Errorf("plan: path variable %q cannot be used in expressions", name)
 	}
-	if !site.post && site.patternIdx >= 0 && !info.Patterns[site.patternIdx] {
+	if !site.post && site.patternIdx >= 0 && !slices.Contains(info.Patterns, site.patternIdx) {
 		return nil, fmt.Errorf("plan: prefilter references variable %q declared in another path pattern; move the condition to the final WHERE clause", name)
 	}
 	crossing := info.Group && !isPrefix(info.QuantChain, site.chain)

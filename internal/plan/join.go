@@ -484,7 +484,7 @@ func linkedToRemaining(p *Plan, i int, used []bool) bool {
 		if !p.JoinableVar(v) {
 			continue
 		}
-		for other := range p.Var(v).Patterns {
+		for _, other := range p.Var(v).Patterns {
 			if other != i && !used[other] {
 				return true
 			}
