@@ -8,11 +8,11 @@ package graph
 // renumbered — so every surviving element keeps its global index verbatim
 // and bindings taken in any epoch materialize identically after the swap.
 //
-// The rebase step then rewrites the writer's delta relative to the new
-// base: elements added during the compaction keep their global indices
-// (the new base span is exactly the old span plus the compacted delta),
-// and tombstones/overrides are partitioned by mutation generation —
-// those at or below the compacted epoch's generation are baked into the
+// The rebase step then rewrites a fork of the current epoch relative to
+// the new base: elements added during the compaction keep their global
+// indices (the new base span is exactly the old span plus the compacted
+// delta), and tombstones/overrides are partitioned by mutation generation
+// — those at or below the compacted epoch's generation are baked into the
 // new CSR and dropped, later ones are kept and now target new-base
 // elements.
 
@@ -37,13 +37,15 @@ func (ov *Overlay) startCompactLocked(snap *OverlaySnap) {
 }
 
 // runCompact builds the merged CSR outside the lock (readers and the
-// writer proceed concurrently), then briefly takes the lock to rebase the
-// writer's delta and publish the post-compaction epoch.
+// writer proceed concurrently), then briefly takes the lock to rebase a
+// fork of the current epoch and publish it as the post-compaction epoch.
 func (ov *Overlay) runCompact(e *OverlaySnap) {
 	nb := compactBase(e)
 	ov.mu.Lock()
-	ov.rebaseLocked(nb, e)
-	ov.publishLocked()
+	s := ov.cur.Load().fork()
+	s.rebase(nb, e)
+	ov.baseBatch = e.batch
+	ov.publishLocked(s)
 	dur := ov.dur
 	ov.mu.Unlock()
 	// On a durable overlay the compacted base is also the checkpoint: it
@@ -102,10 +104,10 @@ func compactBase(e *OverlaySnap) *CSR {
 	return newCSR(core)
 }
 
-// rebaseLocked rewrites the writer's delta relative to the freshly
-// compacted base nb, which materialized epoch e. Callers hold ov.mu.
-func (ov *Overlay) rebaseLocked(nb *CSR, e *OverlaySnap) {
-	w := &ov.w
+// rebase rewrites the fork s relative to the freshly compacted base nb,
+// which materialized epoch e. s was forked under ov.mu after e, so it
+// shares e's base.
+func (s *OverlaySnap) rebase(nb *CSR, e *OverlaySnap) {
 	nBaked, eBaked := len(e.nodes), len(e.edges)
 	genE := e.gen
 
@@ -115,85 +117,71 @@ func (ov *Overlay) rebaseLocked(nb *CSR, e *OverlaySnap) {
 	// a fresh record.
 	for j := 0; j < nBaked; j++ {
 		gi := ElemIdx(e.baseN + j)
-		if _, dead := w.deadN[gi]; dead {
+		if _, dead := s.deadN[gi]; dead {
 			continue
 		}
-		if w.nodes[j] != e.nodes[j] {
-			w.overN[gi] = nodeOver{w.nodes[j], ov.gen}
+		if s.nodes[j] != e.nodes[j] {
+			s.overN[gi] = nodeOver{s.nodes[j], s.gen}
 		}
 	}
 	for j := 0; j < eBaked; j++ {
 		gi := ElemIdx(e.baseE + j)
-		if _, dead := w.deadE[gi]; dead {
+		if _, dead := s.deadE[gi]; dead {
 			continue
 		}
-		if w.edges[j] != e.edges[j] {
-			w.overE[gi] = edgeOver{w.edges[j], ov.gen}
+		if s.edges[j] != e.edges[j] {
+			s.overE[gi] = edgeOver{s.edges[j], s.gen}
 		}
 	}
 
 	// Tombstones and overrides at or below e's generation are baked into
 	// nb (holes and resolved records); drop them. Later ones survive and
 	// now target new-base elements.
-	for idx, g := range w.deadN {
+	for idx, g := range s.deadN {
 		if g <= genE {
-			delete(w.deadN, idx)
+			delete(s.deadN, idx)
 		}
 	}
-	for idx, g := range w.deadE {
+	for idx, g := range s.deadE {
 		if g <= genE {
-			delete(w.deadE, idx)
+			delete(s.deadE, idx)
 		}
 	}
-	for idx, o := range w.overN {
+	for idx, o := range s.overN {
 		if o.gen <= genE {
-			delete(w.overN, idx)
+			delete(s.overN, idx)
 		}
 	}
-	for idx, o := range w.overE {
+	for idx, o := range s.overE {
 		if o.gen <= genE {
-			delete(w.overE, idx)
+			delete(s.overE, idx)
 		}
 	}
 
 	// The suffix added during compaction keeps identical global indices:
 	// nb's span is exactly e's old span plus the baked delta, so suffix
 	// element j lands at nb-span + (j - baked) = old global index.
-	w.base = nb
-	ov.baseBatch = e.batch
-	w.nodes = append([]*Node(nil), w.nodes[nBaked:]...)
-	w.edges = append([]*Edge(nil), w.edges[eBaked:]...)
-	w.edgeEnds = append([][2]int32(nil), w.edgeEnds[eBaked:]...)
+	s.base, s.baseN, s.baseE = nb, nb.NodeIndexSpan(), nb.EdgeIndexSpan()
+	s.nodes = s.nodes[nBaked:]
+	s.edges = s.edges[eBaked:]
+	s.edgeEnds = s.edgeEnds[eBaked:]
 
-	w.nodeIdx = make(map[NodeID]ElemIdx, len(w.nodes))
-	for j, n := range w.nodes {
-		gi := ElemIdx(nb.NodeIndexSpan() + j)
-		if _, dead := w.deadN[gi]; dead {
+	s.nodeIdx = make(map[NodeID]ElemIdx, len(s.nodes))
+	for j, n := range s.nodes {
+		gi := ElemIdx(s.baseN + j)
+		if _, dead := s.deadN[gi]; dead {
 			continue
 		}
-		w.nodeIdx[n.ID] = gi
+		s.nodeIdx[n.ID] = gi
 	}
-	w.edgeIdx = make(map[EdgeID]ElemIdx, len(w.edges))
-	w.adj = make(map[int32][]deltaStep, len(w.edges))
-	for j := range w.edges {
-		gi := int32(nb.EdgeIndexSpan() + j)
-		if _, dead := w.deadE[ElemIdx(gi)]; dead {
+	s.edgeIdx = make(map[EdgeID]ElemIdx, len(s.edges))
+	s.adj = make(map[int32][]deltaStep, len(s.edges))
+	for j, ed := range s.edges {
+		gi := int32(s.baseE + j)
+		if _, dead := s.deadE[ElemIdx(gi)]; dead {
 			continue
 		}
-		w.edgeIdx[w.edges[j].ID] = ElemIdx(gi)
-		ends := w.edgeEnds[j]
-		s32, t32 := ends[0], ends[1]
-		switch {
-		case w.edges[j].Direction == Undirected:
-			w.adj[s32] = append(w.adj[s32], deltaStep{gi, t32, StepUndirected})
-			if s32 != t32 {
-				w.adj[t32] = append(w.adj[t32], deltaStep{gi, s32, StepUndirected})
-			}
-		case s32 == t32:
-			w.adj[s32] = append(w.adj[s32], deltaStep{gi, s32, StepLoop})
-		default:
-			w.adj[s32] = append(w.adj[s32], deltaStep{gi, t32, StepOut})
-			w.adj[t32] = append(w.adj[t32], deltaStep{gi, s32, StepIn})
-		}
+		s.edgeIdx[ed.ID] = ElemIdx(gi)
+		s.addSteps(gi, ed.Direction, s.edgeEnds[j][0], s.edgeEnds[j][1])
 	}
 }

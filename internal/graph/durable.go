@@ -3,9 +3,10 @@ package graph
 // The durable overlay: OpenDurable layers the epoch-snapshot overlay over
 // an on-disk data directory — the newest checkpointed CSR base plus a
 // write-ahead log of every batch applied since (see internal/wal). Apply
-// gains a log-then-publish hook: the batch's ops are encoded and appended
-// to the WAL (fsynced per the configured policy) before any in-memory
-// state changes, so a batch is either durable-and-published or neither.
+// gains a log-then-publish hook: once the batch's ops have succeeded on
+// the writer's private fork, they are encoded and appended to the WAL
+// (fsynced per the configured policy) before the fork is published, so a
+// batch is either durable-and-published or neither.
 // Compaction doubles as the checkpointer — the freshly merged CSR base is
 // persisted, the manifest swapped atomically, and the WAL prefix it
 // covers truncated — and recovery is the inverse: load the manifest's
@@ -106,27 +107,11 @@ func OpenDurable(o DurableOptions) (*Overlay, error) {
 	case o.CompactThreshold > 0:
 		ov.compactThreshold = o.CompactThreshold
 	}
-	ov.w = writerState{
-		base:    base,
-		nodeIdx: map[NodeID]ElemIdx{},
-		edgeIdx: map[EdgeID]ElemIdx{},
-		adj:     map[int32][]deltaStep{},
-		deadN:   map[ElemIdx]uint64{},
-		deadE:   map[ElemIdx]uint64{},
-		overN:   map[ElemIdx]nodeOver{},
-		overE:   map[ElemIdx]edgeOver{},
-		liveN:   base.NumNodes(),
-		liveE:   base.NumEdges(),
-	}
 	ov.compactDone = sync.NewCond(&ov.mu)
-	ov.seq = epoch
-	ov.batchSeq = cut
 	ov.baseBatch = cut
 	ov.replaying = true
 	ov.dur = &durability{dir: o.Dir, opts: o, ckptCut: cut}
-	ov.mu.Lock()
-	ov.publishLocked()
-	ov.mu.Unlock()
+	ov.cur.Store(newEpoch(base, epoch+1, cut))
 	return ov, nil
 }
 
@@ -187,15 +172,14 @@ func (ov *Overlay) Recover() (RecoveryStats, error) {
 		WALTruncated:    info.Truncated,
 	}
 	ov.mu.Lock()
-	if ov.seq < info.MaxEpoch {
-		ov.seq = info.MaxEpoch
-	}
+	s := ov.cur.Load().fork()
+	s.seq = max(s.seq, info.MaxEpoch+1)
 	// The checkpoint cut can be newer than anything left in the WAL (a
 	// crash under fsync=interval/none loses acked batches the checkpoint
 	// already covered); SetNextSeq then resets the log so the next append
 	// opens a fresh segment instead of writing a sequence gap into the
 	// old one.
-	if err := log.SetNextSeq(ov.batchSeq + 1); err != nil {
+	if err := log.SetNextSeq(s.batch + 1); err != nil {
 		ov.mu.Unlock()
 		log.Close()
 		return RecoveryStats{}, err
@@ -205,35 +189,26 @@ func (ov *Overlay) Recover() (RecoveryStats, error) {
 	d.log = log
 	d.recovered = stats
 	d.ckptMu.Unlock()
-	snap := ov.publishLocked()
-	ov.maybeCompactLocked(snap)
+	ov.publishLocked(s)
+	ov.maybeCompactLocked(s)
 	ov.mu.Unlock()
 	return stats, nil
 }
 
-// applyReplay applies one recovered batch: validation and application are
-// identical to Apply, minus the WAL append (the batch is already durable)
-// and the compaction trigger (one pass at the end of Recover suffices).
-// The published epoch is pinned to the batch's recorded commit epoch so
-// recovered epochs are never below pre-crash committed ones.
+// applyReplay applies one recovered batch through Apply's commit path,
+// minus the WAL append (the batch is already durable) and the compaction
+// trigger (one pass at the end of Recover suffices). The epoch is pinned
+// to the batch's recorded commit epoch so recovered epochs are never below
+// pre-crash committed ones.
 func (ov *Overlay) applyReplay(seq, epoch uint64, b *Batch) error {
 	ov.mu.Lock()
 	defer ov.mu.Unlock()
-	if seq != ov.batchSeq+1 {
-		return fmt.Errorf("graph: replay gap: batch %d where %d was expected", seq, ov.batchSeq+1)
+	if next := ov.cur.Load().batch + 1; seq != next {
+		return fmt.Errorf("graph: replay gap: batch %d where %d was expected", seq, next)
 	}
-	if err := ov.validateLocked(b); err != nil {
+	if _, err := ov.commitLocked(b, epoch, nil); err != nil {
 		return fmt.Errorf("graph: replay of batch %d: %w", seq, err)
 	}
-	ov.batchSeq = seq
-	for i := range b.ops {
-		ov.gen++
-		ov.applyLocked(&b.ops[i])
-	}
-	if epoch > ov.seq+1 {
-		ov.seq = epoch - 1
-	}
-	ov.publishLocked()
 	return nil
 }
 
@@ -299,7 +274,8 @@ func (ov *Overlay) Checkpoint() error {
 	}
 	ov.Compact()
 	ov.mu.Lock()
-	base, cut, epoch := ov.w.base, ov.baseBatch, ov.seq
+	cur := ov.cur.Load()
+	base, cut, epoch := cur.base, ov.baseBatch, cur.seq
 	ov.mu.Unlock()
 	// Compact's own background checkpoint usually already covered cut, in
 	// which case this is a no-op; if it failed, this retries and surfaces
@@ -338,7 +314,7 @@ func (ov *Overlay) CloseDurable() error {
 func (ov *Overlay) DurabilityStats() DurabilityStats {
 	ov.mu.Lock()
 	d := ov.dur
-	last := ov.batchSeq
+	last := ov.cur.Load().batch
 	replaying := ov.replaying
 	ov.mu.Unlock()
 	if d == nil {

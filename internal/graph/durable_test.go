@@ -352,6 +352,61 @@ func TestApplyBeforeRecoverRejected(t *testing.T) {
 	}
 }
 
+// TestRejectedBatchLeavesNoTrace puts a rejected batch between two
+// accepted ones: it is neither logged nor numbered, so recovery replays
+// exactly the accepted two with no sequence gap. A batch whose WAL append
+// is killed is likewise never published.
+func TestRejectedBatchLeavesNoTrace(t *testing.T) {
+	o := DurableOptions{Dir: t.TempDir(), CompactThreshold: -1}
+	ov, _ := openRecovered(t, o)
+	if err := ov.Apply((&Batch{}).AddNode("a", []string{"Person"}, nil)); err != nil {
+		t.Fatal(err)
+	}
+	before := ov.Snapshot()
+	if err := ov.Apply((&Batch{}).AddNode("b", nil, nil).DeleteNode("nope")); err == nil {
+		t.Fatal("batch deleting an unknown node was accepted")
+	}
+	if ov.Snapshot() != before {
+		t.Fatal("rejected batch replaced the current snapshot")
+	}
+	if err := ov.Apply((&Batch{}).AddNode("c", nil, nil).AddEdge("ac", "a", "c", nil, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if st := ov.DurabilityStats(); st.LastBatch != 2 {
+		t.Fatalf("LastBatch = %d after two accepted batches, want 2", st.LastBatch)
+	}
+	want := fingerprint(ov.Snapshot())
+	if err := ov.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+
+	ov2, stats := openRecovered(t, o) // a replay gap fails Recover
+	defer ov2.CloseDurable()
+	if stats.ReplayedBatches != 2 {
+		t.Fatalf("replayed %d batches, want the 2 accepted", stats.ReplayedBatches)
+	}
+	if got := fingerprint(ov2.Snapshot()); got != want {
+		t.Fatal("recovered store differs from the pre-close state")
+	}
+	if ov2.Node("b") != nil {
+		t.Fatal("node of the rejected batch was recovered")
+	}
+
+	if err := ov2.ArmWALFailpoint(wal.Failpoint{Kind: wal.FaultKill}); err != nil {
+		t.Fatal(err)
+	}
+	before = ov2.Snapshot()
+	if err := ov2.Apply((&Batch{}).AddNode("k", nil, nil)); !errors.Is(err, wal.ErrInjected) {
+		t.Fatalf("Apply under a kill failpoint: %v, want injected fault", err)
+	}
+	if ov2.Snapshot() != before {
+		t.Fatal("batch whose WAL append was killed replaced the current snapshot")
+	}
+	if ov2.Node("k") != nil || ov2.NumNodes() != 2 {
+		t.Fatalf("killed batch is visible: node k %v, %d nodes", ov2.Node("k"), ov2.NumNodes())
+	}
+}
+
 func TestRecoverCheckpointAheadOfWAL(t *testing.T) {
 	// The fsync=interval/none crash where acked batches vanish from the
 	// WAL after a checkpoint already made them durable: the checkpoint
@@ -817,7 +872,7 @@ func TestRecoveredConformance(t *testing.T) {
 // TestWriterThroughputGate asserts the env-guarded floor: with
 // fsync=interval the durable writer must sustain >= 5k mutations/s.
 func TestWriterThroughputGate(t *testing.T) {
-	if os.Getenv("GPML_TIMING_GATES") == "" {
+	if os.Getenv("GPML_TIMING_GATES") != "1" {
 		t.Skip("set GPML_TIMING_GATES=1 to run timing-sensitive gates")
 	}
 	ov, _ := openRecovered(t, DurableOptions{
@@ -841,5 +896,84 @@ func TestWriterThroughputGate(t *testing.T) {
 	t.Logf("durable writer: %.0f muts/s over %d mutations (fsync=interval)", rate, batches*opsPer)
 	if rate < 5000 {
 		t.Fatalf("durable writer sustained %.0f muts/s, want >= 5000", rate)
+	}
+}
+
+// BenchmarkOverlayApply times one Apply of the bench write probe's 16-op
+// batch — 4 nodes, 4 edges (two of them onto 64 attach nodes), 4 property
+// sets on attach nodes and 4 detach-deletes of the batch 8 before — on a
+// durable overlay with fsync and compaction off. Like the probe, each
+// overlay takes 300 batches and is then replaced, so the delta an Apply
+// works on spans the probe's range. Batches are staged untimed.
+func BenchmarkOverlayApply(b *testing.B) {
+	const attach, perOverlay, lag = 64, 300, 8
+	dir := filepath.Join(b.TempDir(), "ov")
+	rng := rand.New(rand.NewSource(1))
+	scratch := func(i, j int) NodeID { return NodeID(fmt.Sprintf("s%d_%d", i, j)) }
+	person := func() NodeID { return NodeID(fmt.Sprintf("p%d", rng.Intn(attach))) }
+	stage := func(i int) *Batch {
+		bt, label := &Batch{}, []string{"Scratch"}
+		for j := 0; j < 4; j++ {
+			bt.AddNode(scratch(i, j), label, map[string]value.Value{"gen": value.Int(int64(i))})
+		}
+		bt.AddEdge(EdgeID(fmt.Sprintf("se%d_0", i)), scratch(i, 0), scratch(i, 1), label, nil)
+		bt.AddEdge(EdgeID(fmt.Sprintf("se%d_1", i)), scratch(i, 2), scratch(i, 3), label, nil)
+		bt.AddEdge(EdgeID(fmt.Sprintf("se%d_2", i)), scratch(i, 0), person(), label, nil)
+		bt.AddEdge(EdgeID(fmt.Sprintf("se%d_3", i)), person(), scratch(i, 2), label, nil)
+		touches := 4
+		if i < lag {
+			touches = 8 // nothing to delete yet: keep the batch at 16 ops
+		}
+		for j := 0; j < touches; j++ {
+			bt.SetNodeProp(person(), "touched", value.Int(int64(i)))
+		}
+		for j := 0; i >= lag && j < 4; j++ {
+			bt.DeleteNode(scratch(i-lag, j))
+		}
+		return bt
+	}
+	var ov *Overlay
+	var batches []*Batch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % perOverlay
+		if k == 0 {
+			b.StopTimer()
+			if ov != nil {
+				if err := ov.CloseDurable(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := os.RemoveAll(dir); err != nil {
+				b.Fatal(err)
+			}
+			var err error
+			if ov, err = OpenDurable(DurableOptions{Dir: dir, Fsync: wal.SyncNone, CompactThreshold: -1}); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := ov.Recover(); err != nil {
+				b.Fatal(err)
+			}
+			seed := &Batch{}
+			for j := 0; j < attach; j++ {
+				seed.AddNode(NodeID(fmt.Sprintf("p%d", j)), []string{"Person"}, nil)
+			}
+			if err := ov.Apply(seed); err != nil {
+				b.Fatal(err)
+			}
+			batches = batches[:0]
+			for j := 0; j < perOverlay; j++ {
+				batches = append(batches, stage(j))
+			}
+			b.StartTimer()
+		}
+		if err := ov.Apply(batches[k]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := ov.CloseDurable(); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -1,12 +1,13 @@
 package graph
 
-// OverlaySnap — one immutable epoch of an Overlay. publishLocked builds a
-// fresh snapshot after every Apply (and after every compaction rebase) by
-// cloning the writer's delta maps and record-pointer slices; the clone is
-// O(delta), and the delta is bounded by the compaction threshold, so
-// publication cost is amortized by batching. Readers share the snapshot
-// with zero synchronization: every field is frozen at publish time except
-// the lazily computed LabelStats, which is guarded by a sync.Once.
+// OverlaySnap — one immutable epoch of an Overlay, and the writer's only
+// state. Each Apply (and each compaction rebase) forks the current epoch
+// by cloning its delta maps and record-pointer slices, applies the batch
+// to the fork, seals it and publishes it; the clone is O(delta), and the
+// delta is bounded by the compaction threshold, so publication cost is
+// amortized by batching. Readers share a published snapshot with zero
+// synchronization: every field is frozen at publish time except the
+// lazily computed LabelStats, which is guarded by a sync.Once.
 
 import (
 	"maps"
@@ -63,60 +64,86 @@ type OverlaySnap struct {
 	stats     StoreStats
 }
 
-// publishLocked freezes the writer state into a new epoch and swaps it
-// in. Callers hold ov.mu.
-func (ov *Overlay) publishLocked() *OverlaySnap {
-	w := &ov.w
-	ov.seq++
-	s := &OverlaySnap{
-		base:     w.base,
-		seq:      ov.seq,
-		gen:      ov.gen,
-		batch:    ov.batchSeq,
-		baseN:    w.base.NodeIndexSpan(),
-		baseE:    w.base.EdgeIndexSpan(),
-		nodes:    slices.Clone(w.nodes),
-		edges:    slices.Clone(w.edges),
-		edgeEnds: slices.Clone(w.edgeEnds),
-		nodeIdx:  maps.Clone(w.nodeIdx),
-		edgeIdx:  maps.Clone(w.edgeIdx),
-		// The adj clone shares the per-node step slices: the writer only
-		// ever appends to them, and an append never rewrites an element a
-		// published length covers.
-		adj:        maps.Clone(w.adj),
-		deadN:      maps.Clone(w.deadN),
-		deadE:      maps.Clone(w.deadE),
-		overN:      maps.Clone(w.overN),
-		overE:      maps.Clone(w.overE),
-		liveN:      w.liveN,
-		liveE:      w.liveE,
-		labelDelta: map[string][]int32{},
-		labelSub:   map[string]int{},
+// newEpoch returns an epoch serving base with an empty delta.
+func newEpoch(base *CSR, seq, batch uint64) *OverlaySnap {
+	return &OverlaySnap{
+		base:    base,
+		seq:     seq,
+		batch:   batch,
+		baseN:   base.NodeIndexSpan(),
+		baseE:   base.EdgeIndexSpan(),
+		nodeIdx: map[NodeID]ElemIdx{},
+		edgeIdx: map[EdgeID]ElemIdx{},
+		adj:     map[int32][]deltaStep{},
+		deadN:   map[ElemIdx]uint64{},
+		deadE:   map[ElemIdx]uint64{},
+		overN:   map[ElemIdx]nodeOver{},
+		overE:   map[ElemIdx]edgeOver{},
+		liveN:   base.NumNodes(),
+		liveE:   base.NumEdges(),
 	}
-	for idx, o := range w.overN {
-		for _, l := range w.base.rawNode(int(idx)).Labels {
+}
+
+// fork returns a private copy of the published epoch s that the writer
+// turns into the next epoch (seq one higher). The delta is cloned, so
+// writing the fork never changes s; the read-side summaries (label delta,
+// labelSub, dead-base counts) are left for seal. Callers hold ov.mu.
+func (s *OverlaySnap) fork() *OverlaySnap {
+	return &OverlaySnap{
+		base:     s.base,
+		seq:      s.seq + 1,
+		gen:      s.gen,
+		batch:    s.batch,
+		baseN:    s.baseN,
+		baseE:    s.baseE,
+		nodes:    slices.Clone(s.nodes),
+		edges:    slices.Clone(s.edges),
+		edgeEnds: slices.Clone(s.edgeEnds),
+		nodeIdx:  maps.Clone(s.nodeIdx),
+		edgeIdx:  maps.Clone(s.edgeIdx),
+		// The adj clone shares the per-node step slices: a fork only ever
+		// appends to them, and an append never rewrites an element a
+		// published length covers. A dropped fork may leave steps past
+		// the published lengths; the next fork's appends overwrite them.
+		adj:   maps.Clone(s.adj),
+		deadN: maps.Clone(s.deadN),
+		deadE: maps.Clone(s.deadE),
+		overN: maps.Clone(s.overN),
+		overE: maps.Clone(s.overE),
+		liveN: s.liveN,
+		liveE: s.liveE,
+	}
+}
+
+// seal derives a fork's read-side summaries from its delta; the sealed
+// epoch is never written again.
+func (s *OverlaySnap) seal() {
+	s.labelDelta = map[string][]int32{}
+	s.labelSub = map[string]int{}
+	for idx, o := range s.overN {
+		for _, l := range s.base.rawNode(int(idx)).Labels {
 			s.labelSub[l]++
 		}
 		for _, l := range o.rec.Labels {
 			s.labelDelta[l] = append(s.labelDelta[l], int32(idx))
 		}
 	}
-	for idx := range w.deadN {
+	for idx := range s.deadN {
 		if int(idx) < s.baseN {
 			s.deadBaseN++
-			for _, l := range w.base.rawNode(int(idx)).Labels {
+			for _, l := range s.base.rawNode(int(idx)).Labels {
 				s.labelSub[l]++
 			}
 		}
 	}
-	for idx := range w.deadE {
+	for idx := range s.deadE {
 		if int(idx) < s.baseE {
 			s.deadBaseE++
 		}
 	}
-	for j, n := range w.nodes {
+	for j, n := range s.nodes {
 		gi := int32(s.baseN + j)
-		if _, dead := w.deadN[ElemIdx(gi)]; dead {
+		if _, dead := s.deadN[ElemIdx(gi)]; dead {
 			continue
 		}
 		for _, l := range n.Labels {
@@ -126,8 +153,13 @@ func (ov *Overlay) publishLocked() *OverlaySnap {
 	for _, list := range s.labelDelta {
 		slices.Sort(list)
 	}
+}
+
+// publishLocked seals a fork and makes it the current epoch with one
+// atomic store. Callers hold ov.mu.
+func (ov *Overlay) publishLocked(s *OverlaySnap) {
+	s.seal()
 	ov.cur.Store(s)
-	return s
 }
 
 // Seq reports the epoch number (ascending across Apply and compaction).

@@ -54,8 +54,10 @@ const DefaultCompactThreshold = 1 << 12
 // on the Overlay itself delegate to the current epoch (each call pins
 // transiently); evaluation pins one snapshot per query via Pin, and
 // callers wanting a stable view across several reads should hold a
-// Snapshot. Writers go through Begin/Apply; Apply is atomic — all of a
-// batch's mutations become visible in one epoch swap, or none on error.
+// Snapshot. Writers go through Begin/Apply; Apply is atomic — it checks
+// and applies the batch's ops one by one on a private fork of the current
+// epoch and publishes the fork in one epoch swap, or drops it on the
+// first error.
 //
 // An Overlay is safe for any number of concurrent readers and writers
 // (writers serialize on an internal mutex).
@@ -63,19 +65,13 @@ type Overlay struct {
 	mu  sync.Mutex // serializes writers, compaction swap, epoch publication
 	cur atomic.Pointer[OverlaySnap]
 
-	w   writerState
-	seq uint64 // epoch counter
-	gen uint64 // mutation counter, stamped on tombstones and overrides
-
 	compactThreshold int // delta size triggering background compaction; <=0 disables
 	compacting       bool
 	compactDone      *sync.Cond // signalled under mu when a compaction finishes
 
 	// Durability state (see durable.go); all zero on a plain in-memory
-	// overlay. batchSeq counts applied batches (each Apply is one WAL
-	// batch), baseBatch is the batch cut baked into w.base, replaying is
-	// true between OpenDurable and the end of Recover.
-	batchSeq  uint64
+	// overlay. baseBatch is the batch cut baked into the current epoch's
+	// base, replaying is true between OpenDurable and the end of Recover.
 	baseBatch uint64
 	replaying bool
 	dur       *durability
@@ -116,55 +112,16 @@ type deltaStep struct {
 	kind  StepKind
 }
 
-// writerState is the writer-owned mutable delta. It always mirrors the
-// most recently published snapshot exactly (Apply publishes at the end of
-// every batch), so validation can read the published epoch. All access is
-// under Overlay.mu.
-type writerState struct {
-	base *CSR
-
-	nodes    []*Node // delta nodes; element i has global index baseN+i
-	edges    []*Edge
-	edgeEnds [][2]int32
-
-	nodeIdx map[NodeID]ElemIdx // live-id lookup for delta elements
-	edgeIdx map[EdgeID]ElemIdx
-
-	adj map[int32][]deltaStep // delta steps per node (base or delta)
-
-	deadN map[ElemIdx]uint64 // tombstones → generation of the delete
-	deadE map[ElemIdx]uint64
-
-	overN map[ElemIdx]nodeOver // base-element overrides
-	overE map[ElemIdx]edgeOver
-
-	liveN, liveE int
-}
-
 // NewOverlay layers a mutable delta over an immutable CSR base. The base
 // must not be shared with concurrent mutators (CSRs are immutable, so any
 // previously taken snapshot qualifies).
 func NewOverlay(base *CSR, opts ...OverlayOption) *Overlay {
 	ov := &Overlay{compactThreshold: DefaultCompactThreshold}
-	ov.w = writerState{
-		base:    base,
-		nodeIdx: map[NodeID]ElemIdx{},
-		edgeIdx: map[EdgeID]ElemIdx{},
-		adj:     map[int32][]deltaStep{},
-		deadN:   map[ElemIdx]uint64{},
-		deadE:   map[ElemIdx]uint64{},
-		overN:   map[ElemIdx]nodeOver{},
-		overE:   map[ElemIdx]edgeOver{},
-		liveN:   base.NumNodes(),
-		liveE:   base.NumEdges(),
-	}
 	for _, f := range opts {
 		f(ov)
 	}
 	ov.compactDone = sync.NewCond(&ov.mu)
-	ov.mu.Lock()
-	ov.publishLocked()
-	ov.mu.Unlock()
+	ov.cur.Store(newEpoch(base, 1, 0))
 	return ov
 }
 
@@ -286,274 +243,157 @@ func (b *Batch) Len() int { return len(b.ops) }
 func (ov *Overlay) Apply(b *Batch) error {
 	ov.mu.Lock()
 	defer ov.mu.Unlock()
-	if err := ov.validateLocked(b); err != nil {
+	s, err := ov.commitLocked(b, 0, ov.dur)
+	if err != nil {
 		return err
 	}
-	// Log-then-publish: on a durable overlay the batch must be on disk
-	// (per the fsync policy) before any of it becomes visible. A failed
-	// append leaves the overlay on its previous epoch.
-	if ov.dur != nil {
-		if err := ov.dur.logBatchLocked(ov.batchSeq+1, ov.seq+1, b); err != nil {
-			return err
-		}
-	}
-	ov.batchSeq++
-	for i := range b.ops {
-		ov.gen++
-		ov.applyLocked(&b.ops[i])
-	}
-	snap := ov.publishLocked()
-	ov.maybeCompactLocked(snap)
+	ov.maybeCompactLocked(s)
 	return nil
 }
 
-// validateLocked checks every staged op against the current epoch plus the
-// batch's own earlier effects, without mutating anything.
-func (ov *Overlay) validateLocked(b *Batch) error {
-	cur := ov.cur.Load()
-	// liveness overrides accumulated by the batch itself: present-and-true
-	// means created (or still live), present-and-false means deleted.
-	nodeOvr := map[NodeID]bool{}
-	edgeOvr := map[EdgeID]bool{}
-	// stagedAdj tracks edges the batch itself adds, per endpoint, so a
-	// later DeleteNode in the same batch detaches them in the shadow state.
-	stagedAdj := map[NodeID][]EdgeID{}
-	nodeLive := func(id NodeID) bool {
-		if v, ok := nodeOvr[id]; ok {
-			return v
-		}
-		_, ok := cur.InternNode(id)
-		return ok
-	}
-	edgeLive := func(id EdgeID) bool {
-		if v, ok := edgeOvr[id]; ok {
-			return v
-		}
-		_, ok := cur.InternEdge(id)
-		return ok
-	}
+// commitLocked runs one batch on a fork of the current epoch and
+// publishes the fork, as epoch minEpoch or later; on any error the fork is
+// dropped and the current epoch stands. A non-nil d logs the batch to the
+// WAL after its ops succeed and before any of it is visible
+// (log-then-publish).
+func (ov *Overlay) commitLocked(b *Batch, minEpoch uint64, d *durability) (*OverlaySnap, error) {
+	s := ov.cur.Load().fork()
+	s.batch++
+	s.seq = max(s.seq, minEpoch)
 	for i := range b.ops {
-		o := &b.ops[i]
-		switch o.kind {
-		case opAddNode:
-			if nodeLive(NodeID(o.id)) {
-				return fmt.Errorf("overlay: duplicate node id %q", o.id)
-			}
-			if edgeLive(EdgeID(o.id)) {
-				return fmt.Errorf("overlay: id %q already used by an edge (N and E must be disjoint)", o.id)
-			}
-			nodeOvr[NodeID(o.id)] = true
-		case opAddEdge:
-			if edgeLive(EdgeID(o.id)) {
-				return fmt.Errorf("overlay: duplicate edge id %q", o.id)
-			}
-			if nodeLive(NodeID(o.id)) {
-				return fmt.Errorf("overlay: id %q already used by a node (N and E must be disjoint)", o.id)
-			}
-			if !nodeLive(o.src) {
-				return fmt.Errorf("overlay: edge %q references unknown node %q", o.id, o.src)
-			}
-			if !nodeLive(o.dst) {
-				return fmt.Errorf("overlay: edge %q references unknown node %q", o.id, o.dst)
-			}
-			edgeOvr[EdgeID(o.id)] = true
-			stagedAdj[o.src] = append(stagedAdj[o.src], EdgeID(o.id))
-			if o.dst != o.src {
-				stagedAdj[o.dst] = append(stagedAdj[o.dst], EdgeID(o.id))
-			}
-		case opDelNode:
-			if !nodeLive(NodeID(o.id)) {
-				return fmt.Errorf("overlay: delete of unknown node %q", o.id)
-			}
-			nodeOvr[NodeID(o.id)] = false
-			// Detach semantics: incident edges die with the node, so mark
-			// them dead in the shadow state too — both edges live in the
-			// current epoch and edges this batch staged.
-			if i, ok := cur.InternNode(NodeID(o.id)); ok {
-				cur.Steps(int(i), func(edge, _ int, _ StepKind) bool {
-					edgeOvr[cur.edgeAtIdx(edge).ID] = false
-					return true
-				})
-			}
-			for _, eid := range stagedAdj[NodeID(o.id)] {
-				edgeOvr[eid] = false
-			}
-		case opDelEdge:
-			if !edgeLive(EdgeID(o.id)) {
-				return fmt.Errorf("overlay: delete of unknown edge %q", o.id)
-			}
-			edgeOvr[EdgeID(o.id)] = false
-		case opSetNodeProp, opSetNodeLabels:
-			if !nodeLive(NodeID(o.id)) {
-				return fmt.Errorf("overlay: update of unknown node %q", o.id)
-			}
-		case opSetEdgeProp:
-			if !edgeLive(EdgeID(o.id)) {
-				return fmt.Errorf("overlay: update of unknown edge %q", o.id)
-			}
+		if err := s.apply(&b.ops[i]); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	if d != nil {
+		if err := d.logBatchLocked(s.batch, s.seq, b); err != nil {
+			return nil, err
+		}
+	}
+	ov.publishLocked(s)
+	return s, nil
 }
 
-// applyLocked executes one validated op against the writer state.
-func (ov *Overlay) applyLocked(o *op) {
-	w := &ov.w
+// apply checks one op's precondition against the fork s — the published
+// epoch plus the batch's earlier ops — through the epoch's own lookups,
+// then performs it on s. After an error s is half-written and must be
+// dropped.
+func (s *OverlaySnap) apply(o *op) error {
+	s.gen++
 	switch o.kind {
 	case opAddNode:
-		idx := ElemIdx(w.base.NodeIndexSpan() + len(w.nodes))
-		w.nodes = append(w.nodes, &Node{ID: NodeID(o.id), Labels: normLabels(o.labels), Props: copyProps(o.props)})
-		w.nodeIdx[NodeID(o.id)] = idx
-		w.liveN++
+		if _, live := s.InternNode(NodeID(o.id)); live {
+			return fmt.Errorf("overlay: duplicate node id %q", o.id)
+		}
+		if _, live := s.InternEdge(EdgeID(o.id)); live {
+			return fmt.Errorf("overlay: id %q already used by an edge (N and E must be disjoint)", o.id)
+		}
+		s.nodeIdx[NodeID(o.id)] = ElemIdx(s.NodeIndexSpan())
+		s.nodes = append(s.nodes, &Node{ID: NodeID(o.id), Labels: normLabels(o.labels), Props: copyProps(o.props)})
+		s.liveN++
 	case opAddEdge:
-		gidx := int32(w.base.EdgeIndexSpan() + len(w.edges))
-		si, _ := ov.resolveNodeLocked(o.src)
-		ti, _ := ov.resolveNodeLocked(o.dst)
-		e := &Edge{ID: EdgeID(o.id), Source: o.src, Target: o.dst, Direction: o.dir, Labels: normLabels(o.labels), Props: copyProps(o.props)}
-		w.edges = append(w.edges, e)
-		w.edgeEnds = append(w.edgeEnds, [2]int32{int32(si), int32(ti)})
-		w.edgeIdx[EdgeID(o.id)] = ElemIdx(gidx)
-		s32, t32 := int32(si), int32(ti)
-		switch {
-		case o.dir == Undirected:
-			w.adj[s32] = append(w.adj[s32], deltaStep{gidx, t32, StepUndirected})
-			if s32 != t32 {
-				w.adj[t32] = append(w.adj[t32], deltaStep{gidx, s32, StepUndirected})
-			}
-		case s32 == t32:
-			w.adj[s32] = append(w.adj[s32], deltaStep{gidx, s32, StepLoop})
-		default:
-			w.adj[s32] = append(w.adj[s32], deltaStep{gidx, t32, StepOut})
-			w.adj[t32] = append(w.adj[t32], deltaStep{gidx, s32, StepIn})
+		if _, live := s.InternEdge(EdgeID(o.id)); live {
+			return fmt.Errorf("overlay: duplicate edge id %q", o.id)
 		}
-		w.liveE++
+		if _, live := s.InternNode(NodeID(o.id)); live {
+			return fmt.Errorf("overlay: id %q already used by a node (N and E must be disjoint)", o.id)
+		}
+		si, live := s.InternNode(o.src)
+		if !live {
+			return fmt.Errorf("overlay: edge %q references unknown node %q", o.id, o.src)
+		}
+		ti, live := s.InternNode(o.dst)
+		if !live {
+			return fmt.Errorf("overlay: edge %q references unknown node %q", o.id, o.dst)
+		}
+		gi := int32(s.EdgeIndexSpan())
+		s.edgeIdx[EdgeID(o.id)] = ElemIdx(gi)
+		s.edges = append(s.edges, &Edge{ID: EdgeID(o.id), Source: o.src, Target: o.dst, Direction: o.dir, Labels: normLabels(o.labels), Props: copyProps(o.props)})
+		s.edgeEnds = append(s.edgeEnds, [2]int32{int32(si), int32(ti)})
+		s.addSteps(gi, o.dir, int32(si), int32(ti))
+		s.liveE++
 	case opDelNode:
-		idx, _ := ov.resolveNodeLocked(NodeID(o.id))
-		// Detach: tombstone every still-live incident edge, base and delta.
-		ov.forEachLiveStepLocked(idx, func(edge ElemIdx) {
-			if _, dead := w.deadE[edge]; !dead {
-				w.deadE[edge] = ov.gen
-				w.liveE--
+		i, live := s.InternNode(NodeID(o.id))
+		if !live {
+			return fmt.Errorf("overlay: delete of unknown node %q", o.id)
+		}
+		// Detach: tombstone every still-live incident edge, base and
+		// delta. The dead check stays because a fork counts its dead base
+		// edges only at seal, so its Steps may still yield a base edge
+		// this batch deleted.
+		s.Steps(int(i), func(edge, _ int, _ StepKind) bool {
+			if _, dead := s.deadE[ElemIdx(edge)]; !dead {
+				s.deadE[ElemIdx(edge)] = s.gen
+				s.liveE--
 			}
-		})
-		w.deadN[ElemIdx(idx)] = ov.gen
-		delete(w.overN, ElemIdx(idx))
-		w.liveN--
-	case opDelEdge:
-		idx, _ := ov.resolveEdgeLocked(EdgeID(o.id))
-		w.deadE[ElemIdx(idx)] = ov.gen
-		delete(w.overE, ElemIdx(idx))
-		w.liveE--
-	case opSetNodeProp:
-		idx, _ := ov.resolveNodeLocked(NodeID(o.id))
-		rec := cloneNode(ov.effectiveNodeLocked(idx))
-		if rec.Props == nil {
-			rec.Props = map[string]value.Value{}
-		}
-		rec.Props[o.key] = o.val
-		ov.putNodeRecLocked(idx, rec)
-	case opSetNodeLabels:
-		idx, _ := ov.resolveNodeLocked(NodeID(o.id))
-		rec := cloneNode(ov.effectiveNodeLocked(idx))
-		rec.Labels = normLabels(o.labels)
-		ov.putNodeRecLocked(idx, rec)
-	case opSetEdgeProp:
-		idx, _ := ov.resolveEdgeLocked(EdgeID(o.id))
-		old := ov.effectiveEdgeLocked(idx)
-		rec := cloneEdge(old)
-		if rec.Props == nil {
-			rec.Props = map[string]value.Value{}
-		}
-		rec.Props[o.key] = o.val
-		if idx < ov.w.base.EdgeIndexSpan() {
-			ov.w.overE[ElemIdx(idx)] = edgeOver{rec, ov.gen}
-		} else {
-			ov.w.edges[idx-ov.w.base.EdgeIndexSpan()] = rec
-		}
-	}
-}
-
-// resolveNodeLocked maps a live node id to its global dense index.
-func (ov *Overlay) resolveNodeLocked(id NodeID) (int, bool) {
-	if i, ok := ov.w.nodeIdx[id]; ok {
-		if _, dead := ov.w.deadN[i]; !dead {
-			return int(i), true
-		}
-		return 0, false
-	}
-	if i, ok := ov.w.base.InternNode(id); ok {
-		if _, dead := ov.w.deadN[i]; !dead {
-			return int(i), true
-		}
-	}
-	return 0, false
-}
-
-// resolveEdgeLocked maps a live edge id to its global dense index.
-func (ov *Overlay) resolveEdgeLocked(id EdgeID) (int, bool) {
-	if i, ok := ov.w.edgeIdx[id]; ok {
-		if _, dead := ov.w.deadE[i]; !dead {
-			return int(i), true
-		}
-		return 0, false
-	}
-	if i, ok := ov.w.base.InternEdge(id); ok {
-		if _, dead := ov.w.deadE[i]; !dead {
-			return int(i), true
-		}
-	}
-	return 0, false
-}
-
-// effectiveNodeLocked returns the current record of a live node index.
-func (ov *Overlay) effectiveNodeLocked(idx int) *Node {
-	w := &ov.w
-	if idx >= w.base.NodeIndexSpan() {
-		return w.nodes[idx-w.base.NodeIndexSpan()]
-	}
-	if o, ok := w.overN[ElemIdx(idx)]; ok {
-		return o.rec
-	}
-	return w.base.rawNode(idx)
-}
-
-// effectiveEdgeLocked returns the current record of a live edge index.
-func (ov *Overlay) effectiveEdgeLocked(idx int) *Edge {
-	w := &ov.w
-	if idx >= w.base.EdgeIndexSpan() {
-		return w.edges[idx-w.base.EdgeIndexSpan()]
-	}
-	if o, ok := w.overE[ElemIdx(idx)]; ok {
-		return o.rec
-	}
-	return w.base.rawEdge(idx)
-}
-
-// putNodeRecLocked installs an updated node record: delta records are
-// replaced copy-on-write (published snapshots hold the old pointer in
-// their own cloned slice), base records gain an override stamped with the
-// current generation.
-func (ov *Overlay) putNodeRecLocked(idx int, rec *Node) {
-	if idx >= ov.w.base.NodeIndexSpan() {
-		ov.w.nodes[idx-ov.w.base.NodeIndexSpan()] = rec
-		return
-	}
-	ov.w.overN[ElemIdx(idx)] = nodeOver{rec, ov.gen}
-}
-
-// forEachLiveStepLocked visits the distinct edges currently incident to a
-// node index — base arena steps plus delta steps — without liveness
-// filtering of the node itself (the caller is deleting it).
-func (ov *Overlay) forEachLiveStepLocked(idx int, f func(edge ElemIdx)) {
-	w := &ov.w
-	if idx < w.base.NodeIndexSpan() {
-		w.base.Steps(idx, func(edge, other int, kind StepKind) bool {
-			f(ElemIdx(edge))
 			return true
 		})
+		s.deadN[i] = s.gen
+		delete(s.overN, i)
+		s.liveN--
+	case opDelEdge:
+		i, live := s.InternEdge(EdgeID(o.id))
+		if !live {
+			return fmt.Errorf("overlay: delete of unknown edge %q", o.id)
+		}
+		s.deadE[i] = s.gen
+		delete(s.overE, i)
+		s.liveE--
+	case opSetNodeProp, opSetNodeLabels:
+		i, live := s.InternNode(NodeID(o.id))
+		if !live {
+			return fmt.Errorf("overlay: update of unknown node %q", o.id)
+		}
+		rec := cloneNode(s.nodeAtIdx(int(i)))
+		if o.kind == opSetNodeLabels {
+			rec.Labels = normLabels(o.labels)
+		} else {
+			if rec.Props == nil {
+				rec.Props = map[string]value.Value{}
+			}
+			rec.Props[o.key] = o.val
+		}
+		// Delta records are replaced copy-on-write (published epochs hold
+		// the old pointer in their own slice); base records gain an
+		// override stamped with the op's generation.
+		if int(i) >= s.baseN {
+			s.nodes[int(i)-s.baseN] = rec
+		} else {
+			s.overN[i] = nodeOver{rec, s.gen}
+		}
+	case opSetEdgeProp:
+		i, live := s.InternEdge(EdgeID(o.id))
+		if !live {
+			return fmt.Errorf("overlay: update of unknown edge %q", o.id)
+		}
+		rec := cloneEdge(s.edgeAtIdx(int(i)))
+		if rec.Props == nil {
+			rec.Props = map[string]value.Value{}
+		}
+		rec.Props[o.key] = o.val
+		if int(i) >= s.baseE {
+			s.edges[int(i)-s.baseE] = rec
+		} else {
+			s.overE[i] = edgeOver{rec, s.gen}
+		}
 	}
-	for _, d := range w.adj[int32(idx)] {
-		f(ElemIdx(d.edge))
+	return nil
+}
+
+// addSteps records the traversal steps of delta edge gi between node
+// indices src and dst.
+func (s *OverlaySnap) addSteps(gi int32, dir Direction, src, dst int32) {
+	switch {
+	case dir == Undirected:
+		s.adj[src] = append(s.adj[src], deltaStep{gi, dst, StepUndirected})
+		if src != dst {
+			s.adj[dst] = append(s.adj[dst], deltaStep{gi, src, StepUndirected})
+		}
+	case src == dst:
+		s.adj[src] = append(s.adj[src], deltaStep{gi, src, StepLoop})
+	default:
+		s.adj[src] = append(s.adj[src], deltaStep{gi, dst, StepOut})
+		s.adj[dst] = append(s.adj[dst], deltaStep{gi, src, StepIn})
 	}
 }
 

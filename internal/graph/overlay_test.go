@@ -232,23 +232,38 @@ func TestOverlayValidation(t *testing.T) {
 	g := conformanceGraph(t)
 	ov := NewOverlay(Snapshot(g))
 	seqBefore := ov.Snapshot().Seq()
-	for name, b := range map[string]*Batch{
-		"duplicate node":            ov.Begin().AddNode("a", nil, nil),
-		"duplicate edge":            ov.Begin().AddEdge("e1", "a", "b", nil, nil),
-		"node id used by edge":      ov.Begin().AddNode("e1", nil, nil),
-		"edge id used by node":      ov.Begin().AddEdge("a", "b", "c", nil, nil),
-		"unknown endpoint":          ov.Begin().AddEdge("nz", "a", "nope", nil, nil),
-		"delete unknown node":       ov.Begin().DeleteNode("nope"),
-		"delete unknown edge":       ov.Begin().DeleteEdge("nope"),
-		"update unknown node":       ov.Begin().SetNodeProp("nope", "k", value.Int(1)),
-		"update unknown edge":       ov.Begin().SetEdgeProp("nope", "k", value.Int(1)),
-		"edge to node deleted here": ov.Begin().DeleteNode("d").AddEdge("nz", "d", "a", nil, nil),
-		"update node deleted here":  ov.Begin().DeleteNode("d").SetNodeProp("d", "k", value.Int(1)),
-		"update edge detached here": ov.Begin().DeleteNode("a").SetEdgeProp("e1", "k", value.Int(1)),
-		"dup within batch":          ov.Begin().AddNode("n1", nil, nil).AddNode("n1", nil, nil),
+	for _, c := range []struct {
+		name string
+		b    *Batch
+		want string
+	}{
+		{"duplicate node", ov.Begin().AddNode("a", nil, nil), `overlay: duplicate node id "a"`},
+		{"duplicate edge", ov.Begin().AddEdge("e1", "a", "b", nil, nil), `overlay: duplicate edge id "e1"`},
+		{"node id used by edge", ov.Begin().AddNode("e1", nil, nil), `overlay: id "e1" already used by an edge (N and E must be disjoint)`},
+		{"edge id used by node", ov.Begin().AddEdge("a", "b", "c", nil, nil), `overlay: id "a" already used by a node (N and E must be disjoint)`},
+		{"unknown endpoint", ov.Begin().AddEdge("nz", "a", "nope", nil, nil), `overlay: edge "nz" references unknown node "nope"`},
+		{"unknown source", ov.Begin().AddEdge("nz", "nope", "a", nil, nil), `overlay: edge "nz" references unknown node "nope"`},
+		{"delete unknown node", ov.Begin().DeleteNode("nope"), `overlay: delete of unknown node "nope"`},
+		{"delete unknown edge", ov.Begin().DeleteEdge("nope"), `overlay: delete of unknown edge "nope"`},
+		{"update unknown node", ov.Begin().SetNodeProp("nope", "k", value.Int(1)), `overlay: update of unknown node "nope"`},
+		{"relabel unknown node", ov.Begin().SetNodeLabels("nope", nil), `overlay: update of unknown node "nope"`},
+		{"update unknown edge", ov.Begin().SetEdgeProp("nope", "k", value.Int(1)), `overlay: update of unknown edge "nope"`},
+		{"edge to node deleted here", ov.Begin().DeleteNode("d").AddEdge("nz", "d", "a", nil, nil), `overlay: edge "nz" references unknown node "d"`},
+		{"update node deleted here", ov.Begin().DeleteNode("d").SetNodeProp("d", "k", value.Int(1)), `overlay: update of unknown node "d"`},
+		{"update edge detached here", ov.Begin().DeleteNode("a").SetEdgeProp("e1", "k", value.Int(1)), `overlay: update of unknown edge "e1"`},
+		{"staged edge detached here", ov.Begin().AddNode("n1", nil, nil).AddEdge("nz", "n1", "a", nil, nil).DeleteNode("n1").DeleteEdge("nz"), `overlay: delete of unknown edge "nz"`},
+		{"edge deleted twice", ov.Begin().DeleteEdge("e1").DeleteEdge("e1"), `overlay: delete of unknown edge "e1"`},
+		{"dup within batch", ov.Begin().AddNode("n1", nil, nil).AddNode("n1", nil, nil), `overlay: duplicate node id "n1"`},
 	} {
-		if err := ov.Apply(b); err == nil {
-			t.Errorf("%s: Apply succeeded, want error", name)
+		before := ov.Snapshot()
+		err := ov.Apply(c.b)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: Apply error %v, want %q", c.name, err, c.want)
+		}
+		// A rejected batch publishes nothing: the current epoch is the
+		// very snapshot that stood before it.
+		if ov.Snapshot() != before {
+			t.Errorf("%s: rejected batch replaced the current snapshot", c.name)
 		}
 	}
 	// Atomicity: every failed batch left the epoch untouched.
